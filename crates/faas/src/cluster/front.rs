@@ -20,7 +20,7 @@
 //!   way: a redeploy schedule is a pure function of time, so
 //!   [`GatewayFront::with_redeploys`] replays it against the trace
 //!   clock — each due `(instant, fn)` entry bumps the function's
-//!   generation and drops its cached entries — and every node observes
+//!   generation and drops its cached entries — and every run observes
 //!   the identical invalidation sequence. [`GatewayFront::new`] is the
 //!   empty-schedule special case (generation pinned to 0, bit-for-bit
 //!   the old behavior).
@@ -31,11 +31,11 @@
 //! - **No pre-warmer**: cluster pools are fixed-size per (node,
 //!   function); pre-warming is a fleet-level policy.
 //!
-//! Every node replays the front over the *full* trace (the same way it
-//! replays the [`super::Placer`]) and keeps the backend-bound arrivals
-//! placed on it; the coordinator runs one extra pure pass to collect
-//! front-side stats. Both observe the identical decision sequence, so
-//! no front state ever crosses a thread boundary.
+//! The coordinator folds the front over the *full* trace once, ahead of
+//! the [`super::Placer`], before any node runs: backend-bound arrivals
+//! go on to placement, hits record their front-side sojourn, and the
+//! front's counters are read when the fold ends. Nodes see only their
+//! arrival lists, so no front state ever crosses a thread boundary.
 
 use gh_gateway::admission::{AdmissionConfig, TokenBucket};
 use gh_gateway::cache::{CacheKey, ResultCache};
@@ -96,8 +96,8 @@ impl GatewayFront {
     /// when the trace clock passes an entry, that function's generation
     /// bumps and its cached results drop (old-generation keys miss even
     /// inside their TTL). The schedule must be time-ordered; being a
-    /// pure function of the trace clock, every node replays it
-    /// identically, so coordinator purity is preserved.
+    /// pure function of the trace clock, it folds deterministically, so
+    /// coordinator purity is preserved.
     pub fn with_redeploys(cfg: &GatewayConfig, schedule: &[(Nanos, u32)]) -> GatewayFront {
         debug_assert!(
             schedule.windows(2).all(|w| w[0].0 <= w[1].0),

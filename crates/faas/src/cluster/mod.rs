@@ -13,11 +13,15 @@
 //! - the **front-end** ([`Placer`]) assigns each trace event to a node
 //!   using only deterministic coordinator state (cursors, expected
 //!   work), never node progress;
-//! - the **workload** is a seeded [`TraceGen`] stream shared by
-//!   construction: every node re-runs the generator + placer locally
-//!   and keeps the arrivals placed on it, so no materialized trace or
-//!   cross-node channel exists and trace memory is O(1) even at 10⁷
-//!   requests.
+//! - the **workload** is a seeded [`TraceGen`] stream folded **once**,
+//!   on the calling thread, before any pool is built: generator →
+//!   gateway front (if any) → placer → autoscaler (if armed) →
+//!   failover scan. The fold appends each backend-bound arrival, in
+//!   trace order, to its node's list, and counts failovers,
+//!   all-replicas-down drops and the scaler's counters once. Each list
+//!   entry is a 40 B [`TraceEvent`] held until the nodes finish, so the
+//!   lists cost 40 B per backend-bound request (~40 MB at 10⁶
+//!   requests).
 //!
 //! # Host-parallel execution
 //!
@@ -33,6 +37,12 @@
 //! to the serial reference — enforced by `tests/cluster_oracle.rs`
 //! across seeds × policies × node counts.
 //!
+//! The fold finishes before the first node starts rather than streaming
+//! arrivals to concurrently live nodes over bounded channels: streaming
+//! would keep every node's pools resident at once (~25 MiB per node),
+//! while claiming whole nodes keeps at most `threads` nodes' pools live
+//! — far more memory than the arrival lists cost.
+//!
 //! Stats memory is sketch-bounded: each node carries two fixed-size
 //! sketches (~30 KiB each) regardless of request count
 //! ([`ClusterResult::stats_bytes`]).
@@ -40,11 +50,11 @@
 //! # Failure-aware autoscaling
 //!
 //! [`scale`] adds a pure virtual-time controller over the node count:
-//! armed via [`ClusterConfig::with_autoscale`], every node folds the
-//! same [`NodeScaler`] over the full backend-bound arrival stream
-//! (exactly like the placer), growing the active set under queue
-//! pressure or observed loss and cordoning + draining the top node in
-//! quiet windows. Because the fold reads only the trace prefix and the
+//! armed via [`ClusterConfig::with_autoscale`], the coordinator fold
+//! steps one [`NodeScaler`] over every backend-bound arrival, right
+//! after the placer, growing the active set under queue pressure or
+//! observed loss and cordoning + draining the top node in quiet
+//! windows. Because the fold reads only the trace prefix and the
 //! deterministic fault schedule, autoscaled placement remains
 //! coordinator-pure and host-parallel runs stay bit-identical to
 //! serial. Redeploy schedules fold into the gateway front the same way
@@ -65,10 +75,7 @@ use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
 use crate::fleet::{par, DepthTracker, ExecMode, Pending, Pool, RoutePolicy, Router};
-use crate::trace::{TraceConfig, TraceGen};
-
-use std::cell::Cell;
-use std::rc::Rc;
+use crate::trace::{TraceConfig, TraceEvent, TraceGen};
 
 pub use front::{FrontDecision, GatewayFront};
 pub use place::{PlacePolicy, Placer};
@@ -93,9 +100,9 @@ pub struct ClusterConfig {
     /// Fault injection, if armed (see [`ClusterConfig::with_faults`]).
     /// `None` keeps the run byte-identical to the fault-free reference.
     pub faults: Option<FaultConfig>,
-    /// Failure-aware node autoscaling, if armed. Each node folds the
-    /// same [`NodeScaler`] over the full backend-bound arrival stream
-    /// (like the placer), so the active set is coordinator-pure; `None`
+    /// Failure-aware node autoscaling, if armed. The coordinator fold
+    /// steps one [`NodeScaler`] over every backend-bound arrival (right
+    /// after the placer), so the active set is coordinator-pure; `None`
     /// keeps placement byte-identical to the unscaled reference.
     pub autoscale: Option<NodeScaleConfig>,
     /// Time-ordered `(instant, fn)` redeploy schedule folded into the
@@ -198,9 +205,9 @@ pub struct ClusterResult {
     /// another replica because their placed node was down; `abandoned`
     /// includes requests dropped because every replica was down.
     pub faults: FaultStats,
-    /// Autoscaler counters, when [`ClusterConfig::autoscale`] is armed.
-    /// Every node computes the identical fold, so this is node 0's copy
-    /// (not a sum).
+    /// Autoscaler counters, when [`ClusterConfig::autoscale`] is armed
+    /// and at least one arrival reached placement. The coordinator
+    /// computes them once, in the trace fold.
     pub scale: Option<ScaleStats>,
     /// Per-node breakdown, node-index order.
     pub per_node: Vec<NodeLoad>,
@@ -221,30 +228,43 @@ struct NodeResult {
     containers: u32,
     span_end: Nanos,
     faults: FaultStats,
+}
+
+/// The coordinator fold's output: every node's backend-bound arrivals
+/// plus the counts only the fold can make.
+struct Fold {
+    /// Placement state after the whole trace. Nodes read only its static
+    /// deployment ([`Placer::hosts`]) to build their pools.
+    placer: Placer,
+    /// Backend-bound arrivals per node, trace order.
+    arrivals: Vec<Vec<TraceEvent>>,
+    /// Per node, arrivals failed over onto it because the node they were
+    /// placed on was down.
+    failovers: Vec<u64>,
+    /// Arrivals dropped at the front because every replica was down.
+    all_down: u64,
+    /// Autoscaler counters after the last backend-bound arrival (`None`
+    /// when unarmed or when no arrival reached placement).
     scale: Option<ScaleStats>,
+    /// The gateway front after the whole trace, when one ran.
+    front: Option<GatewayFront>,
+    /// Front-side sojourns of the front's cache hits.
+    hit_sojourns: QuantileSketch,
 }
 
-/// Node-local events: a trace arrival reaching the node, a container
-/// (pool, slot) finishing its restore, or a parked retry (token into
-/// the node's park table) coming due after its backoff.
-enum NodeEv {
-    Arrival,
-    Ready(u32, u32),
-    Retry(u32),
-}
-
-/// Runs node `node`'s entire timeline: re-generates the trace, filters
-/// it through the placer, and drives the node's pools through one local
-/// event queue. Pure: no shared state, so serial and parallel callers
-/// get identical results.
-fn run_node(
-    node: usize,
+/// Folds the whole trace once: generator → gateway front (if any) →
+/// placer → autoscaler (if armed) → failover scan, appending each
+/// backend-bound arrival to the list of the node that serves it.
+///
+/// Every config check a node would otherwise hit mid-run (catalog
+/// coverage, node and replica counts) fires here, on the caller's
+/// thread, before any pool is built.
+fn fold(
     trace_cfg: &TraceConfig,
     catalog: &[FunctionSpec],
     ccfg: &ClusterConfig,
-    gh: &GroundhogConfig,
     gcfg: Option<&GatewayConfig>,
-) -> Result<NodeResult, StrategyError> {
+) -> Fold {
     let nf = trace_cfg.functions as usize;
     assert!(
         catalog.len() >= nf,
@@ -257,6 +277,109 @@ fn run_node(
         &catalog[..nf],
         ccfg.seed,
     );
+    // Node-loss draws are pure hashes of (seed, node, window), so the
+    // failover decision needs only the trace.
+    let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
+    let mut front = gcfg.map(|g| GatewayFront::with_redeploys(g, &ccfg.redeploys));
+    let mut hit_sojourns = QuantileSketch::new();
+    let mut scaler = ccfg
+        .autoscale
+        .map(|sc| NodeScaler::new(sc, ccfg.nodes, trace_cfg.origin));
+    let mut arrivals: Vec<Vec<TraceEvent>> = vec![Vec::new(); ccfg.nodes];
+    let mut failovers = vec![0u64; ccfg.nodes];
+    let mut all_down = 0u64;
+    let mut placed = false;
+
+    for ev in TraceGen::new(trace_cfg) {
+        let f = ev.fn_id as usize;
+        if let Some(front) = &mut front {
+            match front.decide(&ev, catalog[f].output_kb) {
+                FrontDecision::Backend => {}
+                FrontDecision::Hit => {
+                    hit_sojourns.record_nanos(front.hit_cost());
+                    continue;
+                }
+                FrontDecision::Reject => continue,
+            }
+        }
+        placed = true;
+        let base = placer.place(f);
+        // The scaler observes the placed node's load (and whether it was
+        // lost) and may redirect away from a cordoned node.
+        let target = match &mut scaler {
+            None => base,
+            Some(s) => {
+                let lost = plan.as_ref().is_some_and(|pl| pl.node_down(base, ev.at));
+                let cost = Nanos::from_millis_f64(catalog[f].base_e2e_ms);
+                s.observe(ev.at, base, cost, lost);
+                if s.placeable(base) {
+                    base
+                } else {
+                    match placer.candidates(f).find(|&n| s.placeable(n)) {
+                        Some(c) => {
+                            s.note_redirect();
+                            c
+                        }
+                        None => base,
+                    }
+                }
+            }
+        };
+        let node = match &plan {
+            Some(pl) if pl.node_down(target, ev.at) => {
+                // Failover scan: first up replica, preferring nodes the
+                // scaler still places on (a cordoned node is a last
+                // resort, not a dead one).
+                let up = || placer.candidates(f).filter(|&n| !pl.node_down(n, ev.at));
+                let pick = scaler
+                    .as_ref()
+                    .and_then(|s| up().find(|&n| s.placeable(n)))
+                    .or_else(|| up().next());
+                let Some(n) = pick else {
+                    all_down += 1;
+                    continue;
+                };
+                failovers[n] += 1;
+                n
+            }
+            _ => target,
+        };
+        arrivals[node].push(ev);
+    }
+    Fold {
+        placer,
+        arrivals,
+        failovers,
+        all_down,
+        scale: scaler.filter(|_| placed).map(|s| s.stats()),
+        front,
+        hit_sojourns,
+    }
+}
+
+/// Node-local events: a trace arrival reaching the node, a container
+/// (pool, slot) finishing its restore, or a parked retry (token into
+/// the node's park table) coming due after its backoff.
+enum NodeEv {
+    Arrival,
+    Ready(u32, u32),
+    Retry(u32),
+}
+
+/// Runs node `node`'s entire timeline: drives the pools deployed on it
+/// through one local event queue, fed by `arrivals`, the node's list
+/// from the coordinator [`fold`]. Pure: no shared state, so serial and
+/// parallel callers get identical results.
+fn run_node(
+    node: usize,
+    arrivals: &[TraceEvent],
+    placer: &Placer,
+    trace_cfg: &TraceConfig,
+    catalog: &[FunctionSpec],
+    ccfg: &ClusterConfig,
+    gh: &GroundhogConfig,
+) -> Result<NodeResult, StrategyError> {
+    let nf = trace_cfg.functions as usize;
 
     // Pools for the functions deployed here, ascending fn id. Each pool
     // seeds its containers from the (cluster seed, node, fn) hash so
@@ -287,115 +410,14 @@ fn run_node(
         .collect();
 
     // Fault plan, if armed. Draws are pure hashes of (seed, request,
-    // attempt) / (seed, node, window), so every node computes identical
-    // failover decisions and a node's own faults stay node-pure.
+    // attempt), so a node's own faults stay node-pure.
     let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
     let reroute = plan.map(|p| p.config().retry.reroute).unwrap_or(false);
 
-    // The node's trace slice: fold *every* global event through the
-    // gateway front (if any), step the placer over every backend-bound
-    // event (its cursors/loads depend on the full prefix), keep ours.
-    // Front and placer are both pure folds over the trace, so every
-    // node replays identical decision sequences. Under node loss the
-    // fold also replays the failover scan: an arrival placed on a down
-    // node moves to the first up candidate in replica order (counted by
-    // the receiving node), or is dropped at the front when every
-    // replica is down (counted once, by node 0's replay).
-    let mut front = gcfg.map(|g| GatewayFront::with_redeploys(g, &ccfg.redeploys));
-    let mut gen = TraceGen::new(trace_cfg);
-    let feed_plan = plan;
-    let failovers = Rc::new(Cell::new(0u64));
-    let all_down = Rc::new(Cell::new(0u64));
-    let (nl, ad) = (failovers.clone(), all_down.clone());
-    // Autoscaler, if armed: folded over every backend-bound arrival
-    // (like the placer), so each node replays the identical active-set
-    // history. Stats are exported through a cell because the fold lives
-    // inside the closure; every node's copy is identical, merge keeps
-    // node 0's.
-    let mut scaler = ccfg
-        .autoscale
-        .map(|sc| NodeScaler::new(sc, ccfg.nodes, trace_cfg.origin));
-    let scale_out = Rc::new(Cell::new(None::<ScaleStats>));
-    let scale_cell = scale_out.clone();
-    let mut next_local = move || {
-        gen.by_ref().find(|ev| {
-            let backend = match &mut front {
-                None => true,
-                Some(f) => {
-                    f.decide(ev, catalog[ev.fn_id as usize].output_kb) == FrontDecision::Backend
-                }
-            };
-            if !backend {
-                return false;
-            }
-            let f = ev.fn_id as usize;
-            let base = placer.place(f);
-            // The scaler observes the placed node's load (and whether it
-            // was lost) and may redirect away from a cordoned node.
-            let target = match &mut scaler {
-                None => base,
-                Some(s) => {
-                    let lost = feed_plan
-                        .as_ref()
-                        .map(|pl| pl.node_down(base, ev.at))
-                        .unwrap_or(false);
-                    let cost = Nanos::from_millis_f64(catalog[f].base_e2e_ms);
-                    s.observe(ev.at, base, cost, lost);
-                    let t = if s.placeable(base) {
-                        base
-                    } else {
-                        match placer.candidates(f).find(|&n| s.placeable(n)) {
-                            Some(c) => {
-                                s.note_redirect();
-                                c
-                            }
-                            None => base,
-                        }
-                    };
-                    scale_cell.set(Some(s.stats()));
-                    t
-                }
-            };
-            let Some(pl) = &feed_plan else {
-                return target == node;
-            };
-            if !pl.node_down(target, ev.at) {
-                return target == node;
-            }
-            // Failover scan: first up replica, preferring nodes the
-            // scaler still places on (a cordoned node is a last resort,
-            // not a dead one).
-            let up: Vec<usize> = placer
-                .candidates(f)
-                .filter(|&n| !pl.node_down(n, ev.at))
-                .collect();
-            let pick = match &scaler {
-                Some(s) => up
-                    .iter()
-                    .copied()
-                    .find(|&n| s.placeable(n))
-                    .or_else(|| up.first().copied()),
-                None => up.first().copied(),
-            };
-            match pick {
-                Some(n) if n == node => {
-                    nl.set(nl.get() + 1);
-                    true
-                }
-                Some(_) => false,
-                None => {
-                    if node == 0 {
-                        ad.set(ad.get() + 1);
-                    }
-                    false
-                }
-            }
-        })
-    };
-
+    let mut feed = arrivals.iter();
     let mut events: EventQueue<NodeEv> = EventQueue::new();
-    let mut upcoming = next_local();
-    if let Some(ev) = &upcoming {
+    let mut upcoming = feed.next();
+    if let Some(ev) = upcoming {
         events.schedule(ev.at, NodeEv::Arrival);
     }
     let mut sojourns = QuantileSketch::new();
@@ -433,8 +455,8 @@ fn run_node(
                 });
                 queued += 1;
                 depth.record(queued);
-                upcoming = next_local();
-                if let Some(next) = &upcoming {
+                upcoming = feed.next();
+                if let Some(next) = upcoming {
                     events.schedule(next.at, NodeEv::Arrival);
                 }
                 (pi, si)
@@ -523,10 +545,15 @@ fn run_node(
             depth.record(queued);
         }
     }
-    debug_assert_eq!(queued, 0, "queues must drain");
-    debug_assert_eq!(parked_live, 0, "every parked retry must fire");
-    fstats.node_losses = failovers.get();
-    fstats.abandoned += all_down.get();
+    // Release-mode conservation: the node's input is a known list, so
+    // every arrival must have completed or been abandoned after deaths.
+    assert_eq!(queued, 0, "queues must drain");
+    assert_eq!(parked_live, 0, "every parked retry must fire");
+    assert_eq!(
+        completed + fstats.abandoned,
+        arrivals.len() as u64,
+        "node {node}: every arrival completes or is abandoned"
+    );
 
     let mut restore_total = Nanos::ZERO;
     let mut restore_hidden = Nanos::ZERO;
@@ -556,27 +583,18 @@ fn run_node(
         containers,
         span_end,
         faults: fstats,
-        scale: scale_out.get(),
     })
 }
 
-/// Front-side outcome of a gateway-wrapped run: requests that never
-/// reached a node, plus the hit latencies to fold into the sojourn
-/// sketch.
-struct FrontOutcome {
-    hits: u64,
-    hit_sojourns: QuantileSketch,
-}
-
 /// Merges per-node outcomes (already in node-index order) into the
-/// cluster result, folding in the gateway front's outcome when one ran.
-/// Sketch merges are exact, so this is independent of how the nodes
-/// were executed.
+/// cluster result, adding the fold's own counts and, when a gateway
+/// front ran, its cache hits. Sketch merges are exact, so this is
+/// independent of how the nodes were executed.
 fn merge(
     nodes: Vec<NodeResult>,
     trace_cfg: &TraceConfig,
     ccfg: &ClusterConfig,
-    front: Option<&FrontOutcome>,
+    fold: &Fold,
 ) -> ClusterResult {
     let mut sojourns = QuantileSketch::new();
     let mut depth = DepthTracker::new();
@@ -606,12 +624,14 @@ fn merge(
             busy_ms: n.busy.as_millis_f64(),
         });
     }
-    if let Some(f) = front {
+    faults.node_losses += fold.failovers.iter().sum::<u64>();
+    faults.abandoned += fold.all_down;
+    if let Some(f) = &fold.front {
         // Cache hits are served requests with front-side sojourns; the
         // span is untouched (hits never run on a node). With a disabled
         // gateway both counts are zero and the merge is the identity.
         completed += f.hits;
-        sojourns.merge(&f.hit_sojourns);
+        sojourns.merge(&fold.hit_sojourns);
     }
     let span = span_end - trace_cfg.origin;
     let utilization = if span.is_zero() || containers == 0 {
@@ -648,7 +668,7 @@ fn merge(
         imbalance,
         containers,
         faults,
-        scale: nodes.first().and_then(|n| n.scale),
+        scale: fold.scale,
         per_node,
         stats_bytes: nodes.len() * 2 * QuantileSketch::memory_bytes(),
     }
@@ -695,20 +715,36 @@ pub fn run_cluster_with(
     gh: GroundhogConfig,
     mode: ExecMode,
 ) -> Result<ClusterResult, StrategyError> {
-    let nodes = run_nodes(trace_cfg, catalog, ccfg, &gh, mode, None)?;
-    Ok(merge(nodes, trace_cfg, ccfg, None))
+    run_folded(trace_cfg, catalog, ccfg, &gh, mode, None).map(|(cluster, _)| cluster)
 }
 
-/// Runs every node timeline, serial or work-stealing parallel, and
-/// returns the results in node-index order. With `gcfg` set, each node
-/// replays the deterministic [`GatewayFront`] in front of placement.
-fn run_nodes(
+/// The shared body of [`run_cluster_with`] and [`run_cluster_gateway`]:
+/// folds the trace once through `gcfg`'s front (if any) and placement,
+/// runs every node on its arrival list, and merges. Returns the fold's
+/// front for the gateway counters.
+fn run_folded(
     trace_cfg: &TraceConfig,
     catalog: &[FunctionSpec],
     ccfg: &ClusterConfig,
     gh: &GroundhogConfig,
     mode: ExecMode,
     gcfg: Option<&GatewayConfig>,
+) -> Result<(ClusterResult, Option<GatewayFront>), StrategyError> {
+    let fold = fold(trace_cfg, catalog, ccfg, gcfg);
+    let nodes = run_nodes(&fold, trace_cfg, catalog, ccfg, gh, mode)?;
+    let cluster = merge(nodes, trace_cfg, ccfg, &fold);
+    Ok((cluster, fold.front))
+}
+
+/// Runs every node timeline on its list from `fold`, serial or
+/// work-stealing parallel, and returns the results in node-index order.
+fn run_nodes(
+    fold: &Fold,
+    trace_cfg: &TraceConfig,
+    catalog: &[FunctionSpec],
+    ccfg: &ClusterConfig,
+    gh: &GroundhogConfig,
+    mode: ExecMode,
 ) -> Result<Vec<NodeResult>, StrategyError> {
     let threads = match mode {
         ExecMode::Serial => 1,
@@ -722,6 +758,17 @@ fn run_nodes(
         }
     };
     let n = ccfg.nodes;
+    let node = |i: usize| {
+        run_node(
+            i,
+            &fold.arrivals[i],
+            &fold.placer,
+            trace_cfg,
+            catalog,
+            ccfg,
+            gh,
+        )
+    };
     let results: Vec<NodeResult> = if threads >= 2 && n >= 2 {
         // Work-stealing over node indices; merge order is fixed by
         // index, so completion order is irrelevant.
@@ -739,7 +786,7 @@ fn run_nodes(
                                 if i >= n {
                                     break local;
                                 }
-                                local.push((i, run_node(i, trace_cfg, catalog, ccfg, gh, gcfg)));
+                                local.push((i, node(i)));
                             }
                         })
                     })
@@ -759,9 +806,7 @@ fn run_nodes(
             .map(|s| s.expect("every node index claimed"))
             .collect::<Result<Vec<_>, _>>()?
     } else {
-        (0..n)
-            .map(|i| run_node(i, trace_cfg, catalog, ccfg, gh, gcfg))
-            .collect::<Result<Vec<_>, _>>()?
+        (0..n).map(node).collect::<Result<Vec<_>, _>>()?
     };
     Ok(results)
 }
@@ -794,26 +839,8 @@ pub fn run_cluster_gateway(
     gh: GroundhogConfig,
     mode: ExecMode,
 ) -> Result<ClusterGatewayResult, StrategyError> {
-    // Coordinator stats pass: one pure fold over the trace, no pools.
-    let nf = trace_cfg.functions as usize;
-    assert!(
-        catalog.len() >= nf,
-        "catalog must cover every trace function"
-    );
-    let mut front = GatewayFront::with_redeploys(gcfg, &ccfg.redeploys);
-    let hit_cost = front.hit_cost();
-    let mut hit_sojourns = QuantileSketch::new();
-    for ev in TraceGen::new(trace_cfg) {
-        if front.decide(&ev, catalog[ev.fn_id as usize].output_kb) == FrontDecision::Hit {
-            hit_sojourns.record_nanos(hit_cost);
-        }
-    }
-    let outcome = FrontOutcome {
-        hits: front.hits,
-        hit_sojourns,
-    };
-    let nodes = run_nodes(trace_cfg, catalog, ccfg, &gh, mode, Some(gcfg))?;
-    let cluster = merge(nodes, trace_cfg, ccfg, Some(&outcome));
+    let (cluster, front) = run_folded(trace_cfg, catalog, ccfg, &gh, mode, Some(gcfg))?;
+    let front = front.expect("a gateway run folds through its front");
     let mut gateway = GatewayStats {
         served: cluster.completed,
         rejected: front.rejected,
@@ -827,7 +854,12 @@ pub fn run_cluster_gateway(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::synthetic_catalog;
+    use crate::fault::RetryPolicy;
+    use crate::trace::{cluster_redeploy_schedule, synthetic_catalog};
+    use gh_gateway::admission::AdmissionConfig;
+    use gh_gateway::cache::CacheConfig;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     fn small_trace(requests: u64, seed: u64) -> TraceConfig {
         TraceConfig {
@@ -1053,5 +1085,232 @@ mod tests {
         let large = run(PlacePolicy::RoundRobin, 2, 2_000, 13, ExecMode::Serial);
         assert_eq!(small.stats_bytes, large.stats_bytes);
         assert!(large.stats_bytes < 2 * 2 * 64 * 1024, "sketch-bounded");
+    }
+
+    /// One node's view of the trace under the per-node replay that the
+    /// coordinator fold replaced.
+    struct Replay {
+        arrivals: Vec<TraceEvent>,
+        failovers: u64,
+        all_down: u64,
+        scale: Option<ScaleStats>,
+    }
+
+    /// The reference for [`fold`]: every node re-ran generator, front,
+    /// placer, scaler and failover scan over the whole trace and kept the
+    /// arrivals that landed on it. The filter below is that replay,
+    /// verbatim.
+    fn replay_node(
+        node: usize,
+        trace_cfg: &TraceConfig,
+        catalog: &[FunctionSpec],
+        ccfg: &ClusterConfig,
+        gcfg: Option<&GatewayConfig>,
+    ) -> Replay {
+        let nf = trace_cfg.functions as usize;
+        let mut placer = Placer::new(
+            ccfg.policy,
+            ccfg.nodes,
+            ccfg.replicas,
+            &catalog[..nf],
+            ccfg.seed,
+        );
+        let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
+        let mut front = gcfg.map(|g| GatewayFront::with_redeploys(g, &ccfg.redeploys));
+        let mut gen = TraceGen::new(trace_cfg);
+        let feed_plan = plan;
+        let failovers = Rc::new(Cell::new(0u64));
+        let all_down = Rc::new(Cell::new(0u64));
+        let (nl, ad) = (failovers.clone(), all_down.clone());
+        let mut scaler = ccfg
+            .autoscale
+            .map(|sc| NodeScaler::new(sc, ccfg.nodes, trace_cfg.origin));
+        let scale_out = Rc::new(Cell::new(None::<ScaleStats>));
+        let scale_cell = scale_out.clone();
+        let mut next_local = move || {
+            gen.by_ref().find(|ev| {
+                let backend = match &mut front {
+                    None => true,
+                    Some(f) => {
+                        f.decide(ev, catalog[ev.fn_id as usize].output_kb) == FrontDecision::Backend
+                    }
+                };
+                if !backend {
+                    return false;
+                }
+                let f = ev.fn_id as usize;
+                let base = placer.place(f);
+                let target = match &mut scaler {
+                    None => base,
+                    Some(s) => {
+                        let lost = feed_plan
+                            .as_ref()
+                            .map(|pl| pl.node_down(base, ev.at))
+                            .unwrap_or(false);
+                        let cost = Nanos::from_millis_f64(catalog[f].base_e2e_ms);
+                        s.observe(ev.at, base, cost, lost);
+                        let t = if s.placeable(base) {
+                            base
+                        } else {
+                            match placer.candidates(f).find(|&n| s.placeable(n)) {
+                                Some(c) => {
+                                    s.note_redirect();
+                                    c
+                                }
+                                None => base,
+                            }
+                        };
+                        scale_cell.set(Some(s.stats()));
+                        t
+                    }
+                };
+                let Some(pl) = &feed_plan else {
+                    return target == node;
+                };
+                if !pl.node_down(target, ev.at) {
+                    return target == node;
+                }
+                let up: Vec<usize> = placer
+                    .candidates(f)
+                    .filter(|&n| !pl.node_down(n, ev.at))
+                    .collect();
+                let pick = match &scaler {
+                    Some(s) => up
+                        .iter()
+                        .copied()
+                        .find(|&n| s.placeable(n))
+                        .or_else(|| up.first().copied()),
+                    None => up.first().copied(),
+                };
+                match pick {
+                    Some(n) if n == node => {
+                        nl.set(nl.get() + 1);
+                        true
+                    }
+                    Some(_) => false,
+                    None => {
+                        if node == 0 {
+                            ad.set(ad.get() + 1);
+                        }
+                        false
+                    }
+                }
+            })
+        };
+        let arrivals: Vec<TraceEvent> = std::iter::from_fn(&mut next_local).collect();
+        Replay {
+            arrivals,
+            failovers: failovers.get(),
+            all_down: all_down.get(),
+            scale: scale_out.get(),
+        }
+    }
+
+    #[test]
+    fn fold_matches_the_per_node_replay() {
+        const NODES: usize = 4;
+        let catalog = synthetic_catalog(24, 3);
+        let gateway = GatewayConfig::builder()
+            .cache(CacheConfig::default_for_ttl(Nanos::from_secs(20)))
+            .admission(AdmissionConfig {
+                rate_per_sec: 60.0,
+                burst: 30,
+                max_in_flight: None,
+            })
+            .build();
+        // Totals over the matrix, so no branch of the fold goes untested.
+        let (mut failovers, mut all_down, mut hits, mut rejected, mut redirects) = (0, 0, 0, 0, 0);
+        // Three replicas let the failover scan's preference for placeable
+        // nodes pick past a cordoned first-up replica.
+        for (seed, requests, replicas) in [(3u64, 600u64, 2), (41, 600, 3), (7, 0, 2)] {
+            let trace = small_trace(requests, seed);
+            let loss = FaultConfig {
+                node_loss_rate: 0.3,
+                node_loss_window: Nanos::from_millis(20),
+                ..FaultConfig::none(seed)
+            };
+            let fault_cases = [
+                None,
+                Some(FaultConfig::deaths(seed, 0.05)),
+                Some(FaultConfig {
+                    retry: RetryPolicy::bounded(),
+                    ..loss
+                }),
+                Some(FaultConfig {
+                    retry: RetryPolicy::rerouting(),
+                    ..loss
+                }),
+            ];
+            for policy in PlacePolicy::ALL {
+                for faults in fault_cases {
+                    for autoscale in [None, Some(NodeScaleConfig::balanced(2))] {
+                        for gcfg in [None, Some(&gateway)] {
+                            let mut ccfg =
+                                ClusterConfig::new(NODES, policy, StrategyKind::Gh, seed);
+                            ccfg.replicas = replicas;
+                            ccfg.faults = faults;
+                            ccfg.autoscale = autoscale;
+                            if gcfg.is_some() {
+                                ccfg.redeploys = cluster_redeploy_schedule(&trace, 6);
+                            }
+                            let label = format!(
+                                "seed {seed} replicas {replicas} {} faults {faults:?} scale {} gateway {}",
+                                policy.label(),
+                                autoscale.is_some(),
+                                gcfg.is_some()
+                            );
+                            let fold = fold(&trace, &catalog, &ccfg, gcfg);
+                            for node in 0..NODES {
+                                let r = replay_node(node, &trace, &catalog, &ccfg, gcfg);
+                                assert_eq!(fold.arrivals[node], r.arrivals, "{label}: node {node}");
+                                assert_eq!(
+                                    fold.failovers[node], r.failovers,
+                                    "{label}: node {node}"
+                                );
+                                // The replay counted all-down drops on node 0 only.
+                                let all = if node == 0 { fold.all_down } else { 0 };
+                                assert_eq!(all, r.all_down, "{label}: node {node}");
+                                assert_eq!(fold.scale, r.scale, "{label}: node {node}");
+                            }
+                            let (h, rj) =
+                                fold.front.as_ref().map_or((0, 0), |f| (f.hits, f.rejected));
+                            let listed: u64 = fold.arrivals.iter().map(|a| a.len() as u64).sum();
+                            assert_eq!(
+                                listed + h + rj + fold.all_down,
+                                trace.requests,
+                                "{label}: every request is listed, hit, rejected or dropped"
+                            );
+                            assert_eq!(fold.hit_sojourns.len(), h, "{label}");
+                            failovers += fold.failovers.iter().sum::<u64>();
+                            all_down += fold.all_down;
+                            hits += h;
+                            rejected += rj;
+                            redirects += fold.scale.map_or(0, |s| s.redirects);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            failovers > 0 && all_down > 0,
+            "node loss must fail over and drop"
+        );
+        assert!(hits > 0 && rejected > 0, "the front must hit and reject");
+        assert!(redirects > 0, "the scaler must redirect");
+    }
+
+    #[test]
+    #[should_panic(expected = "catalog must cover every trace function")]
+    fn config_errors_surface_on_the_caller_under_parallel_nodes() {
+        let catalog = synthetic_catalog(8, 5);
+        let trace = small_trace(100, 5);
+        let ccfg = ClusterConfig::new(4, PlacePolicy::RoundRobin, StrategyKind::Gh, 5);
+        let _ = run_cluster_with(
+            &trace,
+            &catalog,
+            &ccfg,
+            GroundhogConfig::gh(),
+            ExecMode::Parallel { threads: 2 },
+        );
     }
 }

@@ -7,9 +7,10 @@
 //! coordinator-visible deterministic state** (its own cursors and
 //! accumulated expected work — never node-internal progress). That
 //! restriction is what makes cluster runs embarrassingly parallel:
-//! placement is a pure function of the trace prefix, so every node can
-//! re-run the placer locally and filter the trace to its own arrivals
-//! with no cross-node communication (see [`super`]).
+//! placement is a pure function of the trace prefix, so the coordinator
+//! places the whole trace once, up front, and each node then runs on
+//! its own arrival list with no cross-node communication (see
+//! [`super`]).
 
 use gh_functions::FunctionSpec;
 use gh_sim::Nanos;
@@ -112,8 +113,8 @@ impl Placer {
     /// The function's candidate nodes in deterministic failover order
     /// (home replica first). The fault layer walks this list when the
     /// placed node is inside an outage window; because the order is a
-    /// pure function of the deployment hash, every node replays the
-    /// same failover decision without coordination.
+    /// pure function of the deployment hash, the failover decision is
+    /// too, and the coordinator makes it inside the trace fold.
     pub fn candidates(&self, f: usize) -> impl Iterator<Item = usize> + '_ {
         (0..self.replicas).map(move |k| self.replica(f, k))
     }

@@ -23,16 +23,18 @@
 //! Like the [`super::Placer`] and [`super::GatewayFront`], the scaler
 //! is a **pure fold over the trace**: it reads only arrival times, the
 //! base placement, a per-function cost estimate, and the deterministic
-//! node-loss schedule — never node progress. Every node replays the
-//! identical fold and reaches the identical active-set sequence, which
-//! is what keeps host-parallel cluster execution bit-identical to
-//! serial with autoscaling enabled (`tests/cluster_oracle.rs`).
+//! node-loss schedule — never node progress. The cluster coordinator
+//! steps it once per backend-bound arrival, in the same trace fold as
+//! the placer and before any node runs, so the active-set sequence is
+//! fixed up front, which is what keeps host-parallel cluster execution
+//! bit-identical to serial with autoscaling enabled
+//! (`tests/cluster_oracle.rs`).
 //!
 //! Queue depth is modeled, not measured: each node carries a backlog in
 //! virtual nanoseconds that decays in real (virtual) time and grows by
 //! the placed function's expected end-to-end cost. That proxy is exact
 //! enough to steer scaling and — unlike true node queue depths — is
-//! computable by every node from the trace prefix alone.
+//! computable by the coordinator from the trace prefix alone.
 
 use gh_sim::{Nanos, QuantileSketch};
 
@@ -72,8 +74,9 @@ impl NodeScaleConfig {
     }
 }
 
-/// Counters of one scaler fold. Identical on every node of a cluster
-/// run (the fold is pure), so the merge keeps node 0's copy.
+/// Counters of one scaler fold. A cluster run folds the scaler once,
+/// on the coordinator, and reports these counters as they stand after
+/// the last backend-bound arrival.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScaleStats {
     /// Nodes activated under pressure.

@@ -22,10 +22,10 @@
 //! Every stream draws from its own seed-derived [`DetRng`], so the
 //! trace is a deterministic function of [`TraceConfig`] alone: two
 //! iterators with the same config yield byte-identical event sequences
-//! (pinned by the tests below), which is what lets every cluster node
-//! re-run the generator locally and filter to its own arrivals instead
-//! of shipping a materialized trace — O(1) trace memory at 10⁷
-//! requests.
+//! (pinned by the tests below). The generator itself holds O(1) state;
+//! a cluster run folds it once on the coordinator and keeps only the
+//! backend-bound arrivals, in per-node lists of 40 B [`TraceEvent`]s
+//! (see [`crate::cluster`]).
 //!
 //! [`synthetic_catalog`] pairs the generator with a deterministic
 //! function population (page counts, write fractions, runtimes, compute
@@ -371,7 +371,7 @@ pub fn redeploy_schedule(cfg: &TraceConfig, count: usize) -> Vec<Nanos> {
 /// [`redeploy_schedule`], but each instant also carries the function
 /// being redeployed (drawn uniformly over the trace's function
 /// population on the dedicated `0x7AC3_0009` stream). A pure function
-/// of `(cfg, count)`, so every node's replay of the
+/// of `(cfg, count)`, so every run of the
 /// [`crate::cluster::GatewayFront`] fold sees the identical
 /// invalidation timeline.
 pub fn cluster_redeploy_schedule(cfg: &TraceConfig, count: usize) -> Vec<(Nanos, u32)> {
