@@ -15,6 +15,18 @@ use gh_sim::report::TextTable;
 use groundhog_core::breakdown::{ALL_PHASES, NUM_PHASES};
 use groundhog_core::GroundhogConfig;
 
+/// Writes one sweep's CSV. `results/<name>.csv` is checked in as the
+/// recorded full-size sweep (CI regenerates it and fails on any byte
+/// change), so a truncated smoke run writes `<name>_smoke.csv` instead
+/// of clobbering it.
+fn write_sweep(name: &str, csv: &TextTable) {
+    if smoke() {
+        write_csv(&format!("{name}_smoke"), csv);
+    } else {
+        write_csv(name, csv);
+    }
+}
+
 /// The benchmark set, trimmed under `GH_BENCH_SMOKE`.
 fn benches() -> Vec<FunctionSpec> {
     let mut all = representative_14();
@@ -86,7 +98,7 @@ fn main() {
         );
     }
     println!("\n{}", table.render());
-    write_csv("fig8", &csv);
+    write_sweep("fig8", &csv);
     println!(
         "Expected shapes (paper §5.4/§5.5): memory restoration dominates write-heavy \
          functions (base64(n), img-resize(n)); scanning page metadata dominates \
@@ -140,7 +152,7 @@ fn lanes_sweep() {
         csv.row_owned(row);
     }
     println!("{}", table.render());
-    write_csv("fig8_lanes", &csv);
+    write_sweep("fig8_lanes", &csv);
     println!(
         "Writeback-heavy restores (base64(n), img-resize(n)) approach the lane count; \
          scan-dominated restores (get-time(n)) stay flat — the pagemap scan is serial."
@@ -207,16 +219,7 @@ fn lazy_sweep() {
         csv.row_owned(row);
     }
     println!("{}", table.render());
-    // `results/fig8_lazy.csv` is checked in as the recorded full sweep;
-    // the truncated smoke run must not clobber it.
-    write_csv(
-        if smoke() {
-            "fig8_lazy_smoke"
-        } else {
-            "fig8_lazy"
-        },
-        &csv,
-    );
+    write_sweep("fig8_lazy", &csv);
     println!(
         "Lazy restoration cuts the critical-path restore at every density; the deferred \
          pages come back as first-touch faults inside the next request (the exec delta). \

@@ -75,8 +75,8 @@ pub enum RestorePass {
     /// Zero stack pages that paged in after the snapshot (§4.4 restores
     /// the stack by zeroing, not by content copy).
     StackZero {
-        /// The pages to zero, ascending.
-        pages: Vec<Vpn>,
+        /// The pages to zero, as sorted coalesced runs.
+        runs: Vec<PageRange>,
     },
     /// Write snapshot contents back over the restore set, split across
     /// parallel copy lanes.
@@ -216,17 +216,14 @@ impl RestorePlanner {
         let snap_runs = snapshot.page_runs();
 
         let mut present_after: Option<Vec<PageRange>> = None;
-        let mut stack_zero: Vec<Vpn> = Vec::new();
+        let mut stack_zero: Vec<PageRange> = Vec::new();
         if let Some(present_runs) = &dirty.present_runs {
             // Pages munmap will drop are not present for restore math.
             let present = runs_subtract(present_runs, &diff.to_munmap);
             // Fresh = resident now but absent from the snapshot.
-            let fresh = runs_subtract(&present, &snap_runs);
+            let fresh = runs_subtract(&present, snap_runs);
             if cfg.zero_stack {
-                stack_zero = runs_intersect(&fresh, stacks)
-                    .iter()
-                    .flat_map(|r| r.iter())
-                    .collect();
+                stack_zero = runs_intersect(&fresh, stacks);
             }
             let evict = if cfg.madvise_new {
                 runs_subtract(&fresh, stacks)
@@ -234,14 +231,14 @@ impl RestorePlanner {
                 Vec::new()
             };
             plan.newly_paged = runs_len(&evict);
-            plan.stack_zeroed = stack_zero.len() as u64;
+            plan.stack_zeroed = runs_len(&stack_zero);
             let present = runs_subtract(&present, &evict);
             plan.passes.push(RestorePass::Madvise { evict });
             present_after = Some(present);
         }
         if !stack_zero.is_empty() {
             plan.passes
-                .push(RestorePass::StackZero { pages: stack_zero });
+                .push(RestorePass::StackZero { runs: stack_zero });
         }
 
         // Pass 4: page writeback. The restore set is
@@ -250,12 +247,12 @@ impl RestorePlanner {
         // churn. Without a pagemap view (UFFD), the second term is
         // limited to the regions we know we remapped.
         let dirty_runs = group_ranges(&dirty.dirty.iter().map(|v| v.0).collect::<Vec<u64>>());
-        let term1 = runs_intersect(&dirty_runs, &snap_runs);
+        let term1 = runs_intersect(&dirty_runs, snap_runs);
         let runs = match &present_after {
-            Some(present) => runs_union(&term1, &runs_subtract(&snap_runs, present)),
+            Some(present) => runs_union(&term1, &runs_subtract(snap_runs, present)),
             None => {
                 let remapped: Vec<PageRange> = diff.to_remap.iter().map(|r| r.range).collect();
-                runs_union(&term1, &runs_intersect(&snap_runs, &remapped))
+                runs_union(&term1, &runs_intersect(snap_runs, &remapped))
             }
         };
         plan.runs = runs.len() as u64;

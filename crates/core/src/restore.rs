@@ -25,8 +25,15 @@
 //! report are bit-for-bit identical to the pre-pipeline monolith (pinned
 //! by `tests/prop_plan.rs`). With more lanes, only the page-writeback
 //! pass parallelizes; the ptrace-serialized passes stay serial.
+//!
+//! Host-side, each memory pass mutates the page table in one ordered
+//! walk rather than page by page: `Madvise` evicts all its ranges in one
+//! fold, `StackZero` goes through the writeback walk, and
+//! `PageWriteback` writes every lane's runs through one
+//! [`Snapshot::write_back`] call. Lanes are a virtual-time concept only;
+//! the state outcome equals the per-page loops exactly.
 
-use gh_mem::Taint;
+use gh_mem::{FrameData, PageRange, Taint};
 use gh_proc::{Kernel, Pid, PtraceSession};
 use gh_sim::clock::Stopwatch;
 use gh_sim::Nanos;
@@ -146,40 +153,29 @@ impl Restorer {
                     }
                 }
                 RestorePass::Madvise { evict } => {
-                    for range in evict {
-                        for vpn in range.iter() {
-                            s.evict_page(vpn)?;
-                        }
-                    }
+                    s.evict_runs(evict)?;
                     let pages: u64 = evict.iter().map(|r| r.len()).sum();
                     let cost = s.kernel().cost.syscall_inject * evict.len() as u64
                         + s.kernel().cost.madvise_new_page * pages;
                     s.kernel().charge(cost);
                     bd.add(RestorePhase::Madvise, sw.lap());
                 }
-                RestorePass::StackZero { pages } => {
-                    for &vpn in pages {
-                        s.zero_page(vpn)?;
-                    }
+                RestorePass::StackZero { runs } => {
+                    s.write_runs(runs, |_, _| FrameData::Zero, Taint::Clean)?;
                     // Stack zeroing is charged into the memory-restoration
                     // phase: no lap here, the writeback pass's lap absorbs
                     // it.
-                    let cost = s.kernel().cost.zero_stack_page * pages.len() as u64;
+                    let pages: u64 = runs.iter().map(|r| r.len()).sum();
+                    let cost = s.kernel().cost.zero_stack_page * pages;
                     s.kernel().charge(cost);
                 }
                 RestorePass::PageWriteback { lanes, coalesce } => {
-                    // One scratch buffer reused across every run of every
-                    // lane: no per-run Vec churn, one store lock per
-                    // coalesced run — and the whole run lands through one
-                    // batched `write_run` (one page-table walk per run)
-                    // instead of a probe-and-splice per page.
-                    let mut scratch: Vec<gh_mem::FrameData> = Vec::new();
-                    for lane in lanes {
-                        for run in &lane.runs {
-                            snapshot.run_data_into(*run, s.kernel().frames(), &mut scratch);
-                            s.write_run(*run, &scratch, Taint::Clean)?;
-                        }
-                    }
+                    // Lanes split the sorted run list in address order,
+                    // so their concatenation is the whole restore set:
+                    // one page-table walk writes every lane's runs.
+                    let runs: Vec<PageRange> =
+                        lanes.iter().flat_map(|l| l.runs.iter().copied()).collect();
+                    snapshot.write_back(s, &runs)?;
                     let lane_costs: Vec<(u64, u64)> = lanes
                         .iter()
                         .map(|l| (l.pages(), l.runs.len() as u64))

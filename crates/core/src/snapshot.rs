@@ -22,8 +22,8 @@
 //! interns the runs into the pool store by reference, copying a page
 //! only on a dedup miss.
 
-use gh_mem::{FrameData, FrameRuns, FrameTable, PageRange, StoreHandle, Vma, VmaKind, Vpn};
-use gh_proc::{Kernel, Pid, PtraceSession, Tid};
+use gh_mem::{FrameData, FrameRuns, FrameTable, PageRange, StoreHandle, Taint, Vma, VmaKind, Vpn};
+use gh_proc::{Kernel, Pid, PtraceError, PtraceSession, Tid};
 use gh_sim::clock::Stopwatch;
 use gh_sim::{Nanos, ScanShape};
 use std::collections::BTreeMap;
@@ -119,8 +119,9 @@ impl Snapshot {
         self.pages.runs().contains(vpn)
     }
 
-    /// The captured pages as sorted, maximal runs (`O(runs)`).
-    pub fn page_runs(&self) -> Vec<PageRange> {
+    /// The captured pages as sorted, maximal runs (computed once when
+    /// the snapshot is taken).
+    pub fn page_runs(&self) -> &[PageRange] {
         self.pages.runs().ranges()
     }
 
@@ -150,30 +151,41 @@ impl Snapshot {
         }
     }
 
-    /// Resolves the saved contents of every page of `range` into
-    /// `out` (cleared first) — the restorer's writeback resolves whole
-    /// coalesced runs through here with one reusable scratch buffer and,
-    /// for shared snapshots, one pool-store lock per run.
+    /// Writes the saved contents of every page of `runs` (sorted,
+    /// disjoint, possibly adjacent) back into the traced process — the
+    /// writeback pass, as one page-table walk for the whole set
+    /// ([`PtraceSession::write_runs`]). A forward cursor resolves each
+    /// page's saved frame, its contents are cloned once and moved into
+    /// the process's frame, and a shared snapshot locks the pool store
+    /// once for the whole walk.
     ///
     /// # Panics
     ///
-    /// Panics if any page of `range` was not captured (the restore set
+    /// Panics if any page of `runs` was not captured (the restore set
     /// is a subset of the snapshot by construction).
-    pub fn run_data_into(&self, range: PageRange, frames: &FrameTable, out: &mut Vec<FrameData>) {
-        out.clear();
+    pub fn write_back(
+        &self,
+        s: &mut PtraceSession<'_>,
+        runs: &[PageRange],
+    ) -> Result<(), PtraceError> {
+        const MISSING: &str = "restore set ⊆ snapshot";
         match &self.pages {
             SnapshotPages::Eager(r) | SnapshotPages::Cow(r) => {
-                out.extend(range.iter().map(|v| {
-                    let id = r.get(v).expect("restore set ⊆ snapshot");
-                    frames.data(id).clone()
-                }));
+                let mut saved = r.cursor();
+                s.write_runs(
+                    runs,
+                    |vpn, frames| frames.data(saved.get(vpn).expect(MISSING)).clone(),
+                    Taint::Clean,
+                )
             }
             SnapshotPages::Shared { store, pages } => {
                 let st = store.lock().expect("store poisoned");
-                out.extend(range.iter().map(|v| {
-                    let id = pages.get(v).expect("restore set ⊆ snapshot");
-                    st.data(id).clone()
-                }));
+                let mut saved = pages.cursor();
+                s.write_runs(
+                    runs,
+                    |vpn, _| st.data(saved.get(vpn).expect(MISSING)).clone(),
+                    Taint::Clean,
+                )
             }
         }
     }

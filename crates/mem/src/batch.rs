@@ -2,8 +2,8 @@
 //!
 //! A [`TouchBatch`] is a reusable, pre-sorted plan of page touches —
 //! the unit [`AddressSpace::touch_batch`](crate::AddressSpace::touch_batch)
-//! resolves in one ordered cursor walk over the extent map and frame
-//! chunks instead of one `BTreeMap` probe per page. Callers (function
+//! resolves in one ordered cursor walk over the extents and frame
+//! chunks instead of one extent search per page. Callers (function
 //! behaviours replaying a cached write plan) fill the batch once per
 //! invocation and keep the allocation alive across invocations.
 //!

@@ -2,16 +2,28 @@
 //!
 //! Instead of one map entry per present page, [`PageTable`] keeps
 //! *extents*: maximal runs of contiguous present pages sharing one
-//! [`PteFlags`] value. Frames stay per-page (each page owns its
-//! refcounted frame, exactly as before), stored in flat 512-page chunks
-//! so extent splits and merges never copy frame arrays.
+//! [`PteFlags`] value, held in **one sorted `Vec`**. Frames stay
+//! per-page (each page owns its refcounted frame), stored in flat
+//! 512-page chunks so extent splits and merges never copy frame arrays.
 //!
-//! Why it matters: between two tracker re-arms, the flag state of a
+//! Why extents: between two tracker re-arms, the flag state of a
 //! function process is "everything armed, except the D pages it
 //! dirtied" — a handful of extents plus `O(D)` splits. Every whole-table
 //! flag transform (`clear_refs`, uffd arm/disarm, CoW marking) is
 //! therefore `O(extents)` instead of `O(present)`, and capture walks
 //! `O(extents)` runs instead of `O(present)` map entries.
+//!
+//! Why a flat table: at tens to a few hundred extents, contiguous
+//! memory beats a tree on every operation the simulator runs. A lookup
+//! is one binary search; a flag transform compacts the vector in place;
+//! and every mutation — a point edit, a touch batch, a restore pass —
+//! goes through one edit fold ([`PageTable::fold`]): a merge of the
+//! sorted edit runs with the overlapped window of old extents, then one
+//! `splice`. The price is that a point edit moves the table's tail, so
+//! the bulk paths never edit page by page: [`PageTable::touch_walk`]
+//! and [`PageTable::restore_walk`] resolve a whole batch or restore pass
+//! in one cursor walk and fold its edits once, and
+//! [`PageTable::remove_ranges`] evicts many ranges in one fold.
 //!
 //! Invariants (checked by `AddressSpace::check_invariants`):
 //! - extents are sorted, non-empty and non-overlapping;
@@ -19,15 +31,16 @@
 //! - every page inside an extent has a frame slot in its chunk, and
 //!   chunk occupancy equals the number of covering extent pages.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::addr::{PageRange, Vpn};
 use crate::batch::TouchItem;
 use crate::frame::FrameId;
 use crate::pte::{Pte, PteFlags};
 
-/// What [`PageTable::touch_walk`] should do with one batch item, decided
-/// by the fault logic in `space.rs`.
+/// What [`PageTable::touch_walk`] / [`PageTable::restore_walk`] should
+/// do with one page, decided by the fault or restore logic in
+/// `space.rs`.
 pub(crate) enum BatchDecision {
     /// Leave the page untouched (the per-item error path: the caller's
     /// loop equivalent is `let _ = touch(...)` on an unmapped or
@@ -43,43 +56,6 @@ pub(crate) enum BatchDecision {
     },
 }
 
-/// Accumulates `(start, len, flags)` runs in address order, merging
-/// adjacent equal-flag pushes so the output is maximal by construction.
-#[derive(Default)]
-struct RunBuilder {
-    runs: Vec<(u64, ExtentMeta)>,
-}
-
-impl RunBuilder {
-    #[inline]
-    fn push(&mut self, start: u64, len: u64, flags: PteFlags) {
-        if let Some((ls, lm)) = self.runs.last_mut() {
-            debug_assert!(*ls + lm.len <= start, "out-of-order run push");
-            if *ls + lm.len == start && lm.flags == flags {
-                lm.len += len;
-                return;
-            }
-        }
-        self.runs.push((start, ExtentMeta { len, flags }));
-    }
-
-    /// Re-flags the most recently pushed page (a duplicate batch item
-    /// revising its own earlier decision).
-    fn amend_last_page(&mut self, flags: PteFlags) {
-        let (ls, lm) = self.runs.last_mut().expect("amend on empty builder");
-        if lm.flags == flags {
-            return;
-        }
-        let vpn = *ls + lm.len - 1;
-        if lm.len == 1 {
-            self.runs.pop();
-        } else {
-            lm.len -= 1;
-        }
-        self.push(vpn, 1, flags);
-    }
-}
-
 /// Pages per frame chunk.
 const CHUNK_PAGES: u64 = 512;
 
@@ -90,6 +66,115 @@ struct ExtentMeta {
     len: u64,
     /// Uniform flags of every page in the run.
     flags: PteFlags,
+}
+
+/// One run of a sorted edit list: its pages take `flags`, or leave the
+/// table when `flags` is `None`.
+#[derive(Clone, Copy, Debug)]
+struct Edit {
+    start: u64,
+    len: u64,
+    flags: Option<PteFlags>,
+}
+
+/// Accumulates page edits in address order, merging adjacent equal
+/// pushes into one run.
+#[derive(Default)]
+struct RunBuilder {
+    runs: Vec<Edit>,
+}
+
+impl RunBuilder {
+    #[inline]
+    fn push(&mut self, start: u64, flags: PteFlags) {
+        if let Some(last) = self.runs.last_mut() {
+            debug_assert!(last.start + last.len <= start, "out-of-order edit push");
+            if last.start + last.len == start && last.flags == Some(flags) {
+                last.len += 1;
+                return;
+            }
+        }
+        self.runs.push(Edit {
+            start,
+            len: 1,
+            flags: Some(flags),
+        });
+    }
+
+    /// Re-flags the most recently pushed page (a duplicate batch item
+    /// revising its own earlier decision).
+    fn amend_last_page(&mut self, flags: PteFlags) {
+        let last = self.runs.last_mut().expect("amend on empty builder");
+        if last.flags == Some(flags) {
+            return;
+        }
+        let vpn = last.start + last.len - 1;
+        if last.len == 1 {
+            self.runs.pop();
+        } else {
+            last.len -= 1;
+        }
+        self.push(vpn, flags);
+    }
+}
+
+/// Appends an extent to an ascending output, merging it into the last
+/// one when adjacent with equal flags — output built this way is
+/// maximal by construction.
+#[inline]
+fn push_extent(out: &mut Vec<(u64, ExtentMeta)>, start: u64, len: u64, flags: PteFlags) {
+    if let Some((ls, lm)) = out.last_mut() {
+        debug_assert!(*ls + lm.len <= start, "out-of-order extent push");
+        if *ls + lm.len == start && lm.flags == flags {
+            lm.len += len;
+            return;
+        }
+    }
+    out.push((start, ExtentMeta { len, flags }));
+}
+
+/// Forward cursor over the sorted extents, resolving ascending vpns to
+/// their flags in amortized `O(1)` (the walks never look back).
+struct Cursor<'a> {
+    extents: &'a [(u64, ExtentMeta)],
+    /// Index of the next extent not yet passed.
+    next: usize,
+    /// `(start, end, flags)` of the most recently passed extent.
+    cur: Option<(u64, u64, PteFlags)>,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor positioned for `vpn` and anything above it.
+    fn seek(extents: &'a [(u64, ExtentMeta)], vpn: u64) -> Cursor<'a> {
+        Cursor {
+            extents,
+            next: extents.partition_point(|&(s, m)| s + m.len <= vpn),
+            cur: None,
+        }
+    }
+
+    /// Flags of `vpn` (`None` when absent); `vpn` must not be below
+    /// the previous query.
+    #[inline]
+    fn flags(&mut self, vpn: u64) -> Option<PteFlags> {
+        // Hot path: the cached extent still covers vpn (typical for
+        // dense sweeps) — no advance.
+        if let Some((s, e, f)) = self.cur {
+            if vpn >= s && vpn < e {
+                return Some(f);
+            }
+        }
+        while let Some(&(s, m)) = self.extents.get(self.next) {
+            if s > vpn {
+                break;
+            }
+            self.cur = Some((s, s + m.len, m.flags));
+            self.next += 1;
+        }
+        self.cur
+            .filter(|&(s, e, _)| vpn >= s && vpn < e)
+            .map(|(_, _, f)| f)
+    }
 }
 
 /// A 512-page frame chunk.
@@ -113,8 +198,8 @@ impl Chunk {
 /// Extent-based page table: flag extents + chunked per-page frames.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PageTable {
-    /// Extents keyed by start vpn.
-    extents: BTreeMap<u64, ExtentMeta>,
+    /// Extents as `(start vpn, meta)`, sorted by start.
+    extents: Vec<(u64, ExtentMeta)>,
     /// Frame storage, keyed by `vpn / 512`.
     chunks: HashMap<u64, Chunk>,
     /// Present pages (Σ extent lens).
@@ -138,11 +223,9 @@ impl PageTable {
 
     /// The extent containing `vpn`, as `(start, len, flags)`.
     fn extent_at(&self, vpn: u64) -> Option<(u64, ExtentMeta)> {
-        self.extents
-            .range(..=vpn)
-            .next_back()
-            .map(|(&s, &m)| (s, m))
-            .filter(|(s, m)| vpn < s + m.len)
+        let i = self.extents.partition_point(|&(s, _)| s <= vpn);
+        let (s, m) = *self.extents.get(i.checked_sub(1)?)?;
+        (vpn < s + m.len).then_some((s, m))
     }
 
     /// Frame of `vpn`, assuming it is present.
@@ -161,17 +244,6 @@ impl PageTable {
         }
     }
 
-    fn clear_slot(&mut self, vpn: u64) -> FrameId {
-        let key = vpn / CHUNK_PAGES;
-        let chunk = self.chunks.get_mut(&key).expect("slot chunk");
-        let frame = chunk.frames[(vpn % CHUNK_PAGES) as usize];
-        chunk.used -= 1;
-        if chunk.used == 0 {
-            self.chunks.remove(&key);
-        }
-        frame
-    }
-
     /// The PTE of `vpn`, by value.
     pub fn get(&self, vpn: Vpn) -> Option<Pte> {
         self.extent_at(vpn.0).map(|(_, m)| Pte {
@@ -185,114 +257,67 @@ impl PageTable {
         self.extent_at(vpn.0).is_some()
     }
 
-    /// Inserts a one-page extent, merging with equal-flag neighbors.
-    /// Assumes the page is absent (splitting/removal happens first).
-    fn insert_extent_merging(&mut self, vpn: u64, flags: PteFlags) {
-        let mut start = vpn;
-        let mut len = 1u64;
-        // Merge with predecessor ending exactly at vpn.
-        if let Some((&ps, &pm)) = self.extents.range(..vpn).next_back() {
-            debug_assert!(ps + pm.len <= vpn, "insert into covered page");
-            if ps + pm.len == vpn && pm.flags == flags {
-                start = ps;
-                len += pm.len;
-                self.extents.remove(&ps);
-            }
-        }
-        // Merge with successor starting exactly at vpn + 1.
-        if let Some((&ns, &nm)) = self.extents.range(vpn + 1..).next() {
-            if ns == vpn + 1 && nm.flags == flags {
-                len += nm.len;
-                self.extents.remove(&ns);
-            }
-        }
-        self.extents.insert(start, ExtentMeta { len, flags });
-    }
-
     /// Installs `vpn` with the given frame and flags. The page must be
     /// absent.
     pub fn insert(&mut self, vpn: Vpn, frame: FrameId, flags: PteFlags) {
         debug_assert!(!self.contains(vpn), "inserting a present page");
         self.set_slot(vpn.0, frame, true);
-        self.insert_extent_merging(vpn.0, flags);
         self.present += 1;
+        self.fold(&[Edit {
+            start: vpn.0,
+            len: 1,
+            flags: Some(flags),
+        }]);
     }
 
     /// Removes `vpn`, returning its frame.
     pub fn remove(&mut self, vpn: Vpn) -> Option<FrameId> {
-        let (start, meta) = self.extent_at(vpn.0)?;
-        self.extents.remove(&start);
-        if vpn.0 > start {
-            self.extents.insert(
-                start,
-                ExtentMeta {
-                    len: vpn.0 - start,
-                    flags: meta.flags,
-                },
-            );
-        }
-        let end = start + meta.len;
-        if vpn.0 + 1 < end {
-            self.extents.insert(
-                vpn.0 + 1,
-                ExtentMeta {
-                    len: end - vpn.0 - 1,
-                    flags: meta.flags,
-                },
-            );
-        }
-        self.present -= 1;
-        Some(self.clear_slot(vpn.0))
+        let mut freed = None;
+        self.remove_ranges(&[PageRange::at(vpn, 1)], |_, f| freed = Some(f));
+        freed
     }
 
-    /// Removes every present page in `range`, passing each freed frame to
-    /// `f`. Work is `O(log E + affected extents + removed pages)`.
-    pub fn remove_range(&mut self, range: PageRange, mut f: impl FnMut(Vpn, FrameId)) {
-        if range.is_empty() {
-            return;
+    /// Removes every present page of `ranges` (sorted, disjoint),
+    /// passing each freed frame to `f` in ascending page order. One
+    /// cursor pass frees the slots and one fold edits the extents:
+    /// `O(log E + affected extents + removed pages)` plus one `splice`.
+    pub fn remove_ranges(&mut self, ranges: &[PageRange], mut f: impl FnMut(Vpn, FrameId)) {
+        debug_assert!(
+            ranges.windows(2).all(|w| w[0].end <= w[1].start),
+            "remove_ranges requires sorted, disjoint ranges"
+        );
+        let PageTable {
+            extents,
+            chunks,
+            present,
+            ..
+        } = self;
+        let mut edits = Vec::with_capacity(ranges.len());
+        let mut i = 0usize;
+        for &r in ranges.iter().filter(|r| !r.is_empty()) {
+            // Extents overlapping `r`, from the first ending above it.
+            i += extents[i..].partition_point(|&(s, m)| s + m.len <= r.start.0);
+            for &(s, m) in extents[i..].iter().take_while(|&&(s, _)| s < r.end.0) {
+                let cut = PageRange::new(Vpn(s), Vpn(s + m.len)).intersect(r);
+                for vpn in cut.iter() {
+                    let key = vpn.0 / CHUNK_PAGES;
+                    let chunk = chunks.get_mut(&key).expect("slot chunk");
+                    let frame = chunk.frames[(vpn.0 % CHUNK_PAGES) as usize];
+                    chunk.used -= 1;
+                    if chunk.used == 0 {
+                        chunks.remove(&key);
+                    }
+                    f(vpn, frame);
+                }
+                *present -= cut.len();
+            }
+            edits.push(Edit {
+                start: r.start.0,
+                len: r.len(),
+                flags: None,
+            });
         }
-        // Find extents overlapping the range (the predecessor may lap in).
-        let first = self
-            .extents
-            .range(..range.start.0)
-            .next_back()
-            .filter(|(&s, m)| s + m.len > range.start.0)
-            .map(|(&s, _)| s)
-            .into_iter()
-            .chain(
-                self.extents
-                    .range(range.start.0..range.end.0)
-                    .map(|(&s, _)| s),
-            )
-            .collect::<Vec<u64>>();
-        for s in first {
-            let meta = self.extents.remove(&s).expect("collected key");
-            let ext = PageRange::new(Vpn(s), Vpn(s + meta.len));
-            let cut = ext.intersect(range);
-            if ext.start.0 < cut.start.0 {
-                self.extents.insert(
-                    ext.start.0,
-                    ExtentMeta {
-                        len: cut.start.0 - ext.start.0,
-                        flags: meta.flags,
-                    },
-                );
-            }
-            if cut.end.0 < ext.end.0 {
-                self.extents.insert(
-                    cut.end.0,
-                    ExtentMeta {
-                        len: ext.end.0 - cut.end.0,
-                        flags: meta.flags,
-                    },
-                );
-            }
-            for vpn in cut.iter() {
-                let frame = self.clear_slot(vpn.0);
-                f(vpn, frame);
-            }
-            self.present -= cut.len();
-        }
+        self.fold(&edits);
     }
 
     /// Replaces the frame of a present page (CoW copy), flags unchanged.
@@ -302,66 +327,44 @@ impl PageTable {
     }
 
     /// Sets the flags of one present page, splitting and re-merging
-    /// extents as needed. `O(log E)`.
+    /// extents as needed.
     pub fn set_flags(&mut self, vpn: Vpn, flags: PteFlags) {
-        let (start, meta) = self.extent_at(vpn.0).expect("set_flags on absent page");
-        if meta.flags == flags {
-            return;
+        let (_, meta) = self.extent_at(vpn.0).expect("set_flags on absent page");
+        if meta.flags != flags {
+            self.fold(&[Edit {
+                start: vpn.0,
+                len: 1,
+                flags: Some(flags),
+            }]);
         }
-        self.extents.remove(&start);
-        if vpn.0 > start {
-            self.extents.insert(
-                start,
-                ExtentMeta {
-                    len: vpn.0 - start,
-                    flags: meta.flags,
-                },
-            );
-        }
-        let end = start + meta.len;
-        if vpn.0 + 1 < end {
-            self.extents.insert(
-                vpn.0 + 1,
-                ExtentMeta {
-                    len: end - vpn.0 - 1,
-                    flags: meta.flags,
-                },
-            );
-        }
-        self.insert_extent_merging(vpn.0, flags);
     }
 
     /// Applies `f` to every extent's flags, then restores maximality by
-    /// merging adjacent equal-flag extents. `O(extents)`.
+    /// merging adjacent equal-flag extents — one in-place compaction,
+    /// `O(extents)`, no allocation.
     pub fn transform_flags(&mut self, mut f: impl FnMut(PteFlags) -> PteFlags) {
-        let old = std::mem::take(&mut self.extents);
-        let mut rebuilt: BTreeMap<u64, ExtentMeta> = BTreeMap::new();
-        let mut last: Option<(u64, ExtentMeta)> = None;
-        for (start, mut meta) in old {
+        let ext = &mut self.extents;
+        let mut kept = 0usize;
+        for i in 0..ext.len() {
+            let (start, mut meta) = ext[i];
             meta.flags = f(meta.flags);
-            match &mut last {
-                Some((ls, lm)) if *ls + lm.len == start && lm.flags == meta.flags => {
+            if let Some((ls, lm)) = kept.checked_sub(1).map(|k| &mut ext[k]) {
+                if *ls + lm.len == start && lm.flags == meta.flags {
                     lm.len += meta.len;
-                }
-                _ => {
-                    if let Some((ls, lm)) = last.take() {
-                        rebuilt.insert(ls, lm);
-                    }
-                    last = Some((start, meta));
+                    continue;
                 }
             }
+            ext[kept] = (start, meta);
+            kept += 1;
         }
-        if let Some((ls, lm)) = last {
-            rebuilt.insert(ls, lm);
-        }
-        self.extents = rebuilt;
+        ext.truncate(kept);
     }
 
     /// Iterates `(range, flags)` extents in address order.
     pub fn extents(&self) -> impl Iterator<Item = (PageRange, PteFlags)> + '_ {
         self.extents
             .iter()
-            .map(|(&s, m)| (PageRange::new(Vpn(s), Vpn(s + m.len)), m.flags))
+            .map(|&(s, m)| (PageRange::new(Vpn(s), Vpn(s + m.len)), m.flags))
     }
 
     /// Present pages coalesced into maximal runs irrespective of flags.
@@ -379,7 +382,7 @@ impl PageTable {
 
     /// Iterates `(vpn, pte)` over present pages in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, Pte)> + '_ {
-        self.extents.iter().flat_map(move |(&s, m)| {
+        self.extents.iter().flat_map(move |&(s, m)| {
             (s..s + m.len).map(move |v| {
                 (
                     Vpn(v),
@@ -421,16 +424,15 @@ impl PageTable {
     /// do. Two phases keep the cost at `O(batch + changed extents)`
     /// instead of `O(batch × log extents)`:
     ///
-    /// 1. a **read-only cursor walk** over the extent map (one forward
-    ///    iterator, no per-item probe) resolving every item; frame slots
+    /// 1. a **read-only cursor walk** over the extents (one forward
+    ///    index, no per-item search) resolving every item; frame slots
     ///    are written in place, chunk-grouped (one `HashMap` probe per
     ///    touched 512-page chunk); pages whose *flags* change (or are
     ///    inserted) are recorded as sorted edit runs;
-    /// 2. an **edit fold**: no edits (warm batches — the steady-state
-    ///    common case) mutate the extent map not at all; sparse edits
-    ///    splice in-place; dense edits (a re-armed write set fragmenting
-    ///    the armed extents) bulk-rebuild the map from one sorted
-    ///    iterator, which `BTreeMap` builds bottom-up in `O(n)`.
+    /// 2. one **edit fold** ([`PageTable::fold`]): no edits (warm
+    ///    batches — the steady-state common case) leave the extents
+    ///    untouched; otherwise one merge over the edited window and one
+    ///    `splice`.
     ///
     /// `items` must be sorted by vpn; duplicates are allowed and see the
     /// state left by the previous decision for the same page.
@@ -446,28 +448,17 @@ impl PageTable {
             items.windows(2).all(|w| w[0].vpn.0 <= w[1].vpn.0),
             "touch_walk requires vpn-sorted items"
         );
-        let lo = items[0].vpn.0;
-
         let PageTable {
             extents,
             chunks,
             present,
+            ..
         } = self;
 
         // ---- Phase 1: read-only resolution ----
-        // Forward extent cursor: seeded at the predecessor of the first
-        // item, advanced monotonically (items are sorted, so the walk
-        // never looks back).
-        let seed = extents
-            .range(..=lo)
-            .next_back()
-            .map(|(&s, _)| s)
-            .unwrap_or(lo);
-        let mut ext_iter = extents.range(seed..).peekable();
-        // (start, end, flags) of the most recently passed extent.
-        let mut cur_ext: Option<(u64, u64, PteFlags)> = None;
+        let mut cursor = Cursor::seek(extents, items[0].vpn.0);
         // Pages whose flags changed or that were inserted, as maximal
-        // sorted runs. Everything else leaves the extent map untouched.
+        // sorted runs. Everything else leaves the extents untouched.
         let mut edits = RunBuilder::default();
         // Duplicate-vpn carry: the previous item's vpn, resulting page
         // state, and whether that page already has an edit run as the
@@ -499,29 +490,7 @@ impl PageTable {
                 let next_same = window.get(k + 1).is_some_and(|n| n.vpn.0 == vpn);
                 let (cur, was_edited) = match last {
                     Some((lv, state, edited)) if lv == vpn => (state, edited),
-                    _ => {
-                        // Hot path: the cached extent still covers vpn
-                        // (typical for dense read sweeps) — no peek.
-                        let flags = match cur_ext {
-                            Some((s, e, f)) if vpn >= s && vpn < e => Some(f),
-                            _ => {
-                                // Advance the cursor to the last extent
-                                // starting at or before vpn.
-                                while let Some(&(&s, m)) = ext_iter.peek() {
-                                    if s <= vpn {
-                                        cur_ext = Some((s, s + m.len, m.flags));
-                                        ext_iter.next();
-                                    } else {
-                                        break;
-                                    }
-                                }
-                                cur_ext
-                                    .filter(|&(s, e, _)| vpn >= s && vpn < e)
-                                    .map(|(_, _, f)| f)
-                            }
-                        };
-                        (flags.map(|f| (chunk.frames[slot], f)), false)
-                    }
+                    _ => (cursor.flags(vpn).map(|f| (chunk.frames[slot], f)), false),
                 };
                 match decide(it, cur) {
                     BatchDecision::Skip => {
@@ -534,7 +503,7 @@ impl PageTable {
                         chunk.frames[slot] = frame;
                         chunk.used += 1;
                         *present += 1;
-                        edits.push(vpn, 1, flags);
+                        edits.push(vpn, flags);
                         if next_same {
                             last = Some((vpn, Some((frame, flags)), true));
                         }
@@ -550,7 +519,7 @@ impl PageTable {
                             // Duplicate revising its own earlier edit.
                             edits.amend_last_page(flags);
                         } else if changed {
-                            edits.push(vpn, 1, flags);
+                            edits.push(vpn, flags);
                         }
                         if next_same {
                             last = Some((vpn, Some((frame, flags)), was_edited || changed));
@@ -563,243 +532,140 @@ impl PageTable {
             }
             i = j;
         }
-        drop(ext_iter);
 
-        // ---- Phase 2: fold the edits back into the extent map ----
-        if edits.runs.is_empty() {
-            return; // warm batch: the extent map is untouched
-        }
-        Self::apply_edit_runs(extents, edits.runs);
+        // ---- Phase 2: fold the edits into the extents ----
+        self.fold(&edits.runs);
     }
 
-    /// One ordered walk resolving every page of a *contiguous* range —
-    /// the run-granular restore path ([`touch_walk`]'s simpler sibling:
-    /// no duplicate handling, no `TouchItem` batch to materialize).
+    /// One ordered walk resolving every page of `runs` (sorted,
+    /// disjoint, possibly adjacent) — a whole restore pass in one go:
+    /// [`touch_walk`]'s simpler sibling, with no duplicates and no
+    /// `TouchItem` batch to materialize.
     ///
-    /// For every page of `range`, ascending, `decide` sees the page's
-    /// offset within the range and its current `(frame, flags)` (`None`
-    /// when absent) and returns a [`BatchDecision`]. Costs one chunk
-    /// probe per 512-page window and one extent edit fold for the whole
-    /// run, instead of a `BTreeMap` probe-and-splice per page; state
-    /// outcomes are identical to applying the decisions page-at-a-time.
+    /// For every page, ascending, `decide` sees the page's vpn and its
+    /// current `(frame, flags)` (`None` when absent) and returns a
+    /// [`BatchDecision`]. Costs one binary search to seed the extent
+    /// cursor, one chunk probe per 512-page window of each run and one
+    /// edit fold for the whole pass; state outcomes are identical to
+    /// applying the decisions page-at-a-time.
     ///
     /// [`touch_walk`]: PageTable::touch_walk
     pub(crate) fn restore_walk(
         &mut self,
-        range: PageRange,
+        runs: &[PageRange],
         mut decide: impl FnMut(u64, Option<(FrameId, PteFlags)>) -> BatchDecision,
     ) {
-        if range.is_empty() {
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].end <= w[1].start),
+            "restore_walk requires sorted, disjoint runs"
+        );
+        let Some(first) = runs.iter().find(|r| !r.is_empty()) else {
             return;
-        }
-        let (lo, hi) = (range.start.0, range.end.0);
-
+        };
         let PageTable {
             extents,
             chunks,
             present,
+            ..
         } = self;
-
-        // Phase 1: forward extent cursor + per-window chunk probe, as in
-        // `touch_walk` phase 1 (see there for the cursor invariants).
-        let seed = extents
-            .range(..=lo)
-            .next_back()
-            .map(|(&s, _)| s)
-            .unwrap_or(lo);
-        let mut ext_iter = extents.range(seed..).peekable();
-        let mut cur_ext: Option<(u64, u64, PteFlags)> = None;
+        let mut cursor = Cursor::seek(extents, first.start.0);
         let mut edits = RunBuilder::default();
-
-        let mut vpn = lo;
-        while vpn < hi {
-            let key = vpn / CHUNK_PAGES;
-            let w_hi = ((key + 1) * CHUNK_PAGES).min(hi);
-            let existed = chunks.contains_key(&key);
-            let chunk = chunks.entry(key).or_insert_with(Chunk::new);
-            while vpn < w_hi {
-                let slot = (vpn % CHUNK_PAGES) as usize;
-                let flags = match cur_ext {
-                    Some((s, e, f)) if vpn >= s && vpn < e => Some(f),
-                    _ => {
-                        while let Some(&(&s, m)) = ext_iter.peek() {
-                            if s <= vpn {
-                                cur_ext = Some((s, s + m.len, m.flags));
-                                ext_iter.next();
-                            } else {
-                                break;
-                            }
+        for run in runs {
+            let (mut vpn, hi) = (run.start.0, run.end.0);
+            while vpn < hi {
+                let key = vpn / CHUNK_PAGES;
+                let w_hi = ((key + 1) * CHUNK_PAGES).min(hi);
+                let existed = chunks.contains_key(&key);
+                let chunk = chunks.entry(key).or_insert_with(Chunk::new);
+                while vpn < w_hi {
+                    let slot = (vpn % CHUNK_PAGES) as usize;
+                    let cur = cursor.flags(vpn).map(|f| (chunk.frames[slot], f));
+                    match decide(vpn, cur) {
+                        BatchDecision::Skip => {}
+                        BatchDecision::Insert { frame, flags } => {
+                            debug_assert!(cur.is_none(), "Insert over a present page");
+                            chunk.frames[slot] = frame;
+                            chunk.used += 1;
+                            *present += 1;
+                            edits.push(vpn, flags);
                         }
-                        cur_ext
-                            .filter(|&(s, e, _)| vpn >= s && vpn < e)
-                            .map(|(_, _, f)| f)
-                    }
-                };
-                let cur = flags.map(|f| (chunk.frames[slot], f));
-                match decide(vpn - lo, cur) {
-                    BatchDecision::Skip => {}
-                    BatchDecision::Insert { frame, flags } => {
-                        debug_assert!(cur.is_none(), "Insert over a present page");
-                        chunk.frames[slot] = frame;
-                        chunk.used += 1;
-                        *present += 1;
-                        edits.push(vpn, 1, flags);
-                    }
-                    BatchDecision::Update { frame, flags } => {
-                        let (old_frame, old_flags) = cur.expect("Update on an absent page");
-                        if let Some(f) = frame {
-                            if f != old_frame {
+                        BatchDecision::Update { frame, flags } => {
+                            let (old_frame, old_flags) = cur.expect("Update on an absent page");
+                            if let Some(f) = frame.filter(|&f| f != old_frame) {
                                 chunk.frames[slot] = f;
                             }
-                        }
-                        if flags != old_flags {
-                            edits.push(vpn, 1, flags);
+                            if flags != old_flags {
+                                edits.push(vpn, flags);
+                            }
                         }
                     }
+                    vpn += 1;
                 }
-                vpn += 1;
-            }
-            if chunk.used == 0 && !existed {
-                chunks.remove(&key);
+                if chunk.used == 0 && !existed {
+                    chunks.remove(&key);
+                }
             }
         }
-        drop(ext_iter);
-
-        // Phase 2: fold the edits back into the extent map.
-        if edits.runs.is_empty() {
-            return;
-        }
-        Self::apply_edit_runs(extents, edits.runs);
+        self.fold(&edits.runs);
     }
 
-    /// Replaces the flag coverage of every page in `edits` (sorted
-    /// maximal runs; pages outside old coverage add new coverage),
-    /// restoring extent maximality. Sparse edits splice in place
-    /// (`O(edits × log E)`); dense edits rebuild the whole map from one
-    /// sorted iterator (`O(E + edits)` with bottom-up bulk build).
-    fn apply_edit_runs(extents: &mut BTreeMap<u64, ExtentMeta>, edits: Vec<(u64, ExtentMeta)>) {
-        let w_lo = edits[0].0;
-        let (le, lm) = *edits.last().expect("non-empty");
-        let w_hi = le + lm.len; // exclusive end of the edit window
+    /// Folds sorted, disjoint edit runs into the extents: every page of
+    /// an edit takes the edit's flags (joining the table if absent; its
+    /// frame slot must already be filled) or leaves the table (`None`).
+    ///
+    /// One merge pass over the window of old extents the edits span —
+    /// widened by one extent on each side when it touches the window,
+    /// so equal-flag neighbours re-merge through the same ascending
+    /// push and the result stays maximal — then one `splice` of the
+    /// merged window. `O(log E + window + edits)` plus the tail move
+    /// when the extent count changes.
+    fn fold(&mut self, edits: &[Edit]) {
+        let (Some(first), Some(last)) = (edits.first(), edits.last()) else {
+            return; // warm batch: the extents are untouched
+        };
+        let (w_lo, w_hi) = (first.start, last.start + last.len);
+        let extents = &mut self.extents;
+        // Old extents ending at or above w_lo and starting at or below
+        // w_hi: everything overlapping the window plus touching
+        // neighbours.
+        let lo = extents.partition_point(|&(s, m)| s + m.len < w_lo);
+        let hi = lo + extents[lo..].partition_point(|&(s, _)| s <= w_hi);
+        let window = &extents[lo..hi];
 
-        // Old extents overlapping the window (predecessor may lap in).
-        let first = extents
-            .range(..w_lo)
-            .next_back()
-            .filter(|(&s, m)| s + m.len > w_lo)
-            .map(|(&s, _)| s);
-        let start_key = first.unwrap_or(w_lo);
-
-        // Merge old coverage with the edit runs: edits win; old pages
-        // (including parts lapping outside the window) copy through.
-        let mut out = RunBuilder::default();
-        {
-            let mut olds = extents.range(start_key..w_hi).peekable();
-            // Next uncopied page of the current old extent.
-            let mut opos = olds.peek().map(|(&s, _)| s).unwrap_or(w_hi);
-            let flush_old_below = |to: u64,
-                                   olds: &mut std::iter::Peekable<
-                std::collections::btree_map::Range<u64, ExtentMeta>,
-            >,
-                                   opos: &mut u64,
-                                   out: &mut RunBuilder| {
-                while let Some(&(&s, m)) = olds.peek() {
-                    let end = s + m.len;
-                    let from = (*opos).max(s);
-                    if from >= to {
-                        return;
-                    }
-                    let upto = end.min(to);
-                    if from < upto {
-                        out.push(from, upto - from, m.flags);
-                    }
-                    if upto == end {
-                        olds.next();
-                        *opos = olds.peek().map(|(&s, _)| s).unwrap_or(u64::MAX);
-                    } else {
-                        *opos = upto;
-                        return;
-                    }
+        let mut out = Vec::with_capacity(window.len() + 2 * edits.len());
+        // `i` indexes the next uncopied old extent; pages of it below
+        // `from` were already replaced by an edit.
+        let mut i = 0usize;
+        let mut from = 0u64;
+        for e in edits {
+            let e_end = e.start + e.len;
+            // Copy old coverage below the edit.
+            while let Some(&(s, m)) = window.get(i) {
+                let a = s.max(from);
+                if a >= e.start {
+                    break;
                 }
-            };
-            for &(es, em) in &edits {
-                flush_old_below(es, &mut olds, &mut opos, &mut out);
-                out.push(es, em.len, em.flags);
-                // Skip old coverage the edit replaced.
-                opos = opos.max(es + em.len);
-                while let Some(&(&s, m)) = olds.peek() {
-                    if s + m.len <= opos {
-                        olds.next();
-                        if let Some(&(&ns, _)) = olds.peek() {
-                            opos = opos.max(ns);
-                        }
-                    } else {
-                        break;
-                    }
+                let end = s + m.len;
+                push_extent(&mut out, a, end.min(e.start) - a, m.flags);
+                if end > e.start {
+                    break; // laps into the edit: resume past it
                 }
+                i += 1;
             }
-            flush_old_below(u64::MAX, &mut olds, &mut opos, &mut out);
-        }
-        let mut runs = out.runs;
-
-        // Boundary maximality: merge with the untouched neighbours.
-        let mut remove_pred = None;
-        if let Some(&(fs, fm)) = runs.first() {
-            if let Some((&ps, &pm)) = extents.range(..fs).next_back() {
-                if ps + pm.len == fs && pm.flags == fm.flags && ps != start_key {
-                    remove_pred = Some(ps);
-                    runs[0] = (
-                        ps,
-                        ExtentMeta {
-                            len: pm.len + fm.len,
-                            flags: pm.flags,
-                        },
-                    );
-                }
+            if let Some(flags) = e.flags {
+                push_extent(&mut out, e.start, e.len, flags);
+            }
+            // Drop old coverage the edit replaced.
+            from = e_end;
+            while window.get(i).is_some_and(|&(s, m)| s + m.len <= e_end) {
+                i += 1;
             }
         }
-        let mut remove_succ = None;
-        if let Some(&(ls, lm)) = runs.last() {
-            let end = ls + lm.len;
-            if let Some((&ns, &nm)) = extents.range(end..).next() {
-                if ns == end && nm.flags == lm.flags {
-                    remove_succ = Some(ns);
-                    runs.last_mut().expect("non-empty").1.len += nm.len;
-                }
-            }
+        for &(s, m) in &window[i..] {
+            let a = s.max(from);
+            push_extent(&mut out, a, s + m.len - a, m.flags);
         }
-
-        // Count the old entries being replaced.
-        let replaced = extents.range(start_key..w_hi).count()
-            + remove_pred.is_some() as usize
-            + remove_succ.is_some() as usize;
-        let churn = runs.len() + replaced;
-        if churn * 8 >= extents.len() {
-            // Dense: rebuild the whole map from one sorted iterator
-            // (BTreeMap bulk-builds bottom-up). The window entries and
-            // merged neighbours are skipped; `runs` splices in.
-            let skip_lo = remove_pred.unwrap_or(start_key);
-            let skip_hi = remove_succ.map(|s| s + 1).unwrap_or(w_hi);
-            let rebuilt: BTreeMap<u64, ExtentMeta> = extents
-                .range(..skip_lo)
-                .map(|(&s, &m)| (s, m))
-                .chain(runs.iter().copied())
-                .chain(extents.range(skip_hi..).map(|(&s, &m)| (s, m)))
-                .collect();
-            *extents = rebuilt;
-        } else {
-            // Sparse: splice in place.
-            let doomed: Vec<u64> = extents
-                .range(start_key..w_hi)
-                .map(|(&s, _)| s)
-                .chain(remove_pred)
-                .chain(remove_succ)
-                .collect();
-            for s in doomed {
-                extents.remove(&s);
-            }
-            extents.extend(runs);
-        }
+        extents.splice(lo..hi, out);
     }
 
     /// Structural self-check: sorted, disjoint, non-empty, maximal
@@ -807,14 +673,14 @@ impl PageTable {
     pub fn check(&self) -> Result<(), String> {
         let mut prev: Option<(u64, ExtentMeta)> = None;
         let mut covered = 0u64;
-        for (&start, meta) in &self.extents {
+        for &(start, meta) in &self.extents {
             if meta.len == 0 {
                 return Err(format!("empty extent at {start:#x}"));
             }
             if let Some((ps, pm)) = prev {
                 let pend = ps + pm.len;
                 if start < pend {
-                    return Err(format!("overlapping extents at {start:#x}"));
+                    return Err(format!("overlapping or unsorted extents at {start:#x}"));
                 }
                 if start == pend && pm.flags == meta.flags {
                     return Err(format!(
@@ -824,7 +690,7 @@ impl PageTable {
                 }
             }
             covered += meta.len;
-            prev = Some((start, *meta));
+            prev = Some((start, meta));
         }
         if covered != self.present {
             return Err(format!(
@@ -839,7 +705,7 @@ impl PageTable {
                 self.present
             ));
         }
-        for (&start, meta) in &self.extents {
+        for &(start, meta) in &self.extents {
             for v in start..start + meta.len {
                 let Some(chunk) = self.chunks.get(&(v / CHUNK_PAGES)) else {
                     return Err(format!("page {v:#x} has no frame chunk"));
@@ -920,24 +786,28 @@ mod tests {
     #[test]
     fn remove_range_frees_exactly() {
         let mut t = PageTable::new();
-        for v in 0..20u64 {
+        for v in 0..40u64 {
             if v != 10 {
-                t.insert(Vpn(v), FrameId(v), flags(0));
+                t.insert(Vpn(v), FrameId(v), flags((v / 8) as u8 & 2));
             }
         }
         let mut freed = Vec::new();
-        t.remove_range(PageRange::new(Vpn(5), Vpn(15)), |v, f| {
-            freed.push((v.0, f.0))
-        });
-        assert_eq!(
-            freed,
-            (5..15)
-                .filter(|&v| v != 10)
-                .map(|v| (v, v))
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(t.len(), 10);
+        let ranges = [
+            PageRange::new(Vpn(5), Vpn(15)),
+            PageRange::new(Vpn(15), Vpn(17)),
+            PageRange::new(Vpn(30), Vpn(45)),
+        ];
+        t.remove_ranges(&ranges, |v, f| freed.push((v.0, f.0)));
+        let expect: Vec<(u64, u64)> = (5..17)
+            .chain(30..40)
+            .filter(|&v| v != 10)
+            .map(|v| (v, v))
+            .collect();
+        assert_eq!(freed, expect, "ascending, present pages only");
+        assert_eq!(t.len(), 40 - 1 - expect.len() as u64);
         t.check().unwrap();
+        let vpns: Vec<u64> = t.iter().map(|(v, _)| v.0).collect();
+        assert_eq!(vpns, (0..5).chain(17..30).collect::<Vec<_>>());
     }
 
     #[test]
@@ -953,6 +823,54 @@ mod tests {
         t.transform_flags(|f| f.without(PteFlags(2)).with(PteFlags(4)));
         assert_eq!(t.extent_count(), 1, "uniform flags collapse to one run");
         t.check().unwrap();
+    }
+
+    #[test]
+    fn restore_walk_spans_runs_and_chunks() {
+        let mut t = PageTable::new();
+        // Present [500, 520) armed, absent 520..530, present [530, 540).
+        for v in (500..520u64).chain(530..540) {
+            t.insert(Vpn(v), FrameId(v), flags(4));
+        }
+        let runs = [
+            PageRange::new(Vpn(505), Vpn(515)),
+            PageRange::new(Vpn(515), Vpn(525)),
+            PageRange::new(Vpn(535), Vpn(536)),
+        ];
+        let mut seen = Vec::new();
+        t.restore_walk(&runs, |vpn, cur| {
+            seen.push(vpn);
+            match cur {
+                Some((frame, _)) => BatchDecision::Update {
+                    frame: Some(FrameId(frame.0 + 1000)),
+                    flags: flags(0),
+                },
+                None => BatchDecision::Insert {
+                    frame: FrameId(vpn + 1000),
+                    flags: flags(0),
+                },
+            }
+        });
+        assert_eq!(
+            seen,
+            (505..525).chain(535..536).collect::<Vec<_>>(),
+            "every page of every run, ascending, across the chunk boundary at 512"
+        );
+        t.check().unwrap();
+        assert_eq!(t.len(), 35);
+        assert_eq!(t.get(Vpn(520)).unwrap().frame, FrameId(1520));
+        assert_eq!(t.get(Vpn(504)).unwrap().flags, flags(4));
+        let ext: Vec<_> = t.extents().map(|(r, f)| (r.start.0, r.end.0, f)).collect();
+        assert_eq!(
+            ext,
+            vec![
+                (500, 505, flags(4)),
+                (505, 525, flags(0)),
+                (530, 535, flags(4)),
+                (535, 536, flags(0)),
+                (536, 540, flags(4)),
+            ]
+        );
     }
 
     #[test]

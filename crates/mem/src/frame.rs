@@ -60,6 +60,9 @@ impl FrameData {
     /// # Panics
     ///
     /// Panics if `word_index >= 512`.
+    // Inlined for the same reason as the `FrameTable` accessors: it is
+    // the per-word read of the content hash and equality loops.
+    #[inline]
     pub fn read_word(&self, word_index: usize) -> u64 {
         assert!(word_index < WORDS_PER_PAGE, "word index out of page");
         match self {
@@ -239,6 +242,8 @@ impl FrameData {
 pub struct FrameRuns {
     /// `(run start, per-page frames)`, sorted, disjoint, non-adjacent.
     runs: Vec<(Vpn, Vec<FrameId>)>,
+    /// The covered ranges, one per run (computed once at capture).
+    ranges: Vec<PageRange>,
     total: u64,
 }
 
@@ -249,7 +254,15 @@ impl FrameRuns {
         debug_assert!(runs
             .windows(2)
             .all(|w| w[0].0 .0 + w[0].1.len() as u64 <= w[1].0 .0));
-        FrameRuns { runs, total }
+        let ranges = runs
+            .iter()
+            .map(|(s, f)| PageRange::at(*s, f.len() as u64))
+            .collect();
+        FrameRuns {
+            runs,
+            ranges,
+            total,
+        }
     }
 
     /// Total pages captured.
@@ -262,12 +275,10 @@ impl FrameRuns {
         self.runs.len()
     }
 
-    /// The covered ranges, sorted (`O(runs)` to materialize).
-    pub fn ranges(&self) -> Vec<PageRange> {
-        self.runs
-            .iter()
-            .map(|(s, f)| PageRange::at(*s, f.len() as u64))
-            .collect()
+    /// The covered ranges, sorted and maximal (computed once at
+    /// capture; `O(1)`).
+    pub fn ranges(&self) -> &[PageRange] {
+        &self.ranges
     }
 
     /// The frame of `vpn`, if captured (`O(log runs)`).
@@ -275,6 +286,16 @@ impl FrameRuns {
         let i = self.runs.partition_point(|(s, _)| s.0 <= vpn.0);
         let (start, frames) = self.runs.get(i.checked_sub(1)?)?;
         frames.get((vpn.0 - start.0) as usize).copied()
+    }
+
+    /// A forward cursor for resolving ascending vpns — the restore
+    /// writeback's lookup, amortized `O(1)` per page instead of a binary
+    /// search each.
+    pub fn cursor(&self) -> FrameRunsCursor<'_> {
+        FrameRunsCursor {
+            runs: &self.runs,
+            next: 0,
+        }
     }
 
     /// True when `vpn` was captured.
@@ -300,7 +321,35 @@ impl FrameRuns {
                 frames.decref(id);
             }
         }
+        self.ranges.clear();
         self.total = 0;
+    }
+}
+
+/// Ascending lookup over a [`FrameRuns`] (see [`FrameRuns::cursor`]).
+#[derive(Clone, Debug)]
+pub struct FrameRunsCursor<'a> {
+    runs: &'a [(Vpn, Vec<FrameId>)],
+    /// Index of the first run not known to end at or below the last
+    /// queried vpn.
+    next: usize,
+}
+
+impl FrameRunsCursor<'_> {
+    /// The frame of `vpn`, if captured. Successive queries must not
+    /// descend.
+    #[inline]
+    pub fn get(&mut self, vpn: Vpn) -> Option<FrameId> {
+        while let Some((start, frames)) = self.runs.get(self.next) {
+            if vpn.0 < start.0 {
+                return None;
+            }
+            if let Some(&id) = frames.get((vpn.0 - start.0) as usize) {
+                return Some(id);
+            }
+            self.next += 1;
+        }
+        None
     }
 }
 
@@ -318,6 +367,11 @@ struct Frame {
 /// additional references. A frame with `refs > 1` must be copied before
 /// mutation (enforced by [`AddressSpace`](crate::space::AddressSpace)'s CoW
 /// fault path).
+///
+/// The per-frame accessors are `#[inline]`: the restore writeback and
+/// snapshot interning call them once per page, across modules and
+/// crates, and without the hint whether they inline depends on how the
+/// crate is split into codegen units.
 #[derive(Default, Debug)]
 pub struct FrameTable {
     frames: Vec<Option<Frame>>,
@@ -348,6 +402,7 @@ impl FrameTable {
         }
     }
 
+    #[inline]
     fn get(&self, id: FrameId) -> &Frame {
         self.frames
             .get(id.0 as usize)
@@ -355,6 +410,7 @@ impl FrameTable {
             .unwrap_or_else(|| panic!("dangling frame id {id:?}"))
     }
 
+    #[inline]
     fn get_mut(&mut self, id: FrameId) -> &mut Frame {
         self.frames
             .get_mut(id.0 as usize)
@@ -363,11 +419,13 @@ impl FrameTable {
     }
 
     /// Increments the reference count (fork / snapshot sharing).
+    #[inline]
     pub fn incref(&mut self, id: FrameId) {
         self.get_mut(id).refs += 1;
     }
 
     /// Decrements the reference count, freeing the frame at zero.
+    #[inline]
     pub fn decref(&mut self, id: FrameId) {
         let frame = self.get_mut(id);
         frame.refs -= 1;
@@ -378,11 +436,13 @@ impl FrameTable {
     }
 
     /// Current reference count.
+    #[inline]
     pub fn refcount(&self, id: FrameId) -> u32 {
         self.get(id).refs
     }
 
     /// True if the frame is shared (CoW must copy before writing).
+    #[inline]
     pub fn is_shared(&self, id: FrameId) -> bool {
         self.get(id).refs > 1
     }
@@ -399,11 +459,13 @@ impl FrameTable {
     }
 
     /// Immutable view of a frame's contents.
+    #[inline]
     pub fn data(&self, id: FrameId) -> &FrameData {
         &self.get(id).data
     }
 
     /// Taint of a frame.
+    #[inline]
     pub fn taint(&self, id: FrameId) -> Taint {
         self.get(id).taint
     }
@@ -434,6 +496,7 @@ impl FrameTable {
     }
 
     /// True when `id` denotes a live (allocated, unreleased) frame.
+    #[inline]
     pub fn is_live(&self, id: FrameId) -> bool {
         self.frames.get(id.0 as usize).is_some_and(|f| f.is_some())
     }

@@ -13,11 +13,13 @@
 //!   ([`pte::PteFlags`]: present, copy-on-write, **soft-dirty**,
 //!   soft-dirty write-protection — the `clear_refs` arming that makes
 //!   the next write fault — userfaultfd write-protection, TLB-cold),
-//!   with per-page frames in flat chunks. Whole-table flag transforms
-//!   (`clear_refs`, uffd arm, CoW marking) are `O(extents)`; snapshot
-//!   capture hands out refcounted **frame runs** ([`frame::FrameRuns`])
-//!   without copying contents; restore planning consumes run lists via
-//!   the [`runs`] set algebra;
+//!   kept in one sorted vector, with per-page frames in flat chunks.
+//!   Whole-table flag transforms (`clear_refs`, uffd arm, CoW marking)
+//!   compact the vector in place in `O(extents)`; every other mutation
+//!   is one edit fold (a merge over the edited window plus one
+//!   `splice`); snapshot capture hands out refcounted **frame runs**
+//!   ([`frame::FrameRuns`]) without copying contents; restore planning
+//!   consumes run lists via the [`runs`] set algebra;
 //! - a **hierarchical dirty index** ([`index::VpnIndex`], a sparse
 //!   two-level 64-ary bitmap) over the soft-dirty set, the uffd log and
 //!   the taint-carrying pages, making `soft_dirty_pages`, `disarm_uffd`
@@ -32,11 +34,17 @@
 //!   instead of N full copies;
 //! - a **batched fault path** ([`batch::TouchBatch`],
 //!   [`space::AddressSpace::touch_batch`]): a pre-sorted plan of page
-//!   touches resolved in one ordered cursor walk over the extent map and
-//!   frame chunks — `O(batch + touched extents/chunks)` instead of one
-//!   `BTreeMap` probe and `set_flags` split per page — bit-identical in
-//!   counters, dirty/taint state and contents to the per-page loop
-//!   (pinned by the `batch_oracle` differential test);
+//!   touches resolved in one ordered cursor walk over the extents and
+//!   frame chunks — `O(batch + touched extents/chunks)` plus one edit
+//!   fold, instead of a search and a `set_flags` split per page —
+//!   bit-identical in counters, dirty/taint state and contents to the
+//!   per-page loop (pinned by the `batch_oracle` differential test);
+//! - **batched restore passes** ([`space::AddressSpace::restore_runs`],
+//!   [`space::AddressSpace::evict_runs`]): the writeback, stack-zero and
+//!   madvise passes each mutate the page table in one ordered walk and
+//!   one edit fold, with outcomes identical to the per-page
+//!   `restore_page`/`zero_page`/`evict_page` loops down to frame-id
+//!   order (pinned by the same oracle);
 //! - **fault accounting** ([`space::FaultCounters`]): every minor, CoW,
 //!   soft-dirty, userfaultfd and lazy-restore fault is counted so the
 //!   cost model can charge it to the virtual clock — the in-function
@@ -75,7 +83,7 @@ pub mod vma;
 
 pub use addr::{PageRange, VirtAddr, Vpn, PAGE_SIZE};
 pub use batch::{BatchOutcome, TouchBatch, TouchItem};
-pub use frame::{FrameData, FrameId, FrameRuns, FrameTable};
+pub use frame::{FrameData, FrameId, FrameRuns, FrameRunsCursor, FrameTable};
 pub use index::VpnIndex;
 pub use pte::{Pte, PteFlags};
 pub use runs::{runs_from_sorted, runs_intersect, runs_len, runs_subtract, runs_union};

@@ -37,10 +37,14 @@
 //!   per page — no per-page map construction, no content copies;
 //! - [`AddressSpace::touch_batch`] resolves a pre-sorted
 //!   [`TouchBatch`] of page touches in one ordered cursor walk —
-//!   `O(batch + touched extents/chunks)` where a `touch` loop pays a
-//!   `BTreeMap` probe and a per-page `set_flags` split per item —
-//!   with bit-identical counters, dirty/taint state and contents
-//!   (the request-execution hot path of `gh_functions::Executor`).
+//!   `O(batch + touched extents/chunks)` plus one edit fold, where a
+//!   `touch` loop pays a search and a per-page `set_flags` split per
+//!   item — with bit-identical counters, dirty/taint state and contents
+//!   (the request-execution hot path of `gh_functions::Executor`);
+//! - [`AddressSpace::restore_runs`] and [`AddressSpace::evict_runs`] do
+//!   the same for the restorer's writeback and stack-zero passes and its
+//!   madvise pass: one walk and one edit fold per pass, identical to the
+//!   per-page loops down to frame-id allocation order.
 
 use std::collections::BTreeMap;
 
@@ -586,9 +590,7 @@ impl AddressSpace {
     }
 
     fn drop_pages_in(&mut self, range: PageRange, frames: &mut FrameTable) {
-        self.pt.remove_range(range, |_, frame| frames.decref(frame));
-        self.dirty.clear_range(range);
-        self.tainted.clear_range(range);
+        self.evict_runs(&[range], frames);
         // A dropped mapping takes its deferred-restore obligation with it
         // (matching eager semantics: post-restore madvise/munmap loses
         // the restored contents; the *next* restore re-arms the page via
@@ -1375,35 +1377,42 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Overwrites a whole contiguous run with `data` (one [`FrameData`]
-    /// per page of `range`), bypassing fault accounting — the batched
-    /// restore-writeback path. State outcomes (page table, frame table
-    /// including frame-id allocation order, taint index) are identical to
-    /// calling [`AddressSpace::restore_page`] once per page in ascending
-    /// order; the cost is one VMA probe per overlapped VMA, one chunk
-    /// probe per 512-page window and one extent edit fold per run,
-    /// instead of a map probe-and-splice per page.
+    /// Overwrites every page of `runs` (sorted, disjoint, possibly
+    /// adjacent) with the contents `data` yields for it, bypassing fault
+    /// accounting — the restore-writeback path. `data` is called once
+    /// per page, in ascending order, with a view of the frame table (so
+    /// a snapshot whose frames live there can resolve through it); the
+    /// returned contents move into the page's frame uncopied.
+    ///
+    /// State outcomes (page table, frame table including frame-id
+    /// allocation order, taint index) are identical to calling
+    /// [`AddressSpace::restore_page`] once per page in ascending order;
+    /// the cost is one VMA probe per run and overlapped VMA, one chunk
+    /// probe per 512-page window and **one** page-table walk and extent
+    /// edit fold for the whole call, instead of a probe-and-splice per
+    /// page.
     ///
     /// Errors with [`AccessError::Unmapped`] — before mutating anything —
-    /// if any page of `range` lies outside every VMA.
-    pub fn restore_run(
+    /// if any page of `runs` lies outside every VMA.
+    pub fn restore_runs(
         &mut self,
-        range: PageRange,
-        data: &[FrameData],
+        runs: &[PageRange],
+        mut data: impl FnMut(Vpn, &FrameTable) -> FrameData,
         taint: Taint,
         frames: &mut FrameTable,
     ) -> Result<(), AccessError> {
-        debug_assert_eq!(range.len() as usize, data.len(), "one FrameData per page");
-        // Whole-run VMA coverage: one probe per overlapped VMA. Unlike the
-        // per-page loop this rejects the run before any write, but the
-        // restorer aborts on the first error either way.
-        let mut v = range.start;
-        while v < range.end {
-            let vma = self.vma_at(v).ok_or(AccessError::Unmapped(v))?;
-            v = Vpn(vma.range.end.0.min(range.end.0));
+        // Whole-set VMA coverage. Unlike the per-page loop this rejects
+        // the set before any write, but the restorer aborts on the first
+        // error either way.
+        for run in runs {
+            let mut v = run.start;
+            while v < run.end {
+                let vma = self.vma_at(v).ok_or(AccessError::Unmapped(v))?;
+                v = Vpn(vma.range.end.0.min(run.end.0));
+            }
         }
-        self.pt.restore_walk(range, |offset, cur| {
-            let page = &data[offset as usize];
+        self.pt.restore_walk(runs, |vpn, cur| {
+            let page = data(Vpn(vpn), frames);
             match cur {
                 Some((frame, flags)) => {
                     if frames.is_shared(frame) {
@@ -1411,24 +1420,30 @@ impl AddressSpace {
                         // page-ascending, so frame-id reuse matches the
                         // per-page path bit for bit.
                         frames.decref(frame);
-                        let fresh = frames.alloc(page.clone(), taint);
                         BatchDecision::Update {
-                            frame: Some(fresh),
+                            frame: Some(frames.alloc(page, taint)),
                             flags: flags.without(PteFlags::COW),
                         }
                     } else {
-                        frames.overwrite(frame, page.clone(), taint);
+                        frames.overwrite(frame, page, taint);
                         BatchDecision::Update { frame: None, flags }
                     }
                 }
                 None => BatchDecision::Insert {
-                    frame: frames.alloc(page.clone(), taint),
+                    frame: frames.alloc(page, taint),
                     flags: PteFlags::PRESENT,
                 },
             }
         });
-        for vpn in range.iter() {
-            self.sync_taint_bit(vpn, taint);
+        // `sync_taint_bit` per page, run-wise.
+        for &run in runs {
+            if taint.is_tainted() {
+                for vpn in run.iter() {
+                    self.tainted.set(vpn);
+                }
+            } else {
+                self.tainted.clear_range(run);
+            }
         }
         Ok(())
     }
@@ -1443,7 +1458,23 @@ impl AddressSpace {
         }
     }
 
-    /// Zeroes a page in place (stack zeroing during restore).
+    /// Removes the PTEs of every page of `ranges` (sorted, disjoint),
+    /// releasing their frames — identical to [`AddressSpace::evict_page`]
+    /// over each page ascending (same frame free order), in one extent
+    /// edit fold for the whole set.
+    pub fn evict_runs(&mut self, ranges: &[PageRange], frames: &mut FrameTable) {
+        self.pt
+            .remove_ranges(ranges, |_, frame| frames.decref(frame));
+        // Index bits are only ever set on present pages, so clearing the
+        // whole ranges clears exactly the evicted pages' bits.
+        for &range in ranges {
+            self.dirty.clear_range(range);
+            self.tainted.clear_range(range);
+        }
+    }
+
+    /// Zeroes a page in place (stack zeroing during restore; the
+    /// restorer zeroes whole runs through [`AddressSpace::restore_runs`]).
     pub fn zero_page(&mut self, vpn: Vpn, frames: &mut FrameTable) -> Result<(), AccessError> {
         self.restore_page(vpn, &FrameData::Zero, Taint::Clean, frames)
     }

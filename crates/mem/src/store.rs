@@ -209,6 +209,7 @@ impl SnapshotStore {
     }
 
     /// Reads an interned page's contents.
+    #[inline]
     pub fn data(&self, id: FrameId) -> &FrameData {
         self.frames.data(id)
     }

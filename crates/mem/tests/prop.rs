@@ -53,6 +53,23 @@ fn pick_page(space: &AddressSpace, i: usize) -> Option<Vpn> {
     Some(Vpn(vma.range.start.0 + off))
 }
 
+/// Sorted, disjoint random runs starting at a mapped page: gaps,
+/// adjacent pieces (a lane split) and runs crossing a VMA end or an
+/// unmapped hole all occur.
+fn random_runs(space: &AddressSpace, rng: &mut DetRng) -> Vec<PageRange> {
+    let Some(start) = pick_page(space, rng.next_u64() as usize) else {
+        return Vec::new();
+    };
+    let mut next = start.0;
+    (0..1 + rng.next_below(4))
+        .map(|_| {
+            let run = PageRange::at(Vpn(next + rng.next_below(4)), 1 + rng.next_below(12));
+            next = run.end.0;
+            run
+        })
+        .collect()
+}
+
 /// Any op sequence preserves structural invariants and never leaks or
 /// double-frees frames.
 #[test]
@@ -119,10 +136,12 @@ fn invariants_hold_under_random_ops() {
 }
 
 /// The extent/index invariants hold under every interleaving of VMA
-/// churn, faults, tracking epochs, uffd arming, CoW marking and lazy
-/// restore obligations: extents stay sorted/maximal, chunk occupancy
-/// matches coverage, and the dirty/taint index bits agree bit-for-bit
-/// with page state (`check_invariants_with_frames` verifies all of it).
+/// churn, faults, tracking epochs, uffd arming, CoW marking, lazy
+/// restore obligations and the bulk restore passes (multi-run
+/// writeback, multi-range eviction, walk-based zeroing): extents stay
+/// sorted/maximal, chunk occupancy matches coverage, and the dirty/taint
+/// index bits agree bit-for-bit with page state
+/// (`check_invariants_with_frames` verifies all of it after every step).
 #[test]
 fn extent_and_index_invariants_hold_under_tracking_churn() {
     use gh_mem::{FrameData, LazyPageSource, RequestId};
@@ -133,7 +152,7 @@ fn extent_and_index_invariants_hold_under_tracking_churn() {
         let mut space = AddressSpace::new(SpaceConfig::default(), &mut frames);
         let heap_base = space.config().heap_base;
         for op in 0..n_ops {
-            match rng.next_below(12) {
+            match rng.next_below(16) {
                 0 => {
                     let _ = space.mmap(1 + rng.next_below(31), Perms::RW, VmaKind::Anon);
                 }
@@ -219,7 +238,7 @@ fn extent_and_index_invariants_hold_under_tracking_churn() {
                         }
                     }
                 }
-                _ => {
+                11 => {
                     // Restore-path privileged write, then occasionally a
                     // fork/teardown round (the heaviest flag transform).
                     if let Some(vpn) = pick_page(&space, rng.next_u64() as usize) {
@@ -240,6 +259,45 @@ fn extent_and_index_invariants_hold_under_tracking_churn() {
                             .check_invariants_with_frames(&frames)
                             .unwrap_or_else(|e| panic!("case {case} op {op} (child): {e}"));
                         child.release_all(&mut frames);
+                    }
+                }
+                12 => {
+                    // Multi-run writeback; a run crossing an unmapped
+                    // page rejects the whole set untouched.
+                    let runs = random_runs(&space, &mut rng);
+                    let taint = match rng.next_below(3) {
+                        0 => Taint::One(RequestId(op as u64)),
+                        _ => Taint::Clean,
+                    };
+                    let _ = space.restore_runs(
+                        &runs,
+                        |v, _| FrameData::Pattern(v.0 ^ op as u64),
+                        taint,
+                        &mut frames,
+                    );
+                }
+                13 => {
+                    let runs = random_runs(&space, &mut rng);
+                    space.evict_runs(&runs, &mut frames);
+                }
+                14 => {
+                    // Stack zeroing through the writeback walk.
+                    let runs = random_runs(&space, &mut rng);
+                    let _ = space.restore_runs(
+                        &runs,
+                        |_, _| FrameData::Zero,
+                        Taint::Clean,
+                        &mut frames,
+                    );
+                }
+                _ => {
+                    if let Some(vpn) = pick_page(&space, rng.next_u64() as usize) {
+                        let perms = if rng.next_below(2) == 0 {
+                            Perms::R
+                        } else {
+                            Perms::RW
+                        };
+                        let _ = space.mprotect(PageRange::at(vpn, 1 + rng.next_below(5)), perms);
                     }
                 }
             }

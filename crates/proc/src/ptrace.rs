@@ -12,7 +12,7 @@
 //! - syscall injection (`brk`, `mmap`, `munmap`, `madvise`, `mprotect`),
 //! - clearing soft-dirty bits, and detaching.
 
-use gh_mem::{AccessError, FrameData, Taint, Vma, Vpn};
+use gh_mem::{AccessError, FrameData, FrameTable, PageRange, Taint, Vma, Vpn};
 use gh_sim::Nanos;
 
 use crate::kernel::{Kernel, ProcError};
@@ -303,21 +303,24 @@ impl<'k> PtraceSession<'k> {
             .map_err(PtraceError::Syscall)
     }
 
-    /// Writes a whole contiguous run wholesale (`data` holds one page per
-    /// vpn of `range`); contents become `taint`. State outcome is
-    /// identical to [`PtraceSession::write_page`] per page ascending, at
-    /// one page-table walk per run. No cost charged here: the restorer
-    /// charges coalesced-run costs.
-    pub fn write_run(
+    /// Writes every page of `runs` (sorted, disjoint) wholesale with the
+    /// contents `data` yields for it, called once per page in ascending
+    /// order with a view of the tracee machine's frame table; contents
+    /// become `taint`. State outcome is identical to
+    /// [`PtraceSession::write_page`] per page ascending, at one
+    /// page-table walk for the whole set
+    /// ([`AddressSpace::restore_runs`](gh_mem::AddressSpace::restore_runs)).
+    /// No cost charged here: the restorer charges coalesced-run costs.
+    pub fn write_runs(
         &mut self,
-        range: gh_mem::PageRange,
-        data: &[FrameData],
+        runs: &[PageRange],
+        data: impl FnMut(Vpn, &FrameTable) -> FrameData,
         taint: Taint,
     ) -> Result<(), PtraceError> {
         self.require_stopped()?;
         let (proc, frames) = self.k.mem_ctx(self.pid)?;
         proc.mem
-            .restore_run(range, data, taint, frames)
+            .restore_runs(runs, data, taint, frames)
             .map_err(PtraceError::Syscall)
     }
 
@@ -342,6 +345,17 @@ impl<'k> PtraceSession<'k> {
         self.require_stopped()?;
         let (proc, frames) = self.k.mem_ctx(self.pid)?;
         proc.mem.evict_page(vpn, frames);
+        Ok(())
+    }
+
+    /// Evicts every page of `ranges` (sorted, disjoint) — the madvise
+    /// pass as one page-table edit; state outcome is identical to
+    /// [`PtraceSession::evict_page`] per page ascending. The madvise
+    /// bookkeeping cost is charged by the restorer.
+    pub fn evict_runs(&mut self, ranges: &[PageRange]) -> Result<(), PtraceError> {
+        self.require_stopped()?;
+        let (proc, frames) = self.k.mem_ctx(self.pid)?;
+        proc.mem.evict_runs(ranges, frames);
         Ok(())
     }
 
