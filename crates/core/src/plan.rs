@@ -215,7 +215,7 @@ impl RestorePlanner {
         let stacks = snapshot.stack_ranges();
         let snap_runs = snapshot.page_runs();
 
-        let mut present_after: Option<Vec<PageRange>> = None;
+        let mut still_present: Option<Vec<PageRange>> = None;
         let mut stack_zero: Vec<PageRange> = Vec::new();
         if let Some(present_runs) = &dirty.present_runs {
             // Pages munmap will drop are not present for restore math.
@@ -232,9 +232,8 @@ impl RestorePlanner {
             };
             plan.newly_paged = runs_len(&evict);
             plan.stack_zeroed = runs_len(&stack_zero);
-            let present = runs_subtract(&present, &evict);
             plan.passes.push(RestorePass::Madvise { evict });
-            present_after = Some(present);
+            still_present = Some(present);
         }
         if !stack_zero.is_empty() {
             plan.passes
@@ -244,11 +243,12 @@ impl RestorePlanner {
         // Pass 4: page writeback. The restore set is
         //   (dirty ∩ snapshot) ∪ (snapshot \ currently-present),
         // the second term covering pages dropped by madvise/munmap+remap
-        // churn. Without a pagemap view (UFFD), the second term is
-        // limited to the regions we know we remapped.
-        let dirty_runs = group_ranges(&dirty.dirty.iter().map(|v| v.0).collect::<Vec<u64>>());
+        // churn. The madvise pass evicts only non-snapshot pages, so it
+        // cannot change the second term. Without a pagemap view (UFFD),
+        // the second term is limited to the regions we know we remapped.
+        let dirty_runs = gh_mem::runs_from_sorted(dirty.dirty.iter().map(|v| v.0));
         let term1 = runs_intersect(&dirty_runs, snap_runs);
-        let runs = match &present_after {
+        let runs = match &still_present {
             Some(present) => runs_union(&term1, &runs_subtract(snap_runs, present)),
             None => {
                 let remapped: Vec<PageRange> = diff.to_remap.iter().map(|r| r.range).collect();

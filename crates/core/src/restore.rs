@@ -92,19 +92,27 @@ impl Restorer {
         s.interrupt_all()?;
         bd.add(RestorePhase::Interrupting, sw.lap());
 
-        let cur_maps = s.read_maps()?;
+        // The maps read is charged here; the diff below walks the live
+        // VMA map, which the dirty scan leaves unchanged.
+        let cur_vmas = s.charge_maps_read()?;
         bd.add(RestorePhase::ReadingMaps, sw.lap());
 
         let dirty_report = tracker.collect(&mut s)?;
         bd.add(RestorePhase::ScanningPageMetadata, sw.lap());
 
-        let cur_brk = s.kernel().process(pid)?.mem.brk();
-        let diff =
-            crate::diff::LayoutDiff::compute(&snapshot.vmas, snapshot.brk, &cur_maps, cur_brk);
-        let diff_cost = s
-            .kernel()
-            .cost
-            .diff_cost(cur_maps.len() + snapshot.vmas.len());
+        let mem = &s.kernel().process(pid)?.mem;
+        assert_eq!(
+            mem.vma_count(),
+            cur_vmas,
+            "the dirty scan edited the layout"
+        );
+        let diff = crate::diff::LayoutDiff::compute(
+            &snapshot.vmas,
+            snapshot.brk,
+            mem.vmas_iter(),
+            mem.brk(),
+        );
+        let diff_cost = s.kernel().cost.diff_cost(cur_vmas + snapshot.vmas.len());
         s.kernel().charge(diff_cost);
         bd.add(RestorePhase::DiffingMemoryLayouts, sw.lap());
 
@@ -220,8 +228,12 @@ pub fn verify_matches_snapshot(
 ) -> Result<(), String> {
     let proc = kernel.process(pid).map_err(|e| e.to_string())?;
     // Layout.
-    let cur = proc.mem.maps();
-    let d = crate::diff::LayoutDiff::compute(&snapshot.vmas, snapshot.brk, &cur, proc.mem.brk());
+    let d = crate::diff::LayoutDiff::compute(
+        &snapshot.vmas,
+        snapshot.brk,
+        proc.mem.vmas_iter(),
+        proc.mem.brk(),
+    );
     if !d.is_empty() {
         return Err(format!("layout differs: {d:?}"));
     }

@@ -45,6 +45,26 @@
 //!   the same for the restorer's writeback and stack-zero passes and its
 //!   madvise pass: one walk and one edit fold per pass, identical to the
 //!   per-page loops down to frame-id allocation order.
+//!
+//! # VMA bookkeeping
+//!
+//! Layout syscalls cost work proportional to the VMAs they touch, not
+//! to the map. Beside the VMA map the space keeps the unmapped intervals
+//! of `[0, mmap_top)` (an end → start map, exactly the complement of
+//! the VMAs there) and the mapped-page total, both updated by two
+//! private helpers at the only calls that change VMA coverage (`mmap`,
+//! `mmap_fixed`, `munmap`, `set_brk`, `release_all`, construction;
+//! `fork` clones them). The helpers check — in release builds too —
+//! that the edited range was wholly free or wholly mapped. So:
+//!
+//! - `mmap` takes the top of the highest free interval that fits:
+//!   `O(log F + k)` for the `k` intervals above it that are too short;
+//!   VMAs packed against each other form no interval;
+//! - [`AddressSpace::mapped_pages`] is `O(1)`;
+//! - `munmap` and `mprotect` find the affected VMAs by walking down
+//!   from the range's end until a VMA ends at or below its start —
+//!   `O(log V)` per affected VMA — and `set_brk` finds the heap VMA
+//!   with one lookup.
 
 use std::collections::BTreeMap;
 
@@ -232,6 +252,13 @@ pub struct AddressSpace {
     cfg: SpaceConfig,
     /// VMAs keyed by start vpn; invariant: non-overlapping, each non-empty.
     vmas: BTreeMap<u64, Vma>,
+    /// Unmapped intervals of `[0, mmap_top)`, keyed by end vpn → start
+    /// vpn; invariant: exactly the complement of `vmas` within
+    /// `[0, mmap_top)` — disjoint, non-empty and maximal (no two touch).
+    /// Once built, only `cover` and `uncover` edit it.
+    free: BTreeMap<u64, u64>,
+    /// Total pages covered by `vmas`; invariant: the sum of their lengths.
+    mapped: u64,
     /// Extent-based page table; invariant: every present page lies in a VMA.
     pt: PageTable,
     /// Soft-dirty index; invariant: bit set ⇔ present page with
@@ -267,15 +294,16 @@ impl AddressSpace {
     /// Creates an address space with an empty heap and an initial stack.
     pub fn new(cfg: SpaceConfig, frames: &mut FrameTable) -> AddressSpace {
         let _ = frames; // reserved for future eager mappings
-        let mut vmas = BTreeMap::new();
         let stack_range = PageRange::new(Vpn(cfg.stack_top.0 - cfg.stack_pages), cfg.stack_top);
-        vmas.insert(
-            stack_range.start.0,
-            Vma::new(stack_range, Perms::RW, VmaKind::Stack),
-        );
-        AddressSpace {
+        let mut space = AddressSpace {
             cfg,
-            vmas,
+            vmas: BTreeMap::new(),
+            // Nothing is mapped yet: all of `[0, mmap_top)` is free.
+            free: (cfg.mmap_top.0 > 0)
+                .then_some((cfg.mmap_top.0, 0))
+                .into_iter()
+                .collect(),
+            mapped: 0,
             pt: PageTable::new(),
             dirty: VpnIndex::new(),
             tainted: VpnIndex::new(),
@@ -285,7 +313,13 @@ impl AddressSpace {
             uffd_log: VpnIndex::new(),
             lazy_pending: BTreeMap::new(),
             lazy_dropped: 0,
-        }
+        };
+        space.cover(stack_range);
+        space.vmas.insert(
+            stack_range.start.0,
+            Vma::new(stack_range, Perms::RW, VmaKind::Stack),
+        );
+        space
     }
 
     /// The geometry this space was created with.
@@ -331,9 +365,10 @@ impl AddressSpace {
         self.vmas.len()
     }
 
-    /// Total pages covered by VMAs.
+    /// Total pages covered by VMAs — `O(1)`: the total is kept current
+    /// by every call that changes VMA coverage.
     pub fn mapped_pages(&self) -> u64 {
-        self.vmas.values().map(|v| v.range.len()).sum()
+        self.mapped
     }
 
     /// Pages with a present PTE (the RSS).
@@ -365,25 +400,82 @@ impl AddressSpace {
     // Mapping syscalls
     // ---------------------------------------------------------------
 
-    /// Finds a free region of `len` pages below `mmap_top`, top-down.
+    /// Finds a free region of `len` pages below `mmap_top`, top-down:
+    /// the top `len` pages of the highest free interval at least `len`
+    /// long. Walks the free-interval map down from `mmap_top`, so the
+    /// work is `O(log F + k)` for the `k` intervals too short to fit —
+    /// VMAs packed against each other (image regions with their guards)
+    /// form no interval and cost nothing.
     fn find_free(&self, len: u64) -> Option<PageRange> {
         if len == 0 {
             return None;
         }
-        let mut ceiling = self.cfg.mmap_top.0;
-        // Walk VMAs downward from mmap_top.
-        for (_, vma) in self.vmas.range(..self.cfg.mmap_top.0).rev() {
-            let gap_start = vma.range.end.0;
-            if gap_start < ceiling && ceiling - gap_start >= len {
-                return Some(PageRange::new(Vpn(ceiling - len), Vpn(ceiling)));
-            }
-            ceiling = ceiling.min(vma.range.start.0);
+        self.free
+            .iter()
+            .rev()
+            .find(|&(&end, &start)| end - start >= len)
+            .map(|(&end, _)| PageRange::new(Vpn(end - len), Vpn(end)))
+    }
+
+    /// Records that `range`, wholly unmapped until now, is covered by a
+    /// VMA: adds its pages to the mapped total and carves its part below
+    /// `mmap_top` out of the one free interval that must hold it.
+    /// Panics (in release builds too) if any page of that part was
+    /// already mapped.
+    fn cover(&mut self, range: PageRange) {
+        self.mapped += range.len();
+        let (start, end) = (range.start.0, range.end.0.min(self.cfg.mmap_top.0));
+        if start >= end {
+            return;
         }
-        if ceiling >= len {
-            Some(PageRange::new(Vpn(ceiling - len), Vpn(ceiling)))
+        // The free interval holding `start` is the first ending above it.
+        let hole = self.free.range(start + 1..).next().map(|(&e, &s)| (s, e));
+        let Some((hole_start, hole_end)) = hole.filter(|&(s, e)| s <= start && end <= e) else {
+            panic!("cover {range:?}: range is not wholly free (hole {hole:?})");
+        };
+        if end < hole_end {
+            self.free.insert(hole_end, end);
         } else {
-            None
+            self.free.remove(&hole_end);
         }
+        if hole_start < start {
+            self.free.insert(start, hole_start);
+        }
+    }
+
+    /// Records that `range`, wholly mapped until now, lost its VMA
+    /// coverage: subtracts its pages from the mapped total and returns
+    /// its part below `mmap_top` to the free map, merged with the free
+    /// intervals it touches. Panics (in release builds too) if any page
+    /// of that part was already free.
+    fn uncover(&mut self, range: PageRange) {
+        self.mapped = self
+            .mapped
+            .checked_sub(range.len())
+            .unwrap_or_else(|| panic!("uncover {range:?}: more pages than are mapped"));
+        let (mut start, end) = (range.start.0, range.end.0.min(self.cfg.mmap_top.0));
+        if start >= end {
+            return;
+        }
+        let mut merged_end = end;
+        // The first free interval ending above `start` must begin at or
+        // above `end`; it is the right neighbour when it begins exactly
+        // there.
+        if let Some((&above_end, &above_start)) = self.free.range(start + 1..).next() {
+            assert!(
+                above_start >= end,
+                "uncover {range:?}: free interval [{above_start:#x}, {above_end:#x}) overlaps it"
+            );
+            if above_start == end {
+                self.free.remove(&above_end);
+                merged_end = above_end;
+            }
+        }
+        // The left neighbour is the interval ending exactly at `start`.
+        if let Some(below_start) = self.free.remove(&start) {
+            start = below_start;
+        }
+        self.free.insert(merged_end, start);
     }
 
     /// `mmap(NULL, len, ...)`: maps `len` pages at a kernel-chosen address.
@@ -394,6 +486,7 @@ impl AddressSpace {
         kind: VmaKind,
     ) -> Result<PageRange, AccessError> {
         let range = self.find_free(len).ok_or(AccessError::BadRange)?;
+        self.cover(range);
         self.insert_vma(Vma::new(range, perms, kind));
         Ok(range)
     }
@@ -412,6 +505,7 @@ impl AddressSpace {
         if self.overlaps_any(range) {
             return Err(AccessError::BadRange);
         }
+        self.cover(range);
         self.insert_vma(Vma::new(range, perms, kind));
         Ok(())
     }
@@ -445,20 +539,18 @@ impl AddressSpace {
 
     /// `munmap(range)`: removes all mappings in `range`, splitting VMAs
     /// that straddle the boundary and releasing frames of present pages.
+    /// Finds the affected VMAs by walking down from `range.end` until a
+    /// VMA ends at or below `range.start`: `O(log V)` per affected VMA.
     pub fn munmap(&mut self, range: PageRange, frames: &mut FrameTable) -> Result<(), AccessError> {
         if range.is_empty() {
             return Err(AccessError::BadRange);
         }
-        // Collect affected VMAs.
-        let affected: Vec<u64> = self
-            .vmas
-            .range(..range.end.0)
-            .filter(|(_, v)| v.range.overlaps(range))
-            .map(|(&s, _)| s)
-            .collect();
-        for start in affected {
-            let vma = self.vmas.remove(&start).expect("collected key");
+        // Each step removes the highest affected VMA; its right remainder
+        // starts at `range.end` and its left remainder ends at
+        // `range.start`, so neither is visited again.
+        while let Some(vma) = self.pop_overlapping(range) {
             let cut = vma.range.intersect(range);
+            self.uncover(cut);
             // Left remainder.
             if vma.range.start.0 < cut.start.0 {
                 let left = Vma::new(
@@ -478,6 +570,16 @@ impl AddressSpace {
         Ok(())
     }
 
+    /// Removes and returns the highest VMA overlapping `range`: the last
+    /// one starting below `range.end`, if it ends above `range.start`.
+    fn pop_overlapping(&mut self, range: PageRange) -> Option<Vma> {
+        let (&start, vma) = self.vmas.range(..range.end.0).next_back()?;
+        if vma.range.end.0 <= range.start.0 {
+            return None;
+        }
+        self.vmas.remove(&start)
+    }
+
     /// `mprotect(range, perms)`: changes permissions, splitting VMAs.
     pub fn mprotect(&mut self, range: PageRange, perms: Perms) -> Result<(), AccessError> {
         if range.is_empty() {
@@ -489,20 +591,12 @@ impl AddressSpace {
             let vma = self.vma_at(cursor).ok_or(AccessError::Unmapped(cursor))?;
             cursor = vma.range.end;
         }
-        let affected: Vec<u64> = self
-            .vmas
-            .range(..range.end.0)
-            .filter(|(_, v)| v.range.overlaps(range))
-            .map(|(&s, _)| s)
-            .collect();
         // Remove every affected VMA before inserting pieces: `insert_vma`
-        // may merge a piece with an adjacent affected VMA, which would
-        // invalidate keys still pending in the loop.
-        let removed: Vec<Vma> = affected
-            .iter()
-            .map(|s| self.vmas.remove(s).expect("collected key"))
-            .collect();
-        for vma in removed {
+        // may merge a piece with an adjacent affected VMA. Pieces go back
+        // in ascending address order, which fixes which neighbours they
+        // merge with.
+        let removed: Vec<Vma> = std::iter::from_fn(|| self.pop_overlapping(range)).collect();
+        for vma in removed.into_iter().rev() {
             let cut = vma.range.intersect(range);
             if vma.range.start.0 < cut.start.0 {
                 self.vmas.insert(
@@ -537,13 +631,8 @@ impl AddressSpace {
             if self.overlaps_any(grow) {
                 return Err(AccessError::BadRange);
             }
-            // Find existing heap VMA ending at `old`.
-            let existing = self
-                .vmas
-                .iter()
-                .find(|(_, v)| matches!(v.kind, VmaKind::Heap) && v.range.end == old)
-                .map(|(&s, _)| s);
-            if let Some(s) = existing {
+            self.cover(grow);
+            if let Some(s) = self.heap_ending_at(old) {
                 let mut v = self.vmas.remove(&s).expect("heap vma");
                 v.range.end = new_brk;
                 self.vmas.insert(v.range.start.0, v);
@@ -554,18 +643,15 @@ impl AddressSpace {
         } else if new_brk.0 < old.0 {
             let shrink = PageRange::new(new_brk, old);
             // Heap VMA must cover the released range.
-            let existing = self
-                .vmas
-                .iter()
-                .find(|(_, v)| matches!(v.kind, VmaKind::Heap) && v.range.end == old)
-                .map(|(&s, _)| s);
-            let Some(s) = existing else {
+            let Some(s) = self.heap_ending_at(old) else {
                 return Err(AccessError::BadRange);
             };
             let mut v = self.vmas.remove(&s).expect("heap vma");
             if new_brk.0 <= v.range.start.0 {
                 // Whole heap VMA released.
+                self.uncover(v.range);
             } else {
+                self.uncover(PageRange::new(new_brk, old));
                 v.range.end = new_brk;
                 self.vmas.insert(v.range.start.0, v);
             }
@@ -573,6 +659,17 @@ impl AddressSpace {
         }
         self.brk = new_brk;
         Ok(self.brk)
+    }
+
+    /// Start key of the heap VMA ending exactly at `end`, if any. Such a
+    /// VMA is the last one starting below `end` (VMAs are disjoint), so
+    /// this is one map lookup.
+    fn heap_ending_at(&self, end: Vpn) -> Option<u64> {
+        self.vmas
+            .range(..end.0)
+            .next_back()
+            .filter(|(_, v)| matches!(v.kind, VmaKind::Heap) && v.range.end == end)
+            .map(|(&s, _)| s)
     }
 
     /// `madvise(range, MADV_DONTNEED)`: releases frames; contents are lost
@@ -1488,7 +1585,9 @@ impl AddressSpace {
         self.pt = PageTable::new();
         self.dirty.clear_all();
         self.tainted.clear_all();
-        self.vmas.clear();
+        for vma in std::mem::take(&mut self.vmas).into_values() {
+            self.uncover(vma.range);
+        }
         // Teardown discards outstanding obligations like any other
         // mapping drop, keeping the page-work conservation law exact
         // for stats read after the process is gone.
@@ -1516,6 +1615,9 @@ impl AddressSpace {
         AddressSpace {
             cfg: self.cfg,
             vmas: self.vmas.clone(),
+            // Same VMAs, so the same complement and total.
+            free: self.free.clone(),
+            mapped: self.mapped,
             pt: child_pt,
             dirty: self.dirty.clone(),
             tainted: self.tainted.clone(),
@@ -1549,13 +1651,18 @@ impl AddressSpace {
     }
 
     /// Debug invariant check: VMAs are sorted, non-overlapping and
-    /// non-empty; the extent table is structurally sound (sorted,
-    /// disjoint, *maximal* — no adjacent mergeable extents — with chunk
-    /// occupancy matching coverage); every present page lies in some
-    /// VMA; and the dirty/taint indices agree bit-for-bit with the page
-    /// state they cache.
+    /// non-empty; the free-interval map and the mapped-page total equal
+    /// what the VMA map implies (recomputed here from scratch); the
+    /// extent table is structurally sound (sorted, disjoint, *maximal* —
+    /// no adjacent mergeable extents — with chunk occupancy matching
+    /// coverage); every present page lies in some VMA; and the
+    /// dirty/taint indices agree bit-for-bit with the page state they
+    /// cache.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let top = self.cfg.mmap_top.0;
         let mut prev_end = 0u64;
+        let mut free = BTreeMap::new();
+        let mut mapped = 0u64;
         for (&start, vma) in &self.vmas {
             if start != vma.range.start.0 {
                 return Err(format!("vma key {start:#x} != range start {:?}", vma.range));
@@ -1566,7 +1673,26 @@ impl AddressSpace {
             if vma.range.start.0 < prev_end {
                 return Err(format!("overlapping vmas at {start:#x}"));
             }
+            if prev_end < start.min(top) {
+                free.insert(start.min(top), prev_end);
+            }
+            mapped += vma.range.len();
             prev_end = vma.range.end.0;
+        }
+        if prev_end < top {
+            free.insert(top, prev_end);
+        }
+        if free != self.free {
+            return Err(format!(
+                "free-interval map {:?} != complement of the vmas {free:?}",
+                self.free
+            ));
+        }
+        if mapped != self.mapped {
+            return Err(format!(
+                "mapped-page total {} != {mapped} pages in vmas",
+                self.mapped
+            ));
         }
         self.pt.check()?;
         for (range, flags) in self.pt.extents() {

@@ -18,7 +18,7 @@ use gh_sim::DetRng;
 
 use gh_mem::{
     AddressSpace, FrameData, FrameTable, LazyPageSource, PageRange, Perms, RequestId, SpaceConfig,
-    Taint, Touch, Vpn,
+    Taint, Touch, VmaKind, Vpn,
 };
 
 /// The pre-extent, per-page `AddressSpace`, retained as the oracle.
@@ -139,6 +139,22 @@ mod legacy {
             let range = self.find_free(len).ok_or(AccessError::BadRange)?;
             self.insert_vma(Vma::new(range, perms, kind));
             Ok(range)
+        }
+
+        pub fn mmap_fixed(
+            &mut self,
+            range: PageRange,
+            perms: Perms,
+            kind: VmaKind,
+        ) -> Result<(), AccessError> {
+            if range.is_empty() {
+                return Err(AccessError::BadRange);
+            }
+            if self.overlaps_any(range) {
+                return Err(AccessError::BadRange);
+            }
+            self.insert_vma(Vma::new(range, perms, kind));
+            Ok(())
         }
 
         fn overlaps_any(&self, range: PageRange) -> bool {
@@ -750,7 +766,7 @@ impl Twins {
             self.new.mapped_pages(),
             "{ctx}: mapped pages"
         );
-        assert_eq!(self.old.vma_count(), self.new.vma_count(), "{ctx}: vmas");
+        assert_eq!(self.old.maps(), self.new.maps(), "{ctx}: maps");
         assert_eq!(self.old.brk(), self.new.brk(), "{ctx}: brk");
         assert_eq!(
             self.old.soft_dirty_pages(),
@@ -809,6 +825,39 @@ fn pick_page(space: &AddressSpace, i: u64) -> Option<Vpn> {
     Some(Vpn(vma.range.start.0 + off))
 }
 
+/// A range from inside one VMA to inside another a few VMAs up (whole
+/// VMAs and the holes between them included), for `munmap`/`mprotect`
+/// calls that span several VMAs.
+fn pick_span(space: &AddressSpace, rng: &mut DetRng) -> Option<PageRange> {
+    let maps = space.maps();
+    if maps.is_empty() {
+        return None;
+    }
+    let lo = rng.next_below(maps.len() as u64) as usize;
+    let hi = (lo + rng.next_below(4) as usize).min(maps.len() - 1);
+    let (a, b) = (maps[lo].range, maps[hi].range);
+    let start = a.start.0 + rng.next_below(2) * rng.next_below(a.len());
+    let end = b.end.0 - rng.next_below(2) * rng.next_below(b.len());
+    (start < end).then(|| PageRange::new(Vpn(start), Vpn(end)))
+}
+
+/// The free gap above each VMA, up to the next VMA or `mmap_top`,
+/// lowest first (the open space below every VMA is not a gap).
+fn packed_gaps(space: &AddressSpace) -> Vec<u64> {
+    let top = space.config().mmap_top.0;
+    let maps = space.maps();
+    let next_starts = maps
+        .iter()
+        .skip(1)
+        .map(|v| v.range.start.0.min(top))
+        .chain([top]);
+    maps.iter()
+        .zip(next_starts)
+        .map(|(v, next)| next.saturating_sub(v.range.end.0))
+        .filter(|&g| g > 0)
+        .collect()
+}
+
 #[test]
 fn extent_space_is_bit_identical_to_per_page_space() {
     for case in 0..96u64 {
@@ -817,12 +866,76 @@ fn extent_space_is_bit_identical_to_per_page_space() {
         let n_ops = 20 + rng.next_below(140);
         for op_i in 0..n_ops {
             let ctx = format!("case {case} op {op_i}");
-            match rng.next_below(14) {
+            match rng.next_below(18) {
                 0 => {
                     let len = 1 + rng.next_below(31);
                     let a = t.old.mmap(len, Perms::RW, gh_mem::VmaKind::Anon);
                     let b = t.new.mmap(len, Perms::RW, gh_mem::VmaKind::Anon);
                     assert_eq!(a, b, "{ctx}: mmap");
+                }
+                14 => {
+                    // An image-shaped run, as `FunctionProcess::build`
+                    // lays one out: regions mapped top-down, each with a
+                    // one-page guard fixed directly below it, so the run
+                    // packs with no free gap.
+                    let per = 1 + rng.next_below(12);
+                    let kind = if rng.next_below(3) == 0 {
+                        VmaKind::File("image.rt".into())
+                    } else {
+                        VmaKind::Anon
+                    };
+                    for _ in 0..1 + rng.next_below(6) {
+                        let a = t.old.mmap(per, Perms::RW, kind.clone());
+                        let b = t.new.mmap(per, Perms::RW, kind.clone());
+                        assert_eq!(a, b, "{ctx}: image mmap");
+                        let Ok(r) = b else { break };
+                        let guard = PageRange::at(Vpn(r.start.0 - 1), 1);
+                        let a = t.old.mmap_fixed(guard, Perms::NONE, VmaKind::Guard);
+                        let b = t.new.mmap_fixed(guard, Perms::NONE, VmaKind::Guard);
+                        assert_eq!(a, b, "{ctx}: guard mmap_fixed");
+                    }
+                }
+                15 => {
+                    // A file mapping (never merges with its neighbours).
+                    let len = 1 + rng.next_below(9);
+                    let perms = if rng.next_below(2) == 0 {
+                        Perms::RX
+                    } else {
+                        Perms::R
+                    };
+                    let kind = VmaKind::File(format!("lib{}.so", rng.next_below(3)));
+                    let a = t.old.mmap(len, perms, kind.clone());
+                    let b = t.new.mmap(len, perms, kind);
+                    assert_eq!(a, b, "{ctx}: file mmap");
+                }
+                16 => {
+                    // A length that exactly fits one of the packed gaps,
+                    // or fits none of them (landing in the open space
+                    // below every mapping).
+                    let gaps = packed_gaps(&t.new);
+                    let len = match gaps.len() {
+                        0 => 1 + rng.next_below(31),
+                        n if rng.next_below(3) > 0 => gaps[rng.next_below(n as u64) as usize],
+                        _ => gaps.iter().max().expect("non-empty") + 1 + rng.next_below(8),
+                    };
+                    let a = t.old.mmap(len, Perms::RW, gh_mem::VmaKind::Anon);
+                    let b = t.new.mmap(len, Perms::RW, gh_mem::VmaKind::Anon);
+                    assert_eq!(a, b, "{ctx}: fitted mmap");
+                }
+                17 => {
+                    if let Some(r) = pick_span(&t.new, &mut rng) {
+                        if rng.next_below(2) == 0 {
+                            let a = t.old.munmap(r, &mut t.old_frames);
+                            let b = t.new.munmap(r, &mut t.new_frames);
+                            assert_eq!(a, b, "{ctx}: spanning munmap");
+                        } else {
+                            let perms =
+                                [Perms::R, Perms::RW, Perms::NONE][rng.next_below(3) as usize];
+                            let a = t.old.mprotect(r, perms);
+                            let b = t.new.mprotect(r, perms);
+                            assert_eq!(a, b, "{ctx}: spanning mprotect");
+                        }
+                    }
                 }
                 1 => {
                     if let Some(vpn) = pick_page(&t.new, rng.next_u64()) {
@@ -960,14 +1073,30 @@ fn extent_space_is_bit_identical_to_per_page_space() {
             new_child.soft_dirty_pages(),
             "case {case}: child dirty set"
         );
+        assert_eq!(
+            old_child.maps(),
+            new_child.maps(),
+            "case {case}: child maps"
+        );
+        new_child
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("case {case}: child invariants: {e}"));
         old_child.release_all(&mut t.old_frames);
         new_child.release_all(&mut t.new_frames);
         t.assert_equiv(&format!("case {case} after fork/teardown"));
-        // Full teardown is leak-free on both sides.
+        // Full teardown is leak-free on both sides and unmaps everything.
         t.old.release_all(&mut t.old_frames);
         t.new.release_all(&mut t.new_frames);
         assert_eq!(t.old_frames.live(), 0, "case {case}: legacy leak");
         assert_eq!(t.new_frames.live(), 0, "case {case}: extent leak");
+        assert_eq!(
+            t.new.mapped_pages(),
+            0,
+            "case {case}: mapped after teardown"
+        );
+        t.new
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("case {case}: invariants after teardown: {e}"));
     }
 }
 

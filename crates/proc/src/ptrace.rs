@@ -153,13 +153,29 @@ impl<'k> PtraceSession<'k> {
         Ok(())
     }
 
-    /// Reads `/proc/pid/maps`; charges per-VMA cost.
+    /// Reads `/proc/pid/maps` into an owned list; charges per-VMA cost.
+    /// For callers that keep the list past the session (the snapshotter);
+    /// the restorer uses [`PtraceSession::charge_maps_read`] and borrows
+    /// the live map instead.
     pub fn read_maps(&mut self) -> Result<Vec<Vma>, PtraceError> {
         let proc = self.k.process(self.pid)?;
         let maps = proc.mem.maps();
         let dt = self.k.cost.read_maps_cost(maps.len());
         self.k.charge(dt);
         Ok(maps)
+    }
+
+    /// Reads `/proc/pid/maps` in place: charges exactly what
+    /// [`PtraceSession::read_maps`] charges and returns the VMA count,
+    /// without copying the list. The caller reads the VMAs from the live
+    /// map ([`AddressSpace::vmas_iter`](gh_mem::AddressSpace::vmas_iter))
+    /// while nothing between the two edits the layout — the restorer's
+    /// dirty scan does not.
+    pub fn charge_maps_read(&mut self) -> Result<usize, PtraceError> {
+        let vmas = self.k.process(self.pid)?.mem.vma_count();
+        let dt = self.k.cost.read_maps_cost(vmas);
+        self.k.charge(dt);
+        Ok(vmas)
     }
 
     /// The page-metadata footprint of the tracee right now, for
