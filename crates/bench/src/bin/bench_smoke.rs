@@ -21,15 +21,24 @@
 //!
 //! The `scaling_*` family covers the extent-based bookkeeping: the
 //! legacy/new capture+plan speedup at 1M pages / 1% dirty and the
-//! O(dirty) scan-growth check are same-machine ratios (machine
+//! O(dirty) scan- and plan-growth checks are same-machine ratios (machine
 //! independent, so gate-safe); the `sim` entries are deterministic
 //! virtual costs. Raw host ns/page is machine-**dependent** and is
 //! published under the `info_` prefix — written to the JSON and
 //! `results/scaling.csv` but exempt from the gate, because comparing a
 //! CI runner's absolute nanoseconds against a baseline written on a
 //! different machine would fail spuriously in either direction.
+//!
+//! The `work_*` family is deterministic host work: heap allocations per
+//! simulated request, counted by this binary's global allocator (a
+//! std-only wrapper around the system allocator that counts only while
+//! a measurement window is open). For a given toolchain the counts
+//! repeat exactly on every host and in every process, so `--check`
+//! gates them at 0%: any increase fails.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::{env, fs};
 
 use gh_bench::results_dir;
@@ -42,6 +51,72 @@ use groundhog_core::GroundhogConfig;
 
 /// Allowed regression per metric, percent.
 const THRESHOLD_PCT: f64 = 10.0;
+
+/// Requests of each allocation-counting run.
+const WORK_REQUESTS: u64 = 10_000;
+
+/// The system allocator, counting allocation calls (`alloc`,
+/// `alloc_zeroed` and `realloc`) while [`COUNTING`] is set.
+struct CountingAlloc;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn count_one() {
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the counter has no effect on the memory handed out.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations `f` makes on any thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    f();
+    COUNTING.store(false, Ordering::Relaxed);
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Heap allocations per simulated request of a rig's serial run: after
+/// one warm-up run, (allocations at [`WORK_REQUESTS`] − allocations at
+/// 0 requests) / [`WORK_REQUESTS`], so setup cancels out.
+fn allocations_per_request(run: impl Fn(u64) -> u64) -> f64 {
+    assert_eq!(run(WORK_REQUESTS), WORK_REQUESTS, "warm-up drains");
+    let setup = allocations(|| assert_eq!(run(0), 0));
+    let full = allocations(|| assert_eq!(run(WORK_REQUESTS), WORK_REQUESTS));
+    full.saturating_sub(setup) as f64 / WORK_REQUESTS as f64
+}
+
+/// `v` as the summary JSON writes it (4 decimals).
+fn rendered(v: f64) -> f64 {
+    format!("{v:.4}").parse().expect("rendered number")
+}
 
 struct Metric {
     key: &'static str,
@@ -154,10 +229,11 @@ fn collect() -> Vec<Metric> {
     gh_bench::write_csv("scaling", &table);
     println!(
         "capture+plan speedup at 1M pages / 1% dirty: {:.1}x (capture alone {:.1}x); \
-         scan growth 64k→1M at fixed dirty: {:.2}x\n",
+         growth 64k→1M at fixed dirty: scan {:.2}x, plan-build {:.2}x\n",
         scaling.capture_plan_speedup_1m(),
         scaling.capture_speedup_1m(),
-        scaling.scan_growth_64k_to_1m()
+        scaling.scan_growth_64k_to_1m(),
+        scaling.plan_growth_64k_to_1m()
     );
     out.push(Metric {
         key: "scaling_capture_plan_speedup_1m",
@@ -175,6 +251,14 @@ fn collect() -> Vec<Metric> {
     out.push(Metric {
         key: "scaling_scan_o_dirty",
         value: f64::from(scaling.scan_growth_64k_to_1m() <= 3.0),
+        higher_is_better: true,
+    });
+    // The same binary check for restore plan-build, over an image whose
+    // snapshot run count grows with its size: 0.0 = planning walks the
+    // snapshot again instead of the dirty set and the change indices.
+    out.push(Metric {
+        key: "scaling_plan_o_dirty",
+        value: f64::from(scaling.plan_growth_64k_to_1m() <= 3.0),
         higher_is_better: true,
     });
     out.push(Metric {
@@ -473,6 +557,25 @@ fn collect() -> Vec<Metric> {
         });
     }
 
+    // Deterministic host work: heap allocations per simulated request on
+    // serial runs of the cluster and fleet rigs' shapes.
+    let cluster_allocs = allocations_per_request(gh_bench::cluster_scaling::serial_run);
+    let fleet_allocs = allocations_per_request(|n| gh_bench::fleet_scaling::serial_run(n as usize));
+    println!(
+        "heap allocations per simulated request: cluster {cluster_allocs:.4}, \
+         fleet {fleet_allocs:.4}\n"
+    );
+    out.push(Metric {
+        key: "work_allocs_per_req_cluster",
+        value: cluster_allocs,
+        higher_is_better: false,
+    });
+    out.push(Metric {
+        key: "work_allocs_per_req_fleet",
+        value: fleet_allocs,
+        higher_is_better: false,
+    });
+
     // Cores of the measuring host — records which environment the
     // `scaling_*_par` ratios in a baseline were taken on, and lets the
     // gate recognize a single-core runner (see `--check`).
@@ -567,7 +670,9 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        println!("\n== regression gate vs {base_path} (>{THRESHOLD_PCT:.0}% fails) ==\n");
+        println!(
+            "\n== regression gate vs {base_path} (>{THRESHOLD_PCT:.0}% fails; any work_* increase fails) ==\n"
+        );
         let cores = cores();
         let mut failures = 0;
         for (key, base) in &baseline {
@@ -593,7 +698,11 @@ fn main() -> ExitCode {
             } else {
                 0.0
             };
-            let bad = if m.higher_is_better {
+            let bad = if key.starts_with("work_") {
+                // Exact counts: any increase over the baseline's value
+                // (compared as written, to 4 decimals) fails.
+                rendered(m.value) > *base
+            } else if m.higher_is_better {
                 delta_pct < -THRESHOLD_PCT
             } else {
                 delta_pct > THRESHOLD_PCT
@@ -628,7 +737,7 @@ fn main() -> ExitCode {
             }
         }
         if failures > 0 {
-            eprintln!("\n{failures} metric(s) regressed beyond {THRESHOLD_PCT:.0}%");
+            eprintln!("\n{failures} metric(s) failed the gate");
             return ExitCode::FAILURE;
         }
         println!("\nall metrics within threshold");

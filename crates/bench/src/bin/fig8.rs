@@ -6,7 +6,7 @@
 //! ```
 
 use gh_bench::micro_harness::{MicroMode, MicroRig};
-use gh_bench::{fmt_ms, smoke, write_csv};
+use gh_bench::{fmt_ms, smoke, write_sweep};
 use gh_faas::{Container, Request};
 use gh_functions::catalog::representative_14;
 use gh_functions::FunctionSpec;
@@ -14,18 +14,6 @@ use gh_isolation::StrategyKind;
 use gh_sim::report::TextTable;
 use groundhog_core::breakdown::{ALL_PHASES, NUM_PHASES};
 use groundhog_core::GroundhogConfig;
-
-/// Writes one sweep's CSV. `results/<name>.csv` is checked in as the
-/// recorded full-size sweep (CI regenerates it and fails on any byte
-/// change), so a truncated smoke run writes `<name>_smoke.csv` instead
-/// of clobbering it.
-fn write_sweep(name: &str, csv: &TextTable) {
-    if smoke() {
-        write_csv(&format!("{name}_smoke"), csv);
-    } else {
-        write_csv(name, csv);
-    }
-}
 
 /// The benchmark set, trimmed under `GH_BENCH_SMOKE`.
 fn benches() -> Vec<FunctionSpec> {

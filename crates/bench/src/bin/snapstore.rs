@@ -5,6 +5,12 @@
 //! cargo run --release -p gh-bench --bin snapstore
 //! ```
 //!
+//! The full-size sweep is checked in as `results/snapstore.csv`: its
+//! dedup and hash-hit counters read page contents only through
+//! `FrameData::logical_eq` and `logical_hash`, so CI regenerating it
+//! byte for byte pins the content semantics of every page
+//! representation. Smoke runs write `snapstore_smoke.csv` instead.
+//!
 //! For each pool size, builds a GH pool (every container interning its
 //! clean-state snapshot into the shared store) and reports what the pool
 //! actually holds versus what `pool_size ×` private eager snapshots
@@ -14,7 +20,7 @@
 //! (`--serial` / `GH_SERIAL=1` forces one worker).
 
 use gh_bench::harness::{run_cells, serial_requested};
-use gh_bench::{smoke, write_csv};
+use gh_bench::{smoke, write_sweep};
 use gh_faas::fleet::Pool;
 use gh_functions::catalog::by_name;
 use gh_isolation::StrategyKind;
@@ -87,7 +93,7 @@ fn main() {
         csv.row_owned(row);
     }
     println!("{}", table.render());
-    write_csv("snapstore", &csv);
+    write_sweep("snapstore", &csv);
     println!(
         "Pool snapshot memory is one base image plus per-container deltas (the \
          timeline-dependent runtime-state page), so resident bytes stay near one \

@@ -115,6 +115,23 @@ fn timed_run(requests: u64, mode: ExecMode) -> (f64, String, usize) {
     (ns, format!("{result:?}"), result.stats_bytes)
 }
 
+/// One serial run of the rig's shape over `requests` requests, untimed
+/// — what `bench_smoke`'s heap-allocation counter measures. Returns the
+/// completed count.
+pub fn serial_run(requests: u64) -> u64 {
+    let catalog = synthetic_catalog(FUNCTIONS, SEED);
+    let (trace, ccfg) = config(&catalog, requests);
+    run_cluster_with(
+        &trace,
+        &catalog,
+        &ccfg,
+        GroundhogConfig::gh(),
+        ExecMode::Serial,
+    )
+    .expect("run")
+    .completed
+}
+
 /// Best-of-`iters` wrapper around [`timed_run`]: minimum wall-clock
 /// over the samples, with repeat runs asserted bit-identical along the
 /// way (every sample is also a determinism check for free).

@@ -84,6 +84,20 @@ fn timed_run(mode: ExecMode) -> (f64, String) {
     (ns, format!("{result:?}"))
 }
 
+/// One serial run of the rig's shape (pool build included) over
+/// `requests` requests, untimed — what `bench_smoke`'s heap-allocation
+/// counter measures. Returns the completed count.
+pub fn serial_run(requests: usize) -> u64 {
+    let spec = by_name("fannkuch (p)").expect("catalog");
+    let cfg = FleetConfig::fixed(RoutePolicy::RoundRobin, OFFERED_RPS, SEED);
+    let mut pool =
+        Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), POOL, SEED).expect("pool");
+    let result = Fleet::new(cfg)
+        .run_with(&mut pool, requests, ExecMode::Serial)
+        .expect("run");
+    result.completed as u64
+}
+
 /// Best-of-`iters` wrapper around [`timed_run`]: minimum wall-clock
 /// over the samples, with repeat runs asserted bit-identical along the
 /// way (every sample is also a determinism check for free).

@@ -59,6 +59,18 @@ pub fn smoke() -> bool {
     std::env::var("GH_BENCH_SMOKE").is_ok_and(|v| v != "0")
 }
 
+/// Writes one sweep's CSV whose full-size run is checked in as
+/// `results/<name>.csv` (CI regenerates it and fails on any byte
+/// change): a truncated smoke run writes `<name>_smoke.csv` instead of
+/// clobbering it.
+pub fn write_sweep(name: &str, csv: &TextTable) {
+    if smoke() {
+        write_csv(&format!("{name}_smoke"), csv);
+    } else {
+        write_csv(name, csv);
+    }
+}
+
 /// Whether `kind` can run `spec` at all (§5: fork cannot handle Node.js's
 /// threads; FAASM needs wasm compatibility).
 pub fn supported(spec: &FunctionSpec, kind: StrategyKind) -> bool {

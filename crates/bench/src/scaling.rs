@@ -62,6 +62,13 @@ pub struct ScalingReport {
     pub fixed_scan_ns_64k: f64,
     /// Scan wall-clock at 1M mapped pages, same fixed dirty set.
     pub fixed_scan_ns_1m: f64,
+    /// Plan-build wall-clock at 64k mapped pages with the fixed dirty
+    /// set, over an image with a hole every [`HOLE_EVERY`] pages (so the
+    /// snapshot's run count grows with the image).
+    pub fixed_plan_ns_64k: f64,
+    /// Plan-build wall-clock at 1M mapped pages, same fixed dirty set
+    /// and hole pattern.
+    pub fixed_plan_ns_1m: f64,
     /// Simulated scan cost at 1M pages / 1% dirty, µs, extent charging.
     pub sim_scan_us_extent_1m: f64,
     /// Same shape under paper-parity charging, µs.
@@ -95,25 +102,81 @@ impl ScalingReport {
     pub fn scan_growth_64k_to_1m(&self) -> f64 {
         self.fixed_scan_ns_1m / self.fixed_scan_ns_64k.max(1.0)
     }
+
+    /// Plan-build growth from 64k to 1M mapped pages at a fixed dirty
+    /// count over a fragmented image: ~1 when planning reads only the
+    /// dirty set and the change indices, ~16 when it walks the
+    /// snapshot's runs.
+    pub fn plan_growth_64k_to_1m(&self) -> f64 {
+        self.fixed_plan_ns_1m / self.fixed_plan_ns_64k.max(1.0)
+    }
 }
 
-/// A process with `pages` present pages in one big anonymous region,
-/// snapshotted (tracking armed), with `dirty` scattered pages rewritten.
-fn rig(pages: u64, dirty: u64) -> (Kernel, Pid, PageRange, Box<dyn MemoryTracker>) {
+/// The plan-build growth probe's image leaves every `HOLE_EVERY`-th page
+/// absent, so its snapshot holds one run per `HOLE_EVERY` pages.
+pub const HOLE_EVERY: u64 = 64;
+
+/// A process with one `pages`-page anonymous region, every page written
+/// once except those at offsets `≡ -1 (mod hole_every)` (none when
+/// `hole_every` is 0).
+fn image(pages: u64, hole_every: u64) -> (Kernel, Pid, PageRange) {
     let mut kernel = Kernel::boot();
     let pid = kernel.spawn("scaling");
     let region = kernel
         .run_charged(pid, |p, frames| {
             let r = p.mem.mmap(pages, Perms::RW, VmaKind::Anon).unwrap();
             for vpn in r.iter() {
-                p.mem
-                    .touch(vpn, Touch::WriteWord(vpn.0), Taint::Clean, frames)
-                    .unwrap();
+                let off = vpn.0 - r.start.0;
+                if hole_every == 0 || off % hole_every != hole_every - 1 {
+                    p.mem
+                        .touch(vpn, Touch::WriteWord(vpn.0), Taint::Clean, frames)
+                        .unwrap();
+                }
             }
             r
         })
         .unwrap()
         .0;
+    (kernel, pid, region)
+}
+
+/// Rewrites `dirty` pages of `region` spread uniformly (stride
+/// `pages / dirty`), stepping off the holes of a `hole_every` pattern.
+fn write_scattered(kernel: &mut Kernel, pid: Pid, region: PageRange, dirty: u64, hole_every: u64) {
+    let stride = (region.len() / dirty).max(1);
+    kernel
+        .run_charged(pid, |p, frames| {
+            for i in 0..dirty {
+                let mut off = i * stride;
+                if hole_every != 0 && off % hole_every == hole_every - 1 {
+                    off -= 1;
+                }
+                p.mem
+                    .touch(
+                        Vpn(region.start.0 + off),
+                        Touch::WriteWord(!i),
+                        Taint::Clean,
+                        frames,
+                    )
+                    .unwrap();
+            }
+        })
+        .unwrap();
+}
+
+/// Collects the tracker's report in one ptrace session.
+fn collect(kernel: &mut Kernel, pid: Pid, tracker: &mut dyn MemoryTracker) -> DirtyReport {
+    let mut s = PtraceSession::attach(kernel, pid).unwrap();
+    s.interrupt_all().unwrap();
+    let report = tracker.collect(&mut s).unwrap();
+    s.detach().unwrap();
+    report
+}
+
+/// A process with `pages` present pages in one big anonymous region,
+/// snapshotted (tracking armed), with `dirty` scattered pages rewritten.
+fn rig(pages: u64, dirty: u64) -> (Kernel, Pid, PageRange, Box<dyn MemoryTracker>) {
+    let (mut kernel, pid, region) = image(pages, 0);
     let mut tracker = make_tracker(TrackerKind::SoftDirty);
     // Arm tracking without building a snapshot we would only throw away.
     {
@@ -124,21 +187,7 @@ fn rig(pages: u64, dirty: u64) -> (Kernel, Pid, PageRange, Box<dyn MemoryTracker
     }
     // 1% write set, scattered uniformly (stride 100 ⇒ every dirty page
     // splits the armed run: extents = O(dirty), the worst honest case).
-    let stride = (pages / dirty).max(1);
-    kernel
-        .run_charged(pid, |p, frames| {
-            for i in 0..dirty {
-                p.mem
-                    .touch(
-                        Vpn(region.start.0 + i * stride),
-                        Touch::WriteWord(!i),
-                        Taint::Clean,
-                        frames,
-                    )
-                    .unwrap();
-            }
-        })
-        .unwrap();
+    write_scattered(&mut kernel, pid, region, dirty, 0);
     (kernel, pid, region, tracker)
 }
 
@@ -210,7 +259,7 @@ fn legacy_plan(
 /// Measures one size point.
 fn measure(pages: u64) -> SizePoint {
     let dirty = (pages / 100).max(1);
-    let (mut kernel, pid, _region, mut tracker) = rig(pages, dirty);
+    let (mut kernel, pid, region, mut tracker) = rig(pages, dirty);
     let cfg = GroundhogConfig::gh();
 
     // --- scan ---
@@ -245,6 +294,11 @@ fn measure(pages: u64) -> SizePoint {
     let legacy_capture_ns = best_of(scan_iters, || {
         std::hint::black_box(legacy_capture(&kernel, pid));
     });
+    // The snapshot re-armed tracking: dirty the same pages again so the
+    // planner gets a report taken against this snapshot.
+    write_scattered(&mut kernel, pid, region, dirty, 0);
+    let report = collect(&mut kernel, pid, tracker.as_mut());
+    assert_eq!(report.dirty.len() as u64, dirty, "re-dirtied set");
 
     let diff = {
         let proc = kernel.process(pid).unwrap();
@@ -308,6 +362,32 @@ pub fn run() -> ScalingReport {
     };
     let fixed_scan_ns_64k = fixed_scan(1 << 16);
     let fixed_scan_ns_1m = fixed_scan(1 << 20);
+    // The same probe for plan-build, over a fragmented image whose
+    // snapshot has one run per `HOLE_EVERY` pages: a planner that walks
+    // the snapshot's runs grows ~16x from 64k to 1M, one that reads the
+    // dirty set and the change indices does not.
+    let fixed_plan = |pages: u64| -> f64 {
+        let (mut kernel, pid, region) = image(pages, HOLE_EVERY);
+        let mut tracker = make_tracker(TrackerKind::SoftDirty);
+        let (snapshot, _) = Snapshotter::take(&mut kernel, pid, tracker.as_mut()).unwrap();
+        assert_eq!(snapshot.run_count() as u64, pages / HOLE_EVERY);
+        write_scattered(&mut kernel, pid, region, fixed_dirty, HOLE_EVERY);
+        let report = collect(&mut kernel, pid, tracker.as_mut());
+        assert_eq!(report.dirty.len() as u64, fixed_dirty, "probe dirty set");
+        let proc = kernel.process(pid).unwrap();
+        let diff = LayoutDiff::compute(
+            &snapshot.vmas,
+            snapshot.brk,
+            proc.mem.vmas_iter(),
+            proc.mem.brk(),
+        );
+        let cfg = GroundhogConfig::gh();
+        best_of(5, || {
+            std::hint::black_box(RestorePlanner::build(&snapshot, &report, &diff, &cfg));
+        })
+    };
+    let fixed_plan_ns_64k = fixed_plan(1 << 16);
+    let fixed_plan_ns_1m = fixed_plan(1 << 20);
 
     // Deterministic simulated costs at the 1M/1% shape.
     let shape = ScanShape {
@@ -323,6 +403,8 @@ pub fn run() -> ScalingReport {
         points,
         fixed_scan_ns_64k,
         fixed_scan_ns_1m,
+        fixed_plan_ns_64k,
+        fixed_plan_ns_1m,
         sim_scan_us_extent_1m: extent_model.dirty_scan_cost(shape).as_millis_f64() * 1e3,
         sim_scan_us_paper_1m: paper_model.dirty_scan_cost(shape).as_millis_f64() * 1e3,
     }

@@ -110,9 +110,26 @@ impl LayoutDiff {
         cur_vmas: impl IntoIterator<Item = &'c Vma>,
         cur_brk: Vpn,
     ) -> LayoutDiff {
+        let mut diff = LayoutDiff::default();
+        diff.compute_into(snap_vmas, snap_brk, cur_vmas, cur_brk);
+        diff
+    }
+
+    /// [`LayoutDiff::compute`] into `self`, reusing its vectors.
+    pub fn compute_into<'s, 'c>(
+        &mut self,
+        snap_vmas: impl IntoIterator<Item = &'s Vma>,
+        snap_brk: Vpn,
+        cur_vmas: impl IntoIterator<Item = &'c Vma>,
+        cur_brk: Vpn,
+    ) {
         let mut snap = Cursor::new(snap_vmas.into_iter());
         let mut cur = Cursor::new(cur_vmas.into_iter());
-        let mut diff = LayoutDiff::default();
+        let diff = self;
+        diff.to_munmap.clear();
+        diff.to_remap.clear();
+        diff.to_mprotect.clear();
+        diff.brk = None;
         loop {
             match (snap.at, cur.at) {
                 (None, None) => break,
@@ -148,7 +165,6 @@ impl LayoutDiff {
         if snap_brk != cur_brk {
             diff.brk = Some((cur_brk, snap_brk));
         }
-        diff
     }
 
     /// True when the layout is unchanged.
@@ -164,6 +180,12 @@ impl LayoutDiff {
     /// restore protections.
     pub fn plan(&self) -> Vec<Syscall> {
         let mut plan = Vec::new();
+        self.plan_into(&mut plan);
+        plan
+    }
+
+    /// Appends [`LayoutDiff::plan`] to `plan`.
+    pub fn plan_into(&self, plan: &mut Vec<Syscall>) {
         if let Some((_cur, snap)) = self.brk {
             plan.push(Syscall::Brk(snap));
         }
@@ -184,7 +206,6 @@ impl LayoutDiff {
         for (range, perms) in &self.to_mprotect {
             plan.push(Syscall::Mprotect(*range, *perms));
         }
-        plan
     }
 
     /// Total number of syscalls the plan will inject.

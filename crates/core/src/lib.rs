@@ -88,7 +88,7 @@ pub use config::{GroundhogConfig, RestoreMode, TrackerKind};
 pub use diff::LayoutDiff;
 pub use error::GhError;
 pub use manager::{Manager, ManagerState, ManagerStats};
-pub use plan::{RestorePass, RestorePlan, RestorePlanner, SyscallBatch, WritebackLane};
+pub use plan::{RestorePass, RestorePlan, RestorePlanner, SyscallBatch};
 pub use restore::{RestoreReport, Restorer};
 pub use snapshot::{Snapshot, SnapshotMode, SnapshotReport, Snapshotter};
 pub use track::{DirtyReport, MemoryTracker, SoftDirtyTracker, UffdTracker};

@@ -351,10 +351,8 @@ impl Manager {
         }
         // Priced exactly like the eager writeback it stands in for,
         // including the configured parallel copy lanes.
-        let lanes: Vec<(u64, u64)> = crate::plan::split_lanes(&runs, self.cfg.restore_lanes)
-            .iter()
-            .map(|l| (l.pages(), l.runs.len() as u64))
-            .collect();
+        let (mut split, mut lanes) = (Vec::new(), Vec::new());
+        crate::plan::split_lanes(&runs, self.cfg.restore_lanes, &mut split, &mut lanes);
         let cost = kernel.cost.restore_lanes_cost(&lanes, self.cfg.coalesce);
         kernel.charge(cost);
         let (proc, frames) = kernel.mem_ctx(self.pid).map_err(GhError::from)?;

@@ -32,18 +32,30 @@
 //! `PageWriteback` writes every lane's runs through one
 //! [`Snapshot::write_back`] call. Lanes are a virtual-time concept only;
 //! the state outcome equals the per-page loops exactly.
+//!
+//! The sets come from the collection without a pagemap copy: the
+//! soft-dirty scan reads the dirty index and the address space's change
+//! indices (fresh = present ∖ snapshot, dropped = snapshot ∖ present),
+//! and the planner takes madvise = (fresh ∖ munmap) ∖ stacks, stack-zero
+//! = (fresh ∖ munmap) ∩ stacks and writeback = (dirty ∖ fresh) ∪ dropped
+//! ∪ (snapshot ∩ munmap) — see [`crate::plan`]. The scan, diff and plan
+//! buffers are per thread and refilled by every restore, so a steady
+//! request loop restores without heap allocation.
 
-use gh_mem::{FrameData, PageRange, Taint};
+use std::cell::RefCell;
+
+use gh_mem::{runs_len, FrameData, Taint};
 use gh_proc::{Kernel, Pid, PtraceSession};
 use gh_sim::clock::Stopwatch;
 use gh_sim::Nanos;
 
 use crate::breakdown::{Breakdown, RestorePhase};
 use crate::config::GroundhogConfig;
+use crate::diff::LayoutDiff;
 use crate::error::GhError;
 use crate::plan::{RestorePass, RestorePlan, RestorePlanner};
 use crate::snapshot::Snapshot;
-use crate::track::MemoryTracker;
+use crate::track::{DirtyReport, MemoryTracker};
 
 /// Outcome of one restore operation.
 #[derive(Clone, Debug)]
@@ -69,6 +81,23 @@ pub struct RestoreReport {
     pub syscalls_injected: usize,
 }
 
+/// The buffers one restore fills — the collected scan, the layout diff
+/// and the plan.
+#[derive(Default)]
+struct RestoreBuffers {
+    report: DirtyReport,
+    diff: LayoutDiff,
+    plan: RestorePlan,
+}
+
+thread_local! {
+    /// Every restore on a thread refills the same buffers, so the steady
+    /// request loop collects, plans and executes restores without heap
+    /// allocation once they have grown to its working set, and the
+    /// retained memory is per thread, not per process.
+    static BUFFERS: RefCell<RestoreBuffers> = RefCell::default();
+}
+
 /// The restore engine: plans, then executes.
 pub struct Restorer;
 
@@ -82,6 +111,18 @@ impl Restorer {
         snapshot: &Snapshot,
         tracker: &mut dyn MemoryTracker,
         cfg: &GroundhogConfig,
+    ) -> Result<RestoreReport, GhError> {
+        BUFFERS.with_borrow_mut(|bufs| Self::restore_in(kernel, pid, snapshot, tracker, cfg, bufs))
+    }
+
+    /// [`Restorer::restore`] over the thread's buffers.
+    fn restore_in(
+        kernel: &mut Kernel,
+        pid: Pid,
+        snapshot: &Snapshot,
+        tracker: &mut dyn MemoryTracker,
+        cfg: &GroundhogConfig,
+        bufs: &mut RestoreBuffers,
     ) -> Result<RestoreReport, GhError> {
         let mut bd = Breakdown::new();
         let mut sw = Stopwatch::start(&kernel.clock);
@@ -97,7 +138,7 @@ impl Restorer {
         let cur_vmas = s.charge_maps_read()?;
         bd.add(RestorePhase::ReadingMaps, sw.lap());
 
-        let dirty_report = tracker.collect(&mut s)?;
+        tracker.collect_into(&mut s, &mut bufs.report)?;
         bd.add(RestorePhase::ScanningPageMetadata, sw.lap());
 
         let mem = &s.kernel().process(pid)?.mem;
@@ -106,19 +147,16 @@ impl Restorer {
             cur_vmas,
             "the dirty scan edited the layout"
         );
-        let diff = crate::diff::LayoutDiff::compute(
-            &snapshot.vmas,
-            snapshot.brk,
-            mem.vmas_iter(),
-            mem.brk(),
-        );
+        bufs.diff
+            .compute_into(&snapshot.vmas, snapshot.brk, mem.vmas_iter(), mem.brk());
         let diff_cost = s.kernel().cost.diff_cost(cur_vmas + snapshot.vmas.len());
         s.kernel().charge(diff_cost);
         bd.add(RestorePhase::DiffingMemoryLayouts, sw.lap());
 
         // Plan (pure), then execute pass by pass.
-        let plan = RestorePlanner::build(snapshot, &dirty_report, &diff, cfg);
-        Self::execute_plan(&mut s, &plan, snapshot, tracker, &mut bd, &mut sw)?;
+        let plan = &mut bufs.plan;
+        RestorePlanner::build_into(plan, snapshot, &bufs.report, &bufs.diff, cfg);
+        Self::execute_plan(&mut s, plan, snapshot, tracker, &mut bd, &mut sw)?;
 
         s.detach()?;
         bd.add(RestorePhase::Detaching, sw.lap());
@@ -147,14 +185,14 @@ impl Restorer {
         bd: &mut Breakdown,
         sw: &mut Stopwatch,
     ) -> Result<(), GhError> {
-        for pass in &plan.passes {
+        for pass in plan.passes() {
             match pass {
-                RestorePass::LayoutFixup { batches } => {
+                RestorePass::LayoutFixup { calls, batches } => {
                     // Batched injection: one trap round per syscall
                     // (charged inside `inject`), one breakdown lap per
                     // class batch.
                     for batch in batches {
-                        for sc in &batch.calls {
+                        for sc in &calls[batch.calls.clone()] {
                             s.inject(sc.clone())?;
                         }
                         bd.add(batch.phase, sw.lap());
@@ -162,7 +200,7 @@ impl Restorer {
                 }
                 RestorePass::Madvise { evict } => {
                     s.evict_runs(evict)?;
-                    let pages: u64 = evict.iter().map(|r| r.len()).sum();
+                    let pages = runs_len(evict);
                     let cost = s.kernel().cost.syscall_inject * evict.len() as u64
                         + s.kernel().cost.madvise_new_page * pages;
                     s.kernel().charge(cost);
@@ -173,22 +211,19 @@ impl Restorer {
                     // Stack zeroing is charged into the memory-restoration
                     // phase: no lap here, the writeback pass's lap absorbs
                     // it.
-                    let pages: u64 = runs.iter().map(|r| r.len()).sum();
-                    let cost = s.kernel().cost.zero_stack_page * pages;
+                    let cost = s.kernel().cost.zero_stack_page * runs_len(runs);
                     s.kernel().charge(cost);
                 }
-                RestorePass::PageWriteback { lanes, coalesce } => {
+                RestorePass::PageWriteback {
+                    runs,
+                    lanes,
+                    coalesce,
+                } => {
                     // Lanes split the sorted run list in address order,
                     // so their concatenation is the whole restore set:
                     // one page-table walk writes every lane's runs.
-                    let runs: Vec<PageRange> =
-                        lanes.iter().flat_map(|l| l.runs.iter().copied()).collect();
-                    snapshot.write_back(s, &runs)?;
-                    let lane_costs: Vec<(u64, u64)> = lanes
-                        .iter()
-                        .map(|l| (l.pages(), l.runs.len() as u64))
-                        .collect();
-                    let cost = s.kernel().cost.restore_lanes_cost(&lane_costs, *coalesce);
+                    snapshot.write_back(s, runs)?;
+                    let cost = s.kernel().cost.restore_lanes_cost(lanes, coalesce);
                     s.kernel().charge(cost);
                     bd.add(RestorePhase::RestoringMemory, sw.lap());
                 }
@@ -200,8 +235,10 @@ impl Restorer {
                     // eager-vs-lazy comparisons read off one column.
                     let set = snapshot.lazy_sources(runs, s.kernel().frames());
                     s.arm_lazy(set)?;
-                    let pages: u64 = runs.iter().map(|r| r.len()).sum();
-                    let cost = s.kernel().cost.defer_arm_cost(pages, runs.len() as u64);
+                    let cost = s
+                        .kernel()
+                        .cost
+                        .defer_arm_cost(runs_len(runs), runs.len() as u64);
                     s.kernel().charge(cost);
                     bd.add(RestorePhase::RestoringMemory, sw.lap());
                 }

@@ -101,6 +101,10 @@ pub struct Snapshot {
     /// The stack VMAs at snapshot time (precomputed; restored by
     /// zeroing, §4.4).
     pub stacks: Vec<PageRange>,
+    /// Epoch of the change baseline the capture set in the process's
+    /// address space: its change indices are relative to this snapshot
+    /// while the epoch still matches.
+    pub baseline_epoch: u64,
 }
 
 impl Snapshot {
@@ -395,7 +399,11 @@ impl Snapshotter {
             }
         };
         s.kernel().charge(copy_cost);
-        let brk = s.kernel().process(pid)?.mem.brk();
+        // The captured pages become the baseline of the address space's
+        // change indices, which the restore planner reads.
+        let (proc, _) = s.kernel().mem_ctx(pid)?;
+        let baseline_epoch = proc.mem.reset_change_baseline();
+        let brk = proc.mem.brk();
         // (d) Reset memory tracking for the first request.
         tracker.arm(&mut s)?;
         let threads = regs.len();
@@ -415,6 +423,7 @@ impl Snapshotter {
             brk,
             pages,
             stacks,
+            baseline_epoch,
         };
         let report = SnapshotReport {
             duration,

@@ -12,16 +12,26 @@ use gh_sim::Nanos;
 use crate::config::TrackerKind;
 use crate::error::GhError;
 
-/// What a tracker learned at collection time.
-#[derive(Clone, Debug)]
+/// What a tracker learned at collection time. Trackers refill a report
+/// in place ([`MemoryTracker::collect_into`]), so a manager that keeps
+/// one collects every restore without allocating once its buffers have
+/// grown to the working set.
+#[derive(Clone, Debug, Default)]
 pub struct DirtyReport {
     /// Pages written since the tracker was armed, ascending.
     pub dirty: Vec<Vpn>,
-    /// Present pages as sorted, maximal runs — only available when the
-    /// backend's collection mechanism observes the pagemap anyway
-    /// (soft-dirty does; userfaultfd does not). `O(extents)` to collect
-    /// and hold, never one entry per page.
-    pub present_runs: Option<Vec<PageRange>>,
+    /// True when the backend's collection observes the pagemap
+    /// (soft-dirty does; userfaultfd does not), so `fresh` and `dropped`
+    /// below are known.
+    pub pagemap: bool,
+    /// Present pages the snapshot did not capture, as sorted maximal
+    /// runs (the address space's change index; `O(fresh)` to collect).
+    pub fresh: Vec<PageRange>,
+    /// Captured pages no longer present, as sorted maximal runs.
+    pub dropped: Vec<PageRange>,
+    /// Epoch of the change baseline `fresh` and `dropped` refer to: the
+    /// snapshot's [`baseline_epoch`](crate::snapshot::Snapshot::baseline_epoch).
+    pub epoch: u64,
     /// Virtual time the collection consumed.
     pub cost: Nanos,
 }
@@ -35,8 +45,20 @@ pub trait MemoryTracker {
     /// write-protects pages). Returns the virtual time consumed.
     fn arm(&mut self, s: &mut PtraceSession<'_>) -> Result<Nanos, GhError>;
 
-    /// Collects the pages dirtied since [`MemoryTracker::arm`].
-    fn collect(&mut self, s: &mut PtraceSession<'_>) -> Result<DirtyReport, GhError>;
+    /// Collects the pages dirtied since [`MemoryTracker::arm`] into
+    /// `report`, overwriting every field.
+    fn collect_into(
+        &mut self,
+        s: &mut PtraceSession<'_>,
+        report: &mut DirtyReport,
+    ) -> Result<(), GhError>;
+
+    /// [`MemoryTracker::collect_into`] into a fresh report.
+    fn collect(&mut self, s: &mut PtraceSession<'_>) -> Result<DirtyReport, GhError> {
+        let mut report = DirtyReport::default();
+        self.collect_into(s, &mut report)?;
+        Ok(report)
+    }
 }
 
 /// Builds the tracker for a [`TrackerKind`].
@@ -52,7 +74,8 @@ pub fn make_tracker(kind: TrackerKind) -> Box<dyn MemoryTracker + Send> {
 /// model: a full pagemap walk scaling with the mapped address space
 /// under paper parity (Fig. 3 right, dashed), or per-extent + per-dirty
 /// under extent charging. Host-side the scan reads the dirty index and
-/// extent runs — `O(dirty + extents)` regardless of the charge model.
+/// the change indices — `O(dirty + changed)` regardless of the charge
+/// model.
 pub struct SoftDirtyTracker;
 
 impl MemoryTracker for SoftDirtyTracker {
@@ -64,15 +87,16 @@ impl MemoryTracker for SoftDirtyTracker {
         Ok(s.clear_soft_dirty()?)
     }
 
-    fn collect(&mut self, s: &mut PtraceSession<'_>) -> Result<DirtyReport, GhError> {
+    fn collect_into(
+        &mut self,
+        s: &mut PtraceSession<'_>,
+        report: &mut DirtyReport,
+    ) -> Result<(), GhError> {
         let t0 = s.kernel().clock.now();
-        let (dirty, present_runs) = s.dirty_scan()?;
-        let cost = s.kernel().clock.now() - t0;
-        Ok(DirtyReport {
-            dirty,
-            present_runs: Some(present_runs),
-            cost,
-        })
+        report.epoch = s.dirty_scan(&mut report.dirty, &mut report.fresh, &mut report.dropped)?;
+        report.pagemap = true;
+        report.cost = s.kernel().clock.now() - t0;
+        Ok(())
     }
 }
 
@@ -92,17 +116,21 @@ impl MemoryTracker for UffdTracker {
         Ok(s.kernel().clock.now() - t0)
     }
 
-    fn collect(&mut self, s: &mut PtraceSession<'_>) -> Result<DirtyReport, GhError> {
+    fn collect_into(
+        &mut self,
+        s: &mut PtraceSession<'_>,
+        report: &mut DirtyReport,
+    ) -> Result<(), GhError> {
         let t0 = s.kernel().clock.now();
-        let mut dirty = s.disarm_uffd()?;
-        dirty.sort_unstable_by_key(|v| v.0);
-        dirty.dedup();
-        let cost = s.kernel().clock.now() - t0;
-        Ok(DirtyReport {
-            dirty,
-            present_runs: None,
-            cost,
-        })
+        report.dirty = s.disarm_uffd()?;
+        report.dirty.sort_unstable_by_key(|v| v.0);
+        report.dirty.dedup();
+        report.pagemap = false;
+        report.fresh.clear();
+        report.dropped.clear();
+        report.epoch = 0;
+        report.cost = s.kernel().clock.now() - t0;
+        Ok(())
     }
 }
 
@@ -163,8 +191,8 @@ mod tests {
         let (report, mut written) = roundtrip(TrackerKind::SoftDirty);
         written.sort_unstable_by_key(|v| v.0);
         assert_eq!(report.dirty, written);
-        let present = report.present_runs.expect("SD scan sees the pagemap");
-        assert!(gh_mem::runs_len(&present) >= 16);
+        assert!(report.pagemap, "SD scan sees the pagemap");
+        assert!(report.fresh.is_empty() && report.dropped.is_empty());
     }
 
     #[test]
@@ -172,7 +200,7 @@ mod tests {
         let (report, mut written) = roundtrip(TrackerKind::Uffd);
         written.sort_unstable_by_key(|v| v.0);
         assert_eq!(report.dirty, written);
-        assert!(report.present_runs.is_none(), "UFFD has no pagemap view");
+        assert!(!report.pagemap, "UFFD has no pagemap view");
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! `restore_lanes = 1` must be **bit-for-bit** identical to the
 //! reference: same [`Breakdown`], same report counters, same final
 //! virtual time, and the restored process must pass
-//! `verify_matches_snapshot`.
+//! `verify_matches_snapshot`. The monolith derives the restore set from
+//! a pagemap walk; the pipeline from the address space's change indices
+//! — so the rigs run in every snapshot mode, over several rounds, with
+//! stack-page faults whose zeroed pages stay resident (and outside the
+//! snapshot) from one restore to the next.
 
 use std::collections::BTreeSet;
 
@@ -18,7 +22,7 @@ use gh_sim::clock::Stopwatch;
 use gh_sim::DetRng;
 use groundhog_core::breakdown::{Breakdown, RestorePhase};
 use groundhog_core::restore::verify_matches_snapshot;
-use groundhog_core::snapshot::{Snapshot, Snapshotter};
+use groundhog_core::snapshot::{Snapshot, SnapshotMode, Snapshotter};
 use groundhog_core::track::{make_tracker, MemoryTracker};
 use groundhog_core::{GhError, GroundhogConfig, Restorer, TrackerKind};
 
@@ -101,9 +105,11 @@ fn reference_restore(
     let mut newly_paged = 0u64;
     let mut stack_zeroed = 0u64;
     let mut present_after: Option<BTreeSet<u64>> = None;
-    // (Adapter: the tracker now reports present pages as coalesced runs;
-    // the monolith's per-page set is their mechanical expansion.)
-    if let Some(present_runs) = &dirty_report.present_runs {
+    // (Adapter: the monolith walked the pagemap whenever the tracker's
+    // collection could see it; that per-page set is read off the
+    // process here.)
+    if dirty_report.pagemap {
+        let present_runs = s.kernel().process(pid)?.mem.present_runs();
         let mut present: BTreeSet<u64> = present_runs
             .iter()
             .flat_map(|r| r.iter().map(|v| v.0))
@@ -214,6 +220,25 @@ struct Rig {
 }
 
 fn rig(tracker_kind: TrackerKind) -> Rig {
+    rig_mode(tracker_kind, SnapshotMode::Eager)
+}
+
+/// A snapshot mode by name, built fresh per rig.
+type ModeMaker = (&'static str, fn() -> SnapshotMode);
+
+/// The snapshot modes, each with a fresh store where it needs one.
+fn modes() -> [ModeMaker; 3] {
+    [
+        ("eager", || SnapshotMode::Eager),
+        ("cow", || SnapshotMode::Cow),
+        ("shared", || SnapshotMode::Shared {
+            store: gh_mem::SnapshotStore::new_handle(),
+            key: "twin".into(),
+        }),
+    ]
+}
+
+fn rig_mode(tracker_kind: TrackerKind, mode: SnapshotMode) -> Rig {
     let mut kernel = Kernel::boot();
     let pid = kernel.spawn("twin");
     let heap_base = kernel.process(pid).unwrap().mem.config().heap_base;
@@ -231,7 +256,7 @@ fn rig(tracker_kind: TrackerKind) -> Rig {
         .unwrap()
         .0;
     let mut tracker = make_tracker(tracker_kind);
-    let (snapshot, _) = Snapshotter::take(&mut kernel, pid, tracker.as_mut()).unwrap();
+    let (snapshot, _) = Snapshotter::take_mode(&mut kernel, pid, tracker.as_mut(), mode).unwrap();
     Rig {
         kernel,
         pid,
@@ -242,7 +267,8 @@ fn rig(tracker_kind: TrackerKind) -> Rig {
 }
 
 /// Applies an identical random activation to a rig: scattered writes,
-/// reads, an occasional mmap/munmap/brk/madvise, register scrambles.
+/// reads, stack-page faults, an occasional mmap/munmap/brk/madvise,
+/// register scrambles.
 fn perturb(rig: &mut Rig, rng_seed: u64, req: u64) {
     let region = rig.region;
     let heap_base = rig.kernel.process(rig.pid).unwrap().mem.config().heap_base;
@@ -251,7 +277,7 @@ fn perturb(rig: &mut Rig, rng_seed: u64, req: u64) {
     rig.kernel
         .run_charged(rig.pid, |p, frames| {
             for _ in 0..acts {
-                match rng.next_below(7) {
+                match rng.next_below(8) {
                     0 => {
                         let _ = p.mem.touch(
                             Vpn(region.start.0 + rng.next_below(64)),
@@ -303,6 +329,18 @@ fn perturb(rig: &mut Rig, rng_seed: u64, req: u64) {
                             frames,
                         );
                     }
+                    6 => {
+                        // The stack was not resident at snapshot time:
+                        // the restore zeroes the page and leaves it
+                        // resident, outside the snapshot.
+                        let top = p.mem.config().stack_top.0;
+                        let _ = p.mem.touch(
+                            Vpn(top - 1 - rng.next_below(8)),
+                            Touch::WriteWord(rng.next_u64()),
+                            Taint::One(RequestId(req)),
+                            frames,
+                        );
+                    }
                     _ => {
                         p.threads[0]
                             .regs
@@ -316,53 +354,74 @@ fn perturb(rig: &mut Rig, rng_seed: u64, req: u64) {
 
 #[test]
 fn one_lane_pipeline_is_bit_identical_to_monolith() {
-    for case in 0..48u64 {
-        let mut old = rig(TrackerKind::SoftDirty);
-        let mut new = rig(TrackerKind::SoftDirty);
-        let cfg = GroundhogConfig::gh();
-        assert_eq!(cfg.restore_lanes, 1);
-        for round in 0..2u64 {
-            let seed = 0x091A_5EED ^ (case << 8) ^ round;
-            perturb(&mut old, seed, round + 1);
-            perturb(&mut new, seed, round + 1);
-
-            let (bd, dirty, restored, runs, newly, zeroed, syscalls) = reference_restore(
-                &mut old.kernel,
-                old.pid,
-                &old.snapshot,
-                old.tracker.as_mut(),
-                &cfg,
-            )
-            .unwrap();
-            let report = Restorer::restore(
-                &mut new.kernel,
-                new.pid,
-                &new.snapshot,
-                new.tracker.as_mut(),
-                &cfg,
-            )
-            .unwrap();
-
-            assert_eq!(report.breakdown, bd, "case {case} round {round}: breakdown");
-            assert_eq!(report.total, bd.total(), "case {case}: total");
-            assert_eq!(report.dirty_pages, dirty, "case {case}: dirty");
-            assert_eq!(report.pages_restored, restored, "case {case}: restored");
-            assert_eq!(report.runs, runs, "case {case}: runs");
-            assert_eq!(report.newly_paged, newly, "case {case}: newly paged");
-            assert_eq!(report.stack_zeroed, zeroed, "case {case}: stack zeroed");
-            assert_eq!(report.syscalls_injected, syscalls, "case {case}: syscalls");
-            assert_eq!(
-                old.kernel.clock.now(),
-                new.kernel.clock.now(),
-                "case {case} round {round}: virtual timelines diverged"
-            );
-
-            verify_matches_snapshot(&new.kernel, new.pid, &new.snapshot)
-                .unwrap_or_else(|e| panic!("case {case} round {round}: {e}"));
-            verify_matches_snapshot(&old.kernel, old.pid, &old.snapshot)
-                .unwrap_or_else(|e| panic!("case {case} round {round} (reference): {e}"));
+    for (mode, make) in modes() {
+        let mut rezeroed = 0;
+        for case in 0..48u64 {
+            let mut old = rig_mode(TrackerKind::SoftDirty, make());
+            let mut new = rig_mode(TrackerKind::SoftDirty, make());
+            rezeroed += twin_rounds(&mut old, &mut new, mode, case);
         }
+        assert!(
+            rezeroed > 0,
+            "{mode}: no stack page was zeroed again after the first round"
+        );
     }
+}
+
+/// Four perturb → restore rounds on a twin pair, the monolith on `old`
+/// and the pipeline on `new`, asserting bit-identity after each.
+/// Returns the stack pages zeroed after the first round (a page faulted
+/// in an earlier round stays resident and is zeroed again).
+fn twin_rounds(old: &mut Rig, new: &mut Rig, mode: &str, case: u64) -> u64 {
+    let cfg = GroundhogConfig::gh();
+    assert_eq!(cfg.restore_lanes, 1);
+    let mut rezeroed = 0;
+    for round in 0..4u64 {
+        let at = format!("{mode} case {case} round {round}");
+        let seed = 0x091A_5EED ^ (case << 8) ^ round;
+        perturb(old, seed, round + 1);
+        perturb(new, seed, round + 1);
+
+        let (bd, dirty, restored, runs, newly, zeroed, syscalls) = reference_restore(
+            &mut old.kernel,
+            old.pid,
+            &old.snapshot,
+            old.tracker.as_mut(),
+            &cfg,
+        )
+        .unwrap();
+        let report = Restorer::restore(
+            &mut new.kernel,
+            new.pid,
+            &new.snapshot,
+            new.tracker.as_mut(),
+            &cfg,
+        )
+        .unwrap();
+
+        assert_eq!(report.breakdown, bd, "{at}: breakdown");
+        assert_eq!(report.total, bd.total(), "{at}: total");
+        assert_eq!(report.dirty_pages, dirty, "{at}: dirty");
+        assert_eq!(report.pages_restored, restored, "{at}: restored");
+        assert_eq!(report.runs, runs, "{at}: runs");
+        assert_eq!(report.newly_paged, newly, "{at}: newly paged");
+        assert_eq!(report.stack_zeroed, zeroed, "{at}: stack zeroed");
+        assert_eq!(report.syscalls_injected, syscalls, "{at}: syscalls");
+        assert_eq!(
+            old.kernel.clock.now(),
+            new.kernel.clock.now(),
+            "{at}: virtual timelines diverged"
+        );
+        if round > 0 {
+            rezeroed += report.stack_zeroed;
+        }
+
+        verify_matches_snapshot(&new.kernel, new.pid, &new.snapshot)
+            .unwrap_or_else(|e| panic!("{at}: {e}"));
+        verify_matches_snapshot(&old.kernel, old.pid, &old.snapshot)
+            .unwrap_or_else(|e| panic!("{at} (reference): {e}"));
+    }
+    rezeroed
 }
 
 #[test]

@@ -277,6 +277,40 @@ mod tests {
     }
 
     #[test]
+    fn time_virtualization_leaves_the_snapshot_untouched() {
+        // The first request of an eager-snapshot container does not
+        // write the runtime-state page, so its frame is still shared
+        // with the snapshot when the post-restore clock rebase writes
+        // it: the rebase must land in the process only.
+        let spec = by_name("atax (c)").unwrap();
+        let cfg = GroundhogConfig {
+            virtualize_time: true,
+            ..GroundhogConfig::gh()
+        };
+        let mut c = Container::cold_start(&spec, StrategyKind::Gh, cfg, 42).unwrap();
+        let state = c.fproc.regions().state_page();
+        let saved = |c: &Container| match &c.strategy {
+            Strategy::Gh(m) => m
+                .snapshot()
+                .expect("snapshot taken")
+                .page_data(state, c.kernel.frames())
+                .expect("state page captured"),
+            _ => unreachable!("GH strategy"),
+        };
+        let before = saved(&c);
+        c.invoke(&Request::new(1, "alice", spec.input_kb)).unwrap();
+        assert!(
+            saved(&c).logical_eq(&before),
+            "the clock rebase rewrote the snapshot's state page"
+        );
+        assert_eq!(
+            c.fproc.gc_clock(&c.kernel),
+            c.kernel.clock.now(),
+            "the process clock is rebased to the post-restore time"
+        );
+    }
+
+    #[test]
     fn cold_start_runs_fig1_phases() {
         let c = start("float (p)", StrategyKind::Gh);
         // Environment (~300ms) + runtime init (~350ms) + dummy + snapshot.

@@ -41,10 +41,10 @@ impl BuggyCache {
     /// marker is written with clean taint.
     pub fn init(kernel: &mut Kernel, fproc: &FunctionProcess) -> BuggyCache {
         let page = fproc
-            .regions
+            .regions()
             .anon
             .first()
-            .map_or(fproc.regions.data.start, |r| r.start);
+            .map_or(fproc.regions().data.start, |r| r.start);
         kernel
             .run_charged(fproc.pid, |p, frames| {
                 p.mem

@@ -343,7 +343,7 @@ impl Strategy {
                     .map(|t| (t.tid, t.regs.clone()))
                     .collect();
                 let mut saved = BTreeMap::new();
-                for r in fproc.regions.dirtyable() {
+                for r in fproc.regions().dirtyable() {
                     for vpn in r.iter() {
                         if let Some(pte) = proc.mem.pte(vpn) {
                             saved.insert(vpn.0, frames.data(pte.frame).clone());

@@ -31,6 +31,7 @@
 //! - every page inside an extent has a frame slot in its chunk, and
 //!   chunk occupancy equals the number of covering extent pages.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use crate::addr::{PageRange, Vpn};
@@ -79,12 +80,11 @@ struct Edit {
 
 /// Accumulates page edits in address order, merging adjacent equal
 /// pushes into one run.
-#[derive(Default)]
-struct RunBuilder {
-    runs: Vec<Edit>,
+struct RunBuilder<'a> {
+    runs: &'a mut Vec<Edit>,
 }
 
-impl RunBuilder {
+impl RunBuilder<'_> {
     #[inline]
     fn push(&mut self, start: u64, flags: PteFlags) {
         if let Some(last) = self.runs.last_mut() {
@@ -206,6 +206,15 @@ pub(crate) struct PageTable {
     present: u64,
 }
 
+thread_local! {
+    /// Edit runs of the thread's last bulk walk, kept for its next one
+    /// (every page table on the thread shares it, so the retained
+    /// memory does not grow with the number of processes).
+    static EDITS: Cell<Vec<Edit>> = const { Cell::new(Vec::new()) };
+    /// Merge output of the thread's last fold, kept likewise.
+    static MERGED: Cell<Vec<(u64, ExtentMeta)>> = const { Cell::new(Vec::new()) };
+}
+
 impl PageTable {
     pub fn new() -> PageTable {
         PageTable::default()
@@ -290,9 +299,9 @@ impl PageTable {
             extents,
             chunks,
             present,
-            ..
         } = self;
-        let mut edits = Vec::with_capacity(ranges.len());
+        let mut edits = EDITS.take();
+        edits.clear();
         let mut i = 0usize;
         for &r in ranges.iter().filter(|r| !r.is_empty()) {
             // Extents overlapping `r`, from the first ending above it.
@@ -318,6 +327,7 @@ impl PageTable {
             });
         }
         self.fold(&edits);
+        EDITS.set(edits);
     }
 
     /// Replaces the frame of a present page (CoW copy), flags unchanged.
@@ -367,17 +377,15 @@ impl PageTable {
             .map(|&(s, m)| (PageRange::new(Vpn(s), Vpn(s + m.len)), m.flags))
     }
 
-    /// Present pages coalesced into maximal runs irrespective of flags.
-    /// `O(extents)`.
-    pub fn present_runs(&self) -> Vec<PageRange> {
-        let mut out: Vec<PageRange> = Vec::new();
+    /// Appends the present pages, coalesced into maximal runs
+    /// irrespective of flags, to `out`. `O(extents)`.
+    pub fn present_runs_into(&self, out: &mut Vec<PageRange>) {
         for (range, _) in self.extents() {
             match out.last_mut() {
                 Some(last) if last.end == range.start => last.end = range.end,
                 _ => out.push(range),
             }
         }
-        out
     }
 
     /// Iterates `(vpn, pte)` over present pages in ascending order.
@@ -452,14 +460,17 @@ impl PageTable {
             extents,
             chunks,
             present,
-            ..
         } = self;
 
         // ---- Phase 1: read-only resolution ----
         let mut cursor = Cursor::seek(extents, items[0].vpn.0);
         // Pages whose flags changed or that were inserted, as maximal
         // sorted runs. Everything else leaves the extents untouched.
-        let mut edits = RunBuilder::default();
+        let mut edit_runs = EDITS.take();
+        edit_runs.clear();
+        let mut edits = RunBuilder {
+            runs: &mut edit_runs,
+        };
         // Duplicate-vpn carry: the previous item's vpn, resulting page
         // state, and whether that page already has an edit run as the
         // builder's last page (drives `amend_last_page`).
@@ -534,7 +545,8 @@ impl PageTable {
         }
 
         // ---- Phase 2: fold the edits into the extents ----
-        self.fold(&edits.runs);
+        self.fold(&edit_runs);
+        EDITS.set(edit_runs);
     }
 
     /// One ordered walk resolving every page of `runs` (sorted,
@@ -566,10 +578,13 @@ impl PageTable {
             extents,
             chunks,
             present,
-            ..
         } = self;
         let mut cursor = Cursor::seek(extents, first.start.0);
-        let mut edits = RunBuilder::default();
+        let mut edit_runs = EDITS.take();
+        edit_runs.clear();
+        let mut edits = RunBuilder {
+            runs: &mut edit_runs,
+        };
         for run in runs {
             let (mut vpn, hi) = (run.start.0, run.end.0);
             while vpn < hi {
@@ -606,7 +621,8 @@ impl PageTable {
                 }
             }
         }
-        self.fold(&edits.runs);
+        self.fold(&edit_runs);
+        EDITS.set(edit_runs);
     }
 
     /// Folds sorted, disjoint edit runs into the extents: every page of
@@ -625,6 +641,8 @@ impl PageTable {
         };
         let (w_lo, w_hi) = (first.start, last.start + last.len);
         let extents = &mut self.extents;
+        let mut merged = MERGED.take();
+        let out = &mut merged;
         // Old extents ending at or above w_lo and starting at or below
         // w_hi: everything overlapping the window plus touching
         // neighbours.
@@ -632,7 +650,7 @@ impl PageTable {
         let hi = lo + extents[lo..].partition_point(|&(s, _)| s <= w_hi);
         let window = &extents[lo..hi];
 
-        let mut out = Vec::with_capacity(window.len() + 2 * edits.len());
+        out.clear();
         // `i` indexes the next uncopied old extent; pages of it below
         // `from` were already replaced by an edit.
         let mut i = 0usize;
@@ -646,14 +664,14 @@ impl PageTable {
                     break;
                 }
                 let end = s + m.len;
-                push_extent(&mut out, a, end.min(e.start) - a, m.flags);
+                push_extent(out, a, end.min(e.start) - a, m.flags);
                 if end > e.start {
                     break; // laps into the edit: resume past it
                 }
                 i += 1;
             }
             if let Some(flags) = e.flags {
-                push_extent(&mut out, e.start, e.len, flags);
+                push_extent(out, e.start, e.len, flags);
             }
             // Drop old coverage the edit replaced.
             from = e_end;
@@ -663,9 +681,10 @@ impl PageTable {
         }
         for &(s, m) in &window[i..] {
             let a = s.max(from);
-            push_extent(&mut out, a, s + m.len - a, m.flags);
+            push_extent(out, a, s + m.len - a, m.flags);
         }
-        extents.splice(lo..hi, out);
+        extents.splice(lo..hi, out.drain(..));
+        MERGED.set(merged);
     }
 
     /// Structural self-check: sorted, disjoint, non-empty, maximal
@@ -882,8 +901,10 @@ mod tests {
         t.set_flags(Vpn(2), flags(2));
         let vpns: Vec<u64> = t.iter().map(|(v, _)| v.0).collect();
         assert_eq!(vpns, vec![1, 2, 3, 7, 8, 600]);
+        let mut runs = Vec::new();
+        t.present_runs_into(&mut runs);
         assert_eq!(
-            t.present_runs(),
+            runs,
             vec![
                 PageRange::new(Vpn(1), Vpn(4)),
                 PageRange::new(Vpn(7), Vpn(9)),

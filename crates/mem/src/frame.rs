@@ -6,11 +6,28 @@
 //! holds cloned [`FrameData`], so restores are bit-exact by construction
 //! and the tests verify it by logical content comparison.
 //!
+//! # Representations
+//!
 //! Contents are stored compactly so processes mapping hundreds of
-//! thousands of pages stay cheap: most pages are [`FrameData::Zero`] or a
-//! deterministic [`FrameData::Pattern`]; a page that received a few word
-//! writes is [`FrameData::Patched`]; only pages written with bulk data
-//! materialize a full 4 KiB [`FrameData::Literal`].
+//! thousands of pages stay cheap. Every representation reads the same
+//! 512 words through [`FrameData::read_word`], so equality and hashing
+//! ([`FrameData::logical_eq`], [`FrameData::logical_hash`]) never depend
+//! on which one a page happens to be in:
+//!
+//! - [`FrameData::Zero`] and [`FrameData::Pattern`] — an all-zero page
+//!   and a deterministic pattern page (runtime and library images). No
+//!   heap.
+//! - [`FrameData::Patched`] — a zero or pattern base plus sorted 8-byte
+//!   word patches ([`WordPatches`]). The first two patches live inline
+//!   in the frame, so writing one or two words of a `Zero`/`Pattern`
+//!   page, cloning such a page (the restore writeback, image page-in,
+//!   store interning) and comparing two of them touch no heap. The
+//!   third patch spills the list to one heap vector, which every clone
+//!   of that page then copies.
+//! - [`FrameData::Literal`] — a full 4 KiB heap page, materialized when
+//!   a page takes more than 16 patches or an unaligned byte write.
+//!
+//! `FrameData` is 40 bytes whichever representation it holds.
 
 use crate::addr::{PageRange, Vpn, PAGE_SIZE};
 use crate::taint::Taint;
@@ -18,11 +35,15 @@ use crate::taint::Taint;
 /// Maximum number of word patches before a page is materialized.
 const MAX_PATCHES: usize = 16;
 
+/// Word patches held inline before the list spills to the heap.
+const INLINE_PATCHES: usize = 2;
+
 /// Identifier of a frame in a [`FrameTable`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FrameId(pub u64);
 
-/// Logical contents of one 4 KiB page, stored compactly.
+/// Logical contents of one 4 KiB page, stored compactly (see the module
+/// docs for when each representation allocates).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FrameData {
     /// All zeroes.
@@ -30,16 +51,167 @@ pub enum FrameData {
     /// A page filled with a deterministic pattern derived from `seed`
     /// (used for runtime/library images).
     Pattern(u64),
-    /// A base page plus up to 16 sparse 8-byte aligned word patches,
-    /// kept sorted by offset.
-    Patched {
-        /// Seed of the underlying pattern; `None` means a zero base.
-        base: Option<u64>,
-        /// Sorted `(byte_offset, value)` pairs; offsets are 8-byte aligned.
-        patches: Vec<(u16, u64)>,
-    },
+    /// A zero or pattern base page plus 1 to 16 sparse 8-byte aligned
+    /// word patches.
+    Patched(WordPatches),
     /// Fully materialized page bytes.
     Literal(Box<[u8; PAGE_SIZE as usize]>),
+}
+
+/// A base page plus sorted `(byte offset, value)` word patches: up to
+/// two inline, more in one heap vector. Built only by
+/// [`FrameData::write_word`], so derived equality is exact within one
+/// representation (unused inline slots stay zero, and a list never
+/// shrinks back inline).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WordPatches(Patches);
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Patches {
+    /// One or two patches, inline.
+    Inline {
+        /// The base is all zeroes (`seed` is then 0).
+        zero_base: bool,
+        /// Patches in use (1 or 2).
+        len: u8,
+        /// Byte offsets, ascending over `..len`.
+        offs: [u16; INLINE_PATCHES],
+        /// Pattern seed of the base.
+        seed: u64,
+        /// Patched words, parallel to `offs`.
+        vals: [u64; INLINE_PATCHES],
+    },
+    /// Three to [`MAX_PATCHES`] patches on the heap.
+    Spilled {
+        /// The base is all zeroes (`seed` is then 0).
+        zero_base: bool,
+        /// Pattern seed of the base.
+        seed: u64,
+        /// `(byte offset, value)`, sorted by offset.
+        list: Vec<(u16, u64)>,
+    },
+}
+
+impl WordPatches {
+    /// One patch over a zero base (`None`) or a pattern base.
+    fn one(base: Option<u64>, off: u16, value: u64) -> WordPatches {
+        WordPatches(Patches::Inline {
+            zero_base: base.is_none(),
+            len: 1,
+            offs: [off, 0],
+            seed: base.unwrap_or(0),
+            vals: [value, 0],
+        })
+    }
+
+    /// Pattern seed of the base page; `None` for a zero base.
+    pub fn base(&self) -> Option<u64> {
+        match self.0 {
+            Patches::Inline {
+                zero_base, seed, ..
+            }
+            | Patches::Spilled {
+                zero_base, seed, ..
+            } => (!zero_base).then_some(seed),
+        }
+    }
+
+    /// Number of patches.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Patches::Inline { len, .. } => *len as usize,
+            Patches::Spilled { list, .. } => list.len(),
+        }
+    }
+
+    /// Always false: a patched page holds at least one patch.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// True while the patches are held inline (no heap list).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Patches::Inline { .. })
+    }
+
+    /// The `(byte offset, value)` patches, ascending by offset.
+    pub fn iter(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
+        let (offs, vals, list): (&[u16], &[u64], &[(u16, u64)]) = match &self.0 {
+            Patches::Inline {
+                len, offs, vals, ..
+            } => (&offs[..*len as usize], &vals[..*len as usize], &[]),
+            Patches::Spilled { list, .. } => (&[], &[], list),
+        };
+        offs.iter()
+            .copied()
+            .zip(vals.iter().copied())
+            .chain(list.iter().copied())
+    }
+
+    /// The patched value at byte offset `off`, if any.
+    #[inline]
+    fn get(&self, off: u16) -> Option<u64> {
+        match &self.0 {
+            Patches::Inline {
+                len, offs, vals, ..
+            } => (0..*len as usize)
+                .find(|&i| offs[i] == off)
+                .map(|i| vals[i]),
+            Patches::Spilled { list, .. } => list
+                .binary_search_by_key(&off, |&(o, _)| o)
+                .ok()
+                .map(|i| list[i].1),
+        }
+    }
+
+    /// Sets the word at byte offset `off`; returns the patch count
+    /// afterwards. The third distinct offset spills the list to the heap.
+    fn set(&mut self, off: u16, value: u64) -> usize {
+        match &mut self.0 {
+            Patches::Inline {
+                zero_base,
+                len,
+                offs,
+                seed,
+                vals,
+            } => {
+                let n = *len as usize;
+                if let Some(i) = (0..n).find(|&i| offs[i] == off) {
+                    vals[i] = value;
+                    return n;
+                }
+                if n < INLINE_PATCHES {
+                    // Shift the larger offsets up one slot.
+                    let at = (0..n).find(|&i| offs[i] > off).unwrap_or(n);
+                    for i in (at..n).rev() {
+                        offs[i + 1] = offs[i];
+                        vals[i + 1] = vals[i];
+                    }
+                    offs[at] = off;
+                    vals[at] = value;
+                    *len += 1;
+                    return n + 1;
+                }
+                let mut list = Vec::with_capacity(INLINE_PATCHES * 2);
+                list.extend(offs.iter().copied().zip(vals.iter().copied()));
+                let at = list.partition_point(|&(o, _)| o < off);
+                list.insert(at, (off, value));
+                *self = WordPatches(Patches::Spilled {
+                    zero_base: *zero_base,
+                    seed: *seed,
+                    list,
+                });
+                INLINE_PATCHES + 1
+            }
+            Patches::Spilled { list, .. } => {
+                match list.binary_search_by_key(&off, |&(o, _)| o) {
+                    Ok(i) => list[i].1 = value,
+                    Err(i) => list.insert(i, (off, value)),
+                }
+                list.len()
+            }
+        }
+    }
 }
 
 /// Deterministic pattern word for page `seed` at word index `i`.
@@ -68,13 +240,9 @@ impl FrameData {
         match self {
             FrameData::Zero => 0,
             FrameData::Pattern(seed) => pattern_word(*seed, word_index),
-            FrameData::Patched { base, patches } => {
-                let off = (word_index * 8) as u16;
-                match patches.binary_search_by_key(&off, |&(o, _)| o) {
-                    Ok(i) => patches[i].1,
-                    Err(_) => base.map_or(0, |s| pattern_word(s, word_index)),
-                }
-            }
+            FrameData::Patched(p) => p
+                .get((word_index * 8) as u16)
+                .unwrap_or_else(|| p.base().map_or(0, |s| pattern_word(s, word_index))),
             FrameData::Literal(bytes) => {
                 let off = word_index * 8;
                 u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte slice"))
@@ -94,30 +262,18 @@ impl FrameData {
         match self {
             FrameData::Zero => {
                 if value != 0 {
-                    *self = FrameData::Patched {
-                        base: None,
-                        patches: vec![(off, value)],
-                    };
+                    *self = FrameData::Patched(WordPatches::one(None, off, value));
                 }
             }
             FrameData::Pattern(seed) => {
                 let seed = *seed;
                 if pattern_word(seed, word_index) != value {
-                    *self = FrameData::Patched {
-                        base: Some(seed),
-                        patches: vec![(off, value)],
-                    };
+                    *self = FrameData::Patched(WordPatches::one(Some(seed), off, value));
                 }
             }
-            FrameData::Patched { patches, .. } => {
-                match patches.binary_search_by_key(&off, |&(o, _)| o) {
-                    Ok(i) => patches[i].1 = value,
-                    Err(i) => {
-                        patches.insert(i, (off, value));
-                        if patches.len() > MAX_PATCHES {
-                            *self = FrameData::Literal(self.materialize());
-                        }
-                    }
+            FrameData::Patched(p) => {
+                if p.set(off, value) > MAX_PATCHES {
+                    *self = FrameData::Literal(self.materialize());
                 }
             }
             FrameData::Literal(bytes) => {
@@ -126,7 +282,6 @@ impl FrameData {
             }
         }
     }
-
     /// Reads `buf.len()` bytes starting at `offset`.
     ///
     /// # Panics
@@ -182,14 +337,14 @@ impl FrameData {
                     bytes[w * 8..w * 8 + 8].copy_from_slice(&pattern_word(*seed, w).to_le_bytes());
                 }
             }
-            FrameData::Patched { base, patches } => {
-                if let Some(seed) = base {
+            FrameData::Patched(p) => {
+                if let Some(seed) = p.base() {
                     for w in 0..WORDS_PER_PAGE {
                         bytes[w * 8..w * 8 + 8]
-                            .copy_from_slice(&pattern_word(*seed, w).to_le_bytes());
+                            .copy_from_slice(&pattern_word(seed, w).to_le_bytes());
                     }
                 }
-                for &(off, val) in patches {
+                for (off, val) in p.iter() {
                     let off = off as usize;
                     bytes[off..off + 8].copy_from_slice(&val.to_le_bytes());
                 }
@@ -216,17 +371,27 @@ impl FrameData {
     /// relies on.
     pub fn logical_hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x100_0000_01b3);
+        // One pass per representation, without a per-word lookup: the
+        // store hashes every page of each base image it establishes.
         match self {
-            // The constant representations hash without expansion.
-            FrameData::Literal(bytes) => {
-                for chunk in bytes.chunks_exact(8) {
-                    let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-                    h = (h ^ w).wrapping_mul(0x100_0000_01b3);
+            FrameData::Zero => (0..WORDS_PER_PAGE).for_each(|_| mix(0)),
+            FrameData::Pattern(seed) => {
+                (0..WORDS_PER_PAGE).for_each(|w| mix(pattern_word(*seed, w)))
+            }
+            FrameData::Patched(p) => {
+                let base = p.base();
+                let mut patches = p.iter().peekable();
+                for w in 0..WORDS_PER_PAGE {
+                    match patches.next_if(|&(off, _)| off as usize == w * 8) {
+                        Some((_, v)) => mix(v),
+                        None => mix(base.map_or(0, |s| pattern_word(s, w))),
+                    }
                 }
             }
-            _ => {
-                for w in 0..WORDS_PER_PAGE {
-                    h = (h ^ self.read_word(w)).wrapping_mul(0x100_0000_01b3);
+            FrameData::Literal(bytes) => {
+                for chunk in bytes.chunks_exact(8) {
+                    mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
                 }
             }
         }
@@ -474,11 +639,12 @@ impl FrameTable {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the frame is shared: callers must run the
-    /// CoW fault path first.
+    /// Panics — in release builds too — if the frame is shared: callers
+    /// must unshare it first (the CoW fault path, or
+    /// [`FrameTable::cow_copy`] for a privileged write).
     pub fn data_mut(&mut self, id: FrameId) -> (&mut FrameData, &mut Taint) {
         let f = self.get_mut(id);
-        debug_assert_eq!(f.refs, 1, "mutating a shared frame without CoW copy");
+        assert_eq!(f.refs, 1, "mutating a shared frame without CoW copy");
         (&mut f.data, &mut f.taint)
     }
 
@@ -487,10 +653,10 @@ impl FrameTable {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the frame is shared.
+    /// Panics — in release builds too — if the frame is shared.
     pub fn overwrite(&mut self, id: FrameId, data: FrameData, taint: Taint) {
         let f = self.get_mut(id);
-        debug_assert_eq!(f.refs, 1, "overwriting a shared frame");
+        assert_eq!(f.refs, 1, "overwriting a shared frame");
         f.data = data;
         f.taint = taint;
     }
@@ -548,7 +714,7 @@ mod tests {
     fn word_write_promotes_to_patched() {
         let mut f = FrameData::Zero;
         f.write_word(3, 0xDEAD);
-        assert!(matches!(f, FrameData::Patched { .. }));
+        assert!(matches!(&f, FrameData::Patched(p) if p.is_inline()));
         assert_eq!(f.read_word(3), 0xDEAD);
         assert_eq!(f.read_word(4), 0);
         // Overwrite the same word in place.
@@ -584,6 +750,36 @@ mod tests {
     }
 
     #[test]
+    fn frame_data_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<FrameData>(), 40);
+    }
+
+    #[test]
+    fn two_patches_stay_inline_and_the_third_spills() {
+        let mut f = FrameData::Pattern(5);
+        f.write_word(9, 1);
+        f.write_word(2, 2);
+        // Rewriting an existing offset never grows the list.
+        f.write_word(9, 3);
+        let FrameData::Patched(p) = &f else {
+            panic!("expected patches: {f:?}")
+        };
+        assert!(p.is_inline());
+        assert_eq!(p.base(), Some(5));
+        assert_eq!(p.iter().collect::<Vec<_>>(), vec![(16, 2), (72, 3)]);
+        // A clone of an inline page is equal by representation.
+        assert_eq!(f.clone(), f);
+        f.write_word(0, 4);
+        let FrameData::Patched(p) = &f else {
+            panic!("expected patches: {f:?}")
+        };
+        assert!(!p.is_inline());
+        assert_eq!(p.len(), 3);
+        assert_eq!(p.iter().collect::<Vec<_>>(), vec![(0, 4), (16, 2), (72, 3)]);
+        assert_eq!(f.read_word(1), FrameData::Pattern(5).read_word(1));
+    }
+
+    #[test]
     fn patched_pattern_roundtrip() {
         let mut f = FrameData::Pattern(7);
         f.write_word(100, 0x1234);
@@ -609,7 +805,7 @@ mod tests {
     fn aligned_word_byte_write_stays_compact() {
         let mut f = FrameData::Zero;
         f.write_bytes(16, &0xABu64.to_le_bytes());
-        assert!(matches!(f, FrameData::Patched { .. }));
+        assert!(matches!(f, FrameData::Patched(_)));
         assert_eq!(f.read_word(2), 0xAB);
     }
 

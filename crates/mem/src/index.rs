@@ -2,7 +2,7 @@
 //!
 //! [`VpnIndex`] is a two-level, 64-ary bitmap over virtual page numbers:
 //! the 47-bit VPN space is divided into 4096-page *groups* (64 leaves ×
-//! 64 pages); groups materialize on demand in an ordered map, and each
+//! 64 pages); groups materialize on demand in a sorted vector, and each
 //! group carries a 64-bit *summary* word whose bit `i` marks leaf `i`
 //! non-empty. Iteration therefore visits only groups that contain set
 //! bits and, within a group, only non-empty leaves — `O(set + groups)`
@@ -11,39 +11,74 @@
 //! This is the index that makes Groundhog's bookkeeping scale with the
 //! *dirtied* state instead of the *mapped* state: the address space keeps
 //! one `VpnIndex` per tracked page property (soft-dirty, userfaultfd log,
-//! request taint), so `soft_dirty_pages()` and friends are `O(dirty)`
-//! scans rather than full page-table walks.
+//! request taint, and the changes since the last snapshot), so
+//! `soft_dirty_pages()` and friends are `O(dirty)` scans rather than full
+//! page-table walks.
+//!
+//! An index is cleared and refilled on every request, so a group's leaf
+//! array is not freed when the group empties: it goes to a per-thread
+//! pool of spare leaf arrays, and the next group to materialize on that
+//! thread — in any index — reuses it. A steady request loop therefore
+//! touches the heap only when its footprint grows, while the retained
+//! memory stays a small per-thread constant instead of growing with the
+//! number of indices (processes) alive.
+
+use std::cell::RefCell;
 
 use crate::addr::{PageRange, Vpn};
-use std::collections::BTreeMap;
 
 /// Pages per leaf word.
 const LEAF_BITS: u64 = 64;
 /// Pages per group (64 leaves × 64 pages).
 const GROUP_BITS: u64 = 64 * LEAF_BITS;
+/// Spare leaf arrays a thread keeps (64 KiB).
+const SPARE_CAP: usize = 128;
+
+type Leaves = Box<[u64; 64]>;
+
+thread_local! {
+    /// Zeroed leaf arrays of emptied groups, reused by the next group
+    /// that materializes on this thread.
+    static SPARE: RefCell<Vec<Leaves>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A zeroed leaf array, from the thread's spares when it has one.
+fn take_leaves() -> Leaves {
+    SPARE
+        .with_borrow_mut(Vec::pop)
+        .unwrap_or_else(|| Box::new([0u64; 64]))
+}
+
+/// Returns a zeroed leaf array to the thread's spares (or frees it when
+/// they are full).
+fn give_leaves(leaves: Leaves) {
+    debug_assert!(leaves.iter().all(|&l| l == 0), "spare leaves must be zero");
+    // During thread teardown the spares may already be gone: then the
+    // array is simply freed.
+    let _ = SPARE.try_with(|spare| {
+        let mut spare = spare.borrow_mut();
+        if spare.len() < SPARE_CAP {
+            spare.push(leaves);
+        }
+    });
+}
 
 /// One 4096-page group: a summary word over 64 leaf words.
 #[derive(Clone, Debug)]
 struct Group {
+    /// Group number (`vpn / 4096`).
+    key: u64,
     /// Bit `i` set ⇔ `leaves[i] != 0`.
     summary: u64,
     /// 64 × 64-page bitmap leaves.
-    leaves: Box<[u64; 64]>,
-}
-
-impl Group {
-    fn new() -> Group {
-        Group {
-            summary: 0,
-            leaves: Box::new([0u64; 64]),
-        }
-    }
+    leaves: Leaves,
 }
 
 /// Sparse two-level 64-ary bitmap over [`Vpn`]s.
 #[derive(Clone, Debug, Default)]
 pub struct VpnIndex {
-    groups: BTreeMap<u64, Group>,
+    /// Materialized groups, sorted by key; each holds ≥ 1 set bit.
+    groups: Vec<Group>,
     len: u64,
 }
 
@@ -62,10 +97,42 @@ impl VpnIndex {
         )
     }
 
+    /// Position of group `g`, or where it would be inserted.
+    #[inline]
+    fn find(&self, g: u64) -> Result<usize, usize> {
+        self.groups.binary_search_by_key(&g, |grp| grp.key)
+    }
+
+    /// The group `g`, materialized (from a spare leaf array when the
+    /// thread has one) if absent.
+    fn group_mut(&mut self, g: u64) -> &mut Group {
+        let i = match self.find(g) {
+            Ok(i) => i,
+            Err(i) => {
+                let leaves = take_leaves();
+                self.groups.insert(
+                    i,
+                    Group {
+                        key: g,
+                        summary: 0,
+                        leaves,
+                    },
+                );
+                i
+            }
+        };
+        &mut self.groups[i]
+    }
+
+    /// Removes the (empty) group at position `i`, sparing its leaves.
+    fn retire(&mut self, i: usize) {
+        give_leaves(self.groups.remove(i).leaves);
+    }
+
     /// Sets the bit for `vpn`; returns `true` when it was newly set.
     pub fn set(&mut self, vpn: Vpn) -> bool {
         let (g, l, b) = Self::split(vpn.0);
-        let group = self.groups.entry(g).or_insert_with(Group::new);
+        let group = self.group_mut(g);
         let mask = 1u64 << b;
         if group.leaves[l] & mask != 0 {
             return false;
@@ -79,9 +146,10 @@ impl VpnIndex {
     /// Clears the bit for `vpn`; returns `true` when it was set.
     pub fn clear(&mut self, vpn: Vpn) -> bool {
         let (g, l, b) = Self::split(vpn.0);
-        let Some(group) = self.groups.get_mut(&g) else {
+        let Ok(i) = self.find(g) else {
             return false;
         };
+        let group = &mut self.groups[i];
         let mask = 1u64 << b;
         if group.leaves[l] & mask == 0 {
             return false;
@@ -90,7 +158,7 @@ impl VpnIndex {
         if group.leaves[l] == 0 {
             group.summary &= !(1u64 << l);
             if group.summary == 0 {
-                self.groups.remove(&g);
+                self.retire(i);
             }
         }
         self.len -= 1;
@@ -100,9 +168,8 @@ impl VpnIndex {
     /// True when the bit for `vpn` is set.
     pub fn contains(&self, vpn: Vpn) -> bool {
         let (g, l, b) = Self::split(vpn.0);
-        self.groups
-            .get(&g)
-            .is_some_and(|group| group.leaves[l] & (1u64 << b) != 0)
+        self.find(g)
+            .is_ok_and(|i| self.groups[i].leaves[l] & (1u64 << b) != 0)
     }
 
     /// Number of set bits.
@@ -120,9 +187,17 @@ impl VpnIndex {
         self.groups.len()
     }
 
-    /// Forgets every bit.
+    /// Forgets every bit. `O(set leaves + groups)`; the leaf arrays go
+    /// to the thread's spares.
     pub fn clear_all(&mut self) {
-        self.groups.clear();
+        for mut group in self.groups.drain(..) {
+            let mut summary = group.summary;
+            while summary != 0 {
+                group.leaves[summary.trailing_zeros() as usize] = 0;
+                summary &= summary - 1;
+            }
+            give_leaves(group.leaves);
+        }
         self.len = 0;
     }
 
@@ -135,9 +210,9 @@ impl VpnIndex {
         }
         let first_group = range.start.0 / GROUP_BITS;
         let last_group = (range.end.0 - 1) / GROUP_BITS;
-        let mut emptied = Vec::new();
-        for (&g, group) in self.groups.range_mut(first_group..=last_group) {
-            let base = g * GROUP_BITS;
+        let mut i = self.groups.partition_point(|grp| grp.key < first_group);
+        while let Some(group) = self.groups.get_mut(i).filter(|grp| grp.key <= last_group) {
+            let base = group.key * GROUP_BITS;
             let mut summary = group.summary;
             while summary != 0 {
                 let l = summary.trailing_zeros() as usize;
@@ -165,18 +240,17 @@ impl VpnIndex {
                 }
             }
             if group.summary == 0 {
-                emptied.push(g);
+                self.retire(i);
+            } else {
+                i += 1;
             }
-        }
-        for g in emptied {
-            self.groups.remove(&g);
         }
     }
 
     /// Iterates set pages in ascending order. `O(set + groups)`.
     pub fn iter(&self) -> impl Iterator<Item = Vpn> + '_ {
-        self.groups.iter().flat_map(|(&g, group)| {
-            let base = g * GROUP_BITS;
+        self.groups.iter().flat_map(|group| {
+            let base = group.key * GROUP_BITS;
             BitIter(group.summary).flat_map(move |l| {
                 let leaf_base = base + l as u64 * LEAF_BITS;
                 BitIter(group.leaves[l as usize]).map(move |b| Vpn(leaf_base + b as u64))
@@ -191,17 +265,23 @@ impl VpnIndex {
         out
     }
 
-    /// Iterates the set pages coalesced into maximal contiguous
-    /// [`PageRange`] runs, ascending. `O(set + groups)`.
+    /// The set pages coalesced into maximal contiguous [`PageRange`]
+    /// runs, ascending. `O(set + groups)`.
     pub fn runs(&self) -> Vec<PageRange> {
-        let mut out: Vec<PageRange> = Vec::new();
+        let mut out = Vec::new();
+        self.runs_into(&mut out);
+        out
+    }
+
+    /// Appends [`VpnIndex::runs`] to `out` (merging into its last run
+    /// when adjacent).
+    pub fn runs_into(&self, out: &mut Vec<PageRange>) {
         for vpn in self.iter() {
             match out.last_mut() {
                 Some(last) if last.end == vpn => last.end = vpn.next(),
                 _ => out.push(PageRange::at(vpn, 1)),
             }
         }
-        out
     }
 
     /// The work units a full scan performs: one per materialized group,
@@ -211,7 +291,7 @@ impl VpnIndex {
     pub fn scan_work(&self) -> u64 {
         let leaves: u64 = self
             .groups
-            .values()
+            .iter()
             .map(|g| g.summary.count_ones() as u64)
             .sum();
         self.groups.len() as u64 + leaves + self.len
@@ -302,6 +382,29 @@ mod tests {
         ix.clear_range(PageRange::new(Vpn(0), Vpn(1 << 32)));
         assert!(ix.is_empty());
         assert_eq!(ix.group_count(), 0);
+    }
+
+    #[test]
+    fn emptied_groups_spare_their_leaves_for_reuse() {
+        // Each test runs on its own thread, so the spares start empty.
+        let spares = || SPARE.with_borrow(Vec::len);
+        let mut ix = VpnIndex::new();
+        for p in [1u64, 5000, 9000] {
+            ix.set(Vpn(p));
+        }
+        ix.clear(Vpn(5000));
+        assert_eq!(spares(), 1);
+        ix.clear_all();
+        assert_eq!(spares(), 3);
+        SPARE.with_borrow(|s| assert!(s.iter().all(|l| l.iter().all(|&w| w == 0))));
+        // Another index on the thread reuses them.
+        let mut other = VpnIndex::new();
+        other.set(Vpn(123_456));
+        assert_eq!(spares(), 2, "a new group reuses a spare leaf array");
+        assert_eq!(other.to_vec(), vec![Vpn(123_456)]);
+        other.clear_range(PageRange::new(Vpn(0), Vpn(1 << 30)));
+        assert!(other.is_empty());
+        assert_eq!(spares(), 3);
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //!   the taint-carrying pages, making `soft_dirty_pages`, `disarm_uffd`
 //!   and `tainted_pages` `O(interesting pages)` scans instead of
 //!   page-table walks — the bookkeeping obeys Groundhog's own law that
-//!   cost scales with the *dirtied* state, not the *mapped* state;
+//!   cost scales with the *dirtied* state, not the *mapped* state. Two
+//!   more are the **change indices** — present pages the last snapshot
+//!   did not capture, and captured pages no longer present — from which
+//!   the restore planner works in `O(dirty + changed)`;
 //! - a shared **frame table** ([`frame::FrameTable`]) with reference counts
 //!   so `fork` produces genuine CoW sharing;
 //! - a pool-shared **snapshot store** ([`store::SnapshotStore`]): one
@@ -64,10 +67,12 @@
 //!   Groundhog restore, no byte of the previous request survives.
 //!
 //! Page contents are stored compactly ([`frame::FrameData`]): zero pages,
-//! deterministic pattern pages, sparsely patched pages and fully
-//! materialized literal pages, so processes with hundreds of thousands of
-//! mapped pages (Node.js maps ~156K pages in Table 3) stay cheap to
-//! simulate while remaining *logically byte-exact*.
+//! deterministic pattern pages, sparsely patched pages (the first two
+//! word patches inline, so a lightly written page never touches the
+//! heap) and fully materialized literal pages, so processes with
+//! hundreds of thousands of mapped pages (Node.js maps ~156K pages in
+//! Table 3) stay cheap to simulate while remaining *logically
+//! byte-exact*.
 
 pub mod addr;
 pub mod batch;
@@ -83,10 +88,13 @@ pub mod vma;
 
 pub use addr::{PageRange, VirtAddr, Vpn, PAGE_SIZE};
 pub use batch::{BatchOutcome, TouchBatch, TouchItem};
-pub use frame::{FrameData, FrameId, FrameRuns, FrameRunsCursor, FrameTable};
+pub use frame::{FrameData, FrameId, FrameRuns, FrameRunsCursor, FrameTable, WordPatches};
 pub use index::VpnIndex;
 pub use pte::{Pte, PteFlags};
-pub use runs::{runs_from_sorted, runs_intersect, runs_len, runs_subtract, runs_union};
+pub use runs::{
+    runs_from_sorted, runs_from_sorted_into, runs_intersect, runs_intersect_into, runs_len,
+    runs_subtract, runs_subtract_into, runs_union, runs_union_into,
+};
 pub use space::{AccessError, AddressSpace, FaultCounters, LazyPageSource, SpaceConfig, Touch};
 pub use store::{SnapshotStore, StoreHandle, StoreStats};
 pub use taint::{RequestId, Taint};

@@ -37,15 +37,28 @@ pub fn runs_pages(runs: &[PageRange]) -> impl Iterator<Item = Vpn> + '_ {
 /// Groups a sorted page list into maximal runs.
 pub fn runs_from_sorted(sorted: impl IntoIterator<Item = u64>) -> Vec<PageRange> {
     let mut out = Vec::new();
-    for v in sorted {
-        push_merged(&mut out, PageRange::at(Vpn(v), 1));
-    }
+    runs_from_sorted_into(sorted, &mut out);
     out
+}
+
+/// [`runs_from_sorted`] into `out` (cleared first).
+pub fn runs_from_sorted_into(sorted: impl IntoIterator<Item = u64>, out: &mut Vec<PageRange>) {
+    out.clear();
+    for v in sorted {
+        push_merged(out, PageRange::at(Vpn(v), 1));
+    }
 }
 
 /// `a ∪ b` (inputs may overlap).
 pub fn runs_union(a: &[PageRange], b: &[PageRange]) -> Vec<PageRange> {
     let mut out = Vec::with_capacity(a.len() + b.len());
+    runs_union_into(a, b, &mut out);
+    out
+}
+
+/// [`runs_union`] into `out` (cleared first).
+pub fn runs_union_into(a: &[PageRange], b: &[PageRange], out: &mut Vec<PageRange>) {
+    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() || j < b.len() {
         let take_a = match (a.get(i), b.get(j)) {
@@ -54,35 +67,57 @@ pub fn runs_union(a: &[PageRange], b: &[PageRange]) -> Vec<PageRange> {
             _ => false,
         };
         if take_a {
-            push_merged(&mut out, a[i]);
+            push_merged(out, a[i]);
             i += 1;
         } else {
-            push_merged(&mut out, b[j]);
+            push_merged(out, b[j]);
             j += 1;
         }
     }
-    out
 }
 
 /// `a ∩ b`.
 pub fn runs_intersect(a: &[PageRange], b: &[PageRange]) -> Vec<PageRange> {
     let mut out = Vec::new();
+    runs_intersect_into(a, b, &mut out);
+    out
+}
+
+/// [`runs_intersect`] into `out` (cleared first). Runs of one side that
+/// end before the other side's current run are skipped by binary
+/// search, so a small list against a large one costs
+/// `O(small × log large)`, not `O(small + large)`.
+pub fn runs_intersect_into(a: &[PageRange], b: &[PageRange], out: &mut Vec<PageRange>) {
+    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        let cut = a[i].intersect(b[j]);
-        push_merged(&mut out, cut);
+        if a[i].end.0 <= b[j].start.0 {
+            i += a[i..].partition_point(|r| r.end.0 <= b[j].start.0);
+            continue;
+        }
+        if b[j].end.0 <= a[i].start.0 {
+            j += b[j..].partition_point(|r| r.end.0 <= a[i].start.0);
+            continue;
+        }
+        push_merged(out, a[i].intersect(b[j]));
         if a[i].end.0 <= b[j].end.0 {
             i += 1;
         } else {
             j += 1;
         }
     }
-    out
 }
 
 /// `a ∖ b`.
 pub fn runs_subtract(a: &[PageRange], b: &[PageRange]) -> Vec<PageRange> {
     let mut out = Vec::new();
+    runs_subtract_into(a, b, &mut out);
+    out
+}
+
+/// [`runs_subtract`] into `out` (cleared first).
+pub fn runs_subtract_into(a: &[PageRange], b: &[PageRange], out: &mut Vec<PageRange>) {
+    out.clear();
     let mut j = 0;
     for &ra in a {
         let mut cur = ra;
@@ -92,7 +127,7 @@ pub fn runs_subtract(a: &[PageRange], b: &[PageRange]) -> Vec<PageRange> {
         let mut k = j;
         while !cur.is_empty() && k < b.len() && b[k].start.0 < cur.end.0 {
             if b[k].start.0 > cur.start.0 {
-                push_merged(&mut out, PageRange::new(cur.start, b[k].start));
+                push_merged(out, PageRange::new(cur.start, b[k].start));
             }
             cur = PageRange::new(Vpn(cur.start.0.max(b[k].end.0)), cur.end);
             if b[k].end.0 < cur.end.0 {
@@ -101,9 +136,8 @@ pub fn runs_subtract(a: &[PageRange], b: &[PageRange]) -> Vec<PageRange> {
                 break;
             }
         }
-        push_merged(&mut out, cur);
+        push_merged(out, cur);
     }
-    out
 }
 
 #[cfg(test)]
@@ -167,6 +201,11 @@ mod tests {
             let d: Vec<u64> = sa.difference(&sb).copied().collect();
             assert_eq!(pages(&runs_union(&ra, &rb)), u, "case {case} union");
             assert_eq!(pages(&runs_intersect(&ra, &rb)), i, "case {case} isect");
+            assert_eq!(
+                runs_intersect(&ra, &rb),
+                runs_intersect(&rb, &ra),
+                "case {case} isect commutes"
+            );
             assert_eq!(pages(&runs_subtract(&ra, &rb)), d, "case {case} sub");
             // Outputs are normalized: re-grouping the pages is identity.
             assert_eq!(

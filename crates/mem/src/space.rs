@@ -46,6 +46,36 @@
 //!   madvise pass: one walk and one edit fold per pass, identical to the
 //!   per-page loops down to frame-id allocation order.
 //!
+//! # Change indices
+//!
+//! The restore planner needs to know how the present set moved since
+//! the snapshot: which present pages the snapshot did not capture
+//! (*fresh*: newly paged, to be madvised away or, on the stack, zeroed)
+//! and which captured pages are gone (*dropped*: by munmap, madvise or
+//! a brk shrink, to be written back). Recomputing that from the page
+//! table costs `O(extents + snapshot runs)` per restore, so the space
+//! keeps it as two [`VpnIndex`]es relative to a *baseline*:
+//!
+//! - [`AddressSpace::reset_change_baseline`] — called by the snapshotter
+//!   when it captures the present pages — makes the present set the
+//!   baseline (sorted runs, `O(extents)`) and empties both indices;
+//! - from then on, every site that makes a page present (the read and
+//!   write minor faults, the batched touch walk, lazy fault-in and
+//!   drain, `restore_page`, `restore_runs`) or absent (`evict_page`,
+//!   `evict_runs` — behind `munmap`, `madvise` and brk shrink — and
+//!   `release_all`) updates them with one `O(log runs)` baseline lookup,
+//!   so `fresh = present ∖ baseline` and `dropped = baseline ∖ present`
+//!   hold at every step (`check_invariants` recomputes both);
+//! - before the first reset there is no baseline and the sites skip the
+//!   update, so building an image pays nothing; a `fork` child starts
+//!   without one (it has never been snapshotted).
+//!
+//! The restorer's own passes go through the same sites, so the indices
+//! carry across restores: a zeroed stack page stays present and fresh,
+//! a rewritten page leaves `dropped`. [`AddressSpace::fresh_runs_into`]
+//! and [`AddressSpace::dropped_runs_into`] read them in `O(changed)`,
+//! and [`AddressSpace::change_epoch`] names the baseline they refer to.
+//!
 //! # VMA bookkeeping
 //!
 //! Layout syscalls cost work proportional to the VMAs they touch, not
@@ -246,6 +276,56 @@ impl LazyPageSource {
     }
 }
 
+/// Page-presence changes relative to the last snapshot: which present
+/// pages the snapshot did not capture (`fresh`) and which captured pages
+/// are gone (`dropped`). See the module docs.
+#[derive(Clone, Debug, Default)]
+struct ChangeIndex {
+    /// The present pages when the baseline was last reset, as sorted
+    /// maximal runs; `None` until the first reset (so building an image
+    /// pays nothing for the indices).
+    baseline: Option<Vec<PageRange>>,
+    /// Number of baseline resets so far (0: no baseline yet).
+    epoch: u64,
+    /// Present pages outside the baseline.
+    fresh: VpnIndex,
+    /// Baseline pages that are not present.
+    dropped: VpnIndex,
+}
+
+impl ChangeIndex {
+    /// True when `vpn` lies in the baseline (`O(log runs)`).
+    #[inline]
+    fn in_baseline(baseline: &[PageRange], vpn: Vpn) -> bool {
+        let i = baseline.partition_point(|r| r.end.0 <= vpn.0);
+        baseline.get(i).is_some_and(|r| r.start.0 <= vpn.0)
+    }
+
+    /// Records that `vpn` became present.
+    #[inline]
+    fn inserted(&mut self, vpn: Vpn) {
+        if let Some(baseline) = &self.baseline {
+            if Self::in_baseline(baseline, vpn) {
+                self.dropped.clear(vpn);
+            } else {
+                self.fresh.set(vpn);
+            }
+        }
+    }
+
+    /// Records that `vpn` stopped being present.
+    #[inline]
+    fn removed(&mut self, vpn: Vpn) {
+        if let Some(baseline) = &self.baseline {
+            if Self::in_baseline(baseline, vpn) {
+                self.dropped.set(vpn);
+            } else {
+                self.fresh.clear(vpn);
+            }
+        }
+    }
+}
+
 /// A process's virtual address space.
 #[derive(Debug)]
 pub struct AddressSpace {
@@ -267,6 +347,10 @@ pub struct AddressSpace {
     /// Pages whose frame carries request taint; invariant: bit set ⇔
     /// present page whose frame's taint is not `Clean`.
     tainted: VpnIndex,
+    /// Present-set changes since the last snapshot; invariant (once a
+    /// baseline exists): `fresh` = present ∖ baseline and `dropped` =
+    /// baseline ∖ present.
+    changes: ChangeIndex,
     /// Current program break (one past the last heap page).
     brk: Vpn,
     /// Fault accounting.
@@ -307,6 +391,7 @@ impl AddressSpace {
             pt: PageTable::new(),
             dirty: VpnIndex::new(),
             tainted: VpnIndex::new(),
+            changes: ChangeIndex::default(),
             brk: cfg.heap_base,
             counters: FaultCounters::default(),
             uffd_armed: false,
@@ -767,6 +852,7 @@ impl AddressSpace {
                 self.pt
                     .insert(vpn, frame, PteFlags::PRESENT.with(PteFlags::SOFT_DIRTY));
                 self.dirty.set(vpn);
+                self.changes.inserted(vpn);
             }
             Some(pte) => {
                 if pte.flags.contains(PteFlags::TLB_COLD) {
@@ -805,6 +891,7 @@ impl AddressSpace {
                 self.pt
                     .insert(vpn, frame, PteFlags::PRESENT.with(PteFlags::SOFT_DIRTY));
                 self.dirty.set(vpn);
+                self.changes.inserted(vpn);
             }
             Some(pte) => {
                 let mut frame = pte.frame;
@@ -977,6 +1064,7 @@ impl AddressSpace {
             pt,
             dirty,
             tainted,
+            changes,
             counters,
             uffd_log,
             ..
@@ -1019,6 +1107,7 @@ impl AddressSpace {
                             counters.minor += 1;
                             let frame = frames.alloc(fresh(), Taint::Clean);
                             dirty.set(vpn);
+                            changes.inserted(vpn);
                             D::Insert {
                                 frame,
                                 flags: PteFlags::PRESENT.with(PteFlags::SOFT_DIRTY),
@@ -1057,6 +1146,7 @@ impl AddressSpace {
                                 tainted.set(vpn);
                             }
                             dirty.set(vpn);
+                            changes.inserted(vpn);
                             D::Insert {
                                 frame,
                                 flags: PteFlags::PRESENT.with(PteFlags::SOFT_DIRTY),
@@ -1238,8 +1328,9 @@ impl AddressSpace {
         if let (false, LazyPageSource::Frame(id)) = (for_write, &src) {
             let id = *id;
             frames.incref(id);
-            if let Some(old) = self.pt.remove(vpn) {
-                frames.decref(old);
+            match self.pt.remove(vpn) {
+                Some(old) => frames.decref(old),
+                None => self.changes.inserted(vpn),
             }
             self.pt
                 .insert(vpn, id, PteFlags::PRESENT.with(PteFlags::COW.with(armed)));
@@ -1385,7 +1476,53 @@ impl AddressSpace {
     /// Present pages coalesced into maximal runs irrespective of flags.
     /// `O(extents)`.
     pub fn present_runs(&self) -> Vec<PageRange> {
-        self.pt.present_runs()
+        let mut out = Vec::new();
+        self.pt.present_runs_into(&mut out);
+        out
+    }
+
+    /// Appends the soft-dirty pages, ascending, to `out` — the
+    /// allocation-free form of [`AddressSpace::soft_dirty_pages`].
+    pub fn soft_dirty_into(&self, out: &mut Vec<Vpn>) {
+        out.extend(self.dirty.iter());
+    }
+
+    // ---------------------------------------------------------------
+    // Change indices (relative to the last snapshot)
+    // ---------------------------------------------------------------
+
+    /// Makes the present pages the change baseline — the snapshotter
+    /// calls this when it captures them — and empties both change
+    /// indices. Returns the new baseline's epoch, which the snapshot
+    /// records so a restore can check it plans against its own
+    /// baseline. `O(extents)`.
+    pub fn reset_change_baseline(&mut self) -> u64 {
+        let c = &mut self.changes;
+        let mut baseline = c.baseline.take().unwrap_or_default();
+        baseline.clear();
+        self.pt.present_runs_into(&mut baseline);
+        c.baseline = Some(baseline);
+        c.fresh.clear_all();
+        c.dropped.clear_all();
+        c.epoch += 1;
+        c.epoch
+    }
+
+    /// Epoch of the current change baseline (0 before the first reset).
+    pub fn change_epoch(&self) -> u64 {
+        self.changes.epoch
+    }
+
+    /// Appends the present pages the baseline does not hold, as sorted
+    /// maximal runs, to `out`. `O(fresh)`.
+    pub fn fresh_runs_into(&self, out: &mut Vec<PageRange>) {
+        self.changes.fresh.runs_into(out);
+    }
+
+    /// Appends the baseline pages that are no longer present, as sorted
+    /// maximal runs, to `out`. `O(dropped)`.
+    pub fn dropped_runs_into(&self, out: &mut Vec<PageRange>) {
+        self.changes.dropped.runs_into(out);
     }
 
     /// Looks up the PTE of `vpn`.
@@ -1405,12 +1542,32 @@ impl AddressSpace {
             .map(|pte| frames.data(pte.frame).read_word(word_index))
     }
 
+    /// Writes one word of a present page without fault accounting (the
+    /// manager poking memory via ptrace). A frame shared with a snapshot
+    /// or a `fork` relative is unshared first, so the write lands in
+    /// this process only; flags, dirty state and taint are left as they
+    /// are. Returns `None` when the page is absent.
+    pub fn poke_word(
+        &mut self,
+        vpn: Vpn,
+        word_index: usize,
+        value: u64,
+        frames: &mut FrameTable,
+    ) -> Option<()> {
+        let mut frame = self.pt.get(vpn)?.frame;
+        if frames.is_shared(frame) {
+            frame = frames.cow_copy(frame);
+            self.pt.set_frame(vpn, frame);
+        }
+        frames.data_mut(frame).0.write_word(word_index, value);
+        Some(())
+    }
+
     /// The present pages as `(run start, frames)` runs, **without**
     /// taking references — the read-only view store interning captures
     /// from. `O(extents)` run metadata plus one id copy per page.
     pub fn present_frame_runs(&self) -> Vec<(Vpn, Vec<FrameId>)> {
-        self.pt
-            .present_runs()
+        self.present_runs()
             .into_iter()
             .map(|range| {
                 let mut ids = Vec::new();
@@ -1468,6 +1625,7 @@ impl AddressSpace {
             None => {
                 let frame = frames.alloc(data.clone(), taint);
                 self.pt.insert(vpn, frame, PteFlags::PRESENT);
+                self.changes.inserted(vpn);
             }
         }
         self.sync_taint_bit(vpn, taint);
@@ -1526,10 +1684,13 @@ impl AddressSpace {
                         BatchDecision::Update { frame: None, flags }
                     }
                 }
-                None => BatchDecision::Insert {
-                    frame: frames.alloc(page, taint),
-                    flags: PteFlags::PRESENT,
-                },
+                None => {
+                    self.changes.inserted(Vpn(vpn));
+                    BatchDecision::Insert {
+                        frame: frames.alloc(page, taint),
+                        flags: PteFlags::PRESENT,
+                    }
+                }
             }
         });
         // `sync_taint_bit` per page, run-wise.
@@ -1552,6 +1713,7 @@ impl AddressSpace {
             frames.decref(frame);
             self.dirty.clear(vpn);
             self.tainted.clear(vpn);
+            self.changes.removed(vpn);
         }
     }
 
@@ -1560,8 +1722,11 @@ impl AddressSpace {
     /// over each page ascending (same frame free order), in one extent
     /// edit fold for the whole set.
     pub fn evict_runs(&mut self, ranges: &[PageRange], frames: &mut FrameTable) {
-        self.pt
-            .remove_ranges(ranges, |_, frame| frames.decref(frame));
+        let changes = &mut self.changes;
+        self.pt.remove_ranges(ranges, |vpn, frame| {
+            frames.decref(frame);
+            changes.removed(vpn);
+        });
         // Index bits are only ever set on present pages, so clearing the
         // whole ranges clears exactly the evicted pages' bits.
         for &range in ranges {
@@ -1579,8 +1744,9 @@ impl AddressSpace {
     /// Releases every frame (process teardown). The space is unusable
     /// afterwards.
     pub fn release_all(&mut self, frames: &mut FrameTable) {
-        for (_, pte) in self.pt.iter() {
+        for (vpn, pte) in self.pt.iter() {
             frames.decref(pte.frame);
+            self.changes.removed(vpn);
         }
         self.pt = PageTable::new();
         self.dirty.clear_all();
@@ -1621,6 +1787,8 @@ impl AddressSpace {
             pt: child_pt,
             dirty: self.dirty.clone(),
             tainted: self.tainted.clone(),
+            // The child has never been snapshotted: no change baseline.
+            changes: ChangeIndex::default(),
             brk: self.brk,
             counters: FaultCounters::default(),
             uffd_armed: false,
@@ -1723,6 +1891,28 @@ impl AddressSpace {
             if self.vma_at(Vpn(vpn)).is_none() {
                 return Err(format!("lazy-pending page {vpn:#x} outside any vma"));
             }
+        }
+        // Change indices: recomputed from the baseline and the table.
+        let c = &self.changes;
+        let present = self.present_runs();
+        let (fresh, dropped) = match &c.baseline {
+            Some(b) => (
+                crate::runs::runs_subtract(&present, b),
+                crate::runs::runs_subtract(b, &present),
+            ),
+            None => (Vec::new(), Vec::new()),
+        };
+        if c.fresh.runs() != fresh {
+            return Err(format!(
+                "fresh index {:?} != present ∖ baseline {fresh:?}",
+                c.fresh.runs()
+            ));
+        }
+        if c.dropped.runs() != dropped {
+            return Err(format!(
+                "dropped index {:?} != baseline ∖ present {dropped:?}",
+                c.dropped.runs()
+            ));
         }
         Ok(())
     }

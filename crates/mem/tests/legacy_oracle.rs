@@ -729,12 +729,49 @@ mod legacy {
 
 use legacy::LegacySpace;
 
+/// The address space's change indices against an independent model:
+/// `fresh` must be `present ∖ baseline` and `dropped` `baseline ∖
+/// present`, both empty while no baseline has been taken.
+fn check_change_indices(
+    space: &AddressSpace,
+    present: &std::collections::BTreeSet<u64>,
+    baseline: Option<&std::collections::BTreeSet<u64>>,
+) -> Result<(), String> {
+    let pages = |runs: &[PageRange]| -> Vec<u64> {
+        runs.iter().flat_map(|r| r.iter().map(|v| v.0)).collect()
+    };
+    let (mut fresh, mut dropped) = (Vec::new(), Vec::new());
+    space.fresh_runs_into(&mut fresh);
+    space.dropped_runs_into(&mut dropped);
+    let empty = std::collections::BTreeSet::new();
+    let base = baseline.unwrap_or(&empty);
+    let want_fresh: Vec<u64> = match baseline {
+        Some(b) => present.difference(b).copied().collect(),
+        None => Vec::new(),
+    };
+    let want_dropped: Vec<u64> = base.difference(present).copied().collect();
+    if pages(&fresh) != want_fresh {
+        return Err(format!(
+            "fresh {fresh:?} != present ∖ baseline {want_fresh:?}"
+        ));
+    }
+    if pages(&dropped) != want_dropped {
+        return Err(format!(
+            "dropped {dropped:?} != baseline ∖ present {want_dropped:?}"
+        ));
+    }
+    Ok(())
+}
+
 /// One twin pair: identical op streams go to both spaces.
 struct Twins {
     old: LegacySpace,
     old_frames: FrameTable,
     new: AddressSpace,
     new_frames: FrameTable,
+    /// The legacy space's present pages when the extent space's change
+    /// baseline was last reset (the model of the change indices).
+    baseline: Option<std::collections::BTreeSet<u64>>,
 }
 
 impl Twins {
@@ -746,7 +783,15 @@ impl Twins {
             new: AddressSpace::new(SpaceConfig::default(), &mut new_frames),
             old_frames,
             new_frames,
+            baseline: None,
         }
+    }
+
+    /// Resets the extent space's change baseline, as a snapshot does,
+    /// and the model's with it.
+    fn reset_baseline(&mut self) {
+        self.new.reset_change_baseline();
+        self.baseline = Some(self.old.pagemap().map(|(v, _)| v.0).collect());
     }
 
     /// Every observable the two implementations share must agree.
@@ -810,6 +855,9 @@ impl Twins {
         self.new
             .check_invariants_with_frames(&self.new_frames)
             .unwrap_or_else(|e| panic!("{ctx}: invariants: {e}"));
+        let present = self.old.pagemap().map(|(v, _)| v.0).collect();
+        check_change_indices(&self.new, &present, self.baseline.as_ref())
+            .unwrap_or_else(|e| panic!("{ctx}: change indices: {e}"));
     }
 }
 
@@ -866,6 +914,10 @@ fn extent_space_is_bit_identical_to_per_page_space() {
         let n_ops = 20 + rng.next_below(140);
         for op_i in 0..n_ops {
             let ctx = format!("case {case} op {op_i}");
+            // Snapshot points: the change indices are tracked from here.
+            if op_i == 5 || op_i == n_ops / 2 {
+                t.reset_baseline();
+            }
             match rng.next_below(18) {
                 0 => {
                     let len = 1 + rng.next_below(31);
@@ -1081,6 +1133,9 @@ fn extent_space_is_bit_identical_to_per_page_space() {
         new_child
             .check_invariants()
             .unwrap_or_else(|e| panic!("case {case}: child invariants: {e}"));
+        let child_present = old_child.pagemap().map(|(v, _)| v.0).collect();
+        check_change_indices(&new_child, &child_present, None)
+            .unwrap_or_else(|e| panic!("case {case}: child change indices: {e}"));
         old_child.release_all(&mut t.old_frames);
         new_child.release_all(&mut t.new_frames);
         t.assert_equiv(&format!("case {case} after fork/teardown"));
@@ -1097,6 +1152,8 @@ fn extent_space_is_bit_identical_to_per_page_space() {
         t.new
             .check_invariants()
             .unwrap_or_else(|e| panic!("case {case}: invariants after teardown: {e}"));
+        check_change_indices(&t.new, &Default::default(), t.baseline.as_ref())
+            .unwrap_or_else(|e| panic!("case {case}: change indices after teardown: {e}"));
     }
 }
 

@@ -70,6 +70,40 @@ fn random_runs(space: &AddressSpace, rng: &mut DetRng) -> Vec<PageRange> {
         .collect()
 }
 
+/// The address space's change indices against an independent model:
+/// `fresh` must be `present ∖ baseline` and `dropped` `baseline ∖
+/// present`, both empty while no baseline has been taken.
+fn check_change_indices(
+    space: &AddressSpace,
+    present: &std::collections::BTreeSet<u64>,
+    baseline: Option<&std::collections::BTreeSet<u64>>,
+) -> Result<(), String> {
+    let pages = |runs: &[PageRange]| -> Vec<u64> {
+        runs.iter().flat_map(|r| r.iter().map(|v| v.0)).collect()
+    };
+    let (mut fresh, mut dropped) = (Vec::new(), Vec::new());
+    space.fresh_runs_into(&mut fresh);
+    space.dropped_runs_into(&mut dropped);
+    let empty = std::collections::BTreeSet::new();
+    let base = baseline.unwrap_or(&empty);
+    let want_fresh: Vec<u64> = match baseline {
+        Some(b) => present.difference(b).copied().collect(),
+        None => Vec::new(),
+    };
+    let want_dropped: Vec<u64> = base.difference(present).copied().collect();
+    if pages(&fresh) != want_fresh {
+        return Err(format!(
+            "fresh {fresh:?} != present ∖ baseline {want_fresh:?}"
+        ));
+    }
+    if pages(&dropped) != want_dropped {
+        return Err(format!(
+            "dropped {dropped:?} != baseline ∖ present {want_dropped:?}"
+        ));
+    }
+    Ok(())
+}
+
 /// Any op sequence preserves structural invariants and never leaks or
 /// double-frees frames.
 #[test]
@@ -142,16 +176,29 @@ fn invariants_hold_under_random_ops() {
 /// sorted/maximal, chunk occupancy matches coverage, and the dirty/taint
 /// index bits agree bit-for-bit with page state
 /// (`check_invariants_with_frames` verifies all of it after every step).
+/// The change indices are checked against an independent model after
+/// every step too: the baseline is reset (as a snapshot would) at two
+/// fixed points of each case, so munmap, madvise, brk shrink, lazy
+/// fault-in, the bulk passes, fork and the final `release_all` all run
+/// both before and after a baseline exists.
 #[test]
 fn extent_and_index_invariants_hold_under_tracking_churn() {
     use gh_mem::{FrameData, LazyPageSource, RequestId};
+    use std::collections::BTreeSet;
+    let present = |s: &AddressSpace| -> BTreeSet<u64> { s.pagemap().map(|(v, _)| v.0).collect() };
     for case in 0..64u64 {
         let mut rng = DetRng::new(0x00EC_7E17 ^ case);
         let n_ops = 1 + rng.next_below(119) as usize;
         let mut frames = FrameTable::new();
         let mut space = AddressSpace::new(SpaceConfig::default(), &mut frames);
         let heap_base = space.config().heap_base;
+        let mut baseline: Option<BTreeSet<u64>> = None;
         for op in 0..n_ops {
+            if op == 3 || op == n_ops / 2 {
+                let epoch = space.reset_change_baseline();
+                assert_eq!(epoch, space.change_epoch(), "case {case} op {op}");
+                baseline = Some(present(&space));
+            }
             match rng.next_below(16) {
                 0 => {
                     let _ = space.mmap(1 + rng.next_below(31), Perms::RW, VmaKind::Anon);
@@ -258,6 +305,9 @@ fn extent_and_index_invariants_hold_under_tracking_churn() {
                         child
                             .check_invariants_with_frames(&frames)
                             .unwrap_or_else(|e| panic!("case {case} op {op} (child): {e}"));
+                        // A fork child has never been snapshotted.
+                        check_change_indices(&child, &present(&child), None)
+                            .unwrap_or_else(|e| panic!("case {case} op {op} (child): {e}"));
                         child.release_all(&mut frames);
                     }
                 }
@@ -304,9 +354,13 @@ fn extent_and_index_invariants_hold_under_tracking_churn() {
             space
                 .check_invariants_with_frames(&frames)
                 .unwrap_or_else(|e| panic!("case {case} op {op}: {e}"));
+            check_change_indices(&space, &present(&space), baseline.as_ref())
+                .unwrap_or_else(|e| panic!("case {case} op {op}: {e}"));
         }
         space.release_all(&mut frames);
         assert_eq!(frames.live(), 0, "case {case}: teardown leak");
+        check_change_indices(&space, &BTreeSet::new(), baseline.as_ref())
+            .unwrap_or_else(|e| panic!("case {case} after release_all: {e}"));
     }
 }
 
@@ -435,28 +489,81 @@ fn fork_isolation() {
 
 /// FrameData representations are interchangeable: any write sequence
 /// applied to a compact page and to a materialized literal page yields
-/// logically equal contents.
+/// logically equal contents and equal content hashes — over zero and
+/// pattern bases, repeated offsets, writes that put the base word back,
+/// and every patch-count boundary (inline at 1 and 2, the heap list at
+/// 3 through 16, materialized at 17).
 #[test]
 fn frame_representation_independence() {
-    for case in 0..64u64 {
-        let mut rng = DetRng::new(0xF4A3 ^ case);
-        let seed = rng.next_u64();
-        let writes: Vec<(usize, u64)> = (0..rng.next_below(40))
-            .map(|_| (rng.next_below(512) as usize, rng.next_u64()))
-            .collect();
-        let mut compact = FrameData::Pattern(seed);
+    fn check(case: u64, base: &FrameData, writes: &[(usize, u64)]) -> FrameData {
+        let mut compact = base.clone();
         let mut literal = FrameData::Literal(compact.materialize());
-        for &(w, v) in &writes {
+        for &(w, v) in writes {
             compact.write_word(w, v);
             literal.write_word(w, v);
         }
         assert!(compact.logical_eq(&literal), "case {case}");
-        for &(w, _) in &writes {
+        assert!(literal.logical_eq(&compact), "case {case}");
+        assert_eq!(
+            compact.logical_hash(),
+            literal.logical_hash(),
+            "case {case}"
+        );
+        for w in 0..512 {
             assert_eq!(compact.read_word(w), literal.read_word(w), "case {case}");
         }
-        // Materializing the compact page agrees byte-for-byte.
+        // Materializing the compact page agrees byte-for-byte, and a
+        // clone is equal by representation.
         let m = FrameData::Literal(compact.materialize());
         assert!(m.logical_eq(&literal), "case {case}");
+        assert_eq!(compact.clone(), compact, "case {case}");
+        compact
+    }
+    for case in 0..64u64 {
+        let mut rng = DetRng::new(0xF4A3 ^ case);
+        let base = if case % 2 == 0 {
+            FrameData::Zero
+        } else {
+            FrameData::Pattern(rng.next_u64())
+        };
+        // Half the cases draw offsets from a narrow window, so offsets
+        // repeat; a quarter of the writes put the base word back.
+        let span = if case % 4 < 2 { 4 } else { 512 };
+        let writes: Vec<(usize, u64)> = (0..rng.next_below(40))
+            .map(|_| {
+                let w = rng.next_below(span) as usize;
+                let v = if rng.next_below(4) == 0 {
+                    base.read_word(w)
+                } else {
+                    rng.next_u64()
+                };
+                (w, v)
+            })
+            .collect();
+        check(case, &base, &writes);
+    }
+    // Patch-count boundaries: `k` distinct non-base words.
+    for (case, k) in [1usize, 2, 3, 16, 17].into_iter().enumerate() {
+        for base in [FrameData::Zero, FrameData::Pattern(0x5EED ^ k as u64)] {
+            let writes: Vec<(usize, u64)> = (0..k)
+                .map(|i| (511 - 7 * i, !base.read_word(511 - 7 * i)))
+                .collect();
+            let page = check(1000 + case as u64, &base, &writes);
+            match (&page, k) {
+                (FrameData::Patched(p), 1 | 2) => assert!(p.is_inline() && p.len() == k),
+                (FrameData::Patched(p), 3..=16) => assert!(!p.is_inline() && p.len() == k),
+                (FrameData::Literal(_), 17) => {}
+                _ => panic!("{k} patches produced {page:?}"),
+            }
+            // Writing the base word back keeps the patch (and the page
+            // logically equal to its base again).
+            let mut undone = page.clone();
+            for &(w, _) in &writes {
+                undone.write_word(w, base.read_word(w));
+            }
+            assert!(undone.logical_eq(&base), "k {k}");
+            assert_eq!(undone.logical_hash(), base.logical_hash(), "k {k}");
+        }
     }
 }
 

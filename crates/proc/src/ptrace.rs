@@ -214,20 +214,33 @@ impl<'k> PtraceSession<'k> {
         Ok(entries)
     }
 
-    /// Collects the soft-dirty pages plus the present-page runs in one
-    /// pass — the run-based replacement for [`PtraceSession::pagemap_scan`].
-    /// Host-side work is `O(dirty + extents)`; the simulated charge
-    /// follows the kernel's [`ChargeModel`](gh_sim::ChargeModel): under
-    /// paper-parity charging it is exactly the full pagemap walk the
-    /// legacy interface charged, so virtual timelines are bit-identical.
-    pub fn dirty_scan(&mut self) -> Result<(Vec<Vpn>, Vec<gh_mem::PageRange>), PtraceError> {
-        let proc = self.k.process(self.pid)?;
-        let dirty = proc.mem.soft_dirty_pages();
-        let present_runs = proc.mem.present_runs();
+    /// Collects the soft-dirty pages and the address space's change
+    /// indices (present pages outside the last snapshot, snapshot pages
+    /// no longer present) in one pass — the run-based replacement for
+    /// [`PtraceSession::pagemap_scan`]. Overwrites the three buffers and
+    /// returns the change baseline's epoch. Host-side work is
+    /// `O(dirty + changed)`; the simulated charge follows the kernel's
+    /// [`ChargeModel`](gh_sim::ChargeModel): under paper-parity charging
+    /// it is exactly the full pagemap walk the legacy interface charged,
+    /// so virtual timelines are bit-identical.
+    pub fn dirty_scan(
+        &mut self,
+        dirty: &mut Vec<Vpn>,
+        fresh: &mut Vec<PageRange>,
+        dropped: &mut Vec<PageRange>,
+    ) -> Result<u64, PtraceError> {
+        let mem = &self.k.process(self.pid)?.mem;
+        dirty.clear();
+        mem.soft_dirty_into(dirty);
+        fresh.clear();
+        mem.fresh_runs_into(fresh);
+        dropped.clear();
+        mem.dropped_runs_into(dropped);
+        let epoch = mem.change_epoch();
         let shape = self.scan_shape(dirty.len() as u64)?;
         let dt = self.k.cost.dirty_scan_cost(shape);
         self.k.charge(dt);
-        Ok((dirty, present_runs))
+        Ok(epoch)
     }
 
     /// Captures the present pages as refcounted frame runs (the

@@ -126,13 +126,13 @@ pub struct FunctionProcess {
     pub pid: Pid,
     /// The runtime profile it runs.
     pub profile: RuntimeProfile,
-    /// Its memory image.
-    pub regions: ImageRegions,
+    /// Its memory image — fixed once built (see [`FunctionProcess::regions`]).
+    regions: ImageRegions,
     /// Monotonic count of requests executed (for deterministic placement).
     pub invocations: u64,
-    /// Cached write/read plans + batch scratch for the request executor
-    /// (invalidated by [`FunctionProcess::churn_layout`]).
-    pub plans: crate::plan::PlanCache,
+    /// Cached write/read plans + batch scratch for the request executor,
+    /// all derived from `regions`.
+    plans: crate::plan::PlanCache,
 }
 
 /// Word index of the GC clock on the runtime-state page.
@@ -296,6 +296,30 @@ impl FunctionProcess {
         }
     }
 
+    /// The image's regions. They are fixed when the process is built:
+    /// layout churn maps and unmaps arenas outside them, so the cached
+    /// plans derived from them stay valid for the process's lifetime.
+    pub fn regions(&self) -> &ImageRegions {
+        &self.regions
+    }
+
+    /// The request executor's plan cache (observability).
+    pub fn plans(&self) -> &crate::plan::PlanCache {
+        &self.plans
+    }
+
+    /// The touch plan for `(writes, reads, phase)` over this image's
+    /// regions, built on first use, plus the shared scratch batch (see
+    /// [`PlanCache`](crate::plan::PlanCache)).
+    pub fn plan_for(
+        &mut self,
+        writes: u64,
+        reads: u64,
+        phase: u64,
+    ) -> (crate::plan::WritePlan<'_>, &mut gh_mem::TouchBatch) {
+        self.plans.plan_for(&self.regions, writes, reads, phase)
+    }
+
     /// A view of the same image bound to another pid — used to run a
     /// request inside a `fork`ed child, whose layout is a CoW copy of
     /// this image. The view starts with an empty plan cache (fork-based
@@ -310,11 +334,14 @@ impl FunctionProcess {
         }
     }
 
+    /// Stores `value` at the GC clock word — a privileged write, so a
+    /// state page still shared with the snapshot is unshared first and
+    /// the snapshot's saved clock stays as it was.
     fn poke_gc_clock(kernel: &mut Kernel, pid: Pid, state: Vpn, value: u64) {
         let (proc, frames) = kernel.mem_ctx(pid).expect("live pid");
-        let pte = proc.mem.pte(state).expect("state page present");
-        let (data, _) = frames.data_mut(pte.frame);
-        data.write_word(GC_CLOCK_WORD, value);
+        proc.mem
+            .poke_word(state, GC_CLOCK_WORD, value, frames)
+            .expect("state page present");
     }
 
     /// Re-bases the in-memory runtime clock to "now" — the paper's
@@ -384,7 +411,8 @@ impl FunctionProcess {
 
     /// Performs the runtime's per-request layout churn (Node.js maps and
     /// unmaps aggressively, §5.4): mmaps fresh arenas, munmaps old ones,
-    /// grows `brk`. Returns the number of layout syscalls performed.
+    /// grows `brk`. Returns the number of layout syscalls performed. The
+    /// new arenas lie outside `regions`, so cached plans stay valid.
     pub fn churn_layout(&mut self, kernel: &mut Kernel) -> u32 {
         let churn = self.profile.churn;
         let mut ops = 0u32;
@@ -427,16 +455,6 @@ impl FunctionProcess {
                 }
             })
             .expect("churn");
-        if ops > 0 {
-            // Defensive invalidation: churn does not currently edit
-            // `regions` (new arenas live outside the dirtyable index),
-            // so cached plans could legally survive — but the cache
-            // contract is "plans never outlive a layout change", so any
-            // future churn that does grow the addressable image stays
-            // correct by construction. Rebuilds are one cheap region-
-            // cursor walk, so churn-heavy runtimes (Node) lose little.
-            self.plans.invalidate();
-        }
         ops
     }
 }

@@ -14,9 +14,11 @@
 //! (tiny write set over a huge image ⇒ a fresh phase every request)
 //! keep replaying the big read sweep from cache and only rebuild the
 //! small write set. Both maps are bounded: when full, they reset rather
-//! than grow without bound. [`PlanCache::invalidate`] drops every plan;
-//! `churn_layout` calls it after mutating the layout so plans can never
-//! outlive the addressing they were derived from.
+//! than grow without bound. A cache belongs to one
+//! [`FunctionProcess`](crate::FunctionProcess), whose regions are fixed
+//! once built (layout churn maps arenas outside them), and only the
+//! process builds plans into it — so plans never outlive the addressing
+//! they were derived from, by construction.
 
 use std::collections::HashMap;
 
@@ -53,6 +55,8 @@ pub struct PlanCache {
     /// plan.
     retired: Vec<Vec<Vpn>>,
     scratch: TouchBatch,
+    /// Vpn sets built so far (observability).
+    builds: u64,
 }
 
 /// Retires a map's vpn vectors into the free list instead of dropping
@@ -68,12 +72,10 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Drops all cached plans (the layout-churn invalidation hook).
-    /// The scratch batch and the plans' vpn allocations are kept for
-    /// reuse.
-    pub fn invalidate(&mut self) {
-        retire(&mut self.write_sets, &mut self.retired);
-        retire(&mut self.read_sets, &mut self.retired);
+    /// Number of vpn sets built so far — cache misses (observability
+    /// for tests).
+    pub fn builds(&self) -> u64 {
+        self.builds
     }
 
     /// Number of cached vpn sets (observability for tests).
@@ -89,8 +91,10 @@ impl PlanCache {
     /// The plan for `(writes, reads, phase)` over `regions`, built on
     /// first use, plus the shared scratch batch. Returned together so a
     /// caller can fill the scratch from the plan under one borrow of the
-    /// cache.
-    pub fn plan_for(
+    /// cache. Reached through
+    /// [`FunctionProcess::plan_for`](crate::FunctionProcess::plan_for),
+    /// which passes the process's own regions.
+    pub(crate) fn plan_for(
         &mut self,
         regions: &ImageRegions,
         writes: u64,
@@ -102,12 +106,14 @@ impl PlanCache {
             read_sets,
             retired,
             scratch,
+            builds,
         } = self;
         let total = regions.dirtyable_pages().max(1);
         if write_sets.len() >= MAX_PLANS && !write_sets.contains_key(&(writes, phase)) {
             retire(write_sets, retired);
         }
         let write_vpns = write_sets.entry((writes, phase)).or_insert_with(|| {
+            *builds += 1;
             let wstride = (total / writes.max(1)).max(1);
             let mut v = retired.pop().unwrap_or_default();
             v.clear();
@@ -119,6 +125,7 @@ impl PlanCache {
             retire(read_sets, retired);
         }
         let read_vpns = read_sets.entry(reads).or_insert_with(|| {
+            *builds += 1;
             let rstride = (total / reads.max(1)).max(1);
             let mut v = retired.pop().unwrap_or_default();
             v.clear();
@@ -150,7 +157,8 @@ mod tests {
             RuntimeProfile::for_kind(RuntimeKind::Python),
             4_000,
         )
-        .regions
+        .regions()
+        .clone()
     }
 
     #[test]
@@ -192,8 +200,6 @@ mod tests {
             cache.len() <= 2 * MAX_PLANS,
             "both maps stay bounded independently"
         );
-        cache.invalidate();
-        assert!(cache.is_empty());
     }
 
     #[test]
