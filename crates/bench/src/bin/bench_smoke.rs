@@ -30,11 +30,11 @@
 //! different machine would fail spuriously in either direction.
 //!
 //! The `work_*` family is deterministic host work: heap allocations per
-//! simulated request, counted by this binary's global allocator (a
-//! std-only wrapper around the system allocator that counts only while
-//! a measurement window is open). For a given toolchain the counts
-//! repeat exactly on every host and in every process, so `--check`
-//! gates them at 0%: any increase fails.
+//! simulated request and per cold start, counted by this binary's
+//! global allocator (a std-only wrapper around the system allocator
+//! that counts only while a measurement window is open). For a given
+//! toolchain the counts repeat exactly on every host and in every
+//! process, so `--check` gates them at 0%: any increase fails.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
@@ -103,14 +103,19 @@ fn allocations(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// Heap allocations per simulated request of a rig's serial run: after
-/// one warm-up run, (allocations at [`WORK_REQUESTS`] − allocations at
-/// 0 requests) / [`WORK_REQUESTS`], so setup cancels out.
-fn allocations_per_request(run: impl Fn(u64) -> u64) -> f64 {
+/// Heap allocations of a rig's serial runs, after one warm-up run: the
+/// 0-request run's count (setup alone: every pool, cold start and
+/// snapshot) and the count per simulated request, (allocations at
+/// [`WORK_REQUESTS`] − allocations at 0 requests) / [`WORK_REQUESTS`],
+/// so setup cancels out.
+fn work_allocations(run: impl Fn(u64) -> u64) -> (u64, f64) {
     assert_eq!(run(WORK_REQUESTS), WORK_REQUESTS, "warm-up drains");
     let setup = allocations(|| assert_eq!(run(0), 0));
     let full = allocations(|| assert_eq!(run(WORK_REQUESTS), WORK_REQUESTS));
-    full.saturating_sub(setup) as f64 / WORK_REQUESTS as f64
+    (
+        setup,
+        full.saturating_sub(setup) as f64 / WORK_REQUESTS as f64,
+    )
 }
 
 /// `v` as the summary JSON writes it (4 decimals).
@@ -261,6 +266,24 @@ fn collect() -> Vec<Metric> {
         value: f64::from(scaling.plan_growth_64k_to_1m() <= 3.0),
         higher_is_better: true,
     });
+    // Content hashing: 1.0 = a zero-based one-patch page hashes in
+    // under a quarter of a `Pattern` page's time (`O(patches)`, the cold
+    // start's base-image hash); 0.0 = the 512-word walk came back.
+    out.push(Metric {
+        key: "scaling_hash_o_patches",
+        value: f64::from(scaling.hash_patched_over_pattern() < 0.25),
+        higher_is_better: true,
+    });
+    for (key, ns) in [
+        ("info_hash_patched_ns_per_page", scaling.hash_patched_ns),
+        ("info_hash_pattern_ns_per_page", scaling.hash_pattern_ns),
+    ] {
+        out.push(Metric {
+            key,
+            value: ns / gh_bench::scaling::HASH_PAGES as f64,
+            higher_is_better: false,
+        });
+    }
     out.push(Metric {
         key: "scaling_sim_scan_us_extent_1m",
         value: scaling.sim_scan_us_extent_1m,
@@ -558,12 +581,17 @@ fn collect() -> Vec<Metric> {
     }
 
     // Deterministic host work: heap allocations per simulated request on
-    // serial runs of the cluster and fleet rigs' shapes.
-    let cluster_allocs = allocations_per_request(gh_bench::cluster_scaling::serial_run);
-    let fleet_allocs = allocations_per_request(|n| gh_bench::fleet_scaling::serial_run(n as usize));
+    // serial runs of the cluster and fleet rigs' shapes, and per cold
+    // start on the cluster's (its 0-request run builds every pool).
+    let (cluster_setup, cluster_allocs) =
+        work_allocations(|n| gh_bench::cluster_scaling::serial_run(n).completed);
+    let (_, fleet_allocs) = work_allocations(|n| gh_bench::fleet_scaling::serial_run(n as usize));
+    let cold_starts = gh_bench::cluster_scaling::serial_run(0).containers;
+    let cold_start_allocs = cluster_setup as f64 / f64::from(cold_starts);
     println!(
         "heap allocations per simulated request: cluster {cluster_allocs:.4}, \
-         fleet {fleet_allocs:.4}\n"
+         fleet {fleet_allocs:.4}; per cold start: cluster {cold_start_allocs:.4} \
+         ({cluster_setup} over {cold_starts} containers)\n"
     );
     out.push(Metric {
         key: "work_allocs_per_req_cluster",
@@ -573,6 +601,11 @@ fn collect() -> Vec<Metric> {
     out.push(Metric {
         key: "work_allocs_per_req_fleet",
         value: fleet_allocs,
+        higher_is_better: false,
+    });
+    out.push(Metric {
+        key: "work_allocs_per_cold_start_cluster",
+        value: cold_start_allocs,
         higher_is_better: false,
     });
 

@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use gh_faas::cluster::{run_cluster_with, ClusterConfig, PlacePolicy};
+use gh_faas::cluster::{run_cluster_with, ClusterConfig, ClusterResult, PlacePolicy};
 use gh_faas::fleet::ExecMode;
 use gh_faas::trace::{stable_rps, synthetic_catalog, TraceConfig};
 use gh_functions::FunctionSpec;
@@ -116,9 +116,8 @@ fn timed_run(requests: u64, mode: ExecMode) -> (f64, String, usize) {
 }
 
 /// One serial run of the rig's shape over `requests` requests, untimed
-/// — what `bench_smoke`'s heap-allocation counter measures. Returns the
-/// completed count.
-pub fn serial_run(requests: u64) -> u64 {
+/// — what `bench_smoke`'s heap-allocation counters measure.
+pub fn serial_run(requests: u64) -> ClusterResult {
     let catalog = synthetic_catalog(FUNCTIONS, SEED);
     let (trace, ccfg) = config(&catalog, requests);
     run_cluster_with(
@@ -129,7 +128,6 @@ pub fn serial_run(requests: u64) -> u64 {
         ExecMode::Serial,
     )
     .expect("run")
-    .completed
 }
 
 /// Best-of-`iters` wrapper around [`timed_run`]: minimum wall-clock

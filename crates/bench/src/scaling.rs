@@ -6,14 +6,17 @@
 //! mapped pages with a 1% write set, for both the extent-based
 //! production path and a retained emulation of the per-page legacy path
 //! (full pagemap walk + `BTreeMap`/`BTreeSet` construction, exactly the
-//! pre-extent algorithms).
+//! pre-extent algorithms). A last probe times page content hashing,
+//! zero-based one-patch pages against `Pattern` pages, the two kinds a
+//! cold start's snapshot hashes most.
 //!
 //! Gate design: raw ns/page is machine-dependent, so feeding it to the
 //! 10% regression gate would fail on any CI runner slower or faster
 //! than the machine that wrote the baseline. The gated metric family is
 //! therefore **machine-independent**: legacy/new speedup ratios
-//! (same-machine quotients), an O(dirty) growth check across sizes, and
-//! the deterministic simulated cost under extent charging. The raw
+//! (same-machine quotients), O(dirty) growth checks across sizes, an
+//! O(patches) check on the hash probe's quotient, and the deterministic
+//! simulated cost under extent charging. The raw
 //! ns/page readings are published as `info_`-prefixed metrics (written
 //! to `BENCH_fleet.json` and `results/scaling.csv`, exempt from the
 //! gate) for humans and trend dashboards.
@@ -69,6 +72,11 @@ pub struct ScalingReport {
     /// Plan-build wall-clock at 1M mapped pages, same fixed dirty set
     /// and hole pattern.
     pub fixed_plan_ns_1m: f64,
+    /// Wall-clock of hashing [`HASH_PAGES`] zero-based pages holding one
+    /// word patch each.
+    pub hash_patched_ns: f64,
+    /// Wall-clock of hashing [`HASH_PAGES`] `Pattern` pages.
+    pub hash_pattern_ns: f64,
     /// Simulated scan cost at 1M pages / 1% dirty, µs, extent charging.
     pub sim_scan_us_extent_1m: f64,
     /// Same shape under paper-parity charging, µs.
@@ -110,7 +118,18 @@ impl ScalingReport {
     pub fn plan_growth_64k_to_1m(&self) -> f64 {
         self.fixed_plan_ns_1m / self.fixed_plan_ns_64k.max(1.0)
     }
+
+    /// Content-hash time of zero-based one-patch pages over `Pattern`
+    /// pages: a few hundredths when the hash skips zero words (its cost
+    /// is `O(patches)`), above 1 when it walks all 512 words of a patched
+    /// page as well.
+    pub fn hash_patched_over_pattern(&self) -> f64 {
+        self.hash_patched_ns / self.hash_pattern_ns.max(1.0)
+    }
 }
+
+/// Pages of each kind the content-hash probe hashes.
+pub const HASH_PAGES: usize = 1 << 14;
 
 /// The plan-build growth probe's image leaves every `HOLE_EVERY`-th page
 /// absent, so its snapshot holds one run per `HOLE_EVERY` pages.
@@ -388,6 +407,25 @@ pub fn run() -> ScalingReport {
     };
     let fixed_plan_ns_64k = fixed_plan(1 << 16);
     let fixed_plan_ns_1m = fixed_plan(1 << 20);
+    // Content hashing, the base-image cost of a cold start: zero-based
+    // pages with one patch (at every word offset in turn) against
+    // `Pattern` pages, the same count of each.
+    let patched: Vec<FrameData> = (0..HASH_PAGES)
+        .map(|i| {
+            let mut page = FrameData::Zero;
+            page.write_word(i % 512, i as u64 + 1);
+            page
+        })
+        .collect();
+    let pattern: Vec<FrameData> = (0..HASH_PAGES as u64).map(FrameData::Pattern).collect();
+    let hash_all = |pages: &[FrameData]| {
+        best_of(5, || {
+            let folded = pages.iter().fold(0u64, |a, p| a ^ p.logical_hash());
+            std::hint::black_box(folded);
+        })
+    };
+    let hash_patched_ns = hash_all(&patched);
+    let hash_pattern_ns = hash_all(&pattern);
 
     // Deterministic simulated costs at the 1M/1% shape.
     let shape = ScanShape {
@@ -405,6 +443,8 @@ pub fn run() -> ScalingReport {
         fixed_scan_ns_1m,
         fixed_plan_ns_64k,
         fixed_plan_ns_1m,
+        hash_patched_ns,
+        hash_pattern_ns,
         sim_scan_us_extent_1m: extent_model.dirty_scan_cost(shape).as_millis_f64() * 1e3,
         sim_scan_us_paper_1m: paper_model.dirty_scan_cost(shape).as_millis_f64() * 1e3,
     }

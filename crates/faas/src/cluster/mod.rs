@@ -88,7 +88,8 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Candidate nodes per function (`1..=nodes`).
     pub replicas: usize,
-    /// Containers per (node, function) pool.
+    /// Containers per (node, function) pool. A run with 0 returns
+    /// [`StrategyError::EmptyPool`] before any pool is built.
     pub slots_per_pool: usize,
     /// Front-end placement policy.
     pub policy: PlacePolicy,
@@ -257,14 +258,18 @@ struct Fold {
 /// backend-bound arrival to the list of the node that serves it.
 ///
 /// Every config check a node would otherwise hit mid-run (catalog
-/// coverage, node and replica counts) fires here, on the caller's
-/// thread, before any pool is built.
+/// coverage, node and replica counts, the pool size) fires here, on the
+/// caller's thread, before any pool is built. An empty pool is returned
+/// as [`StrategyError::EmptyPool`], the error [`Pool::build`] gives.
 fn fold(
     trace_cfg: &TraceConfig,
     catalog: &[FunctionSpec],
     ccfg: &ClusterConfig,
     gcfg: Option<&GatewayConfig>,
-) -> Fold {
+) -> Result<Fold, StrategyError> {
+    if ccfg.slots_per_pool == 0 {
+        return Err(StrategyError::EmptyPool);
+    }
     let nf = trace_cfg.functions as usize;
     assert!(
         catalog.len() >= nf,
@@ -346,7 +351,7 @@ fn fold(
         };
         arrivals[node].push(ev);
     }
-    Fold {
+    Ok(Fold {
         placer,
         arrivals,
         failovers,
@@ -354,7 +359,7 @@ fn fold(
         scale: scaler.filter(|_| placed).map(|s| s.stats()),
         front,
         hit_sojourns,
-    }
+    })
 }
 
 /// Node-local events: a trace arrival reaching the node, a container
@@ -730,7 +735,7 @@ fn run_folded(
     mode: ExecMode,
     gcfg: Option<&GatewayConfig>,
 ) -> Result<(ClusterResult, Option<GatewayFront>), StrategyError> {
-    let fold = fold(trace_cfg, catalog, ccfg, gcfg);
+    let fold = fold(trace_cfg, catalog, ccfg, gcfg)?;
     let nodes = run_nodes(&fold, trace_cfg, catalog, ccfg, gh, mode)?;
     let cluster = merge(nodes, trace_cfg, ccfg, &fold);
     Ok((cluster, fold.front))
@@ -1259,7 +1264,7 @@ mod tests {
                                 autoscale.is_some(),
                                 gcfg.is_some()
                             );
-                            let fold = fold(&trace, &catalog, &ccfg, gcfg);
+                            let fold = fold(&trace, &catalog, &ccfg, gcfg).expect("fold");
                             for node in 0..NODES {
                                 let r = replay_node(node, &trace, &catalog, &ccfg, gcfg);
                                 assert_eq!(fold.arrivals[node], r.arrivals, "{label}: node {node}");
@@ -1297,6 +1302,18 @@ mod tests {
         );
         assert!(hits > 0 && rejected > 0, "the front must hit and reject");
         assert!(redirects > 0, "the scaler must redirect");
+    }
+
+    #[test]
+    fn zero_slots_per_pool_is_an_error_in_both_modes() {
+        let catalog = synthetic_catalog(24, 5);
+        let trace = small_trace(100, 5);
+        let mut ccfg = ClusterConfig::new(4, PlacePolicy::RoundRobin, StrategyKind::Gh, 5);
+        ccfg.slots_per_pool = 0;
+        for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+            let run = run_cluster_with(&trace, &catalog, &ccfg, GroundhogConfig::gh(), mode);
+            assert!(matches!(run, Err(StrategyError::EmptyPool)), "{mode:?}");
+        }
     }
 
     #[test]

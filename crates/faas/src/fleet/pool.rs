@@ -264,6 +264,8 @@ impl Pool {
     /// timeline-identical to a single [`Container::cold_start`] with the
     /// same seed (the shared store charges eager-snapshot cost), which
     /// keeps the single-container open-loop semantics stable.
+    ///
+    /// Returns [`StrategyError::EmptyPool`] when `size` is 0.
     pub fn build(
         spec: &FunctionSpec,
         kind: StrategyKind,
@@ -271,7 +273,9 @@ impl Pool {
         size: usize,
         seed: u64,
     ) -> Result<Pool, StrategyError> {
-        assert!(size > 0, "pool needs at least one container");
+        if size == 0 {
+            return Err(StrategyError::EmptyPool);
+        }
         let store = SnapshotStore::new_handle();
         let mut spawn_rng = DetRng::new(seed ^ 0x9001_5EED_F1EE_7000);
         let mut slots = Vec::with_capacity(size);
@@ -393,6 +397,15 @@ mod tests {
     fn pool(kind: StrategyKind, size: usize) -> Pool {
         let spec = by_name("fannkuch (p)").unwrap();
         Pool::build(&spec, kind, GroundhogConfig::gh(), size, 42).unwrap()
+    }
+
+    #[test]
+    fn empty_pool_is_an_error() {
+        let spec = by_name("fannkuch (p)").unwrap();
+        for kind in [StrategyKind::Gh, StrategyKind::Base] {
+            let built = Pool::build(&spec, kind, GroundhogConfig::gh(), 0, 42);
+            assert!(matches!(built, Err(StrategyError::EmptyPool)), "{kind:?}");
+        }
     }
 
     fn enqueue(slot: &mut Slot, id: u64, at: Nanos) {

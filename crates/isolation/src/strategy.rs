@@ -67,6 +67,8 @@ pub enum StrategyError {
     },
     /// Kernel/process failure.
     Proc(gh_proc::kernel::ProcError),
+    /// A pool was asked for zero containers.
+    EmptyPool,
 }
 
 impl From<GhError> for StrategyError {
@@ -91,6 +93,7 @@ impl core::fmt::Display for StrategyError {
                 write!(f, "{name} does not compile to WebAssembly")
             }
             StrategyError::Proc(e) => write!(f, "process: {e}"),
+            StrategyError::EmptyPool => write!(f, "a pool needs at least one container"),
         }
     }
 }

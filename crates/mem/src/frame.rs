@@ -28,6 +28,18 @@
 //!   a page takes more than 16 patches or an unaligned byte write.
 //!
 //! `FrameData` is 40 bytes whichever representation it holds.
+//!
+//! # Hashing cost
+//!
+//! [`FrameData::logical_hash`] is FNV-1a over the 512 words, and its
+//! value is the same for every representation of the same contents.
+//! What it costs differs: a `Zero` page is one multiply and a
+//! zero-based `Patched` page one multiply per patch plus one per zero
+//! gap, because FNV-1a over `k` zero words multiplies the state by the
+//! prime's `k`-th power, read from a table. `Pattern`, pattern-based
+//! `Patched` and `Literal` pages mix all 512 words. The values are the
+//! ones the plain 512-word loop gives, so content-index buckets and
+//! every dedup decision do not depend on which path computed them.
 
 use crate::addr::{PageRange, Vpn, PAGE_SIZE};
 use crate::taint::Taint;
@@ -369,35 +381,70 @@ impl FrameData {
     /// the base — the property the
     /// [`SnapshotStore`](crate::store::SnapshotStore) content index
     /// relies on.
+    ///
+    /// Cost by representation (the store hashes every page of each base
+    /// image it establishes, so this decides cold-start time): a `Zero`
+    /// page is `O(1)` and a zero-based `Patched` page `O(patches)`,
+    /// because mixing `k` zero words into FNV-1a only multiplies the
+    /// state by the prime's `k`-th power. `Pattern`, pattern-based
+    /// `Patched` and `Literal` pages mix all 512 words. Every value
+    /// equals the plain 512-word loop's.
     pub fn logical_hash(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x100_0000_01b3);
-        // One pass per representation, without a per-word lookup: the
-        // store hashes every page of each base image it establishes.
+        let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV_PRIME);
         match self {
-            FrameData::Zero => (0..WORDS_PER_PAGE).for_each(|_| mix(0)),
+            FrameData::Zero => FNV_OFFSET.wrapping_mul(FNV_POWERS[WORDS_PER_PAGE]),
             FrameData::Pattern(seed) => {
-                (0..WORDS_PER_PAGE).for_each(|w| mix(pattern_word(*seed, w)))
+                (0..WORDS_PER_PAGE).fold(FNV_OFFSET, |h, w| mix(h, pattern_word(*seed, w)))
             }
-            FrameData::Patched(p) => {
-                let base = p.base();
-                let mut patches = p.iter().peekable();
-                for w in 0..WORDS_PER_PAGE {
-                    match patches.next_if(|&(off, _)| off as usize == w * 8) {
-                        Some((_, v)) => mix(v),
-                        None => mix(base.map_or(0, |s| pattern_word(s, w))),
+            FrameData::Patched(p) => match p.base() {
+                None => {
+                    // Skip each run of zero words with one multiply.
+                    let (mut h, mut next) = (FNV_OFFSET, 0);
+                    for (off, v) in p.iter() {
+                        let w = off as usize / 8;
+                        h = mix(h.wrapping_mul(FNV_POWERS[w - next]), v);
+                        next = w + 1;
                     }
+                    h.wrapping_mul(FNV_POWERS[WORDS_PER_PAGE - next])
                 }
-            }
-            FrameData::Literal(bytes) => {
-                for chunk in bytes.chunks_exact(8) {
-                    mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+                Some(seed) => {
+                    let mut patches = p.iter().peekable();
+                    (0..WORDS_PER_PAGE).fold(FNV_OFFSET, |h, w| {
+                        match patches.next_if(|&(off, _)| off as usize == w * 8) {
+                            Some((_, v)) => mix(h, v),
+                            None => mix(h, pattern_word(seed, w)),
+                        }
+                    })
                 }
-            }
+            },
+            FrameData::Literal(bytes) => bytes.chunks_exact(8).fold(FNV_OFFSET, |h, chunk| {
+                mix(
+                    h,
+                    u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")),
+                )
+            }),
         }
-        h
     }
 }
+
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// `FNV_PRIME^k` (wrapping) for `k` in `0..=512`: mixing `k` zero words
+/// into an FNV-1a state `h` yields `h * FNV_POWERS[k]`, since `h ^ 0`
+/// is `h`.
+const FNV_POWERS: [u64; WORDS_PER_PAGE + 1] = {
+    let mut powers = [1u64; WORDS_PER_PAGE + 1];
+    let mut k = 1;
+    while k <= WORDS_PER_PAGE {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
 
 /// Refcounted snapshot page capture: contiguous runs of `(start vpn,
 /// frames)`, sorted by start. This is what the run-based capture path

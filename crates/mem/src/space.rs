@@ -2527,17 +2527,21 @@ mod lazy_tests {
                 .unwrap();
         }
         let store = SnapshotStore::new_handle();
-        let image: BTreeMap<u64, FrameData> = r
+        let mut image = FrameTable::new();
+        let ids = r
             .iter()
-            .map(|v| (v.0, FrameData::Pattern(0x57025 ^ v.0)))
+            .map(|v| image.alloc(FrameData::Pattern(0x57025 ^ v.0), Taint::Clean))
             .collect();
-        let refs = store.lock().unwrap().intern("f", &image);
+        let refs = store
+            .lock()
+            .unwrap()
+            .intern_refs("f", &[(r.start, ids)], &image);
         let live_before = store.lock().unwrap().live_frames();
         let set: BTreeMap<u64, LazyPageSource> = refs
             .iter()
-            .map(|(&vpn, &frame)| {
+            .map(|(vpn, frame)| {
                 (
-                    vpn,
+                    vpn.0,
                     LazyPageSource::Store {
                         store: store.clone(),
                         frame,

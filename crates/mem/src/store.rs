@@ -17,6 +17,16 @@
 //! page allocates a private delta frame. Pool memory then scales with
 //! `base + Σ per-container deltas` instead of `pool_size × snapshot`.
 //!
+//! Interning ([`SnapshotStore::intern_refs`]) works on runs, the shape
+//! the snapshotter captures. A call looks its function key up once. The
+//! base image is the founding capture's [`FrameRuns`] — the frame ids
+//! that capture's caller got back — so establishing it is one pass over
+//! the runs with no per-page map. A later capture dedups by walking a
+//! [`FrameRunsCursor`](crate::frame::FrameRunsCursor) forward over the
+//! base's runs alongside its own ascending pages, comparing contents in
+//! place; a page the base lacks at that vpn, or holds with other
+//! contents, falls back to the key's content-hash index.
+//!
 //! The store is handed around as a [`StoreHandle`]
 //! (`Arc<Mutex<SnapshotStore>>`): containers live on separate simulated
 //! kernels, so the store is the one deliberately shared piece of manager
@@ -33,7 +43,7 @@ use crate::taint::Taint;
 pub type StoreHandle = Arc<Mutex<SnapshotStore>>;
 
 /// Space-accounting counters of a [`SnapshotStore`].
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Pages referenced by all live interned snapshots (with multiplicity).
     pub logical_pages: u64,
@@ -48,18 +58,43 @@ pub struct StoreStats {
     pub dedup_misses: u64,
 }
 
-/// A function's base image: the first interned snapshot's pages, kept
+/// A function's base image: the founding capture's store frames, kept
 /// alive for the store's lifetime so later containers can dedup against
-/// it even after the founding container retires, plus a content-hash
+/// them even after the founding container retires, plus a content-hash
 /// index over every frame ever interned under the key.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct BaseImage {
-    pages: BTreeMap<u64, FrameId>,
-    /// `FrameData::logical_hash` → candidate frames. Entries are pruned
-    /// lazily: a freed delta frame is dropped the next time its bucket
-    /// is consulted; a recycled slot is rejected by the `logical_eq`
-    /// verification every lookup performs.
-    by_hash: HashMap<u64, Vec<FrameId>>,
+    /// The founding capture's runs: the same frame ids its caller got
+    /// back, each holding one extra reference for the base.
+    pages: FrameRuns,
+    /// `FrameData::logical_hash` → candidate frames.
+    by_hash: HashIndex,
+}
+
+/// Content-hash index of one key's frames. Entries are pruned lazily: a
+/// freed delta frame is dropped the next time its bucket is consulted;
+/// a recycled slot is rejected by the `logical_eq` verification every
+/// lookup performs.
+#[derive(Debug, Default)]
+struct HashIndex(HashMap<u64, Vec<FrameId>>);
+
+impl HashIndex {
+    /// A live frame of `frames` whose contents equal `data`, among those
+    /// indexed under `hash`.
+    fn find(&mut self, hash: u64, data: &FrameData, frames: &FrameTable) -> Option<FrameId> {
+        let candidates = self.0.get_mut(&hash)?;
+        // Prune freed frames, then verify content: a hash collision or a
+        // recycled frame slot fails `logical_eq`.
+        candidates.retain(|&id| frames.is_live(id));
+        candidates
+            .iter()
+            .copied()
+            .find(|&id| frames.data(id).logical_eq(data))
+    }
+
+    fn insert(&mut self, hash: u64, id: FrameId) {
+        self.0.entry(hash).or_default().push(id);
+    }
 }
 
 /// A deduplicating, refcounted page store shared by one container pool.
@@ -81,129 +116,81 @@ impl SnapshotStore {
         Arc::new(Mutex::new(SnapshotStore::new()))
     }
 
-    /// Interns one page under `key`'s (already established) image,
-    /// returning an owned reference to a store frame with the same
-    /// logical contents. Dedup order: the base image's same-vpn frame
-    /// first (the overwhelmingly common hit), then the key's
-    /// content-hash index — which catches identical content at a
-    /// *different* vpn and identical **delta** pages across snapshots —
-    /// and only then a fresh allocation. Each step is O(1) in the pool
-    /// size: no candidate list grows with the number of snapshots
-    /// interned, because equal content keeps hitting the same frame.
-    fn intern_page(&mut self, key: &str, vpn: u64, data: &FrameData) -> FrameId {
-        self.stats.logical_pages += 1;
-        let base = self.bases.get_mut(key).expect("base established");
-        if let Some(&id) = base.pages.get(&vpn) {
-            if self.frames.data(id).logical_eq(data) {
-                self.stats.dedup_hits += 1;
-                self.frames.incref(id);
-                return id;
-            }
-        }
-        let hash = data.logical_hash();
-        if let Some(candidates) = base.by_hash.get_mut(&hash) {
-            // Lazily prune freed frames, then verify content: a hash
-            // collision or a recycled frame slot fails `logical_eq` and
-            // falls through to allocation.
-            candidates.retain(|&id| self.frames.is_live(id));
-            if let Some(&id) = candidates
-                .iter()
-                .find(|&&id| self.frames.data(id).logical_eq(data))
-            {
-                self.stats.hash_hits += 1;
-                self.frames.incref(id);
-                return id;
-            }
-        }
-        self.stats.dedup_misses += 1;
-        let id = self.frames.alloc(data.clone(), Taint::Clean);
-        let base = self.bases.get_mut(key).expect("base established");
-        base.by_hash.entry(hash).or_default().push(id);
-        id
-    }
-
-    /// Extends `key`'s base image (creating it if needed) with the
-    /// founding container's pages. The base holds one reference per
-    /// frame for the store's lifetime; the caller gets a second.
-    fn establish_base(
-        &mut self,
-        key: &str,
-        pages: impl Iterator<Item = (u64, FrameData)>,
-    ) -> Vec<(u64, FrameId)> {
-        self.bases.entry(key.to_string()).or_default();
-        let mut refs = Vec::new();
-        for (vpn, data) in pages {
-            let hash = data.logical_hash();
-            let id = self.frames.alloc(data, Taint::Clean);
-            self.frames.incref(id);
-            let base = self.bases.get_mut(key).expect("just ensured");
-            base.pages.insert(vpn, id);
-            base.by_hash.entry(hash).or_default().push(id);
-            refs.push((vpn, id));
-            self.stats.dedup_misses += 1;
-            self.stats.logical_pages += 1;
-        }
-        refs
-    }
-
-    /// Interns one container's clean-state pages under the function key
-    /// `key`, returning the per-container reference table (vpn → shared
-    /// frame). The first call for a key establishes the base image;
-    /// later calls dedup page-by-page by logical content — same-vpn
-    /// base pages first, then the content-hash index (so identical
-    /// delta pages dedup across snapshots too).
+    /// Interns one container's clean-state capture under the function
+    /// key `key`: `runs` are the capture's sorted, disjoint runs of
+    /// frames in the process table `frames`. Page contents are read in
+    /// place and copied into the store only on a dedup miss. Returns the
+    /// per-container reference runs (store-table frames), owned by the
+    /// caller and released via [`SnapshotStore::release_runs`].
     ///
-    /// The returned references are owned by the caller and must be given
-    /// back via [`SnapshotStore::release`].
-    pub fn intern(
-        &mut self,
-        key: &str,
-        pages: &BTreeMap<u64, FrameData>,
-    ) -> BTreeMap<u64, FrameId> {
-        if !self.bases.contains_key(key) {
-            return self
-                .establish_base(key, pages.iter().map(|(&v, d)| (v, d.clone())))
-                .into_iter()
-                .collect();
-        }
-        pages
-            .iter()
-            .map(|(&vpn, data)| (vpn, self.intern_page(key, vpn, data)))
-            .collect()
-    }
-
-    /// Interns a run-based capture by reference: page contents are read
-    /// straight out of the process's frame table and copied into the
-    /// store only on a dedup miss. Returns the per-container reference
-    /// runs (store-table frames), owned by the caller and released via
-    /// [`SnapshotStore::release_runs`].
+    /// The key is looked up once per call. The first non-empty capture
+    /// under a key establishes its base image in one pass over the
+    /// runs: every page gets a fresh frame, indexed by content hash, and
+    /// the base keeps the returned runs with one reference of its own
+    /// per frame. An empty first capture establishes nothing. A later
+    /// capture walks a [`FrameRunsCursor`](crate::frame::FrameRunsCursor)
+    /// forward over the base's runs alongside its own ascending pages
+    /// and dedups each page in this order: the base frame at the same
+    /// vpn (the overwhelmingly common hit), then the key's content-hash
+    /// index — which catches identical content at a *different* vpn and
+    /// identical **delta** pages across snapshots — and only then a
+    /// fresh frame. Each step is `O(1)` in the pool size: no candidate
+    /// list grows with the number of snapshots interned, because equal
+    /// content keeps hitting the same frame.
     pub fn intern_refs(
         &mut self,
         key: &str,
         runs: &[(Vpn, Vec<FrameId>)],
         frames: &FrameTable,
     ) -> FrameRuns {
-        let established = self.bases.contains_key(key);
+        let SnapshotStore {
+            frames: store,
+            bases,
+            stats,
+        } = self;
+        let Some(base) = bases.get_mut(key) else {
+            if runs.is_empty() {
+                return FrameRuns::default();
+            }
+            let base = establish(store, stats, runs, frames);
+            let refs = base.pages.clone();
+            bases.insert(key.to_string(), base);
+            return refs;
+        };
+        let BaseImage { pages, by_hash } = base;
+        let mut same_vpn = pages.cursor();
         let mut out = Vec::with_capacity(runs.len());
-        if !established {
-            for (start, ids) in runs {
-                let refs = self.establish_base(
-                    key,
-                    ids.iter()
-                        .enumerate()
-                        .map(|(i, &id)| (start.0 + i as u64, frames.data(id).clone())),
-                );
-                out.push((*start, refs.into_iter().map(|(_, id)| id).collect()));
+        for (start, ids) in runs {
+            let mut refs = Vec::with_capacity(ids.len());
+            for (&id, vpn) in ids.iter().zip(start.0..) {
+                let data = frames.data(id);
+                stats.logical_pages += 1;
+                let id = match same_vpn.get(Vpn(vpn)) {
+                    Some(b) if store.data(b).logical_eq(data) => {
+                        stats.dedup_hits += 1;
+                        store.incref(b);
+                        b
+                    }
+                    _ => {
+                        let hash = data.logical_hash();
+                        match by_hash.find(hash, data, store) {
+                            Some(h) => {
+                                stats.hash_hits += 1;
+                                store.incref(h);
+                                h
+                            }
+                            None => {
+                                stats.dedup_misses += 1;
+                                let fresh = store.alloc(data.clone(), Taint::Clean);
+                                by_hash.insert(hash, fresh);
+                                fresh
+                            }
+                        }
+                    }
+                };
+                refs.push(id);
             }
-        } else {
-            for (start, ids) in runs {
-                let refs: Vec<FrameId> = ids
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &id)| self.intern_page(key, start.0 + i as u64, frames.data(id)))
-                    .collect();
-                out.push((*start, refs));
-            }
+            out.push((*start, refs));
         }
         FrameRuns::new(out)
     }
@@ -214,18 +201,9 @@ impl SnapshotStore {
         self.frames.data(id)
     }
 
-    /// Releases one container's reference table (the inverse of
-    /// [`SnapshotStore::intern`]). Base frames stay resident until the
-    /// store itself drops.
-    pub fn release(&mut self, refs: &BTreeMap<u64, FrameId>) {
-        for &id in refs.values() {
-            self.frames.decref(id);
-        }
-        self.stats.logical_pages = self.stats.logical_pages.saturating_sub(refs.len() as u64);
-    }
-
     /// Releases one container's reference runs (the inverse of
-    /// [`SnapshotStore::intern_refs`]).
+    /// [`SnapshotStore::intern_refs`]). Base frames stay resident until
+    /// the store itself drops.
     pub fn release_runs(&mut self, refs: &mut FrameRuns) {
         let n = refs.total_pages();
         refs.release(&mut self.frames);
@@ -264,6 +242,38 @@ impl SnapshotStore {
     }
 }
 
+/// Builds a key's base image from its founding capture in one pass:
+/// one fresh store frame per page, in capture order, holding two
+/// references (the base's and the caller's), each indexed by content
+/// hash.
+fn establish(
+    store: &mut FrameTable,
+    stats: &mut StoreStats,
+    runs: &[(Vpn, Vec<FrameId>)],
+    frames: &FrameTable,
+) -> BaseImage {
+    let mut by_hash = HashIndex::default();
+    let mut out = Vec::with_capacity(runs.len());
+    for (start, ids) in runs {
+        let refs: Vec<FrameId> = ids
+            .iter()
+            .map(|&id| {
+                let data = frames.data(id);
+                let hash = data.logical_hash();
+                let fresh = store.alloc(data.clone(), Taint::Clean);
+                store.incref(fresh);
+                by_hash.insert(hash, fresh);
+                fresh
+            })
+            .collect();
+        out.push((*start, refs));
+    }
+    let pages = FrameRuns::new(out);
+    stats.dedup_misses += pages.total_pages();
+    stats.logical_pages += pages.total_pages();
+    BaseImage { pages, by_hash }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,11 +285,26 @@ mod tests {
             .collect()
     }
 
+    /// Interns `pages` as one capture: the contents are allocated in a
+    /// fresh process frame table and passed as maximal runs.
+    fn intern(s: &mut SnapshotStore, key: &str, pages: &BTreeMap<u64, FrameData>) -> FrameRuns {
+        let mut table = FrameTable::new();
+        let mut runs: Vec<(Vpn, Vec<FrameId>)> = Vec::new();
+        for (&vpn, data) in pages {
+            let id = table.alloc(data.clone(), Taint::Clean);
+            match runs.last_mut() {
+                Some((start, ids)) if start.0 + ids.len() as u64 == vpn => ids.push(id),
+                _ => runs.push((Vpn(vpn), vec![id])),
+            }
+        }
+        s.intern_refs(key, &runs, &table)
+    }
+
     #[test]
     fn first_intern_establishes_base() {
         let mut s = SnapshotStore::new();
-        let refs = s.intern("f", &image(7, 16));
-        assert_eq!(refs.len(), 16);
+        let refs = intern(&mut s, "f", &image(7, 16));
+        assert_eq!(refs.total_pages(), 16);
         assert_eq!(s.live_frames(), 16, "base only, no duplicates");
         assert_eq!(s.stats().logical_pages, 16);
         assert_eq!(s.dedup_ratio(), 1.0, "a pool of one shares nothing");
@@ -288,12 +313,12 @@ mod tests {
     #[test]
     fn identical_snapshots_dedup_fully() {
         let mut s = SnapshotStore::new();
-        let a = s.intern("f", &image(7, 16));
-        let b = s.intern("f", &image(7, 16));
+        let a = intern(&mut s, "f", &image(7, 16));
+        let b = intern(&mut s, "f", &image(7, 16));
         assert_eq!(s.live_frames(), 16, "second container adds no frames");
         assert_eq!(s.resident_bytes(), 16 * PAGE_SIZE);
         assert!((s.dedup_ratio() - 2.0).abs() < 1e-12);
-        for (va, vb) in a.values().zip(b.values()) {
+        for (va, vb) in a.iter().zip(b.iter()) {
             assert_eq!(va, vb, "shared frames are the same ids");
         }
     }
@@ -301,12 +326,12 @@ mod tests {
     #[test]
     fn differing_pages_get_private_deltas() {
         let mut s = SnapshotStore::new();
-        s.intern("f", &image(7, 16));
+        intern(&mut s, "f", &image(7, 16));
         let mut second = image(7, 16);
         second.insert(3, FrameData::Pattern(999));
         second.insert(20, FrameData::Zero); // page the base never had
-        let refs = s.intern("f", &second);
-        assert_eq!(refs.len(), 17);
+        let refs = intern(&mut s, "f", &second);
+        assert_eq!(refs.total_pages(), 17);
         assert_eq!(s.live_frames(), 18, "base 16 + delta + new page");
         assert_eq!(s.stats().dedup_hits, 15);
     }
@@ -314,8 +339,8 @@ mod tests {
     #[test]
     fn distinct_functions_do_not_share() {
         let mut s = SnapshotStore::new();
-        s.intern("f", &image(7, 8));
-        s.intern("g", &image(7, 8));
+        intern(&mut s, "f", &image(7, 8));
+        intern(&mut s, "g", &image(7, 8));
         // Same contents but different keys: bases are separate.
         assert_eq!(s.live_frames(), 16);
     }
@@ -323,10 +348,10 @@ mod tests {
     #[test]
     fn release_drops_references_but_keeps_base() {
         let mut s = SnapshotStore::new();
-        let a = s.intern("f", &image(7, 8));
-        let b = s.intern("f", &image(7, 8));
-        s.release(&a);
-        s.release(&b);
+        let mut a = intern(&mut s, "f", &image(7, 8));
+        let mut b = intern(&mut s, "f", &image(7, 8));
+        s.release_runs(&mut a);
+        s.release_runs(&mut b);
         assert_eq!(s.live_frames(), 8, "the base image stays resident");
         assert_eq!(s.stats().logical_pages, 0);
         assert_eq!(s.dedup_ratio(), 1.0);
@@ -335,7 +360,7 @@ mod tests {
     #[test]
     fn identical_deltas_dedup_across_snapshots_via_hash() {
         let mut s = SnapshotStore::new();
-        s.intern("f", &image(7, 16));
+        intern(&mut s, "f", &image(7, 16));
         // Two later containers carry the same delta page (a per-container
         // value that happens to repeat): the second must share the
         // first's delta frame through the content-hash index.
@@ -343,9 +368,9 @@ mod tests {
         second.insert(3, FrameData::Pattern(999));
         let mut third = image(7, 16);
         third.insert(3, FrameData::Pattern(999));
-        s.intern("f", &second);
+        intern(&mut s, "f", &second);
         let live_after_second = s.live_frames();
-        s.intern("f", &third);
+        intern(&mut s, "f", &third);
         assert_eq!(
             s.live_frames(),
             live_after_second,
@@ -360,42 +385,44 @@ mod tests {
     #[test]
     fn hash_dedup_catches_content_moved_to_another_vpn() {
         let mut s = SnapshotStore::new();
-        s.intern("f", &image(7, 8));
+        intern(&mut s, "f", &image(7, 8));
         // The second container has page 3's content at vpn 100 (e.g. the
         // allocator placed the same object elsewhere).
         let mut moved = image(7, 8);
         moved.remove(&3);
         moved.insert(100, FrameData::Pattern(7 ^ 3));
-        let refs = s.intern("f", &moved);
+        let refs = intern(&mut s, "f", &moved);
         assert_eq!(s.live_frames(), 8, "moved content shares the base frame");
-        assert_eq!(refs[&100], s.intern("f", &image(7, 8))[&3]);
+        let base_frame = intern(&mut s, "f", &image(7, 8)).get(Vpn(3));
+        assert_eq!(refs.get(Vpn(100)).expect("moved page"), base_frame.unwrap());
         assert_eq!(s.stats().hash_hits, 1);
     }
 
     #[test]
     fn freed_delta_frames_are_pruned_from_the_hash_index() {
         let mut s = SnapshotStore::new();
-        s.intern("f", &image(7, 4));
+        intern(&mut s, "f", &image(7, 4));
         let mut with_delta = image(7, 4);
         with_delta.insert(9, FrameData::Pattern(42));
-        let refs = s.intern("f", &with_delta);
+        let mut refs = intern(&mut s, "f", &with_delta);
         let live = s.live_frames();
-        s.release(&refs); // delta frame freed (only the caller held it)
+        s.release_runs(&mut refs); // delta frame freed (only the caller held it)
         assert_eq!(s.live_frames(), live - 1);
         // Interning the same delta again must allocate a fresh frame —
         // the stale index entry is pruned, not resurrected.
-        let refs2 = s.intern("f", &with_delta);
-        assert!(s.frames().is_live(refs2[&9]));
-        assert!(s.data(refs2[&9]).logical_eq(&FrameData::Pattern(42)));
+        let refs2 = intern(&mut s, "f", &with_delta);
+        let delta = refs2.get(Vpn(9)).expect("delta interned");
+        assert!(s.frames().is_live(delta));
+        assert!(s.data(delta).logical_eq(&FrameData::Pattern(42)));
     }
 
     #[test]
-    fn intern_refs_matches_intern() {
+    fn intern_refs_reads_contents_in_place() {
         let mut table = FrameTable::new();
-        let ids: Vec<crate::frame::FrameId> = (0..8u64)
-            .map(|v| table.alloc(FrameData::Pattern(7 ^ v), crate::taint::Taint::Clean))
+        let ids: Vec<FrameId> = (0..8u64)
+            .map(|v| table.alloc(FrameData::Pattern(7 ^ v), Taint::Clean))
             .collect();
-        let runs = vec![(crate::addr::Vpn(0), ids)];
+        let runs = vec![(Vpn(0), ids)];
         let mut s = SnapshotStore::new();
         let a = s.intern_refs("f", &runs, &table);
         assert_eq!(a.total_pages(), 8);
@@ -414,9 +441,9 @@ mod tests {
     #[test]
     fn data_resolves_logical_contents() {
         let mut s = SnapshotStore::new();
-        let refs = s.intern("f", &image(3, 4));
-        for (&vpn, &id) in &refs {
-            assert!(s.data(id).logical_eq(&FrameData::Pattern(3 ^ vpn)));
+        let refs = intern(&mut s, "f", &image(3, 4));
+        for (vpn, id) in refs.iter() {
+            assert!(s.data(id).logical_eq(&FrameData::Pattern(3 ^ vpn.0)));
         }
     }
 }

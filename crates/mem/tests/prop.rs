@@ -491,8 +491,10 @@ fn fork_isolation() {
 /// applied to a compact page and to a materialized literal page yields
 /// logically equal contents and equal content hashes — over zero and
 /// pattern bases, repeated offsets, writes that put the base word back,
-/// and every patch-count boundary (inline at 1 and 2, the heap list at
-/// 3 through 16, materialized at 17).
+/// the zero-base edges of the gap-skipping hash (words 0 and 511,
+/// adjacent words, patches holding 0), and every patch-count boundary
+/// (inline at 1 and 2, the heap list at 3 through 16, materialized at
+/// 17).
 #[test]
 fn frame_representation_independence() {
     fn check(case: u64, base: &FrameData, writes: &[(usize, u64)]) -> FrameData {
@@ -541,6 +543,22 @@ fn frame_representation_independence() {
             })
             .collect();
         check(case, &base, &writes);
+    }
+    // Zero-base edges of the gap-skipping hash: the first and last word
+    // on one page, adjacent words (no zero gap between them), and a
+    // patch holding 0 (written non-zero, then zeroed), alone and beside
+    // others.
+    let edges: [&[(usize, u64)]; 6] = [
+        &[(0, 0xA), (511, 0xB)],
+        &[(0, 1), (1, 2), (2, 3)],
+        &[(200, 7), (201, 8), (510, 9), (511, 10)],
+        &[(9, 0x55), (9, 0)],
+        &[(0, 4), (0, 0), (511, 6)],
+        &[(300, 1), (301, 2), (301, 0), (511, 3), (511, 0)],
+    ];
+    for (case, writes) in edges.into_iter().enumerate() {
+        let page = check(900 + case as u64, &FrameData::Zero, writes);
+        assert!(matches!(page, FrameData::Patched(_)), "{page:?}");
     }
     // Patch-count boundaries: `k` distinct non-base words.
     for (case, k) in [1usize, 2, 3, 16, 17].into_iter().enumerate() {
