@@ -1,5 +1,5 @@
-//! Host-side scaling of the batched touch path (`touch_batch`) vs the
-//! per-page `touch` loop.
+//! Host-side scaling of the batched touch path (`touch_batch` for the
+//! writes, `read_span` for the reads) vs the per-page `touch` loop.
 //!
 //! The rig replays the request executor's exact shape at a
 //! fleet-realistic batch size — a strided, tainted 16k-page write set
@@ -13,8 +13,9 @@
 //!   SD-WP fault and fragments/re-merges the armed extents).
 //!
 //! Both sides resolve identical pre-computed vpn sets, and the batch
-//! side *includes* the per-application batch fill (the executor pays it
-//! too), so the ratio is end-to-end honest. Counter equality between
+//! side *includes* the per-application write-batch fill (the executor
+//! pays it too; reads need none, `read_span` walks the vpn slice), so
+//! the ratio is end-to-end honest. Counter equality between
 //! the two spaces is asserted after every measurement — the rig doubles
 //! as an oracle.
 //!
@@ -164,7 +165,10 @@ impl Rig {
         }
     }
 
-    /// One application via `touch_batch`, including the batch fill.
+    /// One application the executor's way: the writes via
+    /// `touch_batch`, including the batch fill, then the reads via
+    /// `read_span` straight from the plan's vpns (no fill), with the
+    /// same scratch as its slow batch.
     fn apply_batch(&mut self, seq: u64, scratch: &mut TouchBatch) {
         let taint = Taint::One(RequestId(1));
         scratch.clear();
@@ -172,11 +176,9 @@ impl Rig {
             scratch.push(vpn, Touch::WriteWord(0x1000 ^ seq ^ i as u64), taint);
         }
         let _ = self.space.touch_batch(scratch, &mut self.frames);
-        scratch.clear();
-        for &vpn in &self.read_vpns {
-            scratch.push(vpn, Touch::Read, Taint::Clean);
-        }
-        let _ = self.space.touch_batch(scratch, &mut self.frames);
+        let _ = self
+            .space
+            .read_span(&self.read_vpns, &mut self.frames, scratch);
     }
 }
 

@@ -263,7 +263,10 @@ impl Manager {
             }
         };
         self.state = ManagerState::Executing;
-        self.last_principal = Some(principal.to_string());
+        // Reuse the previous principal's buffer: no allocation per request.
+        let last = self.last_principal.get_or_insert_with(String::new);
+        last.clear();
+        last.push_str(principal);
         self.stats.requests += 1;
         Ok(admission)
     }

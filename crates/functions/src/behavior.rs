@@ -14,15 +14,18 @@
 //! The write/read sets are *batched*: a cached
 //! [`WritePlan`](gh_runtime::WritePlan) per `(writes, reads,
 //! stride-phase)` holds the pre-sorted vpn sets (built with one region
-//! cursor, valid for the process's lifetime), each invocation replays it
-//! into the process's reusable [`gh_mem::TouchBatch`] scratch, and
-//! `Kernel::touch_batch_charged` resolves the whole batch in one
-//! extent-cursor walk, charging the aggregate fault counters. This is a
-//! host-side constant-factor win only: counters, taint, contents and
-//! the simulated timeline are bit-identical to the per-page `touch`
-//! loop it replaced (pinned by `crates/mem/tests/batch_oracle.rs` and
-//! the `bench_smoke` +0.0% gate; the `scaling_touch_*` metrics track
-//! the speedup).
+//! cursor, valid for the process's lifetime). Each invocation replays
+//! the write set into the process's reusable [`gh_mem::TouchBatch`]
+//! scratch, and `Kernel::touch_batch_charged` resolves the whole batch
+//! in one extent-cursor walk, charging the aggregate fault counters.
+//! The read set is not copied: `Kernel::read_span_charged` walks the
+//! plan's vpn slice, counts the warm pages (at most one cursor step
+//! each), and sends only the pages that fault or fail through the same
+//! scratch batch. This is a host-side constant-factor win only: counters,
+//! taint, contents and the simulated timeline are bit-identical to the
+//! per-page `touch` loop it replaced (pinned by
+//! `crates/mem/tests/batch_oracle.rs` and the `bench_smoke` +0.0% gate;
+//! the `scaling_touch_*` metrics track the speedup).
 
 use gh_mem::{FaultCounters, RequestId, Taint, Touch, Vpn};
 use gh_proc::Kernel;
@@ -139,12 +142,13 @@ impl Executor {
 
         // 4. The write set: `written_kpages` pages spread over the managed
         //    regions, plus a read set (~2x), all through the fault paths.
-        //    Steady-state invocations replay a cached `WritePlan` (the
-        //    strided sets as pre-sorted vpn batches) into the reusable
-        //    batch scratch and resolve it with `touch_batch` — one cursor
-        //    walk over the extent map instead of a page-table probe per
-        //    page. Faults, taint and contents are bit-identical to the
-        //    per-page loop (`crates/mem/tests/batch_oracle.rs`).
+        //    Steady-state invocations replay a cached `WritePlan`: the
+        //    write set goes through the reusable batch scratch and
+        //    `touch_batch` — one cursor walk over the extent map instead
+        //    of a page-table probe per page — and the read set is read
+        //    as a span straight from the plan, with the scratch as its
+        //    slow path. Faults, taint and contents are bit-identical to
+        //    the per-page loop (`crates/mem/tests/batch_oracle.rs`).
         let taint = req.taint();
         let writes = spec.written_pages();
         let total = fproc.regions().dirtyable_pages().max(1);
@@ -162,12 +166,8 @@ impl Executor {
         kernel
             .touch_batch_charged(pid, batch)
             .expect("invocation write set");
-        batch.clear();
-        for &vpn in plan.read_vpns {
-            batch.push(vpn, Touch::Read, Taint::Clean);
-        }
         kernel
-            .touch_batch_charged(pid, batch)
+            .read_span_charged(pid, plan.read_vpns, batch)
             .expect("invocation read set");
 
         // The loop-body work around those touches.

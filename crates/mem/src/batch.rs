@@ -7,6 +7,12 @@
 //! behaviours replaying a cached write plan) fill the batch once per
 //! invocation and keep the allocation alive across invocations.
 //!
+//! Read sets need no batch of their own:
+//! [`AddressSpace::read_span`](crate::AddressSpace::read_span) walks a
+//! sorted `Vpn` slice directly, counts warm pages in place, and puts
+//! only the pages that fault or fail into a scratch batch, so the same
+//! reused batch serves as the slow path of both.
+//!
 //! Semantics are defined by equivalence: applying a batch is
 //! bit-identical — same fault counters, same dirty/taint state, same
 //! page contents — to calling `touch` once per item in item order,

@@ -23,7 +23,15 @@
 //! the bulk paths never edit page by page: [`PageTable::touch_walk`]
 //! and [`PageTable::restore_walk`] resolve a whole batch or restore pass
 //! in one cursor walk and fold its edits once, and
-//! [`PageTable::remove_ranges`] evicts many ranges in one fold.
+//! [`PageTable::remove_ranges`] evicts many ranges in one fold. A read
+//! span only reads flags, through the same forward cursor
+//! ([`PageTable::cursor`]).
+//!
+//! The frame chunks live in a hash map keyed by `vpn / 512`. The walks
+//! probe it once per 512-page window, not per page or per run: the
+//! window stays open across every run or range that falls inside it.
+//! The keys are integers the table computes itself, so they hash with
+//! one multiply instead of SipHash.
 //!
 //! Invariants (checked by `AddressSpace::check_invariants`):
 //! - extents are sorted, non-empty and non-overlapping;
@@ -32,7 +40,9 @@
 //!   chunk occupancy equals the number of covering extent pages.
 
 use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::{PageRange, Vpn};
 use crate::batch::TouchItem;
@@ -135,7 +145,7 @@ fn push_extent(out: &mut Vec<(u64, ExtentMeta)>, start: u64, len: u64, flags: Pt
 
 /// Forward cursor over the sorted extents, resolving ascending vpns to
 /// their flags in amortized `O(1)` (the walks never look back).
-struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     extents: &'a [(u64, ExtentMeta)],
     /// Index of the next extent not yet passed.
     next: usize,
@@ -157,11 +167,18 @@ impl<'a> Cursor<'a> {
     /// the previous query.
     #[inline]
     fn flags(&mut self, vpn: u64) -> Option<PteFlags> {
+        self.extent(vpn).map(|(_, f)| f)
+    }
+
+    /// End and flags of the extent holding `vpn` (`None` when absent);
+    /// `vpn` must not be below the previous query.
+    #[inline]
+    pub(crate) fn extent(&mut self, vpn: u64) -> Option<(u64, PteFlags)> {
         // Hot path: the cached extent still covers vpn (typical for
         // dense sweeps) — no advance.
         if let Some((s, e, f)) = self.cur {
             if vpn >= s && vpn < e {
-                return Some(f);
+                return Some((e, f));
             }
         }
         while let Some(&(s, m)) = self.extents.get(self.next) {
@@ -173,7 +190,7 @@ impl<'a> Cursor<'a> {
         }
         self.cur
             .filter(|&(s, e, _)| vpn >= s && vpn < e)
-            .map(|(_, _, f)| f)
+            .map(|(_, e, f)| (e, f))
     }
 }
 
@@ -195,13 +212,53 @@ impl Chunk {
     }
 }
 
+/// Hashes a chunk key (`vpn / 512`, an integer the table computes
+/// itself, so it needs no flood resistance) with one multiply by the
+/// 64-bit golden ratio: the product's high bits mix every key bit, and
+/// consecutive keys keep distinct low bits.
+#[derive(Clone, Copy, Debug, Default)]
+struct ChunkKeyHasher(u64);
+
+impl Hasher for ChunkKeyHasher {
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Chunk keys are `u64`s and hash through `write_u64`; this
+        // fallback only keeps the hasher total.
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Frame chunks keyed by `vpn / 512`.
+type ChunkMap = HashMap<u64, Chunk, BuildHasherDefault<ChunkKeyHasher>>;
+
+/// The chunk `key`, created empty when absent, and whether it existed —
+/// one map probe.
+#[inline]
+fn chunk_entry(chunks: &mut ChunkMap, key: u64) -> (&mut Chunk, bool) {
+    match chunks.entry(key) {
+        Entry::Occupied(e) => (e.into_mut(), true),
+        Entry::Vacant(e) => (e.insert(Chunk::new()), false),
+    }
+}
+
 /// Extent-based page table: flag extents + chunked per-page frames.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PageTable {
     /// Extents as `(start vpn, meta)`, sorted by start.
     extents: Vec<(u64, ExtentMeta)>,
     /// Frame storage, keyed by `vpn / 512`.
-    chunks: HashMap<u64, Chunk>,
+    chunks: ChunkMap,
     /// Present pages (Σ extent lens).
     present: u64,
 }
@@ -228,6 +285,12 @@ impl PageTable {
     /// Number of extents.
     pub fn extent_count(&self) -> usize {
         self.extents.len()
+    }
+
+    /// A forward flag cursor positioned for `vpn` and anything above it
+    /// (one binary search; each later query is a cursor step).
+    pub(crate) fn cursor(&self, vpn: u64) -> Cursor<'_> {
+        Cursor::seek(&self.extents, vpn)
     }
 
     /// The extent containing `vpn`, as `(start, len, flags)`.
@@ -288,8 +351,10 @@ impl PageTable {
 
     /// Removes every present page of `ranges` (sorted, disjoint),
     /// passing each freed frame to `f` in ascending page order. One
-    /// cursor pass frees the slots and one fold edits the extents:
-    /// `O(log E + affected extents + removed pages)` plus one `splice`.
+    /// cursor pass frees the slots — one chunk probe per 512-page window,
+    /// shared by every range inside it — and one fold edits the extents:
+    /// `O(log E + affected extents + windows + removed pages)` plus one
+    /// `splice`.
     pub fn remove_ranges(&mut self, ranges: &[PageRange], mut f: impl FnMut(Vpn, FrameId)) {
         debug_assert!(
             ranges.windows(2).all(|w| w[0].end <= w[1].start),
@@ -302,29 +367,49 @@ impl PageTable {
         } = self;
         let mut edits = EDITS.take();
         edits.clear();
+        edits.extend(ranges.iter().filter(|r| !r.is_empty()).map(|r| Edit {
+            start: r.start.0,
+            len: r.len(),
+            flags: None,
+        }));
+        // The present pages to remove, as ascending `[lo, hi)` cuts: each
+        // range intersected with the extents overlapping it.
         let mut i = 0usize;
-        for &r in ranges.iter().filter(|r| !r.is_empty()) {
-            // Extents overlapping `r`, from the first ending above it.
-            i += extents[i..].partition_point(|&(s, m)| s + m.len <= r.start.0);
-            for &(s, m) in extents[i..].iter().take_while(|&&(s, _)| s < r.end.0) {
-                let cut = PageRange::new(Vpn(s), Vpn(s + m.len)).intersect(r);
-                for vpn in cut.iter() {
-                    let key = vpn.0 / CHUNK_PAGES;
-                    let chunk = chunks.get_mut(&key).expect("slot chunk");
-                    let frame = chunk.frames[(vpn.0 % CHUNK_PAGES) as usize];
-                    chunk.used -= 1;
-                    if chunk.used == 0 {
-                        chunks.remove(&key);
-                    }
-                    f(vpn, frame);
+        let mut cuts = edits.iter().flat_map(|e| {
+            let (lo, hi) = (e.start, e.start + e.len);
+            // Extents overlapping the range, from the first ending above it.
+            i += extents[i..].partition_point(|&(s, m)| s + m.len <= lo);
+            extents[i..]
+                .iter()
+                .take_while(move |&&(s, _)| s < hi)
+                .map(move |&(s, m)| (s.max(lo), (s + m.len).min(hi)))
+        });
+        let mut next = cuts.next();
+        while let Some(cut) = next {
+            let key = cut.0 / CHUNK_PAGES;
+            let w_end = (key + 1) * CHUNK_PAGES;
+            let chunk = chunks.get_mut(&key).expect("slot chunk");
+            let mut cur = cut;
+            // Every cut (or part of one) inside this window, then the
+            // first one beyond it.
+            next = loop {
+                let end = cur.1.min(w_end);
+                for vpn in cur.0..end {
+                    f(Vpn(vpn), chunk.frames[(vpn % CHUNK_PAGES) as usize]);
                 }
-                *present -= cut.len();
+                chunk.used -= (end - cur.0) as u32;
+                *present -= end - cur.0;
+                if end < cur.1 {
+                    break Some((end, cur.1));
+                }
+                match cuts.next() {
+                    Some(c) if c.0 < w_end => cur = c,
+                    beyond => break beyond,
+                }
+            };
+            if chunk.used == 0 {
+                chunks.remove(&key);
             }
-            edits.push(Edit {
-                start: r.start.0,
-                len: r.len(),
-                flags: None,
-            });
         }
         self.fold(&edits);
         EDITS.set(edits);
@@ -488,8 +573,7 @@ impl PageTable {
             // pure reads over an absent chunk creates and removes an
             // empty chunk — rare (absent windows come from minor-fault
             // sweeps, which insert) and cheap.
-            let existed = chunks.contains_key(&key);
-            let chunk = chunks.entry(key).or_insert_with(Chunk::new);
+            let (chunk, existed) = chunk_entry(chunks, key);
             let window = &items[i..j];
             for (k, it) in window.iter().enumerate() {
                 let vpn = it.vpn.0;
@@ -557,9 +641,10 @@ impl PageTable {
     /// For every page, ascending, `decide` sees the page's vpn and its
     /// current `(frame, flags)` (`None` when absent) and returns a
     /// [`BatchDecision`]. Costs one binary search to seed the extent
-    /// cursor, one chunk probe per 512-page window of each run and one
-    /// edit fold for the whole pass; state outcomes are identical to
-    /// applying the decisions page-at-a-time.
+    /// cursor, one chunk probe per 512-page window — shared by every run
+    /// inside it, so a pass of many single-page runs in one chunk probes
+    /// once — and one edit fold for the whole pass; state outcomes are
+    /// identical to applying the decisions page-at-a-time.
     ///
     /// [`touch_walk`]: PageTable::touch_walk
     pub(crate) fn restore_walk(
@@ -571,7 +656,11 @@ impl PageTable {
             runs.windows(2).all(|w| w[0].end <= w[1].start),
             "restore_walk requires sorted, disjoint runs"
         );
-        let Some(first) = runs.iter().find(|r| !r.is_empty()) else {
+        let mut pages = runs
+            .iter()
+            .filter(|r| !r.is_empty())
+            .map(|r| (r.start.0, r.end.0));
+        let Some(first) = pages.next() else {
             return;
         };
         let PageTable {
@@ -579,33 +668,36 @@ impl PageTable {
             chunks,
             present,
         } = self;
-        let mut cursor = Cursor::seek(extents, first.start.0);
+        let mut cursor = Cursor::seek(extents, first.0);
         let mut edit_runs = EDITS.take();
         edit_runs.clear();
         let mut edits = RunBuilder {
             runs: &mut edit_runs,
         };
-        for run in runs {
-            let (mut vpn, hi) = (run.start.0, run.end.0);
-            while vpn < hi {
-                let key = vpn / CHUNK_PAGES;
-                let w_hi = ((key + 1) * CHUNK_PAGES).min(hi);
-                let existed = chunks.contains_key(&key);
-                let chunk = chunks.entry(key).or_insert_with(Chunk::new);
-                while vpn < w_hi {
+        let mut next = Some(first);
+        while let Some(run) = next {
+            let key = run.0 / CHUNK_PAGES;
+            let w_end = (key + 1) * CHUNK_PAGES;
+            let (chunk, existed) = chunk_entry(chunks, key);
+            let mut cur = run;
+            // Every run (or part of one) inside this window, then the
+            // first one beyond it.
+            next = loop {
+                let end = cur.1.min(w_end);
+                for vpn in cur.0..end {
                     let slot = (vpn % CHUNK_PAGES) as usize;
-                    let cur = cursor.flags(vpn).map(|f| (chunk.frames[slot], f));
-                    match decide(vpn, cur) {
+                    let state = cursor.flags(vpn).map(|f| (chunk.frames[slot], f));
+                    match decide(vpn, state) {
                         BatchDecision::Skip => {}
                         BatchDecision::Insert { frame, flags } => {
-                            debug_assert!(cur.is_none(), "Insert over a present page");
+                            debug_assert!(state.is_none(), "Insert over a present page");
                             chunk.frames[slot] = frame;
                             chunk.used += 1;
                             *present += 1;
                             edits.push(vpn, flags);
                         }
                         BatchDecision::Update { frame, flags } => {
-                            let (old_frame, old_flags) = cur.expect("Update on an absent page");
+                            let (old_frame, old_flags) = state.expect("Update on an absent page");
                             if let Some(f) = frame.filter(|&f| f != old_frame) {
                                 chunk.frames[slot] = f;
                             }
@@ -614,11 +706,17 @@ impl PageTable {
                             }
                         }
                     }
-                    vpn += 1;
                 }
-                if chunk.used == 0 && !existed {
-                    chunks.remove(&key);
+                if end < cur.1 {
+                    break Some((end, cur.1));
                 }
+                match pages.next() {
+                    Some(r) if r.0 < w_end => cur = r,
+                    beyond => break beyond,
+                }
+            };
+            if chunk.used == 0 && !existed {
+                chunks.remove(&key);
             }
         }
         self.fold(&edit_runs);

@@ -13,7 +13,9 @@
 //! one `VpnIndex` per tracked page property (soft-dirty, userfaultfd log,
 //! request taint, and the changes since the last snapshot), so
 //! `soft_dirty_pages()` and friends are `O(dirty)` scans rather than full
-//! page-table walks.
+//! page-table walks. Clearing follows the same rule:
+//! [`VpnIndex::clear_runs`] clears a whole restore pass's runs in one
+//! forward pass, visiting only the set leaves under them.
 //!
 //! An index is cleared and refilled on every request, so a group's leaf
 //! array is not freed when the group empties: it goes to a per-thread
@@ -201,48 +203,53 @@ impl VpnIndex {
         self.len = 0;
     }
 
-    /// Clears every bit inside `range`. Work is proportional to the set
-    /// bits and materialized groups intersecting the range, not to the
-    /// range's width.
-    pub fn clear_range(&mut self, range: PageRange) {
-        if range.is_empty() {
-            return;
-        }
-        let first_group = range.start.0 / GROUP_BITS;
-        let last_group = (range.end.0 - 1) / GROUP_BITS;
-        let mut i = self.groups.partition_point(|grp| grp.key < first_group);
-        while let Some(group) = self.groups.get_mut(i).filter(|grp| grp.key <= last_group) {
-            let base = group.key * GROUP_BITS;
-            let mut summary = group.summary;
-            while summary != 0 {
-                let l = summary.trailing_zeros() as usize;
-                summary &= summary - 1;
-                let leaf_base = base + l as u64 * LEAF_BITS;
-                // Mask of bits of this leaf inside the range.
-                let lo = range.start.0.saturating_sub(leaf_base).min(LEAF_BITS);
-                let hi = range.end.0.saturating_sub(leaf_base).min(LEAF_BITS);
-                if lo >= hi {
-                    continue;
-                }
-                let width = hi - lo;
-                let mask = if width == LEAF_BITS {
-                    u64::MAX
-                } else {
-                    ((1u64 << width) - 1) << lo
-                };
-                let hit = group.leaves[l] & mask;
-                if hit != 0 {
-                    self.len -= hit.count_ones() as u64;
-                    group.leaves[l] &= !mask;
-                    if group.leaves[l] == 0 {
-                        group.summary &= !(1u64 << l);
+    /// Clears every bit inside `runs` (sorted, disjoint, possibly
+    /// adjacent or empty) in one forward pass over the groups. In each
+    /// group a run overlaps, only the non-empty leaves the run covers are
+    /// visited — its summary is masked to the run's leaves first — so the
+    /// work is proportional to the runs and the set leaves under them,
+    /// not to the runs' width or to the rest of the group.
+    pub fn clear_runs(&mut self, runs: &[PageRange]) {
+        debug_assert!(
+            runs.windows(2).all(|w| w[0].end <= w[1].start),
+            "clear_runs requires sorted, disjoint runs"
+        );
+        let mut i = 0usize;
+        for run in runs.iter().filter(|r| !r.is_empty()) {
+            let (lo, hi) = (run.start.0, run.end.0);
+            let last_group = (hi - 1) / GROUP_BITS;
+            i += self.groups[i..].partition_point(|grp| grp.key < lo / GROUP_BITS);
+            while let Some(group) = self.groups.get_mut(i).filter(|grp| grp.key <= last_group) {
+                let base = group.key * GROUP_BITS;
+                // Leaves `first..=last` of this group lie under the run.
+                let first = (lo.max(base) - base) / LEAF_BITS;
+                let last = (hi.min(base + GROUP_BITS) - 1 - base) / LEAF_BITS;
+                let under = (u64::MAX >> (63 - last)) & (u64::MAX << first);
+                let mut summary = group.summary & under;
+                while summary != 0 {
+                    let l = summary.trailing_zeros() as usize;
+                    summary &= summary - 1;
+                    let leaf_base = base + l as u64 * LEAF_BITS;
+                    // Bits of this leaf inside the run.
+                    let b_lo = lo.saturating_sub(leaf_base);
+                    let b_hi = (hi - leaf_base).min(LEAF_BITS);
+                    let mask = (u64::MAX >> (LEAF_BITS - (b_hi - b_lo))) << b_lo;
+                    let hit = group.leaves[l] & mask;
+                    if hit != 0 {
+                        self.len -= hit.count_ones() as u64;
+                        group.leaves[l] &= !mask;
+                        if group.leaves[l] == 0 {
+                            group.summary &= !(1u64 << l);
+                        }
                     }
                 }
-            }
-            if group.summary == 0 {
-                self.retire(i);
-            } else {
-                i += 1;
+                if group.summary == 0 {
+                    self.retire(i);
+                } else if group.key < last_group {
+                    i += 1;
+                } else {
+                    break; // the next run may continue in this group
+                }
             }
         }
     }
@@ -365,7 +372,9 @@ mod tests {
         for p in 0..10_000u64 {
             ix.set(Vpn(p * 3));
         }
-        ix.clear_range(PageRange::new(Vpn(3000), Vpn(15_000)));
+        ix.clear_runs(&[PageRange::new(Vpn(3000), Vpn(15_000))]);
+        // An empty run and a run over no set bit change nothing.
+        ix.clear_runs(&[PageRange::at(Vpn(3001), 0), PageRange::at(Vpn(20_000), 1)]);
         for p in 0..10_000u64 {
             let vpn = Vpn(p * 3);
             assert_eq!(
@@ -379,9 +388,51 @@ mod tests {
             .filter(|p| !(3000..15_000).contains(&(p * 3)))
             .count() as u64;
         assert_eq!(ix.len(), expect);
-        ix.clear_range(PageRange::new(Vpn(0), Vpn(1 << 32)));
+        ix.clear_runs(&[PageRange::new(Vpn(0), Vpn(1 << 32))]);
         assert!(ix.is_empty());
         assert_eq!(ix.group_count(), 0);
+    }
+
+    /// `clear_runs` against a `BTreeSet` model: seeded sets spread over a
+    /// few groups, cleared by seeded sorted runs (single pages, runs
+    /// crossing leaf and group edges, adjacent runs, empty runs).
+    #[test]
+    fn clear_runs_matches_btreeset_model() {
+        use std::collections::BTreeSet;
+        let mut rng = gh_sim::DetRng::new(0xC1EA);
+        let span = 3 * GROUP_BITS + 100;
+        for round in 0..200 {
+            let mut ix = VpnIndex::new();
+            let mut model = BTreeSet::new();
+            for _ in 0..rng.next_below(600) {
+                let v = 5_000 + rng.next_below(span);
+                ix.set(Vpn(v));
+                model.insert(v);
+            }
+            let mut runs = Vec::new();
+            let mut at = 5_000 + rng.next_below(200);
+            while at < 5_000 + span {
+                let len = match rng.next_below(4) {
+                    0 => 0,
+                    1 => 1,
+                    2 => rng.next_below(70),
+                    _ => rng.next_below(2 * GROUP_BITS),
+                };
+                runs.push(PageRange::at(Vpn(at), len));
+                at += len + rng.next_below(3) * rng.next_below(300);
+            }
+            ix.clear_runs(&runs);
+            for r in &runs {
+                model.retain(|&v| !r.contains(Vpn(v)));
+            }
+            let got: Vec<u64> = ix.iter().map(|v| v.0).collect();
+            let want: Vec<u64> = model.iter().copied().collect();
+            assert_eq!(got, want, "round {round}");
+            assert_eq!(ix.len(), model.len() as u64, "round {round}: len");
+            let groups: BTreeSet<u64> = model.iter().map(|v| v / GROUP_BITS).collect();
+            assert_eq!(ix.group_count(), groups.len(), "round {round}: groups");
+            ix.clear_all();
+        }
     }
 
     #[test]
@@ -402,7 +453,7 @@ mod tests {
         other.set(Vpn(123_456));
         assert_eq!(spares(), 2, "a new group reuses a spare leaf array");
         assert_eq!(other.to_vec(), vec![Vpn(123_456)]);
-        other.clear_range(PageRange::new(Vpn(0), Vpn(1 << 30)));
+        other.clear_runs(&[PageRange::new(Vpn(0), Vpn(1 << 30))]);
         assert!(other.is_empty());
         assert_eq!(spares(), 3);
     }

@@ -42,12 +42,20 @@
 //!   fold, instead of a search and a `set_flags` split per page —
 //!   bit-identical in counters, dirty/taint state and contents to the
 //!   per-page loop (pinned by the `batch_oracle` differential test);
+//! - **read spans** ([`space::AddressSpace::read_span`]): an ascending
+//!   read set walked by extent, VMA and lazy-pending cursors, where a
+//!   warm page costs at most one cursor step (a run of them inside one
+//!   extent and VMA costs one step, then a comparison per page) and
+//!   every other page is handed, in order, to `touch_batch` — the
+//!   executor's read path, pinned by the same oracle;
 //! - **batched restore passes** ([`space::AddressSpace::restore_runs`],
 //!   [`space::AddressSpace::evict_runs`]): the writeback, stack-zero and
 //!   madvise passes each mutate the page table in one ordered walk and
-//!   one edit fold, with outcomes identical to the per-page
-//!   `restore_page`/`zero_page`/`evict_page` loops down to frame-id
-//!   order (pinned by the same oracle);
+//!   one edit fold — one frame-chunk probe per 512-page window, one VMA
+//!   lookup per VMA crossed, one forward index pass
+//!   ([`index::VpnIndex::clear_runs`]) — with outcomes identical to the
+//!   per-page `restore_page`/`zero_page`/`evict_page` loops down to
+//!   frame-id order (pinned by the same oracle);
 //! - **fault accounting** ([`space::FaultCounters`]): every minor, CoW,
 //!   soft-dirty, userfaultfd and lazy-restore fault is counted so the
 //!   cost model can charge it to the virtual clock — the in-function

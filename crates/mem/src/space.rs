@@ -41,10 +41,17 @@
 //!   `touch` loop pays a search and a per-page `set_flags` split per
 //!   item — with bit-identical counters, dirty/taint state and contents
 //!   (the request-execution hot path of `gh_functions::Executor`);
+//! - [`AddressSpace::read_span`] reads an ascending vpn slice with one
+//!   extent, one VMA and one lazy-pending cursor: a warm page costs at
+//!   most one cursor step and a comparison, and only the pages that
+//!   fault or fail go, in order, through `touch_batch` (the executor's
+//!   read set);
 //! - [`AddressSpace::restore_runs`] and [`AddressSpace::evict_runs`] do
 //!   the same for the restorer's writeback and stack-zero passes and its
-//!   madvise pass: one walk and one edit fold per pass, identical to the
-//!   per-page loops down to frame-id allocation order.
+//!   madvise pass: one walk and one edit fold per pass — one frame-chunk
+//!   probe per 512-page window across the runs in it, one VMA lookup per
+//!   VMA crossed, one forward [`VpnIndex::clear_runs`] pass — identical
+//!   to the per-page loops down to frame-id allocation order.
 //!
 //! # Change indices
 //!
@@ -1046,6 +1053,116 @@ impl AddressSpace {
         }
     }
 
+    /// Reads every page of `vpns` — bit-identical to calling
+    /// [`AddressSpace::touch`] with [`Touch::Read`] once per page in
+    /// slice order with per-page errors ignored — as a **span**: one
+    /// extent cursor, one VMA cursor and one cursor over the lazy-pending
+    /// set walk the ascending slice. A *warm* page (present, not
+    /// TLB-cold, in a readable VMA, no pending lazy obligation) costs at
+    /// most one cursor step: the first page of a quiet run takes it, and
+    /// the cursors bound the run — the end of the page's extent, of its
+    /// VMA and the next pending page — so every later page of the slice
+    /// below that bound is one comparison. The run's pages are added to
+    /// `warm` at once. A warm read changes nothing but that count, so it
+    /// commutes with every other read of the span.
+    ///
+    /// Every other page — absent, TLB-cold, lazy-pending, unmapped or
+    /// unreadable, and each later duplicate of such a page — goes, in
+    /// order, into `slow` (cleared first; the caller's reused scratch),
+    /// which [`AddressSpace::touch_batch`] then applies: the only slow
+    /// path. An unsorted slice goes into `slow` whole, so it takes
+    /// `touch_batch`'s per-item fallback.
+    ///
+    /// Returns the aggregate fault counters (also accumulated into
+    /// [`AddressSpace::counters`]) and the number of pages that errored.
+    pub fn read_span(
+        &mut self,
+        vpns: &[Vpn],
+        frames: &mut FrameTable,
+        slow: &mut TouchBatch,
+    ) -> BatchOutcome {
+        let before = self.counters;
+        slow.clear();
+        let Some(first) = vpns.first() else {
+            return BatchOutcome::default();
+        };
+        let mut cursor = self.pt.cursor(first.0);
+        let mut lazy = self.lazy_pending.range(first.0..).map(|(&v, _)| v);
+        let mut next_lazy = lazy.next();
+        // `(range, readable)` of the VMA — or the unmapped gap — that held
+        // the last page looked up: one tree lookup per VMA or gap crossed.
+        let mut vma: Option<(PageRange, bool)> = None;
+        let mut warm = 0u64;
+        let mut i = 0usize;
+        // The highest page handled so far.
+        let mut last = first.0;
+        while let Some(&vpn) = vpns.get(i) {
+            if vpn.0 < last {
+                // Unsorted: every page takes the per-item path.
+                slow.clear();
+                for &v in vpns {
+                    slow.push(v, Touch::Read, Taint::Clean);
+                }
+                warm = 0;
+                break;
+            }
+            while next_lazy.is_some_and(|v| v < vpn.0) {
+                next_lazy = lazy.next();
+            }
+            let (vma_end, readable) = match vma {
+                Some((range, readable)) if range.contains(vpn) => (range.end.0, readable),
+                _ => {
+                    let (range, readable) = match self.vma_at(vpn) {
+                        Some(v) => (v.range, v.perms.r),
+                        None => {
+                            // The gap up to the next VMA.
+                            let end = self.vmas.range(vpn.0..).next();
+                            let end = Vpn(end.map_or(u64::MAX, |(&s, _)| s));
+                            (PageRange::new(vpn, end), false)
+                        }
+                    };
+                    vma = Some((range, readable));
+                    (range.end.0, readable)
+                }
+            };
+            match cursor.extent(vpn.0) {
+                Some((extent_end, flags))
+                    if readable
+                        && next_lazy != Some(vpn.0)
+                        && !flags.contains(PteFlags::TLB_COLD) =>
+                {
+                    // Every page from `vpn` up to the end of its extent,
+                    // its VMA and the next pending page is warm: count the
+                    // ascending run of the slice below that bound.
+                    let quiet_end = extent_end.min(vma_end).min(next_lazy.unwrap_or(u64::MAX));
+                    let from = i;
+                    while let Some(&v) = vpns.get(i) {
+                        if v.0 >= quiet_end || v.0 < last {
+                            break;
+                        }
+                        last = v.0;
+                        i += 1;
+                    }
+                    warm += (i - from) as u64;
+                }
+                _ => {
+                    // This page and its duplicates take the slow path.
+                    while vpns.get(i) == Some(&vpn) {
+                        slow.push(vpn, Touch::Read, Taint::Clean);
+                        i += 1;
+                    }
+                    last = vpn.0;
+                }
+            }
+        }
+        self.counters.warm += warm;
+        let failed = self.touch_batch(slow, frames).failed;
+        BatchOutcome {
+            faults: self.counters.since(before),
+            failed,
+        }
+    }
+
     /// The cursor-walk core of [`AddressSpace::touch_batch`]: items are
     /// sorted and none has a pending lazy obligation. Returns the count
     /// of errored (skipped) items. Mirrors
@@ -1656,14 +1773,20 @@ impl AddressSpace {
         taint: Taint,
         frames: &mut FrameTable,
     ) -> Result<(), AccessError> {
-        // Whole-set VMA coverage. Unlike the per-page loop this rejects
+        // Whole-set VMA coverage, with a forward cursor: one tree lookup
+        // per VMA the runs cross. Unlike the per-page loop this rejects
         // the set before any write, but the restorer aborts on the first
         // error either way.
+        let mut vma: Option<PageRange> = None;
         for run in runs {
             let mut v = run.start;
             while v < run.end {
-                let vma = self.vma_at(v).ok_or(AccessError::Unmapped(v))?;
-                v = Vpn(vma.range.end.0.min(run.end.0));
+                let range = match vma {
+                    Some(range) if range.contains(v) => range,
+                    _ => self.vma_at(v).ok_or(AccessError::Unmapped(v))?.range,
+                };
+                vma = Some(range);
+                v = Vpn(range.end.0.min(run.end.0));
             }
         }
         self.pt.restore_walk(runs, |vpn, cur| {
@@ -1694,14 +1817,12 @@ impl AddressSpace {
             }
         });
         // `sync_taint_bit` per page, run-wise.
-        for &run in runs {
-            if taint.is_tainted() {
-                for vpn in run.iter() {
-                    self.tainted.set(vpn);
-                }
-            } else {
-                self.tainted.clear_range(run);
+        if taint.is_tainted() {
+            for vpn in runs.iter().flat_map(|run| run.iter()) {
+                self.tainted.set(vpn);
             }
+        } else {
+            self.tainted.clear_runs(runs);
         }
         Ok(())
     }
@@ -1729,10 +1850,8 @@ impl AddressSpace {
         });
         // Index bits are only ever set on present pages, so clearing the
         // whole ranges clears exactly the evicted pages' bits.
-        for &range in ranges {
-            self.dirty.clear_range(range);
-            self.tainted.clear_range(range);
-        }
+        self.dirty.clear_runs(ranges);
+        self.tainted.clear_runs(ranges);
     }
 
     /// Zeroes a page in place (stack zeroing during restore; the

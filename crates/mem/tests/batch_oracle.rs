@@ -7,15 +7,17 @@
 //!
 //! - `AddressSpace::touch_batch` vs the per-page `touch` loop (the
 //!   request-execution hot path, `gh_functions::Executor`);
+//! - `AddressSpace::read_span` vs a per-page `touch(vpn, Read, Clean)`
+//!   loop (the executor's read set);
 //! - the restore passes: multi-run writeback (`restore_runs`) vs a
 //!   `restore_page` loop, multi-range eviction (`evict_runs`) vs an
 //!   `evict_page` loop, and stack zeroing through the writeback walk vs
 //!   a `zero_page` loop.
 //!
 //! After every step the test pins *full* equivalence: fault counters,
-//! extent structure, per-page flags and frame ids, soft-dirty and taint
-//! index contents, logical page bytes, uffd logs, lazy-pending sets and
-//! live-frame counts. This is the contract the simulated timelines rely
+//! extent structure, per-page flags and frame ids, soft-dirty, taint and
+//! change index contents, logical page bytes, uffd logs, lazy-pending
+//! sets and live-frame counts. This is the contract the simulated timelines rely
 //! on to stay bit-identical.
 
 use std::collections::BTreeMap;
@@ -23,8 +25,8 @@ use std::collections::BTreeMap;
 use gh_sim::DetRng;
 
 use gh_mem::{
-    AccessError, AddressSpace, FrameData, FrameId, FrameTable, LazyPageSource, PageRange, Perms,
-    PteFlags, RequestId, SpaceConfig, Taint, Touch, TouchBatch, VmaKind, Vpn,
+    AccessError, AddressSpace, BatchOutcome, FrameData, FrameId, FrameTable, LazyPageSource,
+    PageRange, Perms, PteFlags, RequestId, SpaceConfig, Taint, Touch, TouchBatch, VmaKind, Vpn,
 };
 
 /// A pair of spaces driven in lockstep: `a` by per-page touches, `b` by
@@ -100,6 +102,32 @@ impl Pair {
         self.assert_equiv(ctx);
     }
 
+    /// Reads `vpns` per page in `a` (errors ignored, as the executor's
+    /// loop did) and as one `read_span` in `b`, then checks equivalence.
+    /// Returns `b`'s outcome.
+    fn read(&mut self, vpns: &[Vpn], ctx: &str) -> BatchOutcome {
+        let mut loop_failed = 0u64;
+        for &vpn in vpns {
+            loop_failed += self
+                .a
+                .touch(vpn, Touch::Read, Taint::Clean, &mut self.fa)
+                .is_err() as u64;
+        }
+        let before = self.b.counters();
+        let outcome = self.b.read_span(vpns, &mut self.fb, &mut self.batch);
+        assert_eq!(
+            self.b.counters().since(before),
+            outcome.faults,
+            "{ctx}: returned delta disagrees with the accumulator"
+        );
+        assert_eq!(
+            outcome.failed, loop_failed,
+            "{ctx}: failed count disagrees with the loop's errors"
+        );
+        self.assert_equiv(ctx);
+        outcome
+    }
+
     fn assert_equiv(&self, ctx: &str) {
         assert_eq!(self.a.counters(), self.b.counters(), "{ctx}: counters");
         assert_eq!(
@@ -125,6 +153,13 @@ impl Pair {
             self.b.lazy_pending_vpns(),
             "{ctx}: lazy pending"
         );
+        let changes = |s: &AddressSpace| {
+            let (mut fresh, mut dropped) = (Vec::new(), Vec::new());
+            s.fresh_runs_into(&mut fresh);
+            s.dropped_runs_into(&mut dropped);
+            (s.change_epoch(), fresh, dropped)
+        };
+        assert_eq!(changes(&self.a), changes(&self.b), "{ctx}: change indices");
         assert_eq!(
             self.fa.live(),
             self.fb.live(),
@@ -413,6 +448,192 @@ fn at(off: i64, len: u64) -> PageRange {
     PageRange::at(Vpn((BASE as i64 + off) as u64), len)
 }
 
+/// Every `step`-th page of `range`.
+fn every(range: PageRange, step: usize) -> Vec<Vpn> {
+    range.iter().step_by(step).collect()
+}
+
+/// The read-span rig: an anonymous VMA `[BASE+300, BASE+800)` across
+/// the chunk boundary at `BASE+512`, half of it written in, then a
+/// snapshot point (change baseline + soft-dirty arming).
+fn read_rig() -> Pair {
+    let mut p = Pair::new();
+    p.mmap_fixed(at(300, 500), VmaKind::Anon);
+    let page_in: Vec<_> = every(at(300, 500), 2)
+        .into_iter()
+        .map(|v| (v, Touch::WriteWord(v.0), Taint::One(RequestId(1))))
+        .collect();
+    p.apply(&page_in, "page-in");
+    p.a.reset_change_baseline();
+    p.b.reset_change_baseline();
+    p.a.clear_soft_dirty();
+    p.b.clear_soft_dirty();
+    p
+}
+
+/// Warm pages cost a span step each: all counted warm, none slow.
+#[test]
+fn read_span_warm_pages_match() {
+    let mut p = read_rig();
+    let vpns = every(at(300, 500), 2);
+    let out = p.read(&vpns, "warm span");
+    assert_eq!(out.faults.warm, vpns.len() as u64);
+    assert_eq!(out.faults.total_faults(), 0);
+    assert!(p.batch.is_empty(), "no warm page goes to the slow batch");
+}
+
+/// Absent pages — every other page, and a dense run across the chunk
+/// boundary at `BASE+512` — take minor faults in slice order (equal
+/// frame ids) and enter the change index, warm ones in between.
+#[test]
+fn read_span_absent_pages_match() {
+    let mut p = read_rig();
+    let out = p.read(&at(300, 500).iter().collect::<Vec<_>>(), "half absent");
+    assert_eq!((out.faults.minor, out.faults.warm), (250, 250));
+    let mut p = read_rig();
+    let mut vpns = every(at(301, 200), 2); // absent pages below the boundary
+    vpns.extend(at(501, 30).iter()); // dense, across BASE+512
+    vpns.extend(every(at(600, 200), 3));
+    p.read(&vpns, "absent across the chunk boundary");
+    assert!(p.b.pte(Vpn(BASE + 512)).is_some() && p.b.pte(Vpn(BASE + 513)).is_some());
+}
+
+/// A fork child's pages are TLB-cold: its first reads take `tlb_cold`
+/// faults, not warm counts; the second span is warm.
+#[test]
+fn read_span_tlb_cold_fork_child_matches() {
+    let mut p = read_rig();
+    let child_a = p.a.fork(&mut p.fa);
+    let child_b = p.b.fork(&mut p.fb);
+    let mut parent_a = std::mem::replace(&mut p.a, child_a);
+    let mut parent_b = std::mem::replace(&mut p.b, child_b);
+    let vpns = every(at(300, 500), 3);
+    let out = p.read(&vpns, "tlb-cold child");
+    assert!(out.faults.tlb_cold > 0 && out.faults.minor > 0);
+    let out = p.read(&vpns, "child again");
+    assert_eq!(out.faults.warm, vpns.len() as u64, "second span is warm");
+    parent_a.release_all(&mut p.fa);
+    parent_b.release_all(&mut p.fb);
+    p.assert_equiv("after parent teardown");
+}
+
+/// Unmapped pages and guard pages (no read permission) fail — counted
+/// in `failed` — without disturbing the pages around them.
+#[test]
+fn read_span_unmapped_and_guard_pages_match() {
+    let mut p = read_rig();
+    let hole = at(400, 6);
+    p.a.munmap(hole, &mut p.fa).unwrap();
+    p.b.munmap(hole, &mut p.fb).unwrap();
+    let guard = at(450, 2);
+    p.a.munmap(guard, &mut p.fa).unwrap();
+    p.b.munmap(guard, &mut p.fb).unwrap();
+    p.a.mmap_fixed(guard, Perms::NONE, VmaKind::Guard).unwrap();
+    p.b.mmap_fixed(guard, Perms::NONE, VmaKind::Guard).unwrap();
+    // Below the VMA, the hole, the guard, warm and absent pages, and
+    // past the VMA's end.
+    let mut vpns = vec![Vpn(BASE + 290), Vpn(BASE + 299)];
+    vpns.extend(at(395, 64).iter());
+    vpns.extend([Vpn(BASE + 799), Vpn(BASE + 800), Vpn(BASE + 5000)]);
+    let out = p.read(&vpns, "holes and guards");
+    assert_eq!(out.failed, 2 + 6 + 2 + 2);
+}
+
+/// Lazy-armed pages interleaved with warm ones take their lazy faults
+/// in slice order; the warm ones between them stay warm.
+#[test]
+fn read_span_lazy_interleaved_matches() {
+    let mut p = read_rig();
+    let arm = || -> BTreeMap<u64, LazyPageSource> {
+        every(at(300, 500), 2)
+            .into_iter()
+            .filter(|v| v.0 % 3 == 0)
+            .map(|v| (v.0, LazyPageSource::Data(FrameData::Pattern(v.0 ^ 0x1A2))))
+            .collect()
+    };
+    p.a.arm_lazy(arm());
+    p.b.arm_lazy(arm());
+    let vpns = every(at(300, 300), 2);
+    let out = p.read(&vpns, "lazy interleaved");
+    assert!(out.faults.lazy > 0 && out.faults.warm > out.faults.lazy);
+    // Pending pages no span read stay pending, equally in both worlds.
+    p.read(
+        &every(at(301, 498), 2),
+        "absent pages beside the pending ones",
+    );
+    assert!(p.b.lazy_pending_len() > 0);
+}
+
+/// One long extent under several VMAs — a no-read window, a read-only
+/// window — with pending pages inside it: a quiet run of warm pages
+/// stops at the end of its VMA and at the next pending page.
+#[test]
+fn read_span_quiet_runs_stop_at_vma_and_lazy_bounds() {
+    let mut p = Pair::new();
+    p.mmap_fixed(at(300, 500), VmaKind::Anon);
+    let page_in: Vec<_> = at(300, 500)
+        .iter()
+        .map(|v| (v, Touch::WriteWord(v.0), Taint::Clean))
+        .collect();
+    p.apply(&page_in, "dense page-in");
+    for (range, perms) in [(at(500, 8), Perms::NONE), (at(600, 8), Perms::R)] {
+        p.a.mprotect(range, perms).unwrap();
+        p.b.mprotect(range, perms).unwrap();
+    }
+    p.a.clear_soft_dirty();
+    p.b.clear_soft_dirty();
+    assert_eq!(p.b.extent_count(), 1, "one extent under four VMAs");
+    let arm = || -> BTreeMap<u64, LazyPageSource> {
+        every(at(700, 30), 7)
+            .into_iter()
+            .map(|v| (v.0, LazyPageSource::Data(FrameData::Pattern(v.0 ^ 0x3C))))
+            .collect()
+    };
+    p.a.arm_lazy(arm());
+    p.b.arm_lazy(arm());
+    let vpns: Vec<_> = at(300, 500).iter().collect();
+    let out = p.read(&vpns, "dense span");
+    assert_eq!(out.failed, 8, "the no-read window fails");
+    assert_eq!(out.faults.lazy, 5, "every pending page faults");
+    assert_eq!(out.faults.warm, 500 - 8 - 5);
+}
+
+/// Duplicates of warm, absent, TLB-cold and unmapped pages: the first
+/// copy of a slow page faults, its later copies see the result.
+#[test]
+fn read_span_duplicate_vpns_match() {
+    let mut p = read_rig();
+    p.a.munmap(at(700, 4), &mut p.fa).unwrap();
+    p.b.munmap(at(700, 4), &mut p.fb).unwrap();
+    let mut vpns = Vec::new();
+    for v in at(296, 420).iter().step_by(5) {
+        for _ in 0..1 + v.0 % 3 {
+            vpns.push(v);
+        }
+    }
+    p.read(&vpns, "duplicates");
+    let child_a = p.a.fork(&mut p.fa);
+    let child_b = p.b.fork(&mut p.fb);
+    let mut parent_a = std::mem::replace(&mut p.a, child_a);
+    let mut parent_b = std::mem::replace(&mut p.b, child_b);
+    p.read(&vpns, "duplicates of tlb-cold pages");
+    parent_a.release_all(&mut p.fa);
+    parent_b.release_all(&mut p.fb);
+}
+
+/// An unsorted slice takes the per-item path whole, even when its
+/// sorted prefix is long, and stays equivalent.
+#[test]
+fn read_span_unsorted_slice_matches() {
+    let mut p = read_rig();
+    let mut vpns: Vec<_> = at(300, 200).iter().collect();
+    vpns.extend((0..200).rev().map(|i| Vpn(BASE + 500 + i)));
+    vpns.push(Vpn(BASE + 310));
+    let out = p.read(&vpns, "unsorted");
+    assert!(!p.batch.is_sorted() && p.batch.len() == vpns.len());
+    assert!(out.faults.minor > 0 && out.faults.warm > 0);
+}
+
 /// The restore-side rig: an anonymous VMA `[BASE-200, BASE+60)` and a
 /// file VMA `[BASE+60, BASE+700)` that cannot merge with it, straddling
 /// the chunk boundaries at `BASE` and `BASE+512`, driven into every
@@ -449,6 +670,10 @@ fn restore_rig() -> (Pair, BTreeMap<u64, (FrameId, FrameId)>) {
         .collect();
     p.apply(&more, "page-in above");
     p.capture(at(400, 50), &mut held);
+    // The snapshot point: later presence changes land in the change
+    // indices.
+    p.a.reset_change_baseline();
+    p.b.reset_change_baseline();
     p.a.clear_soft_dirty();
     p.b.clear_soft_dirty();
     // A request dirties and taints every third page, then drops a
@@ -633,4 +858,110 @@ fn unmapped_restore_set_errors_before_writing() {
     assert_eq!(calls, 0, "no page resolved before the coverage check");
     assert!(before == state(&p.b, &p.fb), "nothing was written");
     release(&mut p, held);
+}
+
+/// Single-page runs from sorted page offsets (relative to `BASE`).
+fn single_pages(mut offs: Vec<i64>) -> Vec<PageRange> {
+    offs.sort_unstable();
+    offs.dedup();
+    offs.into_iter().map(|o| at(o, 1)).collect()
+}
+
+/// Many single-page runs — inside one chunk, across the chunk boundary
+/// at `BASE+512`, and across three VMAs — in one `restore_runs` walk
+/// equal a `restore_page` loop, frame ids included.
+#[test]
+fn single_page_runs_match_page_loop() {
+    let one_chunk = single_pages((0..70).map(|k| 3 + 7 * k).collect());
+    let two_chunks = single_pages((480..=560).step_by(2).chain([509, 511, 513]).collect());
+    let three_vmas = single_pages((-190..790).step_by(13).chain([699, 700, 701]).collect());
+    for (name, runs) in [
+        ("one chunk", one_chunk),
+        ("two chunks", two_chunks),
+        ("three VMAs", three_vmas),
+    ] {
+        let (mut p, held) = restore_rig();
+        p.mmap_fixed(at(700, 100), VmaKind::Anon);
+        for r in &runs {
+            let data = saved(&held, r.start, &p.fa, false);
+            p.a.restore_page(r.start, &data, Taint::Clean, &mut p.fa)
+                .unwrap();
+        }
+        p.b.restore_runs(
+            &runs,
+            |v, f| saved(&held, v, f, true),
+            Taint::Clean,
+            &mut p.fb,
+        )
+        .unwrap();
+        p.assert_equiv(name);
+        // Tainted single-page runs set the taint index page by page.
+        let taint = Taint::One(RequestId(4));
+        for r in &runs {
+            p.a.restore_page(r.start, &FrameData::Zero, taint, &mut p.fa)
+                .unwrap();
+        }
+        p.b.restore_runs(&runs, |_, _| FrameData::Zero, taint, &mut p.fb)
+            .unwrap();
+        p.assert_equiv(&format!("{name}, tainted"));
+        release(&mut p, held);
+        p.assert_equiv(&format!("{name}, released"));
+    }
+}
+
+/// A run in an unmapped gap, or running past the last of three VMAs,
+/// after valid single-page runs in the other VMAs: the coverage cursor
+/// errors before any page is written.
+#[test]
+fn unmapped_single_page_run_after_three_vmas_errors() {
+    for (runs, bad) in [
+        (single_pages(vec![-100, 100, 705]), 705),
+        (single_pages(vec![-100, 100, 720, 800]), 800),
+        (vec![at(-100, 1), at(650, 1), at(790, 20)], 800),
+    ] {
+        let (mut p, held) = restore_rig();
+        p.mmap_fixed(at(710, 90), VmaKind::Anon);
+        let live = p.fb.live();
+        let mut calls = 0u64;
+        let err = p.b.restore_runs(
+            &runs,
+            |v, _| {
+                calls += 1;
+                FrameData::Pattern(v.0)
+            },
+            Taint::Clean,
+            &mut p.fb,
+        );
+        assert_eq!(err, Err(AccessError::Unmapped(Vpn(BASE + bad))));
+        assert_eq!(calls, 0, "no page resolved before the coverage check");
+        assert_eq!(p.fb.live(), live, "nothing was written");
+        p.assert_equiv("after the rejected set");
+        release(&mut p, held);
+    }
+}
+
+/// The madvise pass over many one-page ranges inside one chunk, then
+/// over one-page ranges across the chunk boundary: one `evict_runs`
+/// fold equals an `evict_page` loop, down to the frame free order.
+#[test]
+fn single_page_eviction_matches_page_loop() {
+    let one_chunk = single_pages((0..90).map(|k| 2 + 5 * k).collect());
+    let two_chunks = single_pages((490..=540).chain([-3, -1, 0, 699]).collect());
+    for (name, ranges) in [("one chunk", one_chunk), ("two chunks", two_chunks)] {
+        let (mut p, held) = restore_rig();
+        for r in &ranges {
+            p.a.evict_page(r.start, &mut p.fa);
+        }
+        p.b.evict_runs(&ranges, &mut p.fb);
+        p.assert_equiv(name);
+        // Re-faulting pops the freed frames: equal ids mean equal free
+        // order.
+        let refault: Vec<_> = ranges
+            .iter()
+            .map(|r| (r.start, Touch::WriteWord(6), Taint::Clean))
+            .collect();
+        p.apply(&refault, &format!("{name}, re-fault"));
+        release(&mut p, held);
+        p.assert_equiv(&format!("{name}, released"));
+    }
 }

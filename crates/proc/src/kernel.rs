@@ -214,6 +214,23 @@ impl Kernel {
         self.run_charged(pid, |p, frames| p.mem.touch_batch(batch, frames))
     }
 
+    /// Reads the ascending page set `vpns` inside `pid` as one span
+    /// ([`AddressSpace::read_span`](gh_mem::AddressSpace::read_span):
+    /// warm pages cost at most a cursor step, every other page goes through
+    /// `slow`, the caller's reused scratch batch) and charges the
+    /// aggregate fault counters in one shot — the request read path.
+    /// Accounting and timeline equal [`Kernel::run_charged`] around a
+    /// per-page `touch(vpn, Read, Clean)` loop. Returns the span's fault
+    /// counters and the charged time.
+    pub fn read_span_charged(
+        &mut self,
+        pid: Pid,
+        vpns: &[gh_mem::Vpn],
+        slow: &mut gh_mem::TouchBatch,
+    ) -> Result<(gh_mem::BatchOutcome, Nanos), ProcError> {
+        self.run_charged(pid, |p, frames| p.mem.read_span(vpns, frames, slow))
+    }
+
     /// POSIX `fork`: clones the address space copy-on-write and **only the
     /// calling (main) thread** — other threads do not exist in the child,
     /// which is why fork-based isolation cannot serve multi-threaded
@@ -342,6 +359,39 @@ mod tests {
         assert_eq!(k.clock.now() - t0, dt);
         // The accumulator saw the same counts a touch loop would feed it.
         assert_eq!(k.take_fault_accum().minor, 64);
+    }
+
+    #[test]
+    fn read_span_charged_matches_loop_accounting() {
+        use gh_mem::{TouchBatch, Vpn};
+        let mut k = Kernel::boot();
+        let pid = k.spawn("f");
+        let r = k
+            .run_charged(pid, |p, _| {
+                p.mem.mmap(64, Perms::RW, VmaKind::Anon).unwrap()
+            })
+            .unwrap()
+            .0;
+        let vpns: Vec<Vpn> = r.iter().step_by(2).collect();
+        let mut slow = TouchBatch::new();
+        // First span: every page is absent and takes a minor fault.
+        let t0 = k.clock.now();
+        let (outcome, dt) = k.read_span_charged(pid, &vpns, &mut slow).unwrap();
+        assert_eq!(outcome.faults.minor, 32);
+        assert_eq!(outcome.failed, 0);
+        assert_eq!(
+            dt,
+            k.cost.minor_fault * 32,
+            "aggregate charge == Σ per-page"
+        );
+        assert_eq!(k.clock.now() - t0, dt);
+        // Second span: every page is warm and none goes to the slow batch.
+        let (outcome, _) = k.read_span_charged(pid, &vpns, &mut slow).unwrap();
+        assert_eq!(outcome.faults.warm, 32);
+        assert_eq!(outcome.faults.total_faults(), 0);
+        assert!(slow.is_empty(), "warm pages skip the slow batch");
+        let acc = k.take_fault_accum();
+        assert_eq!((acc.minor, acc.warm), (32, 32));
     }
 
     #[test]

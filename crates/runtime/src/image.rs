@@ -133,6 +133,9 @@ pub struct FunctionProcess {
     /// Cached write/read plans + batch scratch for the request executor,
     /// all derived from `regions`.
     plans: crate::plan::PlanCache,
+    /// The arenas the last layout churn mapped, kept so the next churn
+    /// reuses the list's allocation.
+    churned: Vec<PageRange>,
 }
 
 /// Word index of the GC clock on the runtime-state page.
@@ -293,6 +296,7 @@ impl FunctionProcess {
             regions,
             invocations: 0,
             plans: crate::plan::PlanCache::new(),
+            churned: Vec::new(),
         }
     }
 
@@ -331,6 +335,7 @@ impl FunctionProcess {
             regions: self.regions.clone(),
             invocations: self.invocations,
             plans: crate::plan::PlanCache::new(),
+            churned: Vec::new(),
         }
     }
 
@@ -419,7 +424,8 @@ impl FunctionProcess {
         if churn.mmaps == 0 && churn.munmaps == 0 && churn.brk_growth == 0 {
             return 0;
         }
-        let mut new_regions: Vec<PageRange> = Vec::new();
+        let new_regions = &mut self.churned;
+        new_regions.clear();
         kernel
             .run_charged(self.pid, |proc, frames| {
                 for _ in 0..churn.mmaps {

@@ -4,8 +4,10 @@
 //! read set over the image's writable regions. Computed naively that is
 //! one `ImageRegions::dirtyable_page` binary search *per touch, per
 //! request*; computed here it is a [`WritePlan`] — the write and read
-//! sets materialized once as pre-sorted vpn vectors — that steady-state
-//! invocations replay straight into a [`TouchBatch`].
+//! sets materialized once as pre-sorted vpn vectors. Steady-state
+//! invocations replay the write set straight into a [`TouchBatch`] and
+//! read the read set in place, as one span
+//! (`gh_mem::AddressSpace::read_span`).
 //!
 //! Write sets are keyed by `(writes, phase)` — the stride phase varies
 //! with the request sequence number, rotating the write set across the
@@ -30,7 +32,8 @@ use crate::image::ImageRegions;
 const MAX_PLANS: usize = 64;
 
 /// A borrowed view of one request shape's touch addressing: pre-sorted
-/// write and read vpn sets, ready to replay into a [`TouchBatch`].
+/// write and read vpn sets, the writes ready to replay into a
+/// [`TouchBatch`], the reads to read as a span.
 #[derive(Clone, Copy, Debug)]
 pub struct WritePlan<'a> {
     /// The strided write set, ascending (`dirtyable_page(i·wstride +
@@ -41,8 +44,9 @@ pub struct WritePlan<'a> {
 }
 
 /// Per-process plan cache plus the reusable [`TouchBatch`] scratch the
-/// executor fills from the active plan each invocation (no per-request
-/// allocation in steady state).
+/// executor fills from the active plan's write set each invocation and
+/// hands to the read span as its slow batch (no per-request allocation
+/// in steady state).
 #[derive(Debug, Default)]
 pub struct PlanCache {
     /// Write sets keyed by `(writes, phase)`.
