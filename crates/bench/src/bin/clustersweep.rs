@@ -20,7 +20,7 @@
 //! across modes (the cluster differential oracle), so the CSV is
 //! byte-stable under the CI determinism matrix.
 
-use gh_bench::{smoke, write_csv};
+use gh_bench::{smoke, write_sweep};
 use gh_faas::cluster::{run_cluster, ClusterConfig, PlacePolicy};
 use gh_faas::trace::{stable_rps, synthetic_catalog, TraceConfig};
 use gh_isolation::StrategyKind;
@@ -78,7 +78,7 @@ fn main() {
         }
     }
     println!("{}", table.render());
-    write_csv("clustersweep", &table);
+    write_sweep("clustersweep", &table);
     println!(
         "Expected shape: function-affinity shows the largest imbalance (the Zipf \
          head lands whole on single nodes) and the worst p99 at high node counts; \

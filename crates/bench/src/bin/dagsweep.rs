@@ -24,7 +24,7 @@
 //! idempotence ledger) as deterministic.
 
 use gh_bench::harness::{run_cells, serial_requested};
-use gh_bench::{smoke, write_csv};
+use gh_bench::{smoke, write_sweep};
 use gh_faas::fault::{FaultConfig, RetryPolicy};
 use gh_faas::trace::synthetic_catalog;
 use gh_faas::workflow::migrate::{run_migrating_dags, MigrateConfig, MigrateResult};
@@ -117,7 +117,7 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    write_csv("dagsweep", &table);
+    write_sweep("dagsweep", &table);
 
     // In-sweep oracle: within a (width, rates) pair, the migrate-on and
     // migrate-off rows must land on the same final KV fingerprint when

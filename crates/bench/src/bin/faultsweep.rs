@@ -25,7 +25,7 @@
 //! failover, accounting) as deterministic.
 
 use gh_bench::harness::{run_cells, serial_requested};
-use gh_bench::{smoke, write_csv};
+use gh_bench::{smoke, write_sweep};
 use gh_faas::cluster::{run_cluster_with, ClusterConfig, ClusterResult, PlacePolicy};
 use gh_faas::fault::{FaultConfig, RetryPolicy};
 use gh_faas::fleet::ExecMode;
@@ -129,7 +129,7 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    write_csv("faultsweep", &table);
+    write_sweep("faultsweep", &table);
     println!(
         "Expected shape: the zero-rate rows reproduce the fault-free cluster \
          exactly (the disabled plan adds no events and draws no RNG). Each \

@@ -20,7 +20,7 @@
 //! determinism job diffs exactly that).
 
 use gh_bench::harness::{run_cells, serial_requested};
-use gh_bench::{smoke, write_csv};
+use gh_bench::{smoke, write_sweep};
 use gh_faas::fleet::{run_fleet, FleetConfig, RoutePolicy};
 use gh_functions::catalog::by_name;
 use gh_isolation::StrategyKind;
@@ -90,7 +90,7 @@ fn main() {
         table.row_owned(row);
     }
     println!("{}", table.render());
-    write_csv("fleetsweep", &table);
+    write_sweep("fleetsweep", &table);
 
     // Second axis: isolation strategy. BASE pays no restore, so its
     // sojourn floor is the reference GH must track at every pool size.
@@ -132,7 +132,7 @@ fn main() {
         strat.row_owned(row);
     }
     println!("{}", strat.render());
-    write_csv("fleetsweep_strategies", &strat);
+    write_sweep("fleetsweep_strategies", &strat);
     println!(
         "Expected shape: at low load all policies coincide (restores hide in idle \
          gaps on every container). As offered load approaches the pooled capacity, \

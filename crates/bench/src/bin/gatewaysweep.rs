@@ -18,7 +18,7 @@
 //! determinism matrix diffs exactly that.
 
 use gh_bench::harness::{run_cells, serial_requested};
-use gh_bench::{smoke, write_csv};
+use gh_bench::{smoke, write_sweep};
 use gh_faas::fleet::{AutoscaleConfig, FleetConfig, RoutePolicy};
 use gh_faas::gateway::{run_gateway_fleet, GatewayFleetConfig, GatewayResult};
 use gh_gateway::admission::AdmissionConfig;
@@ -139,7 +139,7 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    write_csv("gatewaysweep", &table);
+    write_sweep("gatewaysweep", &table);
     println!(
         "Expected shape: hit ratio climbs with the idempotent fraction and lifts \
          goodput roughly in proportion (hits leave the backend untouched); a hot \

@@ -7,9 +7,11 @@
 //!
 //! - every **node** hosts a pool per function deployed to it (its
 //!   replica set, see [`place`]) and drives all of its pools through
-//!   one node-local [`gh_sim::event::EventQueue`] — restore-aware
-//!   scheduling, admission queues and overlap accounting all work
-//!   per-node exactly as in [`crate::fleet`];
+//!   the fleet's dispatch kernel on one node-local
+//!   [`gh_sim::event::EventQueue`] — restore-aware scheduling,
+//!   admission queues, overlap accounting and the attempt semantics
+//!   under faults (crash, park, retry within the node, abandon, restore
+//!   failure) are the fleet's own, not a copy;
 //! - the **front-end** ([`Placer`]) assigns each trace event to a node
 //!   using only deterministic coordinator state (cursors, expected
 //!   work), never node progress;
@@ -68,13 +70,13 @@ pub mod scale;
 use gh_functions::FunctionSpec;
 use gh_gateway::{GatewayConfig, GatewayStats};
 use gh_isolation::{StrategyError, StrategyKind};
-use gh_sim::event::EventQueue;
 use gh_sim::stats::throughput_rps;
 use gh_sim::{Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
-use crate::fleet::{par, DepthTracker, ExecMode, Pending, Pool, RoutePolicy, Router};
+use crate::fleet::backend::{Backend, Event, Tally};
+use crate::fleet::{ExecMode, Pending, Pool, RoutePolicy, Router};
 use crate::trace::{TraceConfig, TraceEvent, TraceGen};
 
 pub use front::{FrontDecision, GatewayFront};
@@ -219,16 +221,13 @@ pub struct ClusterResult {
 
 /// One node's raw outcome, before the cluster merge.
 struct NodeResult {
-    completed: u64,
-    sojourns: QuantileSketch,
-    depth: DepthTracker,
+    tally: Tally,
     restore_total: Nanos,
     restore_hidden: Nanos,
     lazy_faults: u64,
     busy: Nanos,
     containers: u32,
     span_end: Nanos,
-    faults: FaultStats,
 }
 
 /// The coordinator fold's output: every node's backend-bound arrivals
@@ -362,19 +361,10 @@ fn fold(
     })
 }
 
-/// Node-local events: a trace arrival reaching the node, a container
-/// (pool, slot) finishing its restore, or a parked retry (token into
-/// the node's park table) coming due after its backoff.
-enum NodeEv {
-    Arrival,
-    Ready(u32, u32),
-    Retry(u32),
-}
-
 /// Runs node `node`'s entire timeline: drives the pools deployed on it
-/// through one local event queue, fed by `arrivals`, the node's list
-/// from the coordinator [`fold`]. Pure: no shared state, so serial and
-/// parallel callers get identical results.
+/// through the dispatch kernel's event queue, fed by `arrivals`, the
+/// node's list from the coordinator [`fold`]. Pure: no shared state, so
+/// serial and parallel callers get identical results.
 fn run_node(
     node: usize,
     arrivals: &[TraceEvent],
@@ -391,7 +381,6 @@ fn run_node(
     // node timelines are independent of which host thread runs them.
     let mut pools: Vec<Pool> = Vec::new();
     let mut routers: Vec<Router> = Vec::new();
-    let mut restore_cost: Vec<Nanos> = Vec::new();
     let mut pool_of: Vec<Option<u32>> = vec![None; nf];
     for (f, spec) in catalog.iter().enumerate().take(nf) {
         if !placer.hosts(node, f) {
@@ -407,158 +396,57 @@ fn run_node(
             seed,
         )?);
         routers.push(Router::new(RoutePolicy::RoundRobin));
-        restore_cost.push(Nanos::from_millis_f64(spec.paper_restore_ms));
     }
     let containers: u32 = pools.iter().map(|p| p.slots.len() as u32).sum();
     let principals: Vec<String> = (0..trace_cfg.principals)
         .map(|p| format!("user-{p}"))
         .collect();
 
-    // Fault plan, if armed. Draws are pure hashes of (seed, request,
-    // attempt), so a node's own faults stay node-pure.
-    let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
-    let reroute = plan.map(|p| p.config().retry.reroute).unwrap_or(false);
-
-    let mut feed = arrivals.iter();
-    let mut events: EventQueue<NodeEv> = EventQueue::new();
-    let mut upcoming = feed.next();
-    if let Some(ev) = upcoming {
-        events.schedule(ev.at, NodeEv::Arrival);
-    }
-    let mut sojourns = QuantileSketch::new();
-    let mut depth = DepthTracker::new();
-    let mut completed = 0u64;
-    let mut queued = 0usize;
-    // Park table for killed requests awaiting their backoff: token →
-    // (pending, pool, slot it died on). Retries stay on this node —
+    // Fault draws are pure hashes of (seed, request, attempt), so a
+    // node's own faults stay node-pure. Retries stay on this node —
     // rerouting moves them to another container in the same pool, never
     // across nodes, so node timelines remain pure.
-    let mut parked: Vec<Option<(Pending, usize, usize)>> = Vec::new();
-    let mut parked_live = 0usize;
-    let mut fstats = FaultStats::default();
+    let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
+    let mut k: Backend = Backend::new(plan);
+    let mut feed = arrivals.iter();
+    let mut upcoming = feed.next();
+    if let Some(ev) = upcoming {
+        k.events.schedule(ev.at, Event::Arrival);
+    }
 
-    while let Some((now, ev)) = events.pop() {
-        let (pi, si) = match ev {
-            NodeEv::Arrival => {
+    while let Some((now, ev)) = k.events.pop() {
+        match ev {
+            Event::Arrival => {
                 let a = upcoming.take().expect("arrival without a trace event");
                 let pi = pool_of[a.fn_id as usize].expect("placed on a non-replica") as usize;
-                let pool = &mut pools[pi];
-                let si = routers[pi].route(
-                    now,
-                    &principals[a.principal as usize],
-                    restore_cost[pi],
-                    &pool.slots,
-                );
-                pool.slots[si].queue.push(Pending {
+                let pending = Pending {
                     id: a.seq,
                     principal: principals[a.principal as usize].clone(),
-                    input_kb: pool.spec.input_kb,
+                    input_kb: pools[pi].spec.input_kb,
                     arrival: a.at,
                     payload_hash: a.payload_hash,
                     idempotent: a.idempotent,
                     attempt: 1,
-                });
-                queued += 1;
-                depth.record(queued);
+                };
+                let si = k.admit(now, &mut pools, &mut routers, pi, pending);
                 upcoming = feed.next();
                 if let Some(next) = upcoming {
-                    events.schedule(next.at, NodeEv::Arrival);
+                    k.events.schedule(next.at, Event::Arrival);
                 }
-                (pi, si)
+                k.dispatch(now, &mut pools, pi, si)?;
             }
-            NodeEv::Ready(pi, si) => (pi as usize, si as usize),
-            NodeEv::Retry(token) => {
-                let (p, pi, died_si) = parked[token as usize]
-                    .take()
-                    .expect("retry token fired twice");
-                parked_live -= 1;
-                let si = if reroute {
-                    routers[pi].route_avoiding(
-                        now,
-                        &p.principal,
-                        restore_cost[pi],
-                        &pools[pi].slots,
-                        Some(died_si),
-                    )
-                } else {
-                    died_si
-                };
-                pools[pi].slots[si].queue.push(p);
-                queued += 1;
-                depth.record(queued);
-                (pi, si)
+            Event::Ready(pi, si) => {
+                k.ready(now, &mut pools, pi as usize, si as usize)?;
             }
-        };
-        match &plan {
-            None => {
-                if let Some(d) = pools[pi].slots[si].dispatch(now)? {
-                    sojourns.record_nanos(d.sojourn);
-                    completed += 1;
-                    queued -= 1;
-                    events.schedule(d.ready_at, NodeEv::Ready(pi as u32, si as u32));
-                }
+            Event::Retry(token) => {
+                let (pi, si) = k.retry(now, token, &mut pools, &mut routers);
+                k.dispatch(now, &mut pools, pi, si)?;
             }
-            Some(pl) => {
-                let slot = &mut pools[pi].slots[si];
-                let head = if slot.idle_at(now) {
-                    slot.queue.peek().map(|p| (p.id, p.attempt))
-                } else {
-                    None
-                };
-                if let Some((id, attempt)) = head {
-                    if let Some(frac) = pl.death(id, attempt) {
-                        let (mut pending, ready) =
-                            slot.crash(now, frac).expect("idle slot with a queued head");
-                        queued -= 1;
-                        fstats.deaths += 1;
-                        if pl.death_after_commit(id, attempt) {
-                            fstats.duplicates += 1;
-                        }
-                        if attempt < pl.max_attempts() {
-                            fstats.retries += 1;
-                            pending.attempt += 1;
-                            let backoff_at = now + pl.backoff(attempt);
-                            let retry_at = if reroute {
-                                backoff_at
-                            } else {
-                                backoff_at.max(ready)
-                            };
-                            let token = parked.len() as u32;
-                            parked.push(Some((pending, pi, si)));
-                            parked_live += 1;
-                            events.schedule(retry_at, NodeEv::Retry(token));
-                        } else {
-                            fstats.abandoned += 1;
-                        }
-                        events.schedule(ready, NodeEv::Ready(pi as u32, si as u32));
-                    } else if let Some(d) = slot.dispatch(now)? {
-                        sojourns.record_nanos(d.sojourn);
-                        completed += 1;
-                        queued -= 1;
-                        let ready = if pl.restore_failure(id, attempt) {
-                            fstats.restore_failures += 1;
-                            slot.fail_restore()
-                        } else {
-                            d.ready_at
-                        };
-                        events.schedule(ready, NodeEv::Ready(pi as u32, si as u32));
-                    }
-                }
-            }
-        }
-        if matches!(ev, NodeEv::Ready(..)) {
-            depth.record(queued);
         }
     }
-    // Release-mode conservation: the node's input is a known list, so
-    // every arrival must have completed or been abandoned after deaths.
-    assert_eq!(queued, 0, "queues must drain");
-    assert_eq!(parked_live, 0, "every parked retry must fire");
-    assert_eq!(
-        completed + fstats.abandoned,
-        arrivals.len() as u64,
-        "node {node}: every arrival completes or is abandoned"
-    );
+    // The node's input is a known list: every arrival must have
+    // completed or been abandoned after deaths.
+    let tally = k.finish(arrivals.len());
 
     let mut restore_total = Nanos::ZERO;
     let mut restore_hidden = Nanos::ZERO;
@@ -578,16 +466,13 @@ fn run_node(
         }
     }
     Ok(NodeResult {
-        completed,
-        sojourns,
-        depth,
+        tally,
         restore_total,
         restore_hidden,
         lazy_faults,
         busy,
         containers,
         span_end,
-        faults: fstats,
     })
 }
 
@@ -601,22 +486,16 @@ fn merge(
     ccfg: &ClusterConfig,
     fold: &Fold,
 ) -> ClusterResult {
-    let mut sojourns = QuantileSketch::new();
-    let mut depth = DepthTracker::new();
-    let mut completed = 0u64;
+    let mut t = Tally::default();
     let mut restore_total = Nanos::ZERO;
     let mut restore_hidden = Nanos::ZERO;
     let mut lazy_faults = 0u64;
     let mut busy = Nanos::ZERO;
     let mut containers = 0u32;
     let mut span_end = trace_cfg.origin;
-    let mut faults = FaultStats::default();
     let mut per_node = Vec::with_capacity(nodes.len());
     for n in &nodes {
-        sojourns.merge(&n.sojourns);
-        depth.merge(&n.depth);
-        faults.merge(&n.faults);
-        completed += n.completed;
+        t.merge(&n.tally);
         restore_total += n.restore_total;
         restore_hidden += n.restore_hidden;
         lazy_faults += n.lazy_faults;
@@ -624,20 +503,27 @@ fn merge(
         containers += n.containers;
         span_end = span_end.max(n.span_end);
         per_node.push(NodeLoad {
-            completed: n.completed,
+            completed: n.tally.completed as u64,
             containers: n.containers,
             busy_ms: n.busy.as_millis_f64(),
         });
     }
-    faults.node_losses += fold.failovers.iter().sum::<u64>();
-    faults.abandoned += fold.all_down;
+    t.faults.node_losses += fold.failovers.iter().sum::<u64>();
+    t.faults.abandoned += fold.all_down;
     if let Some(f) = &fold.front {
         // Cache hits are served requests with front-side sojourns; the
         // span is untouched (hits never run on a node). With a disabled
         // gateway both counts are zero and the merge is the identity.
-        completed += f.hits;
-        sojourns.merge(&fold.hit_sojourns);
+        t.completed += f.hits as usize;
+        t.sojourns.merge(&fold.hit_sojourns);
     }
+    let Tally {
+        sojourns,
+        depth,
+        completed,
+        faults,
+    } = t;
+    let completed = completed as u64;
     let span = span_end - trace_cfg.origin;
     let utilization = if span.is_zero() || containers == 0 {
         0.0
@@ -751,17 +637,7 @@ fn run_nodes(
     gh: &GroundhogConfig,
     mode: ExecMode,
 ) -> Result<Vec<NodeResult>, StrategyError> {
-    let threads = match mode {
-        ExecMode::Serial => 1,
-        ExecMode::Parallel { threads } => threads,
-        ExecMode::Auto => {
-            if par::serial_requested() {
-                1
-            } else {
-                par::configured_threads()
-            }
-        }
-    };
+    let threads = mode.threads();
     let n = ccfg.nodes;
     let node = |i: usize| {
         run_node(

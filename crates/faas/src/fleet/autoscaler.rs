@@ -7,6 +7,7 @@
 //! virtual timeline, separated by a cooldown so one burst triggers one
 //! scale step, not a stampede.
 
+use gh_isolation::StrategyError;
 use gh_sim::Nanos;
 
 use super::pool::Pool;
@@ -109,6 +110,28 @@ impl Autoscaler {
             }
         }
         None
+    }
+
+    /// One observation at a scheduling event, applied to `pool` — the
+    /// step every pool driver takes. Returns the grown slot and its
+    /// readiness time, for the driver to announce on its timeline.
+    pub(crate) fn step(
+        &mut self,
+        now: Nanos,
+        pool: &mut Pool,
+    ) -> Result<Option<(usize, Nanos)>, StrategyError> {
+        let Some(action) = self.observe(now, pool) else {
+            return Ok(None);
+        };
+        let grown = match action {
+            ScaleAction::Grow => Some(pool.grow(now)?),
+            ScaleAction::Retire(idx) => {
+                pool.retire(idx);
+                None
+            }
+        };
+        self.applied(now, action);
+        Ok(grown)
     }
 
     /// Records that the proposed action was applied at `now`.

@@ -22,7 +22,12 @@
 //! - [`queue::AdmissionQueue`] — requests buffered until the container
 //!   is provably clean (§4.5), with queue-depth percentile tracking;
 //! - [`autoscaler::Autoscaler`] — optional queue-depth-driven growth and
-//!   idle retirement.
+//!   idle retirement;
+//! - `backend` — the dispatch kernel. Every loop that drives pools (this
+//!   module's serial loop, [`crate::gateway`]'s, each [`crate::cluster`]
+//!   node's) admits, attempts and retries through it, so crash,
+//!   recovery, park, backoff, retry, abandon and restore failure are
+//!   defined once. A fault-free run is the same loop with no fault plan.
 //!
 //! A pool of one with the round-robin policy reproduces the single
 //! container open-loop semantics exactly (see [`crate::openloop`]).
@@ -47,11 +52,13 @@
 //! [`RoutePolicy::RoundRobin`] (least-loaded and restore-aware
 //! routing read container state at arrival time, an arrival→readiness
 //! data dependence), an autoscaler is configured (growth/retirement
-//! mutates the pool mid-run), the pool has fewer than two slots, fewer
-//! than two threads are available, or the caller forced it
-//! ([`ExecMode::Serial`], `--serial`, `GH_SERIAL=1`).
+//! mutates the pool mid-run), faults are injected (crash and retry
+//! events make readiness depend on arrivals), the pool has fewer than
+//! two slots, fewer than two threads are available, or the caller forced
+//! it ([`ExecMode::Serial`], `--serial`, `GH_SERIAL=1`).
 
 pub mod autoscaler;
+pub(crate) mod backend;
 pub(crate) mod par;
 pub mod pool;
 pub mod queue;
@@ -65,6 +72,8 @@ use gh_sim::{DetRng, Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
+use backend::{Backend, Event, Tally};
+use par::ShardEv;
 
 pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use par::ExecMode;
@@ -199,18 +208,6 @@ pub struct FleetResult {
     pub stats: FleetStats,
 }
 
-/// Events on the fleet's global virtual timeline.
-#[derive(Clone, Copy, Debug)]
-enum Event {
-    /// A client request reaches the router.
-    Arrival,
-    /// A container's restore completed; it is provably clean.
-    Ready(usize),
-    /// A killed request's backoff elapsed; re-queue the parked retry at
-    /// this token (fault-injecting runs only).
-    Retry(usize),
-}
-
 /// Per-slot counter baseline captured at run start (busy, restore
 /// total, restore hidden, served, lazy faults, drained pages).
 pub(crate) type Baseline = (Nanos, Nanos, Nanos, u64, u64, u64);
@@ -220,6 +217,16 @@ fn drained(s: &Slot) -> u64 {
     match &s.container.strategy {
         gh_isolation::Strategy::Gh(m) => m.stats.lazy_drained_pages,
         _ => 0,
+    }
+}
+
+/// The issuing principal of the next arrival: `"client"` when the
+/// workload has one principal, else a uniform draw from `rng`.
+fn draw_principal(principals: usize, rng: &mut DetRng) -> String {
+    if principals <= 1 {
+        "client".to_string()
+    } else {
+        format!("user-{}", rng.next_below(principals as u64))
     }
 }
 
@@ -237,12 +244,9 @@ pub struct Fleet {
     pub(crate) router: Router,
     pub(crate) autoscaler: Option<Autoscaler>,
     /// Fault plan, present only when injection is active — `None` keeps
-    /// every run on the exact fault-free code path (no extra events, no
-    /// extra draws), which is what the fault oracle's bit-identity arm
-    /// pins.
-    pub(crate) faults: Option<FaultPlan>,
-    /// Accounting from the most recent faulty run.
-    pub(crate) fault_stats: FaultStats,
+    /// every run free of fault draws, retries and their events, which
+    /// is what the fault oracle's bit-identity arm pins.
+    plan: Option<FaultPlan>,
 }
 
 impl Fleet {
@@ -255,17 +259,15 @@ impl Fleet {
             cfg,
             router,
             autoscaler,
-            faults: None,
-            fault_stats: FaultStats::default(),
+            plan: None,
         }
     }
 
     /// Arms fault injection. A config with all rates zero is treated as
     /// absent, so a disabled plan cannot perturb the run even in
-    /// principle — the fault-free path is the same machine code either
-    /// way.
+    /// principle.
     pub fn with_faults(mut self, cfg: FaultConfig) -> Fleet {
-        self.faults = cfg.is_active().then(|| FaultPlan::new(cfg));
+        self.plan = cfg.is_active().then(|| FaultPlan::new(cfg));
         self
     }
 
@@ -332,39 +334,15 @@ impl Fleet {
         requests: usize,
         mode: ExecMode,
     ) -> Result<FleetResult, StrategyError> {
-        if requests == 0 {
-            // Degenerate run: identical (and empty) in every mode.
-            let t_start = Self::span_start(pool);
-            let baseline = Self::baselines(pool);
-            return Ok(self.finish(
-                pool,
-                t_start,
-                &baseline,
-                &DepthTracker::new(),
-                &QuantileSketch::new(),
-                0,
-            ));
-        }
-        let threads = match mode {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel { threads } => threads,
-            ExecMode::Auto => {
-                if par::serial_requested() {
-                    1
-                } else {
-                    par::configured_threads()
-                }
-            }
-        };
-        if self.faults.is_some() {
-            // Faulty runs take the dedicated serial loop: crash/retry
-            // events create arrival→readiness data dependences the
-            // shard/merge scheme cannot express. (Cluster runs still
-            // parallelize across *nodes* with faults on — see
-            // `crate::cluster` — because node timelines stay pure.)
-            return self.run_serial_faulty(pool, requests);
-        }
-        let eligible = threads >= 2
+        let threads = mode.threads();
+        // Faulty runs stay serial: crash/retry events create
+        // arrival→readiness data dependences the shard/merge scheme
+        // cannot express. (Cluster runs still parallelize across *nodes*
+        // with faults on — see `crate::cluster` — because node timelines
+        // stay pure.)
+        let eligible = requests > 0
+            && threads >= 2
+            && self.plan.is_none()
             && self.cfg.policy == RoutePolicy::RoundRobin
             && self.autoscaler.is_none()
             && pool.slots.len() >= 2;
@@ -376,7 +354,8 @@ impl Fleet {
     }
 
     /// The bit-exact serial reference: one global event loop on the
-    /// caller's thread.
+    /// caller's thread, every attempt through the dispatch kernel
+    /// ([`backend`]). A fault-free run is the same loop with no plan.
     fn run_serial(
         &mut self,
         pool: &mut Pool,
@@ -386,303 +365,65 @@ impl Fleet {
         let t_start = Self::span_start(pool);
         let offered_rps = self.cfg.offered_rps;
         let baseline = Self::baselines(pool);
-        // The router predicts the critical-path cost of routing a
-        // principal to a container that must roll back first (§4.4's
-        // deferred-restore mode) from the paper's measured restore time.
-        let restore_cost = Nanos::from_millis_f64(pool.spec.paper_restore_ms);
         let mut arrival_rng = DetRng::new(self.cfg.seed ^ 0x09E4_100D);
         // A separate stream: principal draws must not perturb the
         // arrival process (single-principal runs stay bit-identical to
         // the original open-loop harness).
         let mut principal_rng = DetRng::new(self.cfg.seed ^ 0x7E4A_4175);
-        let mut events: EventQueue<Event> = EventQueue::new();
+        let mut k: Backend = Backend::new(self.plan);
         let mut next_arrival = t_start;
-        next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-        events.schedule(next_arrival, Event::Arrival);
-        let mut generated = 1usize;
-        let mut next_id = 1u64;
-
-        let mut depth = DepthTracker::new();
-        // Sojourns feed a fixed-size sketch in integer nanoseconds —
-        // stats memory stays constant at 10⁶–10⁷ requests per run.
-        let mut sojourns = QuantileSketch::new();
-        let mut completed = 0usize;
-
-        while let Some((now, ev)) = events.pop() {
-            match ev {
-                Event::Arrival => {
-                    let id = next_id;
-                    next_id += 1;
-                    let principal = if self.cfg.principals <= 1 {
-                        "client".to_string()
-                    } else {
-                        format!(
-                            "user-{}",
-                            principal_rng.next_below(self.cfg.principals as u64)
-                        )
-                    };
-                    let idx = self
-                        .router
-                        .route(now, &principal, restore_cost, &pool.slots);
-                    pool.slots[idx].queue.push(Pending {
-                        id,
-                        principal,
-                        input_kb,
-                        arrival: now,
-                        payload_hash: 0,
-                        idempotent: false,
-                        attempt: 1,
-                    });
-                    depth.record(pool.queued());
-                    if generated < requests {
-                        next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-                        events.schedule(next_arrival, Event::Arrival);
-                        generated += 1;
-                    }
-                    if let Some(d) = pool.slots[idx].dispatch(now)? {
-                        sojourns.record_nanos(d.sojourn);
-                        completed += 1;
-                        events.schedule(d.ready_at, Event::Ready(idx));
-                    }
-                    self.autoscale(now, pool, &mut events)?;
-                }
-                Event::Ready(idx) => {
-                    if let Some(d) = pool.slots[idx].dispatch(now)? {
-                        sojourns.record_nanos(d.sojourn);
-                        completed += 1;
-                        events.schedule(d.ready_at, Event::Ready(idx));
-                    }
-                    depth.record(pool.queued());
-                }
-                Event::Retry(_) => unreachable!("fault-free loop schedules no retries"),
-            }
-            if completed == requests && pool.queued() == 0 {
-                break;
-            }
+        let mut generated = 0usize;
+        if requests > 0 {
+            next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
+            k.events.schedule(next_arrival, Event::Arrival);
+            generated = 1;
         }
-        debug_assert_eq!(completed, requests, "all arrivals must be served");
+        let pools = std::slice::from_mut(pool);
+        let routers = std::slice::from_mut(&mut self.router);
 
-        Ok(self.finish(pool, t_start, &baseline, &depth, &sojourns, completed))
-    }
-
-    /// The fault-injecting serial loop: the serial reference plus
-    /// crash / recovery / retry events. Entered only when a
-    /// [`FaultPlan`] is armed, so fault-free runs never pay for (or are
-    /// perturbed by) any of this.
-    ///
-    /// Fault semantics per attempt (all draws are pure functions of
-    /// `(fault seed, request id, attempt)` — see [`crate::fault`]):
-    ///
-    /// - **container death**: the head-of-queue request is killed
-    ///   partway through execution ([`Slot::crash`] charges the partial
-    ///   work plus a full re-init); if attempts remain, the request is
-    ///   parked and re-queued after an exponential backoff — on the
-    ///   same container (retry-after-restore) or re-routed away from it
-    ///   ([`RetryPolicy::reroute`](crate::fault::RetryPolicy)) — else
-    ///   it is abandoned;
-    /// - **restore failure**: the response is delivered but the
-    ///   off-path writeback aborts; the container cold-starts before
-    ///   its next admission ([`Slot::fail_restore`]).
-    fn run_serial_faulty(
-        &mut self,
-        pool: &mut Pool,
-        requests: usize,
-    ) -> Result<FleetResult, StrategyError> {
-        let plan = self.faults.expect("faulty loop requires an armed plan");
-        let reroute = plan.config().retry.reroute;
-        let input_kb = pool.spec.input_kb;
-        let t_start = Self::span_start(pool);
-        let offered_rps = self.cfg.offered_rps;
-        let baseline = Self::baselines(pool);
-        let restore_cost = Nanos::from_millis_f64(pool.spec.paper_restore_ms);
-        let mut arrival_rng = DetRng::new(self.cfg.seed ^ 0x09E4_100D);
-        let mut principal_rng = DetRng::new(self.cfg.seed ^ 0x7E4A_4175);
-        let mut events: EventQueue<Event> = EventQueue::new();
-        let mut next_arrival = t_start;
-        next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-        events.schedule(next_arrival, Event::Arrival);
-        let mut generated = 1usize;
-        let mut next_id = 1u64;
-
-        let mut depth = DepthTracker::new();
-        let mut sojourns = QuantileSketch::new();
-        let mut completed = 0usize;
-        // Killed requests waiting out their backoff, with the slot they
-        // died on; tokens index this table from `Event::Retry`.
-        let mut parked: Vec<Option<(Pending, usize)>> = Vec::new();
-        let mut parked_live = 0usize;
-        let mut stats = FaultStats::default();
-
-        while let Some((now, ev)) = events.pop() {
+        while let Some((now, ev)) = k.events.pop() {
             match ev {
                 Event::Arrival => {
-                    let id = next_id;
-                    next_id += 1;
-                    let principal = if self.cfg.principals <= 1 {
-                        "client".to_string()
-                    } else {
-                        format!(
-                            "user-{}",
-                            principal_rng.next_below(self.cfg.principals as u64)
-                        )
-                    };
-                    let idx = self
-                        .router
-                        .route(now, &principal, restore_cost, &pool.slots);
-                    pool.slots[idx].queue.push(Pending {
-                        id,
-                        principal,
+                    let pending = Pending {
+                        // Arrivals are scheduled one ahead, so this is
+                        // the `generated`-th.
+                        id: generated as u64,
+                        principal: draw_principal(self.cfg.principals, &mut principal_rng),
                         input_kb,
                         arrival: now,
                         payload_hash: 0,
                         idempotent: false,
                         attempt: 1,
-                    });
-                    depth.record(pool.queued());
+                    };
+                    let slot = k.admit(now, pools, routers, 0, pending);
                     if generated < requests {
                         next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-                        events.schedule(next_arrival, Event::Arrival);
+                        k.events.schedule(next_arrival, Event::Arrival);
                         generated += 1;
                     }
-                    Self::dispatch_faulty(
-                        &plan,
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut completed,
-                        &mut parked,
-                        &mut parked_live,
-                        &mut stats,
-                    )?;
-                    self.autoscale(now, pool, &mut events)?;
+                    k.dispatch(now, pools, 0, slot)?;
+                    if let Some(scaler) = self.autoscaler.as_mut() {
+                        if let Some((idx, ready)) = scaler.step(now, &mut pools[0])? {
+                            // The new container announces readiness once
+                            // initialized.
+                            k.events.schedule(ready, Event::Ready(0, idx as u32));
+                        }
+                    }
                 }
-                Event::Ready(idx) => {
-                    Self::dispatch_faulty(
-                        &plan,
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut completed,
-                        &mut parked,
-                        &mut parked_live,
-                        &mut stats,
-                    )?;
-                    depth.record(pool.queued());
+                Event::Ready(p, s) => {
+                    k.ready(now, pools, p as usize, s as usize)?;
                 }
                 Event::Retry(token) => {
-                    let (p, died_on) = parked[token].take().expect("retry token fires once");
-                    parked_live -= 1;
-                    let idx = if reroute {
-                        self.router.route_avoiding(
-                            now,
-                            &p.principal,
-                            restore_cost,
-                            &pool.slots,
-                            Some(died_on),
-                        )
-                    } else {
-                        died_on
-                    };
-                    pool.slots[idx].queue.push(p);
-                    depth.record(pool.queued());
-                    Self::dispatch_faulty(
-                        &plan,
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut completed,
-                        &mut parked,
-                        &mut parked_live,
-                        &mut stats,
-                    )?;
+                    let (p, s) = k.retry(now, token, pools, routers);
+                    k.dispatch(now, pools, p, s)?;
                 }
             }
-            if completed + stats.abandoned as usize == requests
-                && pool.queued() == 0
-                && parked_live == 0
-            {
+            if k.settled(requests) {
                 break;
             }
         }
-        debug_assert_eq!(
-            completed + stats.abandoned as usize,
-            requests,
-            "every arrival is served or abandoned"
-        );
-        self.fault_stats = stats;
-        Ok(self.finish(pool, t_start, &baseline, &depth, &sojourns, completed))
-    }
-
-    /// One fault-aware dispatch attempt on `idx` at `now` — the faulty
-    /// loop's counterpart of `Slot::dispatch` + `Ready` scheduling.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_faulty(
-        plan: &FaultPlan,
-        pool: &mut Pool,
-        idx: usize,
-        now: Nanos,
-        events: &mut EventQueue<Event>,
-        sojourns: &mut QuantileSketch,
-        completed: &mut usize,
-        parked: &mut Vec<Option<(Pending, usize)>>,
-        parked_live: &mut usize,
-        stats: &mut FaultStats,
-    ) -> Result<(), StrategyError> {
-        let slot = &mut pool.slots[idx];
-        if !slot.idle_at(now) {
-            return Ok(());
-        }
-        let Some(head) = slot.queue.peek() else {
-            return Ok(());
-        };
-        let (id, attempt) = (head.id, head.attempt);
-        if let Some(frac) = plan.death(id, attempt) {
-            let (mut pending, ready) = slot.crash(now, frac).expect("idle slot with queued head");
-            stats.deaths += 1;
-            if plan.death_after_commit(id, attempt) {
-                // The crash landed after the attempt's effects applied:
-                // the retry (if any) re-executes committed work.
-                stats.duplicates += 1;
-            }
-            if attempt < plan.max_attempts() {
-                stats.retries += 1;
-                pending.attempt += 1;
-                let backoff_at = now + plan.backoff(attempt);
-                // Retry-after-restore waits for the recovery too; a
-                // rerouted retry only waits out the backoff.
-                let retry_at = if plan.config().retry.reroute {
-                    backoff_at
-                } else {
-                    backoff_at.max(ready)
-                };
-                let token = parked.len();
-                parked.push(Some((pending, idx)));
-                *parked_live += 1;
-                events.schedule(retry_at, Event::Retry(token));
-            } else {
-                stats.abandoned += 1;
-            }
-            events.schedule(ready, Event::Ready(idx));
-            return Ok(());
-        }
-        if let Some(d) = slot.dispatch(now)? {
-            sojourns.record_nanos(d.sojourn);
-            *completed += 1;
-            let ready = if plan.restore_failure(id, attempt) {
-                stats.restore_failures += 1;
-                slot.fail_restore()
-            } else {
-                d.ready_at
-            };
-            events.schedule(ready, Event::Ready(idx));
-        }
-        Ok(())
+        let tally = k.finish(requests);
+        Ok(self.finish(&mut pools[0], t_start, &baseline, &tally))
     }
 
     /// The sharded path: plan on the coordinator, fan container-local
@@ -715,14 +456,7 @@ impl Fleet {
         let mut next_arrival = t_start;
         for i in 0..requests {
             next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-            let principal = if self.cfg.principals <= 1 {
-                "client".to_string()
-            } else {
-                format!(
-                    "user-{}",
-                    principal_rng.next_below(self.cfg.principals as u64)
-                )
-            };
+            let principal = draw_principal(self.cfg.principals, &mut principal_rng);
             let slot = planner.route(next_arrival, &principal, restore_cost, &pool.slots);
             plan.push(par::Arrival {
                 at: next_arrival,
@@ -767,15 +501,13 @@ impl Fleet {
             ready_at: Nanos,
             next: usize,
         }
-        #[allow(clippy::too_many_arguments)]
         fn mirror_dispatch(
             m: &mut Mirror,
             idx: usize,
             now: Nanos,
             outs: &[Vec<Dispatched>],
-            events: &mut EventQueue<Event>,
-            sojourns: &mut QuantileSketch,
-            completed: &mut usize,
+            events: &mut EventQueue<ShardEv>,
+            tally: &mut Tally,
             queued_total: &mut usize,
         ) {
             if m.ready_at <= now && m.qlen > 0 {
@@ -783,9 +515,9 @@ impl Fleet {
                 m.next += 1;
                 m.qlen -= 1;
                 *queued_total -= 1;
-                sojourns.record_nanos(d.sojourn);
-                *completed += 1;
-                events.schedule(d.ready_at, Event::Ready(idx));
+                tally.sojourns.record_nanos(d.sojourn);
+                tally.completed += 1;
+                events.schedule(d.ready_at, ShardEv::Ready(idx));
                 m.ready_at = d.ready_at;
             }
         }
@@ -797,30 +529,24 @@ impl Fleet {
                 next: 0,
             })
             .collect();
-        let mut events: EventQueue<Event> = EventQueue::new();
-        let mut depth = DepthTracker::new();
-        let mut sojourns = QuantileSketch::new();
-        let mut completed = 0usize;
+        let mut events: EventQueue<ShardEv> = EventQueue::new();
+        let mut tally = Tally::default();
         let mut queued_total = 0usize;
-        let mut next_plan = 0usize;
-        let mut generated = 1usize;
-        events.schedule(plan[0].at, Event::Arrival);
+        events.schedule(plan[0].at, ShardEv::Arrival(0));
 
         while let Some((now, ev)) = events.pop() {
             match ev {
-                Event::Arrival => {
-                    let a = &plan[next_plan];
-                    next_plan += 1;
+                ShardEv::Arrival(i) => {
+                    let a = &plan[i];
                     let idx = self
                         .router
                         .route(now, &a.principal, restore_cost, &pool.slots);
-                    debug_assert_eq!(idx, a.slot, "replay route diverged from plan");
+                    assert_eq!(idx, a.slot, "replay route diverged from plan");
                     mirrors[idx].qlen += 1;
                     queued_total += 1;
-                    depth.record(queued_total);
-                    if generated < requests {
-                        events.schedule(plan[generated].at, Event::Arrival);
-                        generated += 1;
+                    tally.depth.record(queued_total);
+                    if let Some(next) = plan.get(i + 1) {
+                        events.schedule(next.at, ShardEv::Arrival(i + 1));
                     }
                     mirror_dispatch(
                         &mut mirrors[idx],
@@ -828,32 +554,29 @@ impl Fleet {
                         now,
                         &outs,
                         &mut events,
-                        &mut sojourns,
-                        &mut completed,
+                        &mut tally,
                         &mut queued_total,
                     );
                 }
-                Event::Ready(idx) => {
+                ShardEv::Ready(idx) => {
                     mirror_dispatch(
                         &mut mirrors[idx],
                         idx,
                         now,
                         &outs,
                         &mut events,
-                        &mut sojourns,
-                        &mut completed,
+                        &mut tally,
                         &mut queued_total,
                     );
-                    depth.record(queued_total);
+                    tally.depth.record(queued_total);
                 }
-                Event::Retry(_) => unreachable!("parallel runs are fault-free by eligibility"),
             }
-            if completed == requests && queued_total == 0 {
+            if tally.completed == requests && queued_total == 0 {
                 break;
             }
         }
-        debug_assert_eq!(completed, requests, "all arrivals must be served");
-        debug_assert!(
+        assert_eq!(tally.completed, requests, "all arrivals must be served");
+        assert!(
             mirrors
                 .iter()
                 .enumerate()
@@ -861,7 +584,7 @@ impl Fleet {
             "every recorded dispatch must be consumed by the replay"
         );
 
-        Ok(self.finish(pool, t_start, &baseline, &depth, &sojourns, completed))
+        Ok(self.finish(pool, t_start, &baseline, &tally))
     }
 
     /// Shared result assembly: settles trailing restores and folds the
@@ -873,10 +596,14 @@ impl Fleet {
         pool: &mut Pool,
         t_start: Nanos,
         baseline: &[Baseline],
-        depth: &DepthTracker,
-        sojourns: &QuantileSketch,
-        completed: usize,
+        tally: &Tally,
     ) -> FleetResult {
+        let Tally {
+            sojourns,
+            depth,
+            completed,
+            faults,
+        } = tally;
         for s in &mut pool.slots {
             s.settle();
         }
@@ -947,8 +674,8 @@ impl Fleet {
         let memory = pool.memory();
         FleetResult {
             offered_rps: self.cfg.offered_rps,
-            completed,
-            goodput_rps: throughput_rps(completed, span),
+            completed: *completed,
+            goodput_rps: throughput_rps(*completed, span),
             mean_ms,
             p99_ms: sojourns.quantile_ms(99.0),
             utilization,
@@ -970,35 +697,9 @@ impl Fleet {
                 snapshot_resident_bytes: memory.resident_bytes,
                 snapshot_bytes_per_container: memory.resident_bytes_per_container,
                 stats_bytes: 2 * QuantileSketch::memory_bytes() as u64,
-                faults: self.fault_stats,
+                faults: *faults,
             },
         }
-    }
-
-    /// One autoscaler observation; applies at most one action.
-    fn autoscale(
-        &mut self,
-        now: Nanos,
-        pool: &mut Pool,
-        events: &mut EventQueue<Event>,
-    ) -> Result<(), StrategyError> {
-        let Some(scaler) = self.autoscaler.as_mut() else {
-            return Ok(());
-        };
-        match scaler.observe(now, pool) {
-            Some(ScaleAction::Grow) => {
-                let (idx, ready) = pool.grow(now)?;
-                // The new container announces readiness once initialized.
-                events.schedule(ready, Event::Ready(idx));
-                scaler.applied(now, ScaleAction::Grow);
-            }
-            Some(ScaleAction::Retire(idx)) => {
-                pool.retire(idx);
-                scaler.applied(now, ScaleAction::Retire(idx));
-            }
-            None => {}
-        }
-        Ok(())
     }
 }
 

@@ -55,6 +55,18 @@ pub enum ExecMode {
     },
 }
 
+impl ExecMode {
+    /// Worker threads this mode asks for (1 means serial).
+    pub(crate) fn threads(self) -> usize {
+        match self {
+            ExecMode::Serial => 1,
+            ExecMode::Parallel { threads } => threads,
+            ExecMode::Auto if serial_requested() => 1,
+            ExecMode::Auto => configured_threads(),
+        }
+    }
+}
+
 /// True when the caller asked for the serial fallback (`--serial` on
 /// the command line, or `GH_SERIAL=1` in the environment) — the same
 /// convention as `gh_bench::harness::serial_requested`.
@@ -88,11 +100,12 @@ pub(crate) struct Arrival {
     pub slot: usize,
 }
 
-/// Shard-local events: indices into the global plan / the shard slice.
-enum ShardEv {
+/// Shard-local events, and the coordinator replay's: indices into the
+/// global plan / the shard slice (the replay's slot indices are global).
+pub(crate) enum ShardEv {
     /// The plan entry at this index arrives at its slot.
     Arrival(usize),
-    /// The shard-local slot at this index finished its restore.
+    /// The slot at this index finished its restore.
     Ready(usize),
 }
 

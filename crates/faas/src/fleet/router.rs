@@ -100,25 +100,22 @@ impl Router {
         slots: &[Slot],
         avoid: Option<usize>,
     ) -> usize {
-        let mut candidates: Vec<usize> = (0..slots.len()).filter(|&i| !slots[i].retired).collect();
-        if let Some(a) = avoid {
-            if candidates.len() > 1 {
-                candidates.retain(|&i| i != a);
-            }
-        }
-        assert!(!candidates.is_empty(), "routing with no active containers");
-        match self.policy {
+        // Candidates are the active slots in index order, without
+        // `avoid` when another active slot remains. They are iterated,
+        // not collected: routing allocates nothing.
+        let active = |i: &usize| !slots[*i].retired;
+        let two_active = || (0..slots.len()).filter(active).nth(1).is_some();
+        let skip = avoid.filter(|&a| a < slots.len() && active(&a) && two_active());
+        let mut candidates = (0..slots.len()).filter(|i| active(i) && Some(*i) != skip);
+        let pick = match self.policy {
             RoutePolicy::RoundRobin => {
-                let pick = candidates[self.cursor % candidates.len()];
+                let n = candidates.clone().count();
+                let pick = (n > 0).then(|| candidates.nth(self.cursor % n)).flatten();
                 self.cursor = self.cursor.wrapping_add(1);
                 pick
             }
-            RoutePolicy::LeastLoaded => candidates
-                .into_iter()
-                .min_by_key(|&i| slots[i].visible_load(now))
-                .expect("non-empty"),
+            RoutePolicy::LeastLoaded => candidates.min_by_key(|&i| slots[i].visible_load(now)),
             RoutePolicy::RestoreAware => candidates
-                .into_iter()
                 // Lexicographic: fewest waiting requests first, then the
                 // lowest predicted delay — the wait until the slot is
                 // provably clean (a clean idle slot waits zero, beating
@@ -133,9 +130,9 @@ impl Router {
                         restore_cost
                     };
                     (s.queue.len(), wait + penalty)
-                })
-                .expect("non-empty"),
-        }
+                }),
+        };
+        pick.expect("routing with no active containers")
     }
 }
 
@@ -302,6 +299,110 @@ mod tests {
             0,
             "nowhere else to go"
         );
+    }
+
+    /// Reference for [`Router::route_avoiding`]: the candidates collected
+    /// into a `Vec`, then picked from. Advances `cursor` as the router
+    /// advances its own.
+    fn vec_route(
+        policy: RoutePolicy,
+        cursor: &mut usize,
+        now: Nanos,
+        principal: &str,
+        restore_cost: Nanos,
+        slots: &[Slot],
+        avoid: Option<usize>,
+    ) -> usize {
+        let mut candidates: Vec<usize> = (0..slots.len()).filter(|&i| !slots[i].retired).collect();
+        if let Some(a) = avoid {
+            if candidates.len() > 1 {
+                candidates.retain(|&i| i != a);
+            }
+        }
+        assert!(!candidates.is_empty(), "routing with no active containers");
+        match policy {
+            RoutePolicy::RoundRobin => {
+                let pick = candidates[*cursor % candidates.len()];
+                *cursor = cursor.wrapping_add(1);
+                pick
+            }
+            RoutePolicy::LeastLoaded => candidates
+                .into_iter()
+                .min_by_key(|&i| slots[i].visible_load(now))
+                .expect("non-empty"),
+            RoutePolicy::RestoreAware => candidates
+                .into_iter()
+                .min_by_key(|&i| {
+                    let s = &slots[i];
+                    let wait = s.ready_at.max(now) - now;
+                    let penalty = if s.container.admits_without_restore(principal) {
+                        Nanos::ZERO
+                    } else {
+                        restore_cost
+                    };
+                    (s.queue.len(), wait + penalty)
+                })
+                .expect("non-empty"),
+        }
+    }
+
+    #[test]
+    fn iterated_candidates_match_the_collected_ones() {
+        // Skip mode makes the restore-aware penalty depend on who the
+        // slot served last, so every term of its key varies.
+        let spec = by_name("fannkuch (p)").unwrap();
+        let gh = GroundhogConfig {
+            skip_same_principal: true,
+            ..GroundhogConfig::gh()
+        };
+        let mut p = Pool::build(&spec, StrategyKind::Gh, gh, 5, 7).unwrap();
+        let t0 = warm(&p);
+        // Uneven state: staggered starts, two principals, and queues of
+        // different lengths behind them.
+        for (i, who) in ["a", "b", "a", "b"].into_iter().enumerate() {
+            let at = t0 + Nanos::from_micros(300 * i as u64);
+            for id in 0..=i % 3 {
+                p.slots[i].queue.push(Pending {
+                    id: id as u64 + 1,
+                    principal: who.into(),
+                    input_kb: 1,
+                    arrival: at,
+                    payload_hash: 0,
+                    idempotent: false,
+                    attempt: 1,
+                });
+            }
+            p.slots[i].dispatch(at).unwrap().unwrap();
+        }
+        let horizon = p.slots.iter().map(|s| s.ready_at).max().unwrap();
+        let mut rng = gh_sim::DetRng::new(11);
+        for policy in RoutePolicy::ALL {
+            let mut r = Router::new(policy);
+            let mut cursor = 0usize;
+            for step in 0..400 {
+                let mask = rng.next_below(1 << p.slots.len());
+                for (i, s) in p.slots.iter_mut().enumerate() {
+                    s.retired = mask & (1 << i) != 0;
+                }
+                if p.active() == 0 {
+                    continue;
+                }
+                let avoid = match rng.next_below(4) {
+                    0 => None,
+                    _ => Some(rng.next_below(p.slots.len() as u64 + 1) as usize),
+                };
+                let now = t0 + Nanos::from_nanos(rng.next_below((horizon - t0).as_nanos() + 1));
+                let who = if rng.next_below(2) == 0 { "a" } else { "b" };
+                let cost = Nanos::from_millis(rng.next_below(4));
+                let want = vec_route(policy, &mut cursor, now, who, cost, &p.slots, avoid);
+                let got = r.route_avoiding(now, who, cost, &p.slots, avoid);
+                assert_eq!(
+                    got, want,
+                    "{policy:?} step {step}: mask {mask:05b} avoid {avoid:?}"
+                );
+                assert_eq!(r.cursor, cursor, "{policy:?} step {step}: cursor");
+            }
+        }
     }
 
     #[test]

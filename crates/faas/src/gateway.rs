@@ -10,6 +10,14 @@
 //! watches backend arrivals to grow the pool *ahead* of load where the
 //! reactive [`Autoscaler`](crate::fleet::Autoscaler) would trail it.
 //!
+//! The loop is a driver over the fleet's dispatch kernel (the crate's
+//! one definition of an attempt, shared with the fleet and every
+//! cluster node): it owns the arrival process and the gateway policies,
+//! while admission to the pool, each attempt, and fault handling
+//! (crash, park, retry, abandon, restore failure) happen in the kernel.
+//! The gateway's own events — cold-start completions, cache expiries,
+//! redeploys — ride the kernel's timeline as driver events.
+//!
 //! # Determinism contract
 //!
 //! The loop is structured so that a [`GatewayConfig::disabled`] gateway
@@ -20,12 +28,14 @@
 //! tie-breaking) are identical, and gateway-only draws (payload
 //! identity, principal skew, diurnal thinning) ride separate seeded
 //! streams that are skipped entirely when their feature is off. The
-//! differential oracle in `tests/gateway_oracle.rs` pins this.
+//! differential oracle in `tests/gateway_oracle.rs` pins this, with and
+//! without injected faults.
 //!
-//! Cache expiry is driven as events on the same [`EventQueue`] (one
-//! `CacheExpire` per insertion, at the entry's exact virtual-time
-//! deadline), so enabling the cache changes the schedule only through
-//! its own events — never by perturbing the arrival process.
+//! Cache expiry is driven as events on the same
+//! [`gh_sim::event::EventQueue`] (one `CacheExpire` per insertion, at
+//! the entry's exact virtual-time deadline), so enabling the cache
+//! changes the schedule only through its own events — never by
+//! perturbing the arrival process.
 
 use std::collections::VecDeque;
 
@@ -35,14 +45,13 @@ use gh_gateway::cache::{mix, CacheKey, ResultCache};
 use gh_gateway::prewarm::Prewarmer;
 use gh_gateway::{GatewayConfig, GatewayStats};
 use gh_isolation::{StrategyError, StrategyKind};
-use gh_sim::event::EventQueue;
-use gh_sim::{DetRng, Nanos, QuantileSketch};
+use gh_sim::{DetRng, Nanos};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan};
+use crate::fleet::backend::{Backend, Event, Tally};
 use crate::fleet::{
-    poisson_gap, DepthTracker, ExecMode, Fleet, FleetConfig, FleetResult, Pending, Pool,
-    ScaleAction,
+    poisson_gap, Dispatched, ExecMode, Fleet, FleetConfig, FleetResult, Pending, Pool, Router,
 };
 
 /// Workload and policy of one gateway-fronted fleet run. The workload
@@ -119,21 +128,13 @@ pub struct GatewayResult {
     pub gateway: GatewayStats,
 }
 
-/// Events on the gateway-fronted virtual timeline. `Arrival` and
-/// `Ready` mirror the plain fleet loop; the other two exist only when
-/// their policy is enabled.
-#[derive(Clone, Copy, Debug)]
-enum Event {
-    /// A client request reaches the gateway.
-    Arrival,
-    /// A container finished serving + restoring one request.
-    Ready(usize),
+/// The gateway's own events, riding the dispatch kernel's
+/// [`Event::Driver`]. Each exists only when its policy is enabled.
+enum GatewayEvent {
     /// A pre-warmed or autoscaled container finished cold-starting.
-    WarmReady(usize),
+    WarmReady(u32),
     /// A result-cache entry reached its TTL deadline.
     CacheExpire,
-    /// A killed request's backoff elapsed (token into the park table).
-    Retry(usize),
     /// The function was redeployed: bump the cache generation and drop
     /// the old deployment's cached results.
     Redeploy,
@@ -156,13 +157,84 @@ pub fn run_gateway_fleet(
 }
 
 /// The gateway-fronted fleet driver. Owns the fleet's routing and
-/// autoscaling state plus the gateway policy state.
+/// autoscaling state; the gateway policy state lives per run.
 pub struct GatewayFleet {
     fleet: Fleet,
     cfg: GatewayFleetConfig,
-    /// Current deployment generation, bumped by `Event::Redeploy`;
-    /// cache keys carry it so stale results can never be served.
+}
+
+/// One run's gateway policy state.
+struct Gate {
+    cache: Option<ResultCache>,
+    admission: Option<AdmissionControl>,
+    prewarmer: Option<Prewarmer>,
+    /// Arrivals the concurrency ceiling deferred, oldest first.
+    defer: VecDeque<Pending>,
+    /// Deployment generation, bumped by `Redeploy`; cache keys carry it
+    /// so stale results can never be served.
     generation: u64,
+    hits: usize,
+    cache_peak: u64,
+}
+
+impl Gate {
+    /// Admits `p` to the backend: the kernel's admit step, then the
+    /// ceiling's begin edge and the pre-warmer's arrival observation.
+    /// Returns the slot.
+    fn enter(
+        &mut self,
+        k: &mut Backend<GatewayEvent>,
+        pools: &mut [Pool],
+        routers: &mut [Router],
+        now: Nanos,
+        p: Pending,
+    ) -> usize {
+        let slot = k.admit(now, pools, routers, 0, p);
+        if let Some(ac) = &mut self.admission {
+            ac.begin();
+        }
+        if let Some(pw) = &mut self.prewarmer {
+            pw.observe(now);
+        }
+        slot
+    }
+
+    /// Fills the result cache from an idempotent response. A crashed
+    /// attempt produced none, so it never fills the cache.
+    fn fill(&mut self, k: &mut Backend<GatewayEvent>, d: Option<Dispatched>) {
+        let (Some(d), Some(c)) = (d, &mut self.cache) else {
+            return;
+        };
+        if !d.idempotent {
+            return;
+        }
+        let key = CacheKey {
+            fn_id: 0,
+            generation: self.generation,
+            payload_hash: d.payload_hash,
+        };
+        // The fill becomes visible when the response leaves the
+        // container; its TTL runs from that instant.
+        c.insert(key, d.output_kb, d.resp_at);
+        if let Some(at) = c.next_expiry() {
+            // One expiry event per insertion keeps the sweep exact
+            // without a timer wheel; stale events sweep nothing.
+            let expire = Event::Driver(GatewayEvent::CacheExpire);
+            k.events.schedule(at.max(d.resp_at), expire);
+        }
+        self.cache_peak = self.cache_peak.max(c.bytes());
+    }
+
+    fn rejected(&self) -> u64 {
+        self.admission.as_ref().map_or(0, |a| a.rejected)
+    }
+
+    /// Arrivals of `requests` that reached or still wait for the
+    /// backend: everything the cache did not answer and admission did
+    /// not shed.
+    fn backend_bound(&self, requests: usize) -> usize {
+        requests - self.hits - self.rejected() as usize
+    }
 }
 
 impl GatewayFleet {
@@ -178,31 +250,20 @@ impl GatewayFleet {
                 "a zero concurrency ceiling would defer every request forever"
             );
         }
-        let mut fleet = Fleet::new(cfg.fleet.clone());
-        if let Some(fc) = cfg.faults {
-            if fc.is_active() {
-                fleet.faults = Some(FaultPlan::new(fc));
-            }
-        }
         GatewayFleet {
-            fleet,
+            fleet: Fleet::new(cfg.fleet.clone()),
             cfg,
-            generation: 0,
         }
-    }
-
-    /// Instantaneous offered rate at `t` under the diurnal envelope.
-    fn rate_at(&self, t: Nanos, t_start: Nanos) -> f64 {
-        let phase = t.saturating_sub(t_start).as_secs_f64() / self.cfg.diurnal_period.as_secs_f64();
-        self.cfg.fleet.offered_rps
-            * (1.0 + self.cfg.diurnal_amplitude * (std::f64::consts::TAU * phase).sin())
     }
 
     /// Runs the gateway event loop over `pool` until every arrival is
-    /// served or shed. Serial by construction (gateway state is a
-    /// global arrival→completion data dependence, like the autoscaler);
-    /// host parallelism comes from running sweep *cells* concurrently
-    /// — see `gh_bench`'s `gatewaysweep`.
+    /// served, shed or abandoned. Serial by construction (gateway state
+    /// is a global arrival→completion data dependence, like the
+    /// autoscaler); host parallelism comes from running sweep *cells*
+    /// concurrently — see `gh_bench`'s `gatewaysweep`. Every attempt,
+    /// fault handling included, goes through the fleet's dispatch
+    /// kernel, so container deaths release the concurrency ceiling on
+    /// their recovery edge exactly as completions do.
     pub fn run(
         &mut self,
         pool: &mut Pool,
@@ -211,259 +272,159 @@ impl GatewayFleet {
         let input_kb = pool.spec.input_kb;
         let t_start = Fleet::span_start(pool);
         let baseline = Fleet::baselines(pool);
-        let restore_cost = Nanos::from_millis_f64(pool.spec.paper_restore_ms);
-        // Mean per-request slot occupancy (execution + restore): the
-        // pre-warmer's capacity-planning service time.
-        let service_secs = (pool.spec.base_invoker_ms + pool.spec.paper_restore_ms) / 1e3;
-
-        // Same streams and draw order as the serial fleet loop…
-        let seed = self.cfg.fleet.seed;
-        let mut arrival_rng = DetRng::new(seed ^ 0x09E4_100D);
-        let mut principal_rng = DetRng::new(seed ^ 0x7E4A_4175);
-        // …plus gateway-only streams, touched only when their feature
-        // is on, so a pass-through run never perturbs the base draws.
-        let mut payload_rng = DetRng::new(seed ^ 0x6A7E_0001);
-        let mut skew_rng = DetRng::new(seed ^ 0x6A7E_0002);
-        let mut thin_rng = DetRng::new(seed ^ 0x6A7E_0003);
-
-        let mut cache = self.cfg.gateway.cache.map(ResultCache::new);
-        let mut admission = self.cfg.gateway.admission.map(AdmissionControl::new);
-        let mut prewarmer = self.cfg.gateway.prewarm.map(|p| Prewarmer::new(p, t_start));
-
-        let mut events: EventQueue<Event> = EventQueue::new();
-        let mut depth = DepthTracker::new();
-        let mut sojourns = QuantileSketch::new();
-        let mut defer: VecDeque<Pending> = VecDeque::new();
-        // Park table for killed requests awaiting their backoff: token
-        // → (pending, slot it died on). Only touched when faults are
-        // armed.
-        let mut parked: Vec<Option<(Pending, usize)>> = Vec::new();
-        let mut parked_live = 0usize;
-        let mut served = 0usize;
-        let mut hits = 0u64;
-        let mut cache_peak = 0u64;
-        let mut generated = 0usize;
-        let mut next_id = 1u64;
-
         if requests == 0 {
             let fleet = self
                 .fleet
-                .finish(pool, t_start, &baseline, &depth, &sojourns, 0);
+                .finish(pool, t_start, &baseline, &Tally::default());
             return Ok(GatewayResult {
                 fleet,
                 gateway: GatewayStats::default(),
             });
         }
+        // Mean per-request slot occupancy (execution + restore): the
+        // pre-warmer's capacity-planning service time.
+        let service_secs = (pool.spec.base_invoker_ms + pool.spec.paper_restore_ms) / 1e3;
+        let cfg = &self.cfg;
+
+        // Same streams and draw order as the serial fleet loop…
+        let mut arrival_rng = DetRng::new(cfg.fleet.seed ^ 0x09E4_100D);
+        let mut principal_rng = DetRng::new(cfg.fleet.seed ^ 0x7E4A_4175);
+        // …plus gateway-only streams, touched only when their feature
+        // is on, so a pass-through run never perturbs the base draws.
+        let mut payload_rng = DetRng::new(cfg.fleet.seed ^ 0x6A7E_0001);
+        let mut skew_rng = DetRng::new(cfg.fleet.seed ^ 0x6A7E_0002);
+        let mut thin_rng = DetRng::new(cfg.fleet.seed ^ 0x6A7E_0003);
+
+        let mut gate = Gate {
+            cache: cfg.gateway.cache.map(ResultCache::new),
+            admission: cfg.gateway.admission.map(AdmissionControl::new),
+            prewarmer: cfg.gateway.prewarm.map(|p| Prewarmer::new(p, t_start)),
+            defer: VecDeque::new(),
+            generation: 0,
+            hits: 0,
+            cache_peak: 0,
+        };
+        let plan = cfg
+            .faults
+            .filter(FaultConfig::is_active)
+            .map(FaultPlan::new);
+        let mut k: Backend<GatewayEvent> = Backend::new(plan);
 
         // Redeploys are scheduled up front (the schedule is part of the
         // config, not the workload); an empty schedule adds no events
         // and leaves the timeline untouched. Scheduling them before the
         // first arrival means a redeploy tied with an arrival
         // invalidates before the arrival's lookup.
-        for &at in &self.cfg.redeploys {
-            events.schedule(at, Event::Redeploy);
+        for &at in &cfg.redeploys {
+            k.events.schedule(at, Event::Driver(GatewayEvent::Redeploy));
         }
-
         let mut next_arrival = t_start;
-        self.advance_arrival(&mut next_arrival, t_start, &mut arrival_rng, &mut thin_rng);
-        events.schedule(next_arrival, Event::Arrival);
-        generated += 1;
+        cfg.advance_arrival(&mut next_arrival, t_start, &mut arrival_rng, &mut thin_rng);
+        k.events.schedule(next_arrival, Event::Arrival);
+        let mut generated = 1usize;
+        let pools = std::slice::from_mut(pool);
+        let routers = std::slice::from_mut(&mut self.fleet.router);
 
-        while let Some((now, ev)) = events.pop() {
+        while let Some((now, ev)) = k.events.pop() {
             match ev {
                 Event::Arrival => {
-                    let id = next_id;
-                    next_id += 1;
-                    let (pidx, principal) = self.draw_principal(&mut principal_rng, &mut skew_rng);
-                    let (payload_hash, idempotent) = if self.cfg.idempotent_frac > 0.0 {
-                        let p = payload_rng.next_below(self.cfg.payload_universe.max(1));
-                        let idem = payload_rng.next_f64() < self.cfg.idempotent_frac;
+                    let (pidx, principal) = cfg.draw_principal(&mut principal_rng, &mut skew_rng);
+                    let (payload_hash, idempotent) = if cfg.idempotent_frac > 0.0 {
+                        let p = payload_rng.next_below(cfg.payload_universe.max(1));
+                        let idem = payload_rng.next_f64() < cfg.idempotent_frac;
                         (mix(p), idem)
                     } else {
                         (0, false)
                     };
-
+                    let pending = Pending {
+                        // Arrivals are scheduled one ahead, so this is
+                        // the `generated`-th.
+                        id: generated as u64,
+                        principal,
+                        input_kb,
+                        arrival: now,
+                        payload_hash,
+                        idempotent,
+                        attempt: 1,
+                    };
                     // 1. Result cache: idempotent hits are answered at
                     // the gateway — the backend (and its admission
                     // ceiling) never sees them.
-                    let mut resolved = false;
-                    if idempotent {
-                        if let Some(c) = cache.as_mut() {
-                            let key = CacheKey {
-                                fn_id: 0,
-                                generation: self.generation,
-                                payload_hash,
-                            };
-                            if c.lookup(key, now).is_some() {
-                                sojourns.record_nanos(c.config().hit_cost);
-                                served += 1;
-                                hits += 1;
-                                resolved = true;
-                            }
-                        }
-                    }
-
-                    // 2. Admission: token bucket, then the ceiling.
-                    if !resolved {
-                        let decision = admission
-                            .as_mut()
-                            .map(|ac| ac.admit(pidx, now))
-                            .unwrap_or(Decision::Admit);
-                        match decision {
-                            Decision::Reject => {}
-                            Decision::Defer => defer.push_back(Pending {
-                                id,
-                                principal,
-                                input_kb,
-                                arrival: now,
-                                payload_hash,
-                                idempotent,
-                                attempt: 1,
-                            }),
+                    let key = CacheKey {
+                        fn_id: 0,
+                        generation: gate.generation,
+                        payload_hash,
+                    };
+                    let hit_cost = match &mut gate.cache {
+                        Some(c) if idempotent => c.lookup(key, now).map(|_| c.config().hit_cost),
+                        _ => None,
+                    };
+                    let slot = if let Some(cost) = hit_cost {
+                        k.tally.sojourns.record_nanos(cost);
+                        gate.hits += 1;
+                        None
+                    } else {
+                        // 2. Admission: token bucket, then the ceiling.
+                        let admission = gate.admission.as_mut();
+                        match admission.map_or(Decision::Admit, |ac| ac.admit(pidx, now)) {
                             Decision::Admit => {
-                                let idx = self.enter_backend(
-                                    pool,
-                                    Pending {
-                                        id,
-                                        principal,
-                                        input_kb,
-                                        arrival: now,
-                                        payload_hash,
-                                        idempotent,
-                                        attempt: 1,
-                                    },
-                                    now,
-                                    restore_cost,
-                                    &mut depth,
-                                    admission.as_mut(),
-                                    prewarmer.as_mut(),
-                                );
-                                // Next arrival is scheduled before the
-                                // dispatch, matching the serial fleet
-                                // loop's schedule-call order exactly.
-                                if generated < requests {
-                                    self.advance_arrival(
-                                        &mut next_arrival,
-                                        t_start,
-                                        &mut arrival_rng,
-                                        &mut thin_rng,
-                                    );
-                                    events.schedule(next_arrival, Event::Arrival);
-                                    generated += 1;
-                                }
-                                self.dispatch(
-                                    pool,
-                                    idx,
-                                    now,
-                                    &mut events,
-                                    &mut sojourns,
-                                    &mut served,
-                                    cache.as_mut(),
-                                    &mut cache_peak,
-                                    &mut parked,
-                                    &mut parked_live,
-                                )?;
-                                self.scale(
-                                    now,
-                                    pool,
-                                    &mut events,
-                                    prewarmer.as_mut(),
-                                    service_secs,
-                                )?;
-                                if self.done(
-                                    served,
-                                    &admission,
-                                    pool,
-                                    &defer,
-                                    requests,
-                                    parked_live,
-                                ) {
-                                    break;
-                                }
-                                continue;
+                                Some(gate.enter(&mut k, pools, routers, now, pending))
                             }
+                            Decision::Defer => {
+                                gate.defer.push_back(pending);
+                                None
+                            }
+                            Decision::Reject => None,
                         }
-                    }
-                    // Cache-hit / reject / defer paths still drive the
-                    // arrival process forward.
+                    };
+                    // The next arrival is scheduled before the dispatch,
+                    // matching the serial fleet loop's schedule order.
                     if generated < requests {
-                        self.advance_arrival(
+                        cfg.advance_arrival(
                             &mut next_arrival,
                             t_start,
                             &mut arrival_rng,
                             &mut thin_rng,
                         );
-                        events.schedule(next_arrival, Event::Arrival);
+                        k.events.schedule(next_arrival, Event::Arrival);
                         generated += 1;
                     }
-                }
-                Event::Ready(idx) => {
-                    // One Ready per dispatch: this is the completion
-                    // edge the concurrency ceiling releases on.
-                    if let Some(ac) = admission.as_mut() {
-                        ac.end();
-                    }
-                    if admission.is_some() {
-                        while admission.as_ref().is_some_and(|ac| ac.has_capacity()) {
-                            let Some(p) = defer.pop_front() else { break };
-                            let slot = self.enter_backend(
-                                pool,
-                                p,
-                                now,
-                                restore_cost,
-                                &mut depth,
-                                admission.as_mut(),
-                                prewarmer.as_mut(),
-                            );
-                            self.dispatch(
-                                pool,
-                                slot,
-                                now,
-                                &mut events,
-                                &mut sojourns,
-                                &mut served,
-                                cache.as_mut(),
-                                &mut cache_peak,
-                                &mut parked,
-                                &mut parked_live,
-                            )?;
+                    if let Some(slot) = slot {
+                        let d = k.dispatch(now, pools, 0, slot)?;
+                        gate.fill(&mut k, d);
+                        // One scaling observation: the pre-warmer first
+                        // (it is the point of this module), else the
+                        // reactive autoscaler.
+                        let grown = match (&mut gate.prewarmer, &mut self.fleet.autoscaler) {
+                            (Some(pw), _) => pw
+                                .want_grow(now, pools[0].active(), service_secs)
+                                .then(|| pools[0].grow(now))
+                                .transpose()?,
+                            (None, Some(scaler)) => scaler.step(now, &mut pools[0])?,
+                            (None, None) => None,
+                        };
+                        if let Some((idx, ready)) = grown {
+                            let warm = Event::Driver(GatewayEvent::WarmReady(idx as u32));
+                            k.events.schedule(ready, warm);
                         }
                     }
-                    self.dispatch(
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut served,
-                        cache.as_mut(),
-                        &mut cache_peak,
-                        &mut parked,
-                        &mut parked_live,
-                    )?;
-                    depth.record(pool.queued());
                 }
-                Event::WarmReady(idx) => {
-                    // A cold start completed (pre-warm or autoscale):
-                    // serve anything already routed to the new slot.
-                    self.dispatch(
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut served,
-                        cache.as_mut(),
-                        &mut cache_peak,
-                        &mut parked,
-                        &mut parked_live,
-                    )?;
-                    depth.record(pool.queued());
-                }
-                Event::CacheExpire => {
-                    if let Some(c) = cache.as_mut() {
-                        c.expire_due(now);
+                Event::Ready(p, s) => {
+                    // One Ready per attempt: this is the completion (or
+                    // recovery) edge the concurrency ceiling releases on.
+                    if let Some(ac) = &mut gate.admission {
+                        ac.end();
                     }
+                    while gate.admission.as_ref().is_some_and(|ac| ac.has_capacity()) {
+                        let Some(deferred) = gate.defer.pop_front() else {
+                            break;
+                        };
+                        let slot = gate.enter(&mut k, pools, routers, now, deferred);
+                        let d = k.dispatch(now, pools, 0, slot)?;
+                        gate.fill(&mut k, d);
+                    }
+                    let d = k.ready(now, pools, p as usize, s as usize)?;
+                    gate.fill(&mut k, d);
                 }
                 Event::Retry(token) => {
                     // A killed request's backoff elapsed: re-enter the
@@ -471,82 +432,71 @@ impl GatewayFleet {
                     // attempt and keeps its admission (it re-begins the
                     // ceiling it released when the crash's Ready edge
                     // fired), but never re-pays the token bucket.
-                    let (p, died_idx) = parked[token].take().expect("retry token fired twice");
-                    parked_live -= 1;
-                    let reroute = self
-                        .fleet
-                        .faults
-                        .map(|pl| pl.config().retry.reroute)
-                        .unwrap_or(false);
-                    let idx = if reroute {
-                        self.fleet.router.route_avoiding(
-                            now,
-                            &p.principal,
-                            restore_cost,
-                            &pool.slots,
-                            Some(died_idx),
-                        )
-                    } else {
-                        died_idx
-                    };
-                    pool.slots[idx].queue.push(p);
-                    depth.record(pool.queued());
-                    if let Some(ac) = admission.as_mut() {
+                    let (p, s) = k.retry(now, token, pools, routers);
+                    if let Some(ac) = &mut gate.admission {
                         ac.begin();
                     }
-                    self.dispatch(
-                        pool,
-                        idx,
-                        now,
-                        &mut events,
-                        &mut sojourns,
-                        &mut served,
-                        cache.as_mut(),
-                        &mut cache_peak,
-                        &mut parked,
-                        &mut parked_live,
-                    )?;
+                    let d = k.dispatch(now, pools, p, s)?;
+                    gate.fill(&mut k, d);
                 }
-                Event::Redeploy => {
+                Event::Driver(GatewayEvent::WarmReady(s)) => {
+                    // A cold start completed (pre-warm or autoscale):
+                    // serve anything already routed to the new slot.
+                    let d = k.ready(now, pools, 0, s as usize)?;
+                    gate.fill(&mut k, d);
+                }
+                Event::Driver(GatewayEvent::CacheExpire) => {
+                    if let Some(c) = &mut gate.cache {
+                        c.expire_due(now);
+                    }
+                }
+                Event::Driver(GatewayEvent::Redeploy) => {
                     // New code is live: results produced by the old
                     // deployment must never be served again. Bumping
                     // the generation makes stale entries unreachable
                     // (even in-flight fills from old-code responses);
                     // the sweep reclaims their bytes immediately.
-                    self.generation += 1;
-                    if let Some(c) = cache.as_mut() {
+                    gate.generation += 1;
+                    if let Some(c) = &mut gate.cache {
                         c.redeploy(0);
                     }
                 }
             }
-            if self.done(served, &admission, pool, &defer, requests, parked_live) {
+            // Done when every arrival is resolved (served, shed, or
+            // abandoned after its retry budget) and nothing waits in a
+            // queue, the defer buffer, or the retry park table.
+            if gate.defer.is_empty() && k.settled(gate.backend_bound(requests)) {
                 break;
             }
         }
 
-        let rejected = admission.as_ref().map(|a| a.rejected).unwrap_or(0);
-        debug_assert_eq!(
-            served as u64 + rejected + self.fleet.fault_stats.abandoned,
-            requests as u64,
-            "every arrival must be served, shed, or abandoned"
-        );
-
+        let mut tally = k.finish(gate.backend_bound(requests));
         let mut gw = GatewayStats {
-            served: served as u64,
-            rejected,
-            deferred: admission.as_ref().map(|a| a.deferred).unwrap_or(0),
-            prewarm_spawns: prewarmer.as_ref().map(|p| p.spawned).unwrap_or(0),
-            cache_peak_bytes: cache_peak,
+            served: (tally.completed + gate.hits) as u64,
+            rejected: gate.rejected(),
+            deferred: gate.admission.as_ref().map_or(0, |a| a.deferred),
+            prewarm_spawns: gate.prewarmer.as_ref().map_or(0, |p| p.spawned),
+            cache_peak_bytes: gate.cache_peak,
             ..GatewayStats::default()
         };
-        if let Some(c) = &cache {
+        if let Some(c) = &gate.cache {
             gw.absorb_cache(&c.stats);
         }
-        debug_assert_eq!(gw.cache_hits, hits);
-        let fleet = self
-            .fleet
-            .finish(pool, t_start, &baseline, &depth, &sojourns, served);
+        assert_eq!(gw.cache_hits, gate.hits as u64, "every hit is a cache hit");
+        // The fleet result counts served requests: backend completions
+        // plus cache hits, whose sojourns the tally already holds.
+        tally.completed = gw.served as usize;
+        let fleet = self.fleet.finish(&mut pools[0], t_start, &baseline, &tally);
         Ok(GatewayResult { fleet, gateway: gw })
+    }
+}
+
+impl GatewayFleetConfig {
+    /// Instantaneous offered rate at `t` under the diurnal envelope.
+    fn rate_at(&self, t: Nanos, t_start: Nanos) -> f64 {
+        let phase = t.saturating_sub(t_start).as_secs_f64() / self.diurnal_period.as_secs_f64();
+        self.fleet.offered_rps
+            * (1.0 + self.diurnal_amplitude * (std::f64::consts::TAU * phase).sin())
     }
 
     /// Advances the arrival cursor past the next (possibly thinned)
@@ -559,11 +509,11 @@ impl GatewayFleet {
         arrival_rng: &mut DetRng,
         thin_rng: &mut DetRng,
     ) {
-        if self.cfg.diurnal_amplitude == 0.0 {
-            *cursor += poisson_gap(self.cfg.fleet.offered_rps, arrival_rng);
+        if self.diurnal_amplitude == 0.0 {
+            *cursor += poisson_gap(self.fleet.offered_rps, arrival_rng);
             return;
         }
-        let rate_max = self.cfg.fleet.offered_rps * (1.0 + self.cfg.diurnal_amplitude);
+        let rate_max = self.fleet.offered_rps * (1.0 + self.diurnal_amplitude);
         loop {
             *cursor += poisson_gap(rate_max, arrival_rng);
             let accept = self.rate_at(*cursor, t_start) / rate_max;
@@ -576,192 +526,16 @@ impl GatewayFleet {
     /// Draws the issuing principal: the fleet's uniform stream, with an
     /// optional hot-principal skew on its own stream.
     fn draw_principal(&self, principal_rng: &mut DetRng, skew_rng: &mut DetRng) -> (u64, String) {
-        if self.cfg.fleet.principals <= 1 {
+        if self.fleet.principals <= 1 {
             return (0, "client".to_string());
         }
-        let idx = if self.cfg.hot_principal_frac > 0.0
-            && skew_rng.next_f64() < self.cfg.hot_principal_frac
+        let idx = if self.hot_principal_frac > 0.0 && skew_rng.next_f64() < self.hot_principal_frac
         {
             0
         } else {
-            principal_rng.next_below(self.cfg.fleet.principals as u64)
+            principal_rng.next_below(self.fleet.principals as u64)
         };
         (idx, format!("user-{idx}"))
-    }
-
-    /// Routes one admitted request into the pool: route, enqueue,
-    /// depth sample, ceiling/pre-warm bookkeeping. Returns the slot.
-    #[allow(clippy::too_many_arguments)]
-    fn enter_backend(
-        &mut self,
-        pool: &mut Pool,
-        pending: Pending,
-        now: Nanos,
-        restore_cost: Nanos,
-        depth: &mut DepthTracker,
-        admission: Option<&mut AdmissionControl>,
-        prewarmer: Option<&mut Prewarmer>,
-    ) -> usize {
-        let idx = self
-            .fleet
-            .router
-            .route(now, &pending.principal, restore_cost, &pool.slots);
-        pool.slots[idx].queue.push(pending);
-        depth.record(pool.queued());
-        if let Some(ac) = admission {
-            ac.begin();
-        }
-        if let Some(pw) = prewarmer {
-            pw.observe(now);
-        }
-        idx
-    }
-
-    /// Dispatches `idx` if it is clean and has queued work; records the
-    /// sojourn, schedules the completion event, and fills the result
-    /// cache from idempotent responses. With faults armed, the head may
-    /// instead die mid-request (no response, no cache fill; the Ready
-    /// edge still fires at recovery, releasing the ceiling and draining
-    /// defers) or fail its restore (the completion stands, readiness is
-    /// pushed out by a cold start).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &mut self,
-        pool: &mut Pool,
-        idx: usize,
-        now: Nanos,
-        events: &mut EventQueue<Event>,
-        sojourns: &mut QuantileSketch,
-        served: &mut usize,
-        cache: Option<&mut ResultCache>,
-        cache_peak: &mut u64,
-        parked: &mut Vec<Option<(Pending, usize)>>,
-        parked_live: &mut usize,
-    ) -> Result<(), StrategyError> {
-        let plan = self.fleet.faults;
-        let head = match plan {
-            Some(_) if pool.slots[idx].idle_at(now) => {
-                pool.slots[idx].queue.peek().map(|p| (p.id, p.attempt))
-            }
-            _ => None,
-        };
-        if let (Some(pl), Some((id, attempt))) = (plan, head) {
-            if let Some(frac) = pl.death(id, attempt) {
-                let (mut pending, ready) = pool.slots[idx]
-                    .crash(now, frac)
-                    .expect("idle slot with a queued head");
-                let st = &mut self.fleet.fault_stats;
-                st.deaths += 1;
-                if pl.death_after_commit(id, attempt) {
-                    st.duplicates += 1;
-                }
-                if attempt < pl.max_attempts() {
-                    st.retries += 1;
-                    pending.attempt += 1;
-                    let backoff_at = now + pl.backoff(attempt);
-                    let retry_at = if pl.config().retry.reroute {
-                        backoff_at
-                    } else {
-                        backoff_at.max(ready)
-                    };
-                    let token = parked.len();
-                    parked.push(Some((pending, idx)));
-                    *parked_live += 1;
-                    events.schedule(retry_at, Event::Retry(token));
-                } else {
-                    st.abandoned += 1;
-                }
-                events.schedule(ready, Event::Ready(idx));
-                return Ok(());
-            }
-        }
-        if let Some(d) = pool.slots[idx].dispatch(now)? {
-            sojourns.record_nanos(d.sojourn);
-            *served += 1;
-            let mut ready_at = d.ready_at;
-            if let (Some(pl), Some((id, attempt))) = (plan, head) {
-                if pl.restore_failure(id, attempt) {
-                    self.fleet.fault_stats.restore_failures += 1;
-                    ready_at = pool.slots[idx].fail_restore();
-                }
-            }
-            events.schedule(ready_at, Event::Ready(idx));
-            if d.idempotent {
-                if let Some(c) = cache {
-                    let key = CacheKey {
-                        fn_id: 0,
-                        generation: self.generation,
-                        payload_hash: d.payload_hash,
-                    };
-                    // The fill becomes visible when the response leaves
-                    // the container; its TTL runs from that instant.
-                    c.insert(key, d.output_kb, d.resp_at);
-                    if let Some(at) = c.next_expiry() {
-                        // One expiry event per insertion keeps the
-                        // sweep exact without a timer wheel; stale
-                        // events sweep nothing.
-                        events.schedule(at.max(d.resp_at), Event::CacheExpire);
-                    }
-                    *cache_peak = (*cache_peak).max(c.bytes());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// One scaling observation: the pre-warmer first (it is the point
-    /// of this module), else the reactive autoscaler.
-    fn scale(
-        &mut self,
-        now: Nanos,
-        pool: &mut Pool,
-        events: &mut EventQueue<Event>,
-        prewarmer: Option<&mut Prewarmer>,
-        service_secs: f64,
-    ) -> Result<(), StrategyError> {
-        if let Some(pw) = prewarmer {
-            if pw.want_grow(now, pool.active(), service_secs) {
-                let (idx, ready) = pool.grow(now)?;
-                events.schedule(ready, Event::WarmReady(idx));
-            }
-            return Ok(());
-        }
-        let Some(scaler) = self.fleet.autoscaler.as_mut() else {
-            return Ok(());
-        };
-        match scaler.observe(now, pool) {
-            Some(ScaleAction::Grow) => {
-                let (idx, ready) = pool.grow(now)?;
-                events.schedule(ready, Event::WarmReady(idx));
-                scaler.applied(now, ScaleAction::Grow);
-            }
-            Some(ScaleAction::Retire(idx)) => {
-                pool.retire(idx);
-                scaler.applied(now, ScaleAction::Retire(idx));
-            }
-            None => {}
-        }
-        Ok(())
-    }
-
-    /// The run is over when every arrival is resolved (served, shed, or
-    /// abandoned after its retry budget) and nothing waits in a queue,
-    /// the defer buffer, or the retry park table.
-    fn done(
-        &self,
-        served: usize,
-        admission: &Option<AdmissionControl>,
-        pool: &Pool,
-        defer: &VecDeque<Pending>,
-        requests: usize,
-        parked_live: usize,
-    ) -> bool {
-        let rejected = admission.as_ref().map(|a| a.rejected).unwrap_or(0) as usize;
-        let abandoned = self.fleet.fault_stats.abandoned as usize;
-        served + rejected + abandoned == requests
-            && pool.queued() == 0
-            && defer.is_empty()
-            && parked_live == 0
     }
 }
 

@@ -8,7 +8,11 @@
 //!   [`Fleet::run`] reference exactly — every counter and every
 //!   sketch-derived float, compared through `{:?}` (shortest round-trip
 //!   rendering, distinguishes any two f64 bit patterns) and through a
-//!   CSV-style line, across seeds × route policies × autoscaler on/off.
+//!   CSV-style line, across seeds × route policies × autoscaler on/off
+//!   × fault cases (none; deaths plus restore failures retried on the
+//!   same container; the same retried elsewhere). Both drivers attempt
+//!   through one dispatch kernel, so a divergence here is a driver
+//!   wiring bug.
 //! - **Cluster**: [`run_cluster_gateway`] with [`GatewayConfig::disabled`]
 //!   must embed a [`ClusterResult`] byte-identical to [`run_cluster_with`],
 //!   and with policies *enabled* the node-parallel run must stay
@@ -20,8 +24,13 @@
 //! so running the same config twice must reproduce every byte.
 
 use gh_faas::cluster::{run_cluster_gateway, run_cluster_with, ClusterConfig, PlacePolicy};
-use gh_faas::fleet::{AutoscaleConfig, ExecMode, FleetConfig, FleetResult, RoutePolicy};
-use gh_faas::gateway::{run_gateway_fleet, run_ungated_reference, GatewayFleetConfig};
+use gh_faas::fault::{FaultConfig, RetryPolicy};
+use gh_faas::fleet::{
+    AutoscaleConfig, ExecMode, Fleet, FleetConfig, FleetResult, Pool, RoutePolicy,
+};
+use gh_faas::gateway::{
+    run_gateway_fleet, run_ungated_reference, GatewayFleet, GatewayFleetConfig,
+};
 use gh_faas::trace::cluster_redeploy_schedule;
 use gh_faas::trace::{synthetic_catalog, TraceConfig};
 use gh_gateway::admission::AdmissionConfig;
@@ -66,9 +75,25 @@ fn fleet_cfg(policy: RoutePolicy, seed: u64, autoscale: bool) -> FleetConfig {
     cfg
 }
 
+/// The oracle's fault cases: none, then 8% deaths plus 4% restore
+/// failures under each retry policy.
+fn fault_cases(seed: u64) -> [Option<FaultConfig>; 3] {
+    let faulty = |retry| FaultConfig {
+        restore_failure_rate: 0.04,
+        retry,
+        ..FaultConfig::deaths(seed, 0.08)
+    };
+    [
+        None,
+        Some(faulty(RetryPolicy::bounded())),
+        Some(faulty(RetryPolicy::rerouting())),
+    ]
+}
+
 #[test]
 fn passthrough_gateway_is_the_ungated_fleet_bit_for_bit() {
     let spec = gh_functions::catalog::by_name("fannkuch (p)").unwrap();
+    let mut deaths = 0;
     for seed in [3u64, 17, 4242] {
         for policy in [
             RoutePolicy::RoundRobin,
@@ -76,47 +101,103 @@ fn passthrough_gateway_is_the_ungated_fleet_bit_for_bit() {
             RoutePolicy::RestoreAware,
         ] {
             for autoscale in [false, true] {
-                let fc = fleet_cfg(policy, seed, autoscale);
-                let gated = run_gateway_fleet(
-                    &spec,
-                    StrategyKind::Gh,
-                    GroundhogConfig::gh(),
-                    3,
-                    GatewayFleetConfig::passthrough(fc.clone()),
-                    160,
-                )
-                .unwrap();
-                let ungated = run_ungated_reference(
-                    &spec,
-                    StrategyKind::Gh,
-                    GroundhogConfig::gh(),
-                    3,
-                    fc,
-                    160,
-                )
-                .unwrap();
-                let label = format!("seed={seed} policy={policy:?} autoscale={autoscale}");
-                assert_eq!(
-                    format!("{:?}", gated.fleet),
-                    format!("{ungated:?}"),
-                    "{label}: structural fingerprint diverged"
-                );
-                assert_eq!(
-                    csv_line(&gated.fleet),
-                    csv_line(&ungated),
-                    "{label}: CSV rendering diverged"
-                );
-                assert_eq!(
-                    gated.gateway,
-                    gh_gateway::GatewayStats {
-                        served: 160,
-                        ..Default::default()
-                    },
-                    "{label}: a pass-through gateway serves everything, observes nothing"
-                );
+                for faults in fault_cases(seed) {
+                    let fc = fleet_cfg(policy, seed, autoscale);
+                    let gated = run_gateway_fleet(
+                        &spec,
+                        StrategyKind::Gh,
+                        GroundhogConfig::gh(),
+                        3,
+                        GatewayFleetConfig {
+                            faults,
+                            ..GatewayFleetConfig::passthrough(fc.clone())
+                        },
+                        160,
+                    )
+                    .unwrap();
+                    let ungated = match faults {
+                        None => run_ungated_reference(
+                            &spec,
+                            StrategyKind::Gh,
+                            GroundhogConfig::gh(),
+                            3,
+                            fc,
+                            160,
+                        )
+                        .unwrap(),
+                        Some(f) => {
+                            let mut pool = Pool::build(
+                                &spec,
+                                StrategyKind::Gh,
+                                GroundhogConfig::gh(),
+                                3,
+                                seed,
+                            )
+                            .unwrap();
+                            Fleet::new(fc)
+                                .with_faults(f)
+                                .run_with(&mut pool, 160, ExecMode::Serial)
+                                .unwrap()
+                        }
+                    };
+                    let label = format!(
+                        "seed={seed} policy={policy:?} autoscale={autoscale} faults={faults:?}"
+                    );
+                    assert_eq!(
+                        format!("{:?}", gated.fleet),
+                        format!("{ungated:?}"),
+                        "{label}: structural fingerprint diverged"
+                    );
+                    assert_eq!(
+                        csv_line(&gated.fleet),
+                        csv_line(&ungated),
+                        "{label}: CSV rendering diverged"
+                    );
+                    let f = ungated.stats.faults;
+                    assert_eq!(
+                        gated.gateway,
+                        gh_gateway::GatewayStats {
+                            served: 160 - f.abandoned,
+                            ..Default::default()
+                        },
+                        "{label}: a pass-through gateway serves everything not abandoned, \
+                         observes nothing"
+                    );
+                    assert_eq!(faults.is_none(), f.is_empty(), "{label}");
+                    deaths += f.deaths;
+                }
             }
         }
     }
+    assert!(deaths > 0, "the fault cases must crash attempts");
+}
+
+/// Fault accounting is per run: a driver run twice on identically built
+/// pools reports the same result twice, faults included.
+#[test]
+fn a_reused_faulty_driver_repeats_exactly() {
+    let spec = gh_functions::catalog::by_name("fannkuch (p)").unwrap();
+    let pool = || Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 2, 5).unwrap();
+    let fc = FleetConfig::fixed(RoutePolicy::LeastLoaded, 100.0, 5);
+    let faults = FaultConfig {
+        restore_failure_rate: 0.05,
+        ..FaultConfig::deaths(5, 0.2)
+    };
+    let mut gateway = GatewayFleet::new(GatewayFleetConfig {
+        faults: Some(faults),
+        ..GatewayFleetConfig::passthrough(fc.clone())
+    });
+    let first = gateway.run(&mut pool(), 200).unwrap();
+    let second = gateway.run(&mut pool(), 200).unwrap();
+    assert!(
+        first.fleet.stats.faults.abandoned > 0,
+        "some request must exhaust its attempts"
+    );
+    assert_eq!(format!("{first:?}"), format!("{second:?}"), "gateway");
+    let mut fleet = Fleet::new(fc).with_faults(faults);
+    let first = fleet.run(&mut pool(), 200).unwrap();
+    let second = fleet.run(&mut pool(), 200).unwrap();
+    assert_eq!(format!("{first:?}"), format!("{second:?}"), "fleet");
 }
 
 fn enabled_gateway() -> GatewayConfig {
