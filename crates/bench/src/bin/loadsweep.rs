@@ -7,13 +7,17 @@
 //! cargo run --release -p gh-bench --bin loadsweep -- --serial
 //! ```
 //!
-//! Each (function, rate) cell runs its BASE and GH open loops on its own
-//! kernels — independent, so the cells are sharded across worker threads
-//! with a deterministic ordered merge (byte-identical to `--serial`).
+//! An open loop is a fleet of one round-robin slot: requests arrive
+//! whether or not the container is ready and queue behind both
+//! execution and restoration. Each (function, rate) cell runs its BASE
+//! and GH open loops on its own kernels — independent, so the cells are
+//! sharded across worker threads with a deterministic ordered merge
+//! (byte-identical to `--serial`). The CSVs are checked in: a change to
+//! single-container virtual time shows as a diff.
 
 use gh_bench::harness::{run_cells, serial_requested};
 use gh_bench::write_csv;
-use gh_faas::openloop::open_loop_run;
+use gh_faas::fleet::{run_fleet, FleetConfig, RoutePolicy};
 use gh_functions::catalog::by_name;
 use gh_isolation::StrategyKind;
 use gh_sim::report::TextTable;
@@ -43,17 +47,12 @@ fn main() {
             "GH/base mean",
         ]);
         let rows = run_cells(&rates, serial_requested(), |&rps| {
-            let base = open_loop_run(
-                &spec,
-                StrategyKind::Base,
-                GroundhogConfig::gh(),
-                rps,
-                200,
-                21,
-            )
-            .unwrap();
-            let gh = open_loop_run(&spec, StrategyKind::Gh, GroundhogConfig::gh(), rps, 200, 21)
-                .unwrap();
+            let open_loop = |kind| {
+                let cfg = FleetConfig::fixed(RoutePolicy::RoundRobin, rps, 21);
+                run_fleet(&spec, kind, GroundhogConfig::gh(), 1, cfg, 200).unwrap()
+            };
+            let base = open_loop(StrategyKind::Base);
+            let gh = open_loop(StrategyKind::Gh);
             vec![
                 format!("{rps:.1}"),
                 format!("{:.2}", base.utilization),

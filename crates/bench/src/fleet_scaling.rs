@@ -77,7 +77,7 @@ fn timed_run(mode: ExecMode) -> (f64, String) {
     let cfg = FleetConfig::fixed(RoutePolicy::RoundRobin, OFFERED_RPS, SEED);
     let mut pool =
         Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), POOL, SEED).expect("pool");
-    let mut fleet = Fleet::new(cfg);
+    let fleet = Fleet::new(cfg);
     let t0 = Instant::now();
     let result = fleet.run_with(&mut pool, REQUESTS, mode).expect("run");
     let ns = t0.elapsed().as_nanos() as f64;

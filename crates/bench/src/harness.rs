@@ -4,85 +4,34 @@
 //! offered load × routing policy, write-set densities, …) where each
 //! cell builds its own `Kernel` and seeds its own `DetRng` — no state is
 //! shared, so cells can run on OS threads with no effect on results.
-//! [`run_cells`] shards the cells across `std::thread::scope` workers
-//! (nothing beyond `std` — crates.io is unreachable in this
-//! environment) and performs a **deterministic ordered merge**: results
-//! come back in input order regardless of scheduling, so the rendered
-//! tables and CSVs are byte-identical to a serial run. The CI
-//! determinism job asserts exactly that by diffing `--serial` against
-//! parallel output, across a `GH_THREADS` matrix.
+//! [`run_cells`] shards the cells through [`gh_sim::par::ordered_map`],
+//! the work-stealing map with a **deterministic ordered merge** that
+//! cluster nodes use too: results come back in input order regardless
+//! of scheduling, so the rendered tables and CSVs are byte-identical to
+//! a serial run. The CI determinism job asserts exactly that by diffing
+//! `--serial` against parallel output, across a `GH_THREADS` matrix.
 //!
-//! Knobs (shared with `gh_faas::fleet`'s host-parallel execution):
-//! `--serial` or `GH_SERIAL=1` forces one worker; `GH_THREADS=n` pins
-//! the worker count, defaulting to the host's available parallelism.
+//! Knobs (shared with `gh_faas`'s fleet and cluster execution):
+//! `--serial` or `GH_SERIAL=1` forces one worker ([`serial_requested`]);
+//! `GH_THREADS=n` pins the worker count, defaulting to the host's
+//! available parallelism.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use gh_sim::par::{configured_threads, ordered_map};
 
-/// True when the caller asked for the serial fallback (`--serial` on
-/// the command line, or `GH_SERIAL=1` in the environment).
-pub fn serial_requested() -> bool {
-    std::env::args().any(|a| a == "--serial") || std::env::var("GH_SERIAL").is_ok_and(|v| v != "0")
-}
-
-/// Worker count for a parallel sweep: `GH_THREADS=n` when set, else the
-/// host's available parallelism.
-pub fn configured_workers() -> usize {
-    match std::env::var("GH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
+pub use gh_sim::par::serial_requested;
 
 /// Evaluates `f` over every cell, in parallel unless `serial`, and
-/// returns the results **in input order**.
-///
-/// Each worker claims cells from a shared counter (dynamic load
-/// balancing: fleet cells at different pool sizes differ wildly in
-/// cost) and tags results with their index; the merge sorts by index.
-/// Determinism therefore requires only that `f` itself is a pure
-/// function of its cell — which every sweep cell is, by construction
-/// (own kernel, own seed).
+/// returns the results **in input order**. Determinism requires only
+/// that `f` itself is a pure function of its cell — which every sweep
+/// cell is, by construction (own kernel, own seed).
 pub fn run_cells<C, R, F>(cells: &[C], serial: bool, f: F) -> Vec<R>
 where
     C: Sync,
     R: Send,
     F: Fn(&C) -> R + Sync,
 {
-    let workers = if serial {
-        1
-    } else {
-        configured_workers().min(cells.len().max(1))
-    };
-    if workers <= 1 {
-        return cells.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(cells.len()));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    local.push((i, f(&cells[i])));
-                }
-                collected.lock().expect("worker panicked").extend(local);
-            });
-        }
-    });
-    let mut tagged = collected.into_inner().expect("worker panicked");
-    tagged.sort_by_key(|&(i, _)| i);
-    debug_assert_eq!(tagged.len(), cells.len());
-    tagged.into_iter().map(|(_, r)| r).collect()
+    let workers = if serial { 1 } else { configured_threads() };
+    ordered_map(cells.len(), workers, |i| f(&cells[i]))
 }
 
 #[cfg(test)]

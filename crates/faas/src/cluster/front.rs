@@ -95,11 +95,15 @@ impl GatewayFront {
     /// Builds the front with a redeploy schedule folded into the cache:
     /// when the trace clock passes an entry, that function's generation
     /// bumps and its cached results drop (old-generation keys miss even
-    /// inside their TTL). The schedule must be time-ordered; being a
-    /// pure function of the trace clock, it folds deterministically, so
-    /// coordinator purity is preserved.
+    /// inside their TTL). Being a pure function of the trace clock, it
+    /// folds deterministically, so coordinator purity is preserved.
+    ///
+    /// # Panics
+    ///
+    /// If the schedule is not time-ordered (in every build: the fold
+    /// would otherwise apply a late-listed entry late).
     pub fn with_redeploys(cfg: &GatewayConfig, schedule: &[(Nanos, u32)]) -> GatewayFront {
-        debug_assert!(
+        assert!(
             schedule.windows(2).all(|w| w[0].0 <= w[1].0),
             "redeploy schedule must be time-ordered"
         );
@@ -211,6 +215,15 @@ mod tests {
         }
         assert_eq!(f.hits, 0);
         assert_eq!(f.rejected, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "redeploy schedule must be time-ordered")]
+    fn an_unordered_redeploy_schedule_is_rejected() {
+        // The fold applies due entries from a cursor, so the 2 s entry
+        // would wait behind the 5 s one and apply 3 s late.
+        let schedule = [(Nanos::from_secs(5), 0), (Nanos::from_secs(2), 1)];
+        GatewayFront::with_redeploys(&GatewayConfig::disabled(), &schedule);
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //! Because placement never reads node state, a node's entire timeline
 //! is a pure function of `(trace config, catalog, cluster config, node
 //! index)`. Node timelines are therefore *embarrassingly* parallel —
-//! the PR 6 plan/shard/merge discipline with the sharding moved up one
-//! level: workers on [`std::thread::scope`] claim node indices from an
-//! atomic cursor (same work-stealing as `gh_bench::harness::run_cells`)
-//! and the coordinator merges per-node results **in node-index order**.
+//! the plan/shard/merge discipline with the sharding moved up one
+//! level: workers claim node indices from an atomic cursor and the
+//! coordinator merges per-node results **in node-index order** — the
+//! same ordered work-stealing map ([`gh_sim::par::ordered_map`]) that
+//! shards sweep cells.
 //! Per-node stats live in exact-merge [`QuantileSketch`]es, so the
 //! merged result is independent of completion order and bit-identical
 //! to the serial reference — enforced by `tests/cluster_oracle.rs`
@@ -70,6 +71,7 @@ pub mod scale;
 use gh_functions::FunctionSpec;
 use gh_gateway::{GatewayConfig, GatewayStats};
 use gh_isolation::{StrategyError, StrategyKind};
+use gh_sim::par::ordered_map;
 use gh_sim::stats::throughput_rps;
 use gh_sim::{Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
@@ -148,7 +150,8 @@ impl ClusterConfig {
     }
 
     /// Sets the redeploy schedule the gateway front folds into its
-    /// result cache (must be time-ordered).
+    /// result cache. It must be time-ordered: a gateway run panics on
+    /// an unordered one ([`GatewayFront::with_redeploys`]).
     pub fn with_redeploys(mut self, schedule: Vec<(Nanos, u32)>) -> ClusterConfig {
         self.redeploys = schedule;
         self
@@ -637,59 +640,10 @@ fn run_nodes(
     gh: &GroundhogConfig,
     mode: ExecMode,
 ) -> Result<Vec<NodeResult>, StrategyError> {
-    let threads = mode.threads();
-    let n = ccfg.nodes;
-    let node = |i: usize| {
-        run_node(
-            i,
-            &fold.arrivals[i],
-            &fold.placer,
-            trace_cfg,
-            catalog,
-            ccfg,
-            gh,
-        )
-    };
-    let results: Vec<NodeResult> = if threads >= 2 && n >= 2 {
-        // Work-stealing over node indices; merge order is fixed by
-        // index, so completion order is irrelevant.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let workers = threads.min(n);
-        let mut collected: Vec<Vec<(usize, Result<NodeResult, StrategyError>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                if i >= n {
-                                    break local;
-                                }
-                                local.push((i, node(i)));
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("node worker panicked"))
-                    .collect()
-            });
-        let mut slots: Vec<Option<Result<NodeResult, StrategyError>>> =
-            (0..n).map(|_| None).collect();
-        for (i, r) in collected.drain(..).flatten() {
-            slots[i] = Some(r);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every node index claimed"))
-            .collect::<Result<Vec<_>, _>>()?
-    } else {
-        (0..n).map(node).collect::<Result<Vec<_>, _>>()?
-    };
-    Ok(results)
+    ordered_map(ccfg.nodes, mode.threads(), |i| {
+        let placer = &fold.placer;
+        run_node(i, &fold.arrivals[i], placer, trace_cfg, catalog, ccfg, gh)
+    })
 }
 
 /// Outcome of a gateway-wrapped cluster run.

@@ -270,6 +270,23 @@ impl FaultStats {
         *self == FaultStats::default()
     }
 
+    /// The one retry rule, taken after faulted attempt `attempt`
+    /// (1-based) of a request or hop: when `plan` allows another
+    /// attempt, counts a retry and returns `true`; otherwise counts the
+    /// request abandoned and returns `false`. Every runner that draws
+    /// faults — the dispatch kernel, the DAG hop loop and the migrating
+    /// cluster — decides here, so a failed attempt has one fate
+    /// everywhere.
+    pub(crate) fn retry_or_abandon(&mut self, plan: &FaultPlan, attempt: u32) -> bool {
+        if attempt < plan.max_attempts() {
+            self.retries += 1;
+            true
+        } else {
+            self.abandoned += 1;
+            false
+        }
+    }
+
     /// Folds `other` into `self` (node-level merge).
     pub fn merge(&mut self, other: &FaultStats) {
         self.deaths += other.deaths;

@@ -196,8 +196,7 @@ impl<D> Backend<D> {
                     // applied: a retry re-executes committed work.
                     f.duplicates += 1;
                 }
-                if attempt < plan.max_attempts() {
-                    f.retries += 1;
+                if f.retry_or_abandon(&plan, attempt) {
                     p.attempt += 1;
                     let backoff_at = now + plan.backoff(attempt);
                     // Retry-after-restore waits for the recovery too; a
@@ -211,8 +210,6 @@ impl<D> Backend<D> {
                     self.parked.push(Some((p, pool as u32, slot as u32)));
                     self.parked_live += 1;
                     self.events.schedule(retry_at, Event::Retry(token));
-                } else {
-                    f.abandoned += 1;
                 }
                 self.events.schedule(ready, ready_edge);
                 return Ok(None);

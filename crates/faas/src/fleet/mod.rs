@@ -30,7 +30,11 @@
 //!   defined once. A fault-free run is the same loop with no fault plan.
 //!
 //! A pool of one with the round-robin policy reproduces the single
-//! container open-loop semantics exactly (see [`crate::openloop`]).
+//! container open-loop semantics exactly: it is §4's limit harness,
+//! where requests arrive whether or not the container is ready and
+//! queue behind both execution *and* restoration (the `loadsweep`
+//! bench; `tests/fleet_scheduling.rs` pins it against a hand-rolled
+//! single-container loop).
 //!
 //! # Host-parallel execution
 //!
@@ -236,13 +240,12 @@ pub(crate) fn poisson_gap(offered_rps: f64, rng: &mut DetRng) -> Nanos {
     Nanos::from_millis_f64(-u.ln() / offered_rps * 1e3)
 }
 
-/// The event-driven fleet driver. Owns routing and autoscaling state;
-/// borrows the pool per run so pools can be kept (e.g. by the platform)
-/// across runs.
+/// The event-driven fleet driver. Holds only its configuration, and
+/// runs take `&self`: each run builds its own router and autoscaler, so
+/// a reused `Fleet` repeats exactly. Borrows the pool per run so pools
+/// can be kept (e.g. by the platform) across runs.
 pub struct Fleet {
-    pub(crate) cfg: FleetConfig,
-    pub(crate) router: Router,
-    pub(crate) autoscaler: Option<Autoscaler>,
+    cfg: FleetConfig,
     /// Fault plan, present only when injection is active — `None` keeps
     /// every run free of fault draws, retries and their events, which
     /// is what the fault oracle's bit-identity arm pins.
@@ -253,14 +256,7 @@ impl Fleet {
     /// Creates a driver for `cfg`.
     pub fn new(cfg: FleetConfig) -> Fleet {
         assert!(cfg.offered_rps > 0.0, "offered load must be positive");
-        let router = Router::new(cfg.policy);
-        let autoscaler = cfg.autoscale.map(Autoscaler::new);
-        Fleet {
-            cfg,
-            router,
-            autoscaler,
-            plan: None,
-        }
+        Fleet { cfg, plan: None }
     }
 
     /// Arms fault injection. A config with all rates zero is treated as
@@ -319,7 +315,7 @@ impl Fleet {
     /// assert!(result.goodput_rps > 0.0);
     /// # Ok::<(), gh_isolation::StrategyError>(())
     /// ```
-    pub fn run(&mut self, pool: &mut Pool, requests: usize) -> Result<FleetResult, StrategyError> {
+    pub fn run(&self, pool: &mut Pool, requests: usize) -> Result<FleetResult, StrategyError> {
         self.run_with(pool, requests, ExecMode::Auto)
     }
 
@@ -329,7 +325,7 @@ impl Fleet {
     /// autoscaler configured, pool or thread count below two) runs
     /// serially regardless of `mode`.
     pub fn run_with(
-        &mut self,
+        &self,
         pool: &mut Pool,
         requests: usize,
         mode: ExecMode,
@@ -344,7 +340,7 @@ impl Fleet {
             && threads >= 2
             && self.plan.is_none()
             && self.cfg.policy == RoutePolicy::RoundRobin
-            && self.autoscaler.is_none()
+            && self.cfg.autoscale.is_none()
             && pool.slots.len() >= 2;
         if eligible {
             self.run_parallel(pool, requests, threads)
@@ -356,11 +352,7 @@ impl Fleet {
     /// The bit-exact serial reference: one global event loop on the
     /// caller's thread, every attempt through the dispatch kernel
     /// ([`backend`]). A fault-free run is the same loop with no plan.
-    fn run_serial(
-        &mut self,
-        pool: &mut Pool,
-        requests: usize,
-    ) -> Result<FleetResult, StrategyError> {
+    fn run_serial(&self, pool: &mut Pool, requests: usize) -> Result<FleetResult, StrategyError> {
         let input_kb = pool.spec.input_kb;
         let t_start = Self::span_start(pool);
         let offered_rps = self.cfg.offered_rps;
@@ -371,6 +363,8 @@ impl Fleet {
         // the original open-loop harness).
         let mut principal_rng = DetRng::new(self.cfg.seed ^ 0x7E4A_4175);
         let mut k: Backend = Backend::new(self.plan);
+        let mut router = Router::new(self.cfg.policy);
+        let mut scaler = self.cfg.autoscale.map(Autoscaler::new);
         let mut next_arrival = t_start;
         let mut generated = 0usize;
         if requests > 0 {
@@ -379,7 +373,7 @@ impl Fleet {
             generated = 1;
         }
         let pools = std::slice::from_mut(pool);
-        let routers = std::slice::from_mut(&mut self.router);
+        let routers = std::slice::from_mut(&mut router);
 
         while let Some((now, ev)) = k.events.pop() {
             match ev {
@@ -402,7 +396,7 @@ impl Fleet {
                         generated += 1;
                     }
                     k.dispatch(now, pools, 0, slot)?;
-                    if let Some(scaler) = self.autoscaler.as_mut() {
+                    if let Some(scaler) = scaler.as_mut() {
                         if let Some((idx, ready)) = scaler.step(now, &mut pools[0])? {
                             // The new container announces readiness once
                             // initialized.
@@ -423,7 +417,15 @@ impl Fleet {
             }
         }
         let tally = k.finish(requests);
-        Ok(self.finish(&mut pools[0], t_start, &baseline, &tally))
+        let pool = &mut pools[0];
+        Ok(Self::finish(
+            &self.cfg,
+            scaler.as_ref(),
+            pool,
+            t_start,
+            &baseline,
+            &tally,
+        ))
     }
 
     /// The sharded path: plan on the coordinator, fan container-local
@@ -432,7 +434,7 @@ impl Fleet {
     /// docs and [`par`]). Callers guarantee eligibility: round-robin
     /// policy, no autoscaler, ≥ 2 slots, ≥ 2 threads, ≥ 1 request.
     fn run_parallel(
-        &mut self,
+        &self,
         pool: &mut Pool,
         requests: usize,
         threads: usize,
@@ -445,13 +447,14 @@ impl Fleet {
 
         // Phase 1 — plan: draw the arrival process (same RNG streams and
         // per-stream draw order as the serial loop) and route every
-        // request with a *clone* of the router — round-robin routing
-        // reads only the slots' static retired flags, so pre-run
-        // decisions are exact. The real router advances during the
-        // phase-3 replay, ending with the cursor the serial run leaves.
+        // request with a fresh router — round-robin routing reads only
+        // the slots' static retired flags, so pre-run decisions are
+        // exact. A second fresh router re-routes during the phase-3
+        // replay and must agree.
         let mut arrival_rng = DetRng::new(self.cfg.seed ^ 0x09E4_100D);
         let mut principal_rng = DetRng::new(self.cfg.seed ^ 0x7E4A_4175);
-        let mut planner = self.router.clone();
+        let mut router = Router::new(self.cfg.policy);
+        let mut planner = router.clone();
         let mut plan: Vec<par::Arrival> = Vec::with_capacity(requests);
         let mut next_arrival = t_start;
         for i in 0..requests {
@@ -538,9 +541,7 @@ impl Fleet {
             match ev {
                 ShardEv::Arrival(i) => {
                     let a = &plan[i];
-                    let idx = self
-                        .router
-                        .route(now, &a.principal, restore_cost, &pool.slots);
+                    let idx = router.route(now, &a.principal, restore_cost, &pool.slots);
                     assert_eq!(idx, a.slot, "replay route diverged from plan");
                     mirrors[idx].qlen += 1;
                     queued_total += 1;
@@ -584,15 +585,18 @@ impl Fleet {
             "every recorded dispatch must be consumed by the replay"
         );
 
-        Ok(self.finish(pool, t_start, &baseline, &tally))
+        Ok(Self::finish(
+            &self.cfg, None, pool, t_start, &baseline, &tally,
+        ))
     }
 
     /// Shared result assembly: settles trailing restores and folds the
-    /// pool's post-run state into a [`FleetResult`]. Both execution
-    /// paths end here, so the report derivation is identical by
-    /// construction.
+    /// pool's post-run state and the run's autoscaler (if any) into a
+    /// [`FleetResult`]. Both fleet execution paths and the gateway end
+    /// here, so the report derivation is identical by construction.
     pub(crate) fn finish(
-        &self,
+        cfg: &FleetConfig,
+        scaler: Option<&Autoscaler>,
         pool: &mut Pool,
         t_start: Nanos,
         baseline: &[Baseline],
@@ -664,16 +668,12 @@ impl Fleet {
         };
         let mean_ms = sojourns.mean_ms();
         let depth_pcts = depth.percentiles(&[50.0, 95.0, 99.0]);
-        let (spawned, retired) = self
-            .autoscaler
-            .as_ref()
-            .map(|a| (a.grown, a.retired))
-            .unwrap_or((0, 0));
+        let (spawned, retired) = scaler.map_or((0, 0), |a| (a.grown, a.retired));
         let lazy_faults = per_container.iter().map(|c| c.lazy_faults).sum();
         let lazy_drained_pages = per_container.iter().map(|c| c.lazy_drained_pages).sum();
         let memory = pool.memory();
         FleetResult {
-            offered_rps: self.cfg.offered_rps,
+            offered_rps: cfg.offered_rps,
             completed: *completed,
             goodput_rps: throughput_rps(*completed, span),
             mean_ms,
@@ -846,6 +846,56 @@ mod tests {
         assert!(large.stats.queue_p99 <= small.stats.queue_p99);
     }
 
+    /// §4's open-loop limit harness: Poisson arrivals against one
+    /// round-robin container, 120 requests.
+    fn open_loop(kind: StrategyKind, rps: f64) -> FleetResult {
+        run(kind, 1, RoutePolicy::RoundRobin, rps, 120, 5)
+    }
+
+    #[test]
+    fn low_load_hides_restoration() {
+        // fannkuch: exec ≈ 4.6ms, restore ≈ 2ms. At 20 r/s (≈10%
+        // utilization) the restore must be invisible in sojourn times.
+        let base = open_loop(StrategyKind::Base, 20.0);
+        let gh = open_loop(StrategyKind::Gh, 20.0);
+        assert!(gh.utilization < 0.35, "low load: {:.2}", gh.utilization);
+        let rel = gh.mean_ms / base.mean_ms;
+        assert!(
+            rel < 1.45,
+            "restore hidden at low load: gh {:.2}ms vs base {:.2}ms",
+            gh.mean_ms,
+            base.mean_ms
+        );
+    }
+
+    #[test]
+    fn high_load_exposes_restoration_as_queueing() {
+        // Offered near BASE's capacity: GH's reduced capacity makes the
+        // queue explode.
+        let base = open_loop(StrategyKind::Base, 130.0);
+        let gh = open_loop(StrategyKind::Gh, 130.0);
+        assert!(
+            gh.mean_ms > base.mean_ms * 1.8,
+            "queueing should blow up first under GH: gh {:.1}ms base {:.1}ms",
+            gh.mean_ms,
+            base.mean_ms
+        );
+    }
+
+    #[test]
+    fn utilization_grows_with_offered_load() {
+        let lo = open_loop(StrategyKind::Gh, 10.0);
+        let hi = open_loop(StrategyKind::Gh, 100.0);
+        assert!(hi.utilization > lo.utilization * 2.0);
+        assert!(lo.p99_ms >= lo.mean_ms);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_load_rejected() {
+        run(StrategyKind::Base, 1, RoutePolicy::RoundRobin, 0.0, 1, 1);
+    }
+
     #[test]
     fn faulty_fleet_retries_and_accounts() {
         let spec = by_name("fannkuch (p)").unwrap();
@@ -904,10 +954,10 @@ mod tests {
         assert!(gated.stats.faults.is_empty());
     }
 
-    #[test]
-    fn autoscaler_grows_under_overload() {
-        let spec = by_name("fannkuch (p)").unwrap();
-        let cfg = FleetConfig {
+    /// Restore-aware routing at 400 r/s with a 1–6 slot autoscaler: one
+    /// starting container is overloaded, so the pool grows.
+    fn overloaded_autoscaled() -> FleetConfig {
+        FleetConfig {
             policy: RoutePolicy::RestoreAware,
             offered_rps: 400.0,
             seed: 13,
@@ -919,7 +969,13 @@ mod tests {
                 idle_retire: Nanos::from_secs(5),
                 cooldown: Nanos::from_millis(200),
             }),
-        };
+        }
+    }
+
+    #[test]
+    fn autoscaler_grows_under_overload() {
+        let spec = by_name("fannkuch (p)").unwrap();
+        let cfg = overloaded_autoscaled();
         let r = run_fleet(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 1, cfg, 300).unwrap();
         assert!(r.stats.spawned > 0, "overload must trigger growth");
         assert_eq!(r.completed, 300);
@@ -950,5 +1006,46 @@ mod tests {
         assert!(r.stats.retired > 0, "idle containers must retire");
         assert!(r.stats.active < 4);
         assert_eq!(r.completed, 80);
+    }
+
+    #[test]
+    fn a_reused_autoscaled_fleet_repeats_exactly() {
+        // The autoscaler is per run: a second run on a fresh 1-slot pool
+        // grows the same way, with no spawn count or cooldown carried
+        // over from the first.
+        let spec = by_name("fannkuch (p)").unwrap();
+        let fleet = Fleet::new(overloaded_autoscaled());
+        let run = || {
+            let mut pool =
+                Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 1, 13).unwrap();
+            fleet.run(&mut pool, 300).unwrap()
+        };
+        let first = run();
+        let second = run();
+        assert!(first.stats.spawned > 0, "overload must trigger growth");
+        assert_eq!(first.stats.pool_size, 1 + first.stats.spawned);
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+    }
+
+    #[test]
+    fn a_reused_round_robin_fleet_restarts_its_cursor() {
+        // The router is per run: each run of 301 requests over 3 slots
+        // starts at slot 0, serially and sharded alike.
+        let spec = by_name("fannkuch (p)").unwrap();
+        for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+            let fleet = Fleet::new(FleetConfig::fixed(RoutePolicy::RoundRobin, 90.0, 7));
+            let served = || {
+                let mut pool =
+                    Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 3, 7).unwrap();
+                let r = fleet.run_with(&mut pool, 301, mode).unwrap();
+                r.stats
+                    .per_container
+                    .iter()
+                    .map(|c| c.served)
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(served(), [101, 100, 100], "{mode:?}: first run");
+            assert_eq!(served(), [101, 100, 100], "{mode:?}: second run");
+        }
     }
 }

@@ -30,6 +30,7 @@
 
 use gh_isolation::StrategyError;
 use gh_sim::event::EventQueue;
+use gh_sim::par::{configured_threads, serial_requested};
 use gh_sim::Nanos;
 
 use super::pool::{Dispatched, Slot};
@@ -64,27 +65,6 @@ impl ExecMode {
             ExecMode::Auto if serial_requested() => 1,
             ExecMode::Auto => configured_threads(),
         }
-    }
-}
-
-/// True when the caller asked for the serial fallback (`--serial` on
-/// the command line, or `GH_SERIAL=1` in the environment) — the same
-/// convention as `gh_bench::harness::serial_requested`.
-pub(crate) fn serial_requested() -> bool {
-    std::env::args().any(|a| a == "--serial") || std::env::var("GH_SERIAL").is_ok_and(|v| v != "0")
-}
-
-/// Worker count for [`ExecMode::Auto`]: `GH_THREADS=n` when set, else
-/// the host's available parallelism.
-pub(crate) fn configured_threads() -> usize {
-    match std::env::var("GH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
     }
 }
 

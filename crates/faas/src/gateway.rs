@@ -8,7 +8,7 @@
 //! and the global concurrency ceiling (rejects are shed, defers are
 //! parked and released as backend capacity frees), and the pre-warmer
 //! watches backend arrivals to grow the pool *ahead* of load where the
-//! reactive [`Autoscaler`](crate::fleet::Autoscaler) would trail it.
+//! reactive [`Autoscaler`] would trail it.
 //!
 //! The loop is a driver over the fleet's dispatch kernel (the crate's
 //! one definition of an attempt, shared with the fleet and every
@@ -51,7 +51,7 @@ use groundhog_core::GroundhogConfig;
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::fleet::backend::{Backend, Event, Tally};
 use crate::fleet::{
-    poisson_gap, Dispatched, ExecMode, Fleet, FleetConfig, FleetResult, Pending, Pool, Router,
+    poisson_gap, Autoscaler, Dispatched, Fleet, FleetConfig, FleetResult, Pending, Pool, Router,
 };
 
 /// Workload and policy of one gateway-fronted fleet run. The workload
@@ -156,10 +156,10 @@ pub fn run_gateway_fleet(
     GatewayFleet::new(cfg).run(&mut pool, requests)
 }
 
-/// The gateway-fronted fleet driver. Owns the fleet's routing and
-/// autoscaling state; the gateway policy state lives per run.
+/// The gateway-fronted fleet driver. Holds only its configuration, and
+/// runs take `&self`: each run builds its own router, autoscaler and
+/// gateway policy state, so a reused `GatewayFleet` repeats exactly.
 pub struct GatewayFleet {
-    fleet: Fleet,
     cfg: GatewayFleetConfig,
 }
 
@@ -240,6 +240,7 @@ impl Gate {
 impl GatewayFleet {
     /// Creates a driver for `cfg`.
     pub fn new(cfg: GatewayFleetConfig) -> GatewayFleet {
+        assert!(cfg.fleet.offered_rps > 0.0, "offered load must be positive");
         assert!(
             (0.0..1.0).contains(&cfg.diurnal_amplitude),
             "amplitude must be in [0, 1)"
@@ -250,10 +251,7 @@ impl GatewayFleet {
                 "a zero concurrency ceiling would defer every request forever"
             );
         }
-        GatewayFleet {
-            fleet: Fleet::new(cfg.fleet.clone()),
-            cfg,
-        }
+        GatewayFleet { cfg }
     }
 
     /// Runs the gateway event loop over `pool` until every arrival is
@@ -264,18 +262,20 @@ impl GatewayFleet {
     /// fault handling included, goes through the fleet's dispatch
     /// kernel, so container deaths release the concurrency ceiling on
     /// their recovery edge exactly as completions do.
-    pub fn run(
-        &mut self,
-        pool: &mut Pool,
-        requests: usize,
-    ) -> Result<GatewayResult, StrategyError> {
+    pub fn run(&self, pool: &mut Pool, requests: usize) -> Result<GatewayResult, StrategyError> {
         let input_kb = pool.spec.input_kb;
         let t_start = Fleet::span_start(pool);
         let baseline = Fleet::baselines(pool);
+        let cfg = &self.cfg;
         if requests == 0 {
-            let fleet = self
-                .fleet
-                .finish(pool, t_start, &baseline, &Tally::default());
+            let fleet = Fleet::finish(
+                &cfg.fleet,
+                None,
+                pool,
+                t_start,
+                &baseline,
+                &Tally::default(),
+            );
             return Ok(GatewayResult {
                 fleet,
                 gateway: GatewayStats::default(),
@@ -284,7 +284,6 @@ impl GatewayFleet {
         // Mean per-request slot occupancy (execution + restore): the
         // pre-warmer's capacity-planning service time.
         let service_secs = (pool.spec.base_invoker_ms + pool.spec.paper_restore_ms) / 1e3;
-        let cfg = &self.cfg;
 
         // Same streams and draw order as the serial fleet loop…
         let mut arrival_rng = DetRng::new(cfg.fleet.seed ^ 0x09E4_100D);
@@ -309,6 +308,8 @@ impl GatewayFleet {
             .filter(FaultConfig::is_active)
             .map(FaultPlan::new);
         let mut k: Backend<GatewayEvent> = Backend::new(plan);
+        let mut router = Router::new(cfg.fleet.policy);
+        let mut scaler = cfg.fleet.autoscale.map(Autoscaler::new);
 
         // Redeploys are scheduled up front (the schedule is part of the
         // config, not the workload); an empty schedule adds no events
@@ -323,7 +324,7 @@ impl GatewayFleet {
         k.events.schedule(next_arrival, Event::Arrival);
         let mut generated = 1usize;
         let pools = std::slice::from_mut(pool);
-        let routers = std::slice::from_mut(&mut self.fleet.router);
+        let routers = std::slice::from_mut(&mut router);
 
         while let Some((now, ev)) = k.events.pop() {
             match ev {
@@ -395,7 +396,7 @@ impl GatewayFleet {
                         // One scaling observation: the pre-warmer first
                         // (it is the point of this module), else the
                         // reactive autoscaler.
-                        let grown = match (&mut gate.prewarmer, &mut self.fleet.autoscaler) {
+                        let grown = match (&mut gate.prewarmer, &mut scaler) {
                             (Some(pw), _) => pw
                                 .want_grow(now, pools[0].active(), service_secs)
                                 .then(|| pools[0].grow(now))
@@ -486,7 +487,15 @@ impl GatewayFleet {
         // The fleet result counts served requests: backend completions
         // plus cache hits, whose sojourns the tally already holds.
         tally.completed = gw.served as usize;
-        let fleet = self.fleet.finish(&mut pools[0], t_start, &baseline, &tally);
+        let pool = &mut pools[0];
+        let fleet = Fleet::finish(
+            &cfg.fleet,
+            scaler.as_ref(),
+            pool,
+            t_start,
+            &baseline,
+            &tally,
+        );
         Ok(GatewayResult { fleet, gateway: gw })
     }
 }
@@ -537,19 +546,4 @@ impl GatewayFleetConfig {
         };
         (idx, format!("user-{idx}"))
     }
-}
-
-/// [`run_gateway_fleet`] but executing the *ungated* fleet reference on
-/// the same pool construction — the differential oracle's baseline.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ungated_reference(
-    spec: &FunctionSpec,
-    kind: StrategyKind,
-    gh: GroundhogConfig,
-    pool_size: usize,
-    fleet: FleetConfig,
-    requests: usize,
-) -> Result<FleetResult, StrategyError> {
-    let mut pool = Pool::build(spec, kind, gh, pool_size, fleet.seed)?;
-    Fleet::new(fleet).run_with(&mut pool, requests, ExecMode::Serial)
 }

@@ -24,9 +24,9 @@
 //! - [`fleet`]: the event-driven fleet scheduler — N containers per
 //!   function on interleaved virtual timelines behind a router with
 //!   pluggable policies (round-robin, least-loaded, restore-aware),
-//!   admission queues with depth percentiles, and an autoscaler.
-//! - [`openloop`]: open-loop Poisson arrivals against a single
-//!   container — a fleet of one, preserved as the §4 limit harness.
+//!   admission queues with depth percentiles, and an autoscaler. A
+//!   fleet of one round-robin slot is §4's open-loop single-container
+//!   limit harness.
 //! - [`trace`]: the trace-driven workload generator — thousands of
 //!   functions with Zipfian popularity, diurnal load envelopes and
 //!   bursty principals, all on seeded [`gh_sim::DetRng`] streams.
@@ -43,13 +43,14 @@
 //!   mid-request, restore failure, node loss — as pure hash draws, so
 //!   fault-free runs stay byte-identical and node-parallel runs stay
 //!   deterministic; bounded-attempt exponential-backoff retries.
-//! - [`workflow`]: workflow composition over the platform — static
-//!   chains and dynamic DAGs (fan-out / fan-in / conditional edges)
-//!   with idempotent commits keyed by `(workflow, hop path)`, an
-//!   AFT-style read-atomic KV shim, Groundhog's taint tracking
-//!   extended across hops, crash-exact recovery under fault
-//!   injection, and cross-node migration of in-flight hops behind a
-//!   failure-aware autoscaler ([`cluster::scale`]).
+//! - [`workflow`]: workflow composition over the platform — dynamic
+//!   DAGs (fan-out / fan-in / conditional edges; a static chain is the
+//!   degenerate DAG) run hop by hop by one runner, with idempotent
+//!   commits keyed by `(workflow, hop path)`, an AFT-style read-atomic
+//!   KV shim, Groundhog's taint tracking extended across hops,
+//!   crash-exact recovery under fault injection, and cross-node
+//!   migration of in-flight hops behind a failure-aware autoscaler
+//!   ([`cluster::scale`]).
 
 pub mod client;
 pub mod cluster;
@@ -57,7 +58,6 @@ pub mod container;
 pub mod fault;
 pub mod fleet;
 pub mod gateway;
-pub mod openloop;
 pub mod platform;
 pub mod proxy;
 pub mod request;
@@ -78,4 +78,4 @@ pub use request::{Request, Response};
 pub use trace::{synthetic_catalog, TraceConfig, TraceEvent, TraceGen};
 pub use workflow::dag::{random_dag_spec, run_dag_workflows, DagNode, DagOp, DagResult, DagSpec};
 pub use workflow::migrate::{run_migrating_dags, MigrateConfig, MigrateResult};
-pub use workflow::{run_workflows, WorkflowConfig, WorkflowResult};
+pub use workflow::WorkflowConfig;

@@ -1,8 +1,9 @@
-//! Dynamic workflow DAGs with crash-exact recovery.
+//! Workflow DAGs with crash-exact recovery.
 //!
-//! [`super::run_workflows`] runs static chains; real FaaS compositions
-//! branch. A [`DagSpec`] adds the three shapes that stress recovery
-//! (AFT's generalization from chains to arbitrary DAGs, PAPERS.md):
+//! A static chain is the degenerate DAG ([`DagSpec::chain`]); real FaaS
+//! compositions branch. A [`DagSpec`] adds the three shapes that stress
+//! recovery (AFT's generalization from chains to arbitrary DAGs,
+//! PAPERS.md):
 //!
 //! - **fan-out** ([`DagOp::FanOut`]): one hop's output spawns `width`
 //!   parallel branch hops, each committing under its own hop path;
@@ -98,7 +99,8 @@ pub struct DagSpec {
 
 impl DagSpec {
     /// A linear chain of `Task` nodes over `funcs` — the degenerate
-    /// DAG, useful as a baseline.
+    /// DAG. Static chains run through [`run_dag_workflows`] like any
+    /// other shape; a function listed twice reuses its one container.
     pub fn chain(funcs: &[usize]) -> DagSpec {
         DagSpec {
             nodes: funcs
@@ -211,10 +213,9 @@ impl DagSpec {
     }
 }
 
-/// Packs `(dag node, branch)` into the idempotence key's hop path:
-/// node index in the high 32 bits, branch in the low. Chains keep
-/// using the bare hop index (their node ids stay below 2³²·1), so the
-/// two runners share one [`VersionedKv::commit`] keyspace shape.
+/// Packs `(dag node, branch)` into the idempotence key's hop path for
+/// [`VersionedKv::commit`]: node index in the high 32 bits, branch in
+/// the low.
 pub fn hop_path(node: usize, branch: u32) -> u64 {
     ((node as u64) << 32) | branch as u64
 }
@@ -230,6 +231,20 @@ pub(crate) fn hop_value(w: u64, path: u64, input: u64, agg_seen: u64) -> u64 {
 /// so it never collides with [`AGG_KEY`]).
 pub(crate) fn dag_key(w: u64, path: u64) -> u64 {
     mix(0x00DA_6000 ^ (w << 1) ^ mix(path)) | 1
+}
+
+/// The value join node `n` of workflow `w` runs on: its fan-out
+/// input's durable branch commits, folded by [`join_merge`]. Recovery on
+/// any node re-reads the same commits, so it re-derives the same value.
+pub(crate) fn join_input(spec: &DagSpec, kv: &VersionedKv, w: u64, n: usize) -> u64 {
+    let src = spec.nodes[n].input;
+    let branches: Vec<u64> = (0..spec.width_of(src))
+        .map(|b| {
+            kv.latest(dag_key(w, hop_path(src, b)))
+                .expect("branch commits are durable before the join runs")
+        })
+        .collect();
+    join_merge(&branches)
 }
 
 /// Deterministic fan-in merge: folds branch outputs in branch order.
@@ -292,19 +307,19 @@ struct RunState {
 
 impl RunState {
     /// Runs one hop to commit or abandonment: invoke, seeded
-    /// crash/retry loop, idempotent commit. Returns whether the hop
-    /// (and so the workflow) survived.
-    #[allow(clippy::too_many_arguments)]
+    /// crash/retry loop, idempotent commit (on [`AGG_KEY`] at the sink,
+    /// else on the hop's own key). Returns whether the hop (and so the
+    /// workflow) survived.
     fn exec_hop(
         &mut self,
         c: &mut Container,
         spec: &FunctionSpec,
         w: u64,
         path: u64,
-        key: u64,
         value: u64,
         sink: bool,
     ) -> Result<bool, StrategyError> {
+        let key = if sink { AGG_KEY } else { dag_key(w, path) };
         // Fault draws key on a *stable* per-(workflow, path) id so the
         // schedule does not depend on how many attempts ran before.
         let fault_id = mix(w ^ 0xDA6F_A017) ^ mix(path);
@@ -333,13 +348,11 @@ impl RunState {
                         self.faults.duplicates += 1;
                         self.commit(w, path, key, value);
                     }
-                    if attempt < pl.max_attempts() {
-                        self.faults.retries += 1;
-                        attempt += 1;
-                        continue;
+                    if !self.faults.retry_or_abandon(&pl, attempt) {
+                        return Ok(false);
                     }
-                    self.faults.abandoned += 1;
-                    return Ok(false);
+                    attempt += 1;
+                    continue;
                 }
             }
             if tainted && !sink {
@@ -391,90 +404,40 @@ pub fn run_dag_workflows(
     };
     let mut outputs: Vec<Option<u64>> = Vec::with_capacity(cfg.workflows as usize);
     let mut completed = 0u64;
+    let sink = spec.nodes.len() - 1;
     for w in 0..cfg.workflows {
         let pinned = st.kv.snapshot();
+        // The workflow's own commits land after `pinned`, so every hop of
+        // it reads the same aggregate.
+        let agg_seen = st.kv.read_at(AGG_KEY, pinned).unwrap_or(0);
         let input0 = mix(cfg.seed ^ 0x00DA_607A ^ w);
         let mut out = vec![0u64; spec.nodes.len()];
         let mut alive = true;
-        for (n, node) in spec.nodes.iter().enumerate() {
-            let upstream = if n == 0 { input0 } else { out[node.input] };
-            let sink = n + 1 == spec.nodes.len();
-            match node.op {
-                DagOp::FanOut { .. } => {
-                    for b in 0..spec.width_of(n) {
-                        let path = hop_path(n, b);
-                        let func = spec.hop_func(n, upstream);
-                        let agg_seen = st.kv.read_at(AGG_KEY, pinned).unwrap_or(0);
-                        let value = hop_value(w, path, upstream, agg_seen);
-                        alive = st.exec_hop(
-                            &mut containers[func],
-                            &funcs[func],
-                            w,
-                            path,
-                            dag_key(w, path),
-                            value,
-                            false,
-                        )?;
-                        if !alive {
-                            break;
-                        }
-                    }
-                    // Consumers are joins; they read the branches back
-                    // from the KV, not from this placeholder.
-                    out[n] = upstream;
+        'nodes: for (n, node) in spec.nodes.iter().enumerate() {
+            let input = match node.op {
+                DagOp::Join { .. } => join_input(spec, &st.kv, w, n),
+                _ if n == 0 => input0,
+                _ => out[node.input],
+            };
+            let func = spec.hop_func(n, input);
+            // One hop per branch (a single one unless `n` fans out). A
+            // fan-out's consumers are joins, which read the branch
+            // commits back from the KV rather than `out[n]`.
+            for b in 0..spec.width_of(n) {
+                let path = hop_path(n, b);
+                let value = hop_value(w, path, input, agg_seen);
+                let c = &mut containers[func];
+                if !st.exec_hop(c, &funcs[func], w, path, value, n == sink)? {
+                    alive = false;
+                    break 'nodes;
                 }
-                DagOp::Join { .. } => {
-                    let src = node.input;
-                    let branches: Vec<u64> = (0..spec.width_of(src))
-                        .map(|b| {
-                            st.kv
-                                .latest(dag_key(w, hop_path(src, b)))
-                                .expect("branch commits are durable before the join runs")
-                        })
-                        .collect();
-                    let merged = join_merge(&branches);
-                    match run_scalar_hop(
-                        &mut st,
-                        spec,
-                        funcs,
-                        &mut containers,
-                        w,
-                        n,
-                        merged,
-                        sink,
-                        pinned,
-                    )? {
-                        Some(v) => out[n] = v,
-                        None => alive = false,
-                    }
-                }
-                DagOp::Task { .. } | DagOp::Cond { .. } => {
-                    match run_scalar_hop(
-                        &mut st,
-                        spec,
-                        funcs,
-                        &mut containers,
-                        w,
-                        n,
-                        upstream,
-                        sink,
-                        pinned,
-                    )? {
-                        Some(v) => out[n] = v,
-                        None => alive = false,
-                    }
-                }
-            }
-            if !alive {
-                break;
+                out[n] = value;
             }
         }
         if alive {
             completed += 1;
-            outputs.push(Some(out[spec.nodes.len() - 1]));
-        } else {
-            outputs.push(None);
         }
+        outputs.push(alive.then_some(out[sink]));
     }
     Ok(DagResult {
         workflows: cfg.workflows,
@@ -488,38 +451,6 @@ pub fn run_dag_workflows(
         replay_hash: st.replay_hash,
         faults: st.faults,
     })
-}
-
-/// Executes one scalar hop (task / cond / join-merge hop) of node `n`.
-/// Returns the committed value, or `None` when the hop exhausted its
-/// attempts and the workflow is abandoned.
-#[allow(clippy::too_many_arguments)]
-fn run_scalar_hop(
-    st: &mut RunState,
-    spec: &DagSpec,
-    funcs: &[FunctionSpec],
-    containers: &mut [Container],
-    w: u64,
-    n: usize,
-    input: u64,
-    sink: bool,
-    pinned: u64,
-) -> Result<Option<u64>, StrategyError> {
-    let path = hop_path(n, 0);
-    let func = spec.hop_func(n, input);
-    let agg_seen = st.kv.read_at(AGG_KEY, pinned).unwrap_or(0);
-    let value = hop_value(w, path, input, agg_seen);
-    let key = if sink { AGG_KEY } else { dag_key(w, path) };
-    let alive = st.exec_hop(
-        &mut containers[func],
-        &funcs[func],
-        w,
-        path,
-        key,
-        value,
-        sink,
-    )?;
-    Ok(alive.then_some(value))
 }
 
 /// Draws a random well-formed DAG over a `funcs`-entry catalog: a
@@ -600,11 +531,12 @@ mod tests {
     use gh_functions::catalog::by_name;
     use gh_isolation::StrategyKind;
 
+    fn catalog(names: &[&str]) -> Vec<FunctionSpec> {
+        names.iter().map(|n| by_name(n).unwrap()).collect()
+    }
+
     fn funcs() -> Vec<FunctionSpec> {
-        ["get-time (n)", "float (p)"]
-            .iter()
-            .map(|n| by_name(n).unwrap())
-            .collect()
+        catalog(&["get-time (n)", "float (p)"])
     }
 
     /// Task → FanOut(3) → Join → Cond → Task sink over 2 functions.
@@ -643,7 +575,7 @@ mod tests {
         assert_eq!(hop_path(0, 0), 0);
         assert_eq!(hop_path(1, 0), 1 << 32);
         assert_eq!(hop_path(1, 2), (1 << 32) | 2);
-        // Distinct from every chain hop index (those stay below 2³²).
+        // Every branch index of node 0 stays below node 1's paths.
         assert!(hop_path(1, 0) > u32::MAX as u64);
     }
 
@@ -725,6 +657,59 @@ mod tests {
         assert!(r.faults.is_empty());
         let again = run_dag_workflows(&spec, &funcs(), GroundhogConfig::gh(), &cfg).unwrap();
         assert_eq!(r, again, "the run is a pure function of (seed, spec)");
+    }
+
+    #[test]
+    fn chains_complete_and_commit_once_per_hop() {
+        let spec = DagSpec::chain(&[0, 1]);
+        let cfg = WorkflowConfig::new(12, StrategyKind::Gh, 0xC4A1);
+        let r = run_dag_workflows(&spec, &funcs(), GroundhogConfig::gh(), &cfg).unwrap();
+        assert_eq!(r.completed, 12);
+        assert!(r.outputs.iter().all(|o| o.is_some()));
+        assert_eq!(r.kv_versions, 12 * 2, "one commit per (workflow, hop)");
+        assert_eq!(r.duplicates_suppressed, 0);
+        assert_eq!(r.tainted_handoffs, 0, "Gh wipes taint between hops");
+        assert!(r.faults.is_empty());
+    }
+
+    #[test]
+    fn crashes_with_retries_are_state_equivalent_to_crash_free() {
+        let spec = DagSpec::chain(&[0, 1]);
+        let run = |cfg: &WorkflowConfig| {
+            run_dag_workflows(&spec, &funcs(), GroundhogConfig::gh(), cfg).unwrap()
+        };
+        let clean_cfg = WorkflowConfig::new(30, StrategyKind::Gh, 0xB0B);
+        let clean = run(&clean_cfg);
+        let mut fc = FaultConfig::deaths(0xD1E, 0.10);
+        fc.retry = RetryPolicy {
+            max_attempts: 6,
+            ..RetryPolicy::bounded()
+        };
+        let faulty = run(&clean_cfg.clone().with_faults(fc));
+        assert!(faulty.faults.deaths > 0, "faults actually fired");
+        assert_eq!(faulty.faults.abandoned, 0, "6 attempts never exhaust");
+        assert_eq!(faulty.completed, 30);
+        // Crash-equivalence: same outputs, same final KV state, and the
+        // version count proves no retried commit double-applied.
+        assert_eq!(faulty.outputs, clean.outputs);
+        assert_eq!(faulty.kv_fingerprint, clean.kv_fingerprint);
+        assert_eq!(faulty.kv_versions, clean.kv_versions);
+        assert_eq!(
+            faulty.duplicates_suppressed, faulty.faults.duplicates,
+            "every post-commit death's retry was absorbed"
+        );
+    }
+
+    #[test]
+    fn base_leaks_tainted_pages_across_hops() {
+        let fs = catalog(&["telco (p)", "float (p)"]);
+        let cfg = WorkflowConfig::new(6, StrategyKind::Base, 0x7A1);
+        let r =
+            run_dag_workflows(&DagSpec::chain(&[0, 1]), &fs, GroundhogConfig::gh(), &cfg).unwrap();
+        assert!(
+            r.tainted_handoffs > 0,
+            "Base leaves request pages dirty at the handoff"
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::cluster::scale::{NodeScaleConfig, NodeScaler, ScaleStats};
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
 use crate::trace::dag_workload;
 
-use super::dag::{dag_key, hop_path, hop_value, join_merge, random_dag_spec, DagOp, DagSpec};
+use super::dag::{dag_key, hop_path, hop_value, join_input, random_dag_spec, DagOp, DagSpec};
 use super::{mix, VersionedKv};
 
 /// Configuration of one migration run.
@@ -200,21 +200,10 @@ impl Sim<'_> {
     /// join, the upstream node's output otherwise. Pure — recovery on
     /// any replica re-derives it from the KV alone.
     fn input_of(&self, wf: &Wf, w: usize, node: usize) -> u64 {
-        if node == 0 {
-            return wf.input;
-        }
-        let src = wf.spec.nodes[node].input;
-        if matches!(wf.spec.nodes[node].op, DagOp::Join { .. }) {
-            let branches: Vec<u64> = (0..wf.spec.width_of(src))
-                .map(|b| {
-                    self.kv
-                        .latest(dag_key(w as u64, hop_path(src, b)))
-                        .expect("branch commits are durable before the join dispatches")
-                })
-                .collect();
-            join_merge(&branches)
-        } else {
-            wf.out[src]
+        match wf.spec.nodes[node].op {
+            DagOp::Join { .. } => join_input(&wf.spec, &self.kv, w as u64, node),
+            _ if node == 0 => wf.input,
+            _ => wf.out[wf.spec.nodes[node].input],
         }
     }
 
@@ -403,41 +392,30 @@ pub fn run_migrating_dags(catalog: &[FunctionSpec], cfg: &MigrateConfig) -> Migr
                 if let Some(pl) = sim.plan {
                     // Node loss first: the whole node (and the hop's
                     // response) is gone, regardless of container fate.
-                    if pl.node_down(hop.exec as usize, now) {
-                        sim.faults.orphaned_hops += 1;
-                        sim.faults.node_losses += 1;
+                    // Otherwise the container may die on an up node.
+                    let node_lost = pl.node_down(hop.exec as usize, now);
+                    if node_lost || pl.death(fid, hop.attempt).is_some() {
                         let mut hop = hop;
-                        if !hop.pre_committed && pl.death_after_commit(fid, hop.attempt) {
-                            // The commit raced the outage: durable,
-                            // but the response died with the node.
+                        // Did the commit race the fault? Then it is
+                        // durable, but the response is lost.
+                        let raced = !hop.pre_committed && pl.death_after_commit(fid, hop.attempt);
+                        let f = &mut sim.faults;
+                        if node_lost {
+                            f.orphaned_hops += 1;
+                            f.node_losses += 1;
+                            // The re-commit is the migration ledger's.
+                            hop.orphan_commit |= raced;
+                        } else {
+                            f.deaths += 1;
+                            f.duplicates += u64::from(raced);
+                        }
+                        if raced {
                             sim.commit(w, path, value, false, now);
                             hop.pre_committed = true;
-                            hop.orphan_commit = true;
                         }
-                        if hop.attempt < pl.max_attempts() {
-                            sim.faults.retries += 1;
-                            sim.redispatch(&wfs[w], hop, now, true);
+                        if sim.faults.retry_or_abandon(&pl, hop.attempt) {
+                            sim.redispatch(&wfs[w], hop, now, node_lost);
                         } else {
-                            sim.faults.abandoned += 1;
-                            wfs[w].alive = false;
-                        }
-                        continue;
-                    }
-                    // Container death on an up node: in-place (or
-                    // rerouted) retry, as in the single-node runners.
-                    if pl.death(fid, hop.attempt).is_some() {
-                        sim.faults.deaths += 1;
-                        let mut hop = hop;
-                        if !hop.pre_committed && pl.death_after_commit(fid, hop.attempt) {
-                            sim.commit(w, path, value, false, now);
-                            hop.pre_committed = true;
-                            sim.faults.duplicates += 1;
-                        }
-                        if hop.attempt < pl.max_attempts() {
-                            sim.faults.retries += 1;
-                            sim.redispatch(&wfs[w], hop, now, false);
-                        } else {
-                            sim.faults.abandoned += 1;
                             wfs[w].alive = false;
                         }
                         continue;

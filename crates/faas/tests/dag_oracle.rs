@@ -133,9 +133,9 @@ fn dag_crash_equivalence_across_seeds_rates_and_widths() {
 
 #[test]
 fn chain_dag_agrees_with_the_chain_runner_shape() {
-    // The degenerate DAG (a pure chain) exercises the same hop count
-    // and commit discipline as `run_workflows`' chains: one applied
-    // version per hop per workflow, all workflows complete.
+    // The degenerate DAG (a pure chain) keeps a chain's hop count and
+    // commit discipline: one applied version per hop per workflow, all
+    // workflows complete.
     let fs = funcs();
     let spec = DagSpec::chain(&[0, 1, 0]);
     let cfg = WorkflowConfig::new(8, StrategyKind::Gh, 33);

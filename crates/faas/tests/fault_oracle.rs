@@ -22,7 +22,8 @@ use gh_faas::fault::{FaultConfig, RetryPolicy};
 use gh_faas::fleet::{ExecMode, Fleet, FleetConfig, FleetResult, Pool, RoutePolicy};
 use gh_faas::gateway::{run_gateway_fleet, GatewayFleetConfig};
 use gh_faas::trace::{redeploy_schedule, synthetic_catalog, TraceConfig};
-use gh_faas::workflow::{run_workflows, WorkflowConfig};
+use gh_faas::workflow::dag::{run_dag_workflows, DagSpec};
+use gh_faas::workflow::WorkflowConfig;
 use gh_functions::catalog::by_name;
 use gh_functions::FunctionSpec;
 use gh_isolation::StrategyKind;
@@ -118,13 +119,19 @@ fn disabled_faults_are_invisible_to_the_cluster() {
 
 #[test]
 fn workflow_crash_equivalence_across_seeds_and_rates() {
-    let chain: Vec<FunctionSpec> = ["get-time (n)", "float (p)"]
+    let funcs: Vec<FunctionSpec> = ["get-time (n)", "float (p)"]
         .iter()
         .map(|n| by_name(n).unwrap())
         .collect();
+    // A 3-hop chain: at the 5% rate a 2-hop chain's 50 hops draw no
+    // death for one of the seeds.
+    let chain = DagSpec::chain(&[0, 1, 0]);
+    let run = |cfg: &WorkflowConfig| {
+        run_dag_workflows(&chain, &funcs, GroundhogConfig::gh(), cfg).unwrap()
+    };
     for &seed in &[0xA5u64, 0x51CE] {
         let clean_cfg = WorkflowConfig::new(25, StrategyKind::Gh, seed);
-        let clean = run_workflows(&chain, GroundhogConfig::gh(), &clean_cfg).unwrap();
+        let clean = run(&clean_cfg);
         assert_eq!(clean.completed, 25);
         for &rate in &[0.05f64, 0.15] {
             let mut fc = FaultConfig::deaths(seed ^ 0xFA, rate);
@@ -135,7 +142,7 @@ fn workflow_crash_equivalence_across_seeds_and_rates() {
                 ..RetryPolicy::bounded()
             };
             let faulty_cfg = clean_cfg.clone().with_faults(fc);
-            let faulty = run_workflows(&chain, GroundhogConfig::gh(), &faulty_cfg).unwrap();
+            let faulty = run(&faulty_cfg);
             let label = format!("seed={seed} rate={rate}");
             assert!(faulty.faults.deaths > 0, "{label}: no faults fired");
             assert_eq!(faulty.faults.abandoned, 0, "{label}");

@@ -26,11 +26,9 @@
 use gh_faas::cluster::{run_cluster_gateway, run_cluster_with, ClusterConfig, PlacePolicy};
 use gh_faas::fault::{FaultConfig, RetryPolicy};
 use gh_faas::fleet::{
-    AutoscaleConfig, ExecMode, Fleet, FleetConfig, FleetResult, Pool, RoutePolicy,
+    run_fleet_with, AutoscaleConfig, ExecMode, Fleet, FleetConfig, FleetResult, Pool, RoutePolicy,
 };
-use gh_faas::gateway::{
-    run_gateway_fleet, run_ungated_reference, GatewayFleet, GatewayFleetConfig,
-};
+use gh_faas::gateway::{run_gateway_fleet, GatewayFleet, GatewayFleetConfig};
 use gh_faas::trace::cluster_redeploy_schedule;
 use gh_faas::trace::{synthetic_catalog, TraceConfig};
 use gh_gateway::admission::AdmissionConfig;
@@ -116,13 +114,14 @@ fn passthrough_gateway_is_the_ungated_fleet_bit_for_bit() {
                     )
                     .unwrap();
                     let ungated = match faults {
-                        None => run_ungated_reference(
+                        None => run_fleet_with(
                             &spec,
                             StrategyKind::Gh,
                             GroundhogConfig::gh(),
                             3,
                             fc,
                             160,
+                            ExecMode::Serial,
                         )
                         .unwrap(),
                         Some(f) => {
@@ -183,7 +182,7 @@ fn a_reused_faulty_driver_repeats_exactly() {
         restore_failure_rate: 0.05,
         ..FaultConfig::deaths(5, 0.2)
     };
-    let mut gateway = GatewayFleet::new(GatewayFleetConfig {
+    let gateway = GatewayFleet::new(GatewayFleetConfig {
         faults: Some(faults),
         ..GatewayFleetConfig::passthrough(fc.clone())
     });
@@ -194,10 +193,41 @@ fn a_reused_faulty_driver_repeats_exactly() {
         "some request must exhaust its attempts"
     );
     assert_eq!(format!("{first:?}"), format!("{second:?}"), "gateway");
-    let mut fleet = Fleet::new(fc).with_faults(faults);
+    let fleet = Fleet::new(fc).with_faults(faults);
     let first = fleet.run(&mut pool(), 200).unwrap();
     let second = fleet.run(&mut pool(), 200).unwrap();
     assert_eq!(format!("{first:?}"), format!("{second:?}"), "fleet");
+}
+
+#[test]
+fn a_reused_autoscaled_gateway_repeats_exactly() {
+    // The gateway's autoscaler is per run: a second run on a fresh
+    // 1-slot pool grows the same way, with no spawn count or cooldown
+    // carried over from the first.
+    let spec = gh_functions::catalog::by_name("fannkuch (p)").unwrap();
+    let fc = FleetConfig {
+        autoscale: Some(AutoscaleConfig {
+            min_size: 1,
+            max_size: 6,
+            scale_up_depth: 2.0,
+            idle_retire: Nanos::from_secs(5),
+            cooldown: Nanos::from_millis(200),
+        }),
+        ..FleetConfig::fixed(RoutePolicy::RestoreAware, 400.0, 13)
+    };
+    let gateway = GatewayFleet::new(GatewayFleetConfig::passthrough(fc));
+    let run = || {
+        let mut pool = Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 1, 13).unwrap();
+        gateway.run(&mut pool, 300).unwrap()
+    };
+    let first = run();
+    let second = run();
+    assert!(
+        first.fleet.stats.spawned > 0,
+        "overload must trigger growth"
+    );
+    assert_eq!(first.fleet.stats.pool_size, 1 + first.fleet.stats.spawned);
+    assert_eq!(format!("{first:?}"), format!("{second:?}"));
 }
 
 fn enabled_gateway() -> GatewayConfig {

@@ -11,13 +11,16 @@
 //! first principles rather than replayed.
 //!
 //! This crate is dependency-free and is used by every other crate in the
-//! workspace.
+//! workspace. It also holds the one ordered work-stealing map
+//! ([`par::ordered_map`]) behind every host-parallel layer — sweep
+//! cells and cluster nodes — and the `GH_SERIAL`/`GH_THREADS` knobs.
 //!
 //! [Alzayat et al., EuroSys 2023]: https://arxiv.org/abs/2205.11458
 
 pub mod clock;
 pub mod cost;
 pub mod event;
+pub mod par;
 pub mod report;
 pub mod rng;
 pub mod sketch;

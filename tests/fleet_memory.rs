@@ -58,7 +58,7 @@ fn pool_of_8_holds_under_1_2x_one_snapshot() {
 #[test]
 fn fleet_stats_dedup_matches_frame_table_accounting() {
     let mut pool = gh_pool(4, 7);
-    let mut fleet = Fleet::new(FleetConfig::fixed(RoutePolicy::RestoreAware, 80.0, 7));
+    let fleet = Fleet::new(FleetConfig::fixed(RoutePolicy::RestoreAware, 80.0, 7));
     // The workload dirties well under 5% of the image per request
     // (fannkuch's write set is a few dozen pages of a multi-thousand-page
     // image); the store is a clean-state structure and must be untouched

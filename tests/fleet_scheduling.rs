@@ -12,10 +12,11 @@
 //!    restore-aware router sustains higher goodput at no worse p99 than
 //!    N independent single-container open loops at the same total
 //!    offered load.
+//!
+//! A single-container open loop is a fleet of one round-robin slot.
 
 use groundhog::core::GroundhogConfig;
 use groundhog::faas::fleet::{run_fleet, FleetConfig, FleetResult, RoutePolicy};
-use groundhog::faas::openloop::open_loop_run;
 use groundhog::functions::catalog::by_name;
 use groundhog::isolation::StrategyKind;
 
@@ -63,9 +64,8 @@ fn same_seed_is_bit_identical() {
     assert_eq!(a.mean_ms.to_bits(), b.mean_ms.to_bits());
     assert_eq!(a.p99_ms.to_bits(), b.p99_ms.to_bits());
 
-    let spec = by_name("fannkuch (p)").unwrap();
-    let o1 = open_loop_run(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 60.0, 80, 5).unwrap();
-    let o2 = open_loop_run(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 60.0, 80, 5).unwrap();
+    let o1 = fleet(StrategyKind::Gh, 1, RoutePolicy::RoundRobin, 60.0, 80, 5);
+    let o2 = fleet(StrategyKind::Gh, 1, RoutePolicy::RoundRobin, 60.0, 80, 5);
     assert_eq!(format!("{o1:?}"), format!("{o2:?}"));
 
     // And a different seed genuinely perturbs the run.
@@ -84,10 +84,10 @@ fn same_seed_is_bit_identical() {
 fn pool_of_one_is_the_open_loop() {
     // The fleet with a pool of one must reproduce the *seed code's*
     // single-container open loop bit-for-bit. The reference below is a
-    // line-for-line replication of the pre-fleet `open_loop_run`
-    // algorithm (one container, arrivals queueing on its clock), driven
-    // without the fleet's event queue — so a regression in the fleet's
-    // event loop cannot hide behind the wrapper. Sojourn stats flow
+    // line-for-line replication of the pre-fleet open-loop algorithm
+    // (one container, arrivals queueing on its clock), driven without
+    // the fleet's event queue — so a regression in the fleet's event
+    // loop cannot hide behind it. Sojourn stats flow
     // through the same fixed-size `QuantileSketch` the fleet uses (the
     // store-every-sample `Vec` path is gone), so mean/p99 equality
     // checks both the timeline and the sketch arithmetic.
@@ -123,15 +123,14 @@ fn pool_of_one_is_the_open_loop() {
     let ref_goodput = throughput_rps(requests, span);
     let ref_util = (busy.as_secs_f64() / span.as_secs_f64()).min(1.0);
 
-    let via_fleet = open_loop_run(
-        &spec,
+    let via_fleet = fleet(
         StrategyKind::Gh,
-        GroundhogConfig::gh(),
+        1,
+        RoutePolicy::RoundRobin,
         offered_rps,
         requests,
         seed,
-    )
-    .unwrap();
+    );
     assert_eq!(ref_goodput.to_bits(), via_fleet.goodput_rps.to_bits());
     assert_eq!(ref_mean.to_bits(), via_fleet.mean_ms.to_bits());
     assert_eq!(ref_p99.to_bits(), via_fleet.p99_ms.to_bits());
@@ -141,7 +140,8 @@ fn pool_of_one_is_the_open_loop() {
 #[test]
 fn pool_hides_restores_that_choke_a_single_container() {
     // fannkuch: exec ≈ 4.6ms, restore ≈ 2ms. At 130 r/s one GH container
-    // is near capacity and queues badly (see openloop tests); a pool of
+    // is near capacity and queues badly (see the fleet's open-loop
+    // tests, which run a pool of one); a pool of
     // 4 at the same *total* load sits at ~25% utilization and must track
     // a BASE pool of 4 closely — the restores hide across the pool.
     let gh4 = fleet(
@@ -227,7 +227,6 @@ fn one_fleet_beats_n_independent_loops_at_equal_p99() {
     // load (from the same grid, same seeds) whose p99 stays inside the
     // SLO; the fleet's statistical multiplexing lets it run far closer
     // to capacity before the tail blows up.
-    let spec = by_name("fannkuch (p)").unwrap();
     let n = 4;
     let slo_p99_ms = 25.0;
 
@@ -238,15 +237,14 @@ fn one_fleet_beats_n_independent_loops_at_equal_p99() {
         let mut total = 0.0;
         let mut worst_p99: f64 = 0.0;
         for i in 0..n {
-            let r = open_loop_run(
-                &spec,
+            let r = fleet(
                 StrategyKind::Gh,
-                GroundhogConfig::gh(),
+                1,
+                RoutePolicy::RoundRobin,
                 per_loop,
                 150,
                 100 + i as u64,
-            )
-            .unwrap();
+            );
             total += r.goodput_rps;
             worst_p99 = worst_p99.max(r.p99_ms);
         }
