@@ -80,15 +80,15 @@ impl Autoscaler {
         &self.cfg
     }
 
-    /// Observes the pool at a scheduling event and proposes at most one
-    /// action. The caller applies it (and only then is the cooldown
-    /// considered spent).
-    pub fn observe(&mut self, now: Nanos, pool: &Pool) -> Option<ScaleAction> {
+    /// Observes the pool at a scheduling event, with `queued` requests
+    /// waiting across its admission queues (the dispatch kernel's
+    /// count), and proposes at most one action. The caller applies it
+    /// (and only then is the cooldown considered spent).
+    pub fn observe(&mut self, now: Nanos, pool: &Pool, queued: usize) -> Option<ScaleAction> {
         if now < self.last_action + self.cfg.cooldown {
             return None;
         }
         let active = pool.active();
-        let queued = pool.queued();
         let depth = queued as f64 / active.max(1) as f64;
         if depth > self.cfg.scale_up_depth && active < self.cfg.max_size {
             return Some(ScaleAction::Grow);
@@ -113,14 +113,16 @@ impl Autoscaler {
     }
 
     /// One observation at a scheduling event, applied to `pool` — the
-    /// step every pool driver takes. Returns the grown slot and its
-    /// readiness time, for the driver to announce on its timeline.
+    /// step every pool driver takes, passing the kernel's `queued`
+    /// count. Returns the grown slot and its readiness time, for the
+    /// driver to announce on its timeline.
     pub(crate) fn step(
         &mut self,
         now: Nanos,
         pool: &mut Pool,
+        queued: usize,
     ) -> Result<Option<(usize, Nanos)>, StrategyError> {
-        let Some(action) = self.observe(now, pool) else {
+        let Some(action) = self.observe(now, pool, queued) else {
             return Ok(None);
         };
         let grown = match action {
@@ -178,7 +180,7 @@ mod tests {
         backlog(&mut p, 0, 6);
         let mut a = Autoscaler::new(AutoscaleConfig::default());
         let now = Nanos::from_secs(1);
-        assert_eq!(a.observe(now, &p), Some(ScaleAction::Grow));
+        assert_eq!(a.observe(now, &p, p.queued()), Some(ScaleAction::Grow));
         a.applied(now, ScaleAction::Grow);
         assert_eq!(a.grown, 1);
     }
@@ -192,7 +194,11 @@ mod tests {
             ..AutoscaleConfig::default()
         };
         let mut a = Autoscaler::new(cfg);
-        assert_eq!(a.observe(Nanos::from_secs(1), &p), None, "at max");
+        assert_eq!(
+            a.observe(Nanos::from_secs(1), &p, p.queued()),
+            None,
+            "at max"
+        );
 
         let cfg = AutoscaleConfig {
             max_size: 4,
@@ -200,15 +206,16 @@ mod tests {
         };
         let mut a = Autoscaler::new(cfg);
         let now = Nanos::from_secs(1);
-        assert_eq!(a.observe(now, &p), Some(ScaleAction::Grow));
+        assert_eq!(a.observe(now, &p, p.queued()), Some(ScaleAction::Grow));
         a.applied(now, ScaleAction::Grow);
         assert_eq!(
-            a.observe(now + Nanos::from_millis(100), &p),
+            a.observe(now + Nanos::from_millis(100), &p, p.queued()),
             None,
             "cooling down"
         );
         assert!(
-            a.observe(now + Nanos::from_secs(1), &p).is_some(),
+            a.observe(now + Nanos::from_secs(1), &p, p.queued())
+                .is_some(),
             "cooldown over"
         );
     }
@@ -219,7 +226,7 @@ mod tests {
         let mut a = Autoscaler::new(AutoscaleConfig::default());
         // All slots clean since cold start; far past the idle window.
         let now = Nanos::from_secs(60);
-        let action = a.observe(now, &p).expect("retire proposed");
+        let action = a.observe(now, &p, p.queued()).expect("retire proposed");
         // Slot with the earliest ready_at (fastest cold start) goes first.
         let earliest = (0..3).min_by_key(|&i| p.slots[i].ready_at).unwrap();
         assert_eq!(action, ScaleAction::Retire(earliest));
@@ -236,14 +243,14 @@ mod tests {
         };
         let mut a = Autoscaler::new(cfg);
         assert_eq!(a.config().min_size, 1);
-        assert_eq!(a.observe(Nanos::from_secs(60), &p), None);
+        assert_eq!(a.observe(Nanos::from_secs(60), &p, p.queued()), None);
     }
 
     #[test]
     fn never_shrinks_below_min() {
         let p = pool(1);
         let mut a = Autoscaler::new(AutoscaleConfig::default());
-        assert_eq!(a.observe(Nanos::from_secs(60), &p), None);
+        assert_eq!(a.observe(Nanos::from_secs(60), &p, p.queued()), None);
     }
 
     #[test]
@@ -251,6 +258,10 @@ mod tests {
         let p = pool(2);
         let mut a = Autoscaler::new(AutoscaleConfig::default());
         let now = p.slots[0].ready_at + Nanos::from_millis(10);
-        assert_eq!(a.observe(now, &p), None, "idle window not reached");
+        assert_eq!(
+            a.observe(now, &p, p.queued()),
+            None,
+            "idle window not reached"
+        );
     }
 }

@@ -6,9 +6,10 @@
 //! attempts: a container may die mid-request (crash, recovery cold
 //! start, park, backoff, then retry or abandon) or fail its restore.
 //! [`Backend`] holds those semantics once, for every event loop that
-//! drives pools — the fleet's serial loop ([`super::Fleet::run`]), the
-//! gateway's ([`crate::gateway::GatewayFleet::run`]) and each cluster
-//! node's ([`crate::cluster`]). Drivers own their arrival processes and
+//! drives pools — the fleet's, in both execution modes
+//! ([`super::Fleet::run`]), the gateway's
+//! ([`crate::gateway::GatewayFleet::run`]) and each cluster node's
+//! ([`crate::cluster`]). Drivers own their arrival processes and
 //! policies; per run, the kernel owns the fault plan, the park table, a
 //! queued counter and the run's [`Tally`].
 //!
@@ -246,6 +247,11 @@ impl<D> Backend<D> {
         Ok(d)
     }
 
+    /// Requests waiting across every admission queue of the run.
+    pub fn queued(&self) -> usize {
+        self.queued
+    }
+
     /// True once each of `admitted` requests was served or abandoned and
     /// nothing waits in a queue or the park table.
     pub fn settled(&self, admitted: usize) -> bool {
@@ -275,7 +281,7 @@ impl<D> Backend<D> {
 /// The critical-path rollback a restore-aware router charges a slot
 /// that must restore before admitting a principal (§4.4's
 /// deferred-restore mode), from the paper's measured restore time.
-fn restore_cost(pool: &Pool) -> Nanos {
+pub(super) fn restore_cost(pool: &Pool) -> Nanos {
     Nanos::from_millis_f64(pool.spec.paper_restore_ms)
 }
 

@@ -38,17 +38,19 @@
 //!
 //! # Host-parallel execution
 //!
-//! [`Fleet::run`] shards eligible runs across host threads: routing
-//! decisions are precomputed on the coordinator, container-local
-//! invoke/restore work fans out to per-shard event queues
-//! (`par::drive_shard`), and the coordinator then replays the global
-//! event loop against the recorded per-slot dispatches — the same
-//! ordered-merge discipline `gh_bench::harness::run_cells` applies
-//! across sweep cells, applied inside one run. The **shard/merge
-//! invariant**: a slot's dispatch outcomes depend only on its own
-//! arrivals and its own previous readiness, so shard-local processing
-//! reproduces the serial per-slot timelines and the replay reproduces
-//! the serial interleaving — results are bit-identical to serial,
+//! [`Fleet::run`] has one event loop, the dispatch kernel's, and
+//! spreads eligible runs across host threads without a second one.
+//! Groundhog serves at most one request per container and restores it
+//! between invocations (§4), so under round-robin routing a slot's
+//! timeline depends only on its own arrivals: dispatch k starts at
+//! `max(arrival_k, ready_{k-1})`. A sharded run draws its arrivals once
+//! from the source the serial mode consumes, routes them, lets every
+//! slot **execute ahead** through its own arrivals on worker threads
+//! (`gh_sim::par::ordered_map`, the map that spreads sweep cells and
+//! cluster nodes), then runs the serial mode's kernel loop over the same
+//! arrivals while each slot **replays** its recorded dispatches instead
+//! of executing again (`par`). The loop issues the serial run's schedule
+//! calls in the serial order, so results are bit-identical to serial,
 //! enforced by the differential oracle in `tests/fleet_par_oracle.rs`.
 //!
 //! The **serial reference** runs instead whenever a run is not
@@ -69,15 +71,14 @@ pub mod queue;
 pub mod router;
 
 use gh_functions::FunctionSpec;
+use gh_gateway::cache::mix;
 use gh_isolation::{StrategyError, StrategyKind};
-use gh_sim::event::EventQueue;
 use gh_sim::stats::throughput_rps;
 use gh_sim::{DetRng, Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
 use backend::{Backend, Event, Tally};
-use par::ShardEv;
 
 pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use par::ExecMode;
@@ -224,20 +225,118 @@ fn drained(s: &Slot) -> u64 {
     }
 }
 
-/// The issuing principal of the next arrival: `"client"` when the
-/// workload has one principal, else a uniform draw from `rng`.
-fn draw_principal(principals: usize, rng: &mut DetRng) -> String {
-    if principals <= 1 {
-        "client".to_string()
-    } else {
-        format!("user-{}", rng.next_below(principals as u64))
+/// Workload knobs a gateway layers on the fleet's Poisson process, as
+/// in [`GatewayFleetConfig`](crate::gateway::GatewayFleetConfig). Each
+/// is off at zero and then leaves its stream undrawn, so the default is
+/// the plain fleet workload.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Shape {
+    pub idempotent_frac: f64,
+    pub payload_universe: u64,
+    pub hot_principal_frac: f64,
+    pub diurnal_amplitude: f64,
+    pub diurnal_period: Nanos,
+}
+
+/// A workload's arrival process as data: [`Pending`]s with ids from 1,
+/// each with its principal's index (the gateway's admission key); a run
+/// takes as many as it has requests. The fleet's serial loop, its
+/// sharded planner and the gateway all consume one, so they draw the
+/// same requests from the same seed. Every stream is its own
+/// [`DetRng`]: switching one on never perturbs another.
+pub(crate) struct Arrivals {
+    offered_rps: f64,
+    principals: u64,
+    shape: Shape,
+    input_kb: u64,
+    t_start: Nanos,
+    at: Nanos,
+    issued: u64,
+    gaps: DetRng,
+    principal: DetRng,
+    payload: DetRng,
+    skew: DetRng,
+    thin: DetRng,
+}
+
+impl Arrivals {
+    /// The arrivals of `cfg`'s workload, shaped by `shape`, from `t_start`.
+    pub fn new(cfg: &FleetConfig, shape: Shape, input_kb: u64, t_start: Nanos) -> Self {
+        let seed = cfg.seed;
+        Arrivals {
+            offered_rps: cfg.offered_rps,
+            principals: cfg.principals as u64,
+            shape,
+            input_kb,
+            t_start,
+            at: t_start,
+            issued: 0,
+            gaps: DetRng::new(seed ^ 0x09E4_100D),
+            principal: DetRng::new(seed ^ 0x7E4A_4175),
+            payload: DetRng::new(seed ^ 0x6A7E_0001),
+            skew: DetRng::new(seed ^ 0x6A7E_0002),
+            thin: DetRng::new(seed ^ 0x6A7E_0003),
+        }
+    }
+
+    /// Advances past the next exponential gap at `rps`.
+    fn step(&mut self, rps: f64) {
+        let u = (1.0 - self.gaps.next_f64()).max(f64::MIN_POSITIVE);
+        self.at += Nanos::from_millis_f64(-u.ln() / rps * 1e3);
     }
 }
 
-/// Next inter-arrival gap of the Poisson arrival process.
-pub(crate) fn poisson_gap(offered_rps: f64, rng: &mut DetRng) -> Nanos {
-    let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-    Nanos::from_millis_f64(-u.ln() / offered_rps * 1e3)
+impl Iterator for Arrivals {
+    type Item = (u64, Pending);
+
+    fn next(&mut self) -> Option<(u64, Pending)> {
+        self.issued += 1;
+        let s = self.shape;
+        if s.diurnal_amplitude == 0.0 {
+            self.step(self.offered_rps);
+        } else {
+            // Thinning: draw at the envelope's peak rate and keep each
+            // arrival with probability rate(t) / peak.
+            let peak = self.offered_rps * (1.0 + s.diurnal_amplitude);
+            loop {
+                self.step(peak);
+                let since = self.at.saturating_sub(self.t_start).as_secs_f64();
+                let phase = since / s.diurnal_period.as_secs_f64();
+                let rate = self.offered_rps
+                    * (1.0 + s.diurnal_amplitude * (std::f64::consts::TAU * phase).sin());
+                if self.thin.next_f64() < rate / peak {
+                    break;
+                }
+            }
+        }
+        let (idx, principal) = if self.principals <= 1 {
+            (0, "client".to_string())
+        } else {
+            let hot = s.hot_principal_frac > 0.0 && self.skew.next_f64() < s.hot_principal_frac;
+            let idx = if hot {
+                0
+            } else {
+                self.principal.next_below(self.principals)
+            };
+            (idx, format!("user-{idx}"))
+        };
+        let (payload_hash, idempotent) = if s.idempotent_frac > 0.0 {
+            let p = self.payload.next_below(s.payload_universe.max(1));
+            (mix(p), self.payload.next_f64() < s.idempotent_frac)
+        } else {
+            (0, false)
+        };
+        let pending = Pending {
+            id: self.issued,
+            principal,
+            input_kb: self.input_kb,
+            arrival: self.at,
+            payload_hash,
+            idempotent,
+            attempt: 1,
+        };
+        Some((idx, pending))
+    }
 }
 
 /// The event-driven fleet driver. Holds only its configuration, and
@@ -322,55 +421,60 @@ impl Fleet {
     /// Drives `requests` arrivals in an explicit [`ExecMode`]. The
     /// parallel path is bit-identical to the serial reference; a run
     /// that is not eligible to shard (non-round-robin policy,
-    /// autoscaler configured, pool or thread count below two) runs
-    /// serially regardless of `mode`.
+    /// autoscaler configured, faults armed, pool or thread count below
+    /// two) runs serially regardless of `mode`.
     pub fn run_with(
         &self,
         pool: &mut Pool,
         requests: usize,
         mode: ExecMode,
     ) -> Result<FleetResult, StrategyError> {
+        let t_start = Self::span_start(pool);
+        let baseline = Self::baselines(pool);
+        let arrivals = Arrivals::new(&self.cfg, Shape::default(), pool.spec.input_kb, t_start)
+            .take(requests)
+            .map(|(_, p)| p);
         let threads = mode.threads();
-        // Faulty runs stay serial: crash/retry events create
-        // arrival→readiness data dependences the shard/merge scheme
-        // cannot express. (Cluster runs still parallelize across *nodes*
-        // with faults on — see `crate::cluster` — because node timelines
-        // stay pure.)
+        // Faulty runs stay serial: crash/retry events make a slot's
+        // readiness depend on other slots' arrivals, which serving a
+        // slot's own arrivals ahead cannot see. (Cluster runs still
+        // parallelize across *nodes* with faults on — see
+        // `crate::cluster` — because node timelines stay pure.)
         let eligible = requests > 0
             && threads >= 2
             && self.plan.is_none()
             && self.cfg.policy == RoutePolicy::RoundRobin
             && self.cfg.autoscale.is_none()
             && pool.slots.len() >= 2;
-        if eligible {
-            self.run_parallel(pool, requests, threads)
-        } else {
-            self.run_serial(pool, requests)
+        if !eligible {
+            return self.drive(pool, arrivals, requests, t_start, &baseline);
         }
+        let arrivals: Vec<Pending> = arrivals.collect();
+        let run = par::execute_ahead(pool, &arrivals, threads)
+            .and_then(|()| self.drive(pool, arrivals.into_iter(), requests, t_start, &baseline));
+        pool.slots.iter_mut().for_each(Slot::end_replay);
+        run
     }
 
-    /// The bit-exact serial reference: one global event loop on the
-    /// caller's thread, every attempt through the dispatch kernel
-    /// ([`backend`]). A fault-free run is the same loop with no plan.
-    fn run_serial(&self, pool: &mut Pool, requests: usize) -> Result<FleetResult, StrategyError> {
-        let input_kb = pool.spec.input_kb;
-        let t_start = Self::span_start(pool);
-        let offered_rps = self.cfg.offered_rps;
-        let baseline = Self::baselines(pool);
-        let mut arrival_rng = DetRng::new(self.cfg.seed ^ 0x09E4_100D);
-        // A separate stream: principal draws must not perturb the
-        // arrival process (single-principal runs stay bit-identical to
-        // the original open-loop harness).
-        let mut principal_rng = DetRng::new(self.cfg.seed ^ 0x7E4A_4175);
+    /// The fleet's one event loop: `arrivals` through the dispatch
+    /// kernel ([`backend`]) on the caller's thread. A serial run feeds it
+    /// the arrival source; a sharded run feeds it the arrivals its slots
+    /// executed ahead, and the slots replay their recorded dispatches
+    /// ([`par`]). A fault-free run is the same loop with no plan.
+    fn drive(
+        &self,
+        pool: &mut Pool,
+        mut arrivals: impl Iterator<Item = Pending>,
+        requests: usize,
+        t_start: Nanos,
+        baseline: &[Baseline],
+    ) -> Result<FleetResult, StrategyError> {
         let mut k: Backend = Backend::new(self.plan);
         let mut router = Router::new(self.cfg.policy);
         let mut scaler = self.cfg.autoscale.map(Autoscaler::new);
-        let mut next_arrival = t_start;
-        let mut generated = 0usize;
-        if requests > 0 {
-            next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-            k.events.schedule(next_arrival, Event::Arrival);
-            generated = 1;
+        let mut upcoming = arrivals.next();
+        if let Some(p) = &upcoming {
+            k.events.schedule(p.arrival, Event::Arrival);
         }
         let pools = std::slice::from_mut(pool);
         let routers = std::slice::from_mut(&mut router);
@@ -378,26 +482,15 @@ impl Fleet {
         while let Some((now, ev)) = k.events.pop() {
             match ev {
                 Event::Arrival => {
-                    let pending = Pending {
-                        // Arrivals are scheduled one ahead, so this is
-                        // the `generated`-th.
-                        id: generated as u64,
-                        principal: draw_principal(self.cfg.principals, &mut principal_rng),
-                        input_kb,
-                        arrival: now,
-                        payload_hash: 0,
-                        idempotent: false,
-                        attempt: 1,
-                    };
-                    let slot = k.admit(now, pools, routers, 0, pending);
-                    if generated < requests {
-                        next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-                        k.events.schedule(next_arrival, Event::Arrival);
-                        generated += 1;
+                    let p = upcoming.take().expect("an arrival is due");
+                    let slot = k.admit(now, pools, routers, 0, p);
+                    upcoming = arrivals.next();
+                    if let Some(next) = &upcoming {
+                        k.events.schedule(next.arrival, Event::Arrival);
                     }
                     k.dispatch(now, pools, 0, slot)?;
                     if let Some(scaler) = scaler.as_mut() {
-                        if let Some((idx, ready)) = scaler.step(now, &mut pools[0])? {
+                        if let Some((idx, ready)) = scaler.step(now, &mut pools[0], k.queued())? {
                             // The new container announces readiness once
                             // initialized.
                             k.events.schedule(ready, Event::Ready(0, idx as u32));
@@ -423,177 +516,15 @@ impl Fleet {
             scaler.as_ref(),
             pool,
             t_start,
-            &baseline,
+            baseline,
             &tally,
-        ))
-    }
-
-    /// The sharded path: plan on the coordinator, fan container-local
-    /// invoke/restore work out to per-shard event queues, then replay
-    /// the global loop against the recorded dispatches (see the module
-    /// docs and [`par`]). Callers guarantee eligibility: round-robin
-    /// policy, no autoscaler, ≥ 2 slots, ≥ 2 threads, ≥ 1 request.
-    fn run_parallel(
-        &self,
-        pool: &mut Pool,
-        requests: usize,
-        threads: usize,
-    ) -> Result<FleetResult, StrategyError> {
-        let input_kb = pool.spec.input_kb;
-        let t_start = Self::span_start(pool);
-        let offered_rps = self.cfg.offered_rps;
-        let baseline = Self::baselines(pool);
-        let restore_cost = Nanos::from_millis_f64(pool.spec.paper_restore_ms);
-
-        // Phase 1 — plan: draw the arrival process (same RNG streams and
-        // per-stream draw order as the serial loop) and route every
-        // request with a fresh router — round-robin routing reads only
-        // the slots' static retired flags, so pre-run decisions are
-        // exact. A second fresh router re-routes during the phase-3
-        // replay and must agree.
-        let mut arrival_rng = DetRng::new(self.cfg.seed ^ 0x09E4_100D);
-        let mut principal_rng = DetRng::new(self.cfg.seed ^ 0x7E4A_4175);
-        let mut router = Router::new(self.cfg.policy);
-        let mut planner = router.clone();
-        let mut plan: Vec<par::Arrival> = Vec::with_capacity(requests);
-        let mut next_arrival = t_start;
-        for i in 0..requests {
-            next_arrival += poisson_gap(offered_rps, &mut arrival_rng);
-            let principal = draw_principal(self.cfg.principals, &mut principal_rng);
-            let slot = planner.route(next_arrival, &principal, restore_cost, &pool.slots);
-            plan.push(par::Arrival {
-                at: next_arrival,
-                id: i as u64 + 1,
-                principal,
-                slot,
-            });
-        }
-
-        // Pre-shard readiness, so the phase-3 mirrors start from the
-        // same per-slot state the serial loop would see.
-        let ready0: Vec<Nanos> = pool.slots.iter().map(|s| s.ready_at).collect();
-
-        // Phase 2 — shard: contiguous slot slices fan out across scoped
-        // workers; only container-local work runs off the coordinator.
-        let n_slots = pool.slots.len();
-        let mut outs: Vec<Vec<Dispatched>> = (0..n_slots).map(|_| Vec::new()).collect();
-        let chunk = n_slots.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let plan = &plan;
-            let handles: Vec<_> = pool
-                .slots
-                .chunks_mut(chunk)
-                .zip(outs.chunks_mut(chunk))
-                .enumerate()
-                .map(|(si, (slots, outs))| {
-                    scope.spawn(move || par::drive_shard(slots, si * chunk, plan, input_kb, outs))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .try_for_each(|h| h.join().expect("shard worker panicked"))
-        })?;
-
-        // Phase 3 — merge: replay the serial event loop against per-slot
-        // mirrors, consuming the recorded dispatches. The replay issues
-        // the same schedule calls in the same order as the serial loop,
-        // so tie-breaking sequence numbers — and therefore pop order,
-        // sojourn ordering and depth samples — match bit for bit.
-        struct Mirror {
-            qlen: usize,
-            ready_at: Nanos,
-            next: usize,
-        }
-        fn mirror_dispatch(
-            m: &mut Mirror,
-            idx: usize,
-            now: Nanos,
-            outs: &[Vec<Dispatched>],
-            events: &mut EventQueue<ShardEv>,
-            tally: &mut Tally,
-            queued_total: &mut usize,
-        ) {
-            if m.ready_at <= now && m.qlen > 0 {
-                let d = outs[idx][m.next];
-                m.next += 1;
-                m.qlen -= 1;
-                *queued_total -= 1;
-                tally.sojourns.record_nanos(d.sojourn);
-                tally.completed += 1;
-                events.schedule(d.ready_at, ShardEv::Ready(idx));
-                m.ready_at = d.ready_at;
-            }
-        }
-        let mut mirrors: Vec<Mirror> = ready0
-            .into_iter()
-            .map(|r| Mirror {
-                qlen: 0,
-                ready_at: r,
-                next: 0,
-            })
-            .collect();
-        let mut events: EventQueue<ShardEv> = EventQueue::new();
-        let mut tally = Tally::default();
-        let mut queued_total = 0usize;
-        events.schedule(plan[0].at, ShardEv::Arrival(0));
-
-        while let Some((now, ev)) = events.pop() {
-            match ev {
-                ShardEv::Arrival(i) => {
-                    let a = &plan[i];
-                    let idx = router.route(now, &a.principal, restore_cost, &pool.slots);
-                    assert_eq!(idx, a.slot, "replay route diverged from plan");
-                    mirrors[idx].qlen += 1;
-                    queued_total += 1;
-                    tally.depth.record(queued_total);
-                    if let Some(next) = plan.get(i + 1) {
-                        events.schedule(next.at, ShardEv::Arrival(i + 1));
-                    }
-                    mirror_dispatch(
-                        &mut mirrors[idx],
-                        idx,
-                        now,
-                        &outs,
-                        &mut events,
-                        &mut tally,
-                        &mut queued_total,
-                    );
-                }
-                ShardEv::Ready(idx) => {
-                    mirror_dispatch(
-                        &mut mirrors[idx],
-                        idx,
-                        now,
-                        &outs,
-                        &mut events,
-                        &mut tally,
-                        &mut queued_total,
-                    );
-                    tally.depth.record(queued_total);
-                }
-            }
-            if tally.completed == requests && queued_total == 0 {
-                break;
-            }
-        }
-        assert_eq!(tally.completed, requests, "all arrivals must be served");
-        assert!(
-            mirrors
-                .iter()
-                .enumerate()
-                .all(|(i, m)| m.next == outs[i].len()),
-            "every recorded dispatch must be consumed by the replay"
-        );
-
-        Ok(Self::finish(
-            &self.cfg, None, pool, t_start, &baseline, &tally,
         ))
     }
 
     /// Shared result assembly: settles trailing restores and folds the
     /// pool's post-run state and the run's autoscaler (if any) into a
-    /// [`FleetResult`]. Both fleet execution paths and the gateway end
-    /// here, so the report derivation is identical by construction.
+    /// [`FleetResult`]. The fleet's loop and the gateway's end here, so
+    /// the report derivation is identical by construction.
     pub(crate) fn finish(
         cfg: &FleetConfig,
         scaler: Option<&Autoscaler>,

@@ -81,6 +81,9 @@ pub struct Slot {
     pub spawned_at: Nanos,
     /// A retired slot serves its queue dry but receives no new requests.
     pub retired: bool,
+    /// Dispatches this slot executed ahead of a sharded run's event loop,
+    /// which [`Slot::dispatch`] replays in order while armed.
+    replay: Option<std::vec::IntoIter<Dispatched>>,
 }
 
 impl Slot {
@@ -100,6 +103,7 @@ impl Slot {
             lazy_faults: 0,
             spawned_at,
             retired: false,
+            replay: None,
         }
     }
 
@@ -122,7 +126,9 @@ impl Slot {
     /// Dispatches the head-of-queue request at `now` (which must be ≥
     /// `ready_at`). Advances this container's timeline through
     /// execution and off-path restore, and settles the restore-hiding
-    /// accounting for the *previous* invocation.
+    /// accounting for the *previous* invocation. A slot that executed a
+    /// sharded run's arrivals ahead instead returns the head's recorded
+    /// dispatch and moves only its readiness.
     pub fn dispatch(&mut self, now: Nanos) -> Result<Option<Dispatched>, StrategyError> {
         if !self.idle_at(now) {
             return Ok(None);
@@ -130,6 +136,17 @@ impl Slot {
         let Some(pending) = self.queue.pop() else {
             return Ok(None);
         };
+        if let Some(recorded) = &mut self.replay {
+            let d = recorded.next().expect("replay outran execute-ahead");
+            assert_eq!(d.id, pending.id, "replay diverged from the executed order");
+            self.ready_at = d.ready_at;
+            return Ok(Some(d));
+        }
+        self.serve(&pending, now).map(Some)
+    }
+
+    /// Executes `pending` at `now` on the clean container.
+    fn serve(&mut self, pending: &Pending, now: Nanos) -> Result<Dispatched, StrategyError> {
         // Settle the previous restore: the part of it that finished
         // before this request arrived hid in an idle gap; the rest
         // delayed this request.
@@ -150,7 +167,7 @@ impl Slot {
         self.prev_resp_at = self.resp_at;
         self.served += 1;
         self.lazy_faults += out.exec.faults.lazy;
-        Ok(Some(Dispatched {
+        Ok(Dispatched {
             sojourn: (start - pending.arrival) + out.invoker_latency,
             resp_at: self.resp_at,
             ready_at: self.ready_at,
@@ -158,7 +175,30 @@ impl Slot {
             payload_hash: pending.payload_hash,
             idempotent: pending.idempotent,
             output_kb: out.response.output_kb,
-        }))
+        })
+    }
+
+    /// Serves `arrivals`, this slot's own in arrival order, ahead of the
+    /// run's event loop: each at `max(arrival, previous readiness)`, as
+    /// the loop would dispatch it. Then rewinds `ready_at` — every other
+    /// field already holds its end-of-run value — and arms the slot to
+    /// replay the recorded dispatches as the loop asks for them.
+    pub(crate) fn execute_ahead<'a>(
+        &mut self,
+        arrivals: impl Iterator<Item = &'a Pending>,
+    ) -> Result<(), StrategyError> {
+        let ready_at = self.ready_at;
+        let served: Vec<Dispatched> = arrivals
+            .map(|p| self.serve(p, p.arrival.max(self.ready_at)))
+            .collect::<Result<_, _>>()?;
+        self.ready_at = ready_at;
+        self.replay = Some(served.into_iter());
+        Ok(())
+    }
+
+    /// Leaves replay mode: the next dispatch executes again.
+    pub(crate) fn end_replay(&mut self) {
+        self.replay = None;
     }
 
     /// Settles trailing restore time at end of run: a restore nothing

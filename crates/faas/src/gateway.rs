@@ -23,11 +23,10 @@
 //! The loop is structured so that a [`GatewayConfig::disabled`] gateway
 //! over a flat workload replays the ungated
 //! [`Fleet::run`](super::fleet::Fleet::run) serial reference **bit for
-//! bit**: the arrival and principal RNG streams, per-stream draw order,
-//! and the sequence of event-queue `schedule` calls (which fixes
-//! tie-breaking) are identical, and gateway-only draws (payload
-//! identity, principal skew, diurnal thinning) ride separate seeded
-//! streams that are skipped entirely when their feature is off. The
+//! bit**: both consume the fleet's arrival source, whose gateway-only
+//! streams (payload identity, principal skew, diurnal thinning) are
+//! drawn only when their knob is on, and both issue the same sequence
+//! of event-queue `schedule` calls (which fixes tie-breaking). The
 //! differential oracle in `tests/gateway_oracle.rs` pins this, with and
 //! without injected faults.
 //!
@@ -41,17 +40,17 @@ use std::collections::VecDeque;
 
 use gh_functions::FunctionSpec;
 use gh_gateway::admission::{AdmissionControl, Decision};
-use gh_gateway::cache::{mix, CacheKey, ResultCache};
+use gh_gateway::cache::{CacheKey, ResultCache};
 use gh_gateway::prewarm::Prewarmer;
 use gh_gateway::{GatewayConfig, GatewayStats};
 use gh_isolation::{StrategyError, StrategyKind};
-use gh_sim::{DetRng, Nanos};
+use gh_sim::Nanos;
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan};
-use crate::fleet::backend::{Backend, Event, Tally};
+use crate::fleet::backend::{Backend, Event};
 use crate::fleet::{
-    poisson_gap, Autoscaler, Dispatched, Fleet, FleetConfig, FleetResult, Pending, Pool, Router,
+    Arrivals, Autoscaler, Dispatched, Fleet, FleetConfig, FleetResult, Pending, Pool, Router, Shape,
 };
 
 /// Workload and policy of one gateway-fronted fleet run. The workload
@@ -263,36 +262,24 @@ impl GatewayFleet {
     /// kernel, so container deaths release the concurrency ceiling on
     /// their recovery edge exactly as completions do.
     pub fn run(&self, pool: &mut Pool, requests: usize) -> Result<GatewayResult, StrategyError> {
-        let input_kb = pool.spec.input_kb;
         let t_start = Fleet::span_start(pool);
         let baseline = Fleet::baselines(pool);
         let cfg = &self.cfg;
-        if requests == 0 {
-            let fleet = Fleet::finish(
-                &cfg.fleet,
-                None,
-                pool,
-                t_start,
-                &baseline,
-                &Tally::default(),
-            );
-            return Ok(GatewayResult {
-                fleet,
-                gateway: GatewayStats::default(),
-            });
-        }
         // Mean per-request slot occupancy (execution + restore): the
         // pre-warmer's capacity-planning service time.
         let service_secs = (pool.spec.base_invoker_ms + pool.spec.paper_restore_ms) / 1e3;
-
-        // Same streams and draw order as the serial fleet loop…
-        let mut arrival_rng = DetRng::new(cfg.fleet.seed ^ 0x09E4_100D);
-        let mut principal_rng = DetRng::new(cfg.fleet.seed ^ 0x7E4A_4175);
-        // …plus gateway-only streams, touched only when their feature
-        // is on, so a pass-through run never perturbs the base draws.
-        let mut payload_rng = DetRng::new(cfg.fleet.seed ^ 0x6A7E_0001);
-        let mut skew_rng = DetRng::new(cfg.fleet.seed ^ 0x6A7E_0002);
-        let mut thin_rng = DetRng::new(cfg.fleet.seed ^ 0x6A7E_0003);
+        // The fleet's arrival source, with the gateway's streams drawn
+        // only for the knobs that are on: a pass-through run draws the
+        // fleet's requests.
+        let shape = Shape {
+            idempotent_frac: cfg.idempotent_frac,
+            payload_universe: cfg.payload_universe,
+            hot_principal_frac: cfg.hot_principal_frac,
+            diurnal_amplitude: cfg.diurnal_amplitude,
+            diurnal_period: cfg.diurnal_period,
+        };
+        let mut arrivals =
+            Arrivals::new(&cfg.fleet, shape, pool.spec.input_kb, t_start).take(requests);
 
         let mut gate = Gate {
             cache: cfg.gateway.cache.map(ResultCache::new),
@@ -319,45 +306,29 @@ impl GatewayFleet {
         for &at in &cfg.redeploys {
             k.events.schedule(at, Event::Driver(GatewayEvent::Redeploy));
         }
-        let mut next_arrival = t_start;
-        cfg.advance_arrival(&mut next_arrival, t_start, &mut arrival_rng, &mut thin_rng);
-        k.events.schedule(next_arrival, Event::Arrival);
-        let mut generated = 1usize;
+        let mut upcoming = arrivals.next();
+        if let Some((_, p)) = &upcoming {
+            k.events.schedule(p.arrival, Event::Arrival);
+        }
         let pools = std::slice::from_mut(pool);
         let routers = std::slice::from_mut(&mut router);
 
         while let Some((now, ev)) = k.events.pop() {
             match ev {
                 Event::Arrival => {
-                    let (pidx, principal) = cfg.draw_principal(&mut principal_rng, &mut skew_rng);
-                    let (payload_hash, idempotent) = if cfg.idempotent_frac > 0.0 {
-                        let p = payload_rng.next_below(cfg.payload_universe.max(1));
-                        let idem = payload_rng.next_f64() < cfg.idempotent_frac;
-                        (mix(p), idem)
-                    } else {
-                        (0, false)
-                    };
-                    let pending = Pending {
-                        // Arrivals are scheduled one ahead, so this is
-                        // the `generated`-th.
-                        id: generated as u64,
-                        principal,
-                        input_kb,
-                        arrival: now,
-                        payload_hash,
-                        idempotent,
-                        attempt: 1,
-                    };
+                    let (pidx, pending) = upcoming.take().expect("an arrival is due");
                     // 1. Result cache: idempotent hits are answered at
                     // the gateway — the backend (and its admission
                     // ceiling) never sees them.
                     let key = CacheKey {
                         fn_id: 0,
                         generation: gate.generation,
-                        payload_hash,
+                        payload_hash: pending.payload_hash,
                     };
                     let hit_cost = match &mut gate.cache {
-                        Some(c) if idempotent => c.lookup(key, now).map(|_| c.config().hit_cost),
+                        Some(c) if pending.idempotent => {
+                            c.lookup(key, now).map(|_| c.config().hit_cost)
+                        }
                         _ => None,
                     };
                     let slot = if let Some(cost) = hit_cost {
@@ -380,15 +351,9 @@ impl GatewayFleet {
                     };
                     // The next arrival is scheduled before the dispatch,
                     // matching the serial fleet loop's schedule order.
-                    if generated < requests {
-                        cfg.advance_arrival(
-                            &mut next_arrival,
-                            t_start,
-                            &mut arrival_rng,
-                            &mut thin_rng,
-                        );
-                        k.events.schedule(next_arrival, Event::Arrival);
-                        generated += 1;
+                    upcoming = arrivals.next();
+                    if let Some((_, next)) = &upcoming {
+                        k.events.schedule(next.arrival, Event::Arrival);
                     }
                     if let Some(slot) = slot {
                         let d = k.dispatch(now, pools, 0, slot)?;
@@ -401,7 +366,7 @@ impl GatewayFleet {
                                 .want_grow(now, pools[0].active(), service_secs)
                                 .then(|| pools[0].grow(now))
                                 .transpose()?,
-                            (None, Some(scaler)) => scaler.step(now, &mut pools[0])?,
+                            (None, Some(scaler)) => scaler.step(now, &mut pools[0], k.queued())?,
                             (None, None) => None,
                         };
                         if let Some((idx, ready)) = grown {
@@ -497,53 +462,5 @@ impl GatewayFleet {
             &tally,
         );
         Ok(GatewayResult { fleet, gateway: gw })
-    }
-}
-
-impl GatewayFleetConfig {
-    /// Instantaneous offered rate at `t` under the diurnal envelope.
-    fn rate_at(&self, t: Nanos, t_start: Nanos) -> f64 {
-        let phase = t.saturating_sub(t_start).as_secs_f64() / self.diurnal_period.as_secs_f64();
-        self.fleet.offered_rps
-            * (1.0 + self.diurnal_amplitude * (std::f64::consts::TAU * phase).sin())
-    }
-
-    /// Advances the arrival cursor past the next (possibly thinned)
-    /// arrival. Amplitude 0 is a plain exponential gap — bit-identical
-    /// to the fleet loop's `poisson_gap` sequence.
-    fn advance_arrival(
-        &self,
-        cursor: &mut Nanos,
-        t_start: Nanos,
-        arrival_rng: &mut DetRng,
-        thin_rng: &mut DetRng,
-    ) {
-        if self.diurnal_amplitude == 0.0 {
-            *cursor += poisson_gap(self.fleet.offered_rps, arrival_rng);
-            return;
-        }
-        let rate_max = self.fleet.offered_rps * (1.0 + self.diurnal_amplitude);
-        loop {
-            *cursor += poisson_gap(rate_max, arrival_rng);
-            let accept = self.rate_at(*cursor, t_start) / rate_max;
-            if thin_rng.next_f64() < accept {
-                return;
-            }
-        }
-    }
-
-    /// Draws the issuing principal: the fleet's uniform stream, with an
-    /// optional hot-principal skew on its own stream.
-    fn draw_principal(&self, principal_rng: &mut DetRng, skew_rng: &mut DetRng) -> (u64, String) {
-        if self.fleet.principals <= 1 {
-            return (0, "client".to_string());
-        }
-        let idx = if self.hot_principal_frac > 0.0 && skew_rng.next_f64() < self.hot_principal_frac
-        {
-            0
-        } else {
-            principal_rng.next_below(self.fleet.principals as u64)
-        };
-        (idx, format!("user-{idx}"))
     }
 }

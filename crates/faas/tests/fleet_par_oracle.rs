@@ -8,23 +8,33 @@
 //! fields are compared through `{:?}` (shortest round-trip form), which
 //! distinguishes any two different bit patterns.
 
-use gh_faas::fleet::{run_fleet_with, ExecMode, FleetConfig, FleetResult, RoutePolicy};
+use gh_faas::fleet::{
+    run_fleet_with, ExecMode, Fleet, FleetConfig, FleetResult, Pool, RoutePolicy,
+};
 use gh_functions::catalog::by_name;
 use gh_isolation::StrategyKind;
 use groundhog_core::GroundhogConfig;
 
-fn run(pool_size: usize, cfg: &FleetConfig, requests: usize, mode: ExecMode) -> FleetResult {
+/// An isolation strategy and the Groundhog configuration it runs with.
+type Strategy = (StrategyKind, GroundhogConfig);
+
+fn gh() -> Strategy {
+    (StrategyKind::Gh, GroundhogConfig::gh())
+}
+
+fn run_as(
+    (kind, gh): Strategy,
+    pool_size: usize,
+    cfg: &FleetConfig,
+    requests: usize,
+    mode: ExecMode,
+) -> FleetResult {
     let spec = by_name("fannkuch (p)").unwrap();
-    run_fleet_with(
-        &spec,
-        StrategyKind::Gh,
-        GroundhogConfig::gh(),
-        pool_size,
-        cfg.clone(),
-        requests,
-        mode,
-    )
-    .unwrap()
+    run_fleet_with(&spec, kind, gh, pool_size, cfg.clone(), requests, mode).unwrap()
+}
+
+fn run(pool_size: usize, cfg: &FleetConfig, requests: usize, mode: ExecMode) -> FleetResult {
+    run_as(gh(), pool_size, cfg, requests, mode)
 }
 
 /// A CSV-style line covering every scalar field of the result, the way
@@ -99,10 +109,56 @@ fn parallel_matches_serial_across_seeds_and_pools() {
 
 #[test]
 fn parallel_matches_serial_with_principals() {
-    let cfg = FleetConfig::fixed(RoutePolicy::RoundRobin, 300.0, 1234).with_principals(4);
-    let serial = run(4, &cfg, 400, ExecMode::Serial);
-    let par = run(4, &cfg, 400, ExecMode::Parallel { threads: 4 });
-    assert_identical("principals=4", &serial, &par);
+    // GH over 4 principals, then every other strategy and the lazy
+    // restore modes, whose slots carry more state between requests
+    // (lazy obligations, drains in idle gaps) than eager GH.
+    let others = [
+        (StrategyKind::Base, GroundhogConfig::gh()),
+        (StrategyKind::Fork, GroundhogConfig::gh()),
+        (StrategyKind::GhNop, GroundhogConfig::gh()),
+        (StrategyKind::Gh, GroundhogConfig::lazy()),
+        (StrategyKind::Gh, GroundhogConfig::lazy_drain()),
+    ];
+    let cases = std::iter::once((gh(), 4, 400, 1234)).chain(others.map(|s| (s, 3, 301, 11)));
+    let parallel = ExecMode::Parallel { threads: 4 };
+    for (strategy, principals, requests, seed) in cases {
+        let cfg =
+            FleetConfig::fixed(RoutePolicy::RoundRobin, 300.0, seed).with_principals(principals);
+        let label = format!("{strategy:?} principals={principals}");
+        // One slot per principal.
+        let run_in = |mode| run_as(strategy.clone(), principals, &cfg, requests, mode);
+        let serial = run_in(ExecMode::Serial);
+        assert_eq!(serial.completed, requests, "{label}");
+        assert_identical(&label, &serial, &run_in(parallel));
+    }
+}
+
+/// `Platform::run_fleet` keeps its pools, so a second run starts from
+/// the first run's end state. The sharded path executes every slot ahead
+/// and rewinds its readiness for the replay; it must leave the pool
+/// exactly where the serial loop does, eager or lazy, whichever mode
+/// runs next.
+#[test]
+fn reused_pools_match_across_modes() {
+    let spec = by_name("fannkuch (p)").unwrap();
+    let (p2, p8) = (
+        ExecMode::Parallel { threads: 2 },
+        ExecMode::Parallel { threads: 8 },
+    );
+    for gh in [GroundhogConfig::gh(), GroundhogConfig::lazy_drain()] {
+        let fleet = Fleet::new(FleetConfig::fixed(RoutePolicy::RoundRobin, 300.0, 11));
+        let twice = |modes: [ExecMode; 2]| {
+            let mut pool = Pool::build(&spec, StrategyKind::Gh, gh.clone(), 3, 11).unwrap();
+            modes.map(|mode| fleet.run_with(&mut pool, 301, mode).unwrap())
+        };
+        let serial = twice([ExecMode::Serial; 2]);
+        for modes in [[p2, p2], [p8, p8], [p2, ExecMode::Serial]] {
+            let label = format!("{:?} {modes:?}", gh.restore_mode);
+            let par = twice(modes);
+            assert_identical(&format!("{label}: first run"), &serial[0], &par[0]);
+            assert_identical(&format!("{label}: second run"), &serial[1], &par[1]);
+        }
+    }
 }
 
 #[test]

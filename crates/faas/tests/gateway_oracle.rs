@@ -289,6 +289,25 @@ fn enabled_gateway_runs_reproduce_exactly() {
     }
 }
 
+/// A gateway run with no requests settles at once, with every policy
+/// on, half the payloads idempotent and a redeploy schedule armed: its
+/// fleet result is the idle fleet's and it observes nothing.
+#[test]
+fn an_empty_gateway_run_is_the_idle_fleet() {
+    let spec = gh_functions::catalog::by_name("fannkuch (p)").unwrap();
+    let mut gw = enabled_gateway();
+    gw.prewarm = Some(PrewarmConfig::flat(Nanos::from_secs(2), 6));
+    let cfg = GatewayFleetConfig {
+        redeploys: vec![Nanos::from_millis(1), Nanos::from_secs(2)],
+        ..workload(7, gw)
+    };
+    let (kind, gh) = (StrategyKind::Gh, GroundhogConfig::gh());
+    let gated = run_gateway_fleet(&spec, kind, gh.clone(), 2, cfg.clone(), 0).unwrap();
+    let idle = run_fleet_with(&spec, kind, gh, 2, cfg.fleet, 0, ExecMode::Serial).unwrap();
+    assert_eq!(format!("{:?}", gated.fleet), format!("{idle:?}"));
+    assert_eq!(gated.gateway, gh_gateway::GatewayStats::default());
+}
+
 fn cluster_trace(requests: u64, seed: u64) -> TraceConfig {
     TraceConfig {
         principals: 8,
