@@ -68,7 +68,7 @@ pub fn closed_loop_latency(
     let mut run = LatencyRun::default();
     let principals = ["alice", "bob", "carol"];
     for i in 0..n {
-        let out = platform.invoke_simple(id, principals[i % principals.len()], 0)?;
+        let out = platform.invoke_simple(id, principals[i % principals.len()])?;
         run.e2e.record(out.e2e);
         run.invoker.record(out.invoker);
         if !out.off_path.is_zero() {

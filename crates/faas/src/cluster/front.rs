@@ -24,10 +24,11 @@
 //!   the identical invalidation sequence. [`GatewayFront::new`] is the
 //!   empty-schedule special case (generation pinned to 0, bit-for-bit
 //!   the old behavior).
-//! - **Per-principal token buckets** exactly as in the fleet gateway.
-//!   The global concurrency ceiling ([`AdmissionConfig::max_in_flight`])
-//!   is **ignored**: deferral needs completion knowledge the
-//!   coordinator does not have. [`GatewayFront::new`] strips it.
+//! - **Per-principal token buckets**: the fleet gateway's own
+//!   [`AdmissionControl`]. The global concurrency ceiling
+//!   ([`AdmissionConfig::max_in_flight`]) is **ignored**: deferral needs
+//!   completion knowledge the coordinator does not have.
+//!   [`GatewayFront::new`] strips it, so admission never defers.
 //! - **No pre-warmer**: cluster pools are fixed-size per (node,
 //!   function); pre-warming is a fleet-level policy.
 //!
@@ -37,7 +38,7 @@
 //! front's counters are read when the fold ends. Nodes see only their
 //! arrival lists, so no front state ever crosses a thread boundary.
 
-use gh_gateway::admission::{AdmissionConfig, TokenBucket};
+use gh_gateway::admission::{AdmissionConfig, AdmissionControl, Decision};
 use gh_gateway::cache::{CacheKey, ResultCache};
 use gh_gateway::GatewayConfig;
 use gh_sim::Nanos;
@@ -63,7 +64,9 @@ pub enum FrontDecision {
 /// stream traverse identical states.
 pub struct GatewayFront {
     cache: Option<ResultCache>,
-    admission: Option<AdmissionCfgBuckets>,
+    /// Per-principal token buckets: an [`AdmissionControl`] without its
+    /// in-flight ceiling, so it admits or rejects and never defers.
+    admission: Option<AdmissionControl>,
     /// Time-ordered `(instant, fn)` redeploy schedule being folded in.
     redeploys: Vec<(Nanos, u32)>,
     /// Next unapplied schedule entry.
@@ -76,13 +79,6 @@ pub struct GatewayFront {
     pub rejected: u64,
     /// High-water mark of cached bytes.
     pub cache_peak_bytes: u64,
-}
-
-/// Rate-limit half of [`gh_gateway::admission::AdmissionControl`]: the
-/// buckets without the in-flight ceiling.
-struct AdmissionCfgBuckets {
-    cfg: AdmissionConfig,
-    buckets: HashMap<u64, TokenBucket>,
 }
 
 impl GatewayFront {
@@ -109,12 +105,11 @@ impl GatewayFront {
         );
         GatewayFront {
             cache: cfg.cache.map(ResultCache::new),
-            admission: cfg.admission.map(|a| AdmissionCfgBuckets {
-                cfg: AdmissionConfig {
+            admission: cfg.admission.map(|a| {
+                AdmissionControl::new(AdmissionConfig {
                     max_in_flight: None,
                     ..a
-                },
-                buckets: HashMap::new(),
+                })
             }),
             redeploys: schedule.to_vec(),
             next_redeploy: 0,
@@ -165,11 +160,7 @@ impl GatewayFront {
             }
         }
         if let Some(adm) = &mut self.admission {
-            let bucket = adm
-                .buckets
-                .entry(ev.principal as u64)
-                .or_insert_with(|| TokenBucket::full(adm.cfg.burst, ev.at));
-            if !bucket.try_take(ev.at, adm.cfg.rate_per_sec, adm.cfg.burst) {
+            if adm.admit(ev.principal as u64, ev.at) == Decision::Reject {
                 self.rejected += 1;
                 return FrontDecision::Reject;
             }

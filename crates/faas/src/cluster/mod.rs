@@ -6,12 +6,14 @@
 //! cloud. This module models the next level up:
 //!
 //! - every **node** hosts a pool per function deployed to it (its
-//!   replica set, see [`place`]) and drives all of its pools through
-//!   the fleet's dispatch kernel on one node-local
-//!   [`gh_sim::event::EventQueue`] — restore-aware scheduling,
-//!   admission queues, overlap accounting and the attempt semantics
-//!   under faults (crash, park, retry within the node, abandon, restore
-//!   failure) are the fleet's own, not a copy;
+//!   replica set, see [`place`]) and runs all of its pools through the
+//!   fleet's own event loop, the dispatch kernel's, on one node-local
+//!   [`gh_sim::event::EventQueue`] — admission queues, overlap
+//!   accounting, the attempt semantics under faults (crash, park, retry
+//!   within the node, abandon, restore failure) and the end of the run
+//!   (the first event after which every arrival is served or abandoned)
+//!   are the fleet's own, not a copy, so a one-node cluster fed a
+//!   round-robin fleet's arrivals is that fleet bit for bit;
 //! - the **front-end** ([`Placer`]) assigns each trace event to a node
 //!   using only deterministic coordinator state (cursors, expected
 //!   work), never node progress;
@@ -77,7 +79,7 @@ use gh_sim::{Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
-use crate::fleet::backend::{Backend, Event, Tally};
+use crate::fleet::backend::{Backend, Tally};
 use crate::fleet::{ExecMode, Pending, Pool, RoutePolicy, Router};
 use crate::trace::{TraceConfig, TraceEvent, TraceGen};
 
@@ -364,10 +366,13 @@ fn fold(
     })
 }
 
-/// Runs node `node`'s entire timeline: drives the pools deployed on it
-/// through the dispatch kernel's event queue, fed by `arrivals`, the
-/// node's list from the coordinator [`fold`]. Pure: no shared state, so
-/// serial and parallel callers get identical results.
+/// Runs node `node`'s entire timeline: the pools deployed on it, fed by
+/// `arrivals` (the node's list from the coordinator [`fold`]), through
+/// the kernel's event loop ([`Backend::run`]), with no autoscaler. Like
+/// a fleet run, it ends at the first event after which every arrival
+/// is served or abandoned and nothing waits: trailing `Ready` edges of
+/// idle slots are not drained. Pure: no shared state, so serial and
+/// parallel callers get identical results.
 fn run_node(
     node: usize,
     arrivals: &[TraceEvent],
@@ -410,46 +415,23 @@ fn run_node(
     // rerouting moves them to another container in the same pool, never
     // across nodes, so node timelines remain pure.
     let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
-    let mut k: Backend = Backend::new(plan);
-    let mut feed = arrivals.iter();
-    let mut upcoming = feed.next();
-    if let Some(ev) = upcoming {
-        k.events.schedule(ev.at, Event::Arrival);
-    }
-
-    while let Some((now, ev)) = k.events.pop() {
-        match ev {
-            Event::Arrival => {
-                let a = upcoming.take().expect("arrival without a trace event");
-                let pi = pool_of[a.fn_id as usize].expect("placed on a non-replica") as usize;
-                let pending = Pending {
-                    id: a.seq,
-                    principal: principals[a.principal as usize].clone(),
-                    input_kb: pools[pi].spec.input_kb,
-                    arrival: a.at,
-                    payload_hash: a.payload_hash,
-                    idempotent: a.idempotent,
-                    attempt: 1,
-                };
-                let si = k.admit(now, &mut pools, &mut routers, pi, pending);
-                upcoming = feed.next();
-                if let Some(next) = upcoming {
-                    k.events.schedule(next.at, Event::Arrival);
-                }
-                k.dispatch(now, &mut pools, pi, si)?;
-            }
-            Event::Ready(pi, si) => {
-                k.ready(now, &mut pools, pi as usize, si as usize)?;
-            }
-            Event::Retry(token) => {
-                let (pi, si) = k.retry(now, token, &mut pools, &mut routers);
-                k.dispatch(now, &mut pools, pi, si)?;
-            }
-        }
-    }
-    // The node's input is a known list: every arrival must have
-    // completed or been abandoned after deaths.
-    let tally = k.finish(arrivals.len());
+    let feed = arrivals.iter().map(|a| {
+        let f = a.fn_id as usize;
+        let pool = pool_of[f].expect("placed on a non-replica") as usize;
+        let pending = Pending {
+            id: a.seq,
+            principal: principals[a.principal as usize].clone(),
+            input_kb: catalog[f].input_kb,
+            arrival: a.at,
+            payload_hash: a.payload_hash,
+            idempotent: a.idempotent,
+            attempt: 1,
+        };
+        (pool, pending)
+    });
+    // The node's input is a known list: every arrival must complete or
+    // be abandoned after deaths.
+    let tally = Backend::run(plan, &mut pools, &mut routers, feed, arrivals.len(), None)?;
 
     let mut restore_total = Nanos::ZERO;
     let mut restore_hidden = Nanos::ZERO;
@@ -1132,6 +1114,91 @@ mod tests {
         );
         assert!(hits > 0 && rejected > 0, "the front must hit and reject");
         assert!(redirects > 0, "the scaler must redirect");
+    }
+
+    #[test]
+    fn a_one_node_cluster_is_the_round_robin_fleet() {
+        // The cross-layer oracle: one kernel loop with one end rule
+        // drives a fleet and a cluster node, so a 1-node, 1-replica
+        // cluster fed a round-robin fleet's arrivals is that fleet, bit
+        // for bit, with faults on or off and in either fleet mode.
+        use crate::fleet::{Arrivals, Fleet, FleetConfig, Shape};
+        let spec = gh_functions::catalog::by_name("fannkuch (p)").unwrap();
+        let catalog = [spec.clone()];
+        let (requests, seed, slots) = (300, 29, 3);
+        let fcfg = FleetConfig::fixed(RoutePolicy::RoundRobin, 300.0, seed).with_principals(3);
+        let trace_cfg = TraceConfig {
+            principals: 3,
+            ..TraceConfig::new(1, requests, fcfg.offered_rps, seed)
+        };
+        let gh = GroundhogConfig::gh();
+        let faulty = |retry| FaultConfig {
+            restore_failure_rate: 0.04,
+            retry,
+            ..FaultConfig::deaths(seed, 0.08)
+        };
+        let cases = [
+            FaultConfig::none(seed),
+            faulty(RetryPolicy::bounded()),
+            faulty(RetryPolicy::rerouting()),
+        ];
+        for faults in cases {
+            let mut ccfg = ClusterConfig::new(1, PlacePolicy::RoundRobin, StrategyKind::Gh, seed)
+                .with_faults(faults);
+            ccfg.slots_per_pool = slots;
+            let pool = || Pool::build(&spec, ccfg.kind, gh.clone(), slots, place::mix(ccfg.seed));
+            let t_start = Fleet::span_start(&pool().unwrap());
+            let events: Vec<TraceEvent> =
+                Arrivals::new(&fcfg, Shape::default(), spec.input_kb, t_start)
+                    .take(requests as usize)
+                    .map(|(principal, p)| TraceEvent {
+                        at: p.arrival,
+                        seq: p.id,
+                        fn_id: 0,
+                        principal: principal as u32,
+                        payload_hash: p.payload_hash,
+                        idempotent: p.idempotent,
+                    })
+                    .collect();
+            let placer = Placer::new(ccfg.policy, 1, 1, &catalog, ccfg.seed);
+            let node = run_node(0, &events, &placer, &trace_cfg, &catalog, &ccfg, &gh).unwrap();
+            let t = &node.tally;
+            assert!(t.depth.mean() > 0.0, "{faults:?}: requests queue");
+            if faults.is_active() {
+                assert!(
+                    t.faults.deaths > 0 && t.faults.restore_failures > 0,
+                    "{faults:?}: {:?}",
+                    t.faults
+                );
+            }
+            let fleet = Fleet::new(fcfg.clone()).with_faults(faults);
+            for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+                let r = fleet
+                    .run_with(&mut pool().unwrap(), requests as usize, mode)
+                    .unwrap();
+                let label = format!("{faults:?} {mode:?}");
+                let pairs = [
+                    ("sojourn mean", r.mean_ms, t.sojourns.mean_ms()),
+                    ("sojourn p99", r.p99_ms, t.sojourns.quantile_ms(99.0)),
+                    ("depth mean", r.stats.queue_mean, t.depth.mean()),
+                    ("depth p99", r.stats.queue_p99, t.depth.percentile(99.0)),
+                    (
+                        "restore total",
+                        r.stats.restore_total_ms,
+                        node.restore_total.as_millis_f64(),
+                    ),
+                ];
+                for (what, fleet, node) in pairs {
+                    assert_eq!(fleet.to_bits(), node.to_bits(), "{label}: {what}");
+                }
+                assert_eq!(r.completed, t.completed, "{label}: completed");
+                assert_eq!(
+                    r.stats.lazy_faults, node.lazy_faults,
+                    "{label}: lazy faults"
+                );
+                assert_eq!(r.stats.faults, t.faults, "{label}: fault stats");
+            }
+        }
     }
 
     #[test]

@@ -77,30 +77,20 @@ impl Container {
         gh_cfg: GroundhogConfig,
         seed: u64,
     ) -> Result<Container, StrategyError> {
-        Self::cold_start_with_store(spec, kind, gh_cfg, seed, None)
+        Self::cold_start_pooled(spec, kind, gh_cfg, seed, None, None)
     }
 
-    /// Cold-starts a container whose clean-state snapshot is interned
-    /// into a pool-shared [`SnapshotStore`](gh_mem::SnapshotStore)
-    /// (`None` keeps the snapshot private). Interning charges exactly the
-    /// eager snapshot cost, so the container's timeline is independent of
-    /// the store — dedup is a pool-memory optimization only.
-    pub fn cold_start_with_store(
-        spec: &FunctionSpec,
-        kind: StrategyKind,
-        gh_cfg: GroundhogConfig,
-        seed: u64,
-        store: Option<gh_mem::StoreHandle>,
-    ) -> Result<Container, StrategyError> {
-        Self::cold_start_pooled(spec, kind, gh_cfg, seed, store, None)
-    }
-
-    /// Like [`Container::cold_start_with_store`], but when the pool
-    /// already holds the store's lock it passes the guard as `locked` so
-    /// the snapshot intern reuses it instead of re-locking — one lock
-    /// acquisition per [`Pool::build`](crate::fleet::Pool::build) or
-    /// grow step instead of one per container. `locked` (when `Some`)
-    /// must guard the same store as `store`.
+    /// Like [`Container::cold_start`], but the clean-state snapshot is
+    /// interned into a pool-shared [`SnapshotStore`](gh_mem::SnapshotStore)
+    /// (`store`; `None` keeps the snapshot private). Interning charges
+    /// exactly the eager snapshot cost, so the container's timeline is
+    /// independent of the store — dedup is a pool-memory optimization
+    /// only. When the pool already holds the store's lock it passes the
+    /// guard as `locked` so the snapshot intern reuses it instead of
+    /// re-locking — one lock acquisition per
+    /// [`Pool::build`](crate::fleet::Pool::build) or grow step instead of
+    /// one per container. `locked` (when `Some`) must guard the same
+    /// store as `store`.
     pub fn cold_start_pooled(
         spec: &FunctionSpec,
         kind: StrategyKind,

@@ -1,17 +1,13 @@
-//! The dispatch kernel: the one definition of an attempt.
+//! The dispatch kernel: the one definition of an attempt, and the one
+//! event loop that drives fleets and cluster nodes.
 //!
 //! Groundhog runs at most one request per container at a time and
 //! buffers inputs until the container is provably clean (§4.5). The
 //! fault layer ([`crate::fault`]) carries that discipline to failed
 //! attempts: a container may die mid-request (crash, recovery cold
 //! start, park, backoff, then retry or abandon) or fail its restore.
-//! [`Backend`] holds those semantics once, for every event loop that
-//! drives pools — the fleet's, in both execution modes
-//! ([`super::Fleet::run`]), the gateway's
-//! ([`crate::gateway::GatewayFleet::run`]) and each cluster node's
-//! ([`crate::cluster`]). Drivers own their arrival processes and
-//! policies; per run, the kernel owns the fault plan, the park table, a
-//! queued counter and the run's [`Tally`].
+//! [`Backend`] holds those semantics once. Per run, the kernel owns the
+//! fault plan, the park table, a queued counter and the run's [`Tally`].
 //!
 //! Three steps over one event enum ([`Event`]):
 //!
@@ -25,6 +21,15 @@
 //!   requeues it on the slot it died on or, under a rerouting
 //!   [`RetryPolicy`](crate::fault::RetryPolicy), on another slot of its
 //!   pool, then samples the queue depth.
+//!
+//! [`Backend::run`] is the loop over those steps. The fleet runs it in
+//! both execution modes ([`super::Fleet::run_with`]) and so does every
+//! cluster node ([`crate::cluster`]), and it ends each run at the first
+//! event after which the run is [`settled`](Backend::settled): a fleet
+//! and a one-node cluster fed the same arrivals are the same machine.
+//! The gateway ([`crate::gateway::GatewayFleet::run`]) calls the three
+//! steps from a loop of its own, because its policies act on every
+//! event (cache fills, ceiling release, its own driver events).
 //!
 //! With no plan the kernel draws nothing and schedules no retry, so a
 //! fault-free run is the fault-free reference bit for bit. The kernel
@@ -41,6 +46,7 @@ use gh_sim::{Nanos, QuantileSketch};
 
 use crate::fault::{FaultPlan, FaultStats};
 
+use super::autoscaler::Autoscaler;
 use super::pool::{Dispatched, Pool};
 use super::queue::{DepthTracker, Pending};
 use super::router::Router;
@@ -278,6 +284,66 @@ impl<D> Backend<D> {
     }
 }
 
+impl Backend {
+    /// One run under `plan`: admits each of `arrivals` — `(pool,
+    /// request)` in arrival order, `admitted` of them — to its pool at
+    /// its arrival time, attempts it, retries what dies and attempts
+    /// again at every `Ready` edge, and stops at the first event after
+    /// which the run is [`settled`](Backend::settled). The first arrival
+    /// is scheduled before the loop; each arrival is admitted, then the
+    /// next one is scheduled, then the admitting slot attempts, then
+    /// `scaler` (if any) steps over the arrival's pool and announces a
+    /// grown slot's readiness. Returns the run's tally.
+    pub fn run(
+        plan: Option<FaultPlan>,
+        pools: &mut [Pool],
+        routers: &mut [Router],
+        mut arrivals: impl Iterator<Item = (usize, Pending)>,
+        admitted: usize,
+        mut scaler: Option<&mut Autoscaler>,
+    ) -> Result<Tally, StrategyError> {
+        let mut k: Backend = Backend::new(plan);
+        let mut upcoming = arrivals.next();
+        if let Some((_, p)) = &upcoming {
+            k.events.schedule(p.arrival, Event::Arrival);
+        }
+        while let Some((now, ev)) = k.events.pop() {
+            match ev {
+                Event::Arrival => {
+                    let (pool, p) = upcoming.take().expect("an arrival is due");
+                    let slot = k.admit(now, pools, routers, pool, p);
+                    upcoming = arrivals.next();
+                    if let Some((_, next)) = &upcoming {
+                        k.events.schedule(next.arrival, Event::Arrival);
+                    }
+                    k.dispatch(now, pools, pool, slot)?;
+                    if let Some(scaler) = scaler.as_deref_mut() {
+                        if let Some((idx, ready)) =
+                            scaler.step(now, &mut pools[pool], k.queued())?
+                        {
+                            // The new container announces readiness once
+                            // initialized.
+                            k.events
+                                .schedule(ready, Event::Ready(pool as u32, idx as u32));
+                        }
+                    }
+                }
+                Event::Ready(pool, slot) => {
+                    k.ready(now, pools, pool as usize, slot as usize)?;
+                }
+                Event::Retry(token) => {
+                    let (pool, slot) = k.retry(now, token, pools, routers);
+                    k.dispatch(now, pools, pool, slot)?;
+                }
+            }
+            if k.settled(admitted) {
+                break;
+            }
+        }
+        Ok(k.finish(admitted))
+    }
+}
+
 /// The critical-path rollback a restore-aware router charges a slot
 /// that must restore before admitting a principal (§4.4's
 /// deferred-restore mode), from the paper's measured restore time.
@@ -407,6 +473,46 @@ mod tests {
                 [f.retries, 0]
             };
             assert_eq!(requeued, expected, "{retry:?}");
+        }
+    }
+
+    #[test]
+    fn run_is_the_stepped_loop_ended_at_settled() {
+        // `drive` steps the kernel until its queue is empty; `run` stops
+        // once the run is settled, so the two agree on every served
+        // request and fault, and `run` skips only the idle slots'
+        // trailing zero-depth `Ready` samples.
+        let spec = by_name("fannkuch (p)").unwrap();
+        for plan in [
+            None,
+            faulty(RetryPolicy::bounded()),
+            faulty(RetryPolicy::rerouting()),
+        ] {
+            let stepped = drive(plan, 120).tally;
+            let mut pools =
+                [Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 2, 9).unwrap()];
+            let mut routers = [Router::new(RoutePolicy::LeastLoaded)];
+            let t0 = pools[0].slots.iter().map(|s| s.ready_at).max().unwrap();
+            let arrivals = (0..120u64).map(|i| {
+                let p = Pending {
+                    id: i + 1,
+                    principal: "client".into(),
+                    input_kb: spec.input_kb,
+                    arrival: t0 + Nanos::from_millis(2 * i),
+                    payload_hash: 0,
+                    idempotent: false,
+                    attempt: 1,
+                };
+                (0, p)
+            });
+            let run = Backend::run(plan, &mut pools, &mut routers, arrivals, 120, None).unwrap();
+            assert_eq!(run.completed, stepped.completed);
+            assert_eq!(run.sojourns, stepped.sojourns, "same sojourns, same order");
+            assert_eq!(run.faults, stepped.faults);
+            assert!(
+                run.depth.mean() > stepped.depth.mean(),
+                "the stepped loop adds trailing zero-depth samples"
+            );
         }
     }
 

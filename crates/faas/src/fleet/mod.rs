@@ -23,11 +23,12 @@
 //!   is provably clean (§4.5), with queue-depth percentile tracking;
 //! - [`autoscaler::Autoscaler`] — optional queue-depth-driven growth and
 //!   idle retirement;
-//! - `backend` — the dispatch kernel. Every loop that drives pools (this
-//!   module's serial loop, [`crate::gateway`]'s, each [`crate::cluster`]
-//!   node's) admits, attempts and retries through it, so crash,
-//!   recovery, park, backoff, retry, abandon and restore failure are
-//!   defined once. A fault-free run is the same loop with no fault plan.
+//! - `backend` — the dispatch kernel and its event loop. A fleet run,
+//!   serial or sharded, and every [`crate::cluster`] node run that one
+//!   loop; [`crate::gateway`]'s driver loop calls the same steps. So
+//!   admission, crash, recovery, park, backoff, retry, abandon, restore
+//!   failure and the end of a run are defined once. A fault-free run is
+//!   the same loop with no fault plan.
 //!
 //! A pool of one with the round-robin policy reproduces the single
 //! container open-loop semantics exactly: it is §4's limit harness,
@@ -47,11 +48,14 @@
 //! from the source the serial mode consumes, routes them, lets every
 //! slot **execute ahead** through its own arrivals on worker threads
 //! (`gh_sim::par::ordered_map`, the map that spreads sweep cells and
-//! cluster nodes), then runs the serial mode's kernel loop over the same
-//! arrivals while each slot **replays** its recorded dispatches instead
-//! of executing again (`par`). The loop issues the serial run's schedule
-//! calls in the serial order, so results are bit-identical to serial,
-//! enforced by the differential oracle in `tests/fleet_par_oracle.rs`.
+//! cluster nodes), then runs the kernel's loop over the same arrivals,
+//! exactly as the serial mode does, while each slot **replays** its
+//! recorded dispatches instead of executing again (`par`). The loop
+//! issues the serial run's schedule calls in the serial order, so
+//! results are bit-identical to serial, enforced by the differential
+//! oracle in `tests/fleet_par_oracle.rs`. A one-node cluster fed the
+//! same arrivals runs that loop too and gives the same result bit for
+//! bit (`cluster::tests::a_one_node_cluster_is_the_round_robin_fleet`).
 //!
 //! The **serial reference** runs instead whenever a run is not
 //! provably shardable: the policy is not
@@ -78,7 +82,8 @@ use gh_sim::{DetRng, Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
-use backend::{Backend, Event, Tally};
+use crate::trace::Diurnal;
+use backend::{Backend, Tally};
 
 pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use par::ExecMode;
@@ -245,11 +250,10 @@ pub(crate) struct Shape {
 /// same requests from the same seed. Every stream is its own
 /// [`DetRng`]: switching one on never perturbs another.
 pub(crate) struct Arrivals {
-    offered_rps: f64,
+    diurnal: Diurnal,
     principals: u64,
     shape: Shape,
     input_kb: u64,
-    t_start: Nanos,
     at: Nanos,
     issued: u64,
     gaps: DetRng,
@@ -264,11 +268,15 @@ impl Arrivals {
     pub fn new(cfg: &FleetConfig, shape: Shape, input_kb: u64, t_start: Nanos) -> Self {
         let seed = cfg.seed;
         Arrivals {
-            offered_rps: cfg.offered_rps,
+            diurnal: Diurnal {
+                rps: cfg.offered_rps,
+                amplitude: shape.diurnal_amplitude,
+                period: shape.diurnal_period,
+                origin: t_start,
+            },
             principals: cfg.principals as u64,
             shape,
             input_kb,
-            t_start,
             at: t_start,
             issued: 0,
             gaps: DetRng::new(seed ^ 0x09E4_100D),
@@ -278,12 +286,6 @@ impl Arrivals {
             thin: DetRng::new(seed ^ 0x6A7E_0003),
         }
     }
-
-    /// Advances past the next exponential gap at `rps`.
-    fn step(&mut self, rps: f64) {
-        let u = (1.0 - self.gaps.next_f64()).max(f64::MIN_POSITIVE);
-        self.at += Nanos::from_millis_f64(-u.ln() / rps * 1e3);
-    }
 }
 
 impl Iterator for Arrivals {
@@ -292,23 +294,7 @@ impl Iterator for Arrivals {
     fn next(&mut self) -> Option<(u64, Pending)> {
         self.issued += 1;
         let s = self.shape;
-        if s.diurnal_amplitude == 0.0 {
-            self.step(self.offered_rps);
-        } else {
-            // Thinning: draw at the envelope's peak rate and keep each
-            // arrival with probability rate(t) / peak.
-            let peak = self.offered_rps * (1.0 + s.diurnal_amplitude);
-            loop {
-                self.step(peak);
-                let since = self.at.saturating_sub(self.t_start).as_secs_f64();
-                let phase = since / s.diurnal_period.as_secs_f64();
-                let rate = self.offered_rps
-                    * (1.0 + s.diurnal_amplitude * (std::f64::consts::TAU * phase).sin());
-                if self.thin.next_f64() < rate / peak {
-                    break;
-                }
-            }
-        }
+        self.at = self.diurnal.next(self.at, &mut self.gaps, &mut self.thin);
         let (idx, principal) = if self.principals <= 1 {
             (0, "client".to_string())
         } else {
@@ -446,77 +432,37 @@ impl Fleet {
             && self.cfg.policy == RoutePolicy::RoundRobin
             && self.cfg.autoscale.is_none()
             && pool.slots.len() >= 2;
-        if !eligible {
-            return self.drive(pool, arrivals, requests, t_start, &baseline);
-        }
-        let arrivals: Vec<Pending> = arrivals.collect();
-        let run = par::execute_ahead(pool, &arrivals, threads)
-            .and_then(|()| self.drive(pool, arrivals.into_iter(), requests, t_start, &baseline));
-        pool.slots.iter_mut().for_each(Slot::end_replay);
-        run
-    }
-
-    /// The fleet's one event loop: `arrivals` through the dispatch
-    /// kernel ([`backend`]) on the caller's thread. A serial run feeds it
-    /// the arrival source; a sharded run feeds it the arrivals its slots
-    /// executed ahead, and the slots replay their recorded dispatches
-    /// ([`par`]). A fault-free run is the same loop with no plan.
-    fn drive(
-        &self,
-        pool: &mut Pool,
-        mut arrivals: impl Iterator<Item = Pending>,
-        requests: usize,
-        t_start: Nanos,
-        baseline: &[Baseline],
-    ) -> Result<FleetResult, StrategyError> {
-        let mut k: Backend = Backend::new(self.plan);
         let mut router = Router::new(self.cfg.policy);
         let mut scaler = self.cfg.autoscale.map(Autoscaler::new);
-        let mut upcoming = arrivals.next();
-        if let Some(p) = &upcoming {
-            k.events.schedule(p.arrival, Event::Arrival);
-        }
         let pools = std::slice::from_mut(pool);
         let routers = std::slice::from_mut(&mut router);
-
-        while let Some((now, ev)) = k.events.pop() {
-            match ev {
-                Event::Arrival => {
-                    let p = upcoming.take().expect("an arrival is due");
-                    let slot = k.admit(now, pools, routers, 0, p);
-                    upcoming = arrivals.next();
-                    if let Some(next) = &upcoming {
-                        k.events.schedule(next.arrival, Event::Arrival);
-                    }
-                    k.dispatch(now, pools, 0, slot)?;
-                    if let Some(scaler) = scaler.as_mut() {
-                        if let Some((idx, ready)) = scaler.step(now, &mut pools[0], k.queued())? {
-                            // The new container announces readiness once
-                            // initialized.
-                            k.events.schedule(ready, Event::Ready(0, idx as u32));
-                        }
-                    }
-                }
-                Event::Ready(p, s) => {
-                    k.ready(now, pools, p as usize, s as usize)?;
-                }
-                Event::Retry(token) => {
-                    let (p, s) = k.retry(now, token, pools, routers);
-                    k.dispatch(now, pools, p, s)?;
-                }
-            }
-            if k.settled(requests) {
-                break;
-            }
-        }
-        let tally = k.finish(requests);
-        let pool = &mut pools[0];
+        let tally = if eligible {
+            // The kernel's loop runs over the arrivals the slots executed
+            // ahead, and each slot replays its recorded dispatches.
+            let arrivals: Vec<Pending> = arrivals.collect();
+            let run = par::execute_ahead(&mut pools[0], &arrivals, threads).and_then(|()| {
+                let arrivals = arrivals.into_iter().map(|p| (0, p));
+                Backend::run(self.plan, pools, routers, arrivals, requests, None)
+            });
+            pools[0].slots.iter_mut().for_each(Slot::end_replay);
+            run
+        } else {
+            let arrivals = arrivals.map(|p| (0, p));
+            Backend::run(
+                self.plan,
+                pools,
+                routers,
+                arrivals,
+                requests,
+                scaler.as_mut(),
+            )
+        }?;
         Ok(Self::finish(
             &self.cfg,
             scaler.as_ref(),
-            pool,
+            &mut pools[0],
             t_start,
-            baseline,
+            &baseline,
             &tally,
         ))
     }

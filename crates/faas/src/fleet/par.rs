@@ -12,8 +12,8 @@
 //!    the routes are exact before the run starts), and every slot
 //!    serves its own arrivals in order, slots spread across workers by
 //!    [`gh_sim::par::ordered_map`]. Each slot records what it served.
-//! 2. **Replay**: the serial mode's own kernel loop runs over the same
-//!    arrivals while each slot replays its recorded
+//! 2. **Replay**: the kernel's loop, the one the serial mode runs, runs
+//!    over the same arrivals while each slot replays its recorded
 //!    [`Dispatched`](super::Dispatched) instead of executing again,
 //!    checking the request id. The loop issues the serial run's
 //!    schedule calls in the serial run's order, so tie-breaking, sojourn

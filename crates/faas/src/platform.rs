@@ -216,7 +216,6 @@ impl Platform {
         &mut self,
         id: ContainerId,
         principal: &str,
-        _unused: u64,
     ) -> Result<Outcome, StrategyError> {
         let input = self.containers[id.0].spec.input_kb;
         self.invoke(id, principal, input)
@@ -233,7 +232,7 @@ mod tests {
         let mut p = Platform::new(PlatformConfig::default());
         let spec = by_name("md2html (p)").unwrap();
         let id = p.deploy(&spec, StrategyKind::Gh).unwrap();
-        let out = p.invoke_simple(id, "alice", 0).unwrap();
+        let out = p.invoke_simple(id, "alice").unwrap();
         assert!(out.response.ok);
         assert!(out.e2e > out.invoker, "controller path adds delay");
     }
@@ -251,7 +250,7 @@ mod tests {
         let mut sum = 0.0;
         let n = 20;
         for _ in 0..n {
-            sum += p.invoke_simple(id, "a", 0).unwrap().e2e.as_millis_f64();
+            sum += p.invoke_simple(id, "a").unwrap().e2e.as_millis_f64();
         }
         let mean = sum / n as f64;
         // Paper: md2html base E2E ≈ 69.4ms.
@@ -331,8 +330,8 @@ mod tests {
         let spec = by_name("atax (c)").unwrap();
         let base = p.deploy(&spec, StrategyKind::Base).unwrap();
         let faasm = p.deploy(&spec, StrategyKind::Faasm).unwrap();
-        let be = p.invoke_simple(base, "a", 0).unwrap();
-        let fe = p.invoke_simple(faasm, "a", 0).unwrap();
+        let be = p.invoke_simple(base, "a").unwrap();
+        let fe = p.invoke_simple(faasm, "a").unwrap();
         // Faasm's platform is lighter (Table 1: atax E2E 30.3 vs 68.7).
         assert!(fe.e2e < be.e2e);
     }

@@ -118,6 +118,38 @@ pub struct TraceEvent {
     pub idempotent: bool,
 }
 
+/// A Poisson arrival process at `rps` under a diurnal envelope of
+/// `amplitude` and `period` from `origin`, realized by thinning: the one
+/// arrival step of [`TraceGen`] and of the fleet's arrival source.
+#[derive(Clone, Copy)]
+pub(crate) struct Diurnal {
+    pub rps: f64,
+    pub amplitude: f64,
+    pub period: Nanos,
+    pub origin: Nanos,
+}
+
+impl Diurnal {
+    /// The next arrival after `at`. At amplitude 0 it is one gap drawn
+    /// from `gaps`, and `thin` stays undrawn. Otherwise candidates come
+    /// at the envelope's peak rate, and each one at `t` is kept with
+    /// probability `rate(t) / peak`, one `thin` draw per candidate.
+    pub fn next(&self, mut at: Nanos, gaps: &mut DetRng, thin: &mut DetRng) -> Nanos {
+        if self.amplitude == 0.0 {
+            return at + gaps.exp_gap(self.rps);
+        }
+        let peak = self.rps * (1.0 + self.amplitude);
+        loop {
+            at += gaps.exp_gap(peak);
+            let phase = at.saturating_sub(self.origin).as_secs_f64() / self.period.as_secs_f64();
+            let rate = self.rps * (1.0 + self.amplitude * (std::f64::consts::TAU * phase).sin());
+            if thin.next_f64() < rate / peak {
+                return at;
+            }
+        }
+    }
+}
+
 /// Burst state: a principal hammering one function.
 struct Burst {
     fn_id: u32,
@@ -130,6 +162,7 @@ pub struct TraceGen {
     cfg: TraceConfig,
     /// Normalized Zipf CDF over ranks.
     cdf: Vec<f64>,
+    diurnal: Diurnal,
     gap_rng: DetRng,
     thin_rng: DetRng,
     fn_rng: DetRng,
@@ -163,6 +196,12 @@ impl TraceGen {
         TraceGen {
             cfg: cfg.clone(),
             cdf,
+            diurnal: Diurnal {
+                rps: cfg.base_rps,
+                amplitude: cfg.diurnal_amplitude,
+                period: cfg.diurnal_period,
+                origin: cfg.origin,
+            },
             // Independent streams per concern, like the fleet's
             // arrival/principal split: adding a draw to one stream
             // never perturbs the others.
@@ -178,36 +217,10 @@ impl TraceGen {
         }
     }
 
-    /// Instantaneous arrival rate at virtual time `t`.
-    fn rate_at(&self, t: Nanos) -> f64 {
-        let phase = (t.saturating_sub(self.cfg.origin)).as_secs_f64()
-            / self.cfg.diurnal_period.as_secs_f64();
-        self.cfg.base_rps
-            * (1.0 + self.cfg.diurnal_amplitude * (2.0 * std::f64::consts::PI * phase).sin())
-    }
-
-    /// One exponential gap at `rps`.
-    fn exp_gap(rps: f64, rng: &mut DetRng) -> Nanos {
-        let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-        Nanos::from_millis_f64(-u.ln() / rps * 1e3)
-    }
-
     /// Zipf rank draw: binary search of the precomputed CDF.
     fn draw_rank(&mut self) -> u32 {
         let u = self.fn_rng.next_f64();
         self.cdf.partition_point(|&c| c < u) as u32
-    }
-
-    /// Advances `now` past the next accepted (thinned) diurnal arrival.
-    fn advance_diurnal(&mut self) {
-        let rate_max = self.cfg.base_rps * (1.0 + self.cfg.diurnal_amplitude);
-        loop {
-            self.now += Self::exp_gap(rate_max, &mut self.gap_rng);
-            let accept = self.rate_at(self.now) / rate_max;
-            if self.thin_rng.next_f64() < accept {
-                return;
-            }
-        }
     }
 }
 
@@ -221,10 +234,9 @@ impl Iterator for TraceGen {
         let (fn_id, principal) = if let Some(b) = self.burst.as_mut() {
             // Burst mode: back-to-back requests at the boosted rate,
             // same function and principal for the whole run.
-            self.now += Self::exp_gap(
-                self.cfg.base_rps * self.cfg.burst_rps_factor,
-                &mut self.gap_rng,
-            );
+            self.now += self
+                .gap_rng
+                .exp_gap(self.cfg.base_rps * self.cfg.burst_rps_factor);
             let ev = (b.fn_id, b.principal);
             b.left -= 1;
             if b.left == 0 {
@@ -232,7 +244,9 @@ impl Iterator for TraceGen {
             }
             ev
         } else {
-            self.advance_diurnal();
+            self.now = self
+                .diurnal
+                .next(self.now, &mut self.gap_rng, &mut self.thin_rng);
             let fn_id = self.draw_rank();
             let principal = self.principal_rng.next_below(self.cfg.principals as u64) as u32;
             if self.burst_rng.next_f64() < self.cfg.burst_start_prob {
@@ -411,8 +425,7 @@ pub fn dag_workload(workflows: u64, arrival_rps: f64, seed: u64) -> Vec<DagArriv
     let mut now = Nanos::ZERO;
     (0..workflows)
         .map(|workflow| {
-            let u = (1.0 - rng.next_f64()).max(f64::MIN_POSITIVE);
-            now += Nanos::from_millis_f64(-u.ln() / arrival_rps * 1e3);
+            now += rng.exp_gap(arrival_rps);
             DagArrival {
                 workflow,
                 at: now,
@@ -556,6 +569,52 @@ mod tests {
             peak as f64 > 1.5 * trough as f64,
             "sin>0 half must out-arrive sin<0 half: {peak} vs {trough}"
         );
+    }
+
+    #[test]
+    fn the_diurnal_step_keeps_every_stream_exact() {
+        // A flat envelope is one plain gap and leaves the thin stream
+        // undrawn; a modulated one is thinning at the peak rate, written
+        // out here as a reference.
+        for amplitude in [0.0, 0.6] {
+            let d = Diurnal {
+                rps: 400.0,
+                amplitude,
+                period: Nanos::from_millis(250),
+                origin: Nanos::from_millis(3),
+            };
+            let (mut gaps, mut thin) = (DetRng::new(5), DetRng::new(6));
+            let (mut ref_gaps, mut ref_thin) = (gaps.clone(), thin.clone());
+            let (mut at, mut want) = (d.origin, d.origin);
+            for _ in 0..2_000 {
+                at = d.next(at, &mut gaps, &mut thin);
+                let peak = d.rps * (1.0 + amplitude);
+                loop {
+                    let u = (1.0 - ref_gaps.next_f64()).max(f64::MIN_POSITIVE);
+                    want += Nanos::from_millis_f64(-u.ln() / peak * 1e3);
+                    if amplitude == 0.0 {
+                        break;
+                    }
+                    let phase = (want - d.origin).as_secs_f64() / d.period.as_secs_f64();
+                    let rate =
+                        d.rps * (1.0 + amplitude * (2.0 * std::f64::consts::PI * phase).sin());
+                    if ref_thin.next_f64() < rate / peak {
+                        break;
+                    }
+                }
+                assert_eq!(at, want, "amplitude {amplitude}");
+            }
+            assert_eq!(
+                gaps.next_u64(),
+                ref_gaps.next_u64(),
+                "amplitude {amplitude}"
+            );
+            assert_eq!(
+                thin.next_u64(),
+                ref_thin.next_u64(),
+                "amplitude {amplitude}"
+            );
+        }
     }
 
     #[test]

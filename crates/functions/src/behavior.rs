@@ -27,7 +27,7 @@
 //! `crates/mem/tests/batch_oracle.rs` and the `bench_smoke` +0.0% gate;
 //! the `scaling_touch_*` metrics track the speedup).
 
-use gh_mem::{FaultCounters, RequestId, Taint, Touch, Vpn};
+use gh_mem::{FaultCounters, RequestId, Taint, Touch, TouchBatch, Vpn};
 use gh_proc::Kernel;
 use gh_runtime::FunctionProcess;
 use gh_sim::Nanos;
@@ -210,20 +210,18 @@ impl Executor {
         };
         kernel
             .run_charged(pid, |p, frames| {
-                // Leak: allocate and dirty heap pages that are never freed.
+                // Leak: allocate and dirty heap pages that are never freed,
+                // as one ascending batch (a page that errors is skipped).
                 let brk = p.mem.brk();
                 if p.mem
                     .set_brk(Vpn(brk.0 + LEAK_PAGES_PER_INV), frames)
                     .is_ok()
                 {
+                    let mut batch = TouchBatch::with_capacity(LEAK_PAGES_PER_INV as usize);
                     for i in 0..LEAK_PAGES_PER_INV {
-                        let _ = p.mem.touch(
-                            Vpn(brk.0 + i),
-                            Touch::WriteWord(0x1EAC ^ level),
-                            taint,
-                            frames,
-                        );
+                        batch.push(Vpn(brk.0 + i), Touch::WriteWord(0x1EAC ^ level), taint);
                     }
+                    p.mem.touch_batch(&batch, frames);
                 }
             })
             .expect("leak body");
@@ -314,6 +312,19 @@ mod tests {
         assert_eq!(first.leak_level, 0);
         assert_eq!(last.leak_level, 4, "leak accumulates without restore");
         assert!(last.duration > first.duration + Nanos::from_millis(5));
+    }
+
+    #[test]
+    fn a_leak_step_taints_every_page_it_leaks() {
+        let (mut k, mut fp, spec) = build("logging (p)");
+        Executor::invoke(&mut k, &mut fp, &spec, &RequestCtx::new(7, "a", 0));
+        let proc = k.process(fp.pid).unwrap();
+        let brk = proc.mem.brk().0;
+        let tainted = proc.mem.tainted_pages(RequestId(7), k.frames());
+        assert!(
+            (brk - LEAK_PAGES_PER_INV..brk).all(|v| tainted.contains(&Vpn(v))),
+            "every leaked heap page holds the request's write"
+        );
     }
 
     #[test]

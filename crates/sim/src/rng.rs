@@ -5,6 +5,8 @@
 //! noise helpers model measurement jitter (the ± columns of Table 1) without
 //! compromising determinism.
 
+use crate::time::Nanos;
+
 /// A small, fast, deterministic RNG (xoshiro256**).
 ///
 /// Not cryptographically secure; used only for workload placement and
@@ -83,6 +85,13 @@ impl DetRng {
     /// Uniform float in `[lo, hi)`.
     pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
+    }
+
+    /// One exponential inter-arrival gap of a Poisson process at `rps`
+    /// arrivals per second (one draw), rounded to whole nanoseconds.
+    pub fn exp_gap(&mut self, rps: f64) -> Nanos {
+        let u = (1.0 - self.next_f64()).max(f64::MIN_POSITIVE);
+        Nanos::from_millis_f64(-u.ln() / rps * 1e3)
     }
 
     /// Standard normal variate (Box–Muller, one value per call).
@@ -182,6 +191,23 @@ mod tests {
             let x = r.next_f64();
             assert!((0.0..1.0).contains(&x));
         }
+    }
+
+    #[test]
+    fn exp_gap_is_one_inverse_transform_draw() {
+        let (mut a, mut b) = (DetRng::new(17), DetRng::new(17));
+        let rps = 250.0;
+        let n = 20_000;
+        let mut total = Nanos::ZERO;
+        for _ in 0..n {
+            let gap = a.exp_gap(rps);
+            let u = (1.0 - b.next_f64()).max(f64::MIN_POSITIVE);
+            assert_eq!(gap, Nanos::from_millis_f64(-u.ln() / rps * 1e3));
+            total += gap;
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "one draw per gap");
+        let mean_ms = total.as_millis_f64() / n as f64;
+        assert!((mean_ms - 4.0).abs() < 0.1, "mean gap {mean_ms} ms");
     }
 
     #[test]

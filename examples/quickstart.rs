@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Serve requests from differently privileged callers. Groundhog
     // restores the process between requests, off the critical path.
     for (i, principal) in ["alice", "bob", "alice", "carol"].iter().enumerate() {
-        let out = platform.invoke_simple(container, principal, 0)?;
+        let out = platform.invoke_simple(container, principal)?;
         println!(
             "request {} from {:7}: e2e {:>9}, invoker {:>9}, restore (off-path) {:>9}",
             i + 1,

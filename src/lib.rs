@@ -30,7 +30,7 @@
 //! let mut platform = Platform::new(PlatformConfig::default());
 //! let f = groundhog::functions::catalog::by_name("json (p)").unwrap();
 //! let container = platform.deploy(&f, StrategyKind::Gh).unwrap();
-//! let outcome = platform.invoke_simple(container, "alice", 4).unwrap();
+//! let outcome = platform.invoke_simple(container, "alice").unwrap();
 //! assert!(outcome.response.ok);
 //! ```
 //!

@@ -39,7 +39,7 @@ fn e2e_composition() {
     let mut p = Platform::new(cfg);
     let spec = by_name("get-time (p)").unwrap();
     let id = p.deploy(&spec, StrategyKind::Base).unwrap();
-    let out = p.invoke_simple(id, "a", 0).unwrap();
+    let out = p.invoke_simple(id, "a").unwrap();
     let controller_ms = (out.e2e - out.invoker).as_millis_f64();
     assert!(
         (20.0..35.0).contains(&controller_ms),
@@ -73,8 +73,8 @@ fn mixed_strategy_deployments() {
     let gh = platform.deploy(&spec, StrategyKind::Gh).unwrap();
     for i in 0..3 {
         let principal = if i % 2 == 0 { "a" } else { "b" };
-        platform.invoke_simple(base, principal, 0).unwrap();
-        platform.invoke_simple(gh, principal, 0).unwrap();
+        platform.invoke_simple(base, principal).unwrap();
+        platform.invoke_simple(gh, principal).unwrap();
     }
     assert_eq!(platform.container(base).stats.requests, 3);
     assert_eq!(platform.container(gh).stats.requests, 3);
