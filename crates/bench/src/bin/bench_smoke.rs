@@ -581,21 +581,32 @@ fn collect() -> Vec<Metric> {
     }
 
     // Deterministic host work: heap allocations per simulated request on
-    // serial runs of the cluster and fleet rigs' shapes, and per cold
-    // start on the cluster's (its 0-request run builds every pool).
+    // serial runs of the cluster and fleet rigs' shapes (the cluster's
+    // also behind a caching front), and per cold start on the cluster's
+    // (its 0-request run builds every pool).
     let (cluster_setup, cluster_allocs) =
         work_allocations(|n| gh_bench::cluster_scaling::serial_run(n).completed);
+    let (_, cached_allocs) = work_allocations(|n| {
+        gh_bench::cluster_scaling::serial_cached_run(n)
+            .cluster
+            .completed
+    });
     let (_, fleet_allocs) = work_allocations(|n| gh_bench::fleet_scaling::serial_run(n as usize));
     let cold_starts = gh_bench::cluster_scaling::serial_run(0).containers;
     let cold_start_allocs = cluster_setup as f64 / f64::from(cold_starts);
     println!(
         "heap allocations per simulated request: cluster {cluster_allocs:.4}, \
-         fleet {fleet_allocs:.4}; per cold start: cluster {cold_start_allocs:.4} \
-         ({cluster_setup} over {cold_starts} containers)\n"
+         cluster cached {cached_allocs:.4}, fleet {fleet_allocs:.4}; per cold start: \
+         cluster {cold_start_allocs:.4} ({cluster_setup} over {cold_starts} containers)\n"
     );
     out.push(Metric {
         key: "work_allocs_per_req_cluster",
         value: cluster_allocs,
+        higher_is_better: false,
+    });
+    out.push(Metric {
+        key: "work_allocs_per_req_cluster_cached",
+        value: cached_allocs,
         higher_is_better: false,
     });
     out.push(Metric {

@@ -20,12 +20,18 @@
 
 use std::time::Instant;
 
-use gh_faas::cluster::{run_cluster_with, ClusterConfig, ClusterResult, PlacePolicy};
+use gh_faas::cluster::{
+    run_cluster_gateway, run_cluster_with, ClusterConfig, ClusterGatewayResult, ClusterResult,
+    PlacePolicy,
+};
 use gh_faas::fleet::ExecMode;
 use gh_faas::trace::{stable_rps, synthetic_catalog, TraceConfig};
 use gh_functions::FunctionSpec;
+use gh_gateway::cache::CacheConfig;
+use gh_gateway::GatewayConfig;
 use gh_isolation::StrategyKind;
 use gh_sim::report::TextTable;
+use gh_sim::Nanos;
 use groundhog_core::GroundhogConfig;
 
 /// Simulated worker nodes.
@@ -124,6 +130,32 @@ pub fn serial_run(requests: u64) -> ClusterResult {
         &trace,
         &catalog,
         &ccfg,
+        GroundhogConfig::gh(),
+        ExecMode::Serial,
+    )
+    .expect("run")
+}
+
+/// [`serial_run`]'s shape behind a caching gateway front: nearly every
+/// request idempotent over 8 payloads per function, a 30 s TTL and a
+/// 64 MiB budget, so the front answers most arrivals and the fold's
+/// cache path is what the heap-allocation counter sees.
+pub fn serial_cached_run(requests: u64) -> ClusterGatewayResult {
+    let catalog = synthetic_catalog(FUNCTIONS, SEED);
+    let (mut trace, ccfg) = config(&catalog, requests);
+    trace.idempotent_frac = 0.98;
+    trace.payload_universe = 8;
+    let gateway = GatewayConfig::builder()
+        .cache(CacheConfig {
+            byte_budget: 64 << 20,
+            ..CacheConfig::default_for_ttl(Nanos::from_secs(30))
+        })
+        .build();
+    run_cluster_gateway(
+        &trace,
+        &catalog,
+        &ccfg,
+        &gateway,
         GroundhogConfig::gh(),
         ExecMode::Serial,
     )

@@ -37,12 +37,19 @@
 //! go on to placement, hits record their front-side sojourn, and the
 //! front's counters are read when the fold ends. Nodes see only their
 //! arrival lists, so no front state ever crosses a thread boundary.
+//!
+//! The fold is serial, so its common decision, a cache hit, does
+//! constant work. Per-function generations sit in a `Vec` indexed by
+//! the trace's dense function id, and token buckets in the
+//! [`AdmissionControl`]'s `Vec` indexed by the dense principal index. A
+//! cache hit is one probe of [`ResultCache`]'s key index plus an O(1)
+//! move to the newest end of its LRU list. Only misses, expiries and
+//! redeploys touch its ordered expiry index.
 
 use gh_gateway::admission::{AdmissionConfig, AdmissionControl, Decision};
 use gh_gateway::cache::{CacheKey, ResultCache};
 use gh_gateway::GatewayConfig;
 use gh_sim::Nanos;
-use std::collections::HashMap;
 
 use crate::trace::TraceEvent;
 
@@ -71,12 +78,12 @@ pub struct GatewayFront {
     redeploys: Vec<(Nanos, u32)>,
     /// Next unapplied schedule entry.
     next_redeploy: usize,
-    /// Current code generation per function (0 until redeployed).
-    generation: HashMap<u64, u64>,
+    /// Current code generation per function, indexed by the trace's
+    /// dense function id; grown on the first redeploy past its end (a
+    /// function beyond it is at generation 0).
+    generation: Vec<u64>,
     /// Arrivals served from the cache.
     pub hits: u64,
-    /// Arrivals dropped by rate limiting.
-    pub rejected: u64,
     /// High-water mark of cached bytes.
     pub cache_peak_bytes: u64,
 }
@@ -113,9 +120,8 @@ impl GatewayFront {
             }),
             redeploys: schedule.to_vec(),
             next_redeploy: 0,
-            generation: HashMap::new(),
+            generation: Vec::new(),
             hits: 0,
-            rejected: 0,
             cache_peak_bytes: 0,
         }
     }
@@ -132,7 +138,11 @@ impl GatewayFront {
                 break;
             }
             self.next_redeploy += 1;
-            *self.generation.entry(f as u64).or_insert(0) += 1;
+            let f = f as usize;
+            if f >= self.generation.len() {
+                self.generation.resize(f + 1, 0);
+            }
+            self.generation[f] += 1;
             if let Some(cache) = &mut self.cache {
                 cache.redeploy(f as u64);
             }
@@ -142,11 +152,7 @@ impl GatewayFront {
             if ev.idempotent {
                 let key = CacheKey {
                     fn_id: ev.fn_id as u64,
-                    generation: self
-                        .generation
-                        .get(&(ev.fn_id as u64))
-                        .copied()
-                        .unwrap_or(0),
+                    generation: self.generation.get(ev.fn_id as usize).copied().unwrap_or(0),
                     payload_hash: ev.payload_hash,
                 };
                 if cache.lookup(key, ev.at).is_some() {
@@ -161,11 +167,16 @@ impl GatewayFront {
         }
         if let Some(adm) = &mut self.admission {
             if adm.admit(ev.principal as u64, ev.at) == Decision::Reject {
-                self.rejected += 1;
                 return FrontDecision::Reject;
             }
         }
         FrontDecision::Backend
+    }
+
+    /// Arrivals dropped by rate limiting: the held
+    /// [`AdmissionControl`]'s own count (0 without admission).
+    pub fn rejected(&self) -> u64 {
+        self.admission.as_ref().map_or(0, |a| a.rejected)
     }
 
     /// The latency a cache hit is charged at the front.
@@ -205,7 +216,7 @@ mod tests {
             assert_eq!(f.decide(&e, 1), FrontDecision::Backend);
         }
         assert_eq!(f.hits, 0);
-        assert_eq!(f.rejected, 0);
+        assert_eq!(f.rejected(), 0);
     }
 
     #[test]
@@ -313,6 +324,6 @@ mod tests {
             f.decide(&ev(3, t, 0, 1, 4, false), 1),
             FrontDecision::Backend
         );
-        assert_eq!(f.rejected, 1);
+        assert_eq!(f.rejected(), 1);
     }
 }

@@ -660,7 +660,7 @@ pub fn run_cluster_gateway(
     let front = front.expect("a gateway run folds through its front");
     let mut gateway = GatewayStats {
         served: cluster.completed,
-        rejected: front.rejected,
+        rejected: front.rejected(),
         cache_peak_bytes: front.cache_peak_bytes,
         ..GatewayStats::default()
     };
@@ -1089,8 +1089,10 @@ mod tests {
                                 assert_eq!(all, r.all_down, "{label}: node {node}");
                                 assert_eq!(fold.scale, r.scale, "{label}: node {node}");
                             }
-                            let (h, rj) =
-                                fold.front.as_ref().map_or((0, 0), |f| (f.hits, f.rejected));
+                            let (h, rj) = fold
+                                .front
+                                .as_ref()
+                                .map_or((0, 0), |f| (f.hits, f.rejected()));
                             let listed: u64 = fold.arrivals.iter().map(|a| a.len() as u64).sum();
                             assert_eq!(
                                 listed + h + rj + fold.all_down,

@@ -27,7 +27,7 @@
 //! `crates/mem/tests/batch_oracle.rs` and the `bench_smoke` +0.0% gate;
 //! the `scaling_touch_*` metrics track the speedup).
 
-use gh_mem::{FaultCounters, RequestId, Taint, Touch, TouchBatch, Vpn};
+use gh_mem::{FaultCounters, RequestId, Taint, Touch, Vpn};
 use gh_proc::Kernel;
 use gh_runtime::FunctionProcess;
 use gh_sim::Nanos;
@@ -208,20 +208,22 @@ impl Executor {
                 .peek_word(state, LEAK_COUNTER_WORD, kernel.frames())
                 .unwrap_or(0)
         };
+        let batch = fproc.scratch_batch();
         kernel
             .run_charged(pid, |p, frames| {
                 // Leak: allocate and dirty heap pages that are never freed,
-                // as one ascending batch (a page that errors is skipped).
+                // as one ascending batch in the process's scratch (a page
+                // that errors is skipped).
                 let brk = p.mem.brk();
                 if p.mem
                     .set_brk(Vpn(brk.0 + LEAK_PAGES_PER_INV), frames)
                     .is_ok()
                 {
-                    let mut batch = TouchBatch::with_capacity(LEAK_PAGES_PER_INV as usize);
+                    batch.clear();
                     for i in 0..LEAK_PAGES_PER_INV {
                         batch.push(Vpn(brk.0 + i), Touch::WriteWord(0x1EAC ^ level), taint);
                     }
-                    p.mem.touch_batch(&batch, frames);
+                    p.mem.touch_batch(batch, frames);
                 }
             })
             .expect("leak body");

@@ -13,8 +13,6 @@
 //! saturated) and the driving loop is expected to park and retry them
 //! as capacity frees up.
 
-use std::collections::HashMap;
-
 use gh_sim::Nanos;
 
 /// Admission knobs.
@@ -92,11 +90,13 @@ pub enum Decision {
 
 /// Admission state across all principals. Principals are identified by
 /// their deterministic index (the same `u64` the fleet and trace
-/// generators draw), not by name, so no string hashing is on the
-/// decision path.
+/// generators draw), not by name, so no hashing is on the decision
+/// path: buckets sit in a `Vec` indexed by that index.
 pub struct AdmissionControl {
     cfg: AdmissionConfig,
-    buckets: HashMap<u64, TokenBucket>,
+    /// Per-principal buckets by principal index; `None` until the
+    /// principal's first arrival.
+    buckets: Vec<Option<TokenBucket>>,
     in_flight: usize,
     /// Requests shed by per-principal rate limiting.
     pub rejected: u64,
@@ -110,7 +110,7 @@ impl AdmissionControl {
     pub fn new(cfg: AdmissionConfig) -> AdmissionControl {
         AdmissionControl {
             cfg,
-            buckets: HashMap::new(),
+            buckets: Vec::new(),
             in_flight: 0,
             rejected: 0,
             deferred: 0,
@@ -127,12 +127,18 @@ impl AdmissionControl {
     /// the in-flight count — the driver calls [`AdmissionControl::begin`]
     /// when the request actually enters the backend (cache hits are
     /// served without occupying a slot).
+    ///
+    /// `principal` must be a dense index: the bucket table grows to the
+    /// largest index seen, so its memory is proportional to that index,
+    /// not to the number of principals. The fleet and trace generators
+    /// draw indices below their principal count.
     pub fn admit(&mut self, principal: u64, now: Nanos) -> Decision {
         let cfg = self.cfg;
-        let bucket = self
-            .buckets
-            .entry(principal)
-            .or_insert_with(|| TokenBucket::full(cfg.burst, now));
+        let i = usize::try_from(principal).expect("principal index fits in usize");
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, None);
+        }
+        let bucket = self.buckets[i].get_or_insert_with(|| TokenBucket::full(cfg.burst, now));
         if !bucket.try_take(now, cfg.rate_per_sec, cfg.burst) {
             self.rejected += 1;
             return Decision::Reject;
@@ -228,6 +234,12 @@ mod tests {
         assert_eq!(ac.admit(0, at), Decision::Admit);
         assert_eq!(ac.admit(0, at), Decision::Reject);
         assert_eq!(ac.admit(1, at), Decision::Admit, "fresh principal");
+        // A principal first seen below the largest index so far still
+        // starts with a full bucket of its own.
+        assert_eq!(ac.admit(5, at), Decision::Admit, "grows the table");
+        assert_eq!(ac.admit(3, at), Decision::Admit, "fresh below the end");
+        assert_eq!(ac.admit(3, at), Decision::Reject);
+        assert_eq!(ac.admit(5, at), Decision::Reject);
     }
 
     #[test]

@@ -17,11 +17,19 @@
 //!   driving event loop can schedule expiry as an event on its
 //!   [`gh_sim::event::EventQueue`] and sweep with
 //!   [`ResultCache::expire_due`].
-//! - **LRU eviction** orders entries by a logical recency counter
-//!   (bumped on hit and insert), not wall time, so eviction order is
-//!   identical across serial and parallel drivers.
+//! - **LRU eviction** follows the operation sequence, not wall time,
+//!   so eviction order is identical across serial and parallel
+//!   drivers. Entries live in a slab threaded by an intrusive
+//!   doubly-linked recency list: a hit or an insert moves the entry to
+//!   the newest end, and victims come off the oldest end. A hit is one
+//!   probe of the key index (a multiply-xor hash, since keys carry an
+//!   already-mixed payload hash) plus a few link writes; only inserts,
+//!   expiries and redeploys touch the ordered `(deadline, insert seq)`
+//!   expiry index, whose sequence number breaks deadline ties in
+//!   insertion order.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use gh_sim::Nanos;
 
@@ -153,25 +161,69 @@ pub struct CacheStats {
     pub invalidated: u64,
 }
 
+/// Slab link value meaning "no entry".
+const NIL: u32 = u32::MAX;
+
+/// Multiply-xor hasher for [`CacheKey`]s. A key is two small ids and a
+/// payload hash that is already mixed ([`mix`], [`Payload::hash`]), so
+/// one multiply per word plus a final fold spreads it across the table
+/// without SipHash's rounds. Keys come from the simulator's own
+/// workload generators, so there are no crafted collisions to resist.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits, which a multiply mixes
+        // least: fold the high half down.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// One slab slot. A live entry sits in the key index, the expiry index
+/// and the LRU list; a free slot is listed in `ResultCache::free`.
 struct Entry {
-    recency: u64,
+    key: CacheKey,
     seq: u64,
     visible_from: Nanos,
     expires_at: Nanos,
     bytes: u64,
     output_kb: u64,
+    /// LRU neighbour one step towards the victim end ([`NIL`] at it).
+    older: u32,
+    /// LRU neighbour one step towards the newest end ([`NIL`] at it).
+    newer: u32,
 }
 
 /// The content-addressed result cache. See the module docs for the
 /// determinism contract.
 pub struct ResultCache {
     cfg: CacheConfig,
-    entries: HashMap<CacheKey, Entry>,
-    /// LRU index: logical recency → key.
-    by_recency: BTreeMap<u64, CacheKey>,
-    /// Expiry index: (deadline, insert seq) → key.
-    by_expiry: BTreeMap<(Nanos, u64), CacheKey>,
-    tick: u64,
+    /// Entry slots, live and free.
+    slab: Vec<Entry>,
+    /// Free slots of `slab`, reused before it grows.
+    free: Vec<u32>,
+    /// Key → live slot.
+    index: HashMap<CacheKey, u32, BuildHasherDefault<KeyHasher>>,
+    /// LRU list ends: the next victim and the last entry hit or inserted.
+    oldest: u32,
+    newest: u32,
+    /// Expiry index: (deadline, insert seq) → slot.
+    by_expiry: BTreeMap<(Nanos, u64), u32>,
     seq: u64,
     bytes: u64,
     /// Outcome counters.
@@ -183,10 +235,12 @@ impl ResultCache {
     pub fn new(cfg: CacheConfig) -> ResultCache {
         ResultCache {
             cfg,
-            entries: HashMap::new(),
-            by_recency: BTreeMap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            index: HashMap::default(),
+            oldest: NIL,
+            newest: NIL,
             by_expiry: BTreeMap::new(),
-            tick: 0,
             seq: 0,
             bytes: 0,
             stats: CacheStats::default(),
@@ -200,12 +254,12 @@ impl ResultCache {
 
     /// Live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True when the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// Bytes currently charged against the budget — bounded by
@@ -214,36 +268,65 @@ impl ResultCache {
         self.bytes
     }
 
-    fn unlink(&mut self, key: &CacheKey) -> Option<Entry> {
-        let e = self.entries.remove(key)?;
-        self.by_recency.remove(&e.recency);
+    /// Takes slot `i` out of the LRU list.
+    fn detach(&mut self, i: u32) {
+        let (older, newer) = {
+            let e = &self.slab[i as usize];
+            (e.older, e.newer)
+        };
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slab[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.slab[n as usize].older = older,
+        }
+    }
+
+    /// Puts detached slot `i` at the newest end of the LRU list.
+    fn push_newest(&mut self, i: u32) {
+        let prev = self.newest;
+        let e = &mut self.slab[i as usize];
+        e.older = prev;
+        e.newer = NIL;
+        match prev {
+            NIL => self.oldest = i,
+            p => self.slab[p as usize].newer = i,
+        }
+        self.newest = i;
+    }
+
+    /// Removes live slot `i` from every index and frees it.
+    fn unlink(&mut self, i: u32) {
+        self.detach(i);
+        let e = &self.slab[i as usize];
+        self.index.remove(&e.key);
         self.by_expiry.remove(&(e.expires_at, e.seq));
         self.bytes -= e.bytes;
-        Some(e)
+        self.free.push(i);
     }
 
     /// Looks `key` up at virtual time `now`. Serves entries with
     /// `visible_from ≤ now < expires_at`; the upper bound is strict, so
-    /// a lookup at exactly the expiry deadline misses. A hit bumps the
-    /// entry's LRU recency and returns its output size (KiB).
+    /// a lookup at exactly the expiry deadline misses. A hit moves the
+    /// entry to the newest end of the LRU list and returns its output
+    /// size (KiB).
     pub fn lookup(&mut self, key: CacheKey, now: Nanos) -> Option<u64> {
-        let servable = self
-            .entries
-            .get(&key)
-            .is_some_and(|e| e.visible_from <= now && now < e.expires_at);
-        if !servable {
+        let servable = self.index.get(&key).copied().filter(|&i| {
+            let e = &self.slab[i as usize];
+            e.visible_from <= now && now < e.expires_at
+        });
+        let Some(i) = servable else {
             self.stats.misses += 1;
             return None;
+        };
+        if i != self.newest {
+            self.detach(i);
+            self.push_newest(i);
         }
-        self.tick += 1;
-        let tick = self.tick;
-        let e = self.entries.get_mut(&key).expect("checked above");
-        self.by_recency.remove(&e.recency);
-        e.recency = tick;
-        let out = e.output_kb;
-        self.by_recency.insert(tick, key);
         self.stats.hits += 1;
-        Some(out)
+        Some(self.slab[i as usize].output_kb)
     }
 
     /// Inserts (or replaces) the result for `key`: `output_kb` KiB
@@ -256,38 +339,51 @@ impl ResultCache {
         if bytes > self.cfg.byte_budget {
             return;
         }
-        self.unlink(&key);
+        if let Some(&old) = self.index.get(&key) {
+            self.unlink(old);
+        }
         while self.bytes + bytes > self.cfg.byte_budget {
-            let (_, victim) = self
-                .by_recency
-                .iter()
-                .next()
-                .map(|(r, k)| (*r, *k))
-                .expect("over budget implies a resident entry");
-            self.unlink(&victim);
+            assert_ne!(self.oldest, NIL, "over budget implies a resident entry");
+            self.unlink(self.oldest);
             self.stats.evictions += 1;
         }
-        self.tick += 1;
         self.seq += 1;
         let e = Entry {
-            recency: self.tick,
+            key,
             seq: self.seq,
             visible_from,
             expires_at: visible_from + self.cfg.ttl,
             bytes,
             output_kb,
+            older: NIL,
+            newer: NIL,
         };
-        self.by_recency.insert(e.recency, key);
-        self.by_expiry.insert((e.expires_at, e.seq), key);
+        let deadline = (e.expires_at, e.seq);
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slab[i as usize] = e;
+                i
+            }
+            None => {
+                let i = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("fewer than 2^32 - 1 cache slots");
+                self.slab.push(e);
+                i
+            }
+        };
+        self.push_newest(i);
+        self.by_expiry.insert(deadline, i);
+        self.index.insert(key, i);
         self.bytes += bytes;
-        self.entries.insert(key, e);
         self.stats.insertions += 1;
     }
 
     /// The earliest expiry deadline among live entries — what the
     /// driving event loop schedules its next cache-expiry event at.
     pub fn next_expiry(&self) -> Option<Nanos> {
-        self.by_expiry.keys().next().map(|&(at, _)| at)
+        self.by_expiry.first_key_value().map(|(&(at, _), _)| at)
     }
 
     /// Drops every entry belonging to `fn_id`, across all generations —
@@ -296,28 +392,30 @@ impl ResultCache {
     /// from the old deployment land under unreachable keys. Returns how
     /// many entries were invalidated.
     pub fn redeploy(&mut self, fn_id: u64) -> usize {
-        let victims: Vec<CacheKey> = self
-            .entries
-            .keys()
-            .filter(|k| k.fn_id == fn_id)
-            .copied()
-            .collect();
-        for key in &victims {
-            self.unlink(key);
+        let mut dropped = 0;
+        let mut i = self.oldest;
+        while i != NIL {
+            let e = &self.slab[i as usize];
+            let newer = e.newer;
+            if e.key.fn_id == fn_id {
+                self.unlink(i);
+                dropped += 1;
+            }
+            i = newer;
         }
-        self.stats.invalidated += victims.len() as u64;
-        victims.len()
+        self.stats.invalidated += dropped as u64;
+        dropped
     }
 
     /// Removes every entry whose deadline has passed (`expires_at ≤
     /// now`), returning how many were swept.
     pub fn expire_due(&mut self, now: Nanos) -> usize {
         let mut swept = 0;
-        while let Some((&(at, _), &key)) = self.by_expiry.iter().next() {
+        while let Some((&(at, _), &i)) = self.by_expiry.first_key_value() {
             if at > now {
                 break;
             }
-            self.unlink(&key);
+            self.unlink(i);
             self.stats.expired += 1;
             swept += 1;
         }
@@ -328,6 +426,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gh_sim::DetRng;
 
     fn cache(ttl_ms: u64, budget: u64) -> ResultCache {
         ResultCache::new(CacheConfig {
@@ -496,5 +595,239 @@ mod tests {
             seen.insert(mix(i));
         }
         assert_eq!(seen.len(), 1000, "no collisions on small inputs");
+    }
+
+    /// The cache as it was before the slab, kept as the reference
+    /// model: a SipHash key map plus two `BTreeMap`s, a recency index
+    /// bumped by a logical tick and the `(deadline, insert seq)` expiry
+    /// index.
+    struct BTreeModel {
+        cfg: CacheConfig,
+        entries: HashMap<CacheKey, ModelEntry>,
+        by_recency: BTreeMap<u64, CacheKey>,
+        by_expiry: BTreeMap<(Nanos, u64), CacheKey>,
+        tick: u64,
+        seq: u64,
+        bytes: u64,
+        stats: CacheStats,
+    }
+
+    struct ModelEntry {
+        recency: u64,
+        seq: u64,
+        visible_from: Nanos,
+        expires_at: Nanos,
+        bytes: u64,
+        output_kb: u64,
+    }
+
+    impl BTreeModel {
+        fn new(cfg: CacheConfig) -> BTreeModel {
+            BTreeModel {
+                cfg,
+                entries: HashMap::new(),
+                by_recency: BTreeMap::new(),
+                by_expiry: BTreeMap::new(),
+                tick: 0,
+                seq: 0,
+                bytes: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        /// `[visible_from, expires_at)` of the live entry under `key`.
+        fn window(&self, key: &CacheKey) -> Option<(Nanos, Nanos)> {
+            self.entries
+                .get(key)
+                .map(|e| (e.visible_from, e.expires_at))
+        }
+
+        fn unlink(&mut self, key: &CacheKey) -> Option<ModelEntry> {
+            let e = self.entries.remove(key)?;
+            self.by_recency.remove(&e.recency);
+            self.by_expiry.remove(&(e.expires_at, e.seq));
+            self.bytes -= e.bytes;
+            Some(e)
+        }
+
+        fn lookup(&mut self, key: CacheKey, now: Nanos) -> Option<u64> {
+            let servable = self
+                .entries
+                .get(&key)
+                .is_some_and(|e| e.visible_from <= now && now < e.expires_at);
+            if !servable {
+                self.stats.misses += 1;
+                return None;
+            }
+            self.tick += 1;
+            let tick = self.tick;
+            let e = self.entries.get_mut(&key).expect("checked above");
+            self.by_recency.remove(&e.recency);
+            e.recency = tick;
+            let out = e.output_kb;
+            self.by_recency.insert(tick, key);
+            self.stats.hits += 1;
+            Some(out)
+        }
+
+        fn insert(&mut self, key: CacheKey, output_kb: u64, visible_from: Nanos) {
+            let bytes = output_kb * 1024 + ENTRY_OVERHEAD_BYTES;
+            if bytes > self.cfg.byte_budget {
+                return;
+            }
+            self.unlink(&key);
+            while self.bytes + bytes > self.cfg.byte_budget {
+                let victim = *self.by_recency.values().next().expect("resident");
+                self.unlink(&victim);
+                self.stats.evictions += 1;
+            }
+            self.tick += 1;
+            self.seq += 1;
+            let e = ModelEntry {
+                recency: self.tick,
+                seq: self.seq,
+                visible_from,
+                expires_at: visible_from + self.cfg.ttl,
+                bytes,
+                output_kb,
+            };
+            self.by_recency.insert(e.recency, key);
+            self.by_expiry.insert((e.expires_at, e.seq), key);
+            self.bytes += bytes;
+            self.entries.insert(key, e);
+            self.stats.insertions += 1;
+        }
+
+        fn next_expiry(&self) -> Option<Nanos> {
+            self.by_expiry.keys().next().map(|&(at, _)| at)
+        }
+
+        fn redeploy(&mut self, fn_id: u64) -> usize {
+            let victims: Vec<CacheKey> = self
+                .entries
+                .keys()
+                .filter(|k| k.fn_id == fn_id)
+                .copied()
+                .collect();
+            for key in &victims {
+                self.unlink(key);
+            }
+            self.stats.invalidated += victims.len() as u64;
+            victims.len()
+        }
+
+        fn expire_due(&mut self, now: Nanos) -> usize {
+            let mut swept = 0;
+            while let Some((&(at, _), &key)) = self.by_expiry.iter().next() {
+                if at > now {
+                    break;
+                }
+                self.unlink(&key);
+                self.stats.expired += 1;
+                swept += 1;
+            }
+            swept
+        }
+    }
+
+    #[test]
+    fn the_slab_cache_matches_the_btree_model() {
+        const MS: Nanos = Nanos::from_millis(1);
+        const TICK: Nanos = Nanos::from_nanos(1);
+        // Room for three or four entries of 1–2 KiB, so inserts evict.
+        let cfg = CacheConfig {
+            ttl: Nanos::from_millis(10),
+            byte_budget: 4 * (1024 + ENTRY_OVERHEAD_BYTES) + 512,
+            hit_cost: Nanos::from_micros(50),
+        };
+        let (mut replaced, mut tied, mut edges) = (0u64, 0u64, [0u64; 4]);
+        let mut totals = CacheStats::default();
+        for seed in 0..8u64 {
+            let mut rng = DetRng::new(0xCAC4E ^ seed);
+            let mut cache = ResultCache::new(cfg);
+            let mut model = BTreeModel::new(cfg);
+            // The clock moves on a 1 ms grid, so deadlines tie often.
+            let mut now = Nanos::ZERO;
+            for step in 0..5_000 {
+                if rng.next_below(3) == 0 {
+                    now += MS * rng.next_below(3);
+                }
+                // 3 functions × 3 generations × 4 payloads.
+                let key = CacheKey {
+                    fn_id: rng.next_below(3),
+                    generation: rng.next_below(3),
+                    payload_hash: mix(rng.next_below(4)),
+                };
+                let label = format!("seed {seed} step {step}");
+                match rng.next_below(20) {
+                    0..=5 => {
+                        // Fills land out of order, up to 3 ms before or
+                        // 5 ms after the clock, like the fleet gateway's
+                        // at `resp_at`; now and then one outgrows the
+                        // whole budget.
+                        let kb = if rng.next_below(40) == 0 {
+                            8
+                        } else {
+                            1 + rng.next_below(2)
+                        };
+                        let visible = (now + MS * rng.next_below(9)).saturating_sub(MS * 3);
+                        let deadline = visible + cfg.ttl;
+                        replaced += u64::from(model.entries.contains_key(&key));
+                        tied += u64::from(
+                            model
+                                .by_expiry
+                                .range((deadline, 0)..=(deadline, u64::MAX))
+                                .next()
+                                .is_some(),
+                        );
+                        cache.insert(key, kb, visible);
+                        model.insert(key, kb, visible);
+                    }
+                    6..=14 => {
+                        // At the clock, or at a live entry's edges: one
+                        // tick before it is visible, at visibility, its
+                        // last servable tick and its exact deadline.
+                        let at = match model.window(&key) {
+                            Some((visible, deadline)) if rng.next_below(2) == 0 => {
+                                let edge = rng.next_below(4) as usize;
+                                edges[edge] += 1;
+                                [
+                                    visible.saturating_sub(TICK),
+                                    visible,
+                                    deadline - TICK,
+                                    deadline,
+                                ][edge]
+                            }
+                            _ => now,
+                        };
+                        assert_eq!(cache.lookup(key, at), model.lookup(key, at), "{label}");
+                    }
+                    15..=18 => {
+                        assert_eq!(cache.expire_due(now), model.expire_due(now), "{label}")
+                    }
+                    _ => assert_eq!(
+                        cache.redeploy(key.fn_id),
+                        model.redeploy(key.fn_id),
+                        "{label}"
+                    ),
+                }
+                assert_eq!(cache.len(), model.entries.len(), "{label}");
+                assert_eq!(cache.is_empty(), model.entries.is_empty(), "{label}");
+                assert_eq!(cache.bytes(), model.bytes, "{label}");
+                assert_eq!(cache.next_expiry(), model.next_expiry(), "{label}");
+                assert_eq!(cache.stats, model.stats, "{label}");
+            }
+            let s = cache.stats;
+            totals.hits += s.hits;
+            totals.evictions += s.evictions;
+            totals.expired += s.expired;
+            totals.invalidated += s.invalidated;
+        }
+        // Every path ran: hits, LRU evictions, expiries, redeploys,
+        // replacements, tied deadlines and all four lookup edges.
+        assert!(totals.hits > 0 && totals.evictions > 0, "{totals:?}");
+        assert!(totals.expired > 0 && totals.invalidated > 0, "{totals:?}");
+        assert!(replaced > 0 && tied > 0, "{replaced} {tied}");
+        assert!(edges.iter().all(|&n| n > 0), "{edges:?}");
     }
 }

@@ -99,13 +99,16 @@ impl ImageRegions {
 
     /// Resolves an ascending sequence of flat indices with one region
     /// cursor (`O(indices + regions)` instead of a binary search per
-    /// index) — the [`WritePlan`](crate::plan::WritePlan) build path.
-    /// Indices wrap like [`ImageRegions::dirtyable_page`]; a wrapped
-    /// (non-ascending) index resets the cursor, preserving exactness at
-    /// a one-off probe cost.
-    pub fn resolve_ascending(&self, indices: impl Iterator<Item = u64>, out: &mut Vec<Vpn>) {
+    /// index) — the [`WritePlan`](crate::plan::WritePlan) build and GC
+    /// paths. Indices wrap like [`ImageRegions::dirtyable_page`]; a
+    /// wrapped (non-ascending) index resets the cursor, preserving
+    /// exactness at a one-off probe cost.
+    pub fn resolve_ascending<'a>(
+        &'a self,
+        indices: impl Iterator<Item = u64> + 'a,
+    ) -> impl Iterator<Item = Vpn> + 'a {
         let mut pos = 0usize;
-        for i in indices {
+        indices.map(move |i| {
             let idx = i % self.total.max(1);
             if idx < self.index[pos].0 {
                 pos = 0;
@@ -114,8 +117,8 @@ impl ImageRegions {
                 pos += 1;
             }
             let (cum, range) = self.index[pos];
-            out.push(Vpn(range.start.0 + (idx - cum)));
-        }
+            Vpn(range.start.0 + (idx - cum))
+        })
     }
 }
 
@@ -324,6 +327,13 @@ impl FunctionProcess {
         self.plans.plan_for(&self.regions, writes, reads, phase)
     }
 
+    /// The plan cache's scratch batch, for one-off touch sets outside a
+    /// plan replay (the leak step). Its contents last until the next
+    /// step that fills it, so fill it after `clear`.
+    pub fn scratch_batch(&mut self) -> &mut gh_mem::TouchBatch {
+        self.plans.scratch()
+    }
+
     /// A view of the same image bound to another pid — used to run a
     /// request inside a `fork`ed child, whose layout is a CoW copy of
     /// this image. The view starts with an empty plan cache (fork-based
@@ -385,19 +395,22 @@ impl FunctionProcess {
         let pages = gc.pages_dirtied.min(regions.dirtyable_pages());
         let nowns = now.as_nanos();
         // The collector walks and compacts: dirty `pages` strided pages
-        // spread across the managed regions — an ascending set, batched,
-        // then the clock store (same order as the per-page loop).
+        // spread across the managed regions — an ascending set, batched
+        // in the plan cache's scratch, then the clock store (same order
+        // as the per-page loop).
         let total = regions.dirtyable_pages();
         let stride = (total / pages.max(1)).max(1);
-        let mut batch = gh_mem::TouchBatch::with_capacity(pages as usize);
-        let mut vpns = Vec::with_capacity(pages as usize);
-        regions.resolve_ascending((0..pages).map(|i| i * stride), &mut vpns);
-        for (i, &vpn) in vpns.iter().enumerate() {
+        let batch = self.plans.scratch();
+        batch.clear();
+        for (i, vpn) in regions
+            .resolve_ascending((0..pages).map(|i| i * stride))
+            .enumerate()
+        {
             batch.push(vpn, Touch::WriteWord(nowns ^ i as u64), Taint::Clean);
         }
         kernel
             .run_charged(self.pid, |proc, frames| {
-                let d = proc.mem.touch_batch(&batch, frames);
+                let d = proc.mem.touch_batch(batch, frames);
                 assert_eq!(d.failed, 0, "gc dirtied every strided page");
                 proc.mem
                     .touch(

@@ -92,6 +92,12 @@ impl PlanCache {
         self.write_sets.is_empty() && self.read_sets.is_empty()
     }
 
+    /// The scratch batch alone, for touch sets that no plan describes
+    /// (the GC and leak steps).
+    pub(crate) fn scratch(&mut self) -> &mut TouchBatch {
+        &mut self.scratch
+    }
+
     /// The plan for `(writes, reads, phase)` over `regions`, built on
     /// first use, plus the shared scratch batch. Returned together so a
     /// caller can fill the scratch from the plan under one borrow of the
@@ -121,8 +127,7 @@ impl PlanCache {
             let wstride = (total / writes.max(1)).max(1);
             let mut v = retired.pop().unwrap_or_default();
             v.clear();
-            v.reserve(writes as usize);
-            regions.resolve_ascending((0..writes).map(|i| i * wstride + phase), &mut v);
+            v.extend(regions.resolve_ascending((0..writes).map(|i| i * wstride + phase)));
             v
         });
         if read_sets.len() >= MAX_PLANS && !read_sets.contains_key(&reads) {
@@ -133,8 +138,7 @@ impl PlanCache {
             let rstride = (total / reads.max(1)).max(1);
             let mut v = retired.pop().unwrap_or_default();
             v.clear();
-            v.reserve(reads as usize);
-            regions.resolve_ascending((0..reads).map(|i| i * rstride), &mut v);
+            v.extend(regions.resolve_ascending((0..reads).map(|i| i * rstride)));
             v
         });
         (
