@@ -385,11 +385,13 @@ fn collect() -> Vec<Metric> {
     });
 
     // Cluster scaling: node-sharded event queues under the trace-driven
-    // workload — serial/parallel wall-clock ratio of the 8-node
-    // ≥10⁶-request run (bit-identity and request-count-independent
-    // stats memory are asserted inside the rig, so a semantic break
-    // aborts before the gate looks). Same gate design: the speedup
-    // ratio is gated (capped at 8), raw ns per run is `info_`.
+    // workload — wall-clock ratio of the 8-node ≥10⁶-request run, serial
+    // (interleaved nodes) over parallel (nodes fanned out, each
+    // executing ahead). Bit-identity of the two node paths and
+    // request-count-independent stats memory are asserted inside the
+    // rig, so a semantic break aborts before the gate looks. Same gate
+    // design: the speedup ratio is gated (capped at 8), raw ns per run
+    // is `info_`.
     let cluster = gh_bench::cluster_scaling::run();
     println!("\n== scaling_cluster — node-parallel cluster vs serial ==\n");
     let ctable = gh_bench::cluster_scaling::render(&cluster);

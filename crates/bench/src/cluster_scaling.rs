@@ -7,9 +7,15 @@
 //! [`ExecMode::Serial`] and [`ExecMode::Parallel`] at [`THREADS`]
 //! workers, and times each whole run (pool construction is node-local
 //! and parallelizes with the node, so it is part of the measured
-//! region on both sides). Result equality is asserted after the
-//! measurement through the `{:?}` fingerprint, making the rig double
-//! as a release-mode oracle on top of `gh-faas`'s differential tests.
+//! region on both sides). The serial side runs every node's
+//! interleaved loop, the reference. On a multicore host the parallel
+//! side fans the nodes out and each fault-free node executes its slots'
+//! arrivals ahead on its worker, then replays them, so the ratio counts
+//! that step's cache locality as well as the node parallelism. Result
+//! equality is asserted after the measurement through the `{:?}`
+//! fingerprint, which makes the rig a release-mode check that the
+//! interleaved and the execute-ahead node paths agree at 10⁶ requests,
+//! on top of `gh-faas`'s differential tests.
 //! A second, much smaller run pins the sketch-bounded stats-memory
 //! guarantee: `stats_bytes` must not depend on the request count.
 //!
@@ -193,7 +199,7 @@ pub fn run() -> ClusterScalingReport {
     let (par_ns, par_fp, _) = timed_run_best(requests, ExecMode::Parallel { threads }, iters);
     assert_eq!(
         serial_fp, par_fp,
-        "node-parallel cluster run diverged from the serial reference"
+        "the execute-ahead, node-parallel cluster run diverged from the interleaved serial reference"
     );
     // The bounded-memory acceptance: 50x fewer requests, same stats
     // footprint (two fixed-size sketches per node).

@@ -40,7 +40,19 @@
 //! Per-node stats live in exact-merge [`QuantileSketch`]es, so the
 //! merged result is independent of completion order and bit-identical
 //! to the serial reference — enforced by `tests/cluster_oracle.rs`
-//! across seeds × policies × node counts.
+//! across seeds × policies × node counts × pool sizes.
+//!
+//! Inside a node the same purity holds one level down: a node's pools
+//! route round-robin, so without faults a slot's timeline depends only
+//! on its own arrivals. In a run with ≥ 2 threads a fault-free node
+//! therefore executes ahead on its own worker, through the sharded
+//! fleet's helper (rule on [`ExecMode`]): every slot serves its share
+//! back to back, then the kernel's loop replays what each recorded.
+//! That buys cache locality, not parallelism: the interleaved loop
+//! touches the node's containers in trace order, evicting each one's
+//! extents, frames and snapshot between its requests. Serial runs and
+//! faulty nodes keep the interleaved loop, since a crash or a rerouted
+//! retry couples a slot to its neighbours.
 //!
 //! The fold finishes before the first node starts rather than streaming
 //! arrivals to concurrently live nodes over bounded channels: streaming
@@ -70,6 +82,8 @@ pub mod front;
 pub mod place;
 pub mod scale;
 
+use std::borrow::Cow;
+
 use gh_functions::FunctionSpec;
 use gh_gateway::{GatewayConfig, GatewayStats};
 use gh_isolation::{StrategyError, StrategyKind};
@@ -80,7 +94,7 @@ use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
 use crate::fleet::backend::{Backend, Tally};
-use crate::fleet::{ExecMode, Pending, Pool, RoutePolicy, Router};
+use crate::fleet::{par, ExecMode, Pending, Pool, RoutePolicy, Router};
 use crate::trace::{TraceConfig, TraceEvent, TraceGen};
 
 pub use front::{FrontDecision, GatewayFront};
@@ -371,8 +385,11 @@ fn fold(
 /// the kernel's event loop ([`Backend::run`]), with no autoscaler. Like
 /// a fleet run, it ends at the first event after which every arrival
 /// is served or abandoned and nothing waits: trailing `Ready` edges of
-/// idle slots are not drained. Pure: no shared state, so serial and
-/// parallel callers get identical results.
+/// idle slots are not drained. A fault-free node of a run that may use
+/// `threads` ≥ 2 workers executes ahead on this worker (see the module
+/// docs); every other node runs the interleaved loop. Pure: no shared
+/// state, so serial and parallel callers get identical results.
+#[allow(clippy::too_many_arguments)]
 fn run_node(
     node: usize,
     arrivals: &[TraceEvent],
@@ -381,6 +398,7 @@ fn run_node(
     catalog: &[FunctionSpec],
     ccfg: &ClusterConfig,
     gh: &GroundhogConfig,
+    threads: usize,
 ) -> Result<NodeResult, StrategyError> {
     let nf = trace_cfg.functions as usize;
 
@@ -415,23 +433,29 @@ fn run_node(
     // rerouting moves them to another container in the same pool, never
     // across nodes, so node timelines remain pure.
     let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
-    let feed = arrivals.iter().map(|a| {
-        let f = a.fn_id as usize;
-        let pool = pool_of[f].expect("placed on a non-replica") as usize;
-        let pending = Pending {
-            id: a.seq,
-            principal: principals[a.principal as usize].clone(),
-            input_kb: catalog[f].input_kb,
-            arrival: a.at,
-            payload_hash: a.payload_hash,
-            idempotent: a.idempotent,
-            attempt: 1,
-        };
-        (pool, pending)
-    });
+    let pool =
+        |a: &TraceEvent| pool_of[a.fn_id as usize].expect("placed on a non-replica") as usize;
+    let pending = |a: &TraceEvent| Pending {
+        id: a.seq,
+        principal: principals[a.principal as usize].clone(),
+        input_kb: catalog[a.fn_id as usize].input_kb,
+        arrival: a.at,
+        payload_hash: a.payload_hash,
+        idempotent: a.idempotent,
+        attempt: 1,
+    };
     // The node's input is a known list: every arrival must complete or
     // be abandoned after deaths.
-    let tally = Backend::run(plan, &mut pools, &mut routers, feed, arrivals.len(), None)?;
+    let tally = if par::eligible(threads, plan.as_ref(), &routers, None) {
+        // This node already has its worker, so its slots execute one
+        // after another on it: each `Pending` is built as its slot
+        // serves it, and again as the loop admits it.
+        let request = |a| Cow::Owned(pending(a));
+        par::run_ahead(&mut pools, &mut routers, arrivals, pool, request, 1)
+    } else {
+        let feed = arrivals.iter().map(|a| (pool(a), pending(a)));
+        Backend::run(plan, &mut pools, &mut routers, feed, arrivals.len(), None)
+    }?;
 
     let mut restore_total = Nanos::ZERO;
     let mut restore_hidden = Nanos::ZERO;
@@ -613,7 +637,9 @@ fn run_folded(
 }
 
 /// Runs every node timeline on its list from `fold`, serial or
-/// work-stealing parallel, and returns the results in node-index order.
+/// work-stealing parallel on `mode`'s threads, and returns the results
+/// in node-index order. With ≥ 2 threads every fault-free node also
+/// executes ahead on its worker ([`run_node`]).
 fn run_nodes(
     fold: &Fold,
     trace_cfg: &TraceConfig,
@@ -622,9 +648,19 @@ fn run_nodes(
     gh: &GroundhogConfig,
     mode: ExecMode,
 ) -> Result<Vec<NodeResult>, StrategyError> {
-    ordered_map(ccfg.nodes, mode.threads(), |i| {
+    let threads = mode.threads();
+    ordered_map(ccfg.nodes, threads, |i| {
         let placer = &fold.placer;
-        run_node(i, &fold.arrivals[i], placer, trace_cfg, catalog, ccfg, gh)
+        run_node(
+            i,
+            &fold.arrivals[i],
+            placer,
+            trace_cfg,
+            catalog,
+            ccfg,
+            gh,
+            threads,
+        )
     })
 }
 
@@ -1123,7 +1159,9 @@ mod tests {
         // The cross-layer oracle: one kernel loop with one end rule
         // drives a fleet and a cluster node, so a 1-node, 1-replica
         // cluster fed a round-robin fleet's arrivals is that fleet, bit
-        // for bit, with faults on or off and in either fleet mode.
+        // for bit, with faults on or off, in either fleet mode, and with
+        // the node interleaved (1 thread) or, fault-free, executing
+        // ahead (2 threads).
         use crate::fleet::{Arrivals, Fleet, FleetConfig, Shape};
         let spec = gh_functions::catalog::by_name("fannkuch (p)").unwrap();
         let catalog = [spec.clone()];
@@ -1163,42 +1201,54 @@ mod tests {
                     })
                     .collect();
             let placer = Placer::new(ccfg.policy, 1, 1, &catalog, ccfg.seed);
-            let node = run_node(0, &events, &placer, &trace_cfg, &catalog, &ccfg, &gh).unwrap();
-            let t = &node.tally;
-            assert!(t.depth.mean() > 0.0, "{faults:?}: requests queue");
-            if faults.is_active() {
-                assert!(
-                    t.faults.deaths > 0 && t.faults.restore_failures > 0,
-                    "{faults:?}: {:?}",
-                    t.faults
-                );
-            }
             let fleet = Fleet::new(fcfg.clone()).with_faults(faults);
-            for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
-                let r = fleet
-                    .run_with(&mut pool().unwrap(), requests as usize, mode)
-                    .unwrap();
-                let label = format!("{faults:?} {mode:?}");
-                let pairs = [
-                    ("sojourn mean", r.mean_ms, t.sojourns.mean_ms()),
-                    ("sojourn p99", r.p99_ms, t.sojourns.quantile_ms(99.0)),
-                    ("depth mean", r.stats.queue_mean, t.depth.mean()),
-                    ("depth p99", r.stats.queue_p99, t.depth.percentile(99.0)),
-                    (
-                        "restore total",
-                        r.stats.restore_total_ms,
-                        node.restore_total.as_millis_f64(),
-                    ),
-                ];
-                for (what, fleet, node) in pairs {
-                    assert_eq!(fleet.to_bits(), node.to_bits(), "{label}: {what}");
+            for node_threads in [1, 2] {
+                let node = run_node(
+                    0,
+                    &events,
+                    &placer,
+                    &trace_cfg,
+                    &catalog,
+                    &ccfg,
+                    &gh,
+                    node_threads,
+                )
+                .unwrap();
+                let t = &node.tally;
+                assert!(t.depth.mean() > 0.0, "{faults:?}: requests queue");
+                if faults.is_active() {
+                    assert!(
+                        t.faults.deaths > 0 && t.faults.restore_failures > 0,
+                        "{faults:?}: {:?}",
+                        t.faults
+                    );
                 }
-                assert_eq!(r.completed, t.completed, "{label}: completed");
-                assert_eq!(
-                    r.stats.lazy_faults, node.lazy_faults,
-                    "{label}: lazy faults"
-                );
-                assert_eq!(r.stats.faults, t.faults, "{label}: fault stats");
+                for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+                    let r = fleet
+                        .run_with(&mut pool().unwrap(), requests as usize, mode)
+                        .unwrap();
+                    let label = format!("{faults:?} {mode:?} node threads {node_threads}");
+                    let pairs = [
+                        ("sojourn mean", r.mean_ms, t.sojourns.mean_ms()),
+                        ("sojourn p99", r.p99_ms, t.sojourns.quantile_ms(99.0)),
+                        ("depth mean", r.stats.queue_mean, t.depth.mean()),
+                        ("depth p99", r.stats.queue_p99, t.depth.percentile(99.0)),
+                        (
+                            "restore total",
+                            r.stats.restore_total_ms,
+                            node.restore_total.as_millis_f64(),
+                        ),
+                    ];
+                    for (what, fleet, node) in pairs {
+                        assert_eq!(fleet.to_bits(), node.to_bits(), "{label}: {what}");
+                    }
+                    assert_eq!(r.completed, t.completed, "{label}: completed");
+                    assert_eq!(
+                        r.stats.lazy_faults, node.lazy_faults,
+                        "{label}: lazy faults"
+                    );
+                    assert_eq!(r.stats.faults, t.faults, "{label}: fault stats");
+                }
             }
         }
     }

@@ -58,14 +58,11 @@
 //! bit (`cluster::tests::a_one_node_cluster_is_the_round_robin_fleet`).
 //!
 //! The **serial reference** runs instead whenever a run is not
-//! provably shardable: the policy is not
-//! [`RoutePolicy::RoundRobin`] (least-loaded and restore-aware
-//! routing read container state at arrival time, an arrival→readiness
-//! data dependence), an autoscaler is configured (growth/retirement
-//! mutates the pool mid-run), faults are injected (crash and retry
-//! events make readiness depend on arrivals), the pool has fewer than
-//! two slots, fewer than two threads are available, or the caller forced
-//! it ([`ExecMode::Serial`], `--serial`, `GH_SERIAL=1`).
+//! provably shardable. [`ExecMode`] states that rule once: routing
+//! other than round-robin, an autoscaler, injected faults, fewer than
+//! two threads or a forced serial mode each rule it out, and a fleet
+//! also needs two slots. Cluster nodes share the execute-ahead step, with
+//! one worker per node, for cache locality instead of parallelism.
 
 pub mod autoscaler;
 pub(crate) mod backend;
@@ -73,6 +70,8 @@ pub(crate) mod par;
 pub mod pool;
 pub mod queue;
 pub mod router;
+
+use std::borrow::Cow;
 
 use gh_functions::FunctionSpec;
 use gh_gateway::cache::mix;
@@ -406,9 +405,8 @@ impl Fleet {
 
     /// Drives `requests` arrivals in an explicit [`ExecMode`]. The
     /// parallel path is bit-identical to the serial reference; a run
-    /// that is not eligible to shard (non-round-robin policy,
-    /// autoscaler configured, faults armed, pool or thread count below
-    /// two) runs serially regardless of `mode`.
+    /// that is not eligible to shard ([`ExecMode`] gives the rule) runs
+    /// serially regardless of `mode`.
     pub fn run_with(
         &self,
         pool: &mut Pool,
@@ -421,31 +419,18 @@ impl Fleet {
             .take(requests)
             .map(|(_, p)| p);
         let threads = mode.threads();
-        // Faulty runs stay serial: crash/retry events make a slot's
-        // readiness depend on other slots' arrivals, which serving a
-        // slot's own arrivals ahead cannot see. (Cluster runs still
-        // parallelize across *nodes* with faults on — see
-        // `crate::cluster` — because node timelines stay pure.)
-        let eligible = requests > 0
-            && threads >= 2
-            && self.plan.is_none()
-            && self.cfg.policy == RoutePolicy::RoundRobin
-            && self.cfg.autoscale.is_none()
-            && pool.slots.len() >= 2;
         let mut router = Router::new(self.cfg.policy);
         let mut scaler = self.cfg.autoscale.map(Autoscaler::new);
         let pools = std::slice::from_mut(pool);
         let routers = std::slice::from_mut(&mut router);
-        let tally = if eligible {
-            // The kernel's loop runs over the arrivals the slots executed
-            // ahead, and each slot replays its recorded dispatches.
+        // A fleet gains parallelism across its slots, so it needs two of
+        // them on top of the rule (see `ExecMode`).
+        let ahead = requests > 0
+            && pools[0].slots.len() >= 2
+            && par::eligible(threads, self.plan.as_ref(), routers, scaler.as_ref());
+        let tally = if ahead {
             let arrivals: Vec<Pending> = arrivals.collect();
-            let run = par::execute_ahead(&mut pools[0], &arrivals, threads).and_then(|()| {
-                let arrivals = arrivals.into_iter().map(|p| (0, p));
-                Backend::run(self.plan, pools, routers, arrivals, requests, None)
-            });
-            pools[0].slots.iter_mut().for_each(Slot::end_replay);
-            run
+            par::run_ahead(pools, routers, &arrivals, |_| 0, Cow::Borrowed, threads)
         } else {
             let arrivals = arrivals.map(|p| (0, p));
             Backend::run(

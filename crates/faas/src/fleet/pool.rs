@@ -16,6 +16,8 @@
 //! ratio and the resident bytes per container that
 //! [`FleetStats`](super::FleetStats) surfaces.
 
+use std::borrow::Borrow;
+
 use gh_functions::FunctionSpec;
 use gh_isolation::{StrategyError, StrategyKind};
 use gh_mem::{SnapshotStore, StoreHandle};
@@ -126,9 +128,10 @@ impl Slot {
     /// Dispatches the head-of-queue request at `now` (which must be ≥
     /// `ready_at`). Advances this container's timeline through
     /// execution and off-path restore, and settles the restore-hiding
-    /// accounting for the *previous* invocation. A slot that executed a
-    /// sharded run's arrivals ahead instead returns the head's recorded
-    /// dispatch and moves only its readiness.
+    /// accounting for the *previous* invocation. A slot that executed
+    /// its arrivals ahead instead returns the head's recorded dispatch
+    /// and moves only its readiness; a head that is not the next
+    /// recorded request is [`StrategyError::ReplayDiverged`].
     pub fn dispatch(&mut self, now: Nanos) -> Result<Option<Dispatched>, StrategyError> {
         if !self.idle_at(now) {
             return Ok(None);
@@ -137,10 +140,16 @@ impl Slot {
             return Ok(None);
         };
         if let Some(recorded) = &mut self.replay {
-            let d = recorded.next().expect("replay outran execute-ahead");
-            assert_eq!(d.id, pending.id, "replay diverged from the executed order");
-            self.ready_at = d.ready_at;
-            return Ok(Some(d));
+            return match recorded.next() {
+                Some(d) if d.id == pending.id => {
+                    self.ready_at = d.ready_at;
+                    Ok(Some(d))
+                }
+                d => Err(StrategyError::ReplayDiverged {
+                    expected: pending.id,
+                    recorded: d.map(|d| d.id),
+                }),
+            };
         }
         self.serve(&pending, now).map(Some)
     }
@@ -182,15 +191,18 @@ impl Slot {
     /// run's event loop: each at `max(arrival, previous readiness)`, as
     /// the loop would dispatch it. Then rewinds `ready_at` — every other
     /// field already holds its end-of-run value — and arms the slot to
-    /// replay the recorded dispatches as the loop asks for them.
-    pub(crate) fn execute_ahead<'a>(
+    /// replay the recorded dispatches as the loop asks for them. The
+    /// recording is sized to the arrivals exactly.
+    pub(crate) fn execute_ahead(
         &mut self,
-        arrivals: impl Iterator<Item = &'a Pending>,
+        arrivals: impl ExactSizeIterator<Item = impl Borrow<Pending>>,
     ) -> Result<(), StrategyError> {
         let ready_at = self.ready_at;
-        let served: Vec<Dispatched> = arrivals
-            .map(|p| self.serve(p, p.arrival.max(self.ready_at)))
-            .collect::<Result<_, _>>()?;
+        let mut served = Vec::with_capacity(arrivals.len());
+        for p in arrivals {
+            let p = p.borrow();
+            served.push(self.serve(p, p.arrival.max(self.ready_at))?);
+        }
         self.ready_at = ready_at;
         self.replay = Some(served.into_iter());
         Ok(())
@@ -507,6 +519,52 @@ mod tests {
             p.slots[0].dispatch(d.ready_at).unwrap().is_some(),
             "clean again"
         );
+    }
+
+    #[test]
+    fn a_replay_that_diverges_is_an_error() {
+        let mut p = pool(StrategyKind::Gh, 1);
+        let slot = &mut p.slots[0];
+        let t0 = slot.container.now();
+        let recorded = Pending {
+            id: 1,
+            principal: "alice".into(),
+            input_kb: 1,
+            arrival: t0,
+            payload_hash: 0,
+            idempotent: false,
+            attempt: 1,
+        };
+        slot.execute_ahead(std::iter::once(&recorded)).unwrap();
+        assert_eq!(slot.ready_at, t0, "executing ahead rewinds readiness");
+        enqueue(slot, 7, t0);
+        let wrong_id = slot.dispatch(t0);
+        assert!(
+            matches!(
+                wrong_id,
+                Err(StrategyError::ReplayDiverged {
+                    expected: 7,
+                    recorded: Some(1)
+                })
+            ),
+            "{wrong_id:?}"
+        );
+        enqueue(slot, 8, t0);
+        let past_end = slot.dispatch(t0);
+        assert!(
+            matches!(
+                past_end,
+                Err(StrategyError::ReplayDiverged {
+                    expected: 8,
+                    recorded: None
+                })
+            ),
+            "{past_end:?}"
+        );
+        slot.end_replay();
+        enqueue(slot, 9, t0);
+        let d = slot.dispatch(t0).unwrap().unwrap();
+        assert_eq!(d.id, 9, "a disarmed slot executes again");
     }
 
     #[test]

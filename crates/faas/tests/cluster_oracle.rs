@@ -1,11 +1,13 @@
 //! Differential oracle: node-parallel cluster execution must be
 //! bit-identical to the serial reference.
 //!
-//! Serial mode (nodes run one after another on the caller's thread) is
-//! the ground truth; every node-parallel run — across seeds, placement
-//! policies, node counts and thread counts — must reproduce the exact
-//! same [`ClusterResult`]: every counter, every per-node load, every
-//! sketch-derived percentile, and the CSV-style rendering byte for
+//! Serial mode (nodes run one after another on the caller's thread, each
+//! interleaving its containers in arrival order) is the ground truth;
+//! every node-parallel run, where each fault-free node also executes its
+//! slots' arrivals ahead and replays them — across seeds, placement
+//! policies, node counts, pool sizes and thread counts — must reproduce
+//! the exact same [`ClusterResult`]: every counter, every per-node load,
+//! every sketch-derived percentile, and the CSV-style rendering byte for
 //! byte. Repeat runs must also match, pinning seeded determinism of the
 //! whole trace → placement → node-timeline pipeline. Float fields are
 //! compared through `{:?}` (shortest round-trip form), which
@@ -102,27 +104,27 @@ fn assert_identical(label: &str, reference: &ClusterResult, other: &ClusterResul
     );
 }
 
-#[test]
-fn parallel_matches_serial_across_seeds_policies_and_node_counts() {
+/// Every node-parallel run across seeds × policies × node counts ×
+/// threads against the serial reference, with `slots` containers per
+/// pool running `gh`. With ≥ 2 threads each node executes its slots'
+/// round-robin shares ahead, so pools of two and three slots pin that
+/// routing too.
+fn assert_matrix(slots: usize, gh: &GroundhogConfig) {
     for &seed in &[7u64, 1234] {
         let catalog = synthetic_catalog(20, seed);
         let tc = trace(500, seed);
         for policy in PlacePolicy::ALL {
             for &nodes in &[2usize, 5] {
-                let serial = run(&catalog, &tc, policy, nodes, seed, ExecMode::Serial);
+                let mut ccfg = ClusterConfig::new(nodes, policy, StrategyKind::Gh, seed);
+                ccfg.slots_per_pool = slots;
+                let go = |mode| run_cluster_with(&tc, &catalog, &ccfg, gh.clone(), mode).unwrap();
+                let serial = go(ExecMode::Serial);
                 assert_eq!(serial.completed, 500, "oracle baseline must serve all");
                 for &threads in &[2usize, 8] {
-                    let par = run(
-                        &catalog,
-                        &tc,
-                        policy,
-                        nodes,
-                        seed,
-                        ExecMode::Parallel { threads },
-                    );
+                    let par = go(ExecMode::Parallel { threads });
                     assert_identical(
                         &format!(
-                            "seed={seed} policy={} nodes={nodes} threads={threads}",
+                            "seed={seed} policy={} nodes={nodes} slots={slots} threads={threads}",
                             policy.label()
                         ),
                         &serial,
@@ -132,6 +134,42 @@ fn parallel_matches_serial_across_seeds_policies_and_node_counts() {
             }
         }
     }
+}
+
+#[test]
+fn parallel_matches_serial_across_seeds_policies_and_node_counts() {
+    assert_matrix(1, &GroundhogConfig::gh());
+}
+
+#[test]
+fn parallel_matches_serial_with_two_and_three_slots_per_pool() {
+    for slots in [2, 3] {
+        assert_matrix(slots, &GroundhogConfig::gh());
+    }
+}
+
+#[test]
+fn lazy_drain_nodes_match_serial() {
+    // Idle-gap drains depend on each slot's own gaps, which executing a
+    // slot's arrivals back to back must reproduce exactly.
+    let catalog = synthetic_catalog(20, 7);
+    let tc = trace(500, 7);
+    let mut ccfg = ClusterConfig::new(2, PlacePolicy::LeastLoaded, StrategyKind::Gh, 7);
+    ccfg.slots_per_pool = 2;
+    let go = |gh, mode| run_cluster_with(&tc, &catalog, &ccfg, gh, mode).unwrap();
+    let serial = go(GroundhogConfig::lazy_drain(), ExecMode::Serial);
+    let undrained = go(GroundhogConfig::lazy(), ExecMode::Serial);
+    assert!(
+        serial.lazy_faults < undrained.lazy_faults,
+        "drains must write deferred pages back in idle gaps: {} vs {} faults",
+        serial.lazy_faults,
+        undrained.lazy_faults
+    );
+    let par = go(
+        GroundhogConfig::lazy_drain(),
+        ExecMode::Parallel { threads: 2 },
+    );
+    assert_identical("lazy drain", &serial, &par);
 }
 
 #[test]

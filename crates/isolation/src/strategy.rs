@@ -69,6 +69,15 @@ pub enum StrategyError {
     Proc(gh_proc::kernel::ProcError),
     /// A pool was asked for zero containers.
     EmptyPool,
+    /// A slot replaying the dispatches it executed ahead was asked for
+    /// request `expected`, but its recording held request `recorded`
+    /// next (`None`: the recording had ended).
+    ReplayDiverged {
+        /// Id of the request the event loop dispatched.
+        expected: u64,
+        /// Id of the slot's next recorded dispatch, if any was left.
+        recorded: Option<u64>,
+    },
 }
 
 impl From<GhError> for StrategyError {
@@ -94,6 +103,20 @@ impl core::fmt::Display for StrategyError {
             }
             StrategyError::Proc(e) => write!(f, "process: {e}"),
             StrategyError::EmptyPool => write!(f, "a pool needs at least one container"),
+            StrategyError::ReplayDiverged {
+                expected,
+                recorded: Some(id),
+            } => write!(
+                f,
+                "replay diverged: request {expected} was dispatched, request {id} was executed ahead"
+            ),
+            StrategyError::ReplayDiverged {
+                expected,
+                recorded: None,
+            } => write!(
+                f,
+                "replay diverged: request {expected} was dispatched past the end of the recording"
+            ),
         }
     }
 }
