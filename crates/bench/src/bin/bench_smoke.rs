@@ -387,7 +387,8 @@ fn collect() -> Vec<Metric> {
     // Cluster scaling: node-sharded event queues under the trace-driven
     // workload — wall-clock ratio of the 8-node ≥10⁶-request run, serial
     // (interleaved nodes) over parallel (nodes fanned out, each
-    // executing ahead). Bit-identity of the two node paths and
+    // executing ahead). Bit-identity of the two node paths, fault-free
+    // and, on an untimed 10⁵-request faulty run, with faults, and
     // request-count-independent stats memory are asserted inside the
     // rig, so a semantic break aborts before the gate looks. Same gate
     // design: the speedup ratio is gated (capped at 8), raw ns per run

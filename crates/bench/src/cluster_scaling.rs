@@ -9,14 +9,17 @@
 //! and parallelizes with the node, so it is part of the measured
 //! region on both sides). The serial side runs every node's
 //! interleaved loop, the reference. On a multicore host the parallel
-//! side fans the nodes out and each fault-free node executes its slots'
-//! arrivals ahead on its worker, then replays them, so the ratio counts
-//! that step's cache locality as well as the node parallelism. Result
+//! side fans the nodes out and each node executes its pools' arrivals
+//! ahead on its worker, then replays them, so the ratio counts that
+//! step's cache locality as well as the node parallelism. Result
 //! equality is asserted after the measurement through the `{:?}`
 //! fingerprint, which makes the rig a release-mode check that the
 //! interleaved and the execute-ahead node paths agree at 10⁶ requests,
-//! on top of `gh-faas`'s differential tests.
-//! A second, much smaller run pins the sketch-bounded stats-memory
+//! on top of `gh-faas`'s differential tests. An untimed faulty run
+//! ([`faulty_check`], a tenth of the requests under `perfbench`'s
+//! `cluster-cached` fault plan) checks the same at scale with crashes,
+//! rerouted retries, failed restores and node loss.
+//! A third, much smaller run pins the sketch-bounded stats-memory
 //! guarantee: `stats_bytes` must not depend on the request count.
 //!
 //! Gate design matches `fleet_scaling.rs`: the **speedup ratio** is a
@@ -30,6 +33,7 @@ use gh_faas::cluster::{
     run_cluster_gateway, run_cluster_with, ClusterConfig, ClusterGatewayResult, ClusterResult,
     PlacePolicy,
 };
+use gh_faas::fault::{FaultConfig, RetryPolicy};
 use gh_faas::fleet::ExecMode;
 use gh_faas::trace::{stable_rps, synthetic_catalog, TraceConfig};
 use gh_functions::FunctionSpec;
@@ -168,6 +172,45 @@ pub fn serial_cached_run(requests: u64) -> ClusterGatewayResult {
     .expect("run")
 }
 
+/// Runs the rig's shape over `requests` requests under `perfbench`'s
+/// `cluster-cached` fault plan (deaths 1%, restore failures 0.5%, node
+/// loss 2% per 500 ms window, rerouted retries, 4 attempts), serial
+/// and node-parallel at `threads` workers, untimed, and asserts
+/// the two results equal through `{:?}` and every fault family fired:
+/// a release-mode check that each faulty node's pool step replays the
+/// interleaved loop. Returns the serial result.
+pub fn faulty_check(requests: u64, threads: usize) -> ClusterResult {
+    let catalog = synthetic_catalog(FUNCTIONS, SEED);
+    let (trace, ccfg) = config(&catalog, requests);
+    let ccfg = ccfg.with_faults(FaultConfig {
+        seed: SEED,
+        death_rate: 0.01,
+        restore_failure_rate: 0.005,
+        node_loss_rate: 0.02,
+        node_loss_window: Nanos::from_millis(500),
+        retry: RetryPolicy {
+            max_attempts: 4,
+            ..RetryPolicy::rerouting()
+        },
+    });
+    let go =
+        |mode| run_cluster_with(&trace, &catalog, &ccfg, GroundhogConfig::gh(), mode).expect("run");
+    let serial = go(ExecMode::Serial);
+    let par = go(ExecMode::Parallel { threads });
+    assert_eq!(
+        format!("{serial:?}"),
+        format!("{par:?}"),
+        "the execute-ahead, node-parallel faulty cluster run diverged from the interleaved serial reference"
+    );
+    let f = serial.faults;
+    assert!(
+        f.deaths > 0 && f.retries > 0 && f.restore_failures > 0 && f.node_losses > 0,
+        "every fault family must fire: {f:?}"
+    );
+    assert_eq!(serial.completed + f.abandoned, requests);
+    serial
+}
+
 /// Best-of-`iters` wrapper around [`timed_run`]: minimum wall-clock
 /// over the samples, with repeat runs asserted bit-identical along the
 /// way (every sample is also a determinism check for free).
@@ -201,6 +244,7 @@ pub fn run() -> ClusterScalingReport {
         serial_fp, par_fp,
         "the execute-ahead, node-parallel cluster run diverged from the interleaved serial reference"
     );
+    faulty_check(requests.div_ceil(10), threads);
     // The bounded-memory acceptance: 50x fewer requests, same stats
     // footprint (two fixed-size sketches per node).
     let (_, _, small_bytes) = timed_run(requests.div_ceil(50), ExecMode::Serial);

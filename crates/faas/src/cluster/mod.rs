@@ -43,16 +43,18 @@
 //! across seeds × policies × node counts × pool sizes.
 //!
 //! Inside a node the same purity holds one level down: a node's pools
-//! route round-robin, so without faults a slot's timeline depends only
-//! on its own arrivals. In a run with ≥ 2 threads a fault-free node
-//! therefore executes ahead on its own worker, through the sharded
-//! fleet's helper (rule on [`ExecMode`]): every slot serves its share
-//! back to back, then the kernel's loop replays what each recorded.
-//! That buys cache locality, not parallelism: the interleaved loop
-//! touches the node's containers in trace order, evicting each one's
-//! extents, frames and snapshot between its requests. Serial runs and
-//! faulty nodes keep the interleaved loop, since a crash or a rerouted
-//! retry couples a slot to its neighbours.
+//! route round-robin, and a fault couples the slots of one pool (a
+//! crash delays its slot, a rerouted retry takes the pool's cursor) but
+//! never two pools, since retries stay in their pool. In a run with ≥ 2
+//! threads every node, faulty or not, therefore executes ahead pool by
+//! pool on its own worker (rule on [`ExecMode`]): each pool runs the
+//! kernel's loop over the node's arrival list, admitting only its own
+//! arrivals, while its slots log every step, then the node's loop runs
+//! once while every slot replays its log (`fleet::par`). That buys
+//! cache locality, not parallelism: the interleaved loop touches the
+//! node's containers in trace order, evicting each one's extents,
+//! frames and snapshot between its requests. Serial runs keep the
+//! interleaved loop, the reference.
 //!
 //! The fold finishes before the first node starts rather than streaming
 //! arrivals to concurrently live nodes over bounded channels: streaming
@@ -82,8 +84,6 @@ pub mod front;
 pub mod place;
 pub mod scale;
 
-use std::borrow::Cow;
-
 use gh_functions::FunctionSpec;
 use gh_gateway::{GatewayConfig, GatewayStats};
 use gh_isolation::{StrategyError, StrategyKind};
@@ -93,7 +93,7 @@ use gh_sim::{Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
-use crate::fleet::backend::{Backend, Tally};
+use crate::fleet::backend::{Backend, Feed, Tally};
 use crate::fleet::{par, ExecMode, Pending, Pool, RoutePolicy, Router};
 use crate::trace::{TraceConfig, TraceEvent, TraceGen};
 
@@ -385,10 +385,11 @@ fn fold(
 /// the kernel's event loop ([`Backend::run`]), with no autoscaler. Like
 /// a fleet run, it ends at the first event after which every arrival
 /// is served or abandoned and nothing waits: trailing `Ready` edges of
-/// idle slots are not drained. A fault-free node of a run that may use
-/// `threads` ≥ 2 workers executes ahead on this worker (see the module
-/// docs); every other node runs the interleaved loop. Pure: no shared
-/// state, so serial and parallel callers get identical results.
+/// idle slots are not drained. In a run that may use `threads` ≥ 2
+/// workers the node executes ahead pool by pool on this worker, faults
+/// included (see the module docs); with one thread it runs the
+/// interleaved loop. Pure: no shared state, so serial and parallel
+/// callers get identical results.
 #[allow(clippy::too_many_arguments)]
 fn run_node(
     node: usize,
@@ -435,25 +436,37 @@ fn run_node(
     let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
     let pool =
         |a: &TraceEvent| pool_of[a.fn_id as usize].expect("placed on a non-replica") as usize;
-    let pending = |a: &TraceEvent| Pending {
+    let pending = |a: &TraceEvent, principal| Pending {
         id: a.seq,
-        principal: principals[a.principal as usize].clone(),
+        principal,
         input_kb: catalog[a.fn_id as usize].input_kb,
         arrival: a.at,
         payload_hash: a.payload_hash,
         idempotent: a.idempotent,
         attempt: 1,
     };
+    let request = |a: &TraceEvent| pending(a, principals[a.principal as usize].clone());
     // The node's input is a known list: every arrival must complete or
     // be abandoned after deaths.
-    let tally = if par::eligible(threads, plan.as_ref(), &routers, None) {
-        // This node already has its worker, so its slots execute one
-        // after another on it: each `Pending` is built as its slot
-        // serves it, and again as the loop admits it.
-        let request = |a| Cow::Owned(pending(a));
-        par::run_ahead(&mut pools, &mut routers, arrivals, pool, request, 1)
+    let tally = if par::eligible(threads, &routers, None) {
+        // This node already has its worker, so its pools execute one
+        // after another on it, and a request clones its principal once,
+        // in its pool's loop. While every slot replays, only round-robin
+        // routing and the log checks read a request, and neither reads
+        // the principal: the replay's requests carry an empty one, which
+        // allocates nothing.
+        let replayed = |a: &TraceEvent| pending(a, String::new());
+        par::run_node_ahead(
+            plan,
+            &mut pools,
+            &mut routers,
+            arrivals,
+            pool,
+            request,
+            replayed,
+        )
     } else {
-        let feed = arrivals.iter().map(|a| (pool(a), pending(a)));
+        let feed = arrivals.iter().map(|a| Feed::Request(pool(a), request(a)));
         Backend::run(plan, &mut pools, &mut routers, feed, arrivals.len(), None)
     }?;
 
@@ -638,8 +651,8 @@ fn run_folded(
 
 /// Runs every node timeline on its list from `fold`, serial or
 /// work-stealing parallel on `mode`'s threads, and returns the results
-/// in node-index order. With ≥ 2 threads every fault-free node also
-/// executes ahead on its worker ([`run_node`]).
+/// in node-index order. With ≥ 2 threads every node also executes its
+/// pools ahead on its worker ([`run_node`]).
 fn run_nodes(
     fold: &Fold,
     trace_cfg: &TraceConfig,
@@ -1160,8 +1173,8 @@ mod tests {
         // drives a fleet and a cluster node, so a 1-node, 1-replica
         // cluster fed a round-robin fleet's arrivals is that fleet, bit
         // for bit, with faults on or off, in either fleet mode, and with
-        // the node interleaved (1 thread) or, fault-free, executing
-        // ahead (2 threads).
+        // the node interleaved (1 thread) or executing ahead pool by pool
+        // (2 threads).
         use crate::fleet::{Arrivals, Fleet, FleetConfig, Shape};
         let spec = gh_functions::catalog::by_name("fannkuch (p)").unwrap();
         let catalog = [spec.clone()];
@@ -1250,6 +1263,103 @@ mod tests {
                     assert_eq!(r.stats.faults, t.faults, "{label}: fault stats");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_retry_tied_with_an_arrival_keeps_the_node_order() {
+        // Pool 0's first request dies at t0 (every attempt dies), pool
+        // 1's request arrives 1 ms later, and pool 0's next request
+        // arrives on the exact nanosecond of the first one's retry. The
+        // node's loop takes the retry first: the arrival took its
+        // insertion number when pool 1's arrival was stepped, after the
+        // crash scheduled the retry. Pool 0 running ahead on its own
+        // orders the tie the same way only by stepping past pool 1's
+        // arrival as a ghost. Under rerouting the order decides the
+        // round-robin cursor; retrying after restore, it decides the
+        // died slot's queue order, and the retry waits for the slot's
+        // recovery, so the arrival lands on that instant.
+        let seed = 37;
+        let catalog = synthetic_catalog(2, seed);
+        let trace_cfg = TraceConfig {
+            principals: 2,
+            ..TraceConfig::new(2, 3, 100.0, seed)
+        };
+        let gh = GroundhogConfig::gh();
+        for (retry, slots) in [(RetryPolicy::rerouting(), 2), (RetryPolicy::bounded(), 1)] {
+            let faults = FaultConfig {
+                retry,
+                ..FaultConfig::deaths(seed, 1.0)
+            };
+            let mut ccfg = ClusterConfig::new(1, PlacePolicy::RoundRobin, StrategyKind::Gh, seed)
+                .with_faults(faults);
+            ccfg.slots_per_pool = slots;
+            // The node's pools, as `run_node` seeds them.
+            let pool = |f: u64| {
+                Pool::build(
+                    &catalog[f as usize],
+                    ccfg.kind,
+                    gh.clone(),
+                    slots,
+                    place::mix(seed ^ f),
+                )
+                .unwrap()
+            };
+            let t0 = crate::fleet::Fleet::span_start(&pool(0))
+                .max(crate::fleet::Fleet::span_start(&pool(1)));
+            let plan = FaultPlan::new(faults);
+            let backoff_at = t0 + plan.backoff(1);
+            let retry_at = if retry.reroute {
+                backoff_at
+            } else {
+                // Crash a copy of the slot as the node will.
+                let mut probe = pool(0);
+                let slot = &mut probe.slots[0];
+                slot.queue.push(Pending {
+                    id: 1,
+                    principal: String::new(),
+                    input_kb: catalog[0].input_kb,
+                    arrival: t0,
+                    payload_hash: 0,
+                    idempotent: false,
+                    attempt: 1,
+                });
+                let frac = plan.death(1, 1).expect("every attempt dies");
+                let (_, recovered) = slot.crash(t0, frac).unwrap();
+                assert!(recovered > backoff_at, "the retry waits for the recovery");
+                recovered
+            };
+            let event = |seq, at, fn_id| TraceEvent {
+                at,
+                seq,
+                fn_id,
+                principal: fn_id,
+                payload_hash: 0,
+                idempotent: false,
+            };
+            let events = [
+                event(1, t0, 0),
+                event(2, t0 + Nanos::from_millis(1), 1),
+                event(3, retry_at, 0),
+            ];
+            let placer = Placer::new(ccfg.policy, 1, 1, &catalog, seed);
+            let node = |threads| {
+                run_node(
+                    0, &events, &placer, &trace_cfg, &catalog, &ccfg, &gh, threads,
+                )
+                .unwrap()
+            };
+            let (serial, ahead) = (node(1), node(2));
+            let label = retry.label();
+            let f = serial.tally.faults;
+            assert!(f.retries > 0 && f.abandoned == 3, "{label}: {f:?}");
+            assert_eq!(ahead.tally.faults, f, "{label}");
+            assert_eq!(ahead.tally.completed, serial.tally.completed, "{label}");
+            assert_eq!(ahead.tally.sojourns, serial.tally.sojourns, "{label}");
+            let depth = |n: &NodeResult| (n.tally.depth.mean().to_bits(), n.tally.depth.len());
+            assert_eq!(depth(&ahead), depth(&serial), "{label}");
+            let timeline = |n: &NodeResult| (n.busy, n.restore_total, n.restore_hidden, n.span_end);
+            assert_eq!(timeline(&ahead), timeline(&serial), "{label}");
         }
     }
 

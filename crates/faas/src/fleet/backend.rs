@@ -27,6 +27,12 @@
 //! cluster node ([`crate::cluster`]), and it ends each run at the first
 //! event after which the run is [`settled`](Backend::settled): a fleet
 //! and a one-node cluster fed the same arrivals are the same machine.
+//! The loop holds its next arrival outside the heap under the insertion
+//! number its `Arrival` event would have taken, so ties break as if it
+//! were scheduled. That lets a pool running ahead of its node on its own
+//! ([`super::par`]) step past another pool's arrival as a ghost
+//! ([`Feed::Ghost`]), which takes that number and nothing else, so the
+//! pool's own events tie-break exactly as they do in the node's loop.
 //! The gateway ([`crate::gateway::GatewayFleet::run`]) calls the three
 //! steps from a loop of its own, because its policies act on every
 //! event (cache fills, ceiling release, its own driver events).
@@ -177,8 +183,11 @@ impl<D> Backend<D> {
     /// it is served, and its off-path restore may abort
     /// ([`Slot::fail_restore`](super::Slot::fail_restore)), pushing
     /// readiness out by a cold start. All draws are pure functions of
-    /// `(fault seed, request id, attempt)`. Schedules the slot's `Ready`
-    /// edge either way and returns what a served attempt produced.
+    /// `(fault seed, request id, attempt)`. A slot replaying its log
+    /// returns each logged step instead of executing it, and a step that
+    /// does not match the log is [`StrategyError::ReplayDiverged`].
+    /// Schedules the slot's `Ready` edge either way and returns what a
+    /// served attempt produced.
     pub fn dispatch(
         &mut self,
         now: Nanos,
@@ -194,7 +203,9 @@ impl<D> Backend<D> {
         };
         if let Some((plan, id, attempt)) = head {
             if let Some(frac) = plan.death(id, attempt) {
-                let (mut p, ready) = s.crash(now, frac).expect("idle slot with a queued head");
+                let Some((mut p, ready)) = s.crash_step(now, frac)? else {
+                    return Ok(None);
+                };
                 self.queued -= 1;
                 let f = &mut self.tally.faults;
                 f.deaths += 1;
@@ -231,7 +242,7 @@ impl<D> Backend<D> {
         let ready = match head {
             Some((plan, id, attempt)) if plan.restore_failure(id, attempt) => {
                 self.tally.faults.restore_failures += 1;
-                s.fail_restore()
+                s.fail_restore_step(id, attempt, now)?
             }
             _ => d.ready_at,
         };
@@ -251,6 +262,17 @@ impl<D> Backend<D> {
         let d = self.dispatch(now, pools, pool, slot)?;
         self.tally.depth.record(self.queued);
         Ok(d)
+    }
+
+    /// The run's next event: its next arrival, held back outside the
+    /// heap at `arrival` (its time and the insertion number its
+    /// `Arrival` event would have taken), when it comes before every
+    /// scheduled event; else the earliest scheduled one.
+    fn next_event(&mut self, arrival: Option<(Nanos, u64)>) -> Option<(Nanos, Event<D>)> {
+        match (arrival, self.events.peek()) {
+            (Some(due), next) if next.is_none_or(|n| due < n) => Some((due.0, Event::Arrival)),
+            _ => self.events.pop(),
+        }
     }
 
     /// Requests waiting across every admission queue of the run.
@@ -284,47 +306,70 @@ impl<D> Backend<D> {
     }
 }
 
+/// One arrival of a run's feed, in arrival order.
+pub(crate) enum Feed {
+    /// A request for the pool at this index.
+    Request(usize, Pending),
+    /// Another pool's arrival at this instant, which a pool running ahead
+    /// on its own steps past ([`super::par`]): it takes the insertion
+    /// number its `Arrival` event would have taken in the node's loop,
+    /// builds no request and touches no heap.
+    Ghost(Nanos),
+}
+
+impl Feed {
+    fn at(&self) -> Nanos {
+        match self {
+            Feed::Request(_, p) => p.arrival,
+            Feed::Ghost(at) => *at,
+        }
+    }
+}
+
 impl Backend {
-    /// One run under `plan`: admits each of `arrivals` — `(pool,
-    /// request)` in arrival order, `admitted` of them — to its pool at
-    /// its arrival time, attempts it, retries what dies and attempts
-    /// again at every `Ready` edge, and stops at the first event after
-    /// which the run is [`settled`](Backend::settled). The first arrival
-    /// is scheduled before the loop; each arrival is admitted, then the
-    /// next one is scheduled, then the admitting slot attempts, then
-    /// `scaler` (if any) steps over the arrival's pool and announces a
-    /// grown slot's readiness. Returns the run's tally.
+    /// One run under `plan`: admits each request of `arrivals` — in
+    /// arrival order, `admitted` of them — to its pool at its arrival
+    /// time, attempts it, retries what dies and attempts again at every
+    /// `Ready` edge, and stops at the first event after which the run is
+    /// [`settled`](Backend::settled). The next arrival waits outside the
+    /// heap under the insertion number its `Arrival` event would have
+    /// taken, the first one's taken before the loop: each arrival is
+    /// admitted, then the next one takes its number, then the admitting
+    /// slot attempts, then `scaler` (if any) steps over the arrival's
+    /// pool and announces a grown slot's readiness. A ghost only takes
+    /// the next number. Returns the run's tally.
     pub fn run(
         plan: Option<FaultPlan>,
         pools: &mut [Pool],
         routers: &mut [Router],
-        mut arrivals: impl Iterator<Item = (usize, Pending)>,
+        mut arrivals: impl Iterator<Item = Feed>,
         admitted: usize,
         mut scaler: Option<&mut Autoscaler>,
     ) -> Result<Tally, StrategyError> {
         let mut k: Backend = Backend::new(plan);
-        let mut upcoming = arrivals.next();
-        if let Some((_, p)) = &upcoming {
-            k.events.schedule(p.arrival, Event::Arrival);
-        }
-        while let Some((now, ev)) = k.events.pop() {
+        let mut upcoming = arrivals.next().map(|a| (k.events.reserve(), a));
+        while let Some((now, ev)) = k.next_event(upcoming.as_ref().map(|(n, a)| (a.at(), *n))) {
             match ev {
                 Event::Arrival => {
-                    let (pool, p) = upcoming.take().expect("an arrival is due");
-                    let slot = k.admit(now, pools, routers, pool, p);
-                    upcoming = arrivals.next();
-                    if let Some((_, next)) = &upcoming {
-                        k.events.schedule(next.arrival, Event::Arrival);
-                    }
-                    k.dispatch(now, pools, pool, slot)?;
-                    if let Some(scaler) = scaler.as_deref_mut() {
-                        if let Some((idx, ready)) =
-                            scaler.step(now, &mut pools[pool], k.queued())?
-                        {
-                            // The new container announces readiness once
-                            // initialized.
-                            k.events
-                                .schedule(ready, Event::Ready(pool as u32, idx as u32));
+                    let (_, due) = upcoming.take().expect("an arrival is due");
+                    let admit = match due {
+                        Feed::Request(pool, p) => {
+                            Some((pool, k.admit(now, pools, routers, pool, p)))
+                        }
+                        Feed::Ghost(_) => None,
+                    };
+                    upcoming = arrivals.next().map(|a| (k.events.reserve(), a));
+                    if let Some((pool, slot)) = admit {
+                        k.dispatch(now, pools, pool, slot)?;
+                        if let Some(scaler) = scaler.as_deref_mut() {
+                            if let Some((idx, ready)) =
+                                scaler.step(now, &mut pools[pool], k.queued())?
+                            {
+                                // The new container announces readiness
+                                // once initialized.
+                                k.events
+                                    .schedule(ready, Event::Ready(pool as u32, idx as u32));
+                            }
                         }
                     }
                 }
@@ -503,7 +548,7 @@ mod tests {
                     idempotent: false,
                     attempt: 1,
                 };
-                (0, p)
+                Feed::Request(0, p)
             });
             let run = Backend::run(plan, &mut pools, &mut routers, arrivals, 120, None).unwrap();
             assert_eq!(run.completed, stepped.completed);

@@ -50,7 +50,7 @@
 //! (`gh_sim::par::ordered_map`, the map that spreads sweep cells and
 //! cluster nodes), then runs the kernel's loop over the same arrivals,
 //! exactly as the serial mode does, while each slot **replays** its
-//! recorded dispatches instead of executing again (`par`). The loop
+//! logged dispatches instead of executing again (`par`). The loop
 //! issues the serial run's schedule calls in the serial order, so
 //! results are bit-identical to serial, enforced by the differential
 //! oracle in `tests/fleet_par_oracle.rs`. A one-node cluster fed the
@@ -59,10 +59,11 @@
 //!
 //! The **serial reference** runs instead whenever a run is not
 //! provably shardable. [`ExecMode`] states that rule once: routing
-//! other than round-robin, an autoscaler, injected faults, fewer than
-//! two threads or a forced serial mode each rule it out, and a fleet
-//! also needs two slots. Cluster nodes share the execute-ahead step, with
-//! one worker per node, for cache locality instead of parallelism.
+//! other than round-robin, an autoscaler, fewer than two threads or a
+//! forced serial mode each rule it out, and a fleet also needs two
+//! slots and no injected faults. Cluster nodes execute ahead too, pool
+//! by pool with one worker per node and faults included, for cache
+//! locality instead of parallelism.
 
 pub mod autoscaler;
 pub(crate) mod backend;
@@ -70,8 +71,6 @@ pub(crate) mod par;
 pub mod pool;
 pub mod queue;
 pub mod router;
-
-use std::borrow::Cow;
 
 use gh_functions::FunctionSpec;
 use gh_gateway::cache::mix;
@@ -82,7 +81,7 @@ use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
 use crate::trace::Diurnal;
-use backend::{Backend, Tally};
+use backend::{Backend, Feed, Tally};
 
 pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use par::ExecMode;
@@ -423,16 +422,18 @@ impl Fleet {
         let mut scaler = self.cfg.autoscale.map(Autoscaler::new);
         let pools = std::slice::from_mut(pool);
         let routers = std::slice::from_mut(&mut router);
-        // A fleet gains parallelism across its slots, so it needs two of
-        // them on top of the rule (see `ExecMode`).
+        // A fleet gains parallelism across its slots, so its slot step
+        // needs two of them, and no fault plan, on top of the rule (see
+        // `ExecMode`).
         let ahead = requests > 0
             && pools[0].slots.len() >= 2
-            && par::eligible(threads, self.plan.as_ref(), routers, scaler.as_ref());
+            && self.plan.is_none()
+            && par::eligible(threads, routers, scaler.as_ref());
         let tally = if ahead {
             let arrivals: Vec<Pending> = arrivals.collect();
-            par::run_ahead(pools, routers, &arrivals, |_| 0, Cow::Borrowed, threads)
+            par::run_ahead(&mut pools[0], &mut routers[0], &arrivals, threads)
         } else {
-            let arrivals = arrivals.map(|p| (0, p));
+            let arrivals = arrivals.map(|p| Feed::Request(0, p));
             Backend::run(
                 self.plan,
                 pools,

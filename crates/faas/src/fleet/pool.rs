@@ -16,10 +16,8 @@
 //! ratio and the resident bytes per container that
 //! [`FleetStats`](super::FleetStats) surfaces.
 
-use std::borrow::Borrow;
-
 use gh_functions::FunctionSpec;
-use gh_isolation::{StrategyError, StrategyKind};
+use gh_isolation::{ReplayStep, StepKind, StrategyError, StrategyKind};
 use gh_mem::{SnapshotStore, StoreHandle};
 use gh_sim::{DetRng, Nanos};
 use groundhog_core::GroundhogConfig;
@@ -48,6 +46,28 @@ pub struct Dispatched {
     pub idempotent: bool,
     /// Response payload size, KiB (what a result cache stores).
     pub output_kb: u64,
+}
+
+/// A step a slot logged, with what it produced.
+#[derive(Clone, Copy, Debug)]
+struct Logged {
+    step: ReplayStep,
+    /// Instant the slot was ready again.
+    ready: Nanos,
+    /// What a served attempt's dispatch returned.
+    served: Option<Dispatched>,
+}
+
+/// What a slot does with the steps it takes (see [`crate::fleet::par`]).
+enum Log {
+    /// Nothing: the slot executes every step.
+    Off,
+    /// Executes every step and logs it, ahead of a run's event loop;
+    /// `ready_at` is the slot's readiness before the first step.
+    Recording { steps: Vec<Logged>, ready_at: Nanos },
+    /// Replays the log as the event loop asks for its steps, executing
+    /// none of them.
+    Replaying(std::vec::IntoIter<Logged>),
 }
 
 /// One pool slot: a container plus its scheduling state.
@@ -83,9 +103,10 @@ pub struct Slot {
     pub spawned_at: Nanos,
     /// A retired slot serves its queue dry but receives no new requests.
     pub retired: bool,
-    /// Dispatches this slot executed ahead of a sharded run's event loop,
-    /// which [`Slot::dispatch`] replays in order while armed.
-    replay: Option<std::vec::IntoIter<Dispatched>>,
+    /// Steps logged ahead of a run's event loop, or being replayed by
+    /// it ([`Slot::dispatch`] and the kernel's crash and restore-failure
+    /// steps).
+    log: Log,
 }
 
 impl Slot {
@@ -105,7 +126,7 @@ impl Slot {
             lazy_faults: 0,
             spawned_at,
             retired: false,
-            replay: None,
+            log: Log::Off,
         }
     }
 
@@ -128,10 +149,10 @@ impl Slot {
     /// Dispatches the head-of-queue request at `now` (which must be ≥
     /// `ready_at`). Advances this container's timeline through
     /// execution and off-path restore, and settles the restore-hiding
-    /// accounting for the *previous* invocation. A slot that executed
-    /// its arrivals ahead instead returns the head's recorded dispatch
-    /// and moves only its readiness; a head that is not the next
-    /// recorded request is [`StrategyError::ReplayDiverged`].
+    /// accounting for the *previous* invocation. A slot replaying its
+    /// log instead returns the head's logged dispatch and moves only its
+    /// readiness; a head whose request, attempt or instant is not the
+    /// next logged step is [`StrategyError::ReplayDiverged`].
     pub fn dispatch(&mut self, now: Nanos) -> Result<Option<Dispatched>, StrategyError> {
         if !self.idle_at(now) {
             return Ok(None);
@@ -139,31 +160,16 @@ impl Slot {
         let Some(pending) = self.queue.pop() else {
             return Ok(None);
         };
-        if let Some(recorded) = &mut self.replay {
-            return match recorded.next() {
-                Some(d) if d.id == pending.id => {
-                    self.ready_at = d.ready_at;
-                    Ok(Some(d))
-                }
-                d => Err(StrategyError::ReplayDiverged {
-                    expected: pending.id,
-                    recorded: d.map(|d| d.id),
-                }),
-            };
-        }
-        self.serve(&pending, now).map(Some)
+        let step = step_on(StepKind::Served, &pending, now);
+        let logged = self.take(step, |s| {
+            s.serve(&pending, now).map(|d| (d.ready_at, Some(d)))
+        })?;
+        Ok(logged.served)
     }
 
     /// Executes `pending` at `now` on the clean container.
     fn serve(&mut self, pending: &Pending, now: Nanos) -> Result<Dispatched, StrategyError> {
-        // Settle the previous restore: the part of it that finished
-        // before this request arrived hid in an idle gap; the rest
-        // delayed this request.
-        if !self.pending_restore.is_zero() {
-            let hidden_end = pending.arrival.max(self.prev_resp_at).min(self.ready_at);
-            self.restore_hidden += hidden_end - self.prev_resp_at;
-            self.pending_restore = Nanos::ZERO;
-        }
+        self.settle_previous(pending);
         self.container.kernel.clock.advance_to(now);
         let start = self.container.now();
         let req = Request::new(pending.id, &pending.principal, pending.input_kb);
@@ -187,30 +193,100 @@ impl Slot {
         })
     }
 
+    /// Settles the previous restore before the container takes
+    /// `pending`: the part of it that finished before the request
+    /// arrived hid in an idle gap; the rest delayed the request.
+    fn settle_previous(&mut self, pending: &Pending) {
+        if !self.pending_restore.is_zero() {
+            let hidden_end = pending.arrival.max(self.prev_resp_at).min(self.ready_at);
+            self.restore_hidden += hidden_end - self.prev_resp_at;
+            self.pending_restore = Nanos::ZERO;
+        }
+    }
+
     /// Serves `arrivals`, this slot's own in arrival order, ahead of the
     /// run's event loop: each at `max(arrival, previous readiness)`, as
-    /// the loop would dispatch it. Then rewinds `ready_at` — every other
-    /// field already holds its end-of-run value — and arms the slot to
-    /// replay the recorded dispatches as the loop asks for them. The
-    /// recording is sized to the arrivals exactly.
-    pub(crate) fn execute_ahead(
+    /// the loop would dispatch it, logging each. Then arms the slot to
+    /// replay the log ([`Slot::replay`]).
+    pub(crate) fn execute_ahead<'a>(
         &mut self,
-        arrivals: impl ExactSizeIterator<Item = impl Borrow<Pending>>,
+        arrivals: impl Iterator<Item = &'a Pending>,
     ) -> Result<(), StrategyError> {
-        let ready_at = self.ready_at;
-        let mut served = Vec::with_capacity(arrivals.len());
+        self.record();
         for p in arrivals {
-            let p = p.borrow();
-            served.push(self.serve(p, p.arrival.max(self.ready_at))?);
+            let at = p.arrival.max(self.ready_at);
+            let step = step_on(StepKind::Served, p, at);
+            self.take(step, |s| s.serve(p, at).map(|d| (d.ready_at, Some(d))))?;
         }
-        self.ready_at = ready_at;
-        self.replay = Some(served.into_iter());
+        self.replay();
         Ok(())
     }
 
-    /// Leaves replay mode: the next dispatch executes again.
+    /// Starts logging every step the slot takes, ahead of a run's event
+    /// loop.
+    pub(crate) fn record(&mut self) {
+        self.log = Log::Recording {
+            steps: Vec::new(),
+            ready_at: self.ready_at,
+        };
+    }
+
+    /// Ends a recording: rewinds `ready_at` to its value when the
+    /// recording started — every other field already holds its
+    /// end-of-run value — and arms the slot to replay the log as the
+    /// loop asks for its steps.
+    pub(crate) fn replay(&mut self) {
+        if let Log::Recording {
+            mut steps,
+            ready_at,
+        } = std::mem::replace(&mut self.log, Log::Off)
+        {
+            // The log's length is known only now. Without its growth
+            // slack, a node's logs hold their exact size while its
+            // later pools run.
+            steps.shrink_to_fit();
+            self.ready_at = ready_at;
+            self.log = Log::Replaying(steps.into_iter());
+        }
+    }
+
+    /// Leaves recording or replay: the next step executes again.
     pub(crate) fn end_replay(&mut self) {
-        self.replay = None;
+        self.log = Log::Off;
+    }
+
+    /// Takes `step`. While replaying, returns its logged outcome and
+    /// moves readiness to it, or [`StrategyError::ReplayDiverged`] when
+    /// the log holds another step next. Otherwise executes it with
+    /// `live`, which returns the instant the slot is ready again and a
+    /// served attempt's dispatch, and logs it while recording.
+    fn take(
+        &mut self,
+        step: ReplayStep,
+        live: impl FnOnce(&mut Slot) -> Result<(Nanos, Option<Dispatched>), StrategyError>,
+    ) -> Result<Logged, StrategyError> {
+        if let Log::Replaying(steps) = &mut self.log {
+            return match steps.next() {
+                Some(logged) if logged.step == step => {
+                    self.ready_at = logged.ready;
+                    Ok(logged)
+                }
+                other => Err(StrategyError::ReplayDiverged {
+                    expected: step,
+                    recorded: other.map(|l| l.step),
+                }),
+            };
+        }
+        let (ready, served) = live(self)?;
+        let logged = Logged {
+            step,
+            ready,
+            served,
+        };
+        if let Log::Recording { steps, .. } = &mut self.log {
+            steps.push(logged);
+        }
+        Ok(logged)
     }
 
     /// Settles trailing restore time at end of run: a restore nothing
@@ -233,13 +309,34 @@ impl Slot {
             return None;
         }
         let pending = self.queue.pop()?;
+        let ready = self.kill(&pending, now, frac);
+        Some((pending, ready))
+    }
+
+    /// [`Slot::crash`] as the dispatch kernel takes it: logged while
+    /// recording; while replaying, the logged crash of the head's
+    /// attempt at `now`, or [`StrategyError::ReplayDiverged`].
+    pub(crate) fn crash_step(
+        &mut self,
+        now: Nanos,
+        frac: f64,
+    ) -> Result<Option<(Pending, Nanos)>, StrategyError> {
+        if !self.idle_at(now) {
+            return Ok(None);
+        }
+        let Some(pending) = self.queue.pop() else {
+            return Ok(None);
+        };
+        let step = step_on(StepKind::Crashed, &pending, now);
+        let logged = self.take(step, |s| Ok((s.kill(&pending, now, frac), None)))?;
+        Ok(Some((pending, logged.ready)))
+    }
+
+    /// Kills `pending`'s attempt at `now`, `frac` of the way through.
+    fn kill(&mut self, pending: &Pending, now: Nanos, frac: f64) -> Nanos {
         // The previous restore completed before the crash; classify it
         // exactly as a normal dispatch would.
-        if !self.pending_restore.is_zero() {
-            let hidden_end = pending.arrival.max(self.prev_resp_at).min(self.ready_at);
-            self.restore_hidden += hidden_end - self.prev_resp_at;
-            self.pending_restore = Nanos::ZERO;
-        }
+        self.settle_previous(pending);
         self.container.kernel.clock.advance_to(now);
         let nominal = Nanos::from_millis_f64(self.container.spec.base_invoker_ms);
         let partial = nominal.scale(frac.clamp(0.0, 1.0));
@@ -250,7 +347,7 @@ impl Slot {
         self.resp_at = ready;
         self.prev_resp_at = ready;
         self.ready_at = ready;
-        Some((pending, ready))
+        ready
     }
 
     /// Fault injection: the off-path snapshot writeback of the dispatch
@@ -267,6 +364,36 @@ impl Slot {
         self.pending_restore = Nanos::ZERO;
         self.ready_at = ready;
         ready
+    }
+
+    /// [`Slot::fail_restore`] as the dispatch kernel takes it, after
+    /// serving attempt `attempt` of request `id` at `at`: logged while
+    /// recording; while replaying, the logged failure of that attempt,
+    /// or [`StrategyError::ReplayDiverged`].
+    pub(crate) fn fail_restore_step(
+        &mut self,
+        id: u64,
+        attempt: u32,
+        at: Nanos,
+    ) -> Result<Nanos, StrategyError> {
+        let step = ReplayStep {
+            kind: StepKind::RestoreFailed,
+            id,
+            attempt,
+            at,
+        };
+        let logged = self.take(step, |s| Ok((s.fail_restore(), None)))?;
+        Ok(logged.ready)
+    }
+}
+
+/// A `kind` step on `pending`'s attempt at `at`.
+fn step_on(kind: StepKind, pending: &Pending, at: Nanos) -> ReplayStep {
+    ReplayStep {
+        kind,
+        id: pending.id,
+        attempt: pending.attempt,
+        at,
     }
 }
 
@@ -526,6 +653,19 @@ mod tests {
         let mut p = pool(StrategyKind::Gh, 1);
         let slot = &mut p.slots[0];
         let t0 = slot.container.now();
+        let step = |kind, id, attempt, at| ReplayStep {
+            kind,
+            id,
+            attempt,
+            at,
+        };
+        let diverged =
+            |r: Result<(), StrategyError>, want: ReplayStep, got: Option<ReplayStep>| match r {
+                Err(StrategyError::ReplayDiverged { expected, recorded }) => {
+                    assert_eq!((expected, recorded), (want, got));
+                }
+                other => panic!("expected a divergence from {want:?}, got {other:?}"),
+            };
         let recorded = Pending {
             id: 1,
             principal: "alice".into(),
@@ -538,33 +678,57 @@ mod tests {
         slot.execute_ahead(std::iter::once(&recorded)).unwrap();
         assert_eq!(slot.ready_at, t0, "executing ahead rewinds readiness");
         enqueue(slot, 7, t0);
-        let wrong_id = slot.dispatch(t0);
-        assert!(
-            matches!(
-                wrong_id,
-                Err(StrategyError::ReplayDiverged {
-                    expected: 7,
-                    recorded: Some(1)
-                })
-            ),
-            "{wrong_id:?}"
-        );
+        let served = |id| step(StepKind::Served, id, 1, t0);
+        diverged(slot.dispatch(t0).map(|_| ()), served(7), Some(served(1)));
         enqueue(slot, 8, t0);
-        let past_end = slot.dispatch(t0);
-        assert!(
-            matches!(
-                past_end,
-                Err(StrategyError::ReplayDiverged {
-                    expected: 8,
-                    recorded: None
-                })
-            ),
-            "{past_end:?}"
-        );
+        diverged(slot.dispatch(t0).map(|_| ()), served(8), None);
         slot.end_replay();
         enqueue(slot, 9, t0);
         let d = slot.dispatch(t0).unwrap().unwrap();
         assert_eq!(d.id, 9, "a disarmed slot executes again");
+
+        // Log a crash of request 10, then a served attempt of request 11
+        // whose restore fails.
+        let t1 = d.ready_at;
+        slot.record();
+        enqueue(slot, 10, t1);
+        let (_, up) = slot.crash_step(t1, 0.5).unwrap().unwrap();
+        enqueue(slot, 11, up);
+        let logged = slot.dispatch(up).unwrap().unwrap();
+        let failed = slot.fail_restore_step(11, 1, up).unwrap();
+        let end = slot.container.now();
+        slot.replay();
+        assert_eq!(slot.ready_at, t1, "replaying rewinds readiness");
+        // The crash replayed a nanosecond late diverges.
+        let late = t1 + Nanos::from_nanos(1);
+        enqueue(slot, 10, late);
+        diverged(
+            slot.crash_step(late, 0.5).map(|_| ()),
+            step(StepKind::Crashed, 10, 1, late),
+            Some(step(StepKind::Crashed, 10, 1, t1)),
+        );
+        // The served attempt matches its log and executes nothing.
+        enqueue(slot, 11, up);
+        let d = slot.dispatch(up).unwrap().unwrap();
+        assert_eq!((d.id, d.ready_at), (logged.id, logged.ready_at));
+        assert_eq!(
+            slot.container.now(),
+            end,
+            "a replayed step executes nothing"
+        );
+        // Its restore failure replayed under another attempt diverges.
+        diverged(
+            slot.fail_restore_step(11, 2, up).map(|_| ()),
+            step(StepKind::RestoreFailed, 11, 2, up),
+            Some(step(StepKind::RestoreFailed, 11, 1, up)),
+        );
+        // A crash past the end of the log diverges too.
+        enqueue(slot, 12, failed);
+        diverged(
+            slot.crash_step(failed, 0.5).map(|_| ()),
+            step(StepKind::Crashed, 12, 1, failed),
+            None,
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! Serial mode (nodes run one after another on the caller's thread, each
 //! interleaving its containers in arrival order) is the ground truth;
-//! every node-parallel run, where each fault-free node also executes its
-//! slots' arrivals ahead and replays them — across seeds, placement
-//! policies, node counts, pool sizes and thread counts — must reproduce
+//! every node-parallel run, where each node also executes its pools
+//! ahead and replays them — across seeds, placement policies, node
+//! counts, pool sizes, thread counts and, for faulty nodes, retry
+//! policies — must reproduce
 //! the exact same [`ClusterResult`]: every counter, every per-node load,
 //! every sketch-derived percentile, and the CSV-style rendering byte for
 //! byte. Repeat runs must also match, pinning seeded determinism of the
@@ -106,9 +107,9 @@ fn assert_identical(label: &str, reference: &ClusterResult, other: &ClusterResul
 
 /// Every node-parallel run across seeds × policies × node counts ×
 /// threads against the serial reference, with `slots` containers per
-/// pool running `gh`. With ≥ 2 threads each node executes its slots'
-/// round-robin shares ahead, so pools of two and three slots pin that
-/// routing too.
+/// pool running `gh`. With ≥ 2 threads each node executes its pools
+/// ahead, each routing its own arrivals round-robin, so pools of two
+/// and three slots pin that routing too.
 fn assert_matrix(slots: usize, gh: &GroundhogConfig) {
     for &seed in &[7u64, 1234] {
         let catalog = synthetic_catalog(20, seed);
@@ -146,6 +147,68 @@ fn parallel_matches_serial_with_two_and_three_slots_per_pool() {
     for slots in [2, 3] {
         assert_matrix(slots, &GroundhogConfig::gh());
     }
+}
+
+/// Deaths, restore failures and node loss under `retry`.
+fn faults(seed: u64, retry: RetryPolicy) -> FaultConfig {
+    FaultConfig {
+        restore_failure_rate: 0.04,
+        node_loss_rate: 0.2,
+        node_loss_window: Nanos::from_millis(20),
+        retry,
+        ..FaultConfig::deaths(seed, 0.06)
+    }
+}
+
+/// One faulty cell against the serial reference at 2 and 8 threads,
+/// where every node executes its pools ahead, faults included. The cell
+/// must draw deaths, retries, restore failures and node loss, so a
+/// crash's recovery, a retry's route and a failed restore's cold start
+/// all replay.
+fn assert_faulty_cell(
+    label: &str,
+    nodes: usize,
+    slots: usize,
+    fc: FaultConfig,
+    gh: &GroundhogConfig,
+) {
+    let seed = fc.seed;
+    let catalog = synthetic_catalog(20, seed);
+    let tc = trace(500, seed);
+    let mut ccfg =
+        ClusterConfig::new(nodes, PlacePolicy::RoundRobin, StrategyKind::Gh, seed).with_faults(fc);
+    ccfg.slots_per_pool = slots;
+    let go = |mode| run_cluster_with(&tc, &catalog, &ccfg, gh.clone(), mode).unwrap();
+    let serial = go(ExecMode::Serial);
+    let f = serial.faults;
+    assert!(
+        f.deaths > 0 && f.retries > 0 && f.restore_failures > 0 && f.node_losses > 0,
+        "{label}: every fault family must fire: {f:?}"
+    );
+    assert_eq!(serial.completed + f.abandoned, 500, "{label}");
+    for &threads in &[2usize, 8] {
+        let par = go(ExecMode::Parallel { threads });
+        assert_identical(&format!("{label} threads={threads}"), &serial, &par);
+    }
+}
+
+#[test]
+fn faulty_nodes_match_serial_across_retry_policies_pool_sizes_and_node_counts() {
+    for retry in [RetryPolicy::bounded(), RetryPolicy::rerouting()] {
+        for slots in [1, 2, 3] {
+            for nodes in [2, 5] {
+                let label = format!("{} nodes={nodes} slots={slots}", retry.label());
+                let fc = faults(11, retry);
+                assert_faulty_cell(&label, nodes, slots, fc, &GroundhogConfig::gh());
+            }
+        }
+    }
+}
+
+#[test]
+fn faulty_lazy_drain_nodes_match_serial() {
+    let fc = faults(7, RetryPolicy::rerouting());
+    assert_faulty_cell("lazy drain", 2, 2, fc, &GroundhogConfig::lazy_drain());
 }
 
 #[test]

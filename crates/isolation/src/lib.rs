@@ -18,4 +18,7 @@
 
 pub mod strategy;
 
-pub use strategy::{PostReport, PrepareReport, RunTarget, Strategy, StrategyError, StrategyKind};
+pub use strategy::{
+    PostReport, PrepareReport, ReplayStep, RunTarget, StepKind, Strategy, StrategyError,
+    StrategyKind,
+};

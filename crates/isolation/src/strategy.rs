@@ -69,15 +69,57 @@ pub enum StrategyError {
     Proc(gh_proc::kernel::ProcError),
     /// A pool was asked for zero containers.
     EmptyPool,
-    /// A slot replaying the dispatches it executed ahead was asked for
-    /// request `expected`, but its recording held request `recorded`
-    /// next (`None`: the recording had ended).
+    /// A slot replaying the steps it logged ahead of the event loop was
+    /// asked to take step `expected`, but its log held `recorded` next
+    /// (`None`: the log had ended).
     ReplayDiverged {
-        /// Id of the request the event loop dispatched.
-        expected: u64,
-        /// Id of the slot's next recorded dispatch, if any was left.
-        recorded: Option<u64>,
+        /// The step the event loop took.
+        expected: ReplayStep,
+        /// The slot's next logged step, if any was left.
+        recorded: Option<ReplayStep>,
     },
+}
+
+/// What a container slot did with one attempt of a request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StepKind {
+    /// The attempt was served.
+    Served,
+    /// The container died partway through the attempt.
+    Crashed,
+    /// The attempt was served, then its off-path restore failed.
+    RestoreFailed,
+}
+
+/// One step a container slot takes, as a slot that replays a log of its
+/// steps checks it ([`StrategyError::ReplayDiverged`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReplayStep {
+    /// What the slot did.
+    pub kind: StepKind,
+    /// Id of the request.
+    pub id: u64,
+    /// The request's attempt, 1-based.
+    pub attempt: u32,
+    /// Virtual time the attempt started.
+    pub at: Nanos,
+}
+
+impl core::fmt::Display for ReplayStep {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let kind = match self.kind {
+            StepKind::Served => "served",
+            StepKind::Crashed => "crashed",
+            StepKind::RestoreFailed => "failed its restore",
+        };
+        write!(
+            f,
+            "attempt {} of request {} {kind} at {} ns",
+            self.attempt,
+            self.id,
+            self.at.as_nanos()
+        )
+    }
 }
 
 impl From<GhError> for StrategyError {
@@ -105,17 +147,17 @@ impl core::fmt::Display for StrategyError {
             StrategyError::EmptyPool => write!(f, "a pool needs at least one container"),
             StrategyError::ReplayDiverged {
                 expected,
-                recorded: Some(id),
+                recorded: Some(step),
             } => write!(
                 f,
-                "replay diverged: request {expected} was dispatched, request {id} was executed ahead"
+                "replay diverged: the event loop took \"{expected}\", the log held \"{step}\""
             ),
             StrategyError::ReplayDiverged {
                 expected,
                 recorded: None,
             } => write!(
                 f,
-                "replay diverged: request {expected} was dispatched past the end of the recording"
+                "replay diverged: the event loop took \"{expected}\" past the end of the log"
             ),
         }
     }

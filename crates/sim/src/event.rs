@@ -77,9 +77,18 @@ impl<T> EventQueue<T> {
 
     /// Schedules `payload` at virtual time `at`.
     pub fn schedule(&mut self, at: Nanos, payload: T) {
+        let seq = self.reserve();
+        self.heap.push(Scheduled { at, seq, payload });
+    }
+
+    /// Takes the next insertion number without scheduling anything. An
+    /// event a caller holds back under it comes before every scheduled
+    /// event whose [`EventQueue::peek`] key is greater, ties included:
+    /// the order it would have popped in had it been scheduled now.
+    pub fn reserve(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Scheduled { at, seq, payload });
+        seq
     }
 
     /// Removes and returns the earliest event.
@@ -87,9 +96,11 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|s| (s.at, s.payload))
     }
 
-    /// Time of the earliest event, if any.
-    pub fn peek_time(&self) -> Option<Nanos> {
-        self.heap.peek().map(|s| s.at)
+    /// Time and insertion number of the earliest event, if any: the key
+    /// events pop in, which a held-back event's `(time, reserved
+    /// number)` compares against.
+    pub fn peek(&self) -> Option<(Nanos, u64)> {
+        self.heap.peek().map(|s| (s.at, s.seq))
     }
 
     /// Number of pending events.
@@ -130,13 +141,51 @@ mod tests {
     }
 
     #[test]
+    fn a_held_back_event_pops_where_it_was_reserved() {
+        // Each case schedules events at these times, holding back the
+        // one at index `held` under a reserved number: merged through
+        // `peek`, the held event pops exactly where it pops when it is
+        // scheduled in its turn, ties included.
+        let times = [7u64, 5, 7, 3, 7, 5, 9];
+        for held in 0..times.len() {
+            let mut scheduled = EventQueue::new();
+            let mut split = EventQueue::new();
+            let mut key = None;
+            for (i, &t) in times.iter().enumerate() {
+                let at = Nanos::from_nanos(t);
+                scheduled.schedule(at, i);
+                if i == held {
+                    key = Some((at, split.reserve()));
+                } else {
+                    split.schedule(at, i);
+                }
+            }
+            let reference: Vec<usize> =
+                std::iter::from_fn(|| scheduled.pop().map(|(_, i)| i)).collect();
+            let merged: Vec<usize> = std::iter::from_fn(|| match (key, split.peek()) {
+                (Some(k), next) if next.is_none_or(|n| k < n) => {
+                    key = None;
+                    Some(held)
+                }
+                _ => split.pop().map(|(_, i)| i),
+            })
+            .collect();
+            assert_eq!(merged, reference, "held back: event {held}");
+        }
+    }
+
+    #[test]
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek(), None);
         q.schedule(Nanos::from_nanos(9), ());
         q.schedule(Nanos::from_nanos(4), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(Nanos::from_nanos(4)));
+        assert_eq!(q.peek(), Some((Nanos::from_nanos(4), 1)));
+        assert_eq!(q.reserve(), 2, "a reservation takes the next number");
+        q.schedule(Nanos::from_nanos(4), ());
+        q.pop();
+        assert_eq!(q.peek(), Some((Nanos::from_nanos(4), 3)));
     }
 }
