@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::{env, fs};
 
 use gh_bench::results_dir;
-use gh_faas::fleet::{run_fleet, FleetConfig, RoutePolicy};
+use gh_faas::fleet::{run_fleet, ExecMode, FleetConfig, RoutePolicy};
 use gh_faas::{Container, Request};
 use gh_functions::catalog::by_name;
 use gh_isolation::StrategyKind;
@@ -595,12 +595,21 @@ fn collect() -> Vec<Metric> {
             .completed
     });
     let (_, fleet_allocs) = work_allocations(|n| gh_bench::fleet_scaling::serial_run(n as usize));
+    // The cluster rig's count with its nodes fanned out over 2 workers,
+    // published ungated: fresh worker threads grow per-thread scratch
+    // buffers (`gh-mem`'s index and extent scratch, `Restorer`'s), and
+    // `ordered_map`'s `claimed` list grows by however many nodes each
+    // worker claims, which depends on timing.
+    let (_, cluster_par_allocs) = work_allocations(|n| {
+        gh_bench::cluster_scaling::run_in(n, ExecMode::Parallel { threads: 2 }).completed
+    });
     let cold_starts = gh_bench::cluster_scaling::serial_run(0).containers;
     let cold_start_allocs = cluster_setup as f64 / f64::from(cold_starts);
     println!(
         "heap allocations per simulated request: cluster {cluster_allocs:.4}, \
-         cluster cached {cached_allocs:.4}, fleet {fleet_allocs:.4}; per cold start: \
-         cluster {cold_start_allocs:.4} ({cluster_setup} over {cold_starts} containers)\n"
+         cluster cached {cached_allocs:.4}, fleet {fleet_allocs:.4}, cluster on 2 \
+         workers {cluster_par_allocs:.4}; per cold start: cluster \
+         {cold_start_allocs:.4} ({cluster_setup} over {cold_starts} containers)\n"
     );
     out.push(Metric {
         key: "work_allocs_per_req_cluster",
@@ -620,6 +629,11 @@ fn collect() -> Vec<Metric> {
     out.push(Metric {
         key: "work_allocs_per_cold_start_cluster",
         value: cold_start_allocs,
+        higher_is_better: false,
+    });
+    out.push(Metric {
+        key: "info_allocs_per_req_cluster_par",
+        value: cluster_par_allocs,
         higher_is_better: false,
     });
 

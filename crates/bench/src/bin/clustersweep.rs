@@ -81,9 +81,14 @@ fn main() {
     write_sweep("clustersweep", &table);
     println!(
         "Expected shape: function-affinity shows the largest imbalance (the Zipf \
-         head lands whole on single nodes) and the worst p99 at high node counts; \
-         least-loaded tracks round-robin on balance while placing hot functions \
-         across both replicas. Adding nodes at fixed offered load cuts queueing \
-         for every policy — the cluster-level form of the fleet's pooling win."
+         head lands whole on single nodes) and by far the worst sojourns; \
+         least-loaded tracks round-robin on balance at 2 nodes while placing hot \
+         functions across both replicas. Every function keeps its 2 replicas at \
+         any node count, so adding nodes at fixed offered load adds no capacity \
+         to any one function: round-robin and function-affinity sojourns stay \
+         flat, and least-loaded's, which balances each node's total expected \
+         work rather than a function's pools, rise with its imbalance. `queue \
+         p99` is the depth of one function's pool on one node, as a fleet \
+         reports it, so it moves with the sojourn columns."
     );
 }

@@ -7,18 +7,15 @@
 //! [`ExecMode::Serial`] and [`ExecMode::Parallel`] at [`THREADS`]
 //! workers, and times each whole run (pool construction is node-local
 //! and parallelizes with the node, so it is part of the measured
-//! region on both sides). The serial side runs every node's
-//! interleaved loop, the reference. On a multicore host the parallel
-//! side fans the nodes out and each node executes its pools' arrivals
-//! ahead on its worker, then replays them, so the ratio counts that
-//! step's cache locality as well as the node parallelism. Result
+//! region on both sides). Both sides run every node down the same path,
+//! one pool at a time, so the ratio is the node fan-out alone. Result
 //! equality is asserted after the measurement through the `{:?}`
-//! fingerprint, which makes the rig a release-mode check that the
-//! interleaved and the execute-ahead node paths agree at 10⁶ requests,
-//! on top of `gh-faas`'s differential tests. An untimed faulty run
-//! ([`faulty_check`], a tenth of the requests under `perfbench`'s
-//! `cluster-cached` fault plan) checks the same at scale with crashes,
-//! rerouted retries, failed restores and node loss.
+//! fingerprint, which makes the rig a release-mode check that node
+//! fan-out is invisible at 10⁶ requests, on top of `gh-faas`'s
+//! differential tests. An untimed faulty run ([`faulty_check`], a tenth
+//! of the requests under `perfbench`'s `cluster-cached` fault plan)
+//! checks the same at scale with crashes, rerouted retries, failed
+//! restores and node loss.
 //! A third, much smaller run pins the sketch-bounded stats-memory
 //! guarantee: `stats_bytes` must not depend on the request count.
 //!
@@ -131,19 +128,17 @@ fn timed_run(requests: u64, mode: ExecMode) -> (f64, String, usize) {
     (ns, format!("{result:?}"), result.stats_bytes)
 }
 
-/// One serial run of the rig's shape over `requests` requests, untimed
+/// One run of the rig's shape over `requests` requests in `mode`, untimed
 /// — what `bench_smoke`'s heap-allocation counters measure.
-pub fn serial_run(requests: u64) -> ClusterResult {
+pub fn run_in(requests: u64, mode: ExecMode) -> ClusterResult {
     let catalog = synthetic_catalog(FUNCTIONS, SEED);
     let (trace, ccfg) = config(&catalog, requests);
-    run_cluster_with(
-        &trace,
-        &catalog,
-        &ccfg,
-        GroundhogConfig::gh(),
-        ExecMode::Serial,
-    )
-    .expect("run")
+    run_cluster_with(&trace, &catalog, &ccfg, GroundhogConfig::gh(), mode).expect("run")
+}
+
+/// [`run_in`] in [`ExecMode::Serial`].
+pub fn serial_run(requests: u64) -> ClusterResult {
+    run_in(requests, ExecMode::Serial)
 }
 
 /// [`serial_run`]'s shape behind a caching gateway front: nearly every
@@ -177,8 +172,8 @@ pub fn serial_cached_run(requests: u64) -> ClusterGatewayResult {
 /// loss 2% per 500 ms window, rerouted retries, 4 attempts), serial
 /// and node-parallel at `threads` workers, untimed, and asserts
 /// the two results equal through `{:?}` and every fault family fired:
-/// a release-mode check that each faulty node's pool step replays the
-/// interleaved loop. Returns the serial result.
+/// a release-mode check that node fan-out stays invisible under faults.
+/// Returns the serial result.
 pub fn faulty_check(requests: u64, threads: usize) -> ClusterResult {
     let catalog = synthetic_catalog(FUNCTIONS, SEED);
     let (trace, ccfg) = config(&catalog, requests);
@@ -200,7 +195,7 @@ pub fn faulty_check(requests: u64, threads: usize) -> ClusterResult {
     assert_eq!(
         format!("{serial:?}"),
         format!("{par:?}"),
-        "the execute-ahead, node-parallel faulty cluster run diverged from the interleaved serial reference"
+        "the node-parallel faulty cluster run diverged from the serial run"
     );
     let f = serial.faults;
     assert!(
@@ -242,7 +237,7 @@ pub fn run() -> ClusterScalingReport {
     let (par_ns, par_fp, _) = timed_run_best(requests, ExecMode::Parallel { threads }, iters);
     assert_eq!(
         serial_fp, par_fp,
-        "the execute-ahead, node-parallel cluster run diverged from the interleaved serial reference"
+        "the node-parallel cluster run diverged from the serial run"
     );
     faulty_check(requests.div_ceil(10), threads);
     // The bounded-memory acceptance: 50x fewer requests, same stats

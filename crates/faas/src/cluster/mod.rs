@@ -6,14 +6,14 @@
 //! cloud. This module models the next level up:
 //!
 //! - every **node** hosts a pool per function deployed to it (its
-//!   replica set, see [`place`]) and runs all of its pools through the
-//!   fleet's own event loop, the dispatch kernel's, on one node-local
-//!   [`gh_sim::event::EventQueue`] — admission queues, overlap
-//!   accounting, the attempt semantics under faults (crash, park, retry
-//!   within the node, abandon, restore failure) and the end of the run
-//!   (the first event after which every arrival is served or abandoned)
-//!   are the fleet's own, not a copy, so a one-node cluster fed a
-//!   round-robin fleet's arrivals is that fleet bit for bit;
+//!   replica set, see [`place`]) and runs each pool through the fleet's
+//!   own event loop, the dispatch kernel's, one pool at a time on one
+//!   node-local kernel — admission queues, overlap accounting, the
+//!   attempt semantics under faults (crash, park, retry within the pool,
+//!   abandon, restore failure) and the end of the run (the first event
+//!   after which every arrival is served or abandoned) are the fleet's
+//!   own, not a copy, so a one-node cluster fed a round-robin fleet's
+//!   arrivals is that fleet bit for bit;
 //! - the **front-end** ([`Placer`]) assigns each trace event to a node
 //!   using only deterministic coordinator state (cursors, expected
 //!   work), never node progress;
@@ -42,25 +42,21 @@
 //! to the serial reference — enforced by `tests/cluster_oracle.rs`
 //! across seeds × policies × node counts × pool sizes.
 //!
-//! Inside a node the same purity holds one level down: a node's pools
-//! route round-robin, and a fault couples the slots of one pool (a
-//! crash delays its slot, a rerouted retry takes the pool's cursor) but
-//! never two pools, since retries stay in their pool. In a run with ≥ 2
-//! threads every node, faulty or not, therefore executes ahead pool by
-//! pool on its own worker (rule on [`ExecMode`]): each pool runs the
-//! kernel's loop over the node's arrival list, admitting only its own
-//! arrivals, while its slots log every step, then the node's loop runs
-//! once while every slot replays its log (`fleet::par`). That buys
-//! cache locality, not parallelism: the interleaved loop touches the
-//! node's containers in trace order, evicting each one's extents,
-//! frames and snapshot between its requests. Serial runs keep the
-//! interleaved loop, the reference.
+//! Inside a node the same purity holds one level down. Groundhog serves
+//! at most one request per container and rolls it back between
+//! invocations (§3.1, §4), and a retry stays in its pool, so a
+//! function's pool on a node shares no state with the node's other
+//! pools. A node is therefore the exact merge of its pools
+//! (`run_node`): it runs them one at a time, in ascending fn id,
+//! through one reused kernel, building each pool, running its function's
+//! arrivals and dropping it before the next. That keeps one pool's
+//! containers cache-warm between their requests and holds one pool live
+//! per node. Serial and node-parallel runs share this one node path.
 //!
-//! The fold finishes before the first node starts rather than streaming
-//! arrivals to concurrently live nodes over bounded channels: streaming
-//! would keep every node's pools resident at once (~25 MiB per node),
-//! while claiming whole nodes keeps at most `threads` nodes' pools live
-//! — far more memory than the arrival lists cost.
+//! The fold finishes before the first node starts. A node runs its pools
+//! in fn-id order, not trace order, so it needs its whole list before its
+//! first pool runs; streaming the trace to live nodes would instead keep
+//! every pool of every node live.
 //!
 //! Stats memory is sketch-bounded: each node carries two fixed-size
 //! sketches (~30 KiB each) regardless of request count
@@ -93,8 +89,8 @@ use gh_sim::{Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
-use crate::fleet::backend::{Backend, Feed, Tally};
-use crate::fleet::{par, ExecMode, Pending, Pool, RoutePolicy, Router};
+use crate::fleet::backend::{Backend, Tally};
+use crate::fleet::{ExecMode, Pending, Pool, RoutePolicy, Router};
 use crate::trace::{TraceConfig, TraceEvent, TraceGen};
 
 pub use front::{FrontDecision, GatewayFront};
@@ -206,9 +202,13 @@ pub struct ClusterResult {
     pub p95_ms: f64,
     /// 99th-percentile sojourn, ms.
     pub p99_ms: f64,
-    /// Mean aggregate queue depth over node scheduling events.
+    /// Mean queue depth of a function's pool, merged over pools and
+    /// nodes. Each pool's depth is sampled at its admissions, retries and
+    /// `Ready` edges until the pool settles, as a fleet samples its own
+    /// ([`FleetStats::queue_mean`](crate::fleet::FleetStats::queue_mean)).
     pub queue_mean: f64,
-    /// 99th-percentile aggregate queue depth.
+    /// 99th-percentile queue depth of a function's pool, merged over
+    /// pools and nodes like [`ClusterResult::queue_mean`].
     pub queue_p99: f64,
     /// Total restore time charged across the cluster, ms.
     pub restore_total_ms: f64,
@@ -380,17 +380,18 @@ fn fold(
     })
 }
 
-/// Runs node `node`'s entire timeline: the pools deployed on it, fed by
-/// `arrivals` (the node's list from the coordinator [`fold`]), through
-/// the kernel's event loop ([`Backend::run`]), with no autoscaler. Like
-/// a fleet run, it ends at the first event after which every arrival
-/// is served or abandoned and nothing waits: trailing `Ready` edges of
-/// idle slots are not drained. In a run that may use `threads` ≥ 2
-/// workers the node executes ahead pool by pool on this worker, faults
-/// included (see the module docs); with one thread it runs the
-/// interleaved loop. Pure: no shared state, so serial and parallel
-/// callers get identical results.
-#[allow(clippy::too_many_arguments)]
+/// Runs node `node`'s entire timeline: one pool per function deployed
+/// on it, fed by `arrivals` (the node's list from the coordinator
+/// [`fold`]). The node is the merge of its pools: they run one at a
+/// time, in ascending fn id, through one kernel ([`Backend::run`]) with
+/// no autoscaler. Each is built, runs its function's arrivals, adds its
+/// slots' stats to the node's and is dropped before the next is built.
+/// A pool with no arrivals is built too, so a node's cold starts do not
+/// depend on its traffic. Like a fleet run, each pool's run ends at the
+/// first event after which its arrivals are served or abandoned and
+/// nothing waits: trailing `Ready` edges of idle slots are not drained.
+/// Pure: no shared state, so serial and parallel callers get identical
+/// results.
 fn run_node(
     node: usize,
     arrivals: &[TraceEvent],
@@ -399,83 +400,51 @@ fn run_node(
     catalog: &[FunctionSpec],
     ccfg: &ClusterConfig,
     gh: &GroundhogConfig,
-    threads: usize,
 ) -> Result<NodeResult, StrategyError> {
     let nf = trace_cfg.functions as usize;
-
-    // Pools for the functions deployed here, ascending fn id. Each pool
-    // seeds its containers from the (cluster seed, node, fn) hash so
-    // node timelines are independent of which host thread runs them.
-    let mut pools: Vec<Pool> = Vec::new();
-    let mut routers: Vec<Router> = Vec::new();
-    let mut pool_of: Vec<Option<u32>> = vec![None; nf];
-    for (f, spec) in catalog.iter().enumerate().take(nf) {
-        if !placer.hosts(node, f) {
-            continue;
-        }
-        let seed = place::mix(ccfg.seed ^ ((node as u64) << 32) ^ f as u64);
-        pool_of[f] = Some(pools.len() as u32);
-        pools.push(Pool::build(
-            spec,
-            ccfg.kind,
-            gh.clone(),
-            ccfg.slots_per_pool,
-            seed,
-        )?);
-        routers.push(Router::new(RoutePolicy::RoundRobin));
-    }
-    let containers: u32 = pools.iter().map(|p| p.slots.len() as u32).sum();
     let principals: Vec<String> = (0..trace_cfg.principals)
         .map(|p| format!("user-{p}"))
         .collect();
-
     // Fault draws are pure hashes of (seed, request, attempt), so a
-    // node's own faults stay node-pure. Retries stay on this node —
-    // rerouting moves them to another container in the same pool, never
-    // across nodes, so node timelines remain pure.
+    // node's own faults stay node-pure. Retries stay in their pool —
+    // rerouting moves them to another container of the same pool, never
+    // across pools or nodes.
     let plan = ccfg.faults.filter(|c| c.is_active()).map(FaultPlan::new);
-    let pool =
-        |a: &TraceEvent| pool_of[a.fn_id as usize].expect("placed on a non-replica") as usize;
-    let pending = |a: &TraceEvent, principal| Pending {
-        id: a.seq,
-        principal,
-        input_kb: catalog[a.fn_id as usize].input_kb,
-        arrival: a.at,
-        payload_hash: a.payload_hash,
-        idempotent: a.idempotent,
-        attempt: 1,
-    };
-    let request = |a: &TraceEvent| pending(a, principals[a.principal as usize].clone());
-    // The node's input is a known list: every arrival must complete or
-    // be abandoned after deaths.
-    let tally = if par::eligible(threads, &routers, None) {
-        // This node already has its worker, so its pools execute one
-        // after another on it, and a request clones its principal once,
-        // in its pool's loop. While every slot replays, only round-robin
-        // routing and the log checks read a request, and neither reads
-        // the principal: the replay's requests carry an empty one, which
-        // allocates nothing.
-        let replayed = |a: &TraceEvent| pending(a, String::new());
-        par::run_node_ahead(
-            plan,
-            &mut pools,
-            &mut routers,
-            arrivals,
-            pool,
-            request,
-            replayed,
-        )
-    } else {
-        let feed = arrivals.iter().map(|a| Feed::Request(pool(a), request(a)));
-        Backend::run(plan, &mut pools, &mut routers, feed, arrivals.len(), None)
-    }?;
-
+    let mut k: Backend = Backend::new(plan);
     let mut restore_total = Nanos::ZERO;
     let mut restore_hidden = Nanos::ZERO;
     let mut lazy_faults = 0u64;
     let mut busy = Nanos::ZERO;
+    let mut containers = 0u32;
     let mut span_end = trace_cfg.origin;
-    for pool in &mut pools {
+    for (f, spec) in catalog.iter().enumerate().take(nf) {
+        if !placer.hosts(node, f) {
+            continue;
+        }
+        // Each pool seeds its containers from the (cluster seed, node,
+        // fn) hash, so node timelines are independent of which host
+        // thread runs them.
+        let seed = place::mix(ccfg.seed ^ ((node as u64) << 32) ^ f as u64);
+        let mut pool = Pool::build(spec, ccfg.kind, gh.clone(), ccfg.slots_per_pool, seed)?;
+        let own = arrivals
+            .iter()
+            .filter(|a| a.fn_id as usize == f)
+            .map(|a| Pending {
+                id: a.seq,
+                principal: principals[a.principal as usize].clone(),
+                input_kb: spec.input_kb,
+                arrival: a.at,
+                payload_hash: a.payload_hash,
+                idempotent: a.idempotent,
+                attempt: 1,
+            });
+        k.run(
+            &mut pool,
+            &mut Router::new(RoutePolicy::RoundRobin),
+            own,
+            None,
+        )?;
+        containers += pool.slots.len() as u32;
         for s in &mut pool.slots {
             s.settle();
             restore_total += s.restore_total;
@@ -487,8 +456,10 @@ fn run_node(
             }
         }
     }
+    // Every arrival must complete or be abandoned after deaths; one for
+    // a function not deployed here would be left unserved.
     Ok(NodeResult {
-        tally,
+        tally: k.finish(arrivals.len()),
         restore_total,
         restore_hidden,
         lazy_faults,
@@ -651,8 +622,7 @@ fn run_folded(
 
 /// Runs every node timeline on its list from `fold`, serial or
 /// work-stealing parallel on `mode`'s threads, and returns the results
-/// in node-index order. With ≥ 2 threads every node also executes its
-/// pools ahead on its worker ([`run_node`]).
+/// in node-index order.
 fn run_nodes(
     fold: &Fold,
     trace_cfg: &TraceConfig,
@@ -661,18 +631,15 @@ fn run_nodes(
     gh: &GroundhogConfig,
     mode: ExecMode,
 ) -> Result<Vec<NodeResult>, StrategyError> {
-    let threads = mode.threads();
-    ordered_map(ccfg.nodes, threads, |i| {
-        let placer = &fold.placer;
+    ordered_map(ccfg.nodes, mode.threads(), |i| {
         run_node(
             i,
             &fold.arrivals[i],
-            placer,
+            &fold.placer,
             trace_cfg,
             catalog,
             ccfg,
             gh,
-            threads,
         )
     })
 }
@@ -1215,93 +1182,164 @@ mod tests {
                     .collect();
             let placer = Placer::new(ccfg.policy, 1, 1, &catalog, ccfg.seed);
             let fleet = Fleet::new(fcfg.clone()).with_faults(faults);
-            for node_threads in [1, 2] {
-                let node = run_node(
-                    0,
-                    &events,
-                    &placer,
-                    &trace_cfg,
-                    &catalog,
-                    &ccfg,
-                    &gh,
-                    node_threads,
-                )
-                .unwrap();
-                let t = &node.tally;
-                assert!(t.depth.mean() > 0.0, "{faults:?}: requests queue");
-                if faults.is_active() {
-                    assert!(
-                        t.faults.deaths > 0 && t.faults.restore_failures > 0,
-                        "{faults:?}: {:?}",
-                        t.faults
-                    );
+            let node = run_node(0, &events, &placer, &trace_cfg, &catalog, &ccfg, &gh).unwrap();
+            let t = &node.tally;
+            assert!(t.depth.mean() > 0.0, "{faults:?}: requests queue");
+            if faults.is_active() {
+                assert!(
+                    t.faults.deaths > 0 && t.faults.restore_failures > 0,
+                    "{faults:?}: {:?}",
+                    t.faults
+                );
+            }
+            for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
+                let r = fleet
+                    .run_with(&mut pool().unwrap(), requests as usize, mode)
+                    .unwrap();
+                let label = format!("{faults:?} {mode:?}");
+                let pairs = [
+                    ("sojourn mean", r.mean_ms, t.sojourns.mean_ms()),
+                    ("sojourn p99", r.p99_ms, t.sojourns.quantile_ms(99.0)),
+                    ("depth mean", r.stats.queue_mean, t.depth.mean()),
+                    ("depth p99", r.stats.queue_p99, t.depth.percentile(99.0)),
+                    (
+                        "restore total",
+                        r.stats.restore_total_ms,
+                        node.restore_total.as_millis_f64(),
+                    ),
+                ];
+                for (what, fleet, node) in pairs {
+                    assert_eq!(fleet.to_bits(), node.to_bits(), "{label}: {what}");
                 }
-                for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
-                    let r = fleet
-                        .run_with(&mut pool().unwrap(), requests as usize, mode)
-                        .unwrap();
-                    let label = format!("{faults:?} {mode:?} node threads {node_threads}");
-                    let pairs = [
-                        ("sojourn mean", r.mean_ms, t.sojourns.mean_ms()),
-                        ("sojourn p99", r.p99_ms, t.sojourns.quantile_ms(99.0)),
-                        ("depth mean", r.stats.queue_mean, t.depth.mean()),
-                        ("depth p99", r.stats.queue_p99, t.depth.percentile(99.0)),
-                        (
-                            "restore total",
-                            r.stats.restore_total_ms,
-                            node.restore_total.as_millis_f64(),
-                        ),
-                    ];
-                    for (what, fleet, node) in pairs {
-                        assert_eq!(fleet.to_bits(), node.to_bits(), "{label}: {what}");
-                    }
-                    assert_eq!(r.completed, t.completed, "{label}: completed");
-                    assert_eq!(
-                        r.stats.lazy_faults, node.lazy_faults,
-                        "{label}: lazy faults"
-                    );
-                    assert_eq!(r.stats.faults, t.faults, "{label}: fault stats");
-                }
+                assert_eq!(r.completed, t.completed, "{label}: completed");
+                assert_eq!(
+                    r.stats.lazy_faults, node.lazy_faults,
+                    "{label}: lazy faults"
+                );
+                assert_eq!(r.stats.faults, t.faults, "{label}: fault stats");
             }
         }
     }
 
     #[test]
-    fn a_retry_tied_with_an_arrival_keeps_the_node_order() {
-        // Pool 0's first request dies at t0 (every attempt dies), pool
-        // 1's request arrives 1 ms later, and pool 0's next request
-        // arrives on the exact nanosecond of the first one's retry. The
-        // node's loop takes the retry first: the arrival took its
-        // insertion number when pool 1's arrival was stepped, after the
-        // crash scheduled the retry. Pool 0 running ahead on its own
-        // orders the tie the same way only by stepping past pool 1's
-        // arrival as a ghost. Under rerouting the order decides the
-        // round-robin cursor; retrying after restore, it decides the
-        // died slot's queue order, and the retry waits for the slot's
-        // recovery, so the arrival lands on that instant.
+    fn a_node_is_the_merge_of_its_pools() {
+        // A function's pool shares no state with the node's other pools:
+        // a container serves one request at a time and rolls back between
+        // them, and a retry stays in its pool. So a node fed two
+        // functions' arrivals is, bit for bit, the merge of the same node
+        // fed each function's arrivals alone (the other pool is built and
+        // idles), queue depth included: it is a pool's depth, never the
+        // node's sum. Cases: fault-free; 8% deaths plus 4% restore
+        // failures under both retry policies, with 1–3 slots per pool;
+        // and a hand-built list whose first request dies on every attempt
+        // and whose third arrives on the exact nanosecond of the first
+        // one's retry, with the other function's arrival in between.
         let seed = 37;
         let catalog = synthetic_catalog(2, seed);
         let trace_cfg = TraceConfig {
-            principals: 2,
-            ..TraceConfig::new(2, 3, 100.0, seed)
+            principals: 4,
+            ..TraceConfig::new(2, 240, 400.0, seed)
         };
         let gh = GroundhogConfig::gh();
+        let placer = Placer::new(PlacePolicy::RoundRobin, 1, 1, &catalog, seed);
+        let cluster = |slots, faults| {
+            let mut ccfg = ClusterConfig::new(1, PlacePolicy::RoundRobin, StrategyKind::Gh, seed)
+                .with_faults(faults);
+            ccfg.slots_per_pool = slots;
+            ccfg
+        };
+        let check = |label: &str, events: &[TraceEvent], ccfg: &ClusterConfig| -> Tally {
+            let node = |events: &[TraceEvent]| {
+                run_node(0, events, &placer, &trace_cfg, &catalog, ccfg, &gh).unwrap()
+            };
+            let whole = node(events);
+            let parts: Vec<NodeResult> = (0..2)
+                .map(|f| {
+                    let own: Vec<TraceEvent> =
+                        events.iter().filter(|a| a.fn_id == f).copied().collect();
+                    node(&own)
+                })
+                .collect();
+            let mut merged = Tally::default();
+            parts.iter().for_each(|p| merged.merge(&p.tally));
+            let (t, m) = (&whole.tally, &merged);
+            assert_eq!(t.sojourns, m.sojourns, "{label}: sojourns");
+            let depth = |t: &Tally| {
+                let d = &t.depth;
+                (d.mean().to_bits(), d.len(), d.percentile(99.0).to_bits())
+            };
+            assert_eq!(depth(t), depth(m), "{label}: depth mean, samples, p99");
+            assert_eq!(t.completed, m.completed, "{label}: completed");
+            assert_eq!(t.faults, m.faults, "{label}: fault stats");
+            let sum = |get: fn(&NodeResult) -> Nanos| parts.iter().map(get).sum::<Nanos>();
+            let timeline = (
+                sum(|n| n.busy),
+                sum(|n| n.restore_total),
+                sum(|n| n.restore_hidden),
+                parts.iter().map(|n| n.lazy_faults).sum::<u64>(),
+                parts.iter().map(|n| n.span_end).max().unwrap(),
+            );
+            assert_eq!(
+                (
+                    whole.busy,
+                    whole.restore_total,
+                    whole.restore_hidden,
+                    whole.lazy_faults,
+                    whole.span_end
+                ),
+                timeline,
+                "{label}: busy, restore total, restore hidden, lazy faults, span end"
+            );
+            whole.tally
+        };
+
+        let events: Vec<TraceEvent> = TraceGen::new(&trace_cfg).collect();
+        assert!(
+            (0..2).all(|f| events.iter().any(|a| a.fn_id == f)),
+            "both functions have arrivals"
+        );
+        let faulty = |retry| FaultConfig {
+            restore_failure_rate: 0.04,
+            retry,
+            ..FaultConfig::deaths(seed, 0.08)
+        };
+        for slots in 1..=3 {
+            let cases = [
+                FaultConfig::none(seed),
+                faulty(RetryPolicy::bounded()),
+                faulty(RetryPolicy::rerouting()),
+            ];
+            for faults in cases {
+                let policy = if faults.is_active() {
+                    faults.retry.label()
+                } else {
+                    "fault-free".into()
+                };
+                let label = format!("{slots} slots, {policy}");
+                let t = check(&label, &events, &cluster(slots, faults));
+                assert!(t.depth.percentile(99.0) > 0.0, "{label}: requests queue");
+                if faults.is_active() {
+                    let f = t.faults;
+                    assert!(f.retries > 0 && f.restore_failures > 0, "{label}: {f:?}");
+                }
+            }
+        }
+
+        // The tie: request 3 arrives on the exact nanosecond request 1's
+        // retry is due. Retrying after restore, the retry waits for the
+        // died slot's recovery, so the arrival lands on that instant.
         for (retry, slots) in [(RetryPolicy::rerouting(), 2), (RetryPolicy::bounded(), 1)] {
             let faults = FaultConfig {
                 retry,
                 ..FaultConfig::deaths(seed, 1.0)
             };
-            let mut ccfg = ClusterConfig::new(1, PlacePolicy::RoundRobin, StrategyKind::Gh, seed)
-                .with_faults(faults);
-            ccfg.slots_per_pool = slots;
-            // The node's pools, as `run_node` seeds them.
-            let pool = |f: u64| {
+            let pool = |f: usize| {
                 Pool::build(
-                    &catalog[f as usize],
-                    ccfg.kind,
+                    &catalog[f],
+                    StrategyKind::Gh,
                     gh.clone(),
                     slots,
-                    place::mix(seed ^ f),
+                    place::mix(seed ^ f as u64),
                 )
                 .unwrap()
             };
@@ -1342,24 +1380,9 @@ mod tests {
                 event(2, t0 + Nanos::from_millis(1), 1),
                 event(3, retry_at, 0),
             ];
-            let placer = Placer::new(ccfg.policy, 1, 1, &catalog, seed);
-            let node = |threads| {
-                run_node(
-                    0, &events, &placer, &trace_cfg, &catalog, &ccfg, &gh, threads,
-                )
-                .unwrap()
-            };
-            let (serial, ahead) = (node(1), node(2));
-            let label = retry.label();
-            let f = serial.tally.faults;
+            let label = format!("tie, {}", retry.label());
+            let f = check(&label, &events, &cluster(slots, faults)).faults;
             assert!(f.retries > 0 && f.abandoned == 3, "{label}: {f:?}");
-            assert_eq!(ahead.tally.faults, f, "{label}");
-            assert_eq!(ahead.tally.completed, serial.tally.completed, "{label}");
-            assert_eq!(ahead.tally.sojourns, serial.tally.sojourns, "{label}");
-            let depth = |n: &NodeResult| (n.tally.depth.mean().to_bits(), n.tally.depth.len());
-            assert_eq!(depth(&ahead), depth(&serial), "{label}");
-            let timeline = |n: &NodeResult| (n.busy, n.restore_total, n.restore_hidden, n.span_end);
-            assert_eq!(timeline(&ahead), timeline(&serial), "{label}");
         }
     }
 

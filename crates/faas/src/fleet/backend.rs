@@ -1,15 +1,16 @@
 //! The dispatch kernel: the one definition of an attempt, and the one
-//! event loop that drives fleets and cluster nodes.
+//! event loop that drives fleets and cluster nodes, one pool at a time.
 //!
 //! Groundhog runs at most one request per container at a time and
 //! buffers inputs until the container is provably clean (§4.5). The
 //! fault layer ([`crate::fault`]) carries that discipline to failed
 //! attempts: a container may die mid-request (crash, recovery cold
 //! start, park, backoff, then retry or abandon) or fail its restore.
-//! [`Backend`] holds those semantics once. Per run, the kernel owns the
-//! fault plan, the park table, a queued counter and the run's [`Tally`].
+//! [`Backend`] holds those semantics once. The kernel owns the fault
+//! plan, the park table, a queued counter and its runs' [`Tally`].
 //!
-//! Three steps over one event enum ([`Event`]):
+//! Three steps over one event enum ([`Event`]), each on one pool and its
+//! router:
 //!
 //! - [`Backend::admit`] routes a request, enqueues it and samples the
 //!   queue depth;
@@ -19,23 +20,24 @@
 //!   the slot's `Ready` edge and any `Retry`;
 //! - [`Backend::retry`] unparks a request whose backoff elapsed and
 //!   requeues it on the slot it died on or, under a rerouting
-//!   [`RetryPolicy`](crate::fault::RetryPolicy), on another slot of its
+//!   [`RetryPolicy`](crate::fault::RetryPolicy), on another slot of the
 //!   pool, then samples the queue depth.
 //!
-//! [`Backend::run`] is the loop over those steps. The fleet runs it in
-//! both execution modes ([`super::Fleet::run_with`]) and so does every
-//! cluster node ([`crate::cluster`]), and it ends each run at the first
-//! event after which the run is [`settled`](Backend::settled): a fleet
-//! and a one-node cluster fed the same arrivals are the same machine.
-//! The loop holds its next arrival outside the heap under the insertion
-//! number its `Arrival` event would have taken, so ties break as if it
-//! were scheduled. That lets a pool running ahead of its node on its own
-//! ([`super::par`]) step past another pool's arrival as a ghost
-//! ([`Feed::Ghost`]), which takes that number and nothing else, so the
-//! pool's own events tie-break exactly as they do in the node's loop.
-//! The gateway ([`crate::gateway::GatewayFleet::run`]) calls the three
-//! steps from a loop of its own, because its policies act on every
-//! event (cache fills, ceiling release, its own driver events).
+//! [`Backend::run`] is the loop over those steps for one pool. The fleet
+//! runs it in both execution modes ([`super::Fleet::run_with`]), and
+//! every cluster node ([`crate::cluster`]) runs it once per pool through
+//! one reused kernel. Groundhog serves one request per container and
+//! rolls it back between invocations (§3.1, §4), and a retry stays in its
+//! pool, so two pools share no state and no loop ever runs two. Each run
+//! ends at the first event after which it is
+//! [`settled`](Backend::settled): a fleet and a one-node cluster fed the
+//! same arrivals are the same machine. The loop holds its next arrival
+//! outside the heap under the insertion number its `Arrival` event would
+//! have taken, so ties break as if it were scheduled, and each arrival
+//! saves a heap push and pop. The gateway
+//! ([`crate::gateway::GatewayFleet::run`]) calls the three steps from a
+//! loop of its own, because its policies act on every event (cache
+//! fills, ceiling release, its own driver events).
 //!
 //! With no plan the kernel draws nothing and schedules no retry, so a
 //! fault-free run is the fault-free reference bit for bit. The kernel
@@ -63,23 +65,26 @@ use super::router::Router;
 pub(crate) enum Event<D = Infallible> {
     /// The driver's next arrival is due.
     Arrival,
-    /// Slot `(pool, slot)` finished its restore or recovery and is
+    /// The slot at this index finished its restore or recovery and is
     /// provably clean.
-    Ready(u32, u32),
+    Ready(u32),
     /// A killed request's backoff elapsed (its token in the park table).
     Retry(u32),
     /// A driver-owned event.
     Driver(D),
 }
 
-/// What one run measured. Tallies merge exactly, so per-node tallies
-/// fold into a cluster-wide one independent of execution order.
+/// What one or more runs measured. Tallies merge exactly, so per-pool
+/// and per-node tallies fold into a cluster-wide one independent of
+/// execution order.
 #[derive(Default)]
 pub(crate) struct Tally {
     /// Sojourns of served requests, integer nanoseconds.
     pub sojourns: QuantileSketch,
-    /// Aggregate queue depth, sampled at every admission, retry and
-    /// `Ready` edge.
+    /// Queue depth of the run's pool, summed over its slots' admission
+    /// queues and sampled at every admission, retry and `Ready` edge
+    /// until the run settles. Merged over runs, it is the depth of a
+    /// function's pool.
     pub depth: DepthTracker,
     /// Requests served.
     pub completed: usize,
@@ -97,26 +102,26 @@ impl Tally {
     }
 }
 
-/// One run's dispatch state (see the module docs). Steps take the run's
-/// pools and their routers by slice: one of each for a fleet or
-/// gateway, one per deployed function on a cluster node.
+/// The dispatch state of one pool's run (see the module docs). A kernel
+/// may run several pools one after another, adding each run to its
+/// tally.
 pub(crate) struct Backend<D = Infallible> {
     /// The run's timeline. Drivers schedule their arrivals and `Driver`
     /// events here; the kernel schedules `Ready` and `Retry`.
     pub events: EventQueue<Event<D>>,
-    /// What the run has measured so far.
+    /// What the kernel's runs have measured so far.
     pub tally: Tally,
     plan: Option<FaultPlan>,
-    /// Killed requests waiting out their backoff, with the (pool, slot)
-    /// they died on; a `Retry` event carries the index.
-    parked: Vec<Option<(Pending, u32, u32)>>,
+    /// Killed requests waiting out their backoff, with the slot they died
+    /// on; a `Retry` event carries the index.
+    parked: Vec<Option<(Pending, u32)>>,
     parked_live: usize,
-    /// Requests waiting across every admission queue of the run.
+    /// Requests waiting across the pool's admission queues.
     queued: usize,
 }
 
 impl<D> Backend<D> {
-    /// A kernel for one run under `plan` (`None`: fault-free).
+    /// A kernel under `plan` (`None`: fault-free).
     pub fn new(plan: Option<FaultPlan>) -> Backend<D> {
         Backend {
             events: EventQueue::new(),
@@ -128,54 +133,40 @@ impl<D> Backend<D> {
         }
     }
 
-    /// Routes `p` to a slot of pool `pool`, enqueues it and samples the
-    /// queue depth. Returns the slot.
-    pub fn admit(
-        &mut self,
-        now: Nanos,
-        pools: &mut [Pool],
-        routers: &mut [Router],
-        pool: usize,
-        p: Pending,
-    ) -> usize {
-        let slots = &pools[pool].slots;
-        let slot = routers[pool].route(now, &p.principal, restore_cost(&pools[pool]), slots);
-        self.enqueue(pools, pool, slot, p);
+    /// Routes `p` to a slot of `pool`, enqueues it and samples the queue
+    /// depth. Returns the slot.
+    pub fn admit(&mut self, now: Nanos, pool: &mut Pool, router: &mut Router, p: Pending) -> usize {
+        let slot = router.route(now, &p.principal, restore_cost(pool), &pool.slots);
+        self.enqueue(pool, slot, p);
         slot
     }
 
     /// Unparks the request behind `token` and requeues it on the slot it
-    /// died on, or on another slot of the same pool when the plan
-    /// reroutes, then samples the queue depth. Returns `(pool, slot)`.
-    pub fn retry(
-        &mut self,
-        now: Nanos,
-        token: u32,
-        pools: &mut [Pool],
-        routers: &mut [Router],
-    ) -> (usize, usize) {
-        let (p, pool, died) = self.parked[token as usize]
+    /// died on, or on another slot of `pool` when the plan reroutes, then
+    /// samples the queue depth. Returns the slot.
+    pub fn retry(&mut self, now: Nanos, token: u32, pool: &mut Pool, router: &mut Router) -> usize {
+        let (p, died) = self.parked[token as usize]
             .take()
             .expect("retry token fires once");
         self.parked_live -= 1;
-        let (pool, died) = (pool as usize, died as usize);
+        let died = died as usize;
         let slot = if self.plan.is_some_and(|pl| pl.config().retry.reroute) {
-            let cost = restore_cost(&pools[pool]);
-            routers[pool].route_avoiding(now, &p.principal, cost, &pools[pool].slots, Some(died))
+            let cost = restore_cost(pool);
+            router.route_avoiding(now, &p.principal, cost, &pool.slots, Some(died))
         } else {
             died
         };
-        self.enqueue(pools, pool, slot, p);
-        (pool, slot)
+        self.enqueue(pool, slot, p);
+        slot
     }
 
-    fn enqueue(&mut self, pools: &mut [Pool], pool: usize, slot: usize, p: Pending) {
-        pools[pool].slots[slot].queue.push(p);
+    fn enqueue(&mut self, pool: &mut Pool, slot: usize, p: Pending) {
+        pool.slots[slot].queue.push(p);
         self.queued += 1;
         self.tally.depth.record(self.queued);
     }
 
-    /// One attempt by slot `(pool, slot)` at `now`, if it is clean and
+    /// One attempt by slot `slot` of `pool` at `now`, if it is clean and
     /// has a queued head. With a plan armed, the head may die partway
     /// through ([`Slot::crash`](super::Slot::crash) charges the partial
     /// work plus a full re-init): it is parked for a retry after an
@@ -184,26 +175,25 @@ impl<D> Backend<D> {
     /// ([`Slot::fail_restore`](super::Slot::fail_restore)), pushing
     /// readiness out by a cold start. All draws are pure functions of
     /// `(fault seed, request id, attempt)`. A slot replaying its log
-    /// returns each logged step instead of executing it, and a step that
-    /// does not match the log is [`StrategyError::ReplayDiverged`].
-    /// Schedules the slot's `Ready` edge either way and returns what a
-    /// served attempt produced.
+    /// ([`super::par`]) returns each logged dispatch instead of serving
+    /// it again, or [`StrategyError::ReplayDiverged`]. Schedules the
+    /// slot's `Ready` edge either way and returns what a served attempt
+    /// produced.
     pub fn dispatch(
         &mut self,
         now: Nanos,
-        pools: &mut [Pool],
-        pool: usize,
+        pool: &mut Pool,
         slot: usize,
     ) -> Result<Option<Dispatched>, StrategyError> {
-        let s = &mut pools[pool].slots[slot];
-        let ready_edge = Event::Ready(pool as u32, slot as u32);
+        let s = &mut pool.slots[slot];
+        let ready_edge = Event::Ready(slot as u32);
         let head = match self.plan {
             Some(plan) if s.idle_at(now) => s.queue.peek().map(|p| (plan, p.id, p.attempt)),
             _ => None,
         };
         if let Some((plan, id, attempt)) = head {
             if let Some(frac) = plan.death(id, attempt) {
-                let Some((mut p, ready)) = s.crash_step(now, frac)? else {
+                let Some((mut p, ready)) = s.crash(now, frac) else {
                     return Ok(None);
                 };
                 self.queued -= 1;
@@ -225,7 +215,7 @@ impl<D> Backend<D> {
                         backoff_at.max(ready)
                     };
                     let token = self.parked.len() as u32;
-                    self.parked.push(Some((p, pool as u32, slot as u32)));
+                    self.parked.push(Some((p, slot as u32)));
                     self.parked_live += 1;
                     self.events.schedule(retry_at, Event::Retry(token));
                 }
@@ -242,7 +232,7 @@ impl<D> Backend<D> {
         let ready = match head {
             Some((plan, id, attempt)) if plan.restore_failure(id, attempt) => {
                 self.tally.faults.restore_failures += 1;
-                s.fail_restore_step(id, attempt, now)?
+                s.fail_restore()
             }
             _ => d.ready_at,
         };
@@ -255,11 +245,10 @@ impl<D> Backend<D> {
     pub fn ready(
         &mut self,
         now: Nanos,
-        pools: &mut [Pool],
-        pool: usize,
+        pool: &mut Pool,
         slot: usize,
     ) -> Result<Option<Dispatched>, StrategyError> {
-        let d = self.dispatch(now, pools, pool, slot)?;
+        let d = self.dispatch(now, pool, slot)?;
         self.tally.depth.record(self.queued);
         Ok(d)
     }
@@ -275,7 +264,7 @@ impl<D> Backend<D> {
         }
     }
 
-    /// Requests waiting across every admission queue of the run.
+    /// Requests waiting across the pool's admission queues.
     pub fn queued(&self) -> usize {
         self.queued
     }
@@ -289,9 +278,9 @@ impl<D> Backend<D> {
             && self.parked_live == 0
     }
 
-    /// Ends the run and returns its tally. Conservation is checked in
-    /// every build, since benchmarks run release builds only: nothing is
-    /// queued or parked, and served + abandoned == `admitted`.
+    /// Ends the kernel's runs and returns its tally. Conservation is
+    /// checked in every build, since benchmarks run release builds only:
+    /// nothing is queued or parked, and served + abandoned == `admitted`.
     pub fn finish(self, admitted: usize) -> Tally {
         assert!(
             self.settled(admitted),
@@ -306,86 +295,61 @@ impl<D> Backend<D> {
     }
 }
 
-/// One arrival of a run's feed, in arrival order.
-pub(crate) enum Feed {
-    /// A request for the pool at this index.
-    Request(usize, Pending),
-    /// Another pool's arrival at this instant, which a pool running ahead
-    /// on its own steps past ([`super::par`]): it takes the insertion
-    /// number its `Arrival` event would have taken in the node's loop,
-    /// builds no request and touches no heap.
-    Ghost(Nanos),
-}
-
-impl Feed {
-    fn at(&self) -> Nanos {
-        match self {
-            Feed::Request(_, p) => p.arrival,
-            Feed::Ghost(at) => *at,
-        }
-    }
-}
-
 impl Backend {
-    /// One run under `plan`: admits each request of `arrivals` — in
-    /// arrival order, `admitted` of them — to its pool at its arrival
-    /// time, attempts it, retries what dies and attempts again at every
-    /// `Ready` edge, and stops at the first event after which the run is
-    /// [`settled`](Backend::settled). The next arrival waits outside the
-    /// heap under the insertion number its `Arrival` event would have
-    /// taken, the first one's taken before the loop: each arrival is
-    /// admitted, then the next one takes its number, then the admitting
-    /// slot attempts, then `scaler` (if any) steps over the arrival's
-    /// pool and announces a grown slot's readiness. A ghost only takes
-    /// the next number. Returns the run's tally.
+    /// One run of `pool`: admits each request of `arrivals`, in arrival
+    /// order, at its arrival time, attempts it, retries what dies and
+    /// attempts again at every `Ready` edge, and stops at the first event
+    /// after which every arrival is served or abandoned and nothing waits.
+    /// The next arrival waits outside the heap under the insertion number
+    /// its `Arrival` event would have taken, the first one's taken before
+    /// the loop: each arrival is admitted, then the next one takes its
+    /// number, then the admitting slot attempts, then `scaler` (if any)
+    /// steps and announces a grown slot's readiness.
+    ///
+    /// A settled run leaves its idle slots' `Ready` edges in the heap,
+    /// naming `pool`'s slots, so a run starts on an empty timeline and
+    /// park table, as a fresh kernel does, and adds to the tally.
     pub fn run(
-        plan: Option<FaultPlan>,
-        pools: &mut [Pool],
-        routers: &mut [Router],
-        mut arrivals: impl Iterator<Item = Feed>,
-        admitted: usize,
+        &mut self,
+        pool: &mut Pool,
+        router: &mut Router,
+        mut arrivals: impl Iterator<Item = Pending>,
         mut scaler: Option<&mut Autoscaler>,
-    ) -> Result<Tally, StrategyError> {
-        let mut k: Backend = Backend::new(plan);
-        let mut upcoming = arrivals.next().map(|a| (k.events.reserve(), a));
-        while let Some((now, ev)) = k.next_event(upcoming.as_ref().map(|(n, a)| (a.at(), *n))) {
+    ) -> Result<(), StrategyError> {
+        self.events.reset();
+        self.parked.clear();
+        let mut admitted = self.tally.completed + self.tally.faults.abandoned as usize;
+        let mut upcoming = arrivals.next().map(|p| (self.events.reserve(), p));
+        while let Some((now, ev)) = self.next_event(upcoming.as_ref().map(|(n, p)| (p.arrival, *n)))
+        {
             match ev {
                 Event::Arrival => {
-                    let (_, due) = upcoming.take().expect("an arrival is due");
-                    let admit = match due {
-                        Feed::Request(pool, p) => {
-                            Some((pool, k.admit(now, pools, routers, pool, p)))
-                        }
-                        Feed::Ghost(_) => None,
-                    };
-                    upcoming = arrivals.next().map(|a| (k.events.reserve(), a));
-                    if let Some((pool, slot)) = admit {
-                        k.dispatch(now, pools, pool, slot)?;
-                        if let Some(scaler) = scaler.as_deref_mut() {
-                            if let Some((idx, ready)) =
-                                scaler.step(now, &mut pools[pool], k.queued())?
-                            {
-                                // The new container announces readiness
-                                // once initialized.
-                                k.events
-                                    .schedule(ready, Event::Ready(pool as u32, idx as u32));
-                            }
+                    let (_, p) = upcoming.take().expect("an arrival is due");
+                    let slot = self.admit(now, pool, router, p);
+                    admitted += 1;
+                    upcoming = arrivals.next().map(|p| (self.events.reserve(), p));
+                    self.dispatch(now, pool, slot)?;
+                    if let Some(scaler) = scaler.as_deref_mut() {
+                        if let Some((idx, ready)) = scaler.step(now, pool, self.queued)? {
+                            // The new container announces readiness
+                            // once initialized.
+                            self.events.schedule(ready, Event::Ready(idx as u32));
                         }
                     }
                 }
-                Event::Ready(pool, slot) => {
-                    k.ready(now, pools, pool as usize, slot as usize)?;
+                Event::Ready(slot) => {
+                    self.ready(now, pool, slot as usize)?;
                 }
                 Event::Retry(token) => {
-                    let (pool, slot) = k.retry(now, token, pools, routers);
-                    k.dispatch(now, pools, pool, slot)?;
+                    let slot = self.retry(now, token, pool, router);
+                    self.dispatch(now, pool, slot)?;
                 }
             }
-            if k.settled(admitted) {
+            if upcoming.is_none() && self.settled(admitted) {
                 break;
             }
         }
-        Ok(k.finish(admitted))
+        Ok(())
     }
 }
 
@@ -400,7 +364,7 @@ pub(super) fn restore_cost(pool: &Pool) -> Nanos {
 mod tests {
     use super::*;
     use crate::fault::{FaultConfig, RetryPolicy};
-    use crate::fleet::RoutePolicy;
+    use crate::fleet::{Fleet, RoutePolicy};
     use gh_functions::catalog::by_name;
     use gh_isolation::StrategyKind;
     use groundhog_core::GroundhogConfig;
@@ -419,10 +383,9 @@ mod tests {
     /// every step.
     fn drive(plan: Option<FaultPlan>, n: usize) -> Driven {
         let spec = by_name("fannkuch (p)").unwrap();
-        let mut pools =
-            [Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 2, 9).unwrap()];
-        let mut routers = [Router::new(RoutePolicy::LeastLoaded)];
-        let t0 = pools[0].slots.iter().map(|s| s.ready_at).max().unwrap();
+        let mut pool = Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 2, 9).unwrap();
+        let mut router = Router::new(RoutePolicy::LeastLoaded);
+        let t0 = Fleet::span_start(&pool);
         let mut k: Backend = Backend::new(plan);
         let mut admitted = 0;
         let mut requeued = [0; 2];
@@ -440,28 +403,24 @@ mod tests {
                         idempotent: false,
                         attempt: 1,
                     };
-                    let slot = k.admit(now, &mut pools, &mut routers, 0, p);
+                    let slot = k.admit(now, &mut pool, &mut router, p);
                     if admitted < n {
                         k.events
                             .schedule(now + Nanos::from_millis(2), Event::Arrival);
                     }
-                    k.dispatch(now, &mut pools, 0, slot).unwrap();
+                    k.dispatch(now, &mut pool, slot).unwrap();
                 }
-                Event::Ready(p, s) => {
-                    k.ready(now, &mut pools, p as usize, s as usize).unwrap();
+                Event::Ready(s) => {
+                    k.ready(now, &mut pool, s as usize).unwrap();
                 }
                 Event::Retry(token) => {
-                    let died = k.parked[token as usize].as_ref().unwrap().2 as usize;
-                    let (p, s) = k.retry(now, token, &mut pools, &mut routers);
+                    let died = k.parked[token as usize].as_ref().unwrap().1 as usize;
+                    let s = k.retry(now, token, &mut pool, &mut router);
                     requeued[usize::from(s != died)] += 1;
-                    k.dispatch(now, &mut pools, p, s).unwrap();
+                    k.dispatch(now, &mut pool, s).unwrap();
                 }
             }
-            assert_eq!(
-                k.queued,
-                pools[0].queued(),
-                "queued counter after every step"
-            );
+            assert_eq!(k.queued, pool.queued(), "queued counter after every step");
         }
         assert!(
             k.parked.iter().all(Option::is_none),
@@ -521,36 +480,57 @@ mod tests {
         }
     }
 
+    /// `n` requests for `spec` from one principal, 2 ms apart from `t0`,
+    /// with ids from `first`.
+    fn arrivals(
+        spec: &gh_functions::FunctionSpec,
+        t0: Nanos,
+        first: u64,
+        n: u64,
+    ) -> impl Iterator<Item = Pending> + '_ {
+        (0..n).map(move |i| Pending {
+            id: first + i,
+            principal: "client".into(),
+            input_kb: spec.input_kb,
+            arrival: t0 + Nanos::from_millis(2 * i),
+            payload_hash: 0,
+            idempotent: false,
+            attempt: 1,
+        })
+    }
+
+    /// A fresh kernel's run of `n` requests through a fresh 2-slot pool
+    /// of `name` under `policy`.
+    fn fresh_run(
+        plan: Option<FaultPlan>,
+        name: &str,
+        policy: RoutePolicy,
+        first: u64,
+        n: u64,
+    ) -> Tally {
+        let spec = by_name(name).unwrap();
+        let mut pool = Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 2, 9).unwrap();
+        let t0 = Fleet::span_start(&pool);
+        let mut k: Backend = Backend::new(plan);
+        let feed = arrivals(&spec, t0, first, n);
+        k.run(&mut pool, &mut Router::new(policy), feed, None)
+            .unwrap();
+        k.finish(n as usize)
+    }
+
     #[test]
     fn run_is_the_stepped_loop_ended_at_settled() {
         // `drive` steps the kernel until its queue is empty; `run` stops
         // once the run is settled, so the two agree on every served
         // request and fault, and `run` skips only the idle slots'
         // trailing zero-depth `Ready` samples.
-        let spec = by_name("fannkuch (p)").unwrap();
         for plan in [
             None,
             faulty(RetryPolicy::bounded()),
             faulty(RetryPolicy::rerouting()),
         ] {
             let stepped = drive(plan, 120).tally;
-            let mut pools =
-                [Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 2, 9).unwrap()];
-            let mut routers = [Router::new(RoutePolicy::LeastLoaded)];
-            let t0 = pools[0].slots.iter().map(|s| s.ready_at).max().unwrap();
-            let arrivals = (0..120u64).map(|i| {
-                let p = Pending {
-                    id: i + 1,
-                    principal: "client".into(),
-                    input_kb: spec.input_kb,
-                    arrival: t0 + Nanos::from_millis(2 * i),
-                    payload_hash: 0,
-                    idempotent: false,
-                    attempt: 1,
-                };
-                Feed::Request(0, p)
-            });
-            let run = Backend::run(plan, &mut pools, &mut routers, arrivals, 120, None).unwrap();
+            let run = fresh_run(plan, "fannkuch (p)", RoutePolicy::LeastLoaded, 1, 120);
             assert_eq!(run.completed, stepped.completed);
             assert_eq!(run.sojourns, stepped.sojourns, "same sojourns, same order");
             assert_eq!(run.faults, stepped.faults);
@@ -558,6 +538,54 @@ mod tests {
                 run.depth.mean() > stepped.depth.mean(),
                 "the stepped loop adds trailing zero-depth samples"
             );
+        }
+    }
+
+    #[test]
+    fn one_kernel_runs_two_pools_as_two_fresh_kernels() {
+        // A cluster node runs its pools back to back through one kernel.
+        // Each settled run leaves its idle slots' `Ready` edges in the
+        // heap, naming its own pool's slots, so the next run must start
+        // on an empty timeline and park table: then the reused kernel's
+        // tally is the merge of two fresh runs, bit for bit.
+        let pools = [("fannkuch (p)", 1, 90), ("md2html (p)", 91, 70)];
+        for plan in [
+            None,
+            faulty(RetryPolicy::bounded()),
+            faulty(RetryPolicy::rerouting()),
+        ] {
+            let mut k: Backend = Backend::new(plan);
+            let mut merged = Tally::default();
+            for (name, first, n) in pools {
+                let spec = by_name(name).unwrap();
+                let mut pool =
+                    Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 2, 9).unwrap();
+                let t0 = Fleet::span_start(&pool);
+                let mut router = Router::new(RoutePolicy::RoundRobin);
+                k.run(&mut pool, &mut router, arrivals(&spec, t0, first, n), None)
+                    .unwrap();
+                assert!(!k.events.is_empty(), "{name}: idle slots' edges remain");
+                merged.merge(&fresh_run(plan, name, RoutePolicy::RoundRobin, first, n));
+            }
+            let reused = k.finish(160);
+            let label = format!("{plan:?}");
+            assert_eq!(reused.sojourns, merged.sojourns, "{label}");
+            assert_eq!(reused.completed, merged.completed, "{label}");
+            assert_eq!(reused.faults, merged.faults, "{label}");
+            assert_eq!(
+                reused.depth.mean().to_bits(),
+                merged.depth.mean().to_bits(),
+                "{label}"
+            );
+            assert_eq!(reused.depth.len(), merged.depth.len(), "{label}");
+            assert_eq!(
+                reused.depth.percentile(99.0),
+                merged.depth.percentile(99.0),
+                "{label}"
+            );
+            if plan.is_some() {
+                assert!(reused.faults.retries > 0, "{label}: {:?}", reused.faults);
+            }
         }
     }
 

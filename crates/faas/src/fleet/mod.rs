@@ -23,12 +23,13 @@
 //!   is provably clean (§4.5), with queue-depth percentile tracking;
 //! - [`autoscaler::Autoscaler`] — optional queue-depth-driven growth and
 //!   idle retirement;
-//! - `backend` — the dispatch kernel and its event loop. A fleet run,
-//!   serial or sharded, and every [`crate::cluster`] node run that one
-//!   loop; [`crate::gateway`]'s driver loop calls the same steps. So
-//!   admission, crash, recovery, park, backoff, retry, abandon, restore
-//!   failure and the end of a run are defined once. A fault-free run is
-//!   the same loop with no fault plan.
+//! - `backend` — the dispatch kernel and its event loop over one pool. A
+//!   fleet run, serial or sharded, runs that loop, and every
+//!   [`crate::cluster`] node runs it once per pool; [`crate::gateway`]'s
+//!   driver loop calls the same steps. So admission, crash, recovery,
+//!   park, backoff, retry, abandon, restore failure and the end of a run
+//!   are defined once. A fault-free run is the same loop with no fault
+//!   plan.
 //!
 //! A pool of one with the round-robin policy reproduces the single
 //! container open-loop semantics exactly: it is §4's limit harness,
@@ -60,10 +61,9 @@
 //! The **serial reference** runs instead whenever a run is not
 //! provably shardable. [`ExecMode`] states that rule once: routing
 //! other than round-robin, an autoscaler, fewer than two threads or a
-//! forced serial mode each rule it out, and a fleet also needs two
-//! slots and no injected faults. Cluster nodes execute ahead too, pool
-//! by pool with one worker per node and faults included, for cache
-//! locality instead of parallelism.
+//! forced serial mode each rule it out, and so do injected faults and a
+//! pool of fewer than two slots. A cluster uses the mode only to spread
+//! its nodes across threads.
 
 pub mod autoscaler;
 pub(crate) mod backend;
@@ -81,7 +81,7 @@ use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
 use crate::trace::Diurnal;
-use backend::{Backend, Feed, Tally};
+use backend::{Backend, Tally};
 
 pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use par::ExecMode;
@@ -420,33 +420,18 @@ impl Fleet {
         let threads = mode.threads();
         let mut router = Router::new(self.cfg.policy);
         let mut scaler = self.cfg.autoscale.map(Autoscaler::new);
-        let pools = std::slice::from_mut(pool);
-        let routers = std::slice::from_mut(&mut router);
-        // A fleet gains parallelism across its slots, so its slot step
-        // needs two of them, and no fault plan, on top of the rule (see
-        // `ExecMode`).
-        let ahead = requests > 0
-            && pools[0].slots.len() >= 2
-            && self.plan.is_none()
-            && par::eligible(threads, routers, scaler.as_ref());
-        let tally = if ahead {
+        let mut k: Backend = Backend::new(self.plan);
+        if par::eligible(self, pool, requests, threads) {
             let arrivals: Vec<Pending> = arrivals.collect();
-            par::run_ahead(&mut pools[0], &mut routers[0], &arrivals, threads)
+            par::run_ahead(&mut k, pool, &mut router, &arrivals, threads)
         } else {
-            let arrivals = arrivals.map(|p| Feed::Request(0, p));
-            Backend::run(
-                self.plan,
-                pools,
-                routers,
-                arrivals,
-                requests,
-                scaler.as_mut(),
-            )
+            k.run(pool, &mut router, arrivals, scaler.as_mut())
         }?;
+        let tally = k.finish(requests);
         Ok(Self::finish(
             &self.cfg,
             scaler.as_ref(),
-            &mut pools[0],
+            pool,
             t_start,
             &baseline,
             &tally,

@@ -17,7 +17,7 @@
 //! [`FleetStats`](super::FleetStats) surfaces.
 
 use gh_functions::FunctionSpec;
-use gh_isolation::{ReplayStep, StepKind, StrategyError, StrategyKind};
+use gh_isolation::{ReplayStep, StrategyError, StrategyKind};
 use gh_mem::{SnapshotStore, StoreHandle};
 use gh_sim::{DetRng, Nanos};
 use groundhog_core::GroundhogConfig;
@@ -48,27 +48,9 @@ pub struct Dispatched {
     pub output_kb: u64,
 }
 
-/// A step a slot logged, with what it produced.
-#[derive(Clone, Copy, Debug)]
-struct Logged {
-    step: ReplayStep,
-    /// Instant the slot was ready again.
-    ready: Nanos,
-    /// What a served attempt's dispatch returned.
-    served: Option<Dispatched>,
-}
-
-/// What a slot does with the steps it takes (see [`crate::fleet::par`]).
-enum Log {
-    /// Nothing: the slot executes every step.
-    Off,
-    /// Executes every step and logs it, ahead of a run's event loop;
-    /// `ready_at` is the slot's readiness before the first step.
-    Recording { steps: Vec<Logged>, ready_at: Nanos },
-    /// Replays the log as the event loop asks for its steps, executing
-    /// none of them.
-    Replaying(std::vec::IntoIter<Logged>),
-}
+/// A dispatch a slot served ahead of a run's event loop, with the step
+/// that served it (see [`crate::fleet::par`]).
+type Logged = (ReplayStep, Dispatched);
 
 /// One pool slot: a container plus its scheduling state.
 pub struct Slot {
@@ -103,10 +85,9 @@ pub struct Slot {
     pub spawned_at: Nanos,
     /// A retired slot serves its queue dry but receives no new requests.
     pub retired: bool,
-    /// Steps logged ahead of a run's event loop, or being replayed by
-    /// it ([`Slot::dispatch`] and the kernel's crash and restore-failure
-    /// steps).
-    log: Log,
+    /// Dispatches served ahead of a run's event loop, which
+    /// [`Slot::dispatch`] replays instead of serving them again.
+    log: Option<std::vec::IntoIter<Logged>>,
 }
 
 impl Slot {
@@ -126,7 +107,7 @@ impl Slot {
             lazy_faults: 0,
             spawned_at,
             retired: false,
-            log: Log::Off,
+            log: None,
         }
     }
 
@@ -160,11 +141,20 @@ impl Slot {
         let Some(pending) = self.queue.pop() else {
             return Ok(None);
         };
-        let step = step_on(StepKind::Served, &pending, now);
-        let logged = self.take(step, |s| {
-            s.serve(&pending, now).map(|d| (d.ready_at, Some(d)))
-        })?;
-        Ok(logged.served)
+        let Some(log) = &mut self.log else {
+            return self.serve(&pending, now).map(Some);
+        };
+        let step = step_on(&pending, now);
+        match log.next() {
+            Some((logged, d)) if logged == step => {
+                self.ready_at = d.ready_at;
+                Ok(Some(d))
+            }
+            other => Err(StrategyError::ReplayDiverged {
+                expected: step,
+                recorded: other.map(|(logged, _)| logged),
+            }),
+        }
     }
 
     /// Executes `pending` at `now` on the clean container.
@@ -206,87 +196,28 @@ impl Slot {
 
     /// Serves `arrivals`, this slot's own in arrival order, ahead of the
     /// run's event loop: each at `max(arrival, previous readiness)`, as
-    /// the loop would dispatch it, logging each. Then arms the slot to
-    /// replay the log ([`Slot::replay`]).
+    /// the loop would dispatch it, logging each. Then rewinds `ready_at`
+    /// to its value before the first — every other field already holds
+    /// its end-of-run value — and arms the slot to replay the log as the
+    /// loop asks for its dispatches.
     pub(crate) fn execute_ahead<'a>(
         &mut self,
         arrivals: impl Iterator<Item = &'a Pending>,
     ) -> Result<(), StrategyError> {
-        self.record();
+        let ready_at = self.ready_at;
+        let mut log = Vec::new();
         for p in arrivals {
             let at = p.arrival.max(self.ready_at);
-            let step = step_on(StepKind::Served, p, at);
-            self.take(step, |s| s.serve(p, at).map(|d| (d.ready_at, Some(d))))?;
+            log.push((step_on(p, at), self.serve(p, at)?));
         }
-        self.replay();
+        self.ready_at = ready_at;
+        self.log = Some(log.into_iter());
         Ok(())
     }
 
-    /// Starts logging every step the slot takes, ahead of a run's event
-    /// loop.
-    pub(crate) fn record(&mut self) {
-        self.log = Log::Recording {
-            steps: Vec::new(),
-            ready_at: self.ready_at,
-        };
-    }
-
-    /// Ends a recording: rewinds `ready_at` to its value when the
-    /// recording started — every other field already holds its
-    /// end-of-run value — and arms the slot to replay the log as the
-    /// loop asks for its steps.
-    pub(crate) fn replay(&mut self) {
-        if let Log::Recording {
-            mut steps,
-            ready_at,
-        } = std::mem::replace(&mut self.log, Log::Off)
-        {
-            // The log's length is known only now. Without its growth
-            // slack, a node's logs hold their exact size while its
-            // later pools run.
-            steps.shrink_to_fit();
-            self.ready_at = ready_at;
-            self.log = Log::Replaying(steps.into_iter());
-        }
-    }
-
-    /// Leaves recording or replay: the next step executes again.
+    /// Leaves replay: the next dispatch executes again.
     pub(crate) fn end_replay(&mut self) {
-        self.log = Log::Off;
-    }
-
-    /// Takes `step`. While replaying, returns its logged outcome and
-    /// moves readiness to it, or [`StrategyError::ReplayDiverged`] when
-    /// the log holds another step next. Otherwise executes it with
-    /// `live`, which returns the instant the slot is ready again and a
-    /// served attempt's dispatch, and logs it while recording.
-    fn take(
-        &mut self,
-        step: ReplayStep,
-        live: impl FnOnce(&mut Slot) -> Result<(Nanos, Option<Dispatched>), StrategyError>,
-    ) -> Result<Logged, StrategyError> {
-        if let Log::Replaying(steps) = &mut self.log {
-            return match steps.next() {
-                Some(logged) if logged.step == step => {
-                    self.ready_at = logged.ready;
-                    Ok(logged)
-                }
-                other => Err(StrategyError::ReplayDiverged {
-                    expected: step,
-                    recorded: other.map(|l| l.step),
-                }),
-            };
-        }
-        let (ready, served) = live(self)?;
-        let logged = Logged {
-            step,
-            ready,
-            served,
-        };
-        if let Log::Recording { steps, .. } = &mut self.log {
-            steps.push(logged);
-        }
-        Ok(logged)
+        self.log = None;
     }
 
     /// Settles trailing restore time at end of run: a restore nothing
@@ -309,34 +240,9 @@ impl Slot {
             return None;
         }
         let pending = self.queue.pop()?;
-        let ready = self.kill(&pending, now, frac);
-        Some((pending, ready))
-    }
-
-    /// [`Slot::crash`] as the dispatch kernel takes it: logged while
-    /// recording; while replaying, the logged crash of the head's
-    /// attempt at `now`, or [`StrategyError::ReplayDiverged`].
-    pub(crate) fn crash_step(
-        &mut self,
-        now: Nanos,
-        frac: f64,
-    ) -> Result<Option<(Pending, Nanos)>, StrategyError> {
-        if !self.idle_at(now) {
-            return Ok(None);
-        }
-        let Some(pending) = self.queue.pop() else {
-            return Ok(None);
-        };
-        let step = step_on(StepKind::Crashed, &pending, now);
-        let logged = self.take(step, |s| Ok((s.kill(&pending, now, frac), None)))?;
-        Ok(Some((pending, logged.ready)))
-    }
-
-    /// Kills `pending`'s attempt at `now`, `frac` of the way through.
-    fn kill(&mut self, pending: &Pending, now: Nanos, frac: f64) -> Nanos {
         // The previous restore completed before the crash; classify it
         // exactly as a normal dispatch would.
-        self.settle_previous(pending);
+        self.settle_previous(&pending);
         self.container.kernel.clock.advance_to(now);
         let nominal = Nanos::from_millis_f64(self.container.spec.base_invoker_ms);
         let partial = nominal.scale(frac.clamp(0.0, 1.0));
@@ -347,7 +253,7 @@ impl Slot {
         self.resp_at = ready;
         self.prev_resp_at = ready;
         self.ready_at = ready;
-        ready
+        Some((pending, ready))
     }
 
     /// Fault injection: the off-path snapshot writeback of the dispatch
@@ -365,32 +271,11 @@ impl Slot {
         self.ready_at = ready;
         ready
     }
-
-    /// [`Slot::fail_restore`] as the dispatch kernel takes it, after
-    /// serving attempt `attempt` of request `id` at `at`: logged while
-    /// recording; while replaying, the logged failure of that attempt,
-    /// or [`StrategyError::ReplayDiverged`].
-    pub(crate) fn fail_restore_step(
-        &mut self,
-        id: u64,
-        attempt: u32,
-        at: Nanos,
-    ) -> Result<Nanos, StrategyError> {
-        let step = ReplayStep {
-            kind: StepKind::RestoreFailed,
-            id,
-            attempt,
-            at,
-        };
-        let logged = self.take(step, |s| Ok((s.fail_restore(), None)))?;
-        Ok(logged.ready)
-    }
 }
 
-/// A `kind` step on `pending`'s attempt at `at`.
-fn step_on(kind: StepKind, pending: &Pending, at: Nanos) -> ReplayStep {
+/// The dispatch of `pending`'s attempt at `at`.
+fn step_on(pending: &Pending, at: Nanos) -> ReplayStep {
     ReplayStep {
-        kind,
         id: pending.id,
         attempt: pending.attempt,
         at,
@@ -653,82 +538,51 @@ mod tests {
         let mut p = pool(StrategyKind::Gh, 1);
         let slot = &mut p.slots[0];
         let t0 = slot.container.now();
-        let step = |kind, id, attempt, at| ReplayStep {
-            kind,
-            id,
-            attempt,
-            at,
+        let step = |id, at| ReplayStep { id, attempt: 1, at };
+        let diverged = |r: Result<Option<Dispatched>, StrategyError>,
+                        want: ReplayStep,
+                        got: Option<ReplayStep>| match r {
+            Err(StrategyError::ReplayDiverged { expected, recorded }) => {
+                assert_eq!((expected, recorded), (want, got));
+            }
+            other => panic!("expected a divergence from {want:?}, got {other:?}"),
         };
-        let diverged =
-            |r: Result<(), StrategyError>, want: ReplayStep, got: Option<ReplayStep>| match r {
-                Err(StrategyError::ReplayDiverged { expected, recorded }) => {
-                    assert_eq!((expected, recorded), (want, got));
-                }
-                other => panic!("expected a divergence from {want:?}, got {other:?}"),
-            };
-        let recorded = Pending {
-            id: 1,
+        let recorded = [1, 2].map(|id| Pending {
+            id,
             principal: "alice".into(),
             input_kb: 1,
             arrival: t0,
             payload_hash: 0,
             idempotent: false,
             attempt: 1,
-        };
-        slot.execute_ahead(std::iter::once(&recorded)).unwrap();
-        assert_eq!(slot.ready_at, t0, "executing ahead rewinds readiness");
-        enqueue(slot, 7, t0);
-        let served = |id| step(StepKind::Served, id, 1, t0);
-        diverged(slot.dispatch(t0).map(|_| ()), served(7), Some(served(1)));
-        enqueue(slot, 8, t0);
-        diverged(slot.dispatch(t0).map(|_| ()), served(8), None);
-        slot.end_replay();
-        enqueue(slot, 9, t0);
-        let d = slot.dispatch(t0).unwrap().unwrap();
-        assert_eq!(d.id, 9, "a disarmed slot executes again");
-
-        // Log a crash of request 10, then a served attempt of request 11
-        // whose restore fails.
-        let t1 = d.ready_at;
-        slot.record();
-        enqueue(slot, 10, t1);
-        let (_, up) = slot.crash_step(t1, 0.5).unwrap().unwrap();
-        enqueue(slot, 11, up);
-        let logged = slot.dispatch(up).unwrap().unwrap();
-        let failed = slot.fail_restore_step(11, 1, up).unwrap();
+        });
+        slot.execute_ahead(recorded.iter()).unwrap();
         let end = slot.container.now();
-        slot.replay();
-        assert_eq!(slot.ready_at, t1, "replaying rewinds readiness");
-        // The crash replayed a nanosecond late diverges.
-        let late = t1 + Nanos::from_nanos(1);
-        enqueue(slot, 10, late);
-        diverged(
-            slot.crash_step(late, 0.5).map(|_| ()),
-            step(StepKind::Crashed, 10, 1, late),
-            Some(step(StepKind::Crashed, 10, 1, t1)),
-        );
-        // The served attempt matches its log and executes nothing.
-        enqueue(slot, 11, up);
-        let d = slot.dispatch(up).unwrap().unwrap();
-        assert_eq!((d.id, d.ready_at), (logged.id, logged.ready_at));
+        assert_eq!(slot.ready_at, t0, "executing ahead rewinds readiness");
+        // Request 1's dispatch matches its log and executes nothing.
+        enqueue(slot, 1, t0);
+        let d = slot.dispatch(t0).unwrap().unwrap();
+        assert_eq!((d.id, slot.ready_at), (1, d.ready_at));
         assert_eq!(
             slot.container.now(),
             end,
-            "a replayed step executes nothing"
+            "a replayed dispatch executes nothing"
         );
-        // Its restore failure replayed under another attempt diverges.
+        // Another request in request 2's place diverges, and so does a
+        // dispatch past the end of the log.
+        enqueue(slot, 7, d.ready_at);
         diverged(
-            slot.fail_restore_step(11, 2, up).map(|_| ()),
-            step(StepKind::RestoreFailed, 11, 2, up),
-            Some(step(StepKind::RestoreFailed, 11, 1, up)),
+            slot.dispatch(d.ready_at),
+            step(7, d.ready_at),
+            Some(step(2, d.ready_at)),
         );
-        // A crash past the end of the log diverges too.
-        enqueue(slot, 12, failed);
-        diverged(
-            slot.crash_step(failed, 0.5).map(|_| ()),
-            step(StepKind::Crashed, 12, 1, failed),
-            None,
-        );
+        let late = d.ready_at + Nanos::from_nanos(1);
+        enqueue(slot, 8, late);
+        diverged(slot.dispatch(late), step(8, late), None);
+        slot.end_replay();
+        enqueue(slot, 9, late);
+        let d = slot.dispatch(late).unwrap().unwrap();
+        assert_eq!(d.id, 9, "a disarmed slot executes again");
     }
 
     #[test]

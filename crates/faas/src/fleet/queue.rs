@@ -2,13 +2,15 @@
 //!
 //! Requests the router has assigned to a container wait here until the
 //! container is provably clean (§4.5: "inputs are buffered until
-//! restoration completes"). The [`DepthTracker`] samples aggregate depth
-//! at every scheduling event so the fleet can report queue-depth
-//! percentiles — the early-warning signal the autoscaler acts on.
+//! restoration completes"). The [`DepthTracker`] samples a pool's depth,
+//! summed over its containers' queues, at every admission, retry and
+//! readiness edge, so a fleet can report queue-depth percentiles — the
+//! early-warning signal the autoscaler acts on — and a cluster the same
+//! figure merged over its pools and nodes.
 //!
 //! Depth samples feed a fixed-size [`QuantileSketch`] rather than a
 //! per-event `Vec`, so tracker memory is constant in the request count
-//! (the 10⁶–10⁷-request cluster runs depend on this) and per-node
+//! (the 10⁶–10⁷-request cluster runs depend on this) and per-pool
 //! trackers merge exactly into cluster-wide percentiles. Depths below
 //! the sketch's identity range (64) are exact order statistics.
 
@@ -80,8 +82,8 @@ impl AdmissionQueue {
     }
 }
 
-/// Records aggregate queue-depth samples at scheduling events and
-/// reports percentiles over them, in constant memory.
+/// Records a pool's queue-depth samples at scheduling events and reports
+/// percentiles over them, in constant memory.
 #[derive(Clone, Debug, Default)]
 pub struct DepthTracker {
     sketch: QuantileSketch,
@@ -124,7 +126,7 @@ impl DepthTracker {
         self.sketch.mean()
     }
 
-    /// Folds another tracker's observations in — exact, so per-node
+    /// Folds another tracker's observations in — exact, so per-pool
     /// depth trackers merge into a cluster-wide one deterministically.
     pub fn merge(&mut self, other: &DepthTracker) {
         self.sketch.merge(&other.sketch);

@@ -183,12 +183,12 @@ impl Gate {
     fn enter(
         &mut self,
         k: &mut Backend<GatewayEvent>,
-        pools: &mut [Pool],
-        routers: &mut [Router],
+        pool: &mut Pool,
+        router: &mut Router,
         now: Nanos,
         p: Pending,
     ) -> usize {
-        let slot = k.admit(now, pools, routers, 0, p);
+        let slot = k.admit(now, pool, router, p);
         if let Some(ac) = &mut self.admission {
             ac.begin();
         }
@@ -310,8 +310,6 @@ impl GatewayFleet {
         if let Some((_, p)) = &upcoming {
             k.events.schedule(p.arrival, Event::Arrival);
         }
-        let pools = std::slice::from_mut(pool);
-        let routers = std::slice::from_mut(&mut router);
 
         while let Some((now, ev)) = k.events.pop() {
             match ev {
@@ -340,7 +338,7 @@ impl GatewayFleet {
                         let admission = gate.admission.as_mut();
                         match admission.map_or(Decision::Admit, |ac| ac.admit(pidx, now)) {
                             Decision::Admit => {
-                                Some(gate.enter(&mut k, pools, routers, now, pending))
+                                Some(gate.enter(&mut k, pool, &mut router, now, pending))
                             }
                             Decision::Defer => {
                                 gate.defer.push_back(pending);
@@ -356,17 +354,17 @@ impl GatewayFleet {
                         k.events.schedule(next.arrival, Event::Arrival);
                     }
                     if let Some(slot) = slot {
-                        let d = k.dispatch(now, pools, 0, slot)?;
+                        let d = k.dispatch(now, pool, slot)?;
                         gate.fill(&mut k, d);
                         // One scaling observation: the pre-warmer first
                         // (it is the point of this module), else the
                         // reactive autoscaler.
                         let grown = match (&mut gate.prewarmer, &mut scaler) {
                             (Some(pw), _) => pw
-                                .want_grow(now, pools[0].active(), service_secs)
-                                .then(|| pools[0].grow(now))
+                                .want_grow(now, pool.active(), service_secs)
+                                .then(|| pool.grow(now))
                                 .transpose()?,
-                            (None, Some(scaler)) => scaler.step(now, &mut pools[0], k.queued())?,
+                            (None, Some(scaler)) => scaler.step(now, pool, k.queued())?,
                             (None, None) => None,
                         };
                         if let Some((idx, ready)) = grown {
@@ -375,7 +373,7 @@ impl GatewayFleet {
                         }
                     }
                 }
-                Event::Ready(p, s) => {
+                Event::Ready(s) => {
                     // One Ready per attempt: this is the completion (or
                     // recovery) edge the concurrency ceiling releases on.
                     if let Some(ac) = &mut gate.admission {
@@ -385,11 +383,11 @@ impl GatewayFleet {
                         let Some(deferred) = gate.defer.pop_front() else {
                             break;
                         };
-                        let slot = gate.enter(&mut k, pools, routers, now, deferred);
-                        let d = k.dispatch(now, pools, 0, slot)?;
+                        let slot = gate.enter(&mut k, pool, &mut router, now, deferred);
+                        let d = k.dispatch(now, pool, slot)?;
                         gate.fill(&mut k, d);
                     }
-                    let d = k.ready(now, pools, p as usize, s as usize)?;
+                    let d = k.ready(now, pool, s as usize)?;
                     gate.fill(&mut k, d);
                 }
                 Event::Retry(token) => {
@@ -398,17 +396,17 @@ impl GatewayFleet {
                     // attempt and keeps its admission (it re-begins the
                     // ceiling it released when the crash's Ready edge
                     // fired), but never re-pays the token bucket.
-                    let (p, s) = k.retry(now, token, pools, routers);
+                    let s = k.retry(now, token, pool, &mut router);
                     if let Some(ac) = &mut gate.admission {
                         ac.begin();
                     }
-                    let d = k.dispatch(now, pools, p, s)?;
+                    let d = k.dispatch(now, pool, s)?;
                     gate.fill(&mut k, d);
                 }
                 Event::Driver(GatewayEvent::WarmReady(s)) => {
                     // A cold start completed (pre-warm or autoscale):
                     // serve anything already routed to the new slot.
-                    let d = k.ready(now, pools, 0, s as usize)?;
+                    let d = k.ready(now, pool, s as usize)?;
                     gate.fill(&mut k, d);
                 }
                 Event::Driver(GatewayEvent::CacheExpire) => {
@@ -452,7 +450,6 @@ impl GatewayFleet {
         // The fleet result counts served requests: backend completions
         // plus cache hits, whose sojourns the tally already holds.
         tally.completed = gw.served as usize;
-        let pool = &mut pools[0];
         let fleet = Fleet::finish(
             &cfg.fleet,
             scaler.as_ref(),

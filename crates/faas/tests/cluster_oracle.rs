@@ -2,11 +2,10 @@
 //! bit-identical to the serial reference.
 //!
 //! Serial mode (nodes run one after another on the caller's thread, each
-//! interleaving its containers in arrival order) is the ground truth;
-//! every node-parallel run, where each node also executes its pools
-//! ahead and replays them — across seeds, placement policies, node
-//! counts, pool sizes, thread counts and, for faulty nodes, retry
-//! policies — must reproduce
+//! running its pools one at a time) is the ground truth; every
+//! node-parallel run — across seeds, placement policies, node counts,
+//! pool sizes, thread counts and, for faulty nodes, retry policies — must
+//! reproduce
 //! the exact same [`ClusterResult`]: every counter, every per-node load,
 //! every sketch-derived percentile, and the CSV-style rendering byte for
 //! byte. Repeat runs must also match, pinning seeded determinism of the
@@ -107,9 +106,8 @@ fn assert_identical(label: &str, reference: &ClusterResult, other: &ClusterResul
 
 /// Every node-parallel run across seeds × policies × node counts ×
 /// threads against the serial reference, with `slots` containers per
-/// pool running `gh`. With ≥ 2 threads each node executes its pools
-/// ahead, each routing its own arrivals round-robin, so pools of two
-/// and three slots pin that routing too.
+/// pool running `gh`. Each pool routes its own arrivals round-robin, so
+/// pools of two and three slots pin that routing too.
 fn assert_matrix(slots: usize, gh: &GroundhogConfig) {
     for &seed in &[7u64, 1234] {
         let catalog = synthetic_catalog(20, seed);
@@ -160,11 +158,10 @@ fn faults(seed: u64, retry: RetryPolicy) -> FaultConfig {
     }
 }
 
-/// One faulty cell against the serial reference at 2 and 8 threads,
-/// where every node executes its pools ahead, faults included. The cell
-/// must draw deaths, retries, restore failures and node loss, so a
+/// One faulty cell against the serial reference at 2 and 8 threads. The
+/// cell must draw deaths, retries, restore failures and node loss, so a
 /// crash's recovery, a retry's route and a failed restore's cold start
-/// all replay.
+/// all run on a node's worker.
 fn assert_faulty_cell(
     label: &str,
     nodes: usize,

@@ -19,6 +19,5 @@
 pub mod strategy;
 
 pub use strategy::{
-    PostReport, PrepareReport, ReplayStep, RunTarget, StepKind, Strategy, StrategyError,
-    StrategyKind,
+    PostReport, PrepareReport, ReplayStep, RunTarget, Strategy, StrategyError, StrategyKind,
 };

@@ -69,34 +69,21 @@ pub enum StrategyError {
     Proc(gh_proc::kernel::ProcError),
     /// A pool was asked for zero containers.
     EmptyPool,
-    /// A slot replaying the steps it logged ahead of the event loop was
-    /// asked to take step `expected`, but its log held `recorded` next
-    /// (`None`: the log had ended).
+    /// A slot replaying the dispatches it served ahead of the event loop
+    /// was asked for dispatch `expected`, but its log held `recorded`
+    /// next (`None`: the log had ended).
     ReplayDiverged {
-        /// The step the event loop took.
+        /// The dispatch the event loop asked for.
         expected: ReplayStep,
-        /// The slot's next logged step, if any was left.
+        /// The slot's next logged dispatch, if any was left.
         recorded: Option<ReplayStep>,
     },
 }
 
-/// What a container slot did with one attempt of a request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StepKind {
-    /// The attempt was served.
-    Served,
-    /// The container died partway through the attempt.
-    Crashed,
-    /// The attempt was served, then its off-path restore failed.
-    RestoreFailed,
-}
-
-/// One step a container slot takes, as a slot that replays a log of its
-/// steps checks it ([`StrategyError::ReplayDiverged`]).
+/// One dispatch a container slot serves, as a slot that replays a log of
+/// its dispatches checks it ([`StrategyError::ReplayDiverged`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplayStep {
-    /// What the slot did.
-    pub kind: StepKind,
     /// Id of the request.
     pub id: u64,
     /// The request's attempt, 1-based.
@@ -107,14 +94,9 @@ pub struct ReplayStep {
 
 impl core::fmt::Display for ReplayStep {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let kind = match self.kind {
-            StepKind::Served => "served",
-            StepKind::Crashed => "crashed",
-            StepKind::RestoreFailed => "failed its restore",
-        };
         write!(
             f,
-            "attempt {} of request {} {kind} at {} ns",
+            "attempt {} of request {} served at {} ns",
             self.attempt,
             self.id,
             self.at.as_nanos()

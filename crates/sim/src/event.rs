@@ -91,6 +91,14 @@ impl<T> EventQueue<T> {
         seq
     }
 
+    /// Drops every pending event and restarts insertion numbers from
+    /// zero, keeping the heap's allocation: the queue then orders ties
+    /// exactly as a fresh one does.
+    pub fn reset(&mut self) {
+        self.heap.clear();
+        self.seq = 0;
+    }
+
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(Nanos, T)> {
         self.heap.pop().map(|s| (s.at, s.payload))
@@ -172,6 +180,32 @@ mod tests {
             .collect();
             assert_eq!(merged, reference, "held back: event {held}");
         }
+    }
+
+    #[test]
+    fn a_reset_queue_is_a_fresh_queue() {
+        let t = Nanos::from_nanos(5);
+        let mut reused = EventQueue::new();
+        reused.schedule(Nanos::from_nanos(9), "stale");
+        reused.schedule(t, "stale");
+        reused.reserve();
+        reused.reset();
+        assert!(
+            reused.is_empty() && reused.peek().is_none(),
+            "pending events drop"
+        );
+        let mut fresh = EventQueue::new();
+        for q in [&mut reused, &mut fresh] {
+            q.schedule(t, "first");
+            assert_eq!(q.reserve(), 1, "insertion numbers restart");
+            q.schedule(Nanos::from_nanos(3), "early");
+            q.schedule(t, "second");
+        }
+        let order = |q: &mut EventQueue<&'static str>| -> Vec<(Nanos, &str)> {
+            std::iter::from_fn(|| q.pop()).collect()
+        };
+        assert_eq!(order(&mut reused), order(&mut fresh));
+        assert!(reused.is_empty());
     }
 
     #[test]
