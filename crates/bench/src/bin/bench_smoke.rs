@@ -585,8 +585,9 @@ fn collect() -> Vec<Metric> {
 
     // Deterministic host work: heap allocations per simulated request on
     // serial runs of the cluster and fleet rigs' shapes (the cluster's
-    // also behind a caching front), and per cold start on the cluster's
-    // (its 0-request run builds every pool).
+    // also behind a caching front) and of the gateway rig's cache cell,
+    // and per cold start on the cluster's (its 0-request run builds
+    // every pool).
     let (cluster_setup, cluster_allocs) =
         work_allocations(|n| gh_bench::cluster_scaling::serial_run(n).completed);
     let (_, cached_allocs) = work_allocations(|n| {
@@ -595,6 +596,11 @@ fn collect() -> Vec<Metric> {
             .completed
     });
     let (_, fleet_allocs) = work_allocations(|n| gh_bench::fleet_scaling::serial_run(n as usize));
+    let (_, gateway_allocs) = work_allocations(|n| {
+        gh_bench::gateway_scaling::cached_run(n as usize)
+            .fleet
+            .completed as u64
+    });
     // The cluster rig's count with its nodes fanned out over 2 workers,
     // published ungated: fresh worker threads grow per-thread scratch
     // buffers (`gh-mem`'s index and extent scratch, `Restorer`'s), and
@@ -607,9 +613,10 @@ fn collect() -> Vec<Metric> {
     let cold_start_allocs = cluster_setup as f64 / f64::from(cold_starts);
     println!(
         "heap allocations per simulated request: cluster {cluster_allocs:.4}, \
-         cluster cached {cached_allocs:.4}, fleet {fleet_allocs:.4}, cluster on 2 \
-         workers {cluster_par_allocs:.4}; per cold start: cluster \
-         {cold_start_allocs:.4} ({cluster_setup} over {cold_starts} containers)\n"
+         cluster cached {cached_allocs:.4}, fleet {fleet_allocs:.4}, gateway \
+         {gateway_allocs:.4}, cluster on 2 workers {cluster_par_allocs:.4}; per \
+         cold start: cluster {cold_start_allocs:.4} ({cluster_setup} over \
+         {cold_starts} containers)\n"
     );
     out.push(Metric {
         key: "work_allocs_per_req_cluster",
@@ -624,6 +631,11 @@ fn collect() -> Vec<Metric> {
     out.push(Metric {
         key: "work_allocs_per_req_fleet",
         value: fleet_allocs,
+        higher_is_better: false,
+    });
+    out.push(Metric {
+        key: "work_allocs_per_req_gateway",
+        value: gateway_allocs,
         higher_is_better: false,
     });
     out.push(Metric {

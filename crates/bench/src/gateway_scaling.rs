@@ -131,6 +131,18 @@ fn cache_workload(gateway: GatewayConfig) -> GatewayFleetConfig {
     .with_gateway(gateway)
 }
 
+/// The cache scenario's enabled cell: `requests` arrivals behind a 60 s
+/// result cache, serial like every gateway run. `bench_smoke` counts
+/// its heap allocations per request.
+pub fn cached_run(requests: usize) -> GatewayResult {
+    run_cache_cell(
+        GatewayConfig::builder()
+            .cache(CacheConfig::default_for_ttl(Nanos::from_secs(60)))
+            .build(),
+        requests,
+    )
+}
+
 fn run_cache_cell(gateway: GatewayConfig, requests: usize) -> GatewayResult {
     let spec = by_name("fannkuch (p)").expect("catalog");
     run_gateway_fleet(
@@ -198,14 +210,7 @@ pub fn run() -> GatewayScalingReport {
     // ungated fleet bit for bit. Both cells run `iters` times with
     // repeats asserted bit-identical, so the gated speedup quotient is
     // backed by a determinism check on each operand.
-    let cached = repeat_identical("cached", iters, || {
-        run_cache_cell(
-            GatewayConfig::builder()
-                .cache(CacheConfig::default_for_ttl(Nanos::from_secs(60)))
-                .build(),
-            requests,
-        )
-    });
+    let cached = repeat_identical("cached", iters, || cached_run(requests));
     let ungated = repeat_identical("ungated", iters, || {
         run_cache_cell(GatewayConfig::disabled(), requests)
     });

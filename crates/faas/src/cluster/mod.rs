@@ -91,6 +91,7 @@ use groundhog_core::GroundhogConfig;
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
 use crate::fleet::backend::{Backend, Tally};
 use crate::fleet::{ExecMode, Pending, Pool, RoutePolicy, Router};
+use crate::gateway::Gate;
 use crate::trace::{TraceConfig, TraceEvent, TraceGen};
 
 pub use front::{FrontDecision, GatewayFront};
@@ -383,8 +384,8 @@ fn fold(
 /// Runs node `node`'s entire timeline: one pool per function deployed
 /// on it, fed by `arrivals` (the node's list from the coordinator
 /// [`fold`]). The node is the merge of its pools: they run one at a
-/// time, in ascending fn id, through one kernel ([`Backend::run`]) with
-/// no autoscaler. Each is built, runs its function's arrivals, adds its
+/// time, in ascending fn id, through one kernel ([`Backend::run`]) and
+/// an open gate. Each is built, runs its function's arrivals, adds its
 /// slots' stats to the node's and is dropped before the next is built.
 /// A pool with no arrivals is built too, so a node's cold starts do not
 /// depend on its traffic. Like a fleet run, each pool's run ends at the
@@ -426,10 +427,8 @@ fn run_node(
         // thread runs them.
         let seed = place::mix(ccfg.seed ^ ((node as u64) << 32) ^ f as u64);
         let mut pool = Pool::build(spec, ccfg.kind, gh.clone(), ccfg.slots_per_pool, seed)?;
-        let own = arrivals
-            .iter()
-            .filter(|a| a.fn_id as usize == f)
-            .map(|a| Pending {
+        let own = arrivals.iter().filter(|a| a.fn_id as usize == f).map(|a| {
+            let p = Pending {
                 id: a.seq,
                 principal: principals[a.principal as usize].clone(),
                 input_kb: spec.input_kb,
@@ -437,13 +436,11 @@ fn run_node(
                 payload_hash: a.payload_hash,
                 idempotent: a.idempotent,
                 attempt: 1,
-            });
-        k.run(
-            &mut pool,
-            &mut Router::new(RoutePolicy::RoundRobin),
-            own,
-            None,
-        )?;
+            };
+            (u64::from(a.principal), p)
+        });
+        let mut router = Router::new(RoutePolicy::RoundRobin);
+        k.run(&mut pool, &mut router, own, &mut Gate::default())?;
         containers += pool.slots.len() as u32;
         for s in &mut pool.slots {
             s.settle();

@@ -113,9 +113,9 @@ impl Autoscaler {
     }
 
     /// One observation at a scheduling event, applied to `pool` — the
-    /// step every pool driver takes, passing the kernel's `queued`
-    /// count. Returns the grown slot and its readiness time, for the
-    /// driver to announce on its timeline.
+    /// step the gateway's gate takes, passing the kernel's `queued`
+    /// count. Returns the grown slot and its readiness time, which the
+    /// kernel announces as a `Grown` edge.
     pub(crate) fn step(
         &mut self,
         now: Nanos,

@@ -1,5 +1,6 @@
 //! The dispatch kernel: the one definition of an attempt, and the one
-//! event loop that drives fleets and cluster nodes, one pool at a time.
+//! event loop that drives fleets, gateways and cluster nodes, one pool
+//! at a time.
 //!
 //! Groundhog runs at most one request per container at a time and
 //! buffers inputs until the container is provably clean (§4.5). The
@@ -23,55 +24,61 @@
 //!   [`RetryPolicy`](crate::fault::RetryPolicy), on another slot of the
 //!   pool, then samples the queue depth.
 //!
-//! [`Backend::run`] is the loop over those steps for one pool. The fleet
-//! runs it in both execution modes ([`super::Fleet::run_with`]), and
-//! every cluster node ([`crate::cluster`]) runs it once per pool through
-//! one reused kernel. Groundhog serves one request per container and
-//! rolls it back between invocations (§3.1, §4), and a retry stays in its
-//! pool, so two pools share no state and no loop ever runs two. Each run
-//! ends at the first event after which it is
-//! [`settled`](Backend::settled): a fleet and a one-node cluster fed the
-//! same arrivals are the same machine. The loop holds its next arrival
-//! outside the heap under the insertion number its `Arrival` event would
-//! have taken, so ties break as if it were scheduled, and each arrival
-//! saves a heap push and pop. The gateway
-//! ([`crate::gateway::GatewayFleet::run`]) calls the three steps from a
-//! loop of its own, because its policies act on every event (cache
-//! fills, ceiling release, its own driver events).
+//! [`Backend::run`] is the loop over those steps for one pool, and the
+//! only loop that admits, attempts and releases requests. The fleet's
+//! and the gateway's shared driver body ([`super::Fleet::run_with`],
+//! [`crate::gateway::GatewayFleet::run`]) runs it, and every cluster
+//! node ([`crate::cluster`]) runs it once per pool through one reused
+//! kernel. Each run passes a [`Gate`], the gateway's per-run policies (a
+//! fleet arms only its autoscaler, a node none); a slot the gate grows
+//! announces its first readiness as [`Event::Grown`]. Groundhog serves
+//! one request per container and rolls it back between invocations
+//! (§3.1, §4), and a retry stays in its pool, so two pools share no
+//! state and no loop ever runs two. Each run ends at the first event
+//! after which it is [`settled`](Backend::settled): a fleet and a
+//! one-node cluster fed the same arrivals are the same machine. It then
+//! empties its timeline and park table, so the next run starts as a
+//! fresh kernel does. The loop holds its next arrival outside the heap
+//! under the insertion number its `Arrival` event would have taken, so
+//! ties break as if it were scheduled, and each arrival saves a heap
+//! push and pop.
 //!
 //! With no plan the kernel draws nothing and schedules no retry, so a
 //! fault-free run is the fault-free reference bit for bit. The kernel
 //! schedules in a fixed order — on a crash the `Retry` before the
-//! `Ready`; on a completion the `Ready` before anything the driver
-//! schedules for the returned [`Dispatched`] — because schedule order
-//! breaks ties on the virtual timeline.
-
-use std::convert::Infallible;
+//! `Ready`; on a completion the `Ready` before the gate's cache expiry —
+//! because schedule order breaks ties on the virtual timeline.
 
 use gh_isolation::StrategyError;
 use gh_sim::event::EventQueue;
 use gh_sim::{Nanos, QuantileSketch};
 
 use crate::fault::{FaultPlan, FaultStats};
+use crate::gateway::Gate;
 
-use super::autoscaler::Autoscaler;
 use super::pool::{Dispatched, Pool};
 use super::queue::{DepthTracker, Pending};
 use super::router::Router;
 
-/// Events on a driver's virtual timeline. `D` carries the events only
-/// one driver has (the gateway's cold-start, cache-expiry and redeploy
-/// events); fleets and cluster nodes have none.
-pub(crate) enum Event<D = Infallible> {
-    /// The driver's next arrival is due.
+/// Events on a run's virtual timeline.
+pub(crate) enum Event {
+    /// The run's next arrival is due.
     Arrival,
     /// The slot at this index finished its restore or recovery and is
-    /// provably clean.
+    /// provably clean: an attempt ended, which releases the gate's
+    /// concurrency ceiling.
     Ready(u32),
+    /// The slot at this index, grown mid-run by the gate's pre-warmer or
+    /// autoscaler, finished its cold start: its first readiness, which
+    /// ends no attempt and so never releases the ceiling.
+    Grown(u32),
     /// A killed request's backoff elapsed (its token in the park table).
     Retry(u32),
-    /// A driver-owned event.
-    Driver(D),
+    /// A result-cache entry reached its TTL deadline.
+    CacheExpire,
+    /// The function was redeployed: the gate's cached results of the old
+    /// deployment are dropped.
+    Redeploy,
 }
 
 /// What one or more runs measured. Tallies merge exactly, so per-pool
@@ -105,10 +112,10 @@ impl Tally {
 /// The dispatch state of one pool's run (see the module docs). A kernel
 /// may run several pools one after another, adding each run to its
 /// tally.
-pub(crate) struct Backend<D = Infallible> {
-    /// The run's timeline. Drivers schedule their arrivals and `Driver`
-    /// events here; the kernel schedules `Ready` and `Retry`.
-    pub events: EventQueue<Event<D>>,
+pub(crate) struct Backend {
+    /// The run's timeline. Drivers may schedule `Redeploy` events here
+    /// before a run; the run schedules everything else.
+    pub events: EventQueue<Event>,
     /// What the kernel's runs have measured so far.
     pub tally: Tally,
     plan: Option<FaultPlan>,
@@ -120,9 +127,9 @@ pub(crate) struct Backend<D = Infallible> {
     queued: usize,
 }
 
-impl<D> Backend<D> {
+impl Backend {
     /// A kernel under `plan` (`None`: fault-free).
-    pub fn new(plan: Option<FaultPlan>) -> Backend<D> {
+    pub fn new(plan: Option<FaultPlan>) -> Backend {
         Backend {
             events: EventQueue::new(),
             tally: Tally::default(),
@@ -257,16 +264,11 @@ impl<D> Backend<D> {
     /// heap at `arrival` (its time and the insertion number its
     /// `Arrival` event would have taken), when it comes before every
     /// scheduled event; else the earliest scheduled one.
-    fn next_event(&mut self, arrival: Option<(Nanos, u64)>) -> Option<(Nanos, Event<D>)> {
+    fn next_event(&mut self, arrival: Option<(Nanos, u64)>) -> Option<(Nanos, Event)> {
         match (arrival, self.events.peek()) {
             (Some(due), next) if next.is_none_or(|n| due < n) => Some((due.0, Event::Arrival)),
             _ => self.events.pop(),
         }
-    }
-
-    /// Requests waiting across the pool's admission queues.
-    pub fn queued(&self) -> usize {
-        self.queued
     }
 
     /// True once each of `admitted` requests was served or abandoned and
@@ -293,62 +295,81 @@ impl<D> Backend<D> {
         );
         self.tally
     }
-}
 
-impl Backend {
-    /// One run of `pool`: admits each request of `arrivals`, in arrival
-    /// order, at its arrival time, attempts it, retries what dies and
-    /// attempts again at every `Ready` edge, and stops at the first event
-    /// after which every arrival is served or abandoned and nothing waits.
-    /// The next arrival waits outside the heap under the insertion number
-    /// its `Arrival` event would have taken, the first one's taken before
-    /// the loop: each arrival is admitted, then the next one takes its
-    /// number, then the admitting slot attempts, then `scaler` (if any)
-    /// steps and announces a grown slot's readiness.
-    ///
-    /// A settled run leaves its idle slots' `Ready` edges in the heap,
-    /// naming `pool`'s slots, so a run starts on an empty timeline and
-    /// park table, as a fresh kernel does, and adds to the tally.
+    /// One run of `pool` behind `gate`: passes each of `arrivals` (a
+    /// principal index, the token-bucket key, and the request) through
+    /// the gate at its arrival time to be answered, shed, deferred or
+    /// admitted and attempted; retries what dies; and at every `Ready`
+    /// edge releases the ceiling, admits and attempts each deferral that
+    /// fits, then attempts the slot. Stops at the first event after which
+    /// every arrival is resolved and nothing waits. The next arrival waits
+    /// outside the heap under the insertion number its `Arrival` event
+    /// would have taken, the first one's taken after any events already
+    /// scheduled: a passed arrival is admitted, the next one takes its
+    /// number, the slot attempts, then the gate may scale. A settled run
+    /// leaves idle slots' `Ready` edges, so it ends by emptying the
+    /// timeline and park table: the next run starts as a fresh kernel.
     pub fn run(
         &mut self,
         pool: &mut Pool,
         router: &mut Router,
-        mut arrivals: impl Iterator<Item = Pending>,
-        mut scaler: Option<&mut Autoscaler>,
+        mut arrivals: impl Iterator<Item = (u64, Pending)>,
+        gate: &mut Gate,
     ) -> Result<(), StrategyError> {
-        self.events.reset();
-        self.parked.clear();
         let mut admitted = self.tally.completed + self.tally.faults.abandoned as usize;
-        let mut upcoming = arrivals.next().map(|p| (self.events.reserve(), p));
-        while let Some((now, ev)) = self.next_event(upcoming.as_ref().map(|(n, p)| (p.arrival, *n)))
+        let mut upcoming = arrivals.next().map(|a| (self.events.reserve(), a));
+        while let Some((now, ev)) =
+            self.next_event(upcoming.as_ref().map(|(n, (_, p))| (p.arrival, *n)))
         {
             match ev {
                 Event::Arrival => {
-                    let (_, p) = upcoming.take().expect("an arrival is due");
-                    let slot = self.admit(now, pool, router, p);
-                    admitted += 1;
-                    upcoming = arrivals.next().map(|p| (self.events.reserve(), p));
-                    self.dispatch(now, pool, slot)?;
-                    if let Some(scaler) = scaler.as_deref_mut() {
-                        if let Some((idx, ready)) = scaler.step(now, pool, self.queued)? {
-                            // The new container announces readiness
-                            // once initialized.
-                            self.events.schedule(ready, Event::Ready(idx as u32));
+                    let (_, (principal, p)) = upcoming.take().expect("an arrival is due");
+                    let passed = gate.arrive(now, principal, p, &mut self.tally.sojourns);
+                    let slot = passed.map(|p| self.admit(now, pool, router, p));
+                    if slot.is_some() {
+                        admitted += 1;
+                        gate.admitted(now);
+                    }
+                    upcoming = arrivals.next().map(|a| (self.events.reserve(), a));
+                    if let Some(slot) = slot {
+                        let d = self.dispatch(now, pool, slot)?;
+                        gate.fill(&mut self.events, d);
+                        if let Some((idx, ready)) = gate.scale(now, pool, self.queued)? {
+                            self.events.schedule(ready, Event::Grown(idx as u32));
                         }
                     }
                 }
                 Event::Ready(slot) => {
-                    self.ready(now, pool, slot as usize)?;
+                    gate.release();
+                    while let Some(p) = gate.undefer() {
+                        let slot = self.admit(now, pool, router, p);
+                        admitted += 1;
+                        gate.admitted(now);
+                        let d = self.dispatch(now, pool, slot)?;
+                        gate.fill(&mut self.events, d);
+                    }
+                    let d = self.ready(now, pool, slot as usize)?;
+                    gate.fill(&mut self.events, d);
+                }
+                Event::Grown(slot) => {
+                    let d = self.ready(now, pool, slot as usize)?;
+                    gate.fill(&mut self.events, d);
                 }
                 Event::Retry(token) => {
                     let slot = self.retry(now, token, pool, router);
-                    self.dispatch(now, pool, slot)?;
+                    gate.requeued();
+                    let d = self.dispatch(now, pool, slot)?;
+                    gate.fill(&mut self.events, d);
                 }
+                Event::CacheExpire => gate.expire(now),
+                Event::Redeploy => gate.redeploy(),
             }
-            if upcoming.is_none() && self.settled(admitted) {
+            if upcoming.is_none() && gate.idle() && self.settled(admitted) {
                 break;
             }
         }
+        self.events.reset();
+        self.parked.clear();
         Ok(())
     }
 }
@@ -419,6 +440,9 @@ mod tests {
                     requeued[usize::from(s != died)] += 1;
                     k.dispatch(now, &mut pool, s).unwrap();
                 }
+                Event::Grown(_) | Event::CacheExpire | Event::Redeploy => {
+                    unreachable!("no gate policy schedules these")
+                }
             }
             assert_eq!(k.queued, pool.queued(), "queued counter after every step");
         }
@@ -480,22 +504,25 @@ mod tests {
         }
     }
 
-    /// `n` requests for `spec` from one principal, 2 ms apart from `t0`,
+    /// `n` requests for `spec` from principal 0, 2 ms apart from `t0`,
     /// with ids from `first`.
     fn arrivals(
         spec: &gh_functions::FunctionSpec,
         t0: Nanos,
         first: u64,
         n: u64,
-    ) -> impl Iterator<Item = Pending> + '_ {
-        (0..n).map(move |i| Pending {
-            id: first + i,
-            principal: "client".into(),
-            input_kb: spec.input_kb,
-            arrival: t0 + Nanos::from_millis(2 * i),
-            payload_hash: 0,
-            idempotent: false,
-            attempt: 1,
+    ) -> impl Iterator<Item = (u64, Pending)> + '_ {
+        (0..n).map(move |i| {
+            let p = Pending {
+                id: first + i,
+                principal: "client".into(),
+                input_kb: spec.input_kb,
+                arrival: t0 + Nanos::from_millis(2 * i),
+                payload_hash: 0,
+                idempotent: false,
+                attempt: 1,
+            };
+            (0, p)
         })
     }
 
@@ -513,8 +540,13 @@ mod tests {
         let t0 = Fleet::span_start(&pool);
         let mut k: Backend = Backend::new(plan);
         let feed = arrivals(&spec, t0, first, n);
-        k.run(&mut pool, &mut Router::new(policy), feed, None)
-            .unwrap();
+        k.run(
+            &mut pool,
+            &mut Router::new(policy),
+            feed,
+            &mut Gate::default(),
+        )
+        .unwrap();
         k.finish(n as usize)
     }
 
@@ -544,10 +576,10 @@ mod tests {
     #[test]
     fn one_kernel_runs_two_pools_as_two_fresh_kernels() {
         // A cluster node runs its pools back to back through one kernel.
-        // Each settled run leaves its idle slots' `Ready` edges in the
-        // heap, naming its own pool's slots, so the next run must start
-        // on an empty timeline and park table: then the reused kernel's
-        // tally is the merge of two fresh runs, bit for bit.
+        // Each settled run leaves its idle slots' `Ready` edges behind,
+        // naming its own pool's slots, so it must end by emptying the
+        // timeline and park table: then the reused kernel's tally is the
+        // merge of two fresh runs, bit for bit.
         let pools = [("fannkuch (p)", 1, 90), ("md2html (p)", 91, 70)];
         for plan in [
             None,
@@ -562,9 +594,13 @@ mod tests {
                     Pool::build(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 2, 9).unwrap();
                 let t0 = Fleet::span_start(&pool);
                 let mut router = Router::new(RoutePolicy::RoundRobin);
-                k.run(&mut pool, &mut router, arrivals(&spec, t0, first, n), None)
+                let feed = arrivals(&spec, t0, first, n);
+                k.run(&mut pool, &mut router, feed, &mut Gate::default())
                     .unwrap();
-                assert!(!k.events.is_empty(), "{name}: idle slots' edges remain");
+                assert!(
+                    k.events.is_empty(),
+                    "{name}: a run leaves an empty timeline"
+                );
                 merged.merge(&fresh_run(plan, name, RoutePolicy::RoundRobin, first, n));
             }
             let reused = k.finish(160);

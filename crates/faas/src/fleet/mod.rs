@@ -23,13 +23,14 @@
 //!   is provably clean (§4.5), with queue-depth percentile tracking;
 //! - [`autoscaler::Autoscaler`] — optional queue-depth-driven growth and
 //!   idle retirement;
-//! - `backend` — the dispatch kernel and its event loop over one pool. A
-//!   fleet run, serial or sharded, runs that loop, and every
-//!   [`crate::cluster`] node runs it once per pool; [`crate::gateway`]'s
-//!   driver loop calls the same steps. So admission, crash, recovery,
-//!   park, backoff, retry, abandon, restore failure and the end of a run
-//!   are defined once. A fault-free run is the same loop with no fault
-//!   plan.
+//! - `backend` — the dispatch kernel and its event loop over one pool,
+//!   the only loop that admits, attempts and releases requests. A fleet
+//!   run, serial or sharded, and a [`crate::gateway`] run share one
+//!   driver body around that loop, and every [`crate::cluster`] node runs
+//!   it once per pool. So admission, the gateway's policies, crash,
+//!   recovery, park, backoff, retry, abandon, restore failure and the end
+//!   of a run are defined once. A fault-free run is the same loop with no
+//!   fault plan, and a fleet run the gateway's with every policy off.
 //!
 //! A pool of one with the round-robin policy reproduces the single
 //! container open-loop semantics exactly: it is §4's limit harness,
@@ -74,14 +75,16 @@ pub mod router;
 
 use gh_functions::FunctionSpec;
 use gh_gateway::cache::mix;
+use gh_gateway::GatewayConfig;
 use gh_isolation::{StrategyError, StrategyKind};
 use gh_sim::stats::throughput_rps;
 use gh_sim::{DetRng, Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
+use crate::gateway::Gate;
 use crate::trace::Diurnal;
-use backend::{Backend, Tally};
+use backend::{Backend, Event, Tally};
 
 pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleAction};
 pub use par::ExecMode;
@@ -242,10 +245,10 @@ pub(crate) struct Shape {
 }
 
 /// A workload's arrival process as data: [`Pending`]s with ids from 1,
-/// each with its principal's index (the gateway's admission key); a run
-/// takes as many as it has requests. The fleet's serial loop, its
-/// sharded planner and the gateway all consume one, so they draw the
-/// same requests from the same seed. Every stream is its own
+/// each with its principal's index (the token-bucket key); a run takes
+/// as many as it has requests. Every fleet and gateway run consumes one
+/// in [`Fleet::drive`], so they draw the same requests from the same
+/// seed. Every stream is its own
 /// [`DetRng`]: switching one on never perturbs another.
 pub(crate) struct Arrivals {
     diurnal: Diurnal,
@@ -412,36 +415,56 @@ impl Fleet {
         requests: usize,
         mode: ExecMode,
     ) -> Result<FleetResult, StrategyError> {
-        let t_start = Self::span_start(pool);
-        let baseline = Self::baselines(pool);
-        let arrivals = Arrivals::new(&self.cfg, Shape::default(), pool.spec.input_kb, t_start)
-            .take(requests)
-            .map(|(_, p)| p);
-        let threads = mode.threads();
-        let mut router = Router::new(self.cfg.policy);
-        let mut scaler = self.cfg.autoscale.map(Autoscaler::new);
-        let mut k: Backend = Backend::new(self.plan);
-        if par::eligible(self, pool, requests, threads) {
-            let arrivals: Vec<Pending> = arrivals.collect();
-            par::run_ahead(&mut k, pool, &mut router, &arrivals, threads)
-        } else {
-            k.run(pool, &mut router, arrivals, scaler.as_mut())
-        }?;
-        let tally = k.finish(requests);
-        Ok(Self::finish(
-            &self.cfg,
-            scaler.as_ref(),
-            pool,
-            t_start,
-            &baseline,
-            &tally,
-        ))
+        let disabled = GatewayConfig::disabled();
+        let run = self.drive(pool, requests, mode, Shape::default(), &disabled, &[]);
+        run.map(|(result, _)| result)
     }
 
-    /// Shared result assembly: settles trailing restores and folds the
-    /// pool's post-run state and the run's autoscaler (if any) into a
-    /// [`FleetResult`]. The fleet's loop and the gateway's end here, so
-    /// the report derivation is identical by construction.
+    /// The driver body of a fleet run and of a gateway run
+    /// ([`crate::gateway::GatewayFleet::run`]): `requests` arrivals of
+    /// `shape` through `pool`, behind a [`Gate`] armed with `gateway`'s
+    /// policies and the fleet's autoscaler, with `redeploys` scheduled.
+    /// Returns the result (cache hits count as served) and the gate. A
+    /// gateway run passes [`ExecMode::Serial`], since the slot step
+    /// executes every arrival ahead, which only an open gate allows.
+    pub(crate) fn drive(
+        &self,
+        pool: &mut Pool,
+        requests: usize,
+        mode: ExecMode,
+        shape: Shape,
+        gateway: &GatewayConfig,
+        redeploys: &[Nanos],
+    ) -> Result<(FleetResult, Gate), StrategyError> {
+        let t_start = Self::span_start(pool);
+        let baseline = Self::baselines(pool);
+        let arrivals = Arrivals::new(&self.cfg, shape, pool.spec.input_kb, t_start).take(requests);
+        let threads = mode.threads();
+        let mut router = Router::new(self.cfg.policy);
+        let mut gate = Gate::new(gateway, self.cfg.autoscale, t_start);
+        let mut k = Backend::new(self.plan);
+        // Redeploys are part of the config, not the workload. Scheduled
+        // before the first arrival takes its insertion number, a redeploy
+        // tied with an arrival invalidates before the arrival's lookup.
+        for &at in redeploys {
+            k.events.schedule(at, Event::Redeploy);
+        }
+        if par::eligible(self, pool, requests, threads) {
+            let arrivals: Vec<(u64, Pending)> = arrivals.collect();
+            par::run_ahead(&mut k, pool, &mut router, &arrivals, threads, &mut gate)
+        } else {
+            k.run(pool, &mut router, arrivals, &mut gate)
+        }?;
+        let mut tally = k.finish(requests - gate.hits - gate.rejected() as usize);
+        tally.completed += gate.hits;
+        let scaler = gate.scaler.as_ref();
+        let result = Self::finish(&self.cfg, scaler, pool, t_start, &baseline, &tally);
+        Ok((result, gate))
+    }
+
+    /// Result assembly: settles trailing restores and folds the pool's
+    /// post-run state and the run's autoscaler (if any) into a
+    /// [`FleetResult`]. [`Fleet::drive`] ends here.
     pub(crate) fn finish(
         cfg: &FleetConfig,
         scaler: Option<&Autoscaler>,

@@ -27,6 +27,8 @@ use gh_isolation::StrategyError;
 use gh_sim::par::{configured_threads, ordered_map, serial_requested};
 use gh_sim::Nanos;
 
+use crate::gateway::Gate;
+
 use super::backend::Backend;
 use super::pool::{Pool, Slot};
 use super::queue::Pending;
@@ -99,20 +101,23 @@ pub(super) fn eligible(fleet: &Fleet, pool: &Pool, requests: usize, threads: usi
         && requests > 0
 }
 
-/// The slot step: `k` runs `arrivals`, in arrival order, over `pool`,
-/// executed ahead and replayed. Every slot serves its round-robin share
-/// on up to `threads` workers, then [`Backend::run`] runs the loop while
-/// each slot replays what it served. Every slot is disarmed afterwards,
-/// whether the run succeeded or failed. Callers check [`eligible`] first.
+/// The slot step: `k` runs `arrivals` (principal index and request), in
+/// arrival order, over `pool`, executed ahead and replayed. Every slot
+/// serves its round-robin share on up to `threads` workers, then
+/// [`Backend::run`] runs the loop behind the driver's `gate`, which is
+/// open, while each slot replays what it served. Every slot is disarmed
+/// afterwards, whether the run succeeded or failed. Callers check
+/// [`eligible`] first.
 pub(super) fn run_ahead(
     k: &mut Backend,
     pool: &mut Pool,
     router: &mut Router,
-    arrivals: &[Pending],
+    arrivals: &[(u64, Pending)],
     threads: usize,
+    gate: &mut Gate,
 ) -> Result<(), StrategyError> {
     let run = serve_ahead(pool, arrivals, threads)
-        .and_then(|()| k.run(pool, router, arrivals.iter().cloned(), None));
+        .and_then(|()| k.run(pool, router, arrivals.iter().cloned(), gate));
     pool.slots.iter_mut().for_each(Slot::end_replay);
     run
 }
@@ -120,7 +125,11 @@ pub(super) fn run_ahead(
 /// Routes `arrivals` round-robin and has every slot serve its own share
 /// ahead of the loop ([`Slot::execute_ahead`]), slots spread across up
 /// to `threads` workers.
-fn serve_ahead(pool: &mut Pool, arrivals: &[Pending], threads: usize) -> Result<(), StrategyError> {
+fn serve_ahead(
+    pool: &mut Pool,
+    arrivals: &[(u64, Pending)],
+    threads: usize,
+) -> Result<(), StrategyError> {
     // `own[s]` lists the indices of slot `s`'s arrivals, in arrival
     // order.
     let mut own = vec![Vec::new(); pool.slots.len()];
@@ -134,6 +143,6 @@ fn serve_ahead(pool: &mut Pool, arrivals: &[Pending], threads: usize) -> Result<
     let slots: Vec<Mutex<&mut Slot>> = pool.slots.iter_mut().map(Mutex::new).collect();
     ordered_map(slots.len(), threads, |s| {
         let mut slot = slots[s].lock().expect("each slot is claimed once");
-        slot.execute_ahead(own[s].iter().map(|&i| &arrivals[i]))
+        slot.execute_ahead(own[s].iter().map(|&i| &arrivals[i].1))
     })
 }

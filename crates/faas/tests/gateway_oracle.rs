@@ -10,9 +10,10 @@
 //!   rendering, distinguishes any two f64 bit patterns) and through a
 //!   CSV-style line, across seeds × route policies × autoscaler on/off
 //!   × fault cases (none; deaths plus restore failures retried on the
-//!   same container; the same retried elsewhere). Both drivers attempt
-//!   through one dispatch kernel, so a divergence here is a driver
-//!   wiring bug.
+//!   same container; the same retried elsewhere). Both runs are one
+//!   driver body over the dispatch kernel's one loop, the gateway's
+//!   with its policies off, so a divergence here means a policy step
+//!   acts when its policy is off.
 //! - **Cluster**: [`run_cluster_gateway`] with [`GatewayConfig::disabled`]
 //!   must embed a [`ClusterResult`] byte-identical to [`run_cluster_with`],
 //!   and with policies *enabled* the node-parallel run must stay

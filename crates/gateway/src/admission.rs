@@ -163,9 +163,16 @@ impl AdmissionControl {
     }
 
     /// Records an in-flight request completing, freeing ceiling room.
+    ///
+    /// # Panics
+    ///
+    /// On an `end` without a matching [`AdmissionControl::begin`], in
+    /// every build: a wrapped count would defer every later request.
     pub fn end(&mut self) {
-        debug_assert!(self.in_flight > 0, "end() without matching begin()");
-        self.in_flight -= 1;
+        self.in_flight = self
+            .in_flight
+            .checked_sub(1)
+            .expect("end() without matching begin()");
     }
 
     /// Requests currently occupying the ceiling.
@@ -177,6 +184,18 @@ impl AdmissionControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "end() without matching begin()")]
+    fn an_unmatched_end_panics_in_every_build() {
+        let mut ac = AdmissionControl::new(AdmissionConfig {
+            max_in_flight: Some(2),
+            ..AdmissionConfig::per_principal(10.0, 4)
+        });
+        ac.begin();
+        ac.end();
+        ac.end();
+    }
 
     #[test]
     fn zero_capacity_rejects_everything() {
