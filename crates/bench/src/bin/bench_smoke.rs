@@ -351,43 +351,10 @@ fn collect() -> Vec<Metric> {
         });
     }
 
-    // Host-parallel fleet execution: serial/parallel wall-clock ratio of
-    // the 16-container 10⁵-request run (the rig asserts bit-identical
-    // results before reporting). Same gate design as the other scaling
-    // ratios: the speedup is gated (capped at 8, acceptance floor 2x at
-    // 8 threads); raw ns per run is machine-dependent `info_`.
-    let fleet_par = gh_bench::fleet_scaling::run();
-    println!("\n== scaling_fleet — host-parallel fleet vs serial ==\n");
-    let ftable = gh_bench::fleet_scaling::render(&fleet_par);
-    println!("{}", ftable.render());
-    gh_bench::write_csv("scaling_fleet", &ftable);
-    println!(
-        "fleet speedup at {} containers / {} requests / {} threads: {:.2}x\n",
-        fleet_par.pool,
-        fleet_par.requests,
-        fleet_par.threads,
-        fleet_par.speedup()
-    );
-    out.push(Metric {
-        key: "scaling_fleet_par",
-        value: fleet_par.speedup().min(8.0),
-        higher_is_better: true,
-    });
-    out.push(Metric {
-        key: "info_fleet_serial_ns",
-        value: fleet_par.serial_ns,
-        higher_is_better: false,
-    });
-    out.push(Metric {
-        key: "info_fleet_par_ns",
-        value: fleet_par.par_ns,
-        higher_is_better: false,
-    });
-
     // Cluster scaling: node-sharded event queues under the trace-driven
     // workload — wall-clock ratio of the 8-node ≥10⁶-request run, serial
-    // (interleaved nodes) over parallel (nodes fanned out, each
-    // executing ahead). Bit-identity of the two node paths, fault-free
+    // (nodes one after another) over parallel (nodes fanned out over the
+    // workers). Bit-identity of the two node paths, fault-free
     // and, on an untimed 10⁵-request faulty run, with faults, and
     // request-count-independent stats memory are asserted inside the
     // rig, so a semantic break aborts before the gate looks. Same gate
@@ -669,7 +636,7 @@ fn cores() -> usize {
 /// multicore host. On a single-core runner the honest expectation is
 /// ~1.0 — the parallel path degrades to one worker — so `--check`
 /// gates these at 1.0 there instead of the checked-in multicore ratio.
-const PAR_RATIO_KEYS: [&str; 2] = ["scaling_fleet_par", "scaling_cluster_par"];
+const PAR_RATIO_KEYS: [&str; 1] = ["scaling_cluster_par"];
 
 fn render(metrics: &[Metric]) -> String {
     let mut s = String::from("{\n");

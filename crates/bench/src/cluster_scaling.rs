@@ -19,10 +19,10 @@
 //! A third, much smaller run pins the sketch-bounded stats-memory
 //! guarantee: `stats_bytes` must not depend on the request count.
 //!
-//! Gate design matches `fleet_scaling.rs`: the **speedup ratio** is a
-//! same-machine quotient (machine-independent, gated, capped at 8);
-//! raw ns per run is machine-dependent and published as gate-exempt
-//! `info_` metrics plus `results/scaling_cluster.csv`.
+//! Gate design: the **speedup ratio** is a same-machine quotient
+//! (machine-independent, gated, capped at 8); raw ns per run is
+//! machine-dependent and published as gate-exempt `info_` metrics plus
+//! `results/scaling_cluster.csv`.
 
 use std::time::Instant;
 

@@ -26,7 +26,7 @@
 //!   metrics and the rig asserts the predictive side does not lose —
 //!   deterministic virtual time makes that assert noise-free.
 
-use gh_faas::fleet::{run_fleet_with, AutoscaleConfig, ExecMode, FleetConfig, RoutePolicy};
+use gh_faas::fleet::{run_fleet, AutoscaleConfig, FleetConfig, RoutePolicy};
 use gh_faas::gateway::{run_gateway_fleet, GatewayFleetConfig, GatewayResult};
 use gh_functions::catalog::by_name;
 use gh_gateway::cache::CacheConfig;
@@ -214,14 +214,13 @@ pub fn run() -> GatewayScalingReport {
     let ungated = repeat_identical("ungated", iters, || {
         run_cache_cell(GatewayConfig::disabled(), requests)
     });
-    let reference = run_fleet_with(
+    let reference = run_fleet(
         &spec,
         StrategyKind::Gh,
         GroundhogConfig::gh(),
         2,
         FleetConfig::fixed(RoutePolicy::LeastLoaded, 1_000.0, SEED),
         requests,
-        ExecMode::Serial,
     )
     .expect("ungated reference");
     assert_eq!(

@@ -84,9 +84,6 @@ pub struct GroundhogConfig {
     /// "mutually trusting callers" optimization). Defers the restore to
     /// the next request's arrival, when the principal is known.
     pub skip_same_principal: bool,
-    /// Issue a deployer-provided dummy request before snapshotting (§4.1)
-    /// to trigger lazy paging / class loading.
-    pub dummy_warm: bool,
     /// Zero the stack during restore (§4.4).
     pub zero_stack: bool,
     /// `madvise(DONTNEED)` pages that became resident since the snapshot
@@ -115,7 +112,6 @@ impl Default for GroundhogConfig {
             coalesce: true,
             restore_lanes: 1,
             skip_same_principal: false,
-            dummy_warm: true,
             zero_stack: true,
             madvise_new: true,
             cow_snapshot: false,
@@ -176,7 +172,6 @@ mod tests {
         assert!(c.coalesce);
         assert_eq!(c.restore_lanes, 1, "the paper's serial copy loop");
         assert!(!c.skip_same_principal);
-        assert!(c.dummy_warm);
         assert_eq!(c.tracker, TrackerKind::SoftDirty);
     }
 
@@ -190,7 +185,14 @@ mod tests {
     fn ghnop_disables_restore_only() {
         let c = GroundhogConfig::ghnop();
         assert!(!c.restore_enabled);
-        assert!(c.dummy_warm, "GHNOP still snapshots and warms");
+        let restoring = GroundhogConfig {
+            restore_enabled: true,
+            ..c
+        };
+        assert_eq!(
+            format!("{restoring:?}"),
+            format!("{:?}", GroundhogConfig::gh())
+        );
     }
 
     #[test]

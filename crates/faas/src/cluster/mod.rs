@@ -557,7 +557,7 @@ fn merge(
 
 /// Runs the trace through the cluster in [`ExecMode::Auto`] (node-
 /// parallel when ≥ 2 nodes and ≥ 2 threads; honors `--serial`,
-/// `GH_SERIAL=1` and `GH_THREADS` like the fleet).
+/// `GH_SERIAL=1` and `GH_THREADS` like the sweeps).
 pub fn run_cluster(
     trace_cfg: &TraceConfig,
     catalog: &[FunctionSpec],
@@ -1136,9 +1136,8 @@ mod tests {
         // The cross-layer oracle: one kernel loop with one end rule
         // drives a fleet and a cluster node, so a 1-node, 1-replica
         // cluster fed a round-robin fleet's arrivals is that fleet, bit
-        // for bit, with faults on or off, in either fleet mode, and with
-        // the node interleaved (1 thread) or executing ahead pool by pool
-        // (2 threads).
+        // for bit, with faults on or off. The fleet runs in both modes,
+        // which pins that `Fleet::run_with` ignores its mode.
         use crate::fleet::{Arrivals, Fleet, FleetConfig, Shape};
         let spec = gh_functions::catalog::by_name("fannkuch (p)").unwrap();
         let catalog = [spec.clone()];

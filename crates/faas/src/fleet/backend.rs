@@ -25,23 +25,24 @@
 //!   pool, then samples the queue depth.
 //!
 //! [`Backend::run`] is the loop over those steps for one pool, and the
-//! only loop that admits, attempts and releases requests. The fleet's
-//! and the gateway's shared driver body ([`super::Fleet::run_with`],
-//! [`crate::gateway::GatewayFleet::run`]) runs it, and every cluster
-//! node ([`crate::cluster`]) runs it once per pool through one reused
-//! kernel. Each run passes a [`Gate`], the gateway's per-run policies (a
-//! fleet arms only its autoscaler, a node none); a slot the gate grows
-//! announces its first readiness as [`Event::Grown`]. Groundhog serves
-//! one request per container and rolls it back between invocations
-//! (§3.1, §4), and a retry stays in its pool, so two pools share no
-//! state and no loop ever runs two. Each run ends at the first event
-//! after which it is [`settled`](Backend::settled): a fleet and a
-//! one-node cluster fed the same arrivals are the same machine. It then
-//! empties its timeline and park table, so the next run starts as a
-//! fresh kernel does. The loop holds its next arrival outside the heap
-//! under the insertion number its `Arrival` event would have taken, so
-//! ties break as if it were scheduled, and each arrival saves a heap
-//! push and pop.
+//! only loop that admits, attempts and releases requests, so every
+//! request executes in its event order. The body the fleet and the
+//! gateway share (`Fleet::drive`, behind [`super::Fleet::run`] and
+//! [`crate::gateway::GatewayFleet::run`]) runs it on the caller's
+//! thread, and every cluster node ([`crate::cluster`]) runs it once per
+//! pool through one reused kernel. Each run passes a [`Gate`], the
+//! gateway's per-run policies (a fleet arms only its autoscaler, a node
+//! none); a slot the gate grows announces its first readiness as
+//! [`Event::Grown`]. Groundhog serves one request per container and
+//! rolls it back between invocations (§3.1, §4), and a retry stays in
+//! its pool, so two pools share no state and no loop ever runs two.
+//! Each run ends at the first event after which it is
+//! [`settled`](Backend::settled): a fleet and a one-node cluster fed the
+//! same arrivals are the same machine. It then empties its timeline and
+//! park table, so the next run starts as a fresh kernel does. The loop
+//! holds its next arrival outside the heap under the insertion number
+//! its `Arrival` event would have taken, so ties break as if it were
+//! scheduled, and each arrival saves a heap push and pop.
 //!
 //! With no plan the kernel draws nothing and schedules no retry, so a
 //! fault-free run is the fault-free reference bit for bit. The kernel
@@ -181,11 +182,8 @@ impl Backend {
     /// it is served, and its off-path restore may abort
     /// ([`Slot::fail_restore`](super::Slot::fail_restore)), pushing
     /// readiness out by a cold start. All draws are pure functions of
-    /// `(fault seed, request id, attempt)`. A slot replaying its log
-    /// ([`super::par`]) returns each logged dispatch instead of serving
-    /// it again, or [`StrategyError::ReplayDiverged`]. Schedules the
-    /// slot's `Ready` edge either way and returns what a served attempt
-    /// produced.
+    /// `(fault seed, request id, attempt)`. Schedules the slot's `Ready`
+    /// edge either way and returns what a served attempt produced.
     pub fn dispatch(
         &mut self,
         now: Nanos,

@@ -25,11 +25,11 @@
 //!   idle retirement;
 //! - `backend` — the dispatch kernel and its event loop over one pool,
 //!   the only loop that admits, attempts and releases requests. A fleet
-//!   run, serial or sharded, and a [`crate::gateway`] run share one
-//!   driver body around that loop, and every [`crate::cluster`] node runs
-//!   it once per pool. So admission, the gateway's policies, crash,
-//!   recovery, park, backoff, retry, abandon, restore failure and the end
-//!   of a run are defined once. A fault-free run is the same loop with no
+//!   run and a [`crate::gateway`] run share one body around that loop
+//!   (`Fleet::drive`), and every [`crate::cluster`] node runs it once
+//!   per pool. So admission, the gateway's policies, crash, recovery,
+//!   park, backoff, retry, abandon, restore failure and the end of a
+//!   run are defined once. A fault-free run is the same loop with no
 //!   fault plan, and a fleet run the gateway's with every policy off.
 //!
 //! A pool of one with the round-robin policy reproduces the single
@@ -39,32 +39,16 @@
 //! bench; `tests/fleet_scheduling.rs` pins it against a hand-rolled
 //! single-container loop).
 //!
-//! # Host-parallel execution
+//! # Host threads
 //!
-//! [`Fleet::run`] has one event loop, the dispatch kernel's, and
-//! spreads eligible runs across host threads without a second one.
-//! Groundhog serves at most one request per container and restores it
-//! between invocations (§4), so under round-robin routing a slot's
-//! timeline depends only on its own arrivals: dispatch k starts at
-//! `max(arrival_k, ready_{k-1})`. A sharded run draws its arrivals once
-//! from the source the serial mode consumes, routes them, lets every
-//! slot **execute ahead** through its own arrivals on worker threads
-//! (`gh_sim::par::ordered_map`, the map that spreads sweep cells and
-//! cluster nodes), then runs the kernel's loop over the same arrivals,
-//! exactly as the serial mode does, while each slot **replays** its
-//! logged dispatches instead of executing again (`par`). The loop
-//! issues the serial run's schedule calls in the serial order, so
-//! results are bit-identical to serial, enforced by the differential
-//! oracle in `tests/fleet_par_oracle.rs`. A one-node cluster fed the
-//! same arrivals runs that loop too and gives the same result bit for
-//! bit (`cluster::tests::a_one_node_cluster_is_the_round_robin_fleet`).
-//!
-//! The **serial reference** runs instead whenever a run is not
-//! provably shardable. [`ExecMode`] states that rule once: routing
-//! other than round-robin, an autoscaler, fewer than two threads or a
-//! forced serial mode each rule it out, and so do injected faults and a
-//! pool of fewer than two slots. A cluster uses the mode only to spread
-//! its nodes across threads.
+//! A fleet run is the kernel's one loop on the caller's thread, whatever
+//! its [`ExecMode`], so every request executes in the kernel's event
+//! order.
+//! Host parallelism spreads independent runs instead: sweep cells and
+//! cluster nodes, through `gh_sim::par::ordered_map`. A one-node
+//! cluster fed a round-robin fleet's arrivals runs the same loop and
+//! gives the same result bit for bit
+//! (`cluster::tests::a_one_node_cluster_is_the_round_robin_fleet`).
 
 pub mod autoscaler;
 pub(crate) mod backend;
@@ -384,9 +368,7 @@ impl Fleet {
     }
 
     /// Drives `requests` Poisson arrivals through `pool` and runs the
-    /// queues dry, in [`ExecMode::Auto`] (parallel when eligible — see
-    /// the module docs — honoring `--serial`/`GH_SERIAL` and
-    /// `GH_THREADS`).
+    /// queues dry, on the caller's thread.
     ///
     /// ```
     /// use gh_faas::fleet::{Fleet, FleetConfig, Pool, RoutePolicy};
@@ -402,36 +384,32 @@ impl Fleet {
     /// # Ok::<(), gh_isolation::StrategyError>(())
     /// ```
     pub fn run(&self, pool: &mut Pool, requests: usize) -> Result<FleetResult, StrategyError> {
-        self.run_with(pool, requests, ExecMode::Auto)
+        let disabled = GatewayConfig::disabled();
+        let run = self.drive(pool, requests, Shape::default(), &disabled, &[]);
+        run.map(|(result, _)| result)
     }
 
-    /// Drives `requests` arrivals in an explicit [`ExecMode`]. The
-    /// parallel path is bit-identical to the serial reference; a run
-    /// that is not eligible to shard ([`ExecMode`] gives the rule) runs
-    /// serially regardless of `mode`.
+    /// [`Fleet::run`], ignoring `mode`: a fleet run is one loop on the
+    /// caller's thread in every [`ExecMode`]. Kept for `perfbench`,
+    /// which calls it.
     pub fn run_with(
         &self,
         pool: &mut Pool,
         requests: usize,
-        mode: ExecMode,
+        _mode: ExecMode,
     ) -> Result<FleetResult, StrategyError> {
-        let disabled = GatewayConfig::disabled();
-        let run = self.drive(pool, requests, mode, Shape::default(), &disabled, &[]);
-        run.map(|(result, _)| result)
+        self.run(pool, requests)
     }
 
     /// The driver body of a fleet run and of a gateway run
     /// ([`crate::gateway::GatewayFleet::run`]): `requests` arrivals of
     /// `shape` through `pool`, behind a [`Gate`] armed with `gateway`'s
     /// policies and the fleet's autoscaler, with `redeploys` scheduled.
-    /// Returns the result (cache hits count as served) and the gate. A
-    /// gateway run passes [`ExecMode::Serial`], since the slot step
-    /// executes every arrival ahead, which only an open gate allows.
+    /// Returns the result (cache hits count as served) and the gate.
     pub(crate) fn drive(
         &self,
         pool: &mut Pool,
         requests: usize,
-        mode: ExecMode,
         shape: Shape,
         gateway: &GatewayConfig,
         redeploys: &[Nanos],
@@ -439,7 +417,6 @@ impl Fleet {
         let t_start = Self::span_start(pool);
         let baseline = Self::baselines(pool);
         let arrivals = Arrivals::new(&self.cfg, shape, pool.spec.input_kb, t_start).take(requests);
-        let threads = mode.threads();
         let mut router = Router::new(self.cfg.policy);
         let mut gate = Gate::new(gateway, self.cfg.autoscale, t_start);
         let mut k = Backend::new(self.plan);
@@ -449,12 +426,7 @@ impl Fleet {
         for &at in redeploys {
             k.events.schedule(at, Event::Redeploy);
         }
-        if par::eligible(self, pool, requests, threads) {
-            let arrivals: Vec<(u64, Pending)> = arrivals.collect();
-            par::run_ahead(&mut k, pool, &mut router, &arrivals, threads, &mut gate)
-        } else {
-            k.run(pool, &mut router, arrivals, &mut gate)
-        }?;
+        k.run(pool, &mut router, arrivals, &mut gate)?;
         let mut tally = k.finish(requests - gate.hits - gate.rejected() as usize);
         tally.completed += gate.hits;
         let scaler = gate.scaler.as_ref();
@@ -576,7 +548,6 @@ impl Fleet {
 
 /// Builds a pool of `pool_size` containers and drives `requests` through
 /// it — the one-call entry point used by benches and examples.
-#[allow(clippy::too_many_arguments)]
 pub fn run_fleet(
     spec: &FunctionSpec,
     kind: StrategyKind,
@@ -585,24 +556,8 @@ pub fn run_fleet(
     cfg: FleetConfig,
     requests: usize,
 ) -> Result<FleetResult, StrategyError> {
-    run_fleet_with(spec, kind, gh, pool_size, cfg, requests, ExecMode::Auto)
-}
-
-/// [`run_fleet`] with an explicit [`ExecMode`] — the entry point of the
-/// serial-vs-parallel differential oracle and the determinism CI job.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fleet_with(
-    spec: &FunctionSpec,
-    kind: StrategyKind,
-    gh: GroundhogConfig,
-    pool_size: usize,
-    cfg: FleetConfig,
-    requests: usize,
-    mode: ExecMode,
-) -> Result<FleetResult, StrategyError> {
-    let seed = cfg.seed;
-    let mut pool = Pool::build(spec, kind, gh, pool_size, seed)?;
-    Fleet::new(cfg).run_with(&mut pool, requests, mode)
+    let mut pool = Pool::build(spec, kind, gh, pool_size, cfg.seed)?;
+    Fleet::new(cfg).run(&mut pool, requests)
 }
 
 #[cfg(test)]
@@ -901,7 +856,7 @@ mod tests {
     #[test]
     fn a_reused_round_robin_fleet_restarts_its_cursor() {
         // The router is per run: each run of 301 requests over 3 slots
-        // starts at slot 0, serially and sharded alike.
+        // starts at slot 0, in every mode, since `run_with` ignores it.
         let spec = by_name("fannkuch (p)").unwrap();
         for mode in [ExecMode::Serial, ExecMode::Parallel { threads: 2 }] {
             let fleet = Fleet::new(FleetConfig::fixed(RoutePolicy::RoundRobin, 90.0, 7));

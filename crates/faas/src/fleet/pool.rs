@@ -17,7 +17,7 @@
 //! [`FleetStats`](super::FleetStats) surfaces.
 
 use gh_functions::FunctionSpec;
-use gh_isolation::{ReplayStep, StrategyError, StrategyKind};
+use gh_isolation::{StrategyError, StrategyKind};
 use gh_mem::{SnapshotStore, StoreHandle};
 use gh_sim::{DetRng, Nanos};
 use groundhog_core::GroundhogConfig;
@@ -47,10 +47,6 @@ pub struct Dispatched {
     /// Response payload size, KiB (what a result cache stores).
     pub output_kb: u64,
 }
-
-/// A dispatch a slot served ahead of a run's event loop, with the step
-/// that served it (see [`crate::fleet::par`]).
-type Logged = (ReplayStep, Dispatched);
 
 /// One pool slot: a container plus its scheduling state.
 pub struct Slot {
@@ -85,9 +81,6 @@ pub struct Slot {
     pub spawned_at: Nanos,
     /// A retired slot serves its queue dry but receives no new requests.
     pub retired: bool,
-    /// Dispatches served ahead of a run's event loop, which
-    /// [`Slot::dispatch`] replays instead of serving them again.
-    log: Option<std::vec::IntoIter<Logged>>,
 }
 
 impl Slot {
@@ -107,7 +100,6 @@ impl Slot {
             lazy_faults: 0,
             spawned_at,
             retired: false,
-            log: None,
         }
     }
 
@@ -130,10 +122,7 @@ impl Slot {
     /// Dispatches the head-of-queue request at `now` (which must be ≥
     /// `ready_at`). Advances this container's timeline through
     /// execution and off-path restore, and settles the restore-hiding
-    /// accounting for the *previous* invocation. A slot replaying its
-    /// log instead returns the head's logged dispatch and moves only its
-    /// readiness; a head whose request, attempt or instant is not the
-    /// next logged step is [`StrategyError::ReplayDiverged`].
+    /// accounting for the *previous* invocation.
     pub fn dispatch(&mut self, now: Nanos) -> Result<Option<Dispatched>, StrategyError> {
         if !self.idle_at(now) {
             return Ok(None);
@@ -141,25 +130,7 @@ impl Slot {
         let Some(pending) = self.queue.pop() else {
             return Ok(None);
         };
-        let Some(log) = &mut self.log else {
-            return self.serve(&pending, now).map(Some);
-        };
-        let step = step_on(&pending, now);
-        match log.next() {
-            Some((logged, d)) if logged == step => {
-                self.ready_at = d.ready_at;
-                Ok(Some(d))
-            }
-            other => Err(StrategyError::ReplayDiverged {
-                expected: step,
-                recorded: other.map(|(logged, _)| logged),
-            }),
-        }
-    }
-
-    /// Executes `pending` at `now` on the clean container.
-    fn serve(&mut self, pending: &Pending, now: Nanos) -> Result<Dispatched, StrategyError> {
-        self.settle_previous(pending);
+        self.settle_previous(&pending);
         self.container.kernel.clock.advance_to(now);
         let start = self.container.now();
         let req = Request::new(pending.id, &pending.principal, pending.input_kb);
@@ -172,7 +143,7 @@ impl Slot {
         self.prev_resp_at = self.resp_at;
         self.served += 1;
         self.lazy_faults += out.exec.faults.lazy;
-        Ok(Dispatched {
+        Ok(Some(Dispatched {
             sojourn: (start - pending.arrival) + out.invoker_latency,
             resp_at: self.resp_at,
             ready_at: self.ready_at,
@@ -180,7 +151,7 @@ impl Slot {
             payload_hash: pending.payload_hash,
             idempotent: pending.idempotent,
             output_kb: out.response.output_kb,
-        })
+        }))
     }
 
     /// Settles the previous restore before the container takes
@@ -192,32 +163,6 @@ impl Slot {
             self.restore_hidden += hidden_end - self.prev_resp_at;
             self.pending_restore = Nanos::ZERO;
         }
-    }
-
-    /// Serves `arrivals`, this slot's own in arrival order, ahead of the
-    /// run's event loop: each at `max(arrival, previous readiness)`, as
-    /// the loop would dispatch it, logging each. Then rewinds `ready_at`
-    /// to its value before the first — every other field already holds
-    /// its end-of-run value — and arms the slot to replay the log as the
-    /// loop asks for its dispatches.
-    pub(crate) fn execute_ahead<'a>(
-        &mut self,
-        arrivals: impl Iterator<Item = &'a Pending>,
-    ) -> Result<(), StrategyError> {
-        let ready_at = self.ready_at;
-        let mut log = Vec::new();
-        for p in arrivals {
-            let at = p.arrival.max(self.ready_at);
-            log.push((step_on(p, at), self.serve(p, at)?));
-        }
-        self.ready_at = ready_at;
-        self.log = Some(log.into_iter());
-        Ok(())
-    }
-
-    /// Leaves replay: the next dispatch executes again.
-    pub(crate) fn end_replay(&mut self) {
-        self.log = None;
     }
 
     /// Settles trailing restore time at end of run: a restore nothing
@@ -270,15 +215,6 @@ impl Slot {
         self.pending_restore = Nanos::ZERO;
         self.ready_at = ready;
         ready
-    }
-}
-
-/// The dispatch of `pending`'s attempt at `at`.
-fn step_on(pending: &Pending, at: Nanos) -> ReplayStep {
-    ReplayStep {
-        id: pending.id,
-        attempt: pending.attempt,
-        at,
     }
 }
 
@@ -531,58 +467,6 @@ mod tests {
             p.slots[0].dispatch(d.ready_at).unwrap().is_some(),
             "clean again"
         );
-    }
-
-    #[test]
-    fn a_replay_that_diverges_is_an_error() {
-        let mut p = pool(StrategyKind::Gh, 1);
-        let slot = &mut p.slots[0];
-        let t0 = slot.container.now();
-        let step = |id, at| ReplayStep { id, attempt: 1, at };
-        let diverged = |r: Result<Option<Dispatched>, StrategyError>,
-                        want: ReplayStep,
-                        got: Option<ReplayStep>| match r {
-            Err(StrategyError::ReplayDiverged { expected, recorded }) => {
-                assert_eq!((expected, recorded), (want, got));
-            }
-            other => panic!("expected a divergence from {want:?}, got {other:?}"),
-        };
-        let recorded = [1, 2].map(|id| Pending {
-            id,
-            principal: "alice".into(),
-            input_kb: 1,
-            arrival: t0,
-            payload_hash: 0,
-            idempotent: false,
-            attempt: 1,
-        });
-        slot.execute_ahead(recorded.iter()).unwrap();
-        let end = slot.container.now();
-        assert_eq!(slot.ready_at, t0, "executing ahead rewinds readiness");
-        // Request 1's dispatch matches its log and executes nothing.
-        enqueue(slot, 1, t0);
-        let d = slot.dispatch(t0).unwrap().unwrap();
-        assert_eq!((d.id, slot.ready_at), (1, d.ready_at));
-        assert_eq!(
-            slot.container.now(),
-            end,
-            "a replayed dispatch executes nothing"
-        );
-        // Another request in request 2's place diverges, and so does a
-        // dispatch past the end of the log.
-        enqueue(slot, 7, d.ready_at);
-        diverged(
-            slot.dispatch(d.ready_at),
-            step(7, d.ready_at),
-            Some(step(2, d.ready_at)),
-        );
-        let late = d.ready_at + Nanos::from_nanos(1);
-        enqueue(slot, 8, late);
-        diverged(slot.dispatch(late), step(8, late), None);
-        slot.end_replay();
-        enqueue(slot, 9, late);
-        let d = slot.dispatch(late).unwrap().unwrap();
-        assert_eq!(d.id, 9, "a disarmed slot executes again");
     }
 
     #[test]

@@ -49,8 +49,7 @@ use groundhog_core::GroundhogConfig;
 use crate::fault::FaultConfig;
 use crate::fleet::backend::Event;
 use crate::fleet::{
-    AutoscaleConfig, Autoscaler, Dispatched, ExecMode, Fleet, FleetConfig, FleetResult, Pending,
-    Pool, Shape,
+    AutoscaleConfig, Autoscaler, Dispatched, Fleet, FleetConfig, FleetResult, Pending, Pool, Shape,
 };
 
 /// Workload and policy of one gateway-fronted fleet run. The workload
@@ -386,14 +385,9 @@ impl GatewayFleet {
             diurnal_amplitude: cfg.diurnal_amplitude,
             diurnal_period: cfg.diurnal_period,
         };
-        let (fleet, gate) = self.fleet.drive(
-            pool,
-            requests,
-            ExecMode::Serial,
-            shape,
-            &cfg.gateway,
-            &cfg.redeploys,
-        )?;
+        let (fleet, gate) =
+            self.fleet
+                .drive(pool, requests, shape, &cfg.gateway, &cfg.redeploys)?;
         let mut gw = GatewayStats {
             served: fleet.completed as u64,
             rejected: gate.rejected(),

@@ -124,11 +124,6 @@ impl Platform {
         &self.pools[id.0]
     }
 
-    /// Mutable access to a deployed pool.
-    pub fn pool_mut(&mut self, id: PoolId) -> &mut Pool {
-        &mut self.pools[id.0]
-    }
-
     /// Snapshot-memory accounting of a deployed pool: dedup ratio of the
     /// shared store and resident bytes per container.
     pub fn pool_memory(&self, id: PoolId) -> crate::fleet::PoolMemory {

@@ -4,7 +4,7 @@
 //! Two layers, two references:
 //!
 //! - **Fleet**: [`run_gateway_fleet`] with [`GatewayFleetConfig::passthrough`]
-//!   (all policies off, flat workload) must reproduce the ungated serial
+//!   (all policies off, flat workload) must reproduce the ungated
 //!   [`Fleet::run`] reference exactly — every counter and every
 //!   sketch-derived float, compared through `{:?}` (shortest round-trip
 //!   rendering, distinguishes any two f64 bit patterns) and through a
@@ -27,7 +27,7 @@
 use gh_faas::cluster::{run_cluster_gateway, run_cluster_with, ClusterConfig, PlacePolicy};
 use gh_faas::fault::{FaultConfig, RetryPolicy};
 use gh_faas::fleet::{
-    run_fleet_with, AutoscaleConfig, ExecMode, Fleet, FleetConfig, FleetResult, Pool, RoutePolicy,
+    run_fleet, AutoscaleConfig, ExecMode, Fleet, FleetConfig, FleetResult, Pool, RoutePolicy,
 };
 use gh_faas::gateway::{run_gateway_fleet, GatewayFleet, GatewayFleetConfig};
 use gh_faas::trace::cluster_redeploy_schedule;
@@ -115,16 +115,10 @@ fn passthrough_gateway_is_the_ungated_fleet_bit_for_bit() {
                     )
                     .unwrap();
                     let ungated = match faults {
-                        None => run_fleet_with(
-                            &spec,
-                            StrategyKind::Gh,
-                            GroundhogConfig::gh(),
-                            3,
-                            fc,
-                            160,
-                            ExecMode::Serial,
-                        )
-                        .unwrap(),
+                        None => {
+                            run_fleet(&spec, StrategyKind::Gh, GroundhogConfig::gh(), 3, fc, 160)
+                                .unwrap()
+                        }
                         Some(f) => {
                             let mut pool = Pool::build(
                                 &spec,
@@ -134,10 +128,7 @@ fn passthrough_gateway_is_the_ungated_fleet_bit_for_bit() {
                                 seed,
                             )
                             .unwrap();
-                            Fleet::new(fc)
-                                .with_faults(f)
-                                .run_with(&mut pool, 160, ExecMode::Serial)
-                                .unwrap()
+                            Fleet::new(fc).with_faults(f).run(&mut pool, 160).unwrap()
                         }
                     };
                     let label = format!(
@@ -304,7 +295,7 @@ fn an_empty_gateway_run_is_the_idle_fleet() {
     };
     let (kind, gh) = (StrategyKind::Gh, GroundhogConfig::gh());
     let gated = run_gateway_fleet(&spec, kind, gh.clone(), 2, cfg.clone(), 0).unwrap();
-    let idle = run_fleet_with(&spec, kind, gh, 2, cfg.fleet, 0, ExecMode::Serial).unwrap();
+    let idle = run_fleet(&spec, kind, gh, 2, cfg.fleet, 0).unwrap();
     assert_eq!(format!("{:?}", gated.fleet), format!("{idle:?}"));
     assert_eq!(gated.gateway, gh_gateway::GatewayStats::default());
 }

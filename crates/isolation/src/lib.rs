@@ -18,6 +18,4 @@
 
 pub mod strategy;
 
-pub use strategy::{
-    PostReport, PrepareReport, ReplayStep, RunTarget, Strategy, StrategyError, StrategyKind,
-};
+pub use strategy::{PostReport, PrepareReport, RunTarget, Strategy, StrategyError, StrategyKind};

@@ -69,39 +69,6 @@ pub enum StrategyError {
     Proc(gh_proc::kernel::ProcError),
     /// A pool was asked for zero containers.
     EmptyPool,
-    /// A slot replaying the dispatches it served ahead of the event loop
-    /// was asked for dispatch `expected`, but its log held `recorded`
-    /// next (`None`: the log had ended).
-    ReplayDiverged {
-        /// The dispatch the event loop asked for.
-        expected: ReplayStep,
-        /// The slot's next logged dispatch, if any was left.
-        recorded: Option<ReplayStep>,
-    },
-}
-
-/// One dispatch a container slot serves, as a slot that replays a log of
-/// its dispatches checks it ([`StrategyError::ReplayDiverged`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReplayStep {
-    /// Id of the request.
-    pub id: u64,
-    /// The request's attempt, 1-based.
-    pub attempt: u32,
-    /// Virtual time the attempt started.
-    pub at: Nanos,
-}
-
-impl core::fmt::Display for ReplayStep {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "attempt {} of request {} served at {} ns",
-            self.attempt,
-            self.id,
-            self.at.as_nanos()
-        )
-    }
 }
 
 impl From<GhError> for StrategyError {
@@ -127,20 +94,6 @@ impl core::fmt::Display for StrategyError {
             }
             StrategyError::Proc(e) => write!(f, "process: {e}"),
             StrategyError::EmptyPool => write!(f, "a pool needs at least one container"),
-            StrategyError::ReplayDiverged {
-                expected,
-                recorded: Some(step),
-            } => write!(
-                f,
-                "replay diverged: the event loop took \"{expected}\", the log held \"{step}\""
-            ),
-            StrategyError::ReplayDiverged {
-                expected,
-                recorded: None,
-            } => write!(
-                f,
-                "replay diverged: the event loop took \"{expected}\" past the end of the log"
-            ),
         }
     }
 }
@@ -434,7 +387,7 @@ impl Strategy {
                 Ok(RunTarget::Resident(fproc.pid))
             }
             Strategy::Fork { active_child } => {
-                debug_assert!(active_child.is_none(), "one request at a time");
+                assert!(active_child.is_none(), "one request at a time");
                 let child = kernel.fork(fproc.pid)?;
                 *active_child = Some(child);
                 Ok(RunTarget::ForkChild(child))
@@ -619,6 +572,16 @@ mod tests {
         }
         // Children were all reaped.
         assert_eq!(kernel.process_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one request at a time")]
+    fn fork_admits_one_request_at_a_time_in_every_build() {
+        // A second admit before `conclude` would overwrite the live child
+        // and leak it, so it panics in release builds too.
+        let (mut kernel, fproc, mut strat) = full_cycle(StrategyKind::Fork, "atax (c)", 0);
+        strat.admit(&mut kernel, &fproc, "alice").unwrap();
+        let _ = strat.admit(&mut kernel, &fproc, "bob");
     }
 
     #[test]

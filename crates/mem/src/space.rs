@@ -24,8 +24,8 @@
 //! so the manager-facing queries scale with the *interesting* pages, not
 //! the mapped address space:
 //!
-//! - [`AddressSpace::soft_dirty_pages`] / `soft_dirty_runs` are
-//!   `O(dirty)` index scans (no pagemap walk);
+//! - [`AddressSpace::soft_dirty_pages`] is an `O(dirty)` index scan (no
+//!   pagemap walk);
 //! - [`AddressSpace::clear_soft_dirty`], `arm_uffd_wp`, `disarm_uffd`
 //!   and `mark_all_cow` are `O(extents)` flag transforms (the armed
 //!   steady state is a handful of extents, so re-arming after a request
@@ -1563,12 +1563,6 @@ impl AddressSpace {
     /// scan, not a pagemap walk.
     pub fn soft_dirty_pages(&self) -> Vec<Vpn> {
         self.dirty.to_vec()
-    }
-
-    /// The soft-dirty pages coalesced into maximal runs, ascending.
-    /// `O(dirty)`.
-    pub fn soft_dirty_runs(&self) -> Vec<PageRange> {
-        self.dirty.runs()
     }
 
     /// Work units a [`AddressSpace::soft_dirty_pages`] scan performs

@@ -14,11 +14,11 @@ use crate::time::Nanos;
 ///
 /// Cloning produces a handle to the *same* underlying clock. The clock
 /// is `Send`/`Sync` (`Arc<AtomicU64>`) so independent per-container
-/// timelines can be driven from different host threads (the fleet's
-/// sharded execution; §5.3.4 of the paper shows containers scale
-/// independently per core) — but any *one* timeline is still advanced
-/// by exactly one thread at a time, so relaxed ordering suffices and
-/// the simulation stays deterministic.
+/// timelines can be driven from different host threads (sweep cells and
+/// cluster nodes run on worker threads; §5.3.4 of the paper shows
+/// containers scale independently per core) — but any *one* timeline is
+/// still advanced by exactly one thread at a time, so relaxed ordering
+/// suffices and the simulation stays deterministic.
 ///
 /// # Examples
 ///
@@ -56,7 +56,7 @@ impl VirtualClock {
 
     /// Advances the clock by `dt` and returns the new time.
     ///
-    /// A timeline is advanced by exactly one thread at a time (the shard
+    /// A timeline is advanced by exactly one thread at a time (the
     /// worker that owns the container), so a plain load/store — rather
     /// than an RMW — is sufficient.
     #[inline]

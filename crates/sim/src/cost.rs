@@ -546,16 +546,6 @@ impl CostModel {
         self.defer_arm_run * runs.clamp(1, pages) + self.defer_arm_page * pages
     }
 
-    /// One-time snapshot cost for a process with the given footprint.
-    pub fn snapshot_cost(&self, present_pages: u64, mapped_pages: u64, threads: usize) -> Nanos {
-        self.snapshot_base
-            + self.snapshot_per_present_page * present_pages
-            + self.snapshot_per_mapped_page * mapped_pages
-            + self.interrupt_cost(threads)
-            + self.regs_cost(threads)
-            + self.detach_cost(threads)
-    }
-
     /// Cost of the `fork` syscall for a process with `mapped_pages`.
     pub fn fork_cost(&self, mapped_pages: u64) -> Nanos {
         self.fork_base + self.fork_per_page * mapped_pages

@@ -1,10 +1,10 @@
 //! Host parallelism for independent simulation units.
 //!
-//! Sweep cells, cluster nodes and a sharded fleet run's slots are pure
-//! functions of their own inputs (a cell or node has its own kernel,
-//! seed and event queue; a slot serves only its own arrivals ahead of
-//! the fleet's one event loop), so they can run on OS threads with no
-//! effect on results — provided the results are merged in input order. [`ordered_map`] is that one discipline:
+//! Sweep cells and cluster nodes are pure functions of their own inputs
+//! (each has its own kernel, seeds and event queue), so they can run on
+//! OS threads with no effect on results — provided the results are
+//! merged in input order. A single fleet run is never split: it is one
+//! event loop on one thread. [`ordered_map`] is that one discipline:
 //! workers claim indices from a shared cursor (dynamic load balancing,
 //! since units differ wildly in cost) and the merge places each result
 //! at its index, so the output is byte-identical to a serial run.

@@ -53,12 +53,6 @@ impl Summary {
         }
     }
 
-    /// Computes a summary over durations, in milliseconds.
-    pub fn of_nanos_ms(samples: &[Nanos]) -> Summary {
-        let ms: Vec<f64> = samples.iter().map(|n| n.as_millis_f64()).collect();
-        Summary::of(&ms)
-    }
-
     /// Coefficient of variation (σ/µ), in percent. Zero when the mean is 0.
     pub fn cov_percent(&self) -> f64 {
         if self.mean.abs() < f64::EPSILON {
