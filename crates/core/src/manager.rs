@@ -192,17 +192,6 @@ impl Manager {
     /// Takes the clean-state snapshot (§4.2). The caller must have driven
     /// initialization and the dummy warm-up request (§4.1) first.
     pub fn snapshot_now(&mut self, kernel: &mut Kernel) -> Result<SnapshotReport, GhError> {
-        self.snapshot_now_with(kernel, None)
-    }
-
-    /// Like [`Manager::snapshot_now`], with an optionally pre-locked pool
-    /// store (`locked` must guard this manager's shared store): pool
-    /// cold starts lock once per build instead of once per container.
-    pub fn snapshot_now_with(
-        &mut self,
-        kernel: &mut Kernel,
-        locked: Option<&mut gh_mem::SnapshotStore>,
-    ) -> Result<SnapshotReport, GhError> {
         if self.state != ManagerState::Initializing {
             return Err(GhError::BadState {
                 state: self.state.name(),
@@ -223,7 +212,7 @@ impl Manager {
             SnapshotMode::Eager
         };
         let (snapshot, report) =
-            Snapshotter::take_mode_with(kernel, self.pid, self.tracker.as_mut(), mode, locked)?;
+            Snapshotter::take_mode(kernel, self.pid, self.tracker.as_mut(), mode)?;
         self.snapshot = Some(snapshot);
         self.stats.snapshot = Some(report);
         self.state = ManagerState::Ready;

@@ -319,22 +319,6 @@ impl Snapshotter {
         tracker: &mut dyn MemoryTracker,
         mode: SnapshotMode,
     ) -> Result<(Snapshot, SnapshotReport), GhError> {
-        Self::take_mode_with(kernel, pid, tracker, mode, None)
-    }
-
-    /// Like [`Snapshotter::take_mode`], but when the caller already holds
-    /// the pool store's lock it passes the guard as `locked` and the
-    /// shared-mode intern goes through it instead of re-locking — the
-    /// pool build path locks once for the whole fleet instead of once
-    /// per container. `locked` (when `Some`) must guard the same store
-    /// as `mode`'s handle.
-    pub fn take_mode_with(
-        kernel: &mut Kernel,
-        pid: Pid,
-        tracker: &mut dyn MemoryTracker,
-        mode: SnapshotMode,
-        locked: Option<&mut gh_mem::SnapshotStore>,
-    ) -> Result<(Snapshot, SnapshotReport), GhError> {
         let mut sw = Stopwatch::start(&kernel.clock);
         let mut s = PtraceSession::attach(kernel, pid)?;
         // (a) Interrupt and store the CPU state of all threads.
@@ -379,13 +363,10 @@ impl Snapshotter {
             SnapshotMode::Shared { store, key } => {
                 let (proc, frames) = s.kernel().mem_ctx(pid)?;
                 let runs = proc.mem.present_frame_runs();
-                let refs = match locked {
-                    Some(st) => st.intern_refs(&key, &runs, frames),
-                    None => store
-                        .lock()
-                        .expect("store poisoned")
-                        .intern_refs(&key, &runs, frames),
-                };
+                let refs = store
+                    .lock()
+                    .expect("store poisoned")
+                    .intern_refs(&key, &runs, frames);
                 let present = refs.total_pages();
                 let cost = s.kernel().cost.snapshot_capture_cost(present, shape, false);
                 (

@@ -77,7 +77,7 @@ impl Container {
         gh_cfg: GroundhogConfig,
         seed: u64,
     ) -> Result<Container, StrategyError> {
-        Self::cold_start_pooled(spec, kind, gh_cfg, seed, None, None)
+        Self::cold_start_pooled(spec, kind, gh_cfg, seed, None)
     }
 
     /// Like [`Container::cold_start`], but the clean-state snapshot is
@@ -85,19 +85,13 @@ impl Container {
     /// (`store`; `None` keeps the snapshot private). Interning charges
     /// exactly the eager snapshot cost, so the container's timeline is
     /// independent of the store — dedup is a pool-memory optimization
-    /// only. When the pool already holds the store's lock it passes the
-    /// guard as `locked` so the snapshot intern reuses it instead of
-    /// re-locking — one lock acquisition per
-    /// [`Pool::build`](crate::fleet::Pool::build) or grow step instead of
-    /// one per container. `locked` (when `Some`) must guard the same
-    /// store as `store`.
+    /// only. The snapshot takes the store's lock for its intern alone.
     pub fn cold_start_pooled(
         spec: &FunctionSpec,
         kind: StrategyKind,
         gh_cfg: GroundhogConfig,
         seed: u64,
         store: Option<gh_mem::StoreHandle>,
-        locked: Option<&mut gh_mem::SnapshotStore>,
     ) -> Result<Container, StrategyError> {
         let mut kernel = Kernel::boot();
         let mut rng = DetRng::new(seed);
@@ -121,7 +115,7 @@ impl Container {
         // Strategy preparation (snapshot for GH/GHNOP, heap checkpoint for
         // Faasm).
         let mut strategy = Strategy::create_with_store(kind, &kernel, &fproc, spec, gh_cfg, store)?;
-        let prepare = strategy.prepare_with(&mut kernel, &fproc, locked)?;
+        let prepare = strategy.prepare(&mut kernel, &fproc)?;
 
         let init_time = kernel.clock.now() - t0;
         Ok(Container {

@@ -279,22 +279,10 @@ impl Pool {
         let store = SnapshotStore::new_handle();
         let mut spawn_rng = DetRng::new(seed ^ 0x9001_5EED_F1EE_7000);
         let mut slots = Vec::with_capacity(size);
-        {
-            // One store lock for the whole build: every cold start interns
-            // through the held guard instead of re-locking per container.
-            let mut locked = store.lock().expect("store poisoned");
-            for i in 0..size {
-                let s = if i == 0 { seed } else { spawn_rng.next_u64() };
-                let c = Container::cold_start_pooled(
-                    spec,
-                    kind,
-                    gh.clone(),
-                    s,
-                    Some(store.clone()),
-                    Some(&mut locked),
-                )?;
-                slots.push(Slot::new(c, Nanos::ZERO));
-            }
+        for i in 0..size {
+            let s = if i == 0 { seed } else { spawn_rng.next_u64() };
+            let c = Container::cold_start_pooled(spec, kind, gh.clone(), s, Some(store.clone()))?;
+            slots.push(Slot::new(c, Nanos::ZERO));
         }
         Ok(Pool {
             spec: spec.clone(),
@@ -352,17 +340,13 @@ impl Pool {
     /// slot's index and its readiness time.
     pub fn grow(&mut self, now: Nanos) -> Result<(usize, Nanos), StrategyError> {
         let seed = self.spawn_rng.next_u64();
-        let c = {
-            let mut locked = self.store.lock().expect("store poisoned");
-            Container::cold_start_pooled(
-                &self.spec,
-                self.kind,
-                self.gh.clone(),
-                seed,
-                Some(self.store.clone()),
-                Some(&mut locked),
-            )?
-        };
+        let c = Container::cold_start_pooled(
+            &self.spec,
+            self.kind,
+            self.gh.clone(),
+            seed,
+            Some(self.store.clone()),
+        )?;
         let init = c.stats.init_time;
         let mut slot = Slot::new(c, now);
         // The new container's timeline starts at the global present; its

@@ -317,21 +317,9 @@ impl Strategy {
         kernel: &mut Kernel,
         fproc: &FunctionProcess,
     ) -> Result<PrepareReport, StrategyError> {
-        self.prepare_with(kernel, fproc, None)
-    }
-
-    /// Like [`Strategy::prepare`], with an optionally pre-locked pool
-    /// store passed through to the GH snapshot (pool builds lock once
-    /// for the whole fleet). Non-GH strategies ignore `locked`.
-    pub fn prepare_with(
-        &mut self,
-        kernel: &mut Kernel,
-        fproc: &FunctionProcess,
-        locked: Option<&mut gh_mem::SnapshotStore>,
-    ) -> Result<PrepareReport, StrategyError> {
         match self {
             Strategy::Gh(mgr) => {
-                let report = mgr.snapshot_now_with(kernel, locked)?;
+                let report = mgr.snapshot_now(kernel)?;
                 Ok(PrepareReport {
                     duration: report.duration,
                     snapshot_pages: Some(report.present_pages),

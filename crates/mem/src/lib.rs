@@ -35,13 +35,15 @@
 //!   deduplicating frame table per container pool, so N near-identical
 //!   clean-state snapshots cost one base image plus per-container deltas
 //!   instead of N full copies;
-//! - a **batched fault path** ([`batch::TouchBatch`],
-//!   [`space::AddressSpace::touch_batch`]): a pre-sorted plan of page
-//!   touches resolved in one ordered cursor walk over the extents and
-//!   frame chunks — `O(batch + touched extents/chunks)` plus one edit
-//!   fold, instead of a search and a `set_flags` split per page —
-//!   bit-identical in counters, dirty/taint state and contents to the
-//!   per-page loop (pinned by the `batch_oracle` differential test);
+//! - one **fault decision** per page touch, shared by the single-page
+//!   [`space::AddressSpace::touch`] and the **batched fault path**
+//!   ([`batch::TouchBatch`], [`space::AddressSpace::touch_batch`]): a
+//!   pre-sorted plan of page touches resolved in one ordered cursor walk
+//!   over the extents and frame chunks — `O(batch + touched
+//!   extents/chunks)` plus one edit fold, instead of a search and a
+//!   `set_flags` split per page (pinned against the per-page loop by the
+//!   `batch_oracle` test, and against a retained per-page address space
+//!   by `legacy_oracle`);
 //! - **read spans** ([`space::AddressSpace::read_span`]): an ascending
 //!   read set walked by extent, VMA and lazy-pending cursors, where a
 //!   warm page costs at most one cursor step (a run of them inside one
@@ -53,9 +55,8 @@
 //!   madvise passes each mutate the page table in one ordered walk and
 //!   one edit fold — one frame-chunk probe per 512-page window, one VMA
 //!   lookup per VMA crossed, one forward index pass
-//!   ([`index::VpnIndex::clear_runs`]) — with outcomes identical to the
-//!   per-page `restore_page`/`zero_page`/`evict_page` loops down to
-//!   frame-id order (pinned by the same oracle);
+//!   ([`index::VpnIndex::clear_runs`]); `restore_page`, `zero_page` and
+//!   `evict_page` are one-page passes (pinned by `legacy_oracle`);
 //! - **fault accounting** ([`space::FaultCounters`]): every minor, CoW,
 //!   soft-dirty, userfaultfd and lazy-restore fault is counted so the
 //!   cost model can charge it to the virtual clock — the in-function

@@ -35,12 +35,12 @@
 //! - [`AddressSpace::capture_frame_runs`] hands the snapshotter
 //!   refcounted frame runs in `O(extents)` run metadata plus one incref
 //!   per page — no per-page map construction, no content copies;
-//! - [`AddressSpace::touch_batch`] resolves a pre-sorted
-//!   [`TouchBatch`] of page touches in one ordered cursor walk —
-//!   `O(batch + touched extents/chunks)` plus one edit fold, where a
-//!   `touch` loop pays a search and a per-page `set_flags` split per
-//!   item — with bit-identical counters, dirty/taint state and contents
-//!   (the request-execution hot path of `gh_functions::Executor`);
+//! - [`AddressSpace::touch`] and [`AddressSpace::touch_batch`] make one
+//!   fault decision per page (`Tracking::touch`): a single touch applies
+//!   it after one VMA and one page-table lookup, a batch resolves a
+//!   pre-sorted [`TouchBatch`] in one ordered cursor walk —
+//!   `O(batch + touched extents/chunks)` plus one edit fold (the
+//!   request-execution hot path of `gh_functions::Executor`);
 //! - [`AddressSpace::read_span`] reads an ascending vpn slice with one
 //!   extent, one VMA and one lazy-pending cursor: a warm page costs at
 //!   most one cursor step and a comparison, and only the pages that
@@ -50,8 +50,8 @@
 //!   the same for the restorer's writeback and stack-zero passes and its
 //!   madvise pass: one walk and one edit fold per pass — one frame-chunk
 //!   probe per 512-page window across the runs in it, one VMA lookup per
-//!   VMA crossed, one forward [`VpnIndex::clear_runs`] pass — identical
-//!   to the per-page loops down to frame-id allocation order.
+//!   VMA crossed, one forward [`VpnIndex::clear_runs`] pass.
+//!   `restore_page`, `zero_page` and `evict_page` are one-page passes.
 //!
 //! # Change indices
 //!
@@ -66,11 +66,10 @@
 //! - [`AddressSpace::reset_change_baseline`] — called by the snapshotter
 //!   when it captures the present pages — makes the present set the
 //!   baseline (sorted runs, `O(extents)`) and empties both indices;
-//! - from then on, every site that makes a page present (the read and
-//!   write minor faults, the batched touch walk, lazy fault-in and
-//!   drain, `restore_page`, `restore_runs`) or absent (`evict_page`,
-//!   `evict_runs` — behind `munmap`, `madvise` and brk shrink — and
-//!   `release_all`) updates them with one `O(log runs)` baseline lookup,
+//! - from then on, every site that makes a page present (a touch's
+//!   minor fault, lazy fault-in, `restore_runs`) or absent (`evict_runs`
+//!   — behind `munmap`, `madvise` and brk shrink — and `release_all`)
+//!   updates them with one `O(log runs)` baseline lookup,
 //!   so `fresh = present ∖ baseline` and `dropped = baseline ∖ present`
 //!   hold at every step (`check_invariants` recomputes both);
 //! - before the first reset there is no baseline and the sites skip the
@@ -105,7 +104,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::addr::{PageRange, VirtAddr, Vpn, PAGE_SIZE};
+use crate::addr::{PageRange, Vpn};
 use crate::batch::{BatchOutcome, TouchBatch};
 use crate::extent::{BatchDecision, PageTable};
 use crate::frame::{FrameData, FrameId, FrameTable};
@@ -238,6 +237,16 @@ pub enum Touch {
     WriteWord(u64),
 }
 
+impl Touch {
+    /// True when a VMA with `perms` allows this touch.
+    fn permitted(self, perms: Perms) -> bool {
+        match self {
+            Touch::Read => perms.r,
+            Touch::WriteWord(_) => perms.w,
+        }
+    }
+}
+
 /// Where a lazily-restored page's clean contents come from when its
 /// first-touch fault fires (lazy restore mode: the restorer registers
 /// the deferred set instead of writing it back, and the fault handler
@@ -329,6 +338,146 @@ impl ChangeIndex {
             } else {
                 self.fresh.clear(vpn);
             }
+        }
+    }
+}
+
+/// The state a touch's fault decision updates, borrowed apart from the
+/// VMAs and the page table (see [`AddressSpace::split`]) so the batch
+/// walk can hold it beside its page-table borrow.
+struct Tracking<'a> {
+    counters: &'a mut FaultCounters,
+    dirty: &'a mut VpnIndex,
+    tainted: &'a mut VpnIndex,
+    changes: &'a mut ChangeIndex,
+    uffd_log: &'a mut VpnIndex,
+}
+
+impl Tracking<'_> {
+    /// The fault decision of one permitted touch of `vpn`, a page with
+    /// no pending lazy obligation whose state is `cur` (`None` when
+    /// absent): the one copy of the fault state machine, made per item
+    /// by the batch walk and once by [`AddressSpace::touch`]. It counts
+    /// the fault, updates the dirty, taint, uffd-log and change indices,
+    /// allocates or copies the frame, performs a write's word write and
+    /// taint merge, and returns the page's new PTE for the caller to
+    /// apply. `fresh_base` is the VMA's [`AddressSpace::fresh_base`].
+    ///
+    /// Index writes that provably change nothing are skipped (`dirty` of
+    /// an already soft-dirty page, taint bits whose frame taint did not
+    /// change): no-ops by the `check_invariants` index⇔flag agreement.
+    #[inline(always)]
+    fn touch(
+        &mut self,
+        vpn: Vpn,
+        touch: Touch,
+        taint: Taint,
+        fresh_base: Option<u64>,
+        cur: Option<(FrameId, PteFlags)>,
+        frames: &mut FrameTable,
+    ) -> BatchDecision {
+        let Some((old_frame, old_flags)) = cur else {
+            // Minor fault. Linux marks every newly installed PTE
+            // soft-dirty (Documentation/admin-guide/mm/soft-dirty.rst:
+            // "the kernel always marks new memory regions ... as soft
+            // dirty") so that unmap/remap churn cannot hide changes —
+            // Groundhog's restore correctness depends on this.
+            self.counters.minor += 1;
+            let frame = frames.alloc(AddressSpace::fresh_from_base(fresh_base, vpn), Taint::Clean);
+            if let Touch::WriteWord(val) = touch {
+                self.write_word(vpn, frame, val, taint, frames);
+            }
+            self.dirty.set(vpn);
+            self.changes.inserted(vpn);
+            return BatchDecision::Insert {
+                frame,
+                flags: PteFlags::PRESENT.with(PteFlags::SOFT_DIRTY),
+            };
+        };
+        let Touch::WriteWord(val) = touch else {
+            // A read faults only on a TLB-cold page.
+            let flags = if old_flags.contains(PteFlags::TLB_COLD) {
+                self.counters.tlb_cold += 1;
+                old_flags.without(PteFlags::TLB_COLD)
+            } else {
+                self.counters.warm += 1;
+                old_flags
+            };
+            return BatchDecision::Update { frame: None, flags };
+        };
+        let mut frame = old_frame;
+        let mut flags = old_flags;
+        let mut faulted = false;
+        if flags.contains(PteFlags::TLB_COLD) {
+            self.counters.tlb_cold += 1;
+            flags = flags.without(PteFlags::TLB_COLD);
+            faulted = true;
+        }
+        if flags.contains(PteFlags::COW) {
+            self.counters.cow += 1;
+            if frames.is_shared(frame) {
+                frame = frames.cow_copy(frame);
+            }
+            flags = flags.without(PteFlags::COW);
+            faulted = true;
+        }
+        if flags.contains(PteFlags::UFFD_WP) {
+            self.counters.uffd_wp += 1;
+            self.uffd_log.set(vpn);
+            flags = flags.without(PteFlags::UFFD_WP).with(PteFlags::SOFT_DIRTY);
+            faulted = true;
+        } else if flags.contains(PteFlags::SD_WP) {
+            // One hardware #PF resolves CoW and soft-dirty arming
+            // together: don't double-count when a CoW fault already
+            // fired for this write.
+            if !faulted {
+                self.counters.sd_wp += 1;
+            }
+            flags = flags.without(PteFlags::SD_WP).with(PteFlags::SOFT_DIRTY);
+            faulted = true;
+        } else {
+            flags |= PteFlags::SOFT_DIRTY;
+        }
+        if !faulted {
+            self.counters.warm += 1;
+        }
+        // A frame shared *without* a CoW arming is structural sharing
+        // only (an eager snapshot's run capture): the write silently
+        // unshares it — real page-copy work on the host, but no fault is
+        // charged, exactly like the eager full-copy snapshot it stands
+        // in for.
+        if frames.is_shared(frame) {
+            frame = frames.cow_copy(frame);
+        }
+        // Every branch above left the page soft-dirty.
+        if !old_flags.contains(PteFlags::SOFT_DIRTY) {
+            self.dirty.set(vpn);
+        }
+        self.write_word(vpn, frame, val, taint, frames);
+        BatchDecision::Update {
+            frame: (frame != old_frame).then_some(frame),
+            flags,
+        }
+    }
+
+    /// Writes `val` into word 1 of `vpn`'s private `frame` and merges the
+    /// request's `taint` into the frame's. A merge never clears taint,
+    /// so the taint bit only ever needs setting.
+    #[inline(always)]
+    fn write_word(
+        &mut self,
+        vpn: Vpn,
+        frame: FrameId,
+        val: u64,
+        taint: Taint,
+        frames: &mut FrameTable,
+    ) {
+        let (data, t) = frames.data_mut(frame);
+        data.write_word(1, val);
+        let was_tainted = t.is_tainted();
+        *t = t.merge(taint);
+        if t.is_tainted() && !was_tainted {
+            self.tainted.set(vpn);
         }
     }
 }
@@ -425,11 +574,38 @@ impl AddressSpace {
 
     /// The VMA containing `vpn`, if any.
     pub fn vma_at(&self, vpn: Vpn) -> Option<&Vma> {
-        self.vmas
-            .range(..=vpn.0)
+        Self::vma_in(&self.vmas, vpn)
+    }
+
+    /// The VMA of `vmas` containing `vpn`, if any.
+    fn vma_in(vmas: &BTreeMap<u64, Vma>, vpn: Vpn) -> Option<&Vma> {
+        vmas.range(..=vpn.0)
             .next_back()
             .map(|(_, v)| v)
             .filter(|v| v.range.contains(vpn))
+    }
+
+    /// Splits the space into its VMAs, its page table and the state a
+    /// touch's fault decision updates.
+    fn split(&mut self) -> (&BTreeMap<u64, Vma>, &mut PageTable, Tracking<'_>) {
+        let AddressSpace {
+            vmas,
+            pt,
+            dirty,
+            tainted,
+            changes,
+            counters,
+            uffd_log,
+            ..
+        } = self;
+        let tracking = Tracking {
+            counters,
+            dirty,
+            tainted,
+            changes,
+            uffd_log,
+        };
+        (vmas, pt, tracking)
     }
 
     /// All VMAs in address order, borrowed (allocation-free `maps` view).
@@ -803,8 +979,7 @@ impl AddressSpace {
 
     /// Pattern seed of a VMA's fresh pages: `Some(base)` for file
     /// mappings (page `vpn` reads as `Pattern(base ^ vpn)`), `None` for
-    /// zero-filled. The single source of fresh-content truth for both
-    /// the per-page and batched fault paths.
+    /// zero-filled.
     fn fresh_base(vma: &Vma) -> Option<u64> {
         match &vma.kind {
             VmaKind::File(name) => {
@@ -828,148 +1003,12 @@ impl AddressSpace {
         }
     }
 
-    /// Initial contents of a fresh page in `vma`.
-    fn fresh_data(vma: &Vma, vpn: Vpn) -> FrameData {
-        Self::fresh_from_base(Self::fresh_base(vma), vpn)
-    }
-
-    /// Ensures `vpn` is present for a read; takes faults as needed.
-    fn page_read_access(&mut self, vpn: Vpn, frames: &mut FrameTable) -> Result<(), AccessError> {
-        let vma = self.vma_at(vpn).ok_or(AccessError::Unmapped(vpn))?;
-        if !vma.perms.r {
-            return Err(AccessError::PermissionDenied(vpn));
-        }
-        if self.lazy_pending.contains_key(&vpn.0) {
-            // Deferred restoration: one fault installs the snapshot
-            // contents and services the read.
-            self.counters.lazy += 1;
-            self.fault_in_lazy(vpn, false, frames);
-            return Ok(());
-        }
-        let fresh = Self::fresh_data(vma, vpn);
-        match self.pt.get(vpn) {
-            None => {
-                // Minor fault. Linux marks every newly installed PTE
-                // soft-dirty (Documentation/admin-guide/mm/soft-dirty.rst:
-                // "the kernel always marks new memory regions ... as soft
-                // dirty") so that unmap/remap churn cannot hide changes —
-                // Groundhog's restore correctness depends on this.
-                self.counters.minor += 1;
-                let frame = frames.alloc(fresh, Taint::Clean);
-                self.pt
-                    .insert(vpn, frame, PteFlags::PRESENT.with(PteFlags::SOFT_DIRTY));
-                self.dirty.set(vpn);
-                self.changes.inserted(vpn);
-            }
-            Some(pte) => {
-                if pte.flags.contains(PteFlags::TLB_COLD) {
-                    self.counters.tlb_cold += 1;
-                    self.pt
-                        .set_flags(vpn, pte.flags.without(PteFlags::TLB_COLD));
-                } else {
-                    self.counters.warm += 1;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Ensures `vpn` is present and privately writable; takes faults as
-    /// needed and maintains soft-dirty state.
-    fn page_write_access(&mut self, vpn: Vpn, frames: &mut FrameTable) -> Result<(), AccessError> {
-        let vma = self.vma_at(vpn).ok_or(AccessError::Unmapped(vpn))?;
-        if !vma.perms.w {
-            return Err(AccessError::PermissionDenied(vpn));
-        }
-        if self.lazy_pending.contains_key(&vpn.0) {
-            // Deferred restoration: the same single #PF installs the
-            // snapshot contents and resolves the tracking write-protect
-            // (no separate SD/UFFD fault is charged).
-            self.counters.lazy += 1;
-            self.fault_in_lazy(vpn, true, frames);
-            return Ok(());
-        }
-        let fresh = Self::fresh_data(vma, vpn);
-        match self.pt.get(vpn) {
-            None => {
-                // Write minor fault: page born soft-dirty.
-                self.counters.minor += 1;
-                let frame = frames.alloc(fresh, Taint::Clean);
-                self.pt
-                    .insert(vpn, frame, PteFlags::PRESENT.with(PteFlags::SOFT_DIRTY));
-                self.dirty.set(vpn);
-                self.changes.inserted(vpn);
-            }
-            Some(pte) => {
-                let mut frame = pte.frame;
-                let mut flags = pte.flags;
-                let mut faulted = false;
-                if flags.contains(PteFlags::TLB_COLD) {
-                    self.counters.tlb_cold += 1;
-                    flags = flags.without(PteFlags::TLB_COLD);
-                    faulted = true;
-                }
-                if flags.contains(PteFlags::COW) {
-                    self.counters.cow += 1;
-                    if frames.is_shared(frame) {
-                        frame = frames.cow_copy(frame);
-                    }
-                    flags = flags.without(PteFlags::COW);
-                    faulted = true;
-                }
-                if flags.contains(PteFlags::UFFD_WP) {
-                    self.counters.uffd_wp += 1;
-                    self.uffd_log.set(vpn);
-                    flags = flags.without(PteFlags::UFFD_WP).with(PteFlags::SOFT_DIRTY);
-                    faulted = true;
-                } else if flags.contains(PteFlags::SD_WP) {
-                    // One hardware #PF resolves CoW and soft-dirty arming
-                    // together: don't double-count when a CoW fault
-                    // already fired for this write.
-                    if !faulted {
-                        self.counters.sd_wp += 1;
-                    }
-                    flags = flags.without(PteFlags::SD_WP).with(PteFlags::SOFT_DIRTY);
-                    faulted = true;
-                } else {
-                    flags |= PteFlags::SOFT_DIRTY;
-                }
-                if !faulted {
-                    self.counters.warm += 1;
-                }
-                // A frame shared *without* a CoW arming is structural
-                // sharing only (an eager snapshot's run capture): the
-                // write silently unshares it — real page-copy work on the
-                // host, but no fault is charged, exactly like the eager
-                // full-copy snapshot it stands in for.
-                if frames.is_shared(frame) {
-                    frame = frames.cow_copy(frame);
-                }
-                if frame != pte.frame {
-                    self.pt.set_frame(vpn, frame);
-                }
-                if flags != pte.flags {
-                    self.pt.set_flags(vpn, flags);
-                }
-                if flags.contains(PteFlags::SOFT_DIRTY) {
-                    self.dirty.set(vpn);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Syncs the tainted-page index bit of `vpn` with its frame's taint.
-    fn sync_taint_bit(&mut self, vpn: Vpn, taint: Taint) {
-        if taint.is_tainted() {
-            self.tainted.set(vpn);
-        } else {
-            self.tainted.clear(vpn);
-        }
-    }
-
     /// Performs a page-granular touch (the unit of work function
-    /// behaviours are built from).
+    /// behaviours are built from): one VMA lookup and one page-table
+    /// lookup, then the fault decision the batch walk makes per item
+    /// (`Tracking::touch`), applied to the page with a point insert or
+    /// update. A page with a pending lazy-restore obligation takes the
+    /// lazy fault instead.
     pub fn touch(
         &mut self,
         vpn: Vpn,
@@ -977,20 +1016,40 @@ impl AddressSpace {
         taint: Taint,
         frames: &mut FrameTable,
     ) -> Result<(), AccessError> {
-        match touch {
-            Touch::Read => self.page_read_access(vpn, frames),
-            Touch::WriteWord(val) => {
-                self.page_write_access(vpn, frames)?;
-                let pte = self.pt.get(vpn).expect("just faulted in");
-                // The fault path guarantees a private frame for writes.
-                let (data, t) = frames.data_mut(pte.frame);
-                data.write_word(1, val);
-                *t = t.merge(taint);
-                let merged = *t;
-                self.sync_taint_bit(vpn, merged);
-                Ok(())
-            }
+        let vma = self.vma_at(vpn).ok_or(AccessError::Unmapped(vpn))?;
+        if !touch.permitted(vma.perms) {
+            return Err(AccessError::PermissionDenied(vpn));
         }
+        if self.lazy_pending.contains_key(&vpn.0) {
+            // Deferred restoration: one fault installs the snapshot
+            // contents and services the access; for a write the same
+            // single #PF resolves the tracking write-protect (no
+            // separate SD/UFFD fault is charged).
+            self.counters.lazy += 1;
+            self.fault_in_lazy(vpn, matches!(touch, Touch::WriteWord(_)), frames);
+            if let Touch::WriteWord(val) = touch {
+                let (_, pt, mut tracking) = self.split();
+                let frame = pt.get(vpn).expect("just faulted in").frame;
+                tracking.write_word(vpn, frame, val, taint, frames);
+            }
+            return Ok(());
+        }
+        let fresh_base = Self::fresh_base(vma);
+        let (_, pt, mut tracking) = self.split();
+        let cur = pt.get(vpn).map(|pte| (pte.frame, pte.flags));
+        match tracking.touch(vpn, touch, taint, fresh_base, cur, frames) {
+            BatchDecision::Insert { frame, flags } => pt.insert(vpn, frame, flags),
+            BatchDecision::Update { frame, flags } => {
+                if let Some(frame) = frame {
+                    pt.set_frame(vpn, frame);
+                }
+                if cur.is_some_and(|(_, old)| old != flags) {
+                    pt.set_flags(vpn, flags);
+                }
+            }
+            BatchDecision::Skip => {}
+        }
+        Ok(())
     }
 
     /// Applies a whole [`TouchBatch`] — bit-identical to calling
@@ -1164,227 +1223,39 @@ impl AddressSpace {
     }
 
     /// The cursor-walk core of [`AddressSpace::touch_batch`]: items are
-    /// sorted and none has a pending lazy obligation. Returns the count
-    /// of errored (skipped) items. Mirrors
-    /// `page_read_access`/`page_write_access` decision-for-decision; the
-    /// only intentional deltas are *redundant* index writes skipped when
-    /// a bit provably already holds its value (`dirty.set` on an
-    /// already-dirty page, taint-bit syncs that don't change the bit) —
-    /// no-ops by the `check_invariants` index⇔flag agreement.
+    /// sorted and none has a pending lazy obligation. Looks up each
+    /// item's VMA with a cursor (one map probe per distinct VMA) and
+    /// hands the walk the same fault decision [`AddressSpace::touch`]
+    /// makes. Returns the count of errored (skipped) items.
     fn touch_batch_fast(
         &mut self,
         items: &[crate::batch::TouchItem],
         frames: &mut FrameTable,
     ) -> u64 {
-        let AddressSpace {
-            vmas,
-            pt,
-            dirty,
-            tainted,
-            changes,
-            counters,
-            uffd_log,
-            ..
-        } = self;
-        // VMA cursor: (range, perms, fresh-pattern base) of the current
-        // VMA — one map probe per distinct VMA touched. The base mirrors
-        // `fresh_data`: `Some(h)` for file mappings, `None` for zero.
+        let (vmas, pt, mut tracking) = self.split();
+        // (range, perms, fresh-pattern base) of the current VMA.
         let mut cur_vma: Option<(PageRange, Perms, Option<u64>)> = None;
         let mut failed = 0u64;
         pt.touch_walk(items, |it, cur| {
-            use crate::extent::BatchDecision as D;
-            let vpn = it.vpn;
             let (perms, fresh_base) = match cur_vma {
-                Some((range, perms, base)) if range.contains(vpn) => (perms, base),
+                Some((range, perms, base)) if range.contains(it.vpn) => (perms, base),
                 _ => {
-                    let Some(vma) = vmas
-                        .range(..=vpn.0)
-                        .next_back()
-                        .map(|(_, v)| v)
-                        .filter(|v| v.range.contains(vpn))
-                    else {
+                    let Some(vma) = Self::vma_in(vmas, it.vpn) else {
                         failed += 1;
-                        return D::Skip; // unmapped: `let _ = touch(..)`
+                        return BatchDecision::Skip; // unmapped: `let _ = touch(..)`
                     };
                     let base = Self::fresh_base(vma);
                     cur_vma = Some((vma.range, vma.perms, base));
                     (vma.perms, base)
                 }
             };
-            let fresh = || Self::fresh_from_base(fresh_base, vpn);
-            match it.touch {
-                Touch::Read => {
-                    if !perms.r {
-                        failed += 1;
-                        return D::Skip;
-                    }
-                    match cur {
-                        None => {
-                            // Minor fault: fresh PTE born soft-dirty.
-                            counters.minor += 1;
-                            let frame = frames.alloc(fresh(), Taint::Clean);
-                            dirty.set(vpn);
-                            changes.inserted(vpn);
-                            D::Insert {
-                                frame,
-                                flags: PteFlags::PRESENT.with(PteFlags::SOFT_DIRTY),
-                            }
-                        }
-                        Some((_, flags)) => {
-                            if flags.contains(PteFlags::TLB_COLD) {
-                                counters.tlb_cold += 1;
-                                D::Update {
-                                    frame: None,
-                                    flags: flags.without(PteFlags::TLB_COLD),
-                                }
-                            } else {
-                                counters.warm += 1;
-                                D::Update { frame: None, flags }
-                            }
-                        }
-                    }
-                }
-                Touch::WriteWord(val) => {
-                    if !perms.w {
-                        failed += 1;
-                        return D::Skip;
-                    }
-                    match cur {
-                        None => {
-                            // Write minor fault, then the word write —
-                            // the same alloc-then-patch sequence as the
-                            // per-page path.
-                            counters.minor += 1;
-                            let frame = frames.alloc(fresh(), Taint::Clean);
-                            let (data, t) = frames.data_mut(frame);
-                            data.write_word(1, val);
-                            *t = t.merge(it.taint);
-                            if t.is_tainted() {
-                                tainted.set(vpn);
-                            }
-                            dirty.set(vpn);
-                            changes.inserted(vpn);
-                            D::Insert {
-                                frame,
-                                flags: PteFlags::PRESENT.with(PteFlags::SOFT_DIRTY),
-                            }
-                        }
-                        Some((old_frame, old_flags)) => {
-                            let mut frame = old_frame;
-                            let mut flags = old_flags;
-                            let mut faulted = false;
-                            if flags.contains(PteFlags::TLB_COLD) {
-                                counters.tlb_cold += 1;
-                                flags = flags.without(PteFlags::TLB_COLD);
-                                faulted = true;
-                            }
-                            if flags.contains(PteFlags::COW) {
-                                counters.cow += 1;
-                                if frames.is_shared(frame) {
-                                    frame = frames.cow_copy(frame);
-                                }
-                                flags = flags.without(PteFlags::COW);
-                                faulted = true;
-                            }
-                            if flags.contains(PteFlags::UFFD_WP) {
-                                counters.uffd_wp += 1;
-                                uffd_log.set(vpn);
-                                flags = flags.without(PteFlags::UFFD_WP).with(PteFlags::SOFT_DIRTY);
-                                faulted = true;
-                            } else if flags.contains(PteFlags::SD_WP) {
-                                if !faulted {
-                                    counters.sd_wp += 1;
-                                }
-                                flags = flags.without(PteFlags::SD_WP).with(PteFlags::SOFT_DIRTY);
-                                faulted = true;
-                            } else {
-                                flags |= PteFlags::SOFT_DIRTY;
-                            }
-                            if !faulted {
-                                counters.warm += 1;
-                            }
-                            // Structural sharing (eager snapshot run):
-                            // silent unshare, no fault charged.
-                            if frames.is_shared(frame) {
-                                frame = frames.cow_copy(frame);
-                            }
-                            if flags.contains(PteFlags::SOFT_DIRTY)
-                                && !old_flags.contains(PteFlags::SOFT_DIRTY)
-                            {
-                                dirty.set(vpn);
-                            }
-                            let (data, t) = frames.data_mut(frame);
-                            data.write_word(1, val);
-                            let was_tainted = t.is_tainted();
-                            *t = t.merge(it.taint);
-                            if t.is_tainted() != was_tainted {
-                                if was_tainted {
-                                    tainted.clear(vpn);
-                                } else {
-                                    tainted.set(vpn);
-                                }
-                            }
-                            D::Update {
-                                frame: (frame != old_frame).then_some(frame),
-                                flags,
-                            }
-                        }
-                    }
-                }
+            if !it.touch.permitted(perms) {
+                failed += 1;
+                return BatchDecision::Skip;
             }
+            tracking.touch(it.vpn, it.touch, it.taint, fresh_base, cur, frames)
         });
         failed
-    }
-
-    /// Reads `buf.len()` bytes at `addr`, crossing pages as needed.
-    pub fn read_bytes(
-        &mut self,
-        addr: VirtAddr,
-        buf: &mut [u8],
-        frames: &mut FrameTable,
-    ) -> Result<(), AccessError> {
-        let mut pos = 0usize;
-        let mut cur = addr;
-        while pos < buf.len() {
-            let vpn = cur.vpn();
-            self.page_read_access(vpn, frames)?;
-            let off = cur.page_offset() as usize;
-            let n = ((PAGE_SIZE as usize) - off).min(buf.len() - pos);
-            let pte = self.pt.get(vpn).expect("present after access");
-            frames
-                .data(pte.frame)
-                .read_bytes(off, &mut buf[pos..pos + n]);
-            pos += n;
-            cur = cur.add(n as u64);
-        }
-        Ok(())
-    }
-
-    /// Writes `data` at `addr` with taint, crossing pages as needed.
-    pub fn write_bytes(
-        &mut self,
-        addr: VirtAddr,
-        data: &[u8],
-        taint: Taint,
-        frames: &mut FrameTable,
-    ) -> Result<(), AccessError> {
-        let mut pos = 0usize;
-        let mut cur = addr;
-        while pos < data.len() {
-            let vpn = cur.vpn();
-            self.page_write_access(vpn, frames)?;
-            let off = cur.page_offset() as usize;
-            let n = ((PAGE_SIZE as usize) - off).min(data.len() - pos);
-            let pte = self.pt.get(vpn).expect("present after access");
-            let (fd, t) = frames.data_mut(pte.frame);
-            fd.write_bytes(off, &data[pos..pos + n]);
-            *t = t.merge(taint);
-            let merged = *t;
-            self.sync_taint_bit(vpn, merged);
-            pos += n;
-            cur = cur.add(n as u64);
-        }
-        Ok(())
     }
 
     // ---------------------------------------------------------------
@@ -1452,7 +1323,11 @@ impl AddressSpace {
             self.pt
                 .insert(vpn, id, PteFlags::PRESENT.with(PteFlags::COW.with(armed)));
             self.dirty.clear(vpn);
-            self.sync_taint_bit(vpn, frames.taint(id));
+            if frames.taint(id).is_tainted() {
+                self.tainted.set(vpn);
+            } else {
+                self.tainted.clear(vpn);
+            }
             return;
         }
         let data = src.resolve(frames);
@@ -1704,7 +1579,8 @@ impl AddressSpace {
     }
 
     /// Overwrites a whole page with `data`, bypassing fault accounting
-    /// (the restorer writing via ptrace). Creates the PTE if necessary.
+    /// (the restorer writing via ptrace): a one-page
+    /// [`AddressSpace::restore_runs`]. Creates the PTE if necessary.
     ///
     /// Returns an error if the page is outside any VMA.
     pub fn restore_page(
@@ -1714,33 +1590,7 @@ impl AddressSpace {
         taint: Taint,
         frames: &mut FrameTable,
     ) -> Result<(), AccessError> {
-        if self.vma_at(vpn).is_none() {
-            return Err(AccessError::Unmapped(vpn));
-        }
-        match self.pt.get(vpn) {
-            Some(pte) => {
-                if frames.is_shared(pte.frame) {
-                    // The whole page is being overwritten: allocate the
-                    // private frame directly instead of CoW-copying
-                    // contents the overwrite would immediately discard.
-                    // Hot since eager snapshots structurally share every
-                    // captured frame — this fires once per restored page.
-                    frames.decref(pte.frame);
-                    let frame = frames.alloc(data.clone(), taint);
-                    self.pt.set_frame(vpn, frame);
-                    self.pt.set_flags(vpn, pte.flags.without(PteFlags::COW));
-                } else {
-                    frames.overwrite(pte.frame, data.clone(), taint);
-                }
-            }
-            None => {
-                let frame = frames.alloc(data.clone(), taint);
-                self.pt.insert(vpn, frame, PteFlags::PRESENT);
-                self.changes.inserted(vpn);
-            }
-        }
-        self.sync_taint_bit(vpn, taint);
-        Ok(())
+        self.restore_runs(&[PageRange::at(vpn, 1)], |_, _| data.clone(), taint, frames)
     }
 
     /// Overwrites every page of `runs` (sorted, disjoint, possibly
@@ -1750,13 +1600,10 @@ impl AddressSpace {
     /// a snapshot whose frames live there can resolve through it); the
     /// returned contents move into the page's frame uncopied.
     ///
-    /// State outcomes (page table, frame table including frame-id
-    /// allocation order, taint index) are identical to calling
-    /// [`AddressSpace::restore_page`] once per page in ascending order;
-    /// the cost is one VMA probe per run and overlapped VMA, one chunk
+    /// The cost is one VMA probe per run and overlapped VMA, one chunk
     /// probe per 512-page window and **one** page-table walk and extent
-    /// edit fold for the whole call, instead of a probe-and-splice per
-    /// page.
+    /// edit fold for the whole call; [`AddressSpace::restore_page`] is
+    /// its one-page call.
     ///
     /// Errors with [`AccessError::Unmapped`] — before mutating anything —
     /// if any page of `runs` lies outside every VMA.
@@ -1788,9 +1635,10 @@ impl AddressSpace {
             match cur {
                 Some((frame, flags)) => {
                     if frames.is_shared(frame) {
-                        // Same decref-then-alloc order as `restore_page`,
-                        // page-ascending, so frame-id reuse matches the
-                        // per-page path bit for bit.
+                        // The whole page is overwritten: allocate the
+                        // private frame directly instead of CoW-copying
+                        // contents the overwrite would discard (an eager
+                        // snapshot shares every frame it captured).
                         frames.decref(frame);
                         BatchDecision::Update {
                             frame: Some(frames.alloc(page, taint)),
@@ -1822,20 +1670,16 @@ impl AddressSpace {
     }
 
     /// Removes the PTE of `vpn`, releasing its frame (restorer dropping a
-    /// newly paged page via `madvise`).
+    /// newly paged page via `madvise`): a one-page
+    /// [`AddressSpace::evict_runs`].
     pub fn evict_page(&mut self, vpn: Vpn, frames: &mut FrameTable) {
-        if let Some(frame) = self.pt.remove(vpn) {
-            frames.decref(frame);
-            self.dirty.clear(vpn);
-            self.tainted.clear(vpn);
-            self.changes.removed(vpn);
-        }
+        self.evict_runs(&[PageRange::at(vpn, 1)], frames);
     }
 
     /// Removes the PTEs of every page of `ranges` (sorted, disjoint),
-    /// releasing their frames — identical to [`AddressSpace::evict_page`]
-    /// over each page ascending (same frame free order), in one extent
-    /// edit fold for the whole set.
+    /// releasing their frames in ascending page order, in one extent edit
+    /// fold for the whole set; [`AddressSpace::evict_page`] is its
+    /// one-page call.
     pub fn evict_runs(&mut self, ranges: &[PageRange], frames: &mut FrameTable) {
         let changes = &mut self.changes;
         self.pt.remove_ranges(ranges, |vpn, frame| {
@@ -2294,19 +2138,6 @@ mod tests {
         assert_eq!(s.present_pages(), 0);
         s.touch(r.start, Touch::Read, Taint::Clean, &mut f).unwrap();
         assert_eq!(s.peek_word(r.start, 1, &f), Some(0), "fresh zero page");
-    }
-
-    #[test]
-    fn read_write_bytes_cross_page() {
-        let (mut s, mut f) = setup();
-        let r = s.mmap(2, Perms::RW, VmaKind::Anon).unwrap();
-        let addr = VirtAddr(r.start.addr().0 + PAGE_SIZE - 3);
-        s.write_bytes(addr, b"abcdef", Taint::Clean, &mut f)
-            .unwrap();
-        let mut buf = [0u8; 6];
-        s.read_bytes(addr, &mut buf, &mut f).unwrap();
-        assert_eq!(&buf, b"abcdef");
-        assert_eq!(s.present_pages(), 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Differential oracle: the batched page-table paths vs their per-page
-//! loops.
+//! Differential oracle: the batched page-table walks vs the
+//! single-page entry points.
 //!
 //! Two address spaces receive identical histories; where one applies an
 //! operation page by page, the other applies the same operation in one
@@ -13,6 +13,14 @@
 //!   `restore_page` loop, multi-range eviction (`evict_runs`) vs an
 //!   `evict_page` loop, and stack zeroing through the writeback walk vs
 //!   a `zero_page` loop.
+//!
+//! The single-page entry points apply the same per-page decisions as
+//! the walks (`touch` makes the batch walk's fault decision after its
+//! own lookups; `restore_page`, `zero_page` and `evict_page` are
+//! one-page walks), so this test pins the walks' cursors, chunk
+//! grouping, duplicate handling and edit folds, not the decisions. The
+//! independent reference for the decisions is `legacy_oracle`'s
+//! retained per-page address space.
 //!
 //! After every step the test pins *full* equivalence: fault counters,
 //! extent structure, per-page flags and frame ids, soft-dirty, taint and

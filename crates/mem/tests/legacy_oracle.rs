@@ -4,9 +4,15 @@
 //! `legacy::LegacySpace` below preserves the pre-extent `AddressSpace`
 //! fault and bookkeeping logic verbatim (one `BTreeMap` entry per
 //! present page, full-map walks for every query), minus the I/O helpers
-//! the oracle does not exercise. Seeded random op streams — mapping
-//! churn, faults, tracking epochs, uffd arming, CoW marking, fork, lazy
-//! arming/draining, restore writes — drive a legacy space and an
+//! the oracle does not exercise. It is the independent reference for
+//! the address space's one fault decision, which the single-page
+//! `touch` and the batch walks share, and for its one restore and evict
+//! walk behind `restore_page`, `zero_page` and `evict_page`. Seeded
+//! random op streams — mapping churn, faults, tracking epochs, uffd
+//! arming, CoW marking, fork, lazy arming/draining, restore writes, and
+//! captures (an extra frame reference without a CoW mark, as an eager
+//! snapshot holds one, so writes must unshare silently and restores
+//! must not overwrite shared frames) — drive a legacy space and an
 //! extent-based space side by side on separate frame tables, and every
 //! observable must agree at every step: fault counters, present set,
 //! soft-dirty set, uffd logs, taint scans, page contents, live-frame
@@ -17,8 +23,8 @@ use std::collections::BTreeMap;
 use gh_sim::DetRng;
 
 use gh_mem::{
-    AddressSpace, FrameData, FrameTable, LazyPageSource, PageRange, Perms, RequestId, SpaceConfig,
-    Taint, Touch, VmaKind, Vpn,
+    AddressSpace, FrameData, FrameId, FrameTable, LazyPageSource, PageRange, Perms, RequestId,
+    SpaceConfig, Taint, Touch, VmaKind, Vpn,
 };
 
 /// The pre-extent, per-page `AddressSpace`, retained as the oracle.
@@ -28,7 +34,7 @@ mod legacy {
     use gh_mem::vma::{Perms, Vma, VmaKind};
     use gh_mem::{
         AccessError, FaultCounters, FrameData, FrameTable, LazyPageSource, PageRange, Pte,
-        PteFlags, RequestId, SpaceConfig, StoreHandle, Taint, Touch, VirtAddr, Vpn, PAGE_SIZE,
+        PteFlags, RequestId, SpaceConfig, StoreHandle, Taint, Touch, Vpn,
     };
 
     fn resolve(src: LazyPageSource, frames: &FrameTable) -> FrameData {
@@ -694,31 +700,6 @@ mod legacy {
                 .collect()
         }
 
-        /// Unused by the oracle but kept so the retained copy stays a
-        /// faithful, self-contained snapshot of the old implementation.
-        pub fn read_bytes(
-            &mut self,
-            addr: VirtAddr,
-            buf: &mut [u8],
-            frames: &mut FrameTable,
-        ) -> Result<(), AccessError> {
-            let mut pos = 0usize;
-            let mut cur = addr;
-            while pos < buf.len() {
-                let vpn = cur.vpn();
-                self.page_read_access(vpn, frames)?;
-                let off = cur.page_offset() as usize;
-                let n = ((PAGE_SIZE as usize) - off).min(buf.len() - pos);
-                let pte = self.pages.get(&vpn.0).expect("present after access");
-                frames
-                    .data(pte.frame)
-                    .read_bytes(off, &mut buf[pos..pos + n]);
-                pos += n;
-                cur = cur.add(n as u64);
-            }
-            Ok(())
-        }
-
         pub fn uffd_armed(&self) -> bool {
             self.uffd_armed
         }
@@ -772,6 +753,8 @@ struct Twins {
     /// The legacy space's present pages when the extent space's change
     /// baseline was last reset (the model of the change indices).
     baseline: Option<std::collections::BTreeSet<u64>>,
+    /// Frame references held by captures, as `(legacy, extent)` pairs.
+    held: Vec<(FrameId, FrameId)>,
 }
 
 impl Twins {
@@ -784,6 +767,29 @@ impl Twins {
             old_frames,
             new_frames,
             baseline: None,
+            held: Vec::new(),
+        }
+    }
+
+    /// Takes one extra reference on the frame of every present page of
+    /// `range` in both spaces, as an eager snapshot's capture does: the
+    /// frames become shared without a CoW mark.
+    fn capture(&mut self, range: PageRange) {
+        for v in range.iter() {
+            if let (Some(a), Some(b)) = (self.old.pte(v), self.new.pte(v)) {
+                let (a, b) = (a.frame, b.frame);
+                self.old_frames.incref(a);
+                self.new_frames.incref(b);
+                self.held.push((a, b));
+            }
+        }
+    }
+
+    /// Drops every reference the captures hold.
+    fn release_captures(&mut self) {
+        for (a, b) in std::mem::take(&mut self.held) {
+            self.old_frames.decref(a);
+            self.new_frames.decref(b);
         }
     }
 
@@ -918,7 +924,12 @@ fn extent_space_is_bit_identical_to_per_page_space() {
             if op_i == 5 || op_i == n_ops / 2 {
                 t.reset_baseline();
             }
-            match rng.next_below(18) {
+            match rng.next_below(19) {
+                18 => {
+                    if let Some(vpn) = pick_page(&t.new, rng.next_u64()) {
+                        t.capture(PageRange::at(vpn, 1 + rng.next_below(8)));
+                    }
+                }
                 0 => {
                     let len = 1 + rng.next_below(31);
                     let a = t.old.mmap(len, Perms::RW, gh_mem::VmaKind::Anon);
@@ -1139,6 +1150,8 @@ fn extent_space_is_bit_identical_to_per_page_space() {
         old_child.release_all(&mut t.old_frames);
         new_child.release_all(&mut t.new_frames);
         t.assert_equiv(&format!("case {case} after fork/teardown"));
+        t.release_captures();
+        t.assert_equiv(&format!("case {case} after releasing captures"));
         // Full teardown is leak-free on both sides and unmaps everything.
         t.old.release_all(&mut t.old_frames);
         t.new.release_all(&mut t.new_frames);
@@ -1158,7 +1171,7 @@ fn extent_space_is_bit_identical_to_per_page_space() {
 }
 
 /// Restore-path privileged writes agree too (restore_page / zero /
-/// evict over churned state).
+/// evict over churned state, captured pages included).
 #[test]
 fn privileged_restore_ops_agree() {
     for case in 0..48u64 {
@@ -1169,7 +1182,7 @@ fn privileged_restore_ops_agree() {
         assert_eq!(r_old, r_new);
         for _ in 0..rng.next_below(40) {
             let vpn = Vpn(r_new.start.0 + rng.next_below(24));
-            match rng.next_below(5) {
+            match rng.next_below(6) {
                 0 => {
                     let data = FrameData::Pattern(rng.next_u64());
                     let a = t
@@ -1200,13 +1213,16 @@ fn privileged_restore_ops_agree() {
                         .touch(vpn, Touch::WriteWord(val), taint, &mut t.new_frames);
                     assert_eq!(a, b);
                 }
-                _ => {
+                4 => {
                     t.old.clear_soft_dirty();
                     t.new.clear_soft_dirty();
                 }
+                _ => t.capture(PageRange::at(vpn, 1 + rng.next_below(6))),
             }
         }
         t.assert_equiv(&format!("case {case}"));
+        t.release_captures();
+        t.assert_equiv(&format!("case {case}, captures released"));
     }
 }
 

@@ -584,26 +584,3 @@ fn frame_representation_independence() {
         }
     }
 }
-
-/// Byte-level writes round-trip across arbitrary offsets and lengths,
-/// including page-crossing accesses.
-#[test]
-fn byte_rw_roundtrip() {
-    for case in 0..64u64 {
-        let mut rng = DetRng::new(0xB17E ^ case);
-        let offset = rng.next_below(8192);
-        let data: Vec<u8> = (0..1 + rng.next_below(255))
-            .map(|_| rng.next_u64() as u8)
-            .collect();
-        let mut frames = FrameTable::new();
-        let mut space = AddressSpace::new(SpaceConfig::default(), &mut frames);
-        let r = space.mmap(4, Perms::RW, VmaKind::Anon).unwrap();
-        let addr = gh_mem::VirtAddr(r.start.addr().0 + offset % (2 * 4096));
-        space
-            .write_bytes(addr, &data, Taint::Clean, &mut frames)
-            .unwrap();
-        let mut buf = vec![0u8; data.len()];
-        space.read_bytes(addr, &mut buf, &mut frames).unwrap();
-        assert_eq!(buf, data, "case {case}");
-    }
-}

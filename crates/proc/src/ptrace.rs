@@ -63,15 +63,6 @@ pub struct PtraceSession<'k> {
     pid: Pid,
 }
 
-/// A page observed during a pagemap scan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PagemapEntry {
-    /// Virtual page number.
-    pub vpn: Vpn,
-    /// Soft-dirty bit (pagemap bit 55).
-    pub soft_dirty: bool,
-}
-
 impl<'k> PtraceSession<'k> {
     /// `PTRACE_ATTACH`: begins tracing `pid`.
     pub fn attach(k: &'k mut Kernel, pid: Pid) -> Result<Self, PtraceError> {
@@ -190,39 +181,13 @@ impl<'k> PtraceSession<'k> {
         })
     }
 
-    /// Scans `/proc/pid/pagemap` over the whole mapped address space;
-    /// charges the per-PTE scan cost and returns present pages.
-    ///
-    /// This is the legacy per-page interface (kept for the differential
-    /// oracles and tests); production paths use
-    /// [`PtraceSession::dirty_scan`], whose host-side work is
-    /// `O(dirty + extents)`.
-    pub fn pagemap_scan(&mut self) -> Result<Vec<PagemapEntry>, PtraceError> {
-        let proc = self.k.process(self.pid)?;
-        let mapped = proc.mem.mapped_pages();
-        let vmas = proc.mem.vma_count();
-        let entries: Vec<PagemapEntry> = proc
-            .mem
-            .pagemap()
-            .map(|(vpn, pte)| PagemapEntry {
-                vpn,
-                soft_dirty: pte.soft_dirty(),
-            })
-            .collect();
-        let dt = self.k.cost.scan_cost_vmas(mapped, vmas);
-        self.k.charge(dt);
-        Ok(entries)
-    }
-
     /// Collects the soft-dirty pages and the address space's change
     /// indices (present pages outside the last snapshot, snapshot pages
-    /// no longer present) in one pass — the run-based replacement for
-    /// [`PtraceSession::pagemap_scan`]. Overwrites the three buffers and
-    /// returns the change baseline's epoch. Host-side work is
-    /// `O(dirty + changed)`; the simulated charge follows the kernel's
-    /// [`ChargeModel`](gh_sim::ChargeModel): under paper-parity charging
-    /// it is exactly the full pagemap walk the legacy interface charged,
-    /// so virtual timelines are bit-identical.
+    /// no longer present) in one pass — the `/proc/pid/pagemap` scan.
+    /// Overwrites the three buffers and returns the change baseline's
+    /// epoch. Host-side work is `O(dirty + changed)`; the simulated
+    /// charge follows the kernel's [`ChargeModel`](gh_sim::ChargeModel):
+    /// under paper-parity charging it is the full per-PTE pagemap walk.
     pub fn dirty_scan(
         &mut self,
         dirty: &mut Vec<Vpn>,
@@ -501,12 +466,12 @@ mod tests {
     fn pagemap_scan_sees_dirty_bits() {
         let (mut k, pid) = machine_with_proc();
         let mut s = PtraceSession::attach(&mut k, pid).unwrap();
-        let entries = s.pagemap_scan().unwrap();
-        assert_eq!(entries.len(), 8);
-        assert!(entries.iter().all(|e| e.soft_dirty), "all freshly written");
+        let (mut dirty, mut fresh, mut dropped) = (Vec::new(), Vec::new(), Vec::new());
+        s.dirty_scan(&mut dirty, &mut fresh, &mut dropped).unwrap();
+        assert_eq!(dirty.len(), 8, "all freshly written");
         s.clear_soft_dirty().unwrap();
-        let entries = s.pagemap_scan().unwrap();
-        assert!(entries.iter().all(|e| !e.soft_dirty));
+        s.dirty_scan(&mut dirty, &mut fresh, &mut dropped).unwrap();
+        assert!(dirty.is_empty());
         s.detach().unwrap();
     }
 
