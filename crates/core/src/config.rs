@@ -84,11 +84,6 @@ pub struct GroundhogConfig {
     /// "mutually trusting callers" optimization). Defers the restore to
     /// the next request's arrival, when the principal is known.
     pub skip_same_principal: bool,
-    /// Zero the stack during restore (§4.4).
-    pub zero_stack: bool,
-    /// `madvise(DONTNEED)` pages that became resident since the snapshot
-    /// (§4.4 "madvises newly paged pages").
-    pub madvise_new: bool,
     /// Store the snapshot as copy-on-write frame references instead of
     /// eager page copies — §5.5's proposed optimization: "memory overhead
     /// could easily be reduced to be proportional to the number of dirtied
@@ -112,8 +107,6 @@ impl Default for GroundhogConfig {
             coalesce: true,
             restore_lanes: 1,
             skip_same_principal: false,
-            zero_stack: true,
-            madvise_new: true,
             cow_snapshot: false,
             virtualize_time: false,
         }

@@ -341,12 +341,8 @@ impl RestorePlanner {
                 "change indices are relative to another snapshot"
             );
             runs_subtract_into(&dirty.fresh, &diff.to_munmap, a);
-            if cfg.zero_stack {
-                runs_intersect_into(a, stacks, &mut plan.stack_zero);
-            }
-            if cfg.madvise_new {
-                runs_subtract_into(a, stacks, &mut plan.evict);
-            }
+            runs_intersect_into(a, stacks, &mut plan.stack_zero);
+            runs_subtract_into(a, stacks, &mut plan.evict);
             runs_subtract_into(dirty_runs, &dirty.fresh, a);
             runs_union_into(a, &dirty.dropped, b);
             runs_intersect_into(snap_runs, &diff.to_munmap, a);

@@ -124,11 +124,9 @@ fn reference_restore(
         let mut evicted: Vec<u64> = Vec::new();
         for &v in &fresh {
             if in_stack(v) {
-                if cfg.zero_stack {
-                    s.zero_page(Vpn(v))?;
-                    stack_zeroed += 1;
-                }
-            } else if cfg.madvise_new {
+                s.zero_page(Vpn(v))?;
+                stack_zeroed += 1;
+            } else {
                 s.evict_page(Vpn(v))?;
                 evicted.push(v);
             }

@@ -85,7 +85,7 @@ use gh_gateway::{GatewayConfig, GatewayStats};
 use gh_isolation::{StrategyError, StrategyKind};
 use gh_sim::par::ordered_map;
 use gh_sim::stats::throughput_rps;
-use gh_sim::{Nanos, QuantileSketch};
+use gh_sim::{mix, Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};
@@ -425,7 +425,7 @@ fn run_node(
         // Each pool seeds its containers from the (cluster seed, node,
         // fn) hash, so node timelines are independent of which host
         // thread runs them.
-        let seed = place::mix(ccfg.seed ^ ((node as u64) << 32) ^ f as u64);
+        let seed = mix(ccfg.seed ^ ((node as u64) << 32) ^ f as u64);
         let mut pool = Pool::build(spec, ccfg.kind, gh.clone(), ccfg.slots_per_pool, seed)?;
         let own = arrivals.iter().filter(|a| a.fn_id as usize == f).map(|a| {
             let p = Pending {
@@ -1162,7 +1162,7 @@ mod tests {
             let mut ccfg = ClusterConfig::new(1, PlacePolicy::RoundRobin, StrategyKind::Gh, seed)
                 .with_faults(faults);
             ccfg.slots_per_pool = slots;
-            let pool = || Pool::build(&spec, ccfg.kind, gh.clone(), slots, place::mix(ccfg.seed));
+            let pool = || Pool::build(&spec, ccfg.kind, gh.clone(), slots, mix(ccfg.seed));
             let t_start = Fleet::span_start(&pool().unwrap());
             let events: Vec<TraceEvent> =
                 Arrivals::new(&fcfg, Shape::default(), spec.input_kb, t_start)
@@ -1335,7 +1335,7 @@ mod tests {
                     StrategyKind::Gh,
                     gh.clone(),
                     slots,
-                    place::mix(seed ^ f as u64),
+                    mix(seed ^ f as u64),
                 )
                 .unwrap()
             };

@@ -13,16 +13,7 @@
 //! [`super`]).
 
 use gh_functions::FunctionSpec;
-use gh_sim::Nanos;
-
-/// splitmix64 finalizer — the deployment hash (also derives per-pool
-/// container seeds in [`super`]).
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use gh_sim::{mix, Nanos};
 
 /// How the cluster front-end picks among a function's replica nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -58,11 +58,10 @@ pub mod queue;
 pub mod router;
 
 use gh_functions::FunctionSpec;
-use gh_gateway::cache::mix;
 use gh_gateway::GatewayConfig;
 use gh_isolation::{StrategyError, StrategyKind};
 use gh_sim::stats::throughput_rps;
-use gh_sim::{DetRng, Nanos, QuantileSketch};
+use gh_sim::{mix, DetRng, Nanos, QuantileSketch};
 use groundhog_core::GroundhogConfig;
 
 use crate::fault::{FaultConfig, FaultPlan, FaultStats};

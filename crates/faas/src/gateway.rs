@@ -129,7 +129,6 @@ pub struct GatewayResult {
 /// Drives `requests` arrivals through a gateway in front of a fresh
 /// pool of `pool_size` containers — the gateway counterpart of
 /// [`crate::fleet::run_fleet`].
-#[allow(clippy::too_many_arguments)]
 pub fn run_gateway_fleet(
     spec: &FunctionSpec,
     kind: StrategyKind,

@@ -34,7 +34,7 @@
 
 use gh_functions::{BehaviorFlags, FunctionSpec, Suite};
 use gh_runtime::RuntimeKind;
-use gh_sim::{DetRng, Nanos};
+use gh_sim::{mix, DetRng, Nanos};
 
 /// Configuration of one synthetic trace — the trace is a pure function
 /// of this struct.
@@ -274,7 +274,7 @@ impl Iterator for TraceGen {
             seq: self.emitted,
             fn_id,
             principal,
-            payload_hash: gh_gateway::cache::mix((fn_id as u64) << 32 | payload),
+            payload_hash: mix((fn_id as u64) << 32 | payload),
             idempotent,
         })
     }

@@ -32,14 +32,14 @@
 use gh_functions::FunctionSpec;
 use gh_isolation::StrategyError;
 use gh_mem::RequestId;
-use gh_sim::DetRng;
+use gh_sim::{mix, DetRng};
 use groundhog_core::GroundhogConfig;
 
 use crate::container::Container;
 use crate::fault::{FaultPlan, FaultStats};
 use crate::request::Request;
 
-use super::{mix, VersionedKv, WorkflowConfig, AGG_KEY};
+use super::{VersionedKv, WorkflowConfig, AGG_KEY};
 
 /// One DAG node's operation. `func` indices point into the catalog
 /// slice passed to [`run_dag_workflows`].

@@ -48,7 +48,7 @@
 
 use gh_functions::FunctionSpec;
 use gh_sim::event::EventQueue;
-use gh_sim::Nanos;
+use gh_sim::{mix, Nanos};
 
 use crate::cluster::place::{PlacePolicy, Placer};
 use crate::cluster::scale::{NodeScaleConfig, NodeScaler, ScaleStats};
@@ -56,7 +56,7 @@ use crate::fault::{FaultConfig, FaultPlan, FaultStats};
 use crate::trace::dag_workload;
 
 use super::dag::{dag_key, hop_path, hop_value, join_input, random_dag_spec, DagOp, DagSpec};
-use super::{mix, VersionedKv};
+use super::VersionedKv;
 
 /// Configuration of one migration run.
 #[derive(Clone, Debug)]

@@ -49,18 +49,9 @@ pub mod migrate;
 use std::collections::{BTreeMap, HashSet};
 
 use gh_isolation::StrategyKind;
+use gh_sim::mix;
 
 use crate::fault::FaultConfig;
-
-/// splitmix64 finalizer (same bijective mix as the fault streams);
-/// duplicated so hop values do not depend on the fault module's seed
-/// discipline.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The key every workflow's final hop aggregates into — shared state,
 /// so read-atomicity is actually load-bearing (later workflows read

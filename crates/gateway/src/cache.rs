@@ -37,17 +37,6 @@ use gh_sim::Nanos;
 /// to the payload bytes when accounting against the byte budget.
 pub const ENTRY_OVERHEAD_BYTES: u64 = 64;
 
-/// splitmix64 finalizer — the workspace's standard way to derive
-/// well-mixed synthetic hashes (payload ids, per-request salts) from
-/// small integers.
-#[inline]
-pub fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// A request payload as the gateway sees it: named `u64` fields.
 ///
 /// Construction canonicalizes — pairs are sorted by `(key, value)` — so
@@ -426,7 +415,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gh_sim::DetRng;
+    use gh_sim::{mix, DetRng};
 
     fn cache(ttl_ms: u64, budget: u64) -> ResultCache {
         ResultCache::new(CacheConfig {

@@ -16,28 +16,30 @@
 //! Why a flat table: at tens to a few hundred extents, contiguous
 //! memory beats a tree on every operation the simulator runs. A lookup
 //! is one binary search; a flag transform compacts the vector in place;
-//! and every mutation — a point edit, a touch batch, a restore pass —
-//! goes through one edit fold ([`PageTable::fold`]): a merge of the
-//! sorted edit runs with the overlapped window of old extents, then one
-//! `splice`. The price is that a point edit moves the table's tail, so
-//! the bulk paths never edit page by page: [`PageTable::touch_walk`]
-//! and [`PageTable::restore_walk`] resolve a whole batch or restore pass
-//! in one cursor walk and fold its edits once, and
+//! and every other mutation goes through one edit fold
+//! ([`PageTable::fold`]): a merge of the sorted edit runs with the
+//! overlapped window of old extents, then one `splice`. The price is
+//! that a point edit moves the table's tail, so nothing edits page by
+//! page: [`PageTable::walk`] — the one per-page mutator, behind every
+//! touch batch, single touch, restore writeback, lazy install and
+//! privileged poke — resolves an ascending sequence of page visits in
+//! one cursor walk and folds its edits once, and
 //! [`PageTable::remove_ranges`] evicts many ranges in one fold. A read
 //! span only reads flags, through the same forward cursor
 //! ([`PageTable::cursor`]).
 //!
-//! The frame chunks live in a hash map keyed by `vpn / 512`. The walks
-//! probe it once per 512-page window, not per page or per run: the
-//! window stays open across every run or range that falls inside it.
-//! The keys are integers the table computes itself, so they hash with
-//! one multiply instead of SipHash.
+//! The frame chunks live in a hash map keyed by `vpn / 512`. The walk
+//! and `remove_ranges` probe it once per 512-page window, not per page
+//! or per run: the window stays open across every visit or range that
+//! falls inside it. The keys are integers the table computes itself, so
+//! they hash with one multiply instead of SipHash.
 //!
 //! Invariants (checked by `AddressSpace::check_invariants`):
 //! - extents are sorted, non-empty and non-overlapping;
 //! - no two adjacent extents have equal flags (maximality);
-//! - every page inside an extent has a frame slot in its chunk, and
-//!   chunk occupancy equals the number of covering extent pages.
+//! - every page inside an extent has a frame slot in its chunk, chunk
+//!   occupancy equals the number of covering extent pages, and no chunk
+//!   is empty.
 
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
@@ -45,26 +47,20 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::{PageRange, Vpn};
-use crate::batch::TouchItem;
 use crate::frame::FrameId;
 use crate::pte::{Pte, PteFlags};
 
-/// What [`PageTable::touch_walk`] / [`PageTable::restore_walk`] should
-/// do with one page, decided by the fault or restore logic in
-/// `space.rs`.
+/// What [`PageTable::walk`] does with one visited page, decided by the
+/// fault, restore or lazy-install logic in `space.rs`.
 pub(crate) enum BatchDecision {
-    /// Leave the page untouched (the per-item error path: the caller's
-    /// loop equivalent is `let _ = touch(...)` on an unmapped or
-    /// permission-denied page).
+    /// Leave the page as it is (a touch that errored, or a poke of an
+    /// absent page).
     Skip,
-    /// Install an absent page (minor fault) with this frame and flags.
-    Insert { frame: FrameId, flags: PteFlags },
-    /// Update a present page: optionally replace its frame (CoW copy /
-    /// unshare) and set its flags (which may equal the old flags).
-    Update {
-        frame: Option<FrameId>,
-        flags: PteFlags,
-    },
+    /// Give the page this frame and these flags: installs an absent page
+    /// (minor fault, writeback, lazy install), or updates a present one,
+    /// whose frame may be replaced (CoW copy, unshare, shared install)
+    /// and whose flags may stay as they were.
+    Set { frame: FrameId, flags: PteFlags },
 }
 
 /// Pages per frame chunk.
@@ -305,17 +301,6 @@ impl PageTable {
         self.chunks[&(vpn / CHUNK_PAGES)].frames[(vpn % CHUNK_PAGES) as usize]
     }
 
-    fn set_slot(&mut self, vpn: u64, frame: FrameId, fresh: bool) {
-        let chunk = self
-            .chunks
-            .entry(vpn / CHUNK_PAGES)
-            .or_insert_with(Chunk::new);
-        chunk.frames[(vpn % CHUNK_PAGES) as usize] = frame;
-        if fresh {
-            chunk.used += 1;
-        }
-    }
-
     /// The PTE of `vpn`, by value.
     pub fn get(&self, vpn: Vpn) -> Option<Pte> {
         self.extent_at(vpn.0).map(|(_, m)| Pte {
@@ -327,26 +312,6 @@ impl PageTable {
     /// True when `vpn` is present.
     pub fn contains(&self, vpn: Vpn) -> bool {
         self.extent_at(vpn.0).is_some()
-    }
-
-    /// Installs `vpn` with the given frame and flags. The page must be
-    /// absent.
-    pub fn insert(&mut self, vpn: Vpn, frame: FrameId, flags: PteFlags) {
-        debug_assert!(!self.contains(vpn), "inserting a present page");
-        self.set_slot(vpn.0, frame, true);
-        self.present += 1;
-        self.fold(&[Edit {
-            start: vpn.0,
-            len: 1,
-            flags: Some(flags),
-        }]);
-    }
-
-    /// Removes `vpn`, returning its frame.
-    pub fn remove(&mut self, vpn: Vpn) -> Option<FrameId> {
-        let mut freed = None;
-        self.remove_ranges(&[PageRange::at(vpn, 1)], |_, f| freed = Some(f));
-        freed
     }
 
     /// Removes every present page of `ranges` (sorted, disjoint),
@@ -413,25 +378,6 @@ impl PageTable {
         }
         self.fold(&edits);
         EDITS.set(edits);
-    }
-
-    /// Replaces the frame of a present page (CoW copy), flags unchanged.
-    pub fn set_frame(&mut self, vpn: Vpn, frame: FrameId) {
-        debug_assert!(self.contains(vpn), "set_frame on absent page");
-        self.set_slot(vpn.0, frame, false);
-    }
-
-    /// Sets the flags of one present page, splitting and re-merging
-    /// extents as needed.
-    pub fn set_flags(&mut self, vpn: Vpn, flags: PteFlags) {
-        let (_, meta) = self.extent_at(vpn.0).expect("set_flags on absent page");
-        if meta.flags != flags {
-            self.fold(&[Edit {
-                start: vpn.0,
-                len: 1,
-                flags: Some(flags),
-            }]);
-        }
     }
 
     /// Applies `f` to every extent's flags, then restores maximality by
@@ -510,37 +456,40 @@ impl PageTable {
         }
     }
 
-    /// One ordered cursor walk resolving a sorted batch of page touches.
+    /// One ordered walk over a sequence of page visits: the table's one
+    /// per-page mutator, behind every touch, restore writeback, lazy
+    /// install and privileged poke.
     ///
-    /// For every item (in order) the walk determines the page's current
-    /// `(frame, flags)` — `None` when absent — and asks `decide` what to
-    /// do. Two phases keep the cost at `O(batch + changed extents)`
-    /// instead of `O(batch × log extents)`:
+    /// `visits` yields `(vpn, visit)` pairs in ascending vpn order. A vpn
+    /// may repeat, and each repeat sees the state its previous decision
+    /// left. For every visit, in order, `decide` sees the vpn, the visit
+    /// and the page's current `(frame, flags)` (`None` when absent) and
+    /// returns a [`BatchDecision`]. Two phases keep the cost at
+    /// `O(visits + changed extents)` instead of `O(visits × log
+    /// extents)`:
     ///
-    /// 1. a **read-only cursor walk** over the extents (one forward
-    ///    index, no per-item search) resolving every item; frame slots
-    ///    are written in place, chunk-grouped (one `HashMap` probe per
-    ///    touched 512-page chunk); pages whose *flags* change (or are
-    ///    inserted) are recorded as sorted edit runs;
-    /// 2. one **edit fold** ([`PageTable::fold`]): no edits (warm
-    ///    batches — the steady-state common case) leave the extents
-    ///    untouched; otherwise one merge over the edited window and one
-    ///    `splice`.
+    /// 1. a **read-only cursor walk** over the extents (one binary search
+    ///    seeds it; no per-visit search) resolving every visit; frame
+    ///    slots are written in place with one `HashMap` probe per
+    ///    512-page window, shared by every visit inside it; pages whose
+    ///    *flags* change (or that are inserted) are recorded as sorted
+    ///    edit runs;
+    /// 2. one **edit fold** ([`PageTable::fold`]): no edits (a warm
+    ///    batch or an in-place writeback, the steady-state common cases)
+    ///    leave the extents untouched; otherwise one merge over the
+    ///    edited window and one `splice`.
     ///
-    /// `items` must be sorted by vpn; duplicates are allowed and see the
-    /// state left by the previous decision for the same page.
-    pub(crate) fn touch_walk(
+    /// State outcomes are identical to applying the decisions one page
+    /// at a time.
+    pub(crate) fn walk<V>(
         &mut self,
-        items: &[TouchItem],
-        mut decide: impl FnMut(&TouchItem, Option<(FrameId, PteFlags)>) -> BatchDecision,
+        visits: impl IntoIterator<Item = (u64, V)>,
+        mut decide: impl FnMut(u64, V, Option<(FrameId, PteFlags)>) -> BatchDecision,
     ) {
-        if items.is_empty() {
+        let mut visits = visits.into_iter().peekable();
+        let Some(&(first, _)) = visits.peek() else {
             return;
-        }
-        debug_assert!(
-            items.windows(2).all(|w| w[0].vpn.0 <= w[1].vpn.0),
-            "touch_walk requires vpn-sorted items"
-        );
+        };
         let PageTable {
             extents,
             chunks,
@@ -548,7 +497,7 @@ impl PageTable {
         } = self;
 
         // ---- Phase 1: read-only resolution ----
-        let mut cursor = Cursor::seek(extents, items[0].vpn.0);
+        let mut cursor = Cursor::seek(extents, first);
         // Pages whose flags changed or that were inserted, as maximal
         // sorted runs. Everything else leaves the extents untouched.
         let mut edit_runs = EDITS.take();
@@ -556,56 +505,41 @@ impl PageTable {
         let mut edits = RunBuilder {
             runs: &mut edit_runs,
         };
-        // Duplicate-vpn carry: the previous item's vpn, resulting page
+        // Duplicate-vpn carry: the previous visit's vpn, resulting page
         // state, and whether that page already has an edit run as the
         // builder's last page (drives `amend_last_page`).
         type DupCarry = (u64, Option<(FrameId, PteFlags)>, bool);
         let mut last: Option<DupCarry> = None;
-
-        let mut i = 0usize;
-        while i < items.len() {
-            let key = items[i].vpn.0 / CHUNK_PAGES;
-            let mut j = i + 1;
-            while j < items.len() && items[j].vpn.0 / CHUNK_PAGES == key {
-                j += 1;
-            }
-            // One chunk probe per touched 512-page window. A window of
-            // pure reads over an absent chunk creates and removes an
-            // empty chunk — rare (absent windows come from minor-fault
-            // sweeps, which insert) and cheap.
+        let mut prev = first;
+        while let Some(&(vpn, _)) = visits.peek() {
+            let key = vpn / CHUNK_PAGES;
+            // One chunk probe per visited 512-page window. A window of
+            // skipped visits over an absent chunk creates and removes an
+            // empty chunk — rare and cheap.
             let (chunk, existed) = chunk_entry(chunks, key);
-            let window = &items[i..j];
-            for (k, it) in window.iter().enumerate() {
-                let vpn = it.vpn.0;
+            while let Some((vpn, visit)) = visits.next_if(|&(v, _)| v / CHUNK_PAGES == key) {
+                debug_assert!(prev <= vpn, "walk requires ascending vpns");
+                prev = vpn;
                 let slot = (vpn % CHUNK_PAGES) as usize;
                 // `last` only matters across duplicate-vpn neighbours
-                // (same vpn ⇒ same chunk ⇒ same window), so it is
-                // maintained only around them — the common all-distinct
-                // batch never writes it.
-                let next_same = window.get(k + 1).is_some_and(|n| n.vpn.0 == vpn);
+                // (same vpn ⇒ same window), so it is maintained only
+                // around them — the common all-distinct walk never
+                // writes it.
+                let next_same = visits.peek().is_some_and(|&(n, _)| n == vpn);
                 let (cur, was_edited) = match last {
                     Some((lv, state, edited)) if lv == vpn => (state, edited),
                     _ => (cursor.flags(vpn).map(|f| (chunk.frames[slot], f)), false),
                 };
-                match decide(it, cur) {
-                    BatchDecision::Skip => {
-                        if next_same {
-                            last = Some((vpn, cur, was_edited));
-                        }
-                    }
-                    BatchDecision::Insert { frame, flags } => {
-                        debug_assert!(cur.is_none(), "Insert over a present page");
+                let (state, edited) = match (decide(vpn, visit, cur), cur) {
+                    (BatchDecision::Skip, _) => (cur, was_edited),
+                    (BatchDecision::Set { frame, flags }, None) => {
                         chunk.frames[slot] = frame;
                         chunk.used += 1;
                         *present += 1;
                         edits.push(vpn, flags);
-                        if next_same {
-                            last = Some((vpn, Some((frame, flags)), true));
-                        }
+                        (Some((frame, flags)), true)
                     }
-                    BatchDecision::Update { frame, flags } => {
-                        let (old_frame, old_flags) = cur.expect("Update on an absent page");
-                        let frame = frame.unwrap_or(old_frame);
+                    (BatchDecision::Set { frame, flags }, Some((old_frame, old_flags))) => {
                         if frame != old_frame {
                             chunk.frames[slot] = frame;
                         }
@@ -616,109 +550,19 @@ impl PageTable {
                         } else if changed {
                             edits.push(vpn, flags);
                         }
-                        if next_same {
-                            last = Some((vpn, Some((frame, flags)), was_edited || changed));
-                        }
+                        (Some((frame, flags)), was_edited || changed)
                     }
+                };
+                if next_same {
+                    last = Some((vpn, state, edited));
                 }
             }
             if chunk.used == 0 && !existed {
                 chunks.remove(&key);
             }
-            i = j;
         }
 
         // ---- Phase 2: fold the edits into the extents ----
-        self.fold(&edit_runs);
-        EDITS.set(edit_runs);
-    }
-
-    /// One ordered walk resolving every page of `runs` (sorted,
-    /// disjoint, possibly adjacent) — a whole restore pass in one go:
-    /// [`touch_walk`]'s simpler sibling, with no duplicates and no
-    /// `TouchItem` batch to materialize.
-    ///
-    /// For every page, ascending, `decide` sees the page's vpn and its
-    /// current `(frame, flags)` (`None` when absent) and returns a
-    /// [`BatchDecision`]. Costs one binary search to seed the extent
-    /// cursor, one chunk probe per 512-page window — shared by every run
-    /// inside it, so a pass of many single-page runs in one chunk probes
-    /// once — and one edit fold for the whole pass; state outcomes are
-    /// identical to applying the decisions page-at-a-time.
-    ///
-    /// [`touch_walk`]: PageTable::touch_walk
-    pub(crate) fn restore_walk(
-        &mut self,
-        runs: &[PageRange],
-        mut decide: impl FnMut(u64, Option<(FrameId, PteFlags)>) -> BatchDecision,
-    ) {
-        debug_assert!(
-            runs.windows(2).all(|w| w[0].end <= w[1].start),
-            "restore_walk requires sorted, disjoint runs"
-        );
-        let mut pages = runs
-            .iter()
-            .filter(|r| !r.is_empty())
-            .map(|r| (r.start.0, r.end.0));
-        let Some(first) = pages.next() else {
-            return;
-        };
-        let PageTable {
-            extents,
-            chunks,
-            present,
-        } = self;
-        let mut cursor = Cursor::seek(extents, first.0);
-        let mut edit_runs = EDITS.take();
-        edit_runs.clear();
-        let mut edits = RunBuilder {
-            runs: &mut edit_runs,
-        };
-        let mut next = Some(first);
-        while let Some(run) = next {
-            let key = run.0 / CHUNK_PAGES;
-            let w_end = (key + 1) * CHUNK_PAGES;
-            let (chunk, existed) = chunk_entry(chunks, key);
-            let mut cur = run;
-            // Every run (or part of one) inside this window, then the
-            // first one beyond it.
-            next = loop {
-                let end = cur.1.min(w_end);
-                for vpn in cur.0..end {
-                    let slot = (vpn % CHUNK_PAGES) as usize;
-                    let state = cursor.flags(vpn).map(|f| (chunk.frames[slot], f));
-                    match decide(vpn, state) {
-                        BatchDecision::Skip => {}
-                        BatchDecision::Insert { frame, flags } => {
-                            debug_assert!(state.is_none(), "Insert over a present page");
-                            chunk.frames[slot] = frame;
-                            chunk.used += 1;
-                            *present += 1;
-                            edits.push(vpn, flags);
-                        }
-                        BatchDecision::Update { frame, flags } => {
-                            let (old_frame, old_flags) = state.expect("Update on an absent page");
-                            if let Some(f) = frame.filter(|&f| f != old_frame) {
-                                chunk.frames[slot] = f;
-                            }
-                            if flags != old_flags {
-                                edits.push(vpn, flags);
-                            }
-                        }
-                    }
-                }
-                if end < cur.1 {
-                    break Some((end, cur.1));
-                }
-                match pages.next() {
-                    Some(r) if r.0 < w_end => cur = r,
-                    beyond => break beyond,
-                }
-            };
-            if chunk.used == 0 && !existed {
-                chunks.remove(&key);
-            }
-        }
         self.fold(&edit_runs);
         EDITS.set(edit_runs);
     }
@@ -786,7 +630,8 @@ impl PageTable {
     }
 
     /// Structural self-check: sorted, disjoint, non-empty, maximal
-    /// extents; chunk occupancy matches extent coverage.
+    /// extents; chunk occupancy matches extent coverage, and no chunk is
+    /// empty.
     pub fn check(&self) -> Result<(), String> {
         let mut prev: Option<(u64, ExtentMeta)> = None;
         let mut covered = 0u64;
@@ -814,6 +659,9 @@ impl PageTable {
                 "present count {} != extent coverage {covered}",
                 self.present
             ));
+        }
+        if self.chunks.values().any(|c| c.used == 0) {
+            return Err("empty frame chunk".to_string());
         }
         let chunk_used: u64 = self.chunks.values().map(|c| c.used as u64).sum();
         if chunk_used != self.present {
@@ -844,11 +692,38 @@ mod tests {
         PteFlags(bits).with(PteFlags::PRESENT)
     }
 
+    /// Installs absent `vpn` with frame `vpn` and `flags`: a one-visit
+    /// walk.
+    fn insert(t: &mut PageTable, vpn: u64, flags: PteFlags) {
+        t.walk([(vpn, ())], |_, (), cur| {
+            assert!(cur.is_none(), "inserting a present page");
+            BatchDecision::Set {
+                frame: FrameId(vpn),
+                flags,
+            }
+        });
+    }
+
+    /// Sets the flags of present `vpn`, keeping its frame.
+    fn set_flags(t: &mut PageTable, vpn: u64, flags: PteFlags) {
+        t.walk([(vpn, ())], |_, (), cur| BatchDecision::Set {
+            frame: cur.expect("present page").0,
+            flags,
+        });
+    }
+
+    /// Removes `vpn`, returning its frame.
+    fn remove(t: &mut PageTable, vpn: u64) -> Option<FrameId> {
+        let mut freed = None;
+        t.remove_ranges(&[PageRange::at(Vpn(vpn), 1)], |_, f| freed = Some(f));
+        freed
+    }
+
     #[test]
     fn insert_merges_into_maximal_extents() {
         let mut t = PageTable::new();
         for v in [10u64, 12, 11, 9, 13] {
-            t.insert(Vpn(v), FrameId(v), flags(0));
+            insert(&mut t, v, flags(0));
             t.check().unwrap();
         }
         assert_eq!(t.extent_count(), 1);
@@ -860,9 +735,9 @@ mod tests {
     #[test]
     fn differing_flags_do_not_merge() {
         let mut t = PageTable::new();
-        t.insert(Vpn(5), FrameId(1), flags(0));
-        t.insert(Vpn(6), FrameId(2), flags(2));
-        t.insert(Vpn(7), FrameId(3), flags(0));
+        insert(&mut t, 5, flags(0));
+        insert(&mut t, 6, flags(2));
+        insert(&mut t, 7, flags(0));
         assert_eq!(t.extent_count(), 3);
         t.check().unwrap();
     }
@@ -871,16 +746,16 @@ mod tests {
     fn set_flags_splits_and_remerges() {
         let mut t = PageTable::new();
         for v in 0..10u64 {
-            t.insert(Vpn(v), FrameId(v), flags(0));
+            insert(&mut t, v, flags(0));
         }
-        t.set_flags(Vpn(4), flags(2));
+        set_flags(&mut t, 4, flags(2));
         assert_eq!(t.extent_count(), 3);
         t.check().unwrap();
-        t.set_flags(Vpn(5), flags(2));
+        set_flags(&mut t, 5, flags(2));
         assert_eq!(t.extent_count(), 3, "adjacent changed pages merge");
         t.check().unwrap();
-        t.set_flags(Vpn(4), flags(0));
-        t.set_flags(Vpn(5), flags(0));
+        set_flags(&mut t, 4, flags(0));
+        set_flags(&mut t, 5, flags(0));
         assert_eq!(t.extent_count(), 1, "restoring flags restores one run");
         t.check().unwrap();
         assert_eq!(t.len(), 10);
@@ -890,14 +765,14 @@ mod tests {
     fn remove_splits() {
         let mut t = PageTable::new();
         for v in 0..8u64 {
-            t.insert(Vpn(v), FrameId(v), flags(0));
+            insert(&mut t, v, flags(0));
         }
-        assert_eq!(t.remove(Vpn(3)), Some(FrameId(3)));
+        assert_eq!(remove(&mut t, 3), Some(FrameId(3)));
         assert_eq!(t.extent_count(), 2);
         assert_eq!(t.len(), 7);
         assert!(t.get(Vpn(3)).is_none());
         t.check().unwrap();
-        assert_eq!(t.remove(Vpn(3)), None);
+        assert_eq!(remove(&mut t, 3), None);
     }
 
     #[test]
@@ -905,7 +780,7 @@ mod tests {
         let mut t = PageTable::new();
         for v in 0..40u64 {
             if v != 10 {
-                t.insert(Vpn(v), FrameId(v), flags((v / 8) as u8 & 2));
+                insert(&mut t, v, flags((v / 8) as u8 & 2));
             }
         }
         let mut freed = Vec::new();
@@ -931,10 +806,10 @@ mod tests {
     fn transform_collapses_fragmentation() {
         let mut t = PageTable::new();
         for v in 0..100u64 {
-            t.insert(Vpn(v), FrameId(v), flags(0));
+            insert(&mut t, v, flags(0));
         }
         for v in (0..100u64).step_by(7) {
-            t.set_flags(Vpn(v), flags(2));
+            set_flags(&mut t, v, flags(2));
         }
         assert!(t.extent_count() > 20);
         t.transform_flags(|f| f.without(PteFlags(2)).with(PteFlags(4)));
@@ -943,11 +818,11 @@ mod tests {
     }
 
     #[test]
-    fn restore_walk_spans_runs_and_chunks() {
+    fn walk_spans_runs_and_chunks() {
         let mut t = PageTable::new();
         // Present [500, 520) armed, absent 520..530, present [530, 540).
         for v in (500..520u64).chain(530..540) {
-            t.insert(Vpn(v), FrameId(v), flags(4));
+            insert(&mut t, v, flags(4));
         }
         let runs = [
             PageRange::new(Vpn(505), Vpn(515)),
@@ -955,17 +830,12 @@ mod tests {
             PageRange::new(Vpn(535), Vpn(536)),
         ];
         let mut seen = Vec::new();
-        t.restore_walk(&runs, |vpn, cur| {
+        let visits = runs.iter().flat_map(|r| r.iter()).map(|v| (v.0, ()));
+        t.walk(visits, |vpn, (), cur| {
             seen.push(vpn);
-            match cur {
-                Some((frame, _)) => BatchDecision::Update {
-                    frame: Some(FrameId(frame.0 + 1000)),
-                    flags: flags(0),
-                },
-                None => BatchDecision::Insert {
-                    frame: FrameId(vpn + 1000),
-                    flags: flags(0),
-                },
+            BatchDecision::Set {
+                frame: FrameId(cur.map_or(vpn, |(f, _)| f.0) + 1000),
+                flags: flags(0),
             }
         });
         assert_eq!(
@@ -994,9 +864,12 @@ mod tests {
     fn iteration_and_runs() {
         let mut t = PageTable::new();
         for v in [1u64, 2, 3, 7, 8, 600] {
-            t.insert(Vpn(v), FrameId(v * 10), flags(0));
+            t.walk([(v, ())], |_, (), _| BatchDecision::Set {
+                frame: FrameId(v * 10),
+                flags: flags(0),
+            });
         }
-        t.set_flags(Vpn(2), flags(2));
+        set_flags(&mut t, 2, flags(2));
         let vpns: Vec<u64> = t.iter().map(|(v, _)| v.0).collect();
         assert_eq!(vpns, vec![1, 2, 3, 7, 8, 600]);
         let mut runs = Vec::new();

@@ -25,7 +25,7 @@
 //!   third patch spills the list to one heap vector, which every clone
 //!   of that page then copies.
 //! - [`FrameData::Literal`] — a full 4 KiB heap page, materialized when
-//!   a page takes more than 16 patches or an unaligned byte write.
+//!   a page takes a 17th word patch.
 //!
 //! `FrameData` is 40 bytes whichever representation it holds.
 //!
@@ -293,50 +293,6 @@ impl FrameData {
                 bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
             }
         }
-    }
-    /// Reads `buf.len()` bytes starting at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read crosses the page end.
-    pub fn read_bytes(&self, offset: usize, buf: &mut [u8]) {
-        assert!(
-            offset + buf.len() <= PAGE_SIZE as usize,
-            "read crosses page end"
-        );
-        match self {
-            FrameData::Literal(bytes) => {
-                buf.copy_from_slice(&bytes[offset..offset + buf.len()]);
-            }
-            _ => {
-                for (i, b) in buf.iter_mut().enumerate() {
-                    let pos = offset + i;
-                    let w = self.read_word(pos / 8);
-                    *b = w.to_le_bytes()[pos % 8];
-                }
-            }
-        }
-    }
-
-    /// Writes `data` starting at `offset`, materializing the page unless
-    /// the write is a single aligned word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the write crosses the page end.
-    pub fn write_bytes(&mut self, offset: usize, data: &[u8]) {
-        assert!(
-            offset + data.len() <= PAGE_SIZE as usize,
-            "write crosses page end"
-        );
-        if data.len() == 8 && offset.is_multiple_of(8) {
-            let v = u64::from_le_bytes(data.try_into().expect("8 bytes"));
-            self.write_word(offset / 8, v);
-            return;
-        }
-        let mut bytes = self.materialize();
-        bytes[offset..offset + data.len()].copy_from_slice(data);
-        *self = FrameData::Literal(bytes);
     }
 
     /// Produces the full 4 KiB byte image of the page.
@@ -741,9 +697,6 @@ mod tests {
         let f = FrameData::Zero;
         assert_eq!(f.read_word(0), 0);
         assert_eq!(f.read_word(511), 0);
-        let mut buf = [1u8; 16];
-        f.read_bytes(100, &mut buf);
-        assert_eq!(buf, [0u8; 16]);
     }
 
     #[test]
@@ -834,26 +787,6 @@ mod tests {
         assert_eq!(f.read_word(99), FrameData::Pattern(7).read_word(99));
         let lit = FrameData::Literal(f.materialize());
         assert!(f.logical_eq(&lit));
-    }
-
-    #[test]
-    fn unaligned_byte_write_materializes() {
-        let mut f = FrameData::Pattern(3);
-        f.write_bytes(13, b"hello");
-        assert!(matches!(f, FrameData::Literal(_)));
-        let mut buf = [0u8; 5];
-        f.read_bytes(13, &mut buf);
-        assert_eq!(&buf, b"hello");
-        // Neighbouring pattern bytes preserved.
-        assert_eq!(f.read_word(0), FrameData::Pattern(3).read_word(0));
-    }
-
-    #[test]
-    fn aligned_word_byte_write_stays_compact() {
-        let mut f = FrameData::Zero;
-        f.write_bytes(16, &0xABu64.to_le_bytes());
-        assert!(matches!(f, FrameData::Patched(_)));
-        assert_eq!(f.read_word(2), 0xAB);
     }
 
     #[test]

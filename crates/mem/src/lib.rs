@@ -15,11 +15,13 @@
 //!   the next write fault — userfaultfd write-protection, TLB-cold),
 //!   kept in one sorted vector, with per-page frames in flat chunks.
 //!   Whole-table flag transforms (`clear_refs`, uffd arm, CoW marking)
-//!   compact the vector in place in `O(extents)`; every other mutation
-//!   is one edit fold (a merge over the edited window plus one
-//!   `splice`); snapshot capture hands out refcounted **frame runs**
-//!   ([`frame::FrameRuns`]) without copying contents; restore planning
-//!   consumes run lists via the [`runs`] set algebra;
+//!   compact the vector in place in `O(extents)`; every per-page edit is
+//!   a decision over the table's **one page walk**, which resolves an
+//!   ascending sequence of page visits and folds their edits once (a
+//!   merge over the edited window plus one `splice`), and range
+//!   removal is one more fold; snapshot capture hands out refcounted
+//!   **frame runs** ([`frame::FrameRuns`]) without copying contents;
+//!   restore planning consumes run lists via the [`runs`] set algebra;
 //! - a **hierarchical dirty index** ([`index::VpnIndex`], a sparse
 //!   two-level 64-ary bitmap) over the soft-dirty set, the uffd log and
 //!   the taint-carrying pages, making `soft_dirty_pages`, `disarm_uffd`
@@ -35,15 +37,16 @@
 //!   deduplicating frame table per container pool, so N near-identical
 //!   clean-state snapshots cost one base image plus per-container deltas
 //!   instead of N full copies;
-//! - one **fault decision** per page touch, shared by the single-page
-//!   [`space::AddressSpace::touch`] and the **batched fault path**
+//! - one **fault decision** per page touch, lazy fault-in included,
+//!   made over that walk by the **batched fault path**
 //!   ([`batch::TouchBatch`], [`space::AddressSpace::touch_batch`]): a
 //!   pre-sorted plan of page touches resolved in one ordered cursor walk
 //!   over the extents and frame chunks — `O(batch + touched
 //!   extents/chunks)` plus one edit fold, instead of a search and a
-//!   `set_flags` split per page (pinned against the per-page loop by the
-//!   `batch_oracle` test, and against a retained per-page address space
-//!   by `legacy_oracle`);
+//!   split per page — of which the single-page
+//!   [`space::AddressSpace::touch`] is a one-item walk (pinned against
+//!   the per-page loop by the `batch_oracle` test, and against a
+//!   retained per-page address space by `legacy_oracle`);
 //! - **read spans** ([`space::AddressSpace::read_span`]): an ascending
 //!   read set walked by extent, VMA and lazy-pending cursors, where a
 //!   warm page costs at most one cursor step (a run of them inside one
@@ -68,8 +71,8 @@
 //!   the first touch of a pending page takes one lazy fault that
 //!   installs the snapshot contents (by value, as a shared CoW frame,
 //!   or copied out of the pool [`store::SnapshotStore`]) before the
-//!   access proceeds, and a background drain can write back the rest
-//!   during idle time;
+//!   access proceeds, inside the touch's walk, and a background drain
+//!   can write back the rest during idle time in one walk per call;
 //! - **taint tracking** ([`taint::Taint`]): every byte written on behalf of
 //!   a request is labelled with the request's identity, which lets the test
 //!   suite prove (not assume) the paper's isolation property: after a

@@ -36,11 +36,11 @@
 //!   refcounted frame runs in `O(extents)` run metadata plus one incref
 //!   per page — no per-page map construction, no content copies;
 //! - [`AddressSpace::touch`] and [`AddressSpace::touch_batch`] make one
-//!   fault decision per page (`Tracking::touch`): a single touch applies
-//!   it after one VMA and one page-table lookup, a batch resolves a
-//!   pre-sorted [`TouchBatch`] in one ordered cursor walk —
-//!   `O(batch + touched extents/chunks)` plus one edit fold (the
-//!   request-execution hot path of `gh_functions::Executor`);
+//!   fault decision per page (`Tracking::touch`, a lazy fault-in
+//!   included): a batch resolves a pre-sorted [`TouchBatch`] in one
+//!   ordered cursor walk — `O(batch + touched extents/chunks)` plus one
+//!   edit fold (the request-execution hot path of
+//!   `gh_functions::Executor`) — and a single touch is a one-item walk;
 //! - [`AddressSpace::read_span`] reads an ascending vpn slice with one
 //!   extent, one VMA and one lazy-pending cursor: a warm page costs at
 //!   most one cursor step and a comparison, and only the pages that
@@ -51,7 +51,14 @@
 //!   madvise pass: one walk and one edit fold per pass — one frame-chunk
 //!   probe per 512-page window across the runs in it, one VMA lookup per
 //!   VMA crossed, one forward [`VpnIndex::clear_runs`] pass.
-//!   `restore_page`, `zero_page` and `evict_page` are one-page passes.
+//!   `restore_page`, `zero_page` and `evict_page` are one-page passes,
+//!   and [`AddressSpace::drain_lazy`] is one walk over the pages it
+//!   drains.
+//!
+//! Every per-page edit — a touch, a lazy fault-in or drain, a writeback
+//! and `poke_word`'s unshare — is a decision over the page table's one
+//! per-page walk (`PageTable::walk` in `crate::extent`); only
+//! `evict_runs` removes pages, through the table's range removal.
 //!
 //! # Change indices
 //!
@@ -105,7 +112,7 @@
 use std::collections::BTreeMap;
 
 use crate::addr::{PageRange, Vpn};
-use crate::batch::{BatchOutcome, TouchBatch};
+use crate::batch::{BatchOutcome, TouchBatch, TouchItem};
 use crate::extent::{BatchDecision, PageTable};
 use crate::frame::{FrameData, FrameId, FrameTable};
 use crate::index::VpnIndex;
@@ -342,26 +349,29 @@ impl ChangeIndex {
     }
 }
 
-/// The state a touch's fault decision updates, borrowed apart from the
-/// VMAs and the page table (see [`AddressSpace::split`]) so the batch
-/// walk can hold it beside its page-table borrow.
+/// The state a page decision updates, borrowed apart from the VMAs, the
+/// page table and the lazy-pending set (see [`AddressSpace::split`]) so
+/// a walk's decisions can hold it beside the page-table borrow.
 struct Tracking<'a> {
     counters: &'a mut FaultCounters,
     dirty: &'a mut VpnIndex,
     tainted: &'a mut VpnIndex,
     changes: &'a mut ChangeIndex,
     uffd_log: &'a mut VpnIndex,
+    /// Userfaultfd write-protect mode armed space-wide.
+    uffd_armed: bool,
 }
 
 impl Tracking<'_> {
-    /// The fault decision of one permitted touch of `vpn`, a page with
-    /// no pending lazy obligation whose state is `cur` (`None` when
-    /// absent): the one copy of the fault state machine, made per item
-    /// by the batch walk and once by [`AddressSpace::touch`]. It counts
-    /// the fault, updates the dirty, taint, uffd-log and change indices,
-    /// allocates or copies the frame, performs a write's word write and
-    /// taint merge, and returns the page's new PTE for the caller to
-    /// apply. `fresh_base` is the VMA's [`AddressSpace::fresh_base`].
+    /// The fault decision of one permitted touch `it` of a page whose
+    /// state is `cur` (`None` when absent), with `pending` its lazy-restore
+    /// source when it had one (already taken from the pending set): the
+    /// one copy of the fault state machine, made per item by every touch
+    /// walk. It counts the fault, updates the dirty, taint, uffd-log and
+    /// change indices, allocates, copies or installs the frame, performs
+    /// a write's word write and taint merge, and returns the page's new
+    /// PTE for the walk to apply. `fresh_base` is the VMA's
+    /// [`AddressSpace::fresh_base`].
     ///
     /// Index writes that provably change nothing are skipped (`dirty` of
     /// an already soft-dirty page, taint bits whose frame taint did not
@@ -369,13 +379,31 @@ impl Tracking<'_> {
     #[inline(always)]
     fn touch(
         &mut self,
-        vpn: Vpn,
-        touch: Touch,
-        taint: Taint,
+        it: &TouchItem,
         fresh_base: Option<u64>,
+        pending: Option<LazyPageSource>,
         cur: Option<(FrameId, PteFlags)>,
         frames: &mut FrameTable,
     ) -> BatchDecision {
+        let TouchItem { vpn, touch, taint } = *it;
+        if let Some(src) = pending {
+            // Deferred restoration: one fault installs the snapshot
+            // contents and services the access; for a write the same
+            // single #PF resolves the tracking write-protect (no
+            // separate SD/UFFD fault is charged).
+            self.counters.lazy += 1;
+            let Touch::WriteWord(val) = touch else {
+                let (frame, flags) = self.install_lazy(vpn, src, self.armed(), true, cur, frames);
+                return BatchDecision::Set { frame, flags };
+            };
+            if self.uffd_armed {
+                self.uffd_log.set(vpn);
+            }
+            let (frame, flags) =
+                self.install_lazy(vpn, src, PteFlags::SOFT_DIRTY, false, cur, frames);
+            self.write_word(vpn, frame, val, taint, frames);
+            return BatchDecision::Set { frame, flags };
+        }
         let Some((old_frame, old_flags)) = cur else {
             // Minor fault. Linux marks every newly installed PTE
             // soft-dirty (Documentation/admin-guide/mm/soft-dirty.rst:
@@ -389,7 +417,7 @@ impl Tracking<'_> {
             }
             self.dirty.set(vpn);
             self.changes.inserted(vpn);
-            return BatchDecision::Insert {
+            return BatchDecision::Set {
                 frame,
                 flags: PteFlags::PRESENT.with(PteFlags::SOFT_DIRTY),
             };
@@ -403,7 +431,10 @@ impl Tracking<'_> {
                 self.counters.warm += 1;
                 old_flags
             };
-            return BatchDecision::Update { frame: None, flags };
+            return BatchDecision::Set {
+                frame: old_frame,
+                flags,
+            };
         };
         let mut frame = old_frame;
         let mut flags = old_flags;
@@ -454,10 +485,7 @@ impl Tracking<'_> {
             self.dirty.set(vpn);
         }
         self.write_word(vpn, frame, val, taint, frames);
-        BatchDecision::Update {
-            frame: (frame != old_frame).then_some(frame),
-            flags,
-        }
+        BatchDecision::Set { frame, flags }
     }
 
     /// Writes `val` into word 1 of `vpn`'s private `frame` and merges the
@@ -480,7 +508,100 @@ impl Tracking<'_> {
             self.tainted.set(vpn);
         }
     }
+
+    /// The write-protect flag a clean page is armed with: userfaultfd's
+    /// while it is armed, soft-dirty's otherwise.
+    fn armed(&self) -> PteFlags {
+        if self.uffd_armed {
+            PteFlags::UFFD_WP
+        } else {
+            PteFlags::SD_WP
+        }
+    }
+
+    /// Installs the snapshot contents `src` of the lazy-pending page
+    /// `vpn` (state `cur`) with the tracking `flags`, leaving the page as
+    /// an eager restore plus tracker re-arm would (both the lazy fault
+    /// and the drain end here): a read fault of a CoW snapshot's frame
+    /// (`share`) maps that frame shared and copy-on-write (the §5.5
+    /// memory win carried into the fault path; a later write takes the
+    /// normal CoW copy), and every other install writes the contents
+    /// back into a private, clean frame as [`Tracking::overwrite`] does.
+    /// The page's dirty and taint bits follow its new flags and frame.
+    /// Returns the page's new frame and flags.
+    fn install_lazy(
+        &mut self,
+        vpn: Vpn,
+        src: LazyPageSource,
+        flags: PteFlags,
+        share: bool,
+        cur: Option<(FrameId, PteFlags)>,
+        frames: &mut FrameTable,
+    ) -> (FrameId, PteFlags) {
+        let (frame, flags) = match src {
+            LazyPageSource::Frame(id) if share => {
+                frames.incref(id);
+                match cur {
+                    Some((old, _)) => frames.decref(old),
+                    None => self.changes.inserted(vpn),
+                }
+                (id, flags.with(PteFlags::COW))
+            }
+            src => {
+                let data = src.resolve(frames);
+                let (frame, _) = self.overwrite(vpn, data, Taint::Clean, cur, frames);
+                (frame, flags)
+            }
+        };
+        if flags.contains(PteFlags::SOFT_DIRTY) {
+            self.dirty.set(vpn);
+        } else {
+            self.dirty.clear(vpn);
+        }
+        if frames.taint(frame).is_tainted() {
+            self.tainted.set(vpn);
+        } else {
+            self.tainted.clear(vpn);
+        }
+        (frame, PteFlags::PRESENT.with(flags))
+    }
+
+    /// The writeback of `page` with `taint` over `vpn` (state `cur`),
+    /// bypassing fault accounting: the one overwrite decision of
+    /// [`AddressSpace::restore_runs`] and the lazy installs. A private
+    /// frame is overwritten in place. A shared one is replaced by a
+    /// freshly allocated private frame, dropping the CoW mark, instead of
+    /// CoW-copying contents the overwrite would discard (an eager
+    /// snapshot shares every frame it captured). An absent page is
+    /// installed present with no tracking flags. Returns the page's new
+    /// frame and flags.
+    fn overwrite(
+        &mut self,
+        vpn: Vpn,
+        page: FrameData,
+        taint: Taint,
+        cur: Option<(FrameId, PteFlags)>,
+        frames: &mut FrameTable,
+    ) -> (FrameId, PteFlags) {
+        match cur {
+            Some((frame, flags)) if frames.is_shared(frame) => {
+                frames.decref(frame);
+                (frames.alloc(page, taint), flags.without(PteFlags::COW))
+            }
+            Some((frame, flags)) => {
+                frames.overwrite(frame, page, taint);
+                (frame, flags)
+            }
+            None => {
+                self.changes.inserted(vpn);
+                (frames.alloc(page, taint), PteFlags::PRESENT)
+            }
+        }
+    }
 }
+
+/// Pages armed for on-demand restoration, keyed by vpn.
+type Pending = BTreeMap<u64, LazyPageSource>;
 
 /// A process's virtual address space.
 #[derive(Debug)]
@@ -521,7 +642,7 @@ pub struct AddressSpace {
     /// installs the snapshot contents before the access proceeds; pages
     /// never touched stay pending (their stale frames are unobservable —
     /// every access is intercepted) until the next arming or a drain.
-    lazy_pending: BTreeMap<u64, LazyPageSource>,
+    lazy_pending: Pending,
     /// Obligations discarded because their mapping was dropped
     /// (`munmap`/`madvise`/brk shrink) before they were touched —
     /// harvested by the manager so the page-work conservation law
@@ -585,9 +706,16 @@ impl AddressSpace {
             .filter(|v| v.range.contains(vpn))
     }
 
-    /// Splits the space into its VMAs, its page table and the state a
-    /// touch's fault decision updates.
-    fn split(&mut self) -> (&BTreeMap<u64, Vma>, &mut PageTable, Tracking<'_>) {
+    /// Splits the space into its VMAs, its page table, its lazy-pending
+    /// set and the state a page decision updates.
+    fn split(
+        &mut self,
+    ) -> (
+        &BTreeMap<u64, Vma>,
+        &mut PageTable,
+        &mut Pending,
+        Tracking<'_>,
+    ) {
         let AddressSpace {
             vmas,
             pt,
@@ -595,7 +723,9 @@ impl AddressSpace {
             tainted,
             changes,
             counters,
+            uffd_armed,
             uffd_log,
+            lazy_pending,
             ..
         } = self;
         let tracking = Tracking {
@@ -604,8 +734,9 @@ impl AddressSpace {
             tainted,
             changes,
             uffd_log,
+            uffd_armed: *uffd_armed,
         };
-        (vmas, pt, tracking)
+        (vmas, pt, lazy_pending, tracking)
     }
 
     /// All VMAs in address order, borrowed (allocation-free `maps` view).
@@ -1004,11 +1135,10 @@ impl AddressSpace {
     }
 
     /// Performs a page-granular touch (the unit of work function
-    /// behaviours are built from): one VMA lookup and one page-table
-    /// lookup, then the fault decision the batch walk makes per item
-    /// (`Tracking::touch`), applied to the page with a point insert or
-    /// update. A page with a pending lazy-restore obligation takes the
-    /// lazy fault instead.
+    /// behaviours are built from): a one-item walk of
+    /// [`AddressSpace::touch_batch`], so it makes the batch's fault
+    /// decision, a lazy fault for a page with a pending lazy-restore
+    /// obligation included.
     pub fn touch(
         &mut self,
         vpn: Vpn,
@@ -1016,94 +1146,34 @@ impl AddressSpace {
         taint: Taint,
         frames: &mut FrameTable,
     ) -> Result<(), AccessError> {
-        let vma = self.vma_at(vpn).ok_or(AccessError::Unmapped(vpn))?;
-        if !touch.permitted(vma.perms) {
-            return Err(AccessError::PermissionDenied(vpn));
-        }
-        if self.lazy_pending.contains_key(&vpn.0) {
-            // Deferred restoration: one fault installs the snapshot
-            // contents and services the access; for a write the same
-            // single #PF resolves the tracking write-protect (no
-            // separate SD/UFFD fault is charged).
-            self.counters.lazy += 1;
-            self.fault_in_lazy(vpn, matches!(touch, Touch::WriteWord(_)), frames);
-            if let Touch::WriteWord(val) = touch {
-                let (_, pt, mut tracking) = self.split();
-                let frame = pt.get(vpn).expect("just faulted in").frame;
-                tracking.write_word(vpn, frame, val, taint, frames);
-            }
-            return Ok(());
-        }
-        let fresh_base = Self::fresh_base(vma);
-        let (_, pt, mut tracking) = self.split();
-        let cur = pt.get(vpn).map(|pte| (pte.frame, pte.flags));
-        match tracking.touch(vpn, touch, taint, fresh_base, cur, frames) {
-            BatchDecision::Insert { frame, flags } => pt.insert(vpn, frame, flags),
-            BatchDecision::Update { frame, flags } => {
-                if let Some(frame) = frame {
-                    pt.set_frame(vpn, frame);
-                }
-                if cur.is_some_and(|(_, old)| old != flags) {
-                    pt.set_flags(vpn, flags);
-                }
-            }
-            BatchDecision::Skip => {}
-        }
-        Ok(())
+        let mut result = Ok(());
+        self.apply_touches(&[TouchItem { vpn, touch, taint }], frames, |e| {
+            result = Err(e)
+        });
+        result
     }
 
     /// Applies a whole [`TouchBatch`] — bit-identical to calling
     /// [`AddressSpace::touch`] once per item in item order with per-item
     /// errors ignored, but resolved in **one ordered cursor walk** over
     /// the extent map and frame chunks: `O(batch + touched extents +
-    /// touched chunks)` instead of `O(batch × log extents)`. Returns the
-    /// batch's aggregate fault counters (also accumulated into
-    /// [`AddressSpace::counters`] exactly like per-page touches) plus
-    /// the number of items that errored (unmapped / permission-denied —
-    /// the items a `let _ = touch(..)` loop would silently skip;
-    /// callers that used to `expect` every touch assert `failed == 0`).
-    ///
-    /// Pages with a pending lazy-restore obligation take the single-page
-    /// fault path (their install order relative to neighbouring touches
-    /// is semantically significant), so lazy batches cost `O(fast items
-    /// + lazy hits × log)` — identical counters either way.
+    /// touched chunks)` instead of `O(batch × log extents)`. A page with
+    /// a pending lazy-restore obligation takes its lazy fault inside the
+    /// same walk. Returns the batch's aggregate fault counters (also
+    /// accumulated into [`AddressSpace::counters`] exactly like per-page
+    /// touches) plus the number of items that errored (unmapped /
+    /// permission-denied — the items a `let _ = touch(..)` loop would
+    /// silently skip; callers that used to `expect` every touch assert
+    /// `failed == 0`).
     pub fn touch_batch(&mut self, batch: &TouchBatch, frames: &mut FrameTable) -> BatchOutcome {
         let before = self.counters;
-        let items = batch.items();
         let mut failed = 0u64;
-        if !batch.is_sorted() {
-            // Correctness fallback: the definitionally-equivalent loop.
-            for it in items {
-                failed += self.touch(it.vpn, it.touch, it.taint, frames).is_err() as u64;
-            }
-            return BatchOutcome {
-                faults: self.counters.since(before),
-                failed,
-            };
-        }
-        let mut i = 0;
-        while i < items.len() {
-            // Fast segment: items up to (excluding) the next page with a
-            // pending lazy obligation.
-            let seg_end = if self.lazy_pending.is_empty() {
-                items.len()
-            } else {
-                let mut j = i;
-                while j < items.len() && !self.lazy_pending.contains_key(&items[j].vpn.0) {
-                    j += 1;
-                }
-                j
-            };
-            if seg_end > i {
-                failed += self.touch_batch_fast(&items[i..seg_end], frames);
-                i = seg_end;
-            }
-            if i < items.len() {
-                // Lazy hit: the ordinary fault path installs the
-                // snapshot contents and services the access.
-                let it = &items[i];
-                failed += self.touch(it.vpn, it.touch, it.taint, frames).is_err() as u64;
-                i += 1;
+        if batch.is_sorted() {
+            self.apply_touches(batch.items(), frames, |_| failed += 1);
+        } else {
+            // Correctness fallback: one walk per item, in item order.
+            for it in batch.items() {
+                self.apply_touches(std::slice::from_ref(it), frames, |_| failed += 1);
             }
         }
         BatchOutcome {
@@ -1222,27 +1292,29 @@ impl AddressSpace {
         }
     }
 
-    /// The cursor-walk core of [`AddressSpace::touch_batch`]: items are
-    /// sorted and none has a pending lazy obligation. Looks up each
-    /// item's VMA with a cursor (one map probe per distinct VMA) and
-    /// hands the walk the same fault decision [`AddressSpace::touch`]
-    /// makes. Returns the count of errored (skipped) items.
-    fn touch_batch_fast(
+    /// The walk behind [`AddressSpace::touch`] and
+    /// [`AddressSpace::touch_batch`]: applies `items` (sorted by vpn) in
+    /// item order in one page-table walk. Looks up each item's VMA with a
+    /// cursor (one map probe per distinct VMA), checks its permission,
+    /// takes its pending lazy-restore source if it has one, and hands the
+    /// walk the fault decision. Each item that errors (unmapped or
+    /// denied, left untouched) goes to `failed`.
+    fn apply_touches(
         &mut self,
-        items: &[crate::batch::TouchItem],
+        items: &[TouchItem],
         frames: &mut FrameTable,
-    ) -> u64 {
-        let (vmas, pt, mut tracking) = self.split();
+        mut failed: impl FnMut(AccessError),
+    ) {
+        let (vmas, pt, pending, mut tracking) = self.split();
         // (range, perms, fresh-pattern base) of the current VMA.
         let mut cur_vma: Option<(PageRange, Perms, Option<u64>)> = None;
-        let mut failed = 0u64;
-        pt.touch_walk(items, |it, cur| {
+        pt.walk(items.iter().map(|it| (it.vpn.0, it)), |_, it, cur| {
             let (perms, fresh_base) = match cur_vma {
                 Some((range, perms, base)) if range.contains(it.vpn) => (perms, base),
                 _ => {
                     let Some(vma) = Self::vma_in(vmas, it.vpn) else {
-                        failed += 1;
-                        return BatchDecision::Skip; // unmapped: `let _ = touch(..)`
+                        failed(AccessError::Unmapped(it.vpn));
+                        return BatchDecision::Skip;
                     };
                     let base = Self::fresh_base(vma);
                     cur_vma = Some((vma.range, vma.perms, base));
@@ -1250,12 +1322,12 @@ impl AddressSpace {
                 }
             };
             if !it.touch.permitted(perms) {
-                failed += 1;
+                failed(AccessError::PermissionDenied(it.vpn));
                 return BatchDecision::Skip;
             }
-            tracking.touch(it.vpn, it.touch, it.taint, fresh_base, cur, frames)
+            let src = pending.remove(&it.vpn.0);
+            tracking.touch(it, fresh_base, src, cur, frames)
         });
-        failed
     }
 
     // ---------------------------------------------------------------
@@ -1298,92 +1370,21 @@ impl AddressSpace {
         self.lazy_dropped
     }
 
-    /// Services the fault of a pending page: installs the snapshot
-    /// contents, leaving the page in exactly the state an eager restore
-    /// plus tracker re-arm would have left it (clean + write-protect
-    /// armed after a read; soft-dirty after a write — the single #PF
-    /// resolves content install and tracking together).
-    fn fault_in_lazy(&mut self, vpn: Vpn, for_write: bool, frames: &mut FrameTable) {
-        let src = self.lazy_pending.remove(&vpn.0).expect("pending entry");
-        let armed = if self.uffd_armed {
-            PteFlags::UFFD_WP
-        } else {
-            PteFlags::SD_WP
-        };
-        // Read of a CoW-snapshot page: install the snapshot's own frame
-        // shared (the §5.5 memory win carried into the fault path); a
-        // later write takes the normal CoW copy.
-        if let (false, LazyPageSource::Frame(id)) = (for_write, &src) {
-            let id = *id;
-            frames.incref(id);
-            match self.pt.remove(vpn) {
-                Some(old) => frames.decref(old),
-                None => self.changes.inserted(vpn),
-            }
-            self.pt
-                .insert(vpn, id, PteFlags::PRESENT.with(PteFlags::COW.with(armed)));
-            self.dirty.clear(vpn);
-            if frames.taint(id).is_tainted() {
-                self.tainted.set(vpn);
-            } else {
-                self.tainted.clear(vpn);
-            }
-            return;
-        }
-        let data = src.resolve(frames);
-        let flags = if for_write {
-            if self.uffd_armed {
-                self.uffd_log.set(vpn);
-            }
-            PteFlags::SOFT_DIRTY
-        } else {
-            armed
-        };
-        self.install_private(vpn, data, flags, frames);
-    }
-
     /// Writes back up to `limit` pending pages in address order (the
     /// background-drain path: the manager copies pages back during idle
-    /// time, so no fault is counted). Returns the number drained.
+    /// time, so no fault is counted) in one page-table walk, each in a
+    /// private frame, clean and write-protect armed. Returns the number
+    /// drained.
     pub fn drain_lazy(&mut self, limit: u64, frames: &mut FrameTable) -> u64 {
-        let mut drained = 0u64;
-        while drained < limit {
-            let Some((&vpn, _)) = self.lazy_pending.iter().next() else {
-                break;
-            };
-            let src = self.lazy_pending.remove(&vpn).expect("just observed");
-            let data = src.resolve(frames);
-            let armed = if self.uffd_armed {
-                PteFlags::UFFD_WP
-            } else {
-                PteFlags::SD_WP
-            };
-            self.install_private(Vpn(vpn), data, armed, frames);
-            drained += 1;
-        }
-        drained
-    }
-
-    /// Installs `data` at `vpn` in a private frame with exactly the
-    /// given flags, clearing taint (both the fault-in and drain paths
-    /// end here). The CoW-break/alloc mechanics are
-    /// [`AddressSpace::restore_page`]'s — one installer for the eager
-    /// and lazy restore paths.
-    fn install_private(
-        &mut self,
-        vpn: Vpn,
-        data: FrameData,
-        flags: PteFlags,
-        frames: &mut FrameTable,
-    ) {
-        self.restore_page(vpn, &data, Taint::Clean, frames)
-            .expect("pending pages always lie in a VMA");
-        self.pt.set_flags(vpn, PteFlags::PRESENT.with(flags));
-        if flags.contains(PteFlags::SOFT_DIRTY) {
-            self.dirty.set(vpn);
-        } else {
-            self.dirty.clear(vpn);
-        }
+        let (_, pt, pending, mut tracking) = self.split();
+        let before = pending.len();
+        let armed = tracking.armed();
+        let pages = std::iter::from_fn(|| pending.pop_first()).take(limit as usize);
+        pt.walk(pages, |vpn, src, cur| {
+            let (frame, flags) = tracking.install_lazy(Vpn(vpn), src, armed, false, cur, frames);
+            BatchDecision::Set { frame, flags }
+        });
+        (before - self.lazy_pending.len()) as u64
     }
 
     // ---------------------------------------------------------------
@@ -1529,10 +1530,10 @@ impl AddressSpace {
     }
 
     /// Writes one word of a present page without fault accounting (the
-    /// manager poking memory via ptrace). A frame shared with a snapshot
-    /// or a `fork` relative is unshared first, so the write lands in
-    /// this process only; flags, dirty state and taint are left as they
-    /// are. Returns `None` when the page is absent.
+    /// manager poking memory via ptrace): a one-page walk. A frame shared
+    /// with a snapshot or a `fork` relative is unshared first, so the
+    /// write lands in this process only; flags, dirty state and taint are
+    /// left as they are. Returns `None` when the page is absent.
     pub fn poke_word(
         &mut self,
         vpn: Vpn,
@@ -1540,13 +1541,19 @@ impl AddressSpace {
         value: u64,
         frames: &mut FrameTable,
     ) -> Option<()> {
-        let mut frame = self.pt.get(vpn)?.frame;
-        if frames.is_shared(frame) {
-            frame = frames.cow_copy(frame);
-            self.pt.set_frame(vpn, frame);
-        }
-        frames.data_mut(frame).0.write_word(word_index, value);
-        Some(())
+        let mut poked = None;
+        self.pt.walk([(vpn.0, ())], |_, (), cur| {
+            let Some((mut frame, flags)) = cur else {
+                return BatchDecision::Skip;
+            };
+            if frames.is_shared(frame) {
+                frame = frames.cow_copy(frame);
+            }
+            frames.data_mut(frame).0.write_word(word_index, value);
+            poked = Some(());
+            BatchDecision::Set { frame, flags }
+        });
+        poked
     }
 
     /// The present pages as `(run start, frames)` runs, **without**
@@ -1603,7 +1610,9 @@ impl AddressSpace {
     /// The cost is one VMA probe per run and overlapped VMA, one chunk
     /// probe per 512-page window and **one** page-table walk and extent
     /// edit fold for the whole call; [`AddressSpace::restore_page`] is
-    /// its one-page call.
+    /// its one-page call. Each page takes the overwrite decision the
+    /// lazy installs take too: a private frame is overwritten in place,
+    /// a shared one is replaced by a fresh private frame.
     ///
     /// Errors with [`AccessError::Unmapped`] — before mutating anything —
     /// if any page of `runs` lies outside every VMA.
@@ -1630,33 +1639,12 @@ impl AddressSpace {
                 v = Vpn(range.end.0.min(run.end.0));
             }
         }
-        self.pt.restore_walk(runs, |vpn, cur| {
+        let (_, pt, _, mut tracking) = self.split();
+        let pages = runs.iter().flat_map(|run| run.start.0..run.end.0);
+        pt.walk(pages.map(|vpn| (vpn, ())), |vpn, (), cur| {
             let page = data(Vpn(vpn), frames);
-            match cur {
-                Some((frame, flags)) => {
-                    if frames.is_shared(frame) {
-                        // The whole page is overwritten: allocate the
-                        // private frame directly instead of CoW-copying
-                        // contents the overwrite would discard (an eager
-                        // snapshot shares every frame it captured).
-                        frames.decref(frame);
-                        BatchDecision::Update {
-                            frame: Some(frames.alloc(page, taint)),
-                            flags: flags.without(PteFlags::COW),
-                        }
-                    } else {
-                        frames.overwrite(frame, page, taint);
-                        BatchDecision::Update { frame: None, flags }
-                    }
-                }
-                None => {
-                    self.changes.inserted(Vpn(vpn));
-                    BatchDecision::Insert {
-                        frame: frames.alloc(page, taint),
-                        flags: PteFlags::PRESENT,
-                    }
-                }
-            }
+            let (frame, flags) = tracking.overwrite(Vpn(vpn), page, taint, cur, frames);
+            BatchDecision::Set { frame, flags }
         });
         // `sync_taint_bit` per page, run-wise.
         if taint.is_tainted() {

@@ -14,13 +14,15 @@
 //!   `evict_page` loop, and stack zeroing through the writeback walk vs
 //!   a `zero_page` loop.
 //!
-//! The single-page entry points apply the same per-page decisions as
-//! the walks (`touch` makes the batch walk's fault decision after its
-//! own lookups; `restore_page`, `zero_page` and `evict_page` are
-//! one-page walks), so this test pins the walks' cursors, chunk
-//! grouping, duplicate handling and edit folds, not the decisions. The
-//! independent reference for the decisions is `legacy_oracle`'s
-//! retained per-page address space.
+//! The single-page entry points are one-item walks of the same page
+//! walk (`touch` is a one-item `touch_batch`; `restore_page`,
+//! `zero_page` and `evict_page` are one-page passes), so both sides
+//! share the walk and its decisions: this test pins what batching adds
+//! — one cursor and one chunk window across many visits, duplicate
+//! carries, edit folds of many pages, `read_span`'s quiet runs — not the
+//! decisions. The independent reference for the walk and the decisions
+//! is `legacy_oracle`'s retained per-page address space, which runs
+//! batches and read spans item by item.
 //!
 //! After every step the test pins *full* equivalence: fault counters,
 //! extent structure, per-page flags and frame ids, soft-dirty, taint and

@@ -4,19 +4,23 @@
 //! `legacy::LegacySpace` below preserves the pre-extent `AddressSpace`
 //! fault and bookkeeping logic verbatim (one `BTreeMap` entry per
 //! present page, full-map walks for every query), minus the I/O helpers
-//! the oracle does not exercise. It is the independent reference for
-//! the address space's one fault decision, which the single-page
-//! `touch` and the batch walks share, and for its one restore and evict
-//! walk behind `restore_page`, `zero_page` and `evict_page`. Seeded
-//! random op streams — mapping churn, faults, tracking epochs, uffd
-//! arming, CoW marking, fork, lazy arming/draining, restore writes, and
-//! captures (an extra frame reference without a CoW mark, as an eager
-//! snapshot holds one, so writes must unshare silently and restores
-//! must not overwrite shared frames) — drive a legacy space and an
-//! extent-based space side by side on separate frame tables, and every
-//! observable must agree at every step: fault counters, present set,
-//! soft-dirty set, uffd logs, taint scans, page contents, live-frame
-//! counts, and the lazy conservation counters.
+//! the oracle does not exercise. Every per-page edit of the extent space
+//! is a decision over one page-table walk, so this is the independent
+//! reference for that walk and its decisions: the single-page `touch`
+//! (a one-item walk), `touch_batch` and `read_span` (the legacy side
+//! runs them item by item), lazy fault-in and draining, and the restore
+//! and evict passes behind `restore_page`, `zero_page` and `evict_page`.
+//! Seeded random op streams — mapping churn, faults, sorted batches
+//! with duplicate, lazy-pending, denied and unmapped pages, read spans,
+//! tracking epochs, uffd arming, CoW marking, fork, lazy
+//! arming/draining, restore writes, and captures (an extra frame
+//! reference without a CoW mark, as an eager snapshot holds one, so
+//! writes must unshare silently and restores must not overwrite shared
+//! frames) — drive a legacy space and an extent-based space side by
+//! side on separate frame tables, and every observable must agree at
+//! every step: fault counters, present set, soft-dirty set, uffd logs,
+//! taint scans, page contents, live-frame counts, and the lazy
+//! conservation counters.
 
 use std::collections::BTreeMap;
 
@@ -24,7 +28,7 @@ use gh_sim::DetRng;
 
 use gh_mem::{
     AddressSpace, FrameData, FrameId, FrameTable, LazyPageSource, PageRange, Perms, RequestId,
-    SpaceConfig, Taint, Touch, VmaKind, Vpn,
+    SpaceConfig, Taint, Touch, TouchBatch, VmaKind, Vpn,
 };
 
 /// The pre-extent, per-page `AddressSpace`, retained as the oracle.
@@ -895,6 +899,29 @@ fn pick_span(space: &AddressSpace, rng: &mut DetRng) -> Option<PageRange> {
     (start < end).then(|| PageRange::new(Vpn(start), Vpn(end)))
 }
 
+/// 1–16 ascending pages for a batch or a read span: mapped pages (guard,
+/// read-only and file pages among them), short runs, repeats,
+/// lazy-pending pages and unmapped pages below every mapping.
+fn pick_pages(space: &AddressSpace, rng: &mut DetRng) -> Vec<Vpn> {
+    let pending = space.lazy_pending_vpns();
+    let mut vpns: Vec<Vpn> = Vec::new();
+    for _ in 0..1 + rng.next_below(16) {
+        let vpn = match rng.next_below(6) {
+            0 if !pending.is_empty() => pending[rng.next_below(pending.len() as u64) as usize],
+            1 => Vpn(1 + rng.next_below(64)),
+            2 if !vpns.is_empty() => vpns[rng.next_below(vpns.len() as u64) as usize],
+            3 if !vpns.is_empty() => Vpn(vpns[vpns.len() - 1].0 + 1),
+            _ => match pick_page(space, rng.next_u64()) {
+                Some(vpn) => vpn,
+                None => continue,
+            },
+        };
+        vpns.push(vpn);
+    }
+    vpns.sort_by_key(|v| v.0);
+    vpns
+}
+
 /// The free gap above each VMA, up to the next VMA or `mmap_top`,
 /// lowest first (the open space below every VMA is not a gap).
 fn packed_gaps(space: &AddressSpace) -> Vec<u64> {
@@ -924,7 +951,42 @@ fn extent_space_is_bit_identical_to_per_page_space() {
             if op_i == 5 || op_i == n_ops / 2 {
                 t.reset_baseline();
             }
-            match rng.next_below(19) {
+            match rng.next_below(21) {
+                19 => {
+                    // A sorted batch: one walk on the extent side, a
+                    // per-item `touch` loop on the legacy side.
+                    let mut batch = TouchBatch::new();
+                    let mut failed = 0u64;
+                    for vpn in pick_pages(&t.new, &mut rng) {
+                        let touch = match rng.next_below(2) {
+                            0 => Touch::Read,
+                            _ => Touch::WriteWord(rng.next_u64()),
+                        };
+                        let taint = match rng.next_below(3) {
+                            0 => Taint::Clean,
+                            n => Taint::One(RequestId(n)),
+                        };
+                        failed += t.old.touch(vpn, touch, taint, &mut t.old_frames).is_err() as u64;
+                        batch.push(vpn, touch, taint);
+                    }
+                    let outcome = t.new.touch_batch(&batch, &mut t.new_frames);
+                    assert_eq!(outcome.failed, failed, "{ctx}: batch failures");
+                }
+                20 => {
+                    // A read span on the extent side, a per-page read
+                    // loop on the legacy side.
+                    let vpns = pick_pages(&t.new, &mut rng);
+                    let mut failed = 0u64;
+                    for &vpn in &vpns {
+                        failed += t
+                            .old
+                            .touch(vpn, Touch::Read, Taint::Clean, &mut t.old_frames)
+                            .is_err() as u64;
+                    }
+                    let mut slow = TouchBatch::new();
+                    let outcome = t.new.read_span(&vpns, &mut t.new_frames, &mut slow);
+                    assert_eq!(outcome.failed, failed, "{ctx}: read span failures");
+                }
                 18 => {
                     if let Some(vpn) = pick_page(&t.new, rng.next_u64()) {
                         t.capture(PageRange::at(vpn, 1 + rng.next_below(8)));
@@ -1089,17 +1151,30 @@ fn extent_space_is_bit_identical_to_per_page_space() {
                     }
                 }
                 12 => {
-                    // Lazy arming: every present page of one VMA against
-                    // synthetic pattern sources (same on both sides).
+                    // Lazy arming: the mapped pages of a short range,
+                    // against synthetic pattern sources or, half the
+                    // time, against captured frames (a CoW snapshot's
+                    // sources, which a read fault maps shared).
                     if let Some(vpn) = pick_page(&t.new, rng.next_u64()) {
                         let len = 1 + rng.next_below(6);
-                        let pages: BTreeMap<u64, LazyPageSource> = PageRange::at(vpn, len)
-                            .iter()
-                            .filter(|v| t.new.vma_at(*v).is_some())
-                            .map(|v| (v.0, LazyPageSource::Data(FrameData::Pattern(v.0 ^ 7))))
-                            .collect();
-                        t.old.arm_lazy(pages.clone());
-                        t.new.arm_lazy(pages);
+                        let shared = !t.held.is_empty() && rng.next_below(2) == 0;
+                        let (mut old, mut new) = (BTreeMap::new(), BTreeMap::new());
+                        for v in PageRange::at(vpn, len).iter() {
+                            if t.new.vma_at(v).is_none() {
+                                continue;
+                            }
+                            let (a, b) = if shared {
+                                let (a, b) = t.held[rng.next_below(t.held.len() as u64) as usize];
+                                (LazyPageSource::Frame(a), LazyPageSource::Frame(b))
+                            } else {
+                                let data = LazyPageSource::Data(FrameData::Pattern(v.0 ^ 7));
+                                (data.clone(), data)
+                            };
+                            old.insert(v.0, a);
+                            new.insert(v.0, b);
+                        }
+                        t.old.arm_lazy(old);
+                        t.new.arm_lazy(new);
                     }
                 }
                 _ => {

@@ -29,7 +29,7 @@ pub mod time;
 
 pub use clock::VirtualClock;
 pub use cost::{ChargeModel, CostModel, ScanShape};
-pub use rng::DetRng;
+pub use rng::{mix, DetRng};
 pub use sketch::QuantileSketch;
 pub use stats::Summary;
 pub use time::Nanos;

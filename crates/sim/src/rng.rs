@@ -26,25 +26,26 @@ pub struct DetRng {
     s: [u64; 4],
 }
 
-/// SplitMix64, used to seed the main generator from a single `u64`.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The 64-bit golden ratio, SplitMix64's step.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finalizer of `x` advanced one step: a bijective,
+/// well-mixed hash of a `u64`. It is the workspace's one way to derive
+/// seeds and synthetic hashes (payload ids, placement, fault draws,
+/// workflow hop values) from small integers, and [`DetRng::new`] seeds
+/// its state from four consecutive steps of it.
+#[inline]
+pub fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(GOLDEN);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 impl DetRng {
     /// Creates a generator from a seed. Equal seeds yield equal streams.
     pub fn new(seed: u64) -> Self {
-        let mut sm = seed;
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        let s = [0u64, 1, 2, 3].map(|i| mix(seed.wrapping_add(i.wrapping_mul(GOLDEN))));
         Self { s }
     }
 
